@@ -22,10 +22,10 @@ let load_patterns nl st patterns =
       Sim.pset_pi st pi bv)
     pis
 
-(* One flush per simulation call: [events] counts node evaluations
-   (nodes × passes for the naive strategy, good pass + cone sizes for
-   the cone strategy), the unit the ROADMAP's events/sec goal is stated
-   in. *)
+(* One flush per simulation call: [events] is the cost unit (nodes ×
+   passes for the naive strategy, good pass + cone sizes for the cone
+   strategy — charged even where the drop kernel's wavefront evaluates
+   fewer nodes), the unit the ROADMAP's events/sec goal is stated in. *)
 let flush ~faults ~detected ~patterns ~events ~seconds =
   if !Hft_obs.Config.enabled then begin
     Hft_obs.Registry.incr "hft.fsim.runs";
@@ -291,31 +291,21 @@ let comb_scan ?(strategy = Cone) nl ~scanned ~patterns faults =
     result_of_flags faults flags n_patterns
   end
 
-let detect_groups ?on_group_events ?(strategy = Cone) nl ~assignment ~observe
-    groups =
-  let t0 = Hft_obs.Clock.now () in
-  let load st =
-    List.iter (fun p -> Bitvec.fill (Sim.pvalue st p) false) (Netlist.pis nl);
-    zero_dffs nl st;
-    List.iter
-      (fun (v, b) -> Bitvec.set (Sim.pvalue st v) 0 b)
-      assignment
-  in
-  let flags, events =
-    run_groups ?on_group_events ~strategy nl ~n_patterns:1 ~load ~observe
-      groups
-  in
-  flush ~faults:(List.length groups) ~detected:(count_true flags) ~patterns:1
-    ~events ~seconds:(Hft_obs.Clock.now () -. t0);
-  flags
-
-(* Three-valued (X-sound) variant of the drop check: sources without an
+(* Single-pattern drop check, three-valued (X-sound): sources without an
    assignment stay at X, and detection requires a defined, differing
    good/faulty pair at an observe node — exactly [Podem.check]'s
    criterion, so a positive answer is valid for {e any} value of the
-   unassigned sources (unknown initial state included).  The [Cone]
-   strategy evaluates only each group's fanout cone copy-on-write over
-   the good three-valued state. *)
+   unassigned sources (unknown initial state included).
+
+   The [Cone] strategy propagates only the fault-effect wavefront: the
+   group's roots are queued on the topo-ordered heap, each popped node
+   is re-evaluated with the group's faults forced, and only a node whose
+   faulty value differs from its good value queues its (non-[Dff])
+   fanouts.  A node none of whose fanins differ reproduces its good
+   value, so skipping it is exact.  Each group is still charged the
+   size of its cone union — the cost unit [hft.fsim.events] and the
+   ledger are stated in — counted with a stamp array over the memoized
+   per-root cones rather than by building the union. *)
 let detect_groups_tri ?(on_group_events = fun _ _ -> ()) ?(strategy = Cone) nl
     ~assignment ~observe groups =
   let t0 = Hft_obs.Clock.now () in
@@ -345,65 +335,75 @@ let detect_groups_tri ?(on_group_events = fun _ _ -> ()) ?(strategy = Cone) nl
    | Cone ->
      let is_obs = Array.make n false in
      List.iter (fun o -> is_obs.(o) <- true) observe;
-     (* Copy-on-write faulty values: [-1] means "same as good". *)
-     let fval = Array.make n (-1) in
+     let kinds = Netlist.raw_kinds nl in
+     let faulty = Array.copy good in
+     let heap = Sim.heap_create nl in
+     let touched = Array.make n 0 and n_touched = ref 0 in
+     let in_cone = Array.make n 0 and round = ref 0 in
+     let cone_size = function
+       | [] -> 0
+       | [ r ] -> Array.length (Netlist.fanout_cone nl r)
+       | roots ->
+         incr round;
+         let size = ref 0 in
+         List.iter
+           (fun r ->
+             let cone = Netlist.fanout_cone nl r in
+             for i = 0 to Array.length cone - 1 do
+               let v = cone.(i) in
+               if in_cone.(v) <> !round then begin
+                 in_cone.(v) <- !round;
+                 incr size
+               end
+             done)
+           roots;
+         !size
+     in
      List.iteri
        (fun gi group ->
-         let stem_of v =
-           List.fold_left
-             (fun acc f ->
-               if f.Fault.pin = None && f.Fault.node = v then Some f else acc)
-             None group
-         and pin_of v p =
-           List.find_opt
-             (fun f -> f.Fault.node = v && f.Fault.pin = Some p)
-             group
-         in
-         let read src consumer pin =
-           match pin_of consumer pin with
-           | Some f -> if f.Fault.stuck then 1 else 0
-           | None -> if fval.(src) >= 0 then fval.(src) else good.(src)
-         in
-         let cone = group_cone nl group in
+         let roots = group_roots nl group in
+         let size = cone_size roots in
          if !Hft_obs.Config.enabled then
-           Hft_obs.Registry.record "hft.fsim.cone_nodes"
-             (float_of_int (Array.length cone));
-         on_group_events gi (Array.length cone);
+           Hft_obs.Registry.record "hft.fsim.cone_nodes" (float_of_int size);
+         on_group_events gi size;
+         events := !events + size;
+         let eval = Sim.teval_fn ~faults:group nl in
+         Sim.heap_reset heap;
+         List.iter (Sim.heap_push heap) roots;
          let hit = ref false in
-         Array.iter
-           (fun v ->
-             incr events;
-             (match stem_of v with
-              | Some f -> fval.(v) <- (if f.Fault.stuck then 1 else 0)
-              | None ->
-                (match Netlist.kind nl v with
-                 | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1
-                   -> ()
-                 | Netlist.Po | Netlist.Buf | Netlist.Not ->
-                   fval.(v) <-
-                     Netlist.eval_tri (Netlist.kind nl v)
-                       [| read (Netlist.fanin nl v).(0) v 0 |]
-                 | Netlist.And | Netlist.Or | Netlist.Nand | Netlist.Nor
-                 | Netlist.Xor | Netlist.Xnor ->
-                   let fi = Netlist.fanin nl v in
-                   fval.(v) <-
-                     Netlist.eval_tri (Netlist.kind nl v)
-                       [| read fi.(0) v 0; read fi.(1) v 1 |]
-                 | Netlist.Mux2 ->
-                   let fi = Netlist.fanin nl v in
-                   fval.(v) <-
-                     Netlist.eval_tri Netlist.Mux2
-                       [| read fi.(0) v 0; read fi.(1) v 1; read fi.(2) v 2 |]));
-             if is_obs.(v) && fval.(v) >= 0 && differs good.(v) fval.(v) then
-               hit := true)
-           cone;
+         while (not !hit) && not (Sim.heap_is_empty heap) do
+           let v = Sim.heap_pop heap in
+           eval faulty v;
+           if faulty.(v) <> good.(v) then begin
+             touched.(!n_touched) <- v;
+             incr n_touched;
+             if is_obs.(v) && differs good.(v) faulty.(v) then hit := true
+             else
+               List.iter
+                 (fun w -> if kinds.(w) <> Netlist.Dff then Sim.heap_push heap w)
+                 (Netlist.fanout nl v)
+           end
+         done;
          detected.(gi) <- !hit;
-         Array.iter (fun v -> fval.(v) <- -1) cone)
+         for i = 0 to !n_touched - 1 do
+           let v = touched.(i) in
+           faulty.(v) <- good.(v)
+         done;
+         n_touched := 0)
        groups);
   flush ~faults:n_groups ~detected:(count_true detected) ~patterns:1
     ~events:!events
     ~seconds:(Hft_obs.Clock.now () -. t0);
   detected
+
+(* With every source defined the three-valued machine never produces X,
+   so the kernel above is exactly the two-valued check. *)
+let detect_groups ?on_group_events ?strategy nl ~assignment ~observe groups =
+  let presets =
+    List.map (fun v -> (v, false)) (Netlist.pis nl @ Netlist.dffs nl)
+  in
+  detect_groups_tri ?on_group_events ?strategy nl
+    ~assignment:(presets @ assignment) ~observe groups
 
 let coverage_curve nl ~checkpoints ~next_pattern faults =
   let checkpoints = List.sort compare checkpoints in

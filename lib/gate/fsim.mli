@@ -1,15 +1,28 @@
 (** Fault simulation.
 
-    Combinational: pattern-parallel (62 patterns per machine word).
-    Two strategies share one harness: [Naive] re-evaluates the whole
-    netlist per fault (the historical algorithm, kept as the
-    differential-testing oracle), [Cone] (the default) copies-on-write
-    from the good-value state and re-evaluates only the fault's
-    precomputed fanout cone ({!Netlist.fanout_cone}), comparing only
-    observation points inside the cone.  Nodes outside the cone provably
-    keep their good values, so both strategies report bit-identical
-    detections; the event count ([hft.fsim.events]) drops from
-    [n_nodes * (n_faults + 1)] to [n_nodes + sum of cone sizes].
+    Combinational, many patterns ({!comb}, {!comb_scan}):
+    pattern-parallel (62 patterns per machine word).  Two strategies
+    share one harness: [Naive] re-evaluates the whole netlist per fault
+    (the historical algorithm, kept as the differential-testing oracle),
+    [Cone] (the default) copies-on-write from the good-value state and
+    re-evaluates only the fault's precomputed fanout cone
+    ({!Netlist.fanout_cone}), comparing only observation points inside
+    the cone.  Nodes outside the cone provably keep their good values,
+    so both strategies report bit-identical detections.
+
+    Single pattern, the drop checks ({!detect_groups},
+    {!detect_groups_tri}): one three-valued kernel.  [Cone] propagates
+    only the fault-effect wavefront — a node is re-evaluated only when
+    one of its fanins carries a faulty value different from the good
+    one — over {!Sim}'s topo-ordered heap; [Naive] re-evaluates the
+    whole netlist per group.
+
+    [hft.fsim.events] is a cost unit, not a count of node evaluations:
+    [n_nodes] for the good pass plus, per fault or group, its cone size
+    (the size of the union of its roots' cones) under [Cone] or
+    [n_nodes] under [Naive].  The drop kernel evaluates far fewer nodes
+    than it is charged, so counters and ledger rows stay comparable
+    across engine changes.
     Sequential: cycle-accurate single-fault simulation over a stimulus
     sequence. *)
 
@@ -57,9 +70,13 @@ val comb_scan :
     Returns a per-group flag: some node in [observe] differs from the
     good machine.  [on_group_events] (default: ignore) is called once
     per group with [(group index, simulation events charged to it)] —
-    the cone size under [Cone], the full node count under [Naive] —
-    letting callers attribute fsim cost to individual fault classes
-    (the {!Hft_obs.Ledger} hook). *)
+    the size of the union of the group's root cones under [Cone]
+    (whatever the wavefront actually touched), the full node count
+    under [Naive] — letting callers attribute fsim cost to individual
+    fault classes (the {!Hft_obs.Ledger} hook).  Runs
+    {!detect_groups_tri} with every unassigned source preset to [false]:
+    with every source defined the three-valued check is exactly the
+    two-valued one. *)
 val detect_groups :
   ?on_group_events:(int -> int -> unit) ->
   ?strategy:strategy ->
@@ -71,7 +88,10 @@ val detect_groups :
     defined, differing good/faulty value at an observe node
     ({!Podem.check}'s criterion), so a positive answer holds for any
     value of the unassigned sources — the sound drop check on circuits
-    with unknown initial state. *)
+    with unknown initial state.  Under [Cone] each group's roots (its
+    sites, minus pin faults on a [Dff], which inject nothing in one
+    combinational pass) seed the wavefront; a group stops at its first
+    detecting observe node. *)
 val detect_groups_tri :
   ?on_group_events:(int -> int -> unit) ->
   ?strategy:strategy ->

@@ -349,20 +349,6 @@ let tri_xor a b = if a = x || b = x then x else if a <> b then 1 else 0
 let tri_mux s a b =
   match s with 0 -> a | 1 -> b | _ -> if a = b then a else x
 
-let eval_tri k (ins : int array) =
-  match k with
-  | Buf | Po -> ins.(0)
-  | Not -> tri_not ins.(0)
-  | And -> tri_and ins.(0) ins.(1)
-  | Or -> tri_or ins.(0) ins.(1)
-  | Nand -> tri_not (tri_and ins.(0) ins.(1))
-  | Nor -> tri_not (tri_or ins.(0) ins.(1))
-  | Xor -> tri_xor ins.(0) ins.(1)
-  | Xnor -> tri_not (tri_xor ins.(0) ins.(1))
-  | Mux2 -> tri_mux ins.(0) ins.(1) ins.(2)
-  | Pi | Dff | Const0 | Const1 ->
-    invalid_arg "Netlist.eval_tri: source node"
-
 let validate nl =
   ignore (comb_order nl);
   for v = 0 to nl.n - 1 do

@@ -96,12 +96,8 @@ val fanout_cone_union : t -> int list -> int array
 (** Eval one gate over booleans ([Pi]/[Dff]/[Const] excluded). *)
 val eval_bool : kind -> bool array -> bool
 
-(** 3-valued evaluation; values are [0], [1], [2] (= X). *)
-val eval_tri : kind -> int array -> int
-
-(** Non-allocating 3-valued primitives ([2] = X) — the hot simulation
-    loops use these directly instead of boxing operand arrays for
-    {!eval_tri}. *)
+(** Non-allocating 3-valued primitives; values are [0], [1], [2]
+    (= X). *)
 val tri_not : int -> int
 val tri_and : int -> int -> int
 val tri_or : int -> int -> int

@@ -193,55 +193,11 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
      bit. *)
   let geval = Sim.teval_fn nl in
   let feval = Sim.teval_fn ~faults nl in
-  let tpos = Netlist.topo_pos nl in
-  let heap = Array.make (n + 1) 0 in
-  let hsize = ref 0 in
-  let inheap = Array.make n 0 in
-  let hstamp = ref 0 in
-  let hpush v =
-    if inheap.(v) <> !hstamp then begin
-      inheap.(v) <- !hstamp;
-      incr hsize;
-      heap.(!hsize) <- v;
-      let i = ref !hsize in
-      let up = ref true in
-      while !up && !i > 1 do
-        let p = !i / 2 in
-        if tpos.(heap.(p)) > tpos.(heap.(!i)) then begin
-          let tmp = heap.(p) in
-          heap.(p) <- heap.(!i);
-          heap.(!i) <- tmp;
-          i := p
-        end
-        else up := false
-      done
-    end
-  in
-  let hpop () =
-    let top = heap.(1) in
-    heap.(1) <- heap.(!hsize);
-    decr hsize;
-    let i = ref 1 in
-    let down = ref true in
-    while !down do
-      let l = 2 * !i and r = (2 * !i) + 1 in
-      let m = ref !i in
-      if l <= !hsize && tpos.(heap.(l)) < tpos.(heap.(!m)) then m := l;
-      if r <= !hsize && tpos.(heap.(r)) < tpos.(heap.(!m)) then m := r;
-      if !m <> !i then begin
-        let tmp = heap.(!m) in
-        heap.(!m) <- heap.(!i);
-        heap.(!i) <- tmp;
-        i := !m
-      end
-      else down := false
-    done;
-    top
-  in
-  let propagate_from v = List.iter hpush (Netlist.fanout nl v) in
+  let heap = Sim.heap_create nl in
+  let propagate_from v = List.iter (Sim.heap_push heap) (Netlist.fanout nl v) in
   let drain () =
-    while !hsize > 0 do
-      let v = hpop () in
+    while not (Sim.heap_is_empty heap) do
+      let v = Sim.heap_pop heap in
       let og = gv.(v) and ofv = fv.(v) in
       geval gv v;
       feval fv v;
@@ -271,8 +227,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       Array.blit base 0 gv 0 n;
       Array.blit base 0 fv 0 n;
       changed := [];
-      incr hstamp;
-      hsize := 0;
+      Sim.heap_reset heap;
       (* The cube is empty on the first implication in the current
          search order, but stay general. *)
       Hashtbl.iter (fun p v -> touch_source p v) pi_val;
@@ -297,8 +252,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       | ds ->
         dirty := [];
         changed := [];
-        incr hstamp;
-        hsize := 0;
+        Sim.heap_reset heap;
         List.iter
           (fun p ->
             let v =

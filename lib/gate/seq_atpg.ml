@@ -295,9 +295,6 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
   let detected = ref 0 and untestable = ref 0 and aborted = ref 0 in
   let decisions = ref 0 and backtracks = ref 0 and implications = ref 0 in
   let frames_used = ref 0 in
-  (* Commit-thread workspaces, one per frame count (shared across
-     faults), built from the original netlist on first use. *)
-  let unrolled = Array.init max_frames (fun i -> lazy (view nl (i + 1))) in
   (* Work on one representative per structural equivalence class; every
      class member shares the representative's outcome exactly (identical
      faulty functions). *)
@@ -335,6 +332,16 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
   let members = Array.of_list (List.map snd groups) in
   let sizes = Array.of_list (List.map (fun (_, ms) -> List.length ms) groups) in
   let n_groups = Array.length leaders in
+  (* Commit-thread workspaces, one per frame count (shared across
+     faults), built from the original netlist on first use, each with
+     every class's injection sites mapped into it once — on the first
+     drop pass or salvage at that frame count. *)
+  let unrolled =
+    Array.init max_frames (fun i ->
+        lazy
+          (let u = view nl (i + 1) in
+           (u, lazy (Array.map u.u_map_fault leaders))))
+  in
   let status = Array.make n_groups `Pending in
   let dropped = ref 0 in
   (* Forensics ledger: one row per class.  Handles are [-1] when
@@ -394,7 +401,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
      [on_resolved] only after the test itself is serialized, so a
      checkpoint transaction is always test line first, resolution lines
      last. *)
-  let drop_pass u assignment self tid =
+  let drop_pass (u, sites) assignment self tid =
     let pending = ref [] in
     for gj = n_groups - 1 downto 0 do
       if gj <> self && status.(gj) = `Pending then pending := gj :: !pending
@@ -403,12 +410,13 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
     | [] -> ([], [])
     | pending ->
       let parr = Array.of_list pending in
+      let sites = Lazy.force sites in
       let flags =
         detect u.u_net
           ~on_group_events:(fun k ev ->
             Hft_obs.Ledger.charge lh.(parr.(k)) ~fsim_events:ev)
           ~assignment ~observe:u.u_observe
-          (List.map (fun gj -> u.u_map_fault leaders.(gj)) pending)
+          (List.map (fun gj -> sites.(gj)) pending)
       in
       let drops = ref [] and resolutions = ref [] in
       List.iteri
@@ -427,13 +435,13 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
         pending;
       (!drops, List.rev !resolutions)
   in
-  let safe_drop_pass u assignment self tid =
+  let safe_drop_pass ws assignment self tid =
     match supervisor with
-    | None -> drop_pass u assignment self tid
+    | None -> drop_pass ws assignment self tid
     | Some _ ->
       (match
          Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim (fun () ->
-             drop_pass u assignment self tid)
+             drop_pass ws assignment self tid)
        with
        | Ok r -> r
        | Error _ ->
@@ -481,8 +489,11 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
      policy) — the seed depends only on the class index and frame
      count — so worker domains can speculate it; [salvage_commit]
      performs the side-effecting half (test registration, drop pass,
-     resolutions) and only ever runs on the orchestrating thread. *)
-  let salvage_search policy u gi =
+     resolutions) and only ever runs on the orchestrating thread.
+     [sites] is the class's injection sites in [u]: the commit thread
+     passes its memoized mapping, a worker maps them itself (the commit
+     thread's lazy tables must not be forced from another domain). *)
+  let salvage_search policy u gi sites =
     let try_salvage () =
       let rng = Hft_util.Rng.create (0x5a17a6e + (7919 * gi) + u.u_frames) in
       let found = ref None in
@@ -496,8 +507,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
           List.map (fun pi -> (pi, Hft_util.Rng.bool rng)) u.u_assignable
         in
         let flags =
-          detect u.u_net ~assignment ~observe:u.u_observe
-            [ u.u_map_fault leaders.(gi) ]
+          detect u.u_net ~assignment ~observe:u.u_observe [ sites ]
         in
         if flags.(0) then found := Some (assignment, !tries)
       done;
@@ -511,11 +521,11 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
       | Ok r -> r
       | Error _ -> None
   in
-  let salvage_commit policy u gi fail found =
+  let salvage_commit policy ((u, _) as ws) gi fail found =
     match found with
     | Some (assignment, patterns) ->
       let tid = Hft_obs.Ledger.register_test ~frames:u.u_frames in
-      let drops, resolutions = safe_drop_pass u assignment gi tid in
+      let drops, resolutions = safe_drop_pass ws assignment gi tid in
       if obs then
         Hft_obs.Journal.record
           (Hft_obs.Journal.Test_generated { test = tid; frames = u.u_frames });
@@ -566,7 +576,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
         last
       end
       else begin
-        let u = Lazy.force unrolled.(frames - 1) in
+        let ((u, sites) as ws) = Lazy.force unrolled.(frames - 1) in
         if obs then
           Hft_obs.Journal.record
             (Hft_obs.Journal.Atpg_target
@@ -590,9 +600,9 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
                | Some (found, stape) ->
                  Hft_obs.Capture.replay stape;
                  found
-               | None -> salvage_search policy u gi
+               | None -> salvage_search policy u gi (Lazy.force sites).(gi)
              in
-             salvage_commit policy u gi fail found
+             salvage_commit policy ws gi fail found
            | None -> assert false)
         | Ok (result, effort) ->
           decisions := !decisions + effort.Podem.decisions;
@@ -625,7 +635,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
             (* Drop first: the test's recorded detections then cover
                both the targeted class and every class it swept. *)
             let drops, resolutions =
-              if strategy = Drop then safe_drop_pass u assignment gi tid
+              if strategy = Drop then safe_drop_pass ws assignment gi tid
               else ([], [])
             in
             if obs then
@@ -685,7 +695,9 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
           match supervisor with
           | None -> None
           | Some policy ->
-            Some (Hft_obs.Capture.record (fun () -> salvage_search policy u gi))
+            Some
+              (Hft_obs.Capture.record (fun () ->
+                   salvage_search policy u gi (u.u_map_fault f)))
         in
         List.rev
           ({ sp_frames = frames; sp_outcome = outcome; sp_tape = tape;

@@ -157,10 +157,9 @@ type tstate = int array
 let tcreate nl = Array.make (Netlist.n_nodes nl) 2
 
 (* Single-node 3-valued evaluation with fault forcing — non-allocating;
-   shared by the full pass ([teval]), the cone-limited re-evaluation
-   ([teval_nodes]) and the event-driven walk ([teval_dirty]).  The
-   faultless case (every good-machine pass) skips the probes
-   entirely. *)
+   shared by the full pass ([teval]) and the event-driven walks
+   ([teval_fn]).  The faultless case (every good-machine pass) skips
+   the probes entirely. *)
 let teval_read tab (st : tstate) (fi : int array) pin v =
   match pin_fault tab v pin with
   | Some f -> if f.Fault.stuck then 1 else 0
@@ -240,14 +239,6 @@ let teval ?(faults = []) nl st =
     List.iter (fun v -> teval_node_nofault kinds fanins st v) order
   | _ -> List.iter (fun v -> teval_node_faulty tab kinds fanins st v) order
 
-let teval_nodes ?(faults = []) nl st nodes =
-  let tab = fault_tab faults in
-  let kinds = Netlist.raw_kinds nl and fanins = Netlist.raw_fanins nl in
-  match tab with
-  | Ft_list [] ->
-    Array.iter (fun v -> teval_node_nofault kinds fanins st v) nodes
-  | _ -> Array.iter (fun v -> teval_node_faulty tab kinds fanins st v) nodes
-
 let teval_fn ?(faults = []) nl =
   let tab = fault_tab faults in
   let kinds = Netlist.raw_kinds nl and fanins = Netlist.raw_fanins nl in
@@ -255,63 +246,64 @@ let teval_fn ?(faults = []) nl =
   | Ft_list [] -> fun st v -> teval_node_nofault kinds fanins st v
   | _ -> fun st v -> teval_node_faulty tab kinds fanins st v
 
-let teval_dirty ?(faults = []) ?acc nl st ~cones ~mark ~stamp =
-  let tab = fault_tab faults in
-  let kinds = Netlist.raw_kinds nl and fanins = Netlist.raw_fanins nl in
-  let faultless = match tab with Ft_list [] -> true | _ -> false in
-  let record v =
-    match acc with Some r -> r := v :: !r | None -> ()
-  in
-  List.iter
-    (fun cone ->
-      let len = Array.length cone in
-      for idx = 0 to len - 1 do
-        let v = Array.unsafe_get cone idx in
-        match Array.unsafe_get kinds v with
-        | Netlist.Pi | Netlist.Dff ->
-          (* Sources appear only as cone roots; the caller already
-             wrote their values — just honour stem forcing, as the
-             full pass does. *)
-          if not faultless then (
-            match stem_fault tab v with
-            | Some f ->
-              let nv = if f.Fault.stuck then 1 else 0 in
-              if st.(v) <> nv then begin
-                st.(v) <- nv;
-                Array.unsafe_set mark v stamp;
-                record v
-              end
-            | None -> ())
-        | Netlist.Const0 | Netlist.Const1 ->
-          if Array.unsafe_get mark v = stamp then begin
-            let old = Array.unsafe_get st v in
-            (if faultless then teval_node_nofault kinds fanins st v
-             else teval_node_faulty tab kinds fanins st v);
-            if Array.unsafe_get st v <> old then record v
-          end
-        | _ ->
-          let fi = Array.unsafe_get fanins v in
-          let affected =
-            Array.unsafe_get mark v = stamp
-            ||
-            let nfi = Array.length fi in
-            Array.unsafe_get mark (Array.unsafe_get fi 0) = stamp
-            || (nfi >= 2
-                && Array.unsafe_get mark (Array.unsafe_get fi 1) = stamp)
-            || (nfi >= 3
-                && Array.unsafe_get mark (Array.unsafe_get fi 2) = stamp)
-          in
-          if affected then begin
-            let old = Array.unsafe_get st v in
-            (if faultless then teval_node_nofault kinds fanins st v
-             else teval_node_faulty tab kinds fanins st v);
-            if Array.unsafe_get st v <> old then begin
-              Array.unsafe_set mark v stamp;
-              record v
-            end
-          end
-      done)
-    cones
+(* Binary min-heap of node ids keyed by topological position.  Each
+   node is queued at most once per round ([seen] holds the round stamp
+   a node was last queued in), and positions are unique, so every pop
+   returns the lowest-positioned queued node whatever the array layout:
+   evaluation order, and with it PODEM's effort counters, does not
+   depend on the heap's implementation. *)
+type heap = {
+  pos : int array;
+  items : int array; (* 1-based *)
+  mutable size : int;
+  seen : int array;
+  mutable round : int;
+}
+
+let heap_create nl =
+  let n = Netlist.n_nodes nl in
+  { pos = Netlist.topo_pos nl; items = Array.make (n + 1) 0; size = 0;
+    seen = Array.make n 0; round = 1 }
+
+let heap_reset h =
+  h.round <- h.round + 1;
+  h.size <- 0
+
+let heap_is_empty h = h.size = 0
+
+let heap_push h v =
+  if h.seen.(v) <> h.round then begin
+    h.seen.(v) <- h.round;
+    h.size <- h.size + 1;
+    let items = h.items and pos = h.pos in
+    let i = ref h.size in
+    while !i > 1 && pos.(items.(!i / 2)) > pos.(v) do
+      items.(!i) <- items.(!i / 2);
+      i := !i / 2
+    done;
+    items.(!i) <- v
+  end
+
+let heap_pop h =
+  let items = h.items and pos = h.pos in
+  let top = items.(1) in
+  let last = items.(h.size) in
+  h.size <- h.size - 1;
+  let n = h.size in
+  let i = ref 1 and continue = ref (n > 0) in
+  while !continue do
+    let l = 2 * !i in
+    let m =
+      if l + 1 <= n && pos.(items.(l + 1)) < pos.(items.(l)) then l + 1 else l
+    in
+    if m <= n && pos.(items.(m)) < pos.(last) then begin
+      items.(!i) <- items.(m);
+      i := m
+    end
+    else continue := false
+  done;
+  if n > 0 then items.(!i) <- last;
+  top
 
 let run_cycles ?(faults = []) ?init nl ~stimuli =
   (* The state's own bitvecs are written in place: no per-PI scratch

@@ -632,6 +632,81 @@ let prop_fsim_cone_matches_naive =
       let cone = Fsim.comb ~strategy:Fsim.Cone nl ~patterns faults in
       sorted_faults naive.Fsim.detected = sorted_faults cone.Fsim.detected)
 
+(* Drop-check fixtures [(netlist, observe, groups)], drawn three ways:
+   single-site groups on a random combinational netlist; the 2–3-frame
+   unrolled view of a random sequential circuit, whose groups are
+   multi-site (one site per frame); and that sequential circuit as its own
+   one-frame scan view, where DFFs are sources — stem faults on PIs and
+   DFFs, pin faults on every DFF's D input (which inject nothing in one
+   combinational pass) and random two-site groups. *)
+let drop_fixture rng =
+  let seq () =
+    Netlist_gen.sequential ~seed:(Hft_util.Rng.int rng 100000) ~n_pi:3
+      ~n_dff:2 ~n_gates:12
+  in
+  match Hft_util.Rng.int rng 3 with
+  | 0 ->
+    let nl = random_comb_netlist rng ~n_pi:(3 + Hft_util.Rng.int rng 3)
+        ~n_gates:12 in
+    (nl, Netlist.pos nl, List.map (fun f -> [ f ]) (Fault.universe nl))
+  | 1 ->
+    let nl = seq () in
+    let scanned = List.filter (fun _ -> Hft_util.Rng.bool rng) (Netlist.dffs nl) in
+    let net, _, observe, map_fault =
+      Seq_atpg.unroll nl ~frames:(2 + Hft_util.Rng.int rng 2) ~scanned
+    in
+    (net, observe, List.map map_fault (Fault.universe nl))
+  | _ ->
+    let nl = seq () in
+    let dffs = Netlist.dffs nl in
+    let sites =
+      Array.of_list
+        (Fault.universe nl
+         @ List.concat_map
+             (fun d ->
+               [ { Fault.node = d; pin = Some 0; stuck = false };
+                 { Fault.node = d; pin = Some 0; stuck = true } ])
+             dffs)
+    in
+    let pick () = sites.(Hft_util.Rng.int rng (Array.length sites)) in
+    ( nl,
+      Netlist.pos nl @ List.map (fun d -> (Netlist.fanin nl d).(0)) dffs,
+      List.map (fun f -> [ f ]) (Array.to_list sites)
+      @ List.init 12 (fun _ -> [ pick (); pick () ]) )
+
+(* A partial assignment: about a third of the sources stay at X. *)
+let partial_assignment rng nl =
+  Netlist.pis nl @ Netlist.dffs nl
+  |> List.filter (fun _ -> Hft_util.Rng.int rng 3 > 0)
+  |> List.map (fun v -> (v, Hft_util.Rng.bool rng))
+
+(* Runs both strategies; the [Cone] run also records its per-group
+   charges, which must be the size of the group's cone union (the cost
+   unit the ledger and [hft.fsim.events] are stated in). *)
+let drop_strategies (detect : Seq_atpg.detect) nl ~assignment ~observe groups =
+  let charges = ref [] in
+  let naive = detect ~strategy:Fsim.Naive nl ~assignment ~observe groups in
+  let cone =
+    detect
+      ~on_group_events:(fun gi ev -> charges := (gi, ev) :: !charges)
+      ~strategy:Fsim.Cone nl ~assignment ~observe groups
+  in
+  let roots g =
+    List.filter_map
+      (fun f ->
+        if f.Fault.pin <> None && Netlist.kind nl f.Fault.node = Netlist.Dff
+        then None
+        else Some f.Fault.node)
+      g
+  in
+  let charged_cone_union =
+    List.rev !charges
+    = List.mapi
+        (fun gi g -> (gi, Array.length (Netlist.fanout_cone_union nl (roots g))))
+        groups
+  in
+  (naive, cone, charged_cone_union)
+
 (* The X-sound drop check must agree between strategies and with the
    dual-simulation oracle PODEM itself uses. *)
 let prop_detect_groups_tri_matches_check =
@@ -640,28 +715,47 @@ let prop_detect_groups_tri_matches_check =
     QCheck.(int_bound 100000)
     (fun seed ->
       let rng = Hft_util.Rng.create seed in
-      let n_pi = 3 + Hft_util.Rng.int rng 3 in
-      let nl = random_comb_netlist rng ~n_pi ~n_gates:12 in
-      let observe = Netlist.pos nl in
-      (* A partial assignment: some PIs stay at X. *)
-      let assignment =
-        Netlist.pis nl
-        |> List.filter (fun _ -> Hft_util.Rng.int rng 3 > 0)
-        |> List.map (fun pi -> (pi, Hft_util.Rng.bool rng))
+      let nl, observe, groups = drop_fixture rng in
+      let assignment = partial_assignment rng nl in
+      let naive, cone, charged =
+        drop_strategies Fsim.detect_groups_tri nl ~assignment ~observe groups
       in
-      let groups = List.map (fun f -> [ f ]) (Fault.universe nl) in
-      let naive =
-        Fsim.detect_groups_tri ~strategy:Fsim.Naive nl ~assignment ~observe
-          groups
-      in
-      let cone =
-        Fsim.detect_groups_tri ~strategy:Fsim.Cone nl ~assignment ~observe
-          groups
-      in
-      naive = cone
+      naive = cone && charged
       && List.for_all2
            (fun g flag ->
              flag = Podem.check nl ~faults:g ~assignment ~observe)
+           groups (Array.to_list naive))
+
+(* The two-valued drop check (unassigned sources read 0) must agree
+   between strategies, with [Podem.check] under the completed
+   assignment, and with a bit-sliced two-valued simulation. *)
+let prop_detect_groups_matches_two_valued =
+  QCheck.Test.make
+    ~name:"detect_groups: Cone = Naive = Podem.check = peval" ~count:60
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Hft_util.Rng.create seed in
+      let nl, observe, groups = drop_fixture rng in
+      let assignment = partial_assignment rng nl in
+      let full =
+        List.map (fun v -> (v, false)) (Netlist.pis nl @ Netlist.dffs nl)
+        @ assignment
+      in
+      let observed faults =
+        let st = Sim.pcreate nl ~n_patterns:1 in
+        List.iter (fun (v, b) -> Hft_util.Bitvec.set (Sim.pvalue st v) 0 b) full;
+        Sim.peval ~faults nl st;
+        List.map (fun o -> Hft_util.Bitvec.get (Sim.pvalue st o) 0) observe
+      in
+      let good = observed [] in
+      let naive, cone, charged =
+        drop_strategies Fsim.detect_groups nl ~assignment ~observe groups
+      in
+      naive = cone && charged
+      && List.for_all2
+           (fun g flag ->
+             flag = Podem.check nl ~faults:g ~assignment:full ~observe
+             && flag = (observed g <> good))
            groups (Array.to_list naive))
 
 let test_fault_collapse_invariants () =
@@ -863,6 +957,7 @@ let () =
             test_seq_atpg_drop_on_sequential;
           Alcotest.test_case "seed 4246 reproducer sound" `Quick
             test_seq_atpg_seed_4246_sound;
+          qt prop_detect_groups_matches_two_valued;
         ] );
       ( "ctrl_expand",
         [
