@@ -152,13 +152,36 @@ let obs_term =
         $ ledger_out $ metrics_out $ progress_out $ progress_every
         $ progress_interval $ gc_stats)
 
+(* An output path that cannot be opened for writing is bad input (exit
+   2) caught before the run, not an engine failure (exit 1) after it.
+   The file is created if absent but left untruncated until written. *)
+let check_writable (flag, file) =
+  match file with
+  | None -> ()
+  | Some file ->
+    (match open_out_gen [ Open_wronly; Open_creat ] 0o666 file with
+     | oc -> close_out oc
+     | exception Sys_error msg -> Hft_robust.Validation.fail ~site:flag msg)
+
 (* Run a subcommand body under the observability sink.  Tracing turns
    on when any obs flag is given; the trace/metrics report prints to
    stdout (the user asked for it), while the elapsed-time diagnostic
    always goes to stderr so `... --json | jq` stays clean.  The body's
    result is returned so callers can turn it into an exit status
    *after* the reports are flushed. *)
-let with_obs ~cmd obs f =
+let with_obs ~cmd ?(outputs = []) obs f =
+  (* Post-run exports: flag, target, what it is, its text. *)
+  let exports =
+    [ ("--trace-out", obs.trace_out, "Chrome trace",
+       fun () -> Hft_util.Json.to_string (Hft_obs.Export.chrome_trace ()));
+      ("--journal-out", obs.journal_out, "event journal",
+       Hft_obs.Journal.to_jsonl);
+      ("--ledger-out", obs.ledger_out, "fault ledger", Hft_obs.Ledger.to_jsonl);
+      ("--metrics-out", obs.metrics_out, "OpenMetrics exposition",
+       fun () -> Hft_obs.Export.openmetrics ()) ]
+  in
+  List.iter check_writable
+    (List.map (fun (flag, file, _, _) -> (flag, file)) exports @ outputs);
   if obs.trace || obs.metrics || obs.metrics_json || obs.trace_out <> None
      || obs.journal_out <> None || obs.ledger_out <> None
      || obs.metrics_out <> None || obs.progress_out <> None
@@ -174,9 +197,7 @@ let with_obs ~cmd obs f =
             min_interval_s = obs.progress_interval }
         in
         Hft_obs.Progress.start ~config ?metrics_out:obs.metrics_out sink
-      | Error msg ->
-        Printf.eprintf "hft %s: --progress-out %s: %s\n%!" cmd spec msg;
-        exit 2)
+      | Error msg -> Hft_robust.Validation.fail ~site:"--progress-out" msg)
    | None -> ());
   let t0 = Unix.gettimeofday () in
   let r = Fun.protect ~finally:Hft_obs.Progress.stop f in
@@ -184,32 +205,19 @@ let with_obs ~cmd obs f =
   if obs.metrics then print_string (Hft_obs.Export.metrics_table ());
   if obs.metrics_json then
     print_endline (Hft_util.Json.to_string (Hft_obs.Export.metrics_json ()));
-  let write_file file text what =
-    let oc = open_out file in
-    output_string oc text;
-    if text = "" || text.[String.length text - 1] <> '\n' then
-      output_char oc '\n';
-    close_out oc;
-    Printf.eprintf "hft %s: wrote %s %s\n%!" cmd what file
-  in
-  (match obs.trace_out with
-   | Some file ->
-     write_file file
-       (Hft_util.Json.to_string (Hft_obs.Export.chrome_trace ()))
-       "Chrome trace"
-   | None -> ());
-  (match obs.journal_out with
-   | Some file ->
-     write_file file (Hft_obs.Journal.to_jsonl ()) "event journal"
-   | None -> ());
-  (match obs.ledger_out with
-   | Some file ->
-     write_file file (Hft_obs.Ledger.to_jsonl ()) "fault ledger"
-   | None -> ());
-  (match obs.metrics_out with
-   | Some file ->
-     write_file file (Hft_obs.Export.openmetrics ()) "OpenMetrics exposition"
-   | None -> ());
+  List.iter
+    (fun (_, file, what, text) ->
+      Option.iter
+        (fun file ->
+          let text = text () in
+          let oc = open_out file in
+          output_string oc text;
+          if text = "" || text.[String.length text - 1] <> '\n' then
+            output_char oc '\n';
+          close_out oc;
+          Printf.eprintf "hft %s: wrote %s %s\n%!" cmd what file)
+        file)
+    exports;
   Printf.eprintf "hft %s: %.1f ms\n%!" cmd
     (1e3 *. (Unix.gettimeofday () -. t0));
   r
@@ -741,7 +749,7 @@ let bench_cmd =
                    speedup field.")
   in
   let run quick json out width naive jobs obs =
-    with_obs ~cmd:"bench" obs @@ fun () ->
+    with_obs ~cmd:"bench" ~outputs:[ ("--out", Some out) ] obs @@ fun () ->
     Hft_obs.enabled := true;
     let jobs_list =
       if jobs = "" then []
@@ -806,28 +814,59 @@ let bench_cmd =
 (* present the forensics — the coverage waterfall (where every        *)
 (* collapsed fault class ended up) and the most expensive faults.     *)
 
-let report_cmd =
-  let report_bench_arg =
-    let doc =
-      Printf.sprintf
-        "Benchmark behaviour (%s).  Required unless --journal-in is given."
-        (String.concat ", " bench_names)
-    in
-    Arg.(value & opt (some string) None
-         & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
+(* Read back a --journal-out / --ledger-out tape for an offline report
+   or profile; an unreadable or malformed tape is bad input (exit 2). *)
+let load_tape file =
+  let fail msg = Hft_robust.Validation.fail ~site:"--journal-in" msg in
+  match In_channel.with_open_bin file In_channel.input_all with
+  | exception Sys_error msg -> fail msg
+  | text ->
+    (match Hft_obs.Ledger.of_jsonl text with
+     | Ok tape -> tape
+     | Error msg -> fail (file ^ ": " ^ msg))
+
+(* The live campaign report and profile both run (fixed knobs, so their
+   tables compare across commits), and the arguments selecting it. *)
+let forensics_campaign ~cmd ?outputs ?guided ?jobs bench flow width sample
+    obs k =
+  match bench with
+  | None ->
+    Printf.eprintf "hft %s: --bench is required (or use --journal-in FILE)\n%!"
+      cmd;
+    exit 2
+  | Some bench ->
+    with_obs ~cmd ?outputs obs @@ fun () ->
+    Hft_obs.enabled := true;
+    Hft_obs.reset ();
+    let g = bench_graph ~extra:(fig1_extra ()) bench in
+    let r = Flow.synthesize ~width flow g in
+    k bench
+      (Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
+         ~n_patterns:64 ?guided ?jobs
+         ~campaign:(bench ^ "/" ^ Flow.flow_kind_to_string flow) r)
+
+let forensics_bench_arg =
+  let doc =
+    Printf.sprintf
+      "Benchmark behaviour (%s).  Required unless --journal-in is given."
+      (String.concat ", " bench_names)
   in
+  Arg.(value & opt (some string) None
+       & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
+
+let forensics_sample_arg =
+  Arg.(value & opt int 1
+       & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
+
+let forensics_top_arg =
+  Arg.(value & opt int 10
+       & info [ "top" ] ~docv:"K"
+           ~doc:"Rows in the most-expensive-fault-classes table.")
+
+let report_cmd =
   let json_arg =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the report as machine-readable JSON.")
-  in
-  let top_arg =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~docv:"K"
-             ~doc:"Rows in the most-expensive-faults table.")
-  in
-  let sample_arg =
-    Arg.(value & opt int 1
-         & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
   in
   let no_guided_arg =
     Arg.(value & flag
@@ -838,111 +877,64 @@ let report_cmd =
   let journal_in_arg =
     Arg.(value & opt (some string) None
          & info [ "journal-in" ] ~docv:"FILE"
-             ~doc:"Offline mode: rebuild the coverage waterfall from an \
-                   exported tape (--journal-out event JSONL or --ledger-out \
-                   class JSONL) instead of running a campaign.  --bench is \
-                   not needed.  Ledger tapes are exact; journal tapes cover \
-                   whatever the bounded event ring still held at export.")
+             ~doc:"Offline mode: render the report from an exported tape \
+                   instead of running a campaign; --bench is not needed.  A \
+                   --ledger-out tape is exact, expensive table included; a \
+                   --journal-out tape yields the waterfall of whatever the \
+                   bounded event ring still held at export.")
   in
-  (* Offline mode: no engines run, the waterfall is rebuilt from the
-     tape alone — so a forensics report survives the run that made it. *)
+  (* One waterfall table for live and offline reports: the sampled
+     universe when a campaign ran, the collapsed totals, the outcomes. *)
+  let print_waterfall ?sampled waterfall =
+    let classes, faults = Hft_obs.Ledger.totals waterfall in
+    let row stage (c, f) = [ stage; string_of_int c; string_of_int f ] in
+    Hft_util.Pretty.print ~header:[ "stage"; "classes"; "faults" ]
+      ((match sampled with
+        | Some n -> [ [ "total (sampled)"; "-"; string_of_int n ] ]
+        | None -> [])
+       @ row "collapsed" (classes, faults)
+         :: List.map (fun (k, cf) -> row k cf) waterfall)
+  in
+  (* Offline mode: no engines run, the report is rendered from the tape
+     alone — so a forensics report survives the run that made it. *)
   let run_offline file top json =
-    let lines =
-      match open_in file with
-      | exception Sys_error msg ->
-        Printf.eprintf "hft report: %s\n%!" msg;
-        exit 2
-      | ic ->
-        let rec go acc =
-          match input_line ic with
-          | l -> go (l :: acc)
-          | exception End_of_file -> close_in ic; List.rev acc
-        in
-        go []
+    let tape = load_tape file in
+    let waterfall = tape.Hft_obs.Ledger.tp_waterfall in
+    let tests = List.length tape.Hft_obs.Ledger.tp_tests in
+    let expensive =
+      Hft_obs.Ledger.top_expensive ~rows:tape.Hft_obs.Ledger.tp_rows ~k:top ()
     in
-    match Hft_obs.Progress.offline_of_lines lines with
-    | Error msg ->
-      Printf.eprintf "hft report: %s: %s\n%!" file msg;
-      exit 2
-    | Ok off ->
-      let expensive =
-        List.filteri (fun i _ -> i < top)
-          off.Hft_obs.Progress.off_expensive
-      in
-      if json then
-        print_endline
-          (Hft_util.Json.to_string
-             (Hft_util.Json.Obj
-                [ ("schema", Hft_util.Json.String "hft-report/1");
-                  ("source", Hft_util.Json.String
-                               off.Hft_obs.Progress.off_source);
-                  ("file", Hft_util.Json.String file);
-                  ("classes", Hft_util.Json.Int
-                                off.Hft_obs.Progress.off_classes);
-                  ("faults", Hft_util.Json.Int
-                               off.Hft_obs.Progress.off_faults);
-                  ("waterfall",
-                   Hft_obs.Progress.offline_waterfall_json off);
-                  ("tests", Hft_util.Json.Int
-                              off.Hft_obs.Progress.off_tests);
-                  ("expensive",
-                   Hft_util.Json.List
-                     (List.map
-                        (fun (rep, outcome, cost) ->
-                          Hft_util.Json.Obj
-                            [ ("rep", Hft_util.Json.String rep);
-                              ("resolution", Hft_util.Json.String outcome);
-                              ("cost", Hft_util.Json.Int cost) ])
-                        expensive)) ]))
-      else begin
-        Printf.printf "coverage waterfall (offline, %s tape %s):\n"
-          off.Hft_obs.Progress.off_source file;
-        Hft_util.Pretty.print ~header:[ "stage"; "classes"; "faults" ]
-          ([ [ "collapsed";
-               string_of_int off.Hft_obs.Progress.off_classes;
-               string_of_int off.Hft_obs.Progress.off_faults ] ]
-           @ List.map
-               (fun (key, (classes, faults)) ->
-                 [ key; string_of_int classes; string_of_int faults ])
-               off.Hft_obs.Progress.off_waterfall);
-        Printf.printf "%d tests on tape\n" off.Hft_obs.Progress.off_tests;
-        if expensive <> [] then begin
-          Printf.printf "\nmost expensive fault classes (top %d):\n"
-            (List.length expensive);
-          Hft_util.Pretty.print ~header:[ "fault"; "resolution"; "cost" ]
-            (List.map
-               (fun (rep, outcome, cost) ->
-                 [ rep; outcome; string_of_int cost ])
-               expensive)
-        end
-      end
+    if json then
+      let classes, faults = Hft_obs.Ledger.totals waterfall in
+      print_endline
+        (Hft_util.Json.to_string
+           (Hft_util.Json.Obj
+              [ ("schema", Hft_util.Json.String "hft-report/1");
+                ("source", Hft_util.Json.String tape.Hft_obs.Ledger.tp_source);
+                ("file", Hft_util.Json.String file);
+                ("classes", Hft_util.Json.Int classes);
+                ("faults", Hft_util.Json.Int faults);
+                ("waterfall", Hft_obs.Ledger.waterfall_json ~waterfall ());
+                ("tests", Hft_util.Json.Int tests);
+                ("expensive", Hft_obs.Ledger.expensive_json expensive) ]))
+    else begin
+      Printf.printf "coverage waterfall (offline, %s tape %s):\n"
+        tape.Hft_obs.Ledger.tp_source file;
+      print_waterfall waterfall;
+      Printf.printf "%d tests on tape\n" tests;
+      print_string (Hft_obs.Ledger.expensive_table expensive)
+    end
   in
   let run bench flow width sample top json no_guided journal_in obs =
     match journal_in with
     | Some file -> run_offline file top json
     | None ->
-    let bench =
-      match bench with
-      | Some b -> b
-      | None ->
-        Printf.eprintf
-          "hft report: --bench is required (or use --journal-in FILE)\n%!";
-        exit 2
-    in
-    with_obs ~cmd:"report" obs @@ fun () ->
-    Hft_obs.enabled := true;
-    Hft_obs.reset ();
-    let g = bench_graph ~extra:(fig1_extra ()) bench in
-    let r = Flow.synthesize ~width flow g in
-    let c =
-      Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
-        ~n_patterns:64 ~guided:(not no_guided)
-        ~campaign:(bench ^ "/" ^ Flow.flow_kind_to_string flow) r
-    in
+    forensics_campaign ~cmd:"report" ~guided:(not no_guided) bench flow width
+      sample obs
+    @@ fun bench c ->
     let flow_name = Flow.flow_kind_to_string flow in
     let n_faults = List.length c.Flow.c_faults in
-    let waterfall = Hft_obs.Ledger.waterfall () in
-    let expensive = Hft_obs.Ledger.top_expensive ~k:top in
+    let expensive = Hft_obs.Ledger.top_expensive ~k:top () in
     if json then
       print_endline
         (Hft_util.Json.to_string
@@ -976,20 +968,10 @@ let report_cmd =
                       Hft_util.Json.Int
                         (Hft_obs.Registry.count "hft.podem.guided_decisions"))
                    ]);
-                ("expensive",
-                 Hft_util.Json.List
-                   (List.map Hft_obs.Ledger.row_to_json expensive)) ]))
+                ("expensive", Hft_obs.Ledger.expensive_json expensive) ]))
     else begin
       Printf.printf "coverage waterfall (%s, %s):\n" bench flow_name;
-      Hft_util.Pretty.print ~header:[ "stage"; "classes"; "faults" ]
-        ([ [ "total (sampled)"; "-"; string_of_int n_faults ];
-           [ "collapsed";
-             string_of_int (Hft_obs.Ledger.n_classes ());
-             string_of_int (Hft_obs.Ledger.total_faults ()) ] ]
-         @ List.map
-             (fun (key, (classes, faults)) ->
-               [ key; string_of_int classes; string_of_int faults ])
-             waterfall);
+      print_waterfall ~sampled:n_faults (Hft_obs.Ledger.waterfall ());
       Printf.printf
         "%d tests generated, %d pattern rows stored; coverage: atpg %s, \
          fsim %s\n"
@@ -1004,25 +986,7 @@ let report_cmd =
           (Hft_obs.Registry.count "hft.podem.static_untestable")
           (Hft_obs.Registry.count "hft.podem.guided_cuts")
           (Hft_obs.Registry.count "hft.podem.guided_decisions");
-      if expensive <> [] then begin
-        Printf.printf "\nmost expensive fault classes (top %d):\n"
-          (List.length expensive);
-        Hft_util.Pretty.print
-          ~header:
-            [ "class"; "fault"; "resolution"; "fsim ev"; "impl"; "btk";
-              "cost" ]
-          (List.map
-             (fun (row : Hft_obs.Ledger.row) ->
-               [ string_of_int row.Hft_obs.Ledger.lr_class;
-                 row.Hft_obs.Ledger.lr_rep;
-                 Hft_obs.Ledger.resolution_to_string
-                   row.Hft_obs.Ledger.lr_resolution;
-                 string_of_int row.Hft_obs.Ledger.lr_fsim_events;
-                 string_of_int row.Hft_obs.Ledger.lr_implications;
-                 string_of_int row.Hft_obs.Ledger.lr_backtracks;
-                 string_of_int (Hft_obs.Ledger.cost row) ])
-             expensive)
-      end
+      print_string (Hft_obs.Ledger.expensive_table expensive)
     end
   in
   Cmd.v
@@ -1033,8 +997,9 @@ let report_cmd =
           PODEM-detected, aborted, untestable) and the most expensive fault \
           classes (benches include fig1b/fig1c); with --journal-in, rebuild \
           the waterfall offline from an exported tape")
-    Term.(const run $ report_bench_arg $ flow_arg $ width_arg $ sample_arg
-          $ top_arg $ json_arg $ no_guided_arg $ journal_in_arg $ obs_term)
+    Term.(const run $ forensics_bench_arg $ flow_arg $ width_arg
+          $ forensics_sample_arg $ forensics_top_arg $ json_arg $ no_guided_arg
+          $ journal_in_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* hft profile: where did the campaign's time go?  Live mode runs a   *)
@@ -1045,27 +1010,9 @@ let report_cmd =
 (* Offline mode replays an exported tape instead of running engines.  *)
 
 let profile_cmd =
-  let profile_bench_arg =
-    let doc =
-      Printf.sprintf
-        "Benchmark behaviour (%s).  Required unless --journal-in is given."
-        (String.concat ", " bench_names)
-    in
-    Arg.(value & opt (some string) None
-         & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
-  in
   let json_arg =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the profile as machine-readable JSON.")
-  in
-  let top_arg =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~docv:"K"
-             ~doc:"Rows in the top-classes-by-charged-cost table.")
-  in
-  let sample_arg =
-    Arg.(value & opt int 1
-         & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
   in
   let jobs_arg =
     Arg.(value & opt int 1
@@ -1085,31 +1032,6 @@ let profile_cmd =
              ~doc:"Offline mode: attribute time from an exported tape \
                    (--journal-out phase events, or --ledger-out per-class \
                    charged costs) instead of running a campaign.")
-  in
-  (* The per-class cost table must render byte-identically to hft
-     report's, so both text and JSON shapes reuse the same ledger
-     accessors and the same column recipe. *)
-  let expensive_rows rows =
-    List.map
-      (fun (row : Hft_obs.Ledger.row) ->
-        [ string_of_int row.Hft_obs.Ledger.lr_class;
-          row.Hft_obs.Ledger.lr_rep;
-          Hft_obs.Ledger.resolution_to_string row.Hft_obs.Ledger.lr_resolution;
-          string_of_int row.Hft_obs.Ledger.lr_fsim_events;
-          string_of_int row.Hft_obs.Ledger.lr_implications;
-          string_of_int row.Hft_obs.Ledger.lr_backtracks;
-          string_of_int (Hft_obs.Ledger.cost row) ])
-      rows
-  in
-  let print_expensive rows =
-    if rows <> [] then begin
-      Printf.printf "\nmost expensive fault classes (top %d):\n"
-        (List.length rows);
-      Hft_util.Pretty.print
-        ~header:
-          [ "class"; "fault"; "resolution"; "fsim ev"; "impl"; "btk"; "cost" ]
-        (expensive_rows rows)
-    end
   in
   let self_json self =
     Hft_util.Json.List
@@ -1159,41 +1081,9 @@ let profile_cmd =
      Shard_stats event, and per-class costs from ledger-tape rows — so
      the profile of a finished run needs only its tapes. *)
   let run_offline file top json =
-    let lines =
-      match open_in file with
-      | exception Sys_error msg ->
-        Printf.eprintf "hft profile: %s\n%!" msg;
-        exit 2
-      | ic ->
-        let rec go acc =
-          match input_line ic with
-          | l -> go (l :: acc)
-          | exception End_of_file -> close_in ic; List.rev acc
-        in
-        go []
-    in
-    let docs =
-      List.filter_map
-        (fun l ->
-          if String.trim l = "" then None
-          else Result.to_option (Hft_util.Json.parse l))
-        lines
-    in
-    if docs = [] then begin
-      Printf.eprintf "hft profile: %s: no parseable JSONL lines\n%!" file;
-      exit 2
-    end;
-    let str k j =
-      match Hft_util.Json.member k j with
-      | Some (Hft_util.Json.String s) -> Some s
-      | _ -> None
-    in
-    let num k j =
-      match Hft_util.Json.member k j with
-      | Some (Hft_util.Json.Float f) -> Some f
-      | Some (Hft_util.Json.Int i) -> Some (float_of_int i)
-      | _ -> None
-    in
+    let tape = load_tape file in
+    let events = tape.Hft_obs.Ledger.tp_events in
+    let str = Hft_util.Json.member_str and num = Hft_util.Json.member_float in
     (* Σ elapsed (ms) per phase name, tape order first-seen. *)
     let phases : (string * float) list =
       List.fold_left
@@ -1207,14 +1097,13 @@ let profile_cmd =
                  acc
              | None -> acc @ [ (name, e) ])
           | _ -> acc)
-        [] docs
+        [] events
     in
-    let shard = List.find_opt (fun d -> str "type" d = Some "shard_stats") docs in
+    let shard =
+      List.find_opt (fun d -> str "type" d = Some "shard_stats") events
+    in
     let expensive =
-      match Hft_obs.Progress.offline_of_lines lines with
-      | Ok off when off.Hft_obs.Progress.off_expensive <> [] ->
-        List.filteri (fun i _ -> i < top) off.Hft_obs.Progress.off_expensive
-      | _ -> []
+      Hft_obs.Ledger.top_expensive ~rows:tape.Hft_obs.Ledger.tp_rows ~k:top ()
     in
     if json then
       print_endline
@@ -1232,15 +1121,7 @@ let profile_cmd =
                       phases));
                 ("parallel",
                  match shard with Some d -> d | None -> Hft_util.Json.Null);
-                ("expensive",
-                 Hft_util.Json.List
-                   (List.map
-                      (fun (rep, outcome, cost) ->
-                        Hft_util.Json.Obj
-                          [ ("rep", Hft_util.Json.String rep);
-                            ("resolution", Hft_util.Json.String outcome);
-                            ("cost", Hft_util.Json.Int cost) ])
-                      expensive)) ]))
+                ("expensive", Hft_obs.Ledger.expensive_json expensive) ]))
     else begin
       Printf.printf "profile (offline tape %s):\n" file;
       if phases <> [] then
@@ -1261,40 +1142,18 @@ let profile_cmd =
            (Option.value ~default:0.0 (num "spec_misses" d))
            (100.0 *. Option.value ~default:0.0 (num "utilization" d))
        | None -> ());
-      if expensive <> [] then begin
-        Printf.printf "\nmost expensive fault classes (top %d):\n"
-          (List.length expensive);
-        Hft_util.Pretty.print ~header:[ "fault"; "resolution"; "cost" ]
-          (List.map
-             (fun (rep, outcome, cost) -> [ rep; outcome; string_of_int cost ])
-             expensive)
-      end
+      print_string (Hft_obs.Ledger.expensive_table expensive)
     end
   in
   let run bench flow width sample top jobs folded_out json journal_in obs =
     match journal_in with
     | Some file -> run_offline file top json
     | None ->
-    let bench =
-      match bench with
-      | Some b -> b
-      | None ->
-        Printf.eprintf
-          "hft profile: --bench is required (or use --journal-in FILE)\n%!";
-        exit 2
-    in
-    with_obs ~cmd:"profile" obs @@ fun () ->
-    Hft_obs.enabled := true;
-    Hft_obs.reset ();
-    let g = bench_graph ~extra:(fig1_extra ()) bench in
-    let r = Flow.synthesize ~width flow g in
-    let c =
-      Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
-        ~n_patterns:64 ~jobs
-        ~campaign:(bench ^ "/" ^ Flow.flow_kind_to_string flow) r
-    in
+    forensics_campaign ~cmd:"profile" ~outputs:[ ("--folded-out", folded_out) ]
+      ~jobs bench flow width sample obs
+    @@ fun bench c ->
     let self = Hft_obs.Export.self_times () in
-    let expensive = Hft_obs.Ledger.top_expensive ~k:top in
+    let expensive = Hft_obs.Ledger.top_expensive ~k:top () in
     (match folded_out with
      | Some file ->
        let oc = open_out file in
@@ -1313,9 +1172,7 @@ let profile_cmd =
                 ("jobs", Hft_util.Json.Int jobs);
                 ("self", self_json self);
                 ("parallel", Hft_par.Stats.to_json c.Flow.c_par);
-                ("expensive",
-                 Hft_util.Json.List
-                   (List.map Hft_obs.Ledger.row_to_json expensive)) ]))
+                ("expensive", Hft_obs.Ledger.expensive_json expensive) ]))
     else begin
       Printf.printf "self-time attribution (%s, %s, jobs %d):\n" bench
         (Flow.flow_kind_to_string flow) jobs;
@@ -1324,7 +1181,7 @@ let profile_cmd =
            (fun (name, s) -> [ name; Printf.sprintf "%.2f" (1e3 *. s) ])
            self);
       print_workers c.Flow.c_par;
-      print_expensive expensive
+      print_string (Hft_obs.Ledger.expensive_table expensive)
     end
   in
   Cmd.v
@@ -1336,9 +1193,9 @@ let profile_cmd =
           to report's table).  --folded-out writes flamegraph.pl input; \
           --journal-in profiles an exported tape offline instead of \
           running a campaign.")
-    Term.(const run $ profile_bench_arg $ flow_arg $ width_arg $ sample_arg
-          $ top_arg $ jobs_arg $ folded_out_arg $ json_arg $ journal_in_arg
-          $ obs_term)
+    Term.(const run $ forensics_bench_arg $ flow_arg $ width_arg
+          $ forensics_sample_arg $ forensics_top_arg $ jobs_arg $ folded_out_arg
+          $ json_arg $ journal_in_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* hft watch: tail an hft-progress/1 stream as a terminal dashboard.  *)
@@ -1572,7 +1429,9 @@ let fuzz_cmd =
 
 (* Exit-code contract: 0 success, 1 engine failure (an exception out of
    a run, including chaos injections), 2 bad input or usage (typed
-   validation diagnostics, unknown benches, cmdliner parse errors).
+   validation diagnostics such as a corrupt --journal-in tape or an
+   output path that cannot be opened, unknown benches, cmdliner parse
+   errors).
    Uncaught errors print a single JSON object to stderr so `--json`
    pipelines reading stdout stay parseable. *)
 let () =

@@ -202,16 +202,8 @@ let to_json p =
 
 let of_json j =
   let ( let* ) = Result.bind in
-  let str k =
-    match Json.member k j with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error ("missing field " ^ k)
-  in
-  let int k =
-    match Json.member k j with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error ("missing field " ^ k)
-  in
+  let field get k = Option.to_result ~none:("missing field " ^ k) (get k j) in
+  let str = field Json.member_str and int = field Json.member_int in
   let* s = str "schema" in
   let* () =
     if s = schema then Ok ()

@@ -63,12 +63,7 @@ let trial_json t =
       ("circuit_seed", Json.Int t.t_circuit_seed) ]
 
 let finding_of_json j =
-  let str k =
-    match Json.member k j with Some (Json.String s) -> Some s | _ -> None
-  in
-  let int k =
-    match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
-  in
+  let str k = Json.member_str k j and int k = Json.member_int k j in
   match
     (int "trial", str "fingerprint", str "check", str "detail", str "file",
      Json.member "canary" j)
@@ -79,18 +74,10 @@ let finding_of_json j =
   | _ -> None
 
 let trial_of_json j =
-  let int k =
-    match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
-  in
-  let reward =
-    match Json.member "reward" j with
-    | Some (Json.Float f) -> Some f
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
+  let int k = Json.member_int k j in
   match
-    (int "trial", int "arm", reward, int "findings", int "escalations",
-     int "circuit_seed")
+    (int "trial", int "arm", Json.member_float "reward" j, int "findings",
+     int "escalations", int "circuit_seed")
   with
   | ( Some t_trial, Some t_arm, Some t_reward, Some t_findings,
       Some t_escalations, Some t_circuit_seed ) ->

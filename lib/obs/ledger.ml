@@ -229,32 +229,36 @@ let outcome_keys =
   [ "drop_detected"; "podem_detected"; "salvaged"; "aborted"; "untestable";
     "never_targeted" ]
 
-let waterfall () =
-  let tally = List.map (fun k -> (k, (ref 0, ref 0))) outcome_keys in
-  for i = 0 to !n_rows_ - 1 do
-    let m = !rows_buf.(i) in
-    let classes, faults = List.assoc (resolution_key m.m_res) tally in
-    incr classes;
-    faults := !faults + List.length m.m_members
-  done;
-  List.map (fun (k, (c, f)) -> (k, (!c, !f))) tally
+(* Tally (outcome key, fault count) pairs, one per class, into the
+   waterfall columns. *)
+let tally resolved =
+  List.map
+    (fun k ->
+      ( k,
+        List.fold_left
+          (fun (c, f) (k', n) -> if k' = k then (c + 1, f + n) else (c, f))
+          (0, 0) resolved ))
+    outcome_keys
 
-let total_faults () =
-  let n = ref 0 in
-  for i = 0 to !n_rows_ - 1 do
-    n := !n + List.length !rows_buf.(i).m_members
-  done;
-  !n
+let waterfall ?(rows = rows ()) () =
+  tally
+    (List.map
+       (fun r -> (resolution_key r.lr_resolution, List.length r.lr_members))
+       rows)
 
-let waterfall_json () =
+let totals w =
+  List.fold_left (fun (c, f) (_, (c', f')) -> (c + c', f + f')) (0, 0) w
+
+let waterfall_json ?(waterfall = waterfall ()) () =
   let open Hft_util.Json in
+  let classes, faults = totals waterfall in
   Obj
-    (("classes", Int !n_rows_)
-     :: ("faults", Int (total_faults ()))
+    (("classes", Int classes)
+     :: ("faults", Int faults)
      :: List.map
           (fun (k, (c, f)) ->
             (k, Obj [ ("classes", Int c); ("faults", Int f) ]))
-          (waterfall ()))
+          waterfall)
 
 let resolution_to_json res =
   let open Hft_util.Json in
@@ -274,11 +278,10 @@ let resolution_to_json res =
   in
   Obj (("outcome", String (resolution_key res)) :: fields)
 
-(* Inverse of {!resolution_to_json}, for checkpoint restore. *)
+(* Inverse of {!resolution_to_json}, for checkpoint restore and tapes. *)
 let resolution_of_json j =
   let open Hft_util.Json in
-  let int k = match member k j with Some (Int i) -> Some i | _ -> None in
-  let str k = match member k j with Some (String s) -> Some s | _ -> None in
+  let int k = member_int k j and str k = member_str k j in
   match member "outcome" j with
   | Some (String "drop_detected") ->
     Option.map (fun test -> Drop_detected { test }) (int "test")
@@ -322,30 +325,57 @@ let row_to_json r =
       ("guided_cuts", Int r.lr_guided_cuts);
       ("cost", Int (cost r)) ]
 
-let to_json () =
-  Hft_util.Json.Obj
-    [ ("waterfall", waterfall_json ());
-      ("rows", Hft_util.Json.List (List.map row_to_json (rows ())));
-      ("tests",
-       Hft_util.Json.List
-         (List.map
-            (fun t ->
-              Hft_util.Json.Obj
-                (("test", Hft_util.Json.Int t.lt_id)
-                 :: ("frames", Hft_util.Json.Int t.lt_frames)
-                 ::
-                 (match t.lt_rows with
-                  | None -> []
-                  | Some (first, n) ->
-                    [ ("first_row", Hft_util.Json.Int first);
-                      ("n_rows", Hft_util.Json.Int n) ])))
-            (tests ()))) ]
+(* Inverse of [row_to_json]; the derived "cost" field is not read. *)
+let row_of_json j =
+  let ( let* ) = Option.bind and int k = Hft_util.Json.member_int k j in
+  let* lr_class = int "class" in
+  let* lr_rep = Hft_util.Json.member_str "rep" j in
+  let* lr_members =
+    match Hft_util.Json.member "members" j with
+    | Some (Hft_util.Json.List l) ->
+      (try
+         Some
+           (List.map
+              (function Hft_util.Json.String m -> m | _ -> raise Exit)
+              l)
+       with Exit -> None)
+    | _ -> None
+  in
+  let* lr_resolution =
+    Option.bind (Hft_util.Json.member "resolution" j) resolution_of_json
+  in
+  let* lr_fsim_events = int "fsim_events" in
+  let* lr_implications = int "implications" in
+  let* lr_backtracks = int "backtracks" in
+  let* lr_guided_cuts = int "guided_cuts" in
+  Some
+    { lr_class; lr_rep; lr_members; lr_resolution; lr_fsim_events;
+      lr_implications; lr_backtracks; lr_guided_cuts }
+
+let test_to_json t =
+  let open Hft_util.Json in
+  Obj
+    (("test", Int t.lt_id)
+     :: ("frames", Int t.lt_frames)
+     ::
+     (match t.lt_rows with
+      | None -> []
+      | Some (first, n) -> [ ("first_row", Int first); ("n_rows", Int n) ]))
+
+let test_of_json j =
+  let int k = Hft_util.Json.member_int k j in
+  match (int "test", int "frames", int "first_row", int "n_rows") with
+  | Some lt_id, Some lt_frames, None, None ->
+    Some { lt_id; lt_frames; lt_rows = None }
+  | Some lt_id, Some lt_frames, Some first, Some n ->
+    Some { lt_id; lt_frames; lt_rows = Some (first, n) }
+  | _ -> None
 
 (* Line-oriented export for offline reporting: every class row, then
    every test, one JSON object per line.  Rows are recognisable by their
-   "class" key and tests by their "test" key, so `hft report
-   --journal-in` can tell a ledger tape from a journal tape without a
-   header line. *)
+   "class" key and tests by their "test" key; neither carries the
+   "type" key of a journal event, so [of_jsonl] tells a ledger tape
+   from a journal tape without a header line. *)
 let to_jsonl () =
   let b = Buffer.create 4096 in
   let line j =
@@ -353,26 +383,129 @@ let to_jsonl () =
     Buffer.add_char b '\n'
   in
   List.iter (fun r -> line (row_to_json r)) (rows ());
-  List.iter
-    (fun t ->
-      line
-        (Hft_util.Json.Obj
-           (("test", Hft_util.Json.Int t.lt_id)
-            :: ("frames", Hft_util.Json.Int t.lt_frames)
-            ::
-            (match t.lt_rows with
-             | None -> []
-             | Some (first, n) ->
-               [ ("first_row", Hft_util.Json.Int first);
-                 ("n_rows", Hft_util.Json.Int n) ]))))
-    (tests ());
+  List.iter (fun t -> line (test_to_json t)) (tests ());
   Buffer.contents b
 
 (* Most expensive first; class id breaks ties so the order is total. *)
-let top_expensive ~k =
-  rows ()
+let top_expensive ?(rows = rows ()) ~k () =
+  rows
   |> List.sort (fun a b ->
          match compare (cost b) (cost a) with
          | 0 -> compare a.lr_class b.lr_class
          | c -> c)
   |> List.filteri (fun i _ -> i < k)
+
+let expensive_table = function
+  | [] -> ""
+  | rows ->
+    Printf.sprintf "\nmost expensive fault classes (top %d):\n%s"
+      (List.length rows)
+      (Hft_util.Pretty.render
+         ~header:
+           [ "class"; "fault"; "resolution"; "fsim ev"; "impl"; "btk"; "cost" ]
+         (List.map
+            (fun r ->
+              [ string_of_int r.lr_class; r.lr_rep;
+                resolution_to_string r.lr_resolution;
+                string_of_int r.lr_fsim_events;
+                string_of_int r.lr_implications;
+                string_of_int r.lr_backtracks; string_of_int (cost r) ])
+            rows))
+
+let expensive_json rows = Hft_util.Json.List (List.map row_to_json rows)
+
+(* ------------------------------------------------------------------ *)
+(* Tapes read back (hft report / hft profile --journal-in)            *)
+
+type tape = {
+  tp_source : string;
+  tp_rows : row list;
+  tp_tests : test list;
+  tp_waterfall : (string * (int * int)) list;
+  tp_events : Hft_util.Json.t list;
+}
+
+exception Bad_tape of string
+
+let bad line msg = raise (Bad_tape (Printf.sprintf "line %d: %s" line msg))
+
+(* A ledger tape must be what [to_jsonl] writes: class rows and tests,
+   each with dense ids in order, so a lost line is an error rather than
+   a quietly smaller waterfall. *)
+let ledger_tape docs =
+  let rows, tests =
+    List.partition_map
+      (fun (line, j) ->
+        match
+          (Hft_util.Json.member "class" j, row_of_json j, test_of_json j)
+        with
+        | Some _, Some r, _ -> Either.Left (line, r)
+        | Some _, None, _ -> bad line "malformed class row"
+        | None, _, Some t -> Either.Right (line, t)
+        | None, _, None -> bad line "neither a class row nor a test")
+      docs
+  in
+  let in_sequence what id =
+    List.iteri (fun i (line, x) ->
+        if id x <> i then
+          bad line
+            (Printf.sprintf "%s %d out of sequence (expected %d)" what (id x)
+               i))
+  in
+  in_sequence "class" (fun r -> r.lr_class) rows;
+  in_sequence "test" (fun t -> t.lt_id) tests;
+  let rows = List.map snd rows in
+  { tp_source = "ledger"; tp_rows = rows; tp_tests = List.map snd tests;
+    tp_waterfall = waterfall ~rows (); tp_events = [] }
+
+(* A journal tape has no rows: its waterfall tallies the Class_resolved
+   events (last write per class wins, as in [resolve]), so a class the
+   ring's window never saw resolve is absent rather than never_targeted
+   (only ledger tapes carry never-targeted rows). *)
+let journal_tape docs =
+  let resolved = Hashtbl.create 64 and tests = ref [] in
+  List.iter
+    (fun (line, j) ->
+      let int k = Hft_util.Json.member_int k j
+      and str k = Hft_util.Json.member_str k j in
+      match str "type" with
+      | Some "class_resolved" ->
+        (match (int "class", str "outcome", int "faults") with
+         | Some cls, Some outcome, Some faults
+           when List.mem outcome outcome_keys ->
+           Hashtbl.replace resolved cls (outcome, faults)
+         | _ -> bad line "malformed class_resolved event")
+      | Some "test_generated" ->
+        (match (int "test", int "frames") with
+         | Some lt_id, Some lt_frames ->
+           tests := { lt_id; lt_frames; lt_rows = None } :: !tests
+         | _ -> bad line "malformed test_generated event")
+      | Some _ -> ()
+      | None -> bad line "journal event without a \"type\"")
+    docs;
+  { tp_source = "journal"; tp_rows = []; tp_tests = List.rev !tests;
+    tp_waterfall = tally (Hashtbl.fold (fun _ r acc -> r :: acc) resolved []);
+    tp_events = List.map snd docs }
+
+(* Blank lines are skipped but still numbered, so errors name the line
+   an editor shows; the first object decides the tape kind. *)
+let of_jsonl text =
+  let parse (line, l) =
+    if String.trim l = "" then None
+    else
+      match Hft_util.Json.parse l with
+      | Ok (Hft_util.Json.Obj _ as j) -> Some (line, j)
+      | Ok _ -> bad line "not a JSON object"
+      | Error e -> bad line e
+  in
+  try
+    match
+      List.filter_map parse
+        (List.mapi (fun i l -> (i + 1, l)) (String.split_on_char '\n' text))
+    with
+    | [] -> Error "empty tape"
+    | (_, first) :: _ as docs ->
+      Ok
+        (if Hft_util.Json.member "type" first <> None then journal_tape docs
+         else ledger_tape docs)
+  with Bad_tape msg -> Error msg

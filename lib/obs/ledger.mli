@@ -83,39 +83,72 @@ val tests : unit -> test list
     used by the "most expensive faults" report. *)
 val cost : row -> int
 
+(** {1 Views}
+
+    One function per view, over rows ([?rows] defaults to {!rows}), so
+    a live campaign and a {!tape} render through the same code. *)
+
 (** Waterfall outcome keys in reporting order: [drop_detected],
     [podem_detected], [salvaged], [aborted], [untestable],
     [never_targeted]. *)
 val outcome_keys : string list
 
 (** Per-outcome [(classes, faults)] tallies, in {!outcome_keys} order;
-    the class counts sum to {!n_classes} by construction. *)
-val waterfall : unit -> (string * (int * int)) list
+    the class counts sum to the number of rows by construction. *)
+val waterfall : ?rows:row list -> unit -> (string * (int * int)) list
 
-(** Total sampled faults across all classes (sum of member counts). *)
-val total_faults : unit -> int
+(** [(classes, faults)] summed over a waterfall's outcomes. *)
+val totals : (string * (int * int)) list -> int * int
+
+(** [{"classes", "faults", <outcome>: {"classes", "faults"}...}] for
+    a waterfall (default [waterfall ()]). *)
+val waterfall_json :
+  ?waterfall:(string * (int * int)) list -> unit -> Hft_util.Json.t
+
+(** The [k] most expensive rows, descending cost (class id tiebreak). *)
+val top_expensive : ?rows:row list -> k:int -> unit -> row list
+
+(** The "most expensive fault classes" table, heading included ([""]
+    for no rows), and the same rows as a JSON list of row objects. *)
+val expensive_table : row list -> string
+val expensive_json : row list -> Hft_util.Json.t
 
 val resolution_key : resolution -> string
-val resolution_to_string : resolution -> string
 val resolution_to_json : resolution -> Hft_util.Json.t
 
 (** Inverse of {!resolution_to_json} ([None] on malformed input) —
-    checkpoint restore. *)
+    checkpoint restore and {!of_jsonl}. *)
 val resolution_of_json : Hft_util.Json.t -> resolution option
 
 (** The ledger-test id a detection-carrying resolution references. *)
 val resolution_test : resolution -> int option
-val waterfall_json : unit -> Hft_util.Json.t
-val row_to_json : row -> Hft_util.Json.t
-val to_json : unit -> Hft_util.Json.t
+
+(** {1 Tapes} *)
 
 (** One JSON object per line: every class row (keyed ["class"]) then
     every test (keyed ["test"]); [""] when empty.  The offline-report
     input format ([hft report --journal-in]). *)
 val to_jsonl : unit -> string
 
-(** The [k] most expensive rows, descending cost (class id tiebreak). *)
-val top_expensive : k:int -> row list
+(** An exported tape read back.  A journal tape carries no rows: its
+    waterfall tallies its [Class_resolved] events (last write per class
+    wins) and its tests are its [Test_generated] events. *)
+type tape = {
+  tp_source : string;  (** ["ledger"] or ["journal"] *)
+  tp_rows : row list;  (** class order; [[]] for a journal tape *)
+  tp_tests : test list;
+  tp_waterfall : (string * (int * int)) list;
+  tp_events : Hft_util.Json.t list;  (** [[]] for a ledger tape *)
+}
+
+(** Read a [--ledger-out] tape (the inverse of {!to_jsonl}: rows and
+    tests equal those of the run that wrote it) or a [--journal-out]
+    tape (the resolutions the bounded ring still held at export; never
+    the never-targeted classes), told apart by the first object's
+    ["type"] key.  [Error "line N: ..."] names the first unparseable or
+    malformed line: torn JSON, a missing or mistyped field, an id out
+    of sequence, an unknown outcome.  An empty tape is an error too. *)
+val of_jsonl : string -> (tape, string) result
 
 val reset : unit -> unit
 

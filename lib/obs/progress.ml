@@ -197,7 +197,7 @@ let snapshot_fields ~final st =
               [ ("rep", String r.Ledger.lr_rep);
                 ("outcome", String (Ledger.resolution_key r.Ledger.lr_resolution));
                 ("cost", Int (Ledger.cost r)) ])
-          (Ledger.top_expensive ~k:st.st_cfg.top_k))) ]
+          (Ledger.top_expensive ~k:st.st_cfg.top_k ()))) ]
 
 let emit_snapshot ~final st =
   emit st (snapshot_fields ~final st);
@@ -364,21 +364,7 @@ let unknown_snapshot_fields doc =
          fields)
   | _ -> 0
 
-let member_str k j =
-  match Hft_util.Json.member k j with
-  | Some (Hft_util.Json.String s) -> Some s
-  | _ -> None
-
-let member_int k j =
-  match Hft_util.Json.member k j with
-  | Some (Hft_util.Json.Int i) -> Some i
-  | _ -> None
-
-let member_float k j =
-  match Hft_util.Json.member k j with
-  | Some (Hft_util.Json.Float f) -> Some f
-  | Some (Hft_util.Json.Int i) -> Some (float_of_int i)
-  | _ -> None
+open Hft_util.Json
 
 let view_line v line =
   if String.trim line = "" then v
@@ -583,165 +569,3 @@ let render_view v =
          | _ -> ())
       | _ -> ()));
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Offline waterfall rebuild (hft report --journal-in)                *)
-
-type offline = {
-  off_source : string;  (* "journal" or "ledger" *)
-  off_classes : int;
-  off_faults : int;
-  off_waterfall : (string * (int * int)) list;  (* outcome_keys order *)
-  off_tests : int;
-  off_expensive : (string * string * int) list;  (* rep, outcome, cost *)
-}
-
-(* A tape line is one of three shapes: a ledger class row (has "class"
-   + "resolution"), a ledger test row (has "test" but no "type"), or a
-   journal event (has "type").  A journal tape rebuilds the waterfall
-   from Class_resolved events (last write per class wins, mirroring
-   Ledger.resolve) with totals from the Collapse event; a ledger tape
-   has the rows verbatim and also yields the expensive-class table. *)
-let offline_of_lines lines =
-  let docs =
-    List.filter_map
-      (fun l ->
-        if String.trim l = "" then None
-        else
-          match Hft_util.Json.parse l with
-          | Ok d -> Some d
-          | Error _ -> None)
-      lines
-  in
-  if docs = [] then Error "no parseable JSONL lines"
-  else
-    let is_ledger_row d =
-      Hft_util.Json.member "class" d <> None
-      && Hft_util.Json.member "resolution" d <> None
-    in
-    let tally_of assoc =
-      (* outcome_keys order first, then any unknown keys, so the table
-         stays stable across schema growth. *)
-      let base =
-        List.map
-          (fun k ->
-            (k, Option.value ~default:(0, 0) (List.assoc_opt k assoc)))
-          Ledger.outcome_keys
-      in
-      let extra =
-        List.filter (fun (k, _) -> not (List.mem k Ledger.outcome_keys)) assoc
-      in
-      base @ extra
-    in
-    if List.exists is_ledger_row docs then begin
-      (* Ledger tape. *)
-      let tally = Hashtbl.create 8 in
-      let classes = ref 0 and faults = ref 0 and tests = ref 0 in
-      let expensive = ref [] in
-      List.iter
-        (fun d ->
-          if is_ledger_row d then begin
-            let outcome =
-              match Hft_util.Json.member "resolution" d with
-              | Some r -> Option.value ~default:"?" (member_str "outcome" r)
-              | None -> "?"
-            in
-            let members =
-              match Hft_util.Json.member "members" d with
-              | Some (Hft_util.Json.List l) -> List.length l
-              | _ -> 0
-            in
-            incr classes;
-            faults := !faults + members;
-            let c, f =
-              Option.value ~default:(0, 0) (Hashtbl.find_opt tally outcome)
-            in
-            Hashtbl.replace tally outcome (c + 1, f + members);
-            expensive :=
-              ( Option.value ~default:"?" (member_str "rep" d),
-                outcome,
-                Option.value ~default:0 (member_int "cost" d) )
-              :: !expensive
-          end
-          else if
-            Hft_util.Json.member "test" d <> None
-            && Hft_util.Json.member "type" d = None
-          then incr tests)
-        docs;
-      let assoc = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally [] in
-      Ok
-        {
-          off_source = "ledger";
-          off_classes = !classes;
-          off_faults = !faults;
-          off_waterfall = tally_of assoc;
-          off_tests = !tests;
-          off_expensive =
-            List.sort
-              (fun (_, _, a) (_, _, b) -> compare b a)
-              (List.rev !expensive);
-        }
-    end
-    else begin
-      (* Journal tape. *)
-      let resolved : (int, string * int) Hashtbl.t = Hashtbl.create 64 in
-      let tests = ref 0 in
-      let saw_event = ref false in
-      List.iter
-        (fun d ->
-          match member_str "type" d with
-          | Some "class_resolved" ->
-            saw_event := true;
-            (match member_int "class" d with
-             | Some cls ->
-               Hashtbl.replace resolved cls
-                 ( Option.value ~default:"?" (member_str "outcome" d),
-                   Option.value ~default:0 (member_int "faults" d) )
-             | None -> ())
-          | Some "test_generated" ->
-            saw_event := true;
-            incr tests
-          | Some _ -> saw_event := true
-          | None -> ())
-        docs;
-      if not !saw_event then Error "not a journal or ledger tape"
-      else begin
-        (* Totals come from the resolutions themselves: the Collapse
-           event on the tape describes the full fault universe, not the
-           sampled class space the campaign actually targeted (that
-           registration is ledger-only).  A class the window never saw
-           resolve is therefore absent, not never_targeted — only
-           ledger tapes carry never-targeted rows. *)
-        let tally = Hashtbl.create 8 in
-        let res_classes = ref 0 and res_faults = ref 0 in
-        Hashtbl.iter
-          (fun _ (outcome, members) ->
-            incr res_classes;
-            res_faults := !res_faults + members;
-            let c, f =
-              Option.value ~default:(0, 0) (Hashtbl.find_opt tally outcome)
-            in
-            Hashtbl.replace tally outcome (c + 1, f + members))
-          resolved;
-        let assoc = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally [] in
-        Ok
-          {
-            off_source = "journal";
-            off_classes = !res_classes;
-            off_faults = !res_faults;
-            off_waterfall = tally_of assoc;
-            off_tests = !tests;
-            off_expensive = [];
-          }
-      end
-    end
-
-let offline_waterfall_json off =
-  let open Hft_util.Json in
-  Obj
-    (("classes", Int off.off_classes)
-     :: ("faults", Int off.off_faults)
-     :: List.map
-          (fun (k, (c, f)) ->
-            (k, Obj [ ("classes", Int c); ("faults", Int f) ]))
-          off.off_waterfall)

@@ -1,6 +1,7 @@
-(** Live campaign telemetry: the [hft-progress/1] JSONL stream, its
-    terminal dashboard ([hft watch]), and the offline waterfall rebuild
-    ([hft report --journal-in]).
+(** Live campaign telemetry: the [hft-progress/1] JSONL stream and its
+    terminal dashboard ([hft watch]).  Offline reports of an exported
+    tape ([hft report --journal-in]) read it back with
+    {!Ledger.of_jsonl} instead.
 
     Start the streamer with {!start} and it taps the event journal
     ({!Journal.on_record}): span phases become [phase_begin] /
@@ -110,33 +111,3 @@ val render_view : view -> string
 
 (** One-line digest of a snapshot event, for non-TTY tails. *)
 val snapshot_brief : Hft_util.Json.t -> string
-
-(** {1 Offline waterfall rebuild} *)
-
-type offline = {
-  off_source : string;  (** ["journal"] or ["ledger"] *)
-  off_classes : int;
-  off_faults : int;
-  off_waterfall : (string * (int * int)) list;
-      (** [(outcome, (classes, faults))] in {!Ledger.outcome_keys}
-          order. *)
-  off_tests : int;
-  off_expensive : (string * string * int) list;
-      (** [(rep, outcome, cost)], descending cost; ledger tapes only. *)
-}
-
-(** Rebuild the coverage waterfall from an exported tape: either a
-    journal JSONL ([--journal-out], via [Class_resolved] and
-    [Test_generated] events) or a ledger JSONL ([--ledger-out], class
-    rows verbatim plus the expensive-class table).  A ledger tape is
-    exact — it reproduces [Ledger.waterfall] field for field,
-    never-targeted rows included.  A journal tape rebuilds the
-    resolutions the bounded ring still held at export: for a campaign
-    bigger than {!Journal.capacity} that is the surviving window, not
-    the whole run, and never-targeted classes (which never journal a
-    resolution) do not appear. *)
-val offline_of_lines : string list -> (offline, string) result
-
-(** Same shape as [Ledger.waterfall_json], so offline and live reports
-    compare field for field. *)
-val offline_waterfall_json : offline -> Hft_util.Json.t

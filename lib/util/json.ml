@@ -251,3 +251,15 @@ let parse s =
 let member k = function
   | Obj kvs -> List.assoc_opt k kvs
   | _ -> None
+
+let member_str k j =
+  match member k j with Some (String s) -> Some s | _ -> None
+
+let member_int k j =
+  match member k j with Some (Int i) -> Some i | _ -> None
+
+let member_float k j =
+  match member k j with
+  | Some (Float f) -> Some f
+  | Some (Int i) -> Some (float_of_int i)
+  | _ -> None

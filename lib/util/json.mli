@@ -25,3 +25,9 @@ val parse : string -> (t, string) result
 
 (** Object field lookup ([None] on non-objects too). *)
 val member : string -> t -> t option
+
+(** Typed field lookups: [None] when the field is absent or has another
+    type; [member_float] also reads an integer. *)
+val member_str : string -> t -> string option
+val member_int : string -> t -> int option
+val member_float : string -> t -> float option

@@ -310,7 +310,7 @@ let test_ledger_lifecycle () =
   let waterfall = Hft_obs.Ledger.waterfall () in
   check_int "waterfall classes conserve" (Hft_obs.Ledger.n_classes ())
     (List.fold_left (fun acc (_, (c, _)) -> acc + c) 0 waterfall);
-  check_int "waterfall faults conserve" (Hft_obs.Ledger.total_faults ())
+  check_int "waterfall faults conserve" 3
     (List.fold_left (fun acc (_, (_, f)) -> acc + f) 0 waterfall);
   check_int "dropped class counts both members" 2
     (match List.assoc_opt "drop_detected" waterfall with
@@ -322,7 +322,7 @@ let test_ledger_lifecycle () =
      check "pattern rows attached" true
        (test.Hft_obs.Ledger.lt_rows = Some (5, 2))
    | _ -> Alcotest.fail "expected one registered test");
-  match Hft_obs.Ledger.top_expensive ~k:1 with
+  match Hft_obs.Ledger.top_expensive ~k:1 () with
   | [ row ] ->
     check_int "most expensive is the fsim-heavy class" b
       row.Hft_obs.Ledger.lr_class;
@@ -841,28 +841,80 @@ let test_watch_forward_compat () =
 let test_offline_rebuild () =
   with_obs @@ fun () ->
   let _, journal, ledger, live_wf, _ = run_streamed_campaign () in
-  (* Ledger tape: exact rebuild, field for field. *)
-  (match Hft_obs.Progress.offline_of_lines (jsonl_lines ledger) with
-   | Error e -> Alcotest.failf "ledger tape: %s" e
-   | Ok off ->
-     check_str "source" "ledger" off.Hft_obs.Progress.off_source;
-     check_str "ledger tape = live waterfall" live_wf
-       (Hft_util.Json.to_string
-          (Hft_obs.Progress.offline_waterfall_json off));
-     check "expensive table present" true
-       (off.Hft_obs.Progress.off_expensive <> []));
+  let load what text =
+    match Hft_obs.Ledger.of_jsonl text with
+    | Ok tape -> tape
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let wf_json (tape : Hft_obs.Ledger.tape) =
+    Hft_util.Json.to_string
+      (Hft_obs.Ledger.waterfall_json ~waterfall:tape.Hft_obs.Ledger.tp_waterfall
+         ())
+  in
+  (* Ledger tape: the exact inverse of to_jsonl. *)
+  let tape = load "ledger tape" ledger in
+  check_str "source" "ledger" tape.Hft_obs.Ledger.tp_source;
+  check "tape rows = live rows" true
+    (tape.Hft_obs.Ledger.tp_rows = Hft_obs.Ledger.rows ());
+  check "tape tests = live tests" true
+    (tape.Hft_obs.Ledger.tp_tests = Hft_obs.Ledger.tests ());
+  check_int "tape test count" (Hft_obs.Ledger.n_tests ())
+    (List.length tape.Hft_obs.Ledger.tp_tests);
+  check_str "ledger tape = live waterfall" live_wf (wf_json tape);
+  (* The expensive-class views render the tape exactly as the live
+     ledger. *)
+  let live_top = Hft_obs.Ledger.top_expensive ~k:10 () in
+  let tape_top =
+    Hft_obs.Ledger.top_expensive ~rows:tape.Hft_obs.Ledger.tp_rows ~k:10 ()
+  in
+  check "expensive table present" true (live_top <> []);
+  check_str "expensive table text = live"
+    (Hft_obs.Ledger.expensive_table live_top)
+    (Hft_obs.Ledger.expensive_table tape_top);
+  check_str "expensive json = live"
+    (Hft_util.Json.to_string (Hft_obs.Ledger.expensive_json live_top))
+    (Hft_util.Json.to_string (Hft_obs.Ledger.expensive_json tape_top));
   (* Journal tape: the campaign fits the ring, so it is exact too. *)
   check_int "ring did not drop" 0 (Hft_obs.Journal.dropped ());
-  (match Hft_obs.Progress.offline_of_lines (jsonl_lines journal) with
-   | Error e -> Alcotest.failf "journal tape: %s" e
-   | Ok off ->
-     check_str "source" "journal" off.Hft_obs.Progress.off_source;
-     check_str "journal tape = live waterfall" live_wf
-       (Hft_util.Json.to_string
-          (Hft_obs.Progress.offline_waterfall_json off)));
-  match Hft_obs.Progress.offline_of_lines [ "not json"; "{}" ] with
+  let jtape = load "journal tape" journal in
+  check_str "source" "journal" jtape.Hft_obs.Ledger.tp_source;
+  check "journal tape carries no rows" true
+    (jtape.Hft_obs.Ledger.tp_rows = []);
+  check_str "journal tape = live waterfall" live_wf (wf_json jtape);
+  check_int "journal test count" (Hft_obs.Ledger.n_tests ())
+    (List.length jtape.Hft_obs.Ledger.tp_tests);
+  (* Unparseable or malformed lines are rejected, naming the line. *)
+  let rejects what text line =
+    match Hft_obs.Ledger.of_jsonl text with
+    | Ok _ -> Alcotest.failf "%s should not load" what
+    | Error e ->
+      let prefix = Printf.sprintf "line %d:" line in
+      if not (String.starts_with ~prefix e) then
+        Alcotest.failf "%s: expected %S, got %S" what prefix e
+  in
+  rejects "garbage tape" "not json\n{}" 1;
+  let lines = String.split_on_char '\n' ledger in
+  check "ledger tape has a middle row" true (List.length lines > 4);
+  let edit n f =
+    String.concat "\n"
+      (List.concat
+         (List.mapi (fun i l -> if i = n - 1 then f l else [ l ]) lines))
+  in
+  rejects "torn middle line"
+    (edit 3 (fun l -> [ String.sub l 0 (String.length l / 2) ]))
+    3;
+  rejects "malformed row"
+    (edit 2 (fun l ->
+         match Hft_util.Json.parse l with
+         | Ok (Hft_util.Json.Obj fields) ->
+           [ Hft_util.Json.to_string
+               (Hft_util.Json.Obj (List.remove_assoc "resolution" fields)) ]
+         | _ -> Alcotest.fail "ledger row does not parse"))
+    2;
+  rejects "lost row" (edit 2 (fun _ -> [])) 2;
+  match Hft_obs.Ledger.of_jsonl "\n\n" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage tape should not rebuild"
+  | Ok _ -> Alcotest.fail "empty tape should not load"
 
 let test_span_gc_attrs () =
   with_obs @@ fun () ->
