@@ -50,8 +50,22 @@ let bench_arg =
   Arg.(required & opt (some string) None
        & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
 
+(* Widths and fault samples below 1 are bad input: rejected while the
+   arguments are read, before any work, with exit 2 and an invalid-input
+   object. *)
+let at_least_one flag arg =
+  let check n =
+    if n < 1 then
+      Hft_robust.Validation.fail ~site:flag ~hint:"pass 1 or more"
+        (Printf.sprintf "%s %d is below 1" flag n);
+    n
+  in
+  Term.(const check $ arg)
+
 let width_arg =
-  Arg.(value & opt int 8 & info [ "w"; "width" ] ~docv:"BITS" ~doc:"Data-path width.")
+  at_least_one "--width"
+    Arg.(value & opt int 8
+         & info [ "w"; "width" ] ~docv:"BITS" ~doc:"Data-path width.")
 
 let dot_arg =
   Arg.(value & flag & info [ "dot" ] ~doc:"Emit the data path as Graphviz DOT.")
@@ -276,8 +290,9 @@ let analyze_cmd =
 
 let atpg_cmd =
   let sample_arg =
-    Arg.(value & opt int 25
-         & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
+    at_least_one "--sample"
+      Arg.(value & opt int 25
+           & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
   in
   let checkpoint_arg =
     Arg.(value & opt (some string) None
@@ -527,9 +542,10 @@ let bench_cmd =
          & info [ "out" ] ~docv:"FILE" ~doc:"Output file for the JSON document.")
   in
   let bench_width_arg =
-    Arg.(value & opt int 4
-         & info [ "w"; "width" ] ~docv:"BITS"
-             ~doc:"Data-path width (4 keeps the gate-level legs fast).")
+    at_least_one "--width"
+      Arg.(value & opt int 4
+           & info [ "w"; "width" ] ~docv:"BITS"
+               ~doc:"Data-path width (4 keeps the gate-level legs fast).")
   in
   (* Per-member outcome kinds from the current ledger, for the
      guided/unguided verdict-flip gate. *)
@@ -855,8 +871,9 @@ let forensics_bench_arg =
        & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
 
 let forensics_sample_arg =
-  Arg.(value & opt int 1
-       & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
+  at_least_one "--sample"
+    Arg.(value & opt int 1
+         & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
 
 let forensics_top_arg =
   Arg.(value & opt int 10

@@ -8,12 +8,20 @@ open Hft_gate
      with their contrapositives (e.g. for an And input [a]:
      [(a,0) -> (g,0)] and [(g,1) -> (a,1)]);
    - learned implications from per-literal ternary forward simulation:
-     assert one literal on top of the all-X baseline, evaluate its
-     combinational fanout cone, and every node that settles to a
-     concrete value is an implied literal.  Ternary evaluation is
-     monotone, so any total source assignment refining the partial one
-     reproduces those values — the implication holds universally.  The
-     contrapositive of each learned edge is stored too.
+     assert one literal on top of the all-X baseline, propagate it, and
+     every node that settles to a concrete value is an implied literal.
+     Ternary evaluation is monotone, so any total source assignment
+     refining the partial one reproduces those values — the implication
+     holds universally.  The contrapositive of each learned edge is
+     stored too.
+
+   The simulation is event-driven over [Sim]'s topo-ordered heap: a
+   node pushes its non-DFF fanouts only when its value leaves the
+   baseline (every other node of the literal's fanout cone would
+   re-evaluate to its baseline value), and changed nodes pop in
+   topological order.  So the learned edges, and the point where the
+   per-literal and total caps stop learning, are those of a full pass
+   over the literal's levelized fanout cone, without building the cone.
 
    The closure is a plain BFS with stamp-array scratch (no per-call
    allocation beyond the result list).  Baseline-concrete nodes
@@ -76,40 +84,46 @@ let compute nl =
   if n <= learn_max_nodes then begin
     let scratch = Array.copy base in
     let eval = Sim.teval_fn nl scratch in
+    let heap = Sim.heap_create nl in
+    let touched = Array.make n 0 in
+    let push_fanouts v =
+      List.iter
+        (fun w -> if Netlist.kind nl w <> Netlist.Dff then Sim.heap_push heap w)
+        (Netlist.fanout nl v)
+    in
     let v = ref 0 in
     while !v < n && !edges < total_cap do
       let src = !v in
-      if base.(src) = x then begin
-        let cone = Netlist.fanout_cone nl src in
-        let restore () =
-          Array.iter (fun w -> scratch.(w) <- base.(w)) cone
-        in
-        let b = ref 0 in
-        while !b <= 1 do
-          let lit = (2 * src) + !b in
-          scratch.(src) <- !b;
-          let learned = ref 0 in
-          Array.iter
-            (fun w ->
-              if w <> src then begin
-                eval w;
-                if
-                  scratch.(w) <> x && base.(w) = x
-                  && !learned < per_lit_cap && !edges < total_cap
-                then begin
-                  incr learned;
-                  add_edge lit ((2 * w) + scratch.(w));
-                  (* contrapositive *)
-                  add_edge
-                    ((2 * w) + (1 - scratch.(w)))
-                    ((2 * src) + (1 - !b))
-                end
-              end)
-            cone;
-          restore ();
-          incr b
-        done
-      end;
+      if base.(src) = x then
+        for b = 0 to 1 do
+          let lit = (2 * src) + b in
+          scratch.(src) <- b;
+          Sim.heap_reset heap;
+          push_fanouts src;
+          let n_touched = ref 0 and learned = ref 0 in
+          while not (Sim.heap_is_empty heap) do
+            let w = Sim.heap_pop heap in
+            eval w;
+            if scratch.(w) <> base.(w) then begin
+              touched.(!n_touched) <- w;
+              incr n_touched;
+              push_fanouts w;
+              if
+                scratch.(w) <> x && base.(w) = x
+                && !learned < per_lit_cap && !edges < total_cap
+              then begin
+                incr learned;
+                add_edge lit ((2 * w) + scratch.(w));
+                (* contrapositive *)
+                add_edge ((2 * w) + (1 - scratch.(w))) ((2 * src) + (1 - b))
+              end
+            end
+          done;
+          scratch.(src) <- base.(src);
+          for i = 0 to !n_touched - 1 do
+            scratch.(touched.(i)) <- base.(touched.(i))
+          done
+        done;
       incr v
     done
   end;

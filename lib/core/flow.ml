@@ -232,6 +232,10 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
     ?(supervisor = Some Hft_robust.Supervisor.default) ?checkpoint
     ?(resume = false) ?(guided = true) ?jobs ?campaign r =
   span "test-campaign" @@ fun () ->
+  if sample < 1 then
+    Hft_robust.Validation.fail ~site:"flow.test_campaign"
+      ~hint:"1 keeps every fault"
+      (Printf.sprintf "fault sample %d is below 1" sample);
   if checkpoint <> None && not !Hft_obs.Config.enabled then
     Hft_robust.Validation.fail ~site:"flow.test_campaign"
       ~hint:"enable observability (the CLI does this for --checkpoint)"

@@ -102,8 +102,9 @@ type campaign = {
 }
 
 (** [test_campaign r] — [sample] keeps one fault in N ([seed] fixes the
-    sample), [backtrack_limit]/[max_frames] bound the PODEM search,
-    [n_patterns] is the minimum final-fsim pattern count.
+    sample; below 1 raises {!Hft_robust.Validation.Invalid}),
+    [backtrack_limit]/[max_frames] bound the PODEM search, [n_patterns]
+    is the minimum final-fsim pattern count.
 
     [supervisor] (default {!Hft_robust.Supervisor.default}) runs the
     ATPG and every fault-simulation leg under the typed failure

@@ -80,32 +80,64 @@ let flush_effort ?(guided = false) effort result =
              implications = effort.implications })
   end
 
-(* All-X good-machine fixpoint, cached per netlist (physical equality +
-   {!Netlist.version}, so structural edits between calls invalidate the
-   entry): every [generate] starts from the same empty test cube, so the
-   first implication is a [blit] of this baseline plus a fault-cone
-   patch instead of two whole-netlist passes.  Domain-local so parallel
-   ATPG shards never share (or race on) a cached [tstate] — each worker
-   warms its own entry for its own workspace netlist. *)
-let baseline_cache : (Netlist.t * int * Sim.tstate) list Domain.DLS.key =
+(* Search workspace, one per netlist (physical equality +
+   {!Netlist.version}, so structural edits between calls invalidate it)
+   and domain, so parallel ATPG shards never share (or race on) one —
+   each worker warms its own for its own workspace netlist.  It holds
+   the all-X good-machine fixpoint (every [generate] starts from the
+   same empty test cube, so the first implication is a [blit] of it plus
+   a fault-cone patch instead of two whole-netlist passes) and every
+   per-node array a search needs, so a call allocates nothing
+   netlist-sized.  Membership marks are stamps drawn from [w_stamp]:
+   nothing is cleared between calls, and a search abandoned by an
+   exception leaves nothing a later stamp can match. *)
+type workspace = {
+  w_nl : Netlist.t;
+  w_version : int;
+  w_base : Sim.tstate;
+  w_gv : Sim.tstate;
+  w_fv : Sim.tstate;
+  w_heap : Sim.heap;
+  w_assignable : int array;
+  w_observe : int array;
+  w_d : int array;  (* D-carrying nodes *)
+  w_xseen : int array;
+  w_xstack : int array;
+  w_pseen : int array;  (* D-frontier dedup *)
+  w_dead : int array;  (* backtrace failures, slot [2*node + want] *)
+  mutable w_stamp : int;
+}
+
+let fresh ws =
+  ws.w_stamp <- ws.w_stamp + 1;
+  ws.w_stamp
+
+let workspaces : workspace list Domain.DLS.key =
   Domain.DLS.new_key (fun () -> [])
 
-let baseline nl =
+let workspace nl =
   let ver = Netlist.version nl in
-  let cached = Domain.DLS.get baseline_cache in
-  match
-    List.find_opt (fun (nl', ver', _) -> nl' == nl && ver' = ver) cached
-  with
-  | Some (_, _, b) -> b
+  let cached = Domain.DLS.get workspaces in
+  match List.find_opt (fun w -> w.w_nl == nl && w.w_version = ver) cached with
+  | Some w -> w
   | None ->
-    let b = Sim.tcreate nl in
-    Sim.teval nl b;
+    let n = Netlist.n_nodes nl in
+    let base = Sim.tcreate nl in
+    Sim.teval nl base;
+    let marks () = Array.make n 0 in
+    let w =
+      { w_nl = nl; w_version = ver; w_base = base; w_gv = Sim.tcreate nl;
+        w_fv = Sim.tcreate nl; w_heap = Sim.heap_create nl;
+        w_assignable = marks (); w_observe = marks (); w_d = marks ();
+        w_xseen = marks (); w_xstack = marks (); w_pseen = marks ();
+        w_dead = Array.make (2 * n) 0; w_stamp = 0 }
+    in
     let keep =
-      List.filter (fun (nl', _, _) -> nl' != nl) cached
+      List.filter (fun w -> w.w_nl != nl) cached
       |> List.filteri (fun i _ -> i < 3)
     in
-    Domain.DLS.set baseline_cache ((nl, ver, b) :: keep);
-    b
+    Domain.DLS.set workspaces (w :: keep);
+    w
 
 let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
     ~assignable ~observe =
@@ -132,10 +164,12 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
     | Some g -> if want = 1 then g.g_cc1.(v) else g.g_cc0.(v)
     | None -> 0
   in
+  let ws = workspace nl in
+  let call = fresh ws in
   let pi_val = Hashtbl.create 16 in
-  let is_assignable = Array.make n false in
-  List.iter (fun p -> is_assignable.(p) <- true) assignable;
-  let gv = Sim.tcreate nl and fv = Sim.tcreate nl in
+  List.iter (fun p -> ws.w_assignable.(p) <- call) assignable;
+  let is_assignable p = ws.w_assignable.(p) = call in
+  let gv = ws.w_gv and fv = ws.w_fv in
   let dirty = ref [] in
   let initialized = ref false in
   (* The set of D-carrying nodes (good and faulty machines both concrete
@@ -143,7 +177,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
      wavefront: has_d can only flip at nodes whose gv or fv changed, so
      the per-iteration D consumers — detection, X-path seeding, the
      D-frontier — cost O(|D|) instead of a cone scan. *)
-  let is_d_arr = Array.make n false in
+  let is_d v = ws.w_d.(v) = call in
   let d_list = ref [] in
   let changed = ref [] in
   let has_d v = gv.(v) <> x && fv.(v) <> x && gv.(v) <> fv.(v) in
@@ -156,10 +190,10 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       List.iter
         (fun v ->
           let nd = has_d v in
-          if nd && not is_d_arr.(v) then newd := v :: !newd;
-          is_d_arr.(v) <- nd)
+          if nd && not (is_d v) then newd := v :: !newd;
+          ws.w_d.(v) <- (if nd then call else 0))
         ch;
-      d_list := !newd @ List.filter (fun v -> is_d_arr.(v)) !d_list
+      d_list := !newd @ List.filter is_d !d_list
   in
   let set_pi p v =
     Hashtbl.replace pi_val p v;
@@ -179,7 +213,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
    | Some g ->
      Array.iter
        (fun (w, v) ->
-         if w >= 0 && w < n && is_assignable.(w)
+         if w >= 0 && w < n && is_assignable w
             && not (Hashtbl.mem pi_val w)
          then set_pi w v)
        g.g_common_required);
@@ -193,7 +227,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
      bit. *)
   let geval = Sim.teval_fn nl in
   let feval = Sim.teval_fn ~faults nl in
-  let heap = Sim.heap_create nl in
+  let heap = ws.w_heap in
   let propagate_from v = List.iter (Sim.heap_push heap) (Netlist.fanout nl v) in
   let drain () =
     while not (Sim.heap_is_empty heap) do
@@ -223,9 +257,8 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
     if not !initialized then begin
       initialized := true;
       dirty := [];
-      let base = baseline nl in
-      Array.blit base 0 gv 0 n;
-      Array.blit base 0 fv 0 n;
+      Array.blit ws.w_base 0 gv 0 n;
+      Array.blit ws.w_base 0 fv 0 n;
       changed := [];
       Sim.heap_reset heap;
       (* The cube is empty on the first implication in the current
@@ -263,11 +296,9 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
         drain ();
         update_d ()
   in
-  let observe_set = Array.make n false in
-  List.iter (fun o -> observe_set.(o) <- true) observe;
-  let detected () =
-    List.exists (fun v -> observe_set.(v)) !d_list
-  in
+  List.iter (fun o -> ws.w_observe.(o) <- call) observe;
+  let observed v = ws.w_observe.(v) = call in
+  let detected () = List.exists observed !d_list in
   (* Guided cut: a concrete good-machine value contradicting a
      mandatory literal — or, for multi-site faults, contradicting every
      site's activation closure — means no completion of the current
@@ -288,16 +319,11 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
   in
   (* X-path: from any D-carrying node, can a difference still reach an
      observe node through not-yet-blocked nodes?  Pure reachability, so
-     visit order is irrelevant and the first observe hit ends the walk;
-     the visited set is a stamp array reused across calls instead of a
-     per-call allocation. *)
-  let xseen = Array.make n 0 in
-  let xstamp = ref 0 in
-  let xstack = Array.make n 0 in
+     visit order is irrelevant and the first observe hit ends the walk. *)
+  let xseen = ws.w_xseen and xstack = ws.w_xstack in
   let xpath_ok () =
     let blocked v = gv.(v) <> x && fv.(v) <> x && gv.(v) = fv.(v) in
-    incr xstamp;
-    let s = !xstamp in
+    let s = fresh ws in
     let top = ref 0 in
     let push v =
       xseen.(v) <- s;
@@ -323,7 +349,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
     while (not !reach) && !top > 0 do
       decr top;
       let v = xstack.(!top) in
-      if observe_set.(v) then reach := true
+      if observed v then reach := true
       else
         List.iter
           (fun w -> if xseen.(w) <> s && not (blocked w) then push w)
@@ -382,15 +408,13 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
         | None -> false)
       faults
   in
-  let pseen = Array.make n 0 in
-  let pstamp = ref 0 in
+  let pseen = ws.w_pseen in
   let propagation_objectives () =
     (* Frontier gates either consume a D node or host an activated pin
        fault, so enumerating D consumers beats any scan.  The stamp
        array dedups gates fed by several D inputs; the sort keeps the
        historical ascending-node-id candidate order. *)
-    incr pstamp;
-    let s = !pstamp in
+    let s = fresh ws in
     let acc = ref [] in
     let consider v =
       if pseen.(v) <> s then begin
@@ -456,8 +480,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
      search that never hits the old premature dead end is bit-identical
      to the historical one. *)
   let propagation_fallbacks () =
-    incr pstamp;
-    let s = !pstamp in
+    let s = fresh ws in
     let acc = ref [] in
     let consider v =
       if pseen.(v) <> s then begin
@@ -485,61 +508,69 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       faults;
     List.rev !acc
   in
-  (* Backtrace an objective to an assignable PI with X value.  Failed
-     (node, want) pairs are memoised per call: without this the search
-     is exponential on reconvergent all-X regions (multiplier arrays
-     across several time frames). *)
-  let backtrace node want =
-    let dead = Hashtbl.create 64 in
-    let rec go node want =
-      if Hashtbl.mem dead (node, want) then None
-      else
-        let result =
-          match Netlist.kind nl node with
-          | Netlist.Pi | Netlist.Dff ->
-            (* DFFs appear here under the scan view, where flip-flop
-               state is a free (pseudo-primary-input) decision. *)
-            if is_assignable.(node) && not (Hashtbl.mem pi_val node) then
-              Some (node, want)
-            else None
-          | Netlist.Const0 | Netlist.Const1 -> None
-          | k ->
-            let fi = Netlist.fanin nl node in
-            let want' = if inverts k then 1 - want else want in
-            (* Choose an X input; try them in order until one
-               backtraces.  Under guidance the order is easiest-to-set
-               first (SCOAP CC for the wanted value), otherwise the
-               historical pin order. *)
-            let order =
-              let idxs = List.init (Array.length fi) Fun.id in
-              match guidance with
-              | None -> idxs
-              | Some _ ->
-                List.stable_sort
-                  (fun i j ->
-                    compare (gcost fi.(i) want') (gcost fi.(j) want'))
-                  idxs
-            in
-            let rec try_inputs = function
-              | [] -> None
-              | idx :: rest ->
-                if gv.(fi.(idx)) = x then
-                  match go fi.(idx) want' with
-                  | Some r -> Some r
-                  | None -> try_inputs rest
-                else try_inputs rest
-            in
-            try_inputs order
-        in
-        if result = None then Hashtbl.replace dead (node, want) ();
-        result
+  (* Backtrace an objective to a free assignable PI: walk X fanins,
+     flipping the wanted value at inversions.  Under guidance the fanins
+     are tried easiest-to-set first (SCOAP CC for the wanted value, a
+     stable sort, so ties keep pin order); unguided every cost is 0 and
+     the order is the historical pin order.  The PI and its value come
+     back in [bt_pi]/[bt_val].
+
+     Failed (node, want) pairs are memoised in the workspace under an
+     epoch that every backtrack renews.  Between backtracks the cube
+     only grows — good values only refine from X and free PIs only
+     disappear — so a pair that reached no free PI still reaches none;
+     a backtrack unsets or flips a PI, so its failures are forgotten.
+     Only failures are memoised and the order is unchanged, so every
+     call returns what a memo-free walk would.  Without the memo the
+     search is exponential on reconvergent all-X regions (multiplier
+     arrays across several time frames). *)
+  let dead = ws.w_dead in
+  let epoch = ref (fresh ws) in
+  let bt_pi = ref 0 and bt_val = ref 0 in
+  let rec backtrace node want =
+    let slot = (2 * node) + want in
+    dead.(slot) <> !epoch
+    &&
+    let found =
+      match Netlist.kind nl node with
+      | Netlist.Pi | Netlist.Dff ->
+        (* DFFs appear here under the scan view, where flip-flop state
+           is a free (pseudo-primary-input) decision. *)
+        is_assignable node
+        && (not (Hashtbl.mem pi_val node))
+        && begin
+          bt_pi := node;
+          bt_val := want;
+          true
+        end
+      | Netlist.Const0 | Netlist.Const1 -> false
+      | k ->
+        let fi = Netlist.fanin nl node in
+        let want = if inverts k then 1 - want else want in
+        if Array.length fi = 1 then try_pin fi 0 want
+        else
+          let lo, hi =
+            if gcost fi.(1) want < gcost fi.(0) want then (1, 0) else (0, 1)
+          in
+          if Array.length fi = 2 then
+            try_pin fi lo want || try_pin fi hi want
+          else
+            (* Mux2: insert the third pin into the sorted pair. *)
+            let c2 = gcost fi.(2) want in
+            if c2 < gcost fi.(lo) want then
+              try_pin fi 2 want || try_pin fi lo want || try_pin fi hi want
+            else if c2 < gcost fi.(hi) want then
+              try_pin fi lo want || try_pin fi 2 want || try_pin fi hi want
+            else try_pin fi lo want || try_pin fi hi want || try_pin fi 2 want
     in
-    go node want
-  in
+    if not found then dead.(slot) <- !epoch;
+    found
+  and try_pin fi i want = gv.(fi.(i)) = x && backtrace fi.(i) want in
   (* Decision stack: (pi, value, tried_both). *)
   let stack = ref [] in
   let rec backtrack () =
     effort.backtracks <- effort.backtracks + 1;
+    epoch := fresh ws;
     match !stack with
     | [] -> `Exhausted
     | (pi, _, true) :: tl ->
@@ -587,13 +618,13 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
          let rec decide = function
            | [] -> true (* must backtrack *)
            | (node, want) :: rest ->
-             (match backtrace node want with
-              | None -> decide rest
-              | Some (pi, v) ->
-                effort.decisions <- effort.decisions + 1;
-                set_pi pi v;
-                stack := (pi, v, false) :: !stack;
-                false)
+             if backtrace node want then begin
+               effort.decisions <- effort.decisions + 1;
+               set_pi !bt_pi !bt_val;
+               stack := (!bt_pi, !bt_val, false) :: !stack;
+               false
+             end
+             else decide rest
          in
          if
            decide objectives

@@ -68,7 +68,10 @@ val propagation_fallbacks_enabled : bool ref
     sites for a fault replicated across time frames).  [check] is
     called once per search iteration; it may raise (e.g. a cooperative
     {!Hft_robust.Deadline}) to abandon the attempt — the exception
-    propagates to the caller unchanged.
+    propagates to the caller unchanged — but must not run [generate]
+    itself: calls on one netlist share a search workspace per domain
+    (rebuilt when {!Netlist.version} changes), so one search runs at a
+    time per netlist and domain.
 
     Without [?guidance] the search is bit-identical to the historical
     behaviour.  With guidance, the per-fault verdict is provably no

@@ -218,6 +218,102 @@ let test_impl_constant_contradiction () =
      | Implications.Consistent _ -> true
      | Implications.Contradiction -> false)
 
+(* Reference learner: the direct gate edges, then a full pass over each
+   X literal's fanout cone in levelized order, with the same caps (32
+   learned edges per literal, 200,000 in total).  The event-driven
+   learner must build the same graph, edge order included. *)
+let reference_graph nl =
+  let n = Netlist.n_nodes nl in
+  let succs = Array.make (2 * n) [] and edges = ref 0 in
+  let add l l' = succs.(l) <- l' :: succs.(l); incr edges in
+  let pair (a, va) (b, vb) =
+    add ((2 * a) + va) ((2 * b) + vb);
+    add ((2 * b) + (1 - vb)) ((2 * a) + (1 - va))
+  in
+  for g = 0 to n - 1 do
+    let fi = Netlist.fanin nl g in
+    match Netlist.kind nl g with
+    | Netlist.And -> Array.iter (fun a -> pair (a, 0) (g, 0)) fi
+    | Netlist.Or -> Array.iter (fun a -> pair (a, 1) (g, 1)) fi
+    | Netlist.Nand -> Array.iter (fun a -> pair (a, 0) (g, 1)) fi
+    | Netlist.Nor -> Array.iter (fun a -> pair (a, 1) (g, 0)) fi
+    | Netlist.Buf | Netlist.Po -> pair (fi.(0), 0) (g, 0); pair (fi.(0), 1) (g, 1)
+    | Netlist.Not -> pair (fi.(0), 0) (g, 1); pair (fi.(0), 1) (g, 0)
+    | _ -> ()
+  done;
+  let base = Sim.tcreate nl and eval = Sim.teval_fn nl in
+  Sim.teval nl base;
+  for src = 0 to n - 1 do
+    for b = 0 to 1 do
+      if base.(src) = 2 && !edges < 200_000 then begin
+        let st = Array.copy base and learned = ref 0 in
+        st.(src) <- b;
+        Array.iter
+          (fun w ->
+            if w <> src then begin
+              eval st w;
+              if st.(w) <> 2 && base.(w) = 2 && !learned < 32
+                 && !edges < 200_000
+              then begin
+                incr learned;
+                add ((2 * src) + b) ((2 * w) + st.(w));
+                add ((2 * w) + (1 - st.(w))) ((2 * src) + (1 - b))
+              end
+            end)
+          (Netlist.fanout_cone nl src)
+      end
+    done
+  done;
+  (succs, !edges)
+
+let check_learner_matches_reference name nl =
+  let imp = Implications.compute nl in
+  let succs, edges = reference_graph nl in
+  check_int (name ^ " edges") edges (Implications.n_edges imp);
+  Array.iteri
+    (fun l expected ->
+      if
+        Implications.implied imp (l / 2, l land 1)
+        <> List.map (fun l' -> (l' / 2, l' land 1)) expected
+      then Alcotest.failf "%s: successors of literal (%d,%d) differ" name
+          (l / 2) (l land 1))
+    succs
+
+let test_impl_matches_reference () =
+  List.iter
+    (fun mix ->
+      List.iter
+        (fun seed ->
+          let cfg =
+            { Netlist_gen.default with
+              Netlist_gen.g_mix = mix; g_n_gates = 30; g_hub_bias = seed mod 3 }
+          in
+          let nl = Netlist_gen.generate ~seed cfg in
+          let name = Printf.sprintf "%s/%d" (Netlist_gen.mix_name mix) seed in
+          check_learner_matches_reference name nl;
+          for frames = 1 to 3 do
+            let u, _, _, _ = Seq_atpg.unroll nl ~frames ~scanned:[] in
+            check_learner_matches_reference
+              (Printf.sprintf "%s x%d" name frames) u
+          done)
+        [ 1; 2; 3; 4; 5; 6 ])
+    Netlist_gen.[ Balanced; Xor_heavy; Mux_heavy; Chain_heavy ];
+  (* A 1600-buffer chain: every literal implies its whole downstream
+     chain, so the per-literal cap keeps 32 learned edges next to the
+     direct one, and the chain is long enough to reach the total cap. *)
+  let nl = Netlist.create () in
+  let a = Netlist.add nl Netlist.Pi [||] in
+  let last = ref a in
+  for _ = 1 to 1600 do
+    last := Netlist.add nl Netlist.Buf [| !last |]
+  done;
+  ignore (Netlist.add nl Netlist.Po [| !last |]);
+  check_learner_matches_reference "buffer chain" nl;
+  let imp = Implications.compute nl in
+  check_int "capped successors of a=0" 33
+    (List.length (Implications.implied imp (a, 0)));
+  check "total cap reached" true (Implications.n_edges imp >= 200_000)
+
 (* ------------------------------------------------------------------ *)
 (* Guidance: static untestability and the guided/unguided contract    *)
 (* ------------------------------------------------------------------ *)
@@ -279,6 +375,64 @@ let test_guided_matches_unguided () =
           | _ -> ())
         (Fault.collapsed nl))
     [ 7; 77; 777 ]
+
+(* PODEM's effort where backtraces fail most: two unrolled frames with
+   no scan, so frame-0 state is an unassignable X and most objectives
+   backtrace into dead regions.  The summed effort and a digest of every
+   per-fault (verdict, assignment) line are pinned to the values the
+   memo-free backtrace produced: a search speed-up must make exactly the
+   same decisions.  Pin faults on flip-flops are skipped — their
+   frame-0 copy is a PI with no input pin. *)
+let test_podem_effort_pinned () =
+  let decisions = ref 0 and backtracks = ref 0 and implications = ref 0 in
+  let cuts = ref 0 and n_faults = ref 0 in
+  let lines = Buffer.create 4096 in
+  List.iter
+    (fun seed ->
+      let nl = Netlist_gen.sequential ~seed ~n_pi:4 ~n_dff:3 ~n_gates:14 in
+      let u, assignable, observe, map =
+        Seq_atpg.unroll nl ~frames:2 ~scanned:[]
+      in
+      List.iter
+        (fun f ->
+          if f.Fault.pin = None || Netlist.kind nl f.Fault.node <> Netlist.Dff
+          then begin
+            incr n_faults;
+            let faults = map f in
+            List.iter
+              (fun guidance ->
+                let r, e =
+                  Podem.generate ~backtrack_limit:30 ?guidance u ~faults
+                    ~assignable ~observe
+                in
+                decisions := !decisions + e.Podem.decisions;
+                backtracks := !backtracks + e.Podem.backtracks;
+                implications := !implications + e.Podem.implications;
+                cuts := !cuts + e.Podem.guided_cuts;
+                Buffer.add_string lines
+                  (match r with
+                   | Podem.Test a ->
+                     "test "
+                     ^ String.concat ","
+                         (List.map
+                            (fun (p, b) ->
+                              Printf.sprintf "%d=%d" p (Bool.to_int b))
+                            a)
+                   | Podem.Untestable -> "untestable"
+                   | Podem.Aborted -> "aborted");
+                Buffer.add_char lines '\n')
+              [ None; Some (Guidance.provide u ~observe ~faults) ]
+          end)
+        (Fault.collapsed nl))
+    [ 7; 77; 777 ];
+  check_int "faults" 258 !n_faults;
+  check_int "decisions" 2788 !decisions;
+  check_int "backtracks" 3814 !backtracks;
+  check_int "implications" 5192 !implications;
+  check_int "guided cuts" 64 !cuts;
+  Alcotest.(check string)
+    "verdicts and assignments" "ce79309c338c691791b1ff351f8005bb"
+    (Digest.to_hex (Digest.string (Buffer.contents lines)))
 
 let test_guidance_cache () =
   Guidance.reset_cache ();
@@ -342,6 +496,8 @@ let () =
             test_impl_sound_random;
           Alcotest.test_case "constant contradiction" `Quick
             test_impl_constant_contradiction;
+          Alcotest.test_case "matches full-cone reference" `Quick
+            test_impl_matches_reference;
         ] );
       ( "guidance",
         [
@@ -349,6 +505,8 @@ let () =
           Alcotest.test_case "guided matches unguided" `Quick
             test_guided_matches_unguided;
           Alcotest.test_case "analysis cache" `Quick test_guidance_cache;
+          Alcotest.test_case "podem effort pinned" `Quick
+            test_podem_effort_pinned;
         ] );
       ( "lint_saturation",
         [

@@ -527,6 +527,16 @@ let test_campaign_unchanged_when_disabled () =
   check "enabled run had resolved classes" true
     (List.exists (fun (_, (cl, _)) -> cl > 0) on_waterfall)
 
+(* [~sample:0] (keep one fault in 0) is bad input: a typed error raised
+   before the campaign expands or samples anything. *)
+let test_campaign_rejects_sample_zero () =
+  let r = Flow.synthesize ~width:4 Flow.Partial_scan (Paper_fig1.graph ()) in
+  match Flow.test_campaign ~sample:0 r with
+  | _ -> Alcotest.fail "sample 0 accepted"
+  | exception Hft_robust.Validation.Invalid d ->
+    Alcotest.(check string) "site" "flow.test_campaign"
+      d.Hft_robust.Validation.site
+
 (* ------------------------------------------------------------------ *)
 (* Tool survey                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -602,6 +612,8 @@ let () =
             test_campaign_waterfall_conserves;
           Alcotest.test_case "engines unchanged when disabled" `Quick
             test_campaign_unchanged_when_disabled;
+          Alcotest.test_case "sample below 1 rejected" `Quick
+            test_campaign_rejects_sample_zero;
         ] );
       ( "failure_injection",
         [

@@ -307,6 +307,96 @@ let test_podem_full_coverage_small_adder () =
   check "everything detected" true
     (float_of_int !detected /. float_of_int (List.length faults) > 0.99)
 
+(* PODEM keeps one search workspace per netlist and domain.  Reusing
+   it must be invisible: every call on a warm workspace — interleaved
+   across two netlists, after a search abandoned mid-way by a raising
+   [check], and after a structural edit — returns what the same call
+   returns on a fresh copy, whose workspace starts cold. *)
+let test_podem_workspace_reuse () =
+  let unrolled seed =
+    let nl = Netlist_gen.sequential ~seed ~n_pi:4 ~n_dff:3 ~n_gates:14 in
+    let u, assignable, observe, map =
+      Seq_atpg.unroll nl ~frames:2 ~scanned:[]
+    in
+    (* Flip-flop pin faults have no site in frame 0 (its state is a PI). *)
+    let faults =
+      List.filter_map
+        (fun f ->
+          if f.Fault.pin = None || Netlist.kind nl f.Fault.node <> Netlist.Dff
+          then Some (map f)
+          else None)
+        (Fault.collapsed nl)
+    in
+    (u, assignable, observe, faults)
+  in
+  let run ?check nl ~assignable ~observe faults =
+    Podem.generate ~backtrack_limit:30 ?check nl ~faults ~assignable ~observe
+  in
+  let (na, aa, oa, fa) = unrolled 7 and (nb, ab, ob, fb) = unrolled 77 in
+  (* Each fault of A also runs under a narrower view (its first
+     assignable PI dropped, only its first observe node kept): marks
+     left by one call's view must not leak into the next call's. *)
+  let calls =
+    List.concat
+      (List.mapi
+         (fun i f ->
+           [ (na, aa, oa, f); (na, List.tl aa, [ List.hd oa ], f) ]
+           @ (match List.nth_opt fb i with
+              | Some g -> [ (nb, ab, ob, g) ]
+              | None -> []))
+         fa)
+  in
+  (* Cold references first, so the copies never evict A's or B's
+     workspace during the interleaved pass. *)
+  let cold (nl, assignable, observe, f) =
+    run (Netlist.copy nl) ~assignable ~observe f
+  in
+  let expected = List.map cold calls in
+  List.iter2
+    (fun (nl, assignable, observe, f) e ->
+      if run nl ~assignable ~observe f <> e then
+        Alcotest.failf "warm call on %s differs from a cold copy"
+          (Netlist.circuit_name nl))
+    calls expected;
+  (* Abandon the longest full-view search on A after three iterations
+     (one implication per iteration), then rerun it. *)
+  let f, iterations =
+    List.fold_left2
+      (fun (bf, bi) (nl, _, observe, f) (_, e) ->
+        if nl == na && observe == oa && e.Podem.implications > bi then
+          (f, e.Podem.implications)
+        else (bf, bi))
+      ([], 0) calls expected
+  in
+  check "search runs past the abort point" true (iterations > 3);
+  let n_checks = ref 0 in
+  (match
+     run na ~assignable:aa ~observe:oa f ~check:(fun () ->
+         incr n_checks;
+         if !n_checks > 3 then raise Exit)
+   with
+   | _ -> Alcotest.fail "check did not abandon the search"
+   | exception Exit -> ());
+  check "rerun after abandon" true
+    (run na ~assignable:aa ~observe:oa f
+     = cold (na, aa, oa, f));
+  (* A structural edit bumps the version: the next call must size its
+     workspace for the new nodes. *)
+  let p = Netlist.add na Netlist.Pi [||] in
+  let g = Netlist.add na Netlist.And [| p; List.hd aa |] in
+  let y = Netlist.add na Netlist.Po [| g |] in
+  let fault = [ { Fault.node = g; pin = None; stuck = false } ] in
+  let r = run na ~assignable:(p :: aa) ~observe:(y :: oa) fault in
+  check "new node testable" true
+    (match r with Podem.Test _, _ -> true | _ -> false);
+  check "edited netlist matches a cold copy" true
+    (r = cold (na, p :: aa, y :: oa, fault));
+  List.iter
+    (fun f ->
+      check "old faults match a cold copy" true
+        (run na ~assignable:aa ~observe:oa f = cold (na, aa, oa, f)))
+    fa
+
 (* ------------------------------------------------------------------ *)
 (* Sequential ATPG                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -935,6 +1025,8 @@ let () =
             test_podem_tests_verified_by_fsim;
           Alcotest.test_case "full adder coverage" `Quick
             test_podem_full_coverage_small_adder;
+          Alcotest.test_case "workspace reuse invisible" `Quick
+            test_podem_workspace_reuse;
         ] );
       ( "seq_atpg",
         [
