@@ -57,28 +57,34 @@ let op_profile g =
     g.ops;
   Hashtbl.fold (fun c n acc -> (c, n) :: acc) tbl [] |> List.sort compare
 
-let op_graph g =
+(* var -> id of the op producing it, [-1] when none; the last producer
+   wins, as in [producer]. *)
+let producer_ids g =
+  let ids = Array.make (n_vars g) (-1) in
+  Array.iter (fun o -> ids.(o.o_result) <- o.o_id) g.ops;
+  ids
+
+let op_graph_of g ids =
   let dg = Hft_util.Digraph.create (n_ops g) in
   Array.iter
     (fun o ->
       Array.iter
         (fun a ->
-          match producer g a with
-          | Some p -> Hft_util.Digraph.add_edge dg p.o_id o.o_id
-          | None -> ())
+          if ids.(a) >= 0 then Hft_util.Digraph.add_edge dg ids.(a) o.o_id)
         o.o_args)
     g.ops;
   dg
 
+let op_graph g = op_graph_of g (producer_ids g)
+
 let op_graph_with_feedback g =
-  let dg = op_graph g in
+  let ids = producer_ids g in
+  let dg = op_graph_of g ids in
   List.iter
     (fun (src, dst) ->
-      match producer g src with
-      | None -> ()
-      | Some p ->
+      if ids.(src) >= 0 then
         List.iter
-          (fun c -> Hft_util.Digraph.add_edge dg p.o_id c.o_id)
+          (fun c -> Hft_util.Digraph.add_edge dg ids.(src) c.o_id)
           (consumers g dst))
     g.feedback;
   dg

@@ -6,6 +6,7 @@ type info = {
   wrap_moves : (int * int) list;
   held_final : bool array;
   n_steps : int;
+  members : int list array;
 }
 
 let compute g sched =
@@ -87,17 +88,18 @@ let compute g sched =
       if Union_find.same merged src dst then held_final.(src) <- true
       else held_final.(dst) <- true)
     g.Graph.feedback;
-  { intervals; merged; wrap_moves = List.rev !wrap_moves; held_final;
-    n_steps = sched.Schedule.n_steps }
-
-let class_members info v =
-  let rep = Union_find.find info.merged v in
-  let n = Array.length info.intervals in
-  let acc = ref [] in
-  for u = n - 1 downto 0 do
-    if Union_find.find info.merged u = rep then acc := u :: !acc
+  (* The classes are final now: tabulate each one's members once, in
+     ascending order, shared by every member. *)
+  let by_rep = Array.make nv [] in
+  for v = nv - 1 downto 0 do
+    let rep = Union_find.find merged v in
+    by_rep.(rep) <- v :: by_rep.(rep)
   done;
-  !acc
+  let members = Array.init nv (fun v -> by_rep.(Union_find.find merged v)) in
+  { intervals; merged; wrap_moves = List.rev !wrap_moves; held_final;
+    n_steps = sched.Schedule.n_steps; members }
+
+let class_members info v = info.members.(v)
 
 let class_interval info v =
   List.fold_left

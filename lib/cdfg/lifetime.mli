@@ -17,7 +17,9 @@
 
 type info = {
   intervals : Hft_util.Interval.t array; (** per variable id *)
-  merged : Hft_util.Union_find.t;        (** register sharing classes *)
+  merged : Hft_util.Union_find.t;
+    (** register sharing classes; must not be mutated after {!compute},
+        which tabulates them in [members] *)
   wrap_moves : (int * int) list;
     (** feedback pairs [(src, dst)] whose lifetimes overlap and thus
         could {e not} be merged; the data path must copy [src]'s register
@@ -28,6 +30,8 @@ type info = {
         (primary outputs, merged feedback sources, wrap destinations) and
         so must not share a register with anything written there *)
   n_steps : int;
+  members : int list array;
+    (** per variable: the members of its [merged] class, ascending *)
 }
 
 val compute : Graph.t -> Schedule.t -> info
@@ -48,11 +52,12 @@ val conflict : info -> int -> int -> bool
 (** Representative-keyed lifetime of a merge class: hull of members. *)
 val class_interval : info -> int -> Hft_util.Interval.t
 
-(** Members of a variable's merge class (including itself). *)
+(** Members of a variable's merge class (including itself), ascending;
+    a table lookup. *)
 val class_members : info -> int -> int list
 
 (** Registerable variables: one representative per merge class.  Classes
     with an empty lifetime are skipped unless they contain a primary
-    output or feedback source, which must be latched at the final step
-    boundary regardless. *)
+    output, a feedback source or a feedback destination (a state
+    variable): those must be latched somewhere regardless. *)
 val register_candidates : Graph.t -> info -> int list

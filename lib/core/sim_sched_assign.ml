@@ -7,73 +7,104 @@ type result = {
   est_assignment_loops : int;
 }
 
-(* Does a dependency path from [u] to [v] pass through an op outside
-   [members]?  Only such paths create assignment loops: a chain kept
-   entirely on one unit merely recirculates through the unit's own
-   output register (a tolerated self-loop, paper Figure 1(c)). *)
-let escaping_path g members u v =
+(* Per-run search state: the op graph, built once, and stamp arrays
+   that are never cleared.  [member.(o) = mark] puts [o] in the member
+   set under examination, [seen.(o) = bfs] means the current search has
+   queued [o], and [hit.(o) = round] means the current count reached
+   member [o] along an escaping path. *)
+type workspace = {
+  dg : Digraph.t;
+  member : int array;
+  seen : int array;
+  hit : int array;
+  queue : int array;
+  mutable mark : int;
+  mutable bfs : int;
+  mutable round : int;
+}
+
+let workspace g =
   let dg = Graph.op_graph g in
-  let inside o = o = u || o = v || List.mem o members in
   let n = Digraph.order dg in
-  let seen = Array.make n false in
-  let q = Queue.create () in
-  (* Start from u's successors that are outside the member set. *)
+  let stamps () = Array.make n 0 in
+  { dg; member = stamps (); seen = stamps (); hit = stamps ();
+    queue = stamps (); mark = 0; bfs = 0; round = 0 }
+
+let mark_members ws ops =
+  ws.mark <- ws.mark + 1;
+  List.iter (fun o -> ws.member.(o) <- ws.mark) ops
+
+(* Only dependency paths that leave the member set create assignment
+   loops: a chain kept entirely on one unit merely recirculates through
+   the unit's own output register (a tolerated self-loop, paper
+   Figure 1(c)).  So search from [o] along [next] edges through ops off
+   the set, and hit every member adjacent to an op the search reaches;
+   a member adjacent to [o] itself is not hit. *)
+let search ws next o =
+  ws.bfs <- ws.bfs + 1;
+  let tail = ref 0 in
+  let step w =
+    if ws.member.(w) = ws.mark then ws.hit.(w) <- ws.round
+    else if ws.seen.(w) <> ws.bfs then begin
+      ws.seen.(w) <- ws.bfs;
+      ws.queue.(!tail) <- w;
+      incr tail
+    end
+  in
   List.iter
-    (fun w ->
-      if (not (inside w)) && not seen.(w) then begin
-        seen.(w) <- true;
-        Queue.add w q
-      end)
-    (Digraph.succ dg u);
-  let found = ref false in
-  while not (Queue.is_empty q) do
-    let w = Queue.take q in
-    List.iter
-      (fun x ->
-        if x = v then found := true
-        else if (not (inside x)) && not seen.(x) then begin
-          seen.(x) <- true;
-          Queue.add x q
-        end)
-      (Digraph.succ dg w)
-  done;
-  !found
+    (fun w -> if ws.member.(w) <> ws.mark then step w)
+    (next ws.dg o);
+  let head = ref 0 in
+  while !head < !tail do
+    let w = ws.queue.(!head) in
+    incr head;
+    List.iter step (next ws.dg w)
+  done
 
-let assignment_loops g (binding : Hft_hls.Fu_bind.t) =
-  let count = ref 0 in
-  Array.iter
-    (fun (_, ops) ->
-      List.iter
-        (fun u ->
-          List.iter
-            (fun v -> if u <> v && escaping_path g ops u v then incr count)
-            ops)
-        ops)
-    binding.Hft_hls.Fu_bind.instances;
-  !count
+(* Members of [ops] other than [o] hit in the current round. *)
+let hits ws ops o =
+  List.fold_left
+    (fun n v -> if v <> o && ws.hit.(v) = ws.round then n + 1 else n)
+    0 ops
 
-let loop_creating_pairs g members o =
-  List.length
-    (List.filter
-       (fun o' ->
-         o' <> o
-         && (escaping_path g (o :: members) o' o
-             || escaping_path g (o :: members) o o'))
-       members)
+(* Ordered pairs (u, v) of [ops] with an escaping path u -> v. *)
+let instance_loops ws ops =
+  mark_members ws ops;
+  List.fold_left
+    (fun acc u ->
+      ws.round <- ws.round + 1;
+      search ws Digraph.succ u;
+      acc + hits ws ops u)
+    0 ops
 
-let bind_loop_aware ?(loop_cost = 100.0) ~resources g sched =
+let binding_loops ws (binding : Hft_hls.Fu_bind.t) =
+  Array.fold_left
+    (fun acc (_, ops) -> acc + instance_loops ws ops)
+    0 binding.Hft_hls.Fu_bind.instances
+
+let assignment_loops g binding = binding_loops (workspace g) binding
+
+(* Members that [o] would close an assignment loop with, either way. *)
+let loop_creating_pairs ws members o =
+  mark_members ws (o :: members);
+  ws.round <- ws.round + 1;
+  search ws Digraph.succ o;
+  search ws Digraph.pred o;
+  hits ws members o
+
+let bind_loop_aware ws ?(loop_cost = 100.0) ~resources g sched =
   let choose (partial : Hft_hls.Fu_bind.t) ~op ~candidates ~can_open =
     let cost inst =
       let _, members = partial.Hft_hls.Fu_bind.instances.(inst) in
-      loop_cost *. float_of_int (loop_creating_pairs g members op)
+      loop_cost *. float_of_int (loop_creating_pairs ws members op)
     in
     let best =
       List.fold_left
         (fun acc inst ->
+          let c = cost inst in
           match acc with
-          | None -> Some (inst, cost inst)
-          | Some (_, c) when cost inst < c -> Some (inst, cost inst)
-          | Some _ -> acc)
+          | Some (_, best) when c >= best -> acc
+          | None | Some _ -> Some (inst, c))
         None candidates
     in
     match best with
@@ -102,10 +133,15 @@ let rebind g sched (binding : Hft_hls.Fu_bind.t) o inst =
   | exception Invalid_argument _ -> None
 
 (* Local search: move single ops between instances while it reduces the
-   assignment-loop count. *)
-let improve g sched binding =
+   assignment-loop count.  A move changes only its two instances, so
+   only their counts are redone. *)
+let improve ws g sched (binding : Hft_hls.Fu_bind.t) =
   let current = ref binding in
-  let score = ref (assignment_loops g binding) in
+  let counts =
+    Array.map (fun (_, ops) -> instance_loops ws ops)
+      binding.Hft_hls.Fu_bind.instances
+  in
+  let score = ref (Array.fold_left ( + ) 0 counts) in
   let progress = ref true in
   while !progress && !score > 0 do
     progress := false;
@@ -120,10 +156,16 @@ let improve g sched binding =
               then
                 match rebind g sched !current o inst with
                 | Some b ->
-                  let s = assignment_loops g b in
+                  let recount i =
+                    instance_loops ws (snd b.Hft_hls.Fu_bind.instances.(i))
+                  in
+                  let c0 = recount inst0 and c = recount inst in
+                  let s = !score - counts.(inst0) - counts.(inst) + c0 + c in
                   if s < !score then begin
                     current := b;
                     score := s;
+                    counts.(inst0) <- c0;
+                    counts.(inst) <- c;
                     progress := true
                   end
                 | None -> ())
@@ -140,17 +182,18 @@ let run ?loop_cost ~resources g sched_opt =
   in
   (* Two seeds — the loop-aware greedy and the conventional left-edge —
      each polished by local search; keep the better. *)
+  let ws = workspace g in
   let seeds =
-    [ bind_loop_aware ?loop_cost ~resources g sched;
+    [ bind_loop_aware ws ?loop_cost ~resources g sched;
       Hft_hls.Fu_bind.left_edge ~resources g sched ]
   in
   let binding =
-    List.map (fun b -> improve g sched b) seeds
-    |> List.map (fun b -> (assignment_loops g b, b))
+    List.map (fun b -> improve ws g sched b) seeds
+    |> List.map (fun b -> (binding_loops ws b, b))
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> List.hd |> snd
   in
-  { sched; binding; est_assignment_loops = assignment_loops g binding }
+  { sched; binding; est_assignment_loops = binding_loops ws binding }
 
 let conventional ~resources g =
   let sched = Hft_hls.List_sched.schedule g ~resources in

@@ -57,15 +57,20 @@ let left_edge g info =
 let color ?(extra_conflicts = []) ?order ?prefer g info =
   let candidates = Lifetime.register_candidates g info in
   let rep_of v = Union_find.find info.Lifetime.merged v in
-  let extra =
-    List.map (fun (a, b) -> (rep_of a, rep_of b)) extra_conflicts
-  in
+  (* Extra conflicts between class representatives, both ways round,
+     keyed [a * nv + b]. *)
+  let nv = Array.length info.Lifetime.intervals in
+  let extra = Hashtbl.create (2 * List.length extra_conflicts) in
+  List.iter
+    (fun (a, b) ->
+      let a = rep_of a and b = rep_of b in
+      Hashtbl.replace extra ((a * nv) + b) ();
+      Hashtbl.replace extra ((b * nv) + a) ())
+    extra_conflicts;
   let conflict_checks = ref 0 in
   let conflict a b =
     incr conflict_checks;
-    a <> b
-    && (Lifetime.conflict info a b
-        || List.mem (a, b) extra || List.mem (b, a) extra)
+    a <> b && (Lifetime.conflict info a b || Hashtbl.mem extra ((a * nv) + b))
   in
   let dedup_keep_order l =
     let seen = Hashtbl.create 16 in

@@ -44,14 +44,6 @@ let scan_selection ?(ignore_self_loops = true) s =
    them). *)
 let big = max_int / 2
 
-let cut_graph s ~scanned =
-  let g = Digraph.copy s.graph in
-  (* Scanned registers still source/sink edges but do not transmit:
-     model by splitting — simpler: compute distances on the original
-     graph but forbid relaxation through scanned vertices. *)
-  ignore scanned;
-  g
-
 let multi_source_dist g ~through_ok sources =
   let n = Digraph.order g in
   let dist = Array.make n big in
@@ -78,7 +70,6 @@ let multi_source_dist g ~through_ok sources =
 
 let depth_profile s ~scanned =
   let d = s.datapath in
-  let g = cut_graph s ~scanned in
   let controllable =
     List.sort_uniq compare (Datapath.input_registers d @ scanned)
   in
@@ -86,9 +77,9 @@ let depth_profile s ~scanned =
     List.sort_uniq compare (Datapath.output_registers d @ scanned)
   in
   let through_ok v = not (List.mem v scanned) in
-  let cdist = multi_source_dist g ~through_ok controllable in
+  let cdist = multi_source_dist s.graph ~through_ok controllable in
   let odist =
-    multi_source_dist (Digraph.transpose g) ~through_ok observable
+    multi_source_dist (Digraph.transpose s.graph) ~through_ok observable
   in
   List.init (Datapath.n_regs d) (fun r -> (r, cdist.(r), odist.(r)))
 

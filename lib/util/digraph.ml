@@ -15,10 +15,15 @@ let size g = g.m
 let check g v =
   if v < 0 || v >= g.n then invalid_arg "Digraph: vertex out of range"
 
+(* [List.mem] would compare polymorphically, element by element. *)
+let rec mem_int (v : int) = function
+  | [] -> false
+  | w :: tl -> w = v || mem_int v tl
+
 let mem_edge g u v =
   check g u;
   check g v;
-  List.mem v g.succ.(u)
+  mem_int v g.succ.(u)
 
 let add_edge g u v =
   if not (mem_edge g u v) then begin

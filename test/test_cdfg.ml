@@ -199,6 +199,76 @@ let test_register_candidates () =
      but it is an output, so it still needs storage. *)
   check_int "four register classes" 4 (List.length cands)
 
+(* References for the class table: class lookups and [conflict] as
+   defined before [Lifetime] tabulated its classes, scanning
+   [Union_find.find] over every variable. *)
+let class_members_ref info v =
+  let find = Hft_util.Union_find.find info.Lifetime.merged in
+  List.filter
+    (fun u -> find u = find v)
+    (List.init (Array.length info.Lifetime.intervals) Fun.id)
+
+let conflict_ref info u v =
+  let open Hft_util in
+  let same = Union_find.same info.Lifetime.merged in
+  let iv = info.Lifetime.intervals in
+  let final_write v =
+    List.exists
+      (fun u -> iv.(u).Interval.lo = info.Lifetime.n_steps)
+      (class_members_ref info v)
+    || List.exists (fun (_, dst) -> same dst v) info.Lifetime.wrap_moves
+  in
+  let held v =
+    List.exists
+      (fun u -> info.Lifetime.held_final.(u))
+      (class_members_ref info v)
+  in
+  (not (same u v))
+  && (List.exists
+        (fun a ->
+          List.exists
+            (fun b -> Interval.overlaps iv.(a) iv.(b))
+            (class_members_ref info v))
+        (class_members_ref info u)
+      || (final_write u && final_write v)
+      || (final_write u && held v)
+      || (held u && final_write v))
+
+let test_class_table_matches_brute_force () =
+  let resources =
+    [ (Op.Multiplier, 2); (Op.Alu, 2); (Op.Comparator, 1); (Op.Logic_unit, 1) ]
+  in
+  let rng = Hft_util.Rng.create 12 in
+  let randoms =
+    List.init 50 (fun i ->
+        let n = 8 + Hft_util.Rng.int rng 41 in
+        ( Printf.sprintf "random%d" i,
+          Bench_suite.random rng ~n_inputs:(max 1 (n / 8)) ~n_ops:n
+            ~p_feedback:[| 0.0; 0.1; 0.3 |].(i mod 3) ))
+  in
+  List.iter
+    (fun (name, g) ->
+      let sched = Hft_hls.List_sched.schedule g ~resources in
+      let info = Lifetime.compute g sched in
+      let nv = Graph.n_vars g in
+      for u = 0 to nv - 1 do
+        if Lifetime.class_members info u <> class_members_ref info u then
+          Alcotest.failf "%s: class of %d" name u;
+        for v = 0 to nv - 1 do
+          if Lifetime.conflict info u v <> conflict_ref info u v then
+            Alcotest.failf "%s: conflict %d %d" name u v
+        done
+      done;
+      let binding = Hft_hls.Fu_bind.left_edge ~resources g sched in
+      Hft_hls.Reg_alloc.validate g info (Hft_hls.Reg_alloc.left_edge g info);
+      Hft_hls.Reg_alloc.validate g info (Hft_hls.Reg_alloc.color g info);
+      Hft_hls.Reg_alloc.validate
+        ~extra_conflicts:
+          (Hft_bist.Reg_assign.self_adjacency_conflicts g binding info)
+        g info
+        (Hft_bist.Reg_assign.bist_aware g sched binding info))
+    (Bench_suite.all () @ randoms)
+
 (* ------------------------------------------------------------------ *)
 (* Loops                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -488,6 +558,8 @@ let () =
           Alcotest.test_case "tiny lifetimes" `Quick test_lifetimes_tiny;
           Alcotest.test_case "feedback merge" `Quick test_lifetime_feedback_merge;
           Alcotest.test_case "register candidates" `Quick test_register_candidates;
+          Alcotest.test_case "class table = brute force" `Quick
+            test_class_table_matches_brute_force;
         ] );
       ( "loops",
         [

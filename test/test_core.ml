@@ -101,6 +101,80 @@ let test_fig1_loop_avoidance () =
     r.Sim_sched_assign.est_assignment_loops;
   Hft_hls.Fu_bind.validate g r.Sim_sched_assign.sched r.Sim_sched_assign.binding
 
+(* Reference for [assignment_loops]: the per-pair search it replaced.
+   Is there a path [u] -> .. -> [v] in the prebuilt op graph [dg] whose
+   interior leaves [members]?  A direct edge does not count. *)
+let escaping_path_ref dg members u v =
+  let inside o = o = u || o = v || List.mem o members in
+  let seen = Array.make (Hft_util.Digraph.order dg) false in
+  let q = Queue.create () in
+  let visit w =
+    if (not (inside w)) && not seen.(w) then begin
+      seen.(w) <- true;
+      Queue.add w q
+    end
+  in
+  List.iter visit (Hft_util.Digraph.succ dg u);
+  let found = ref false in
+  while not (Queue.is_empty q) do
+    List.iter
+      (fun x -> if x = v then found := true else visit x)
+      (Hft_util.Digraph.succ dg (Queue.take q))
+  done;
+  !found
+
+let assignment_loops_ref g (b : Hft_hls.Fu_bind.t) =
+  let dg = Graph.op_graph g in
+  Array.fold_left
+    (fun acc (_, ops) ->
+      List.fold_left
+        (fun acc u ->
+          List.fold_left
+            (fun acc v ->
+              if u <> v && escaping_path_ref dg ops u v then acc + 1 else acc)
+            acc ops)
+        acc ops)
+    0 b.Hft_hls.Fu_bind.instances
+
+let test_assignment_loops_match_reference () =
+  let same tag g b =
+    check_int tag (assignment_loops_ref g b)
+      (Sim_sched_assign.assignment_loops g b)
+  in
+  let g = Paper_fig1.graph () in
+  same "fig1 (b)" g
+    (Hft_hls.Fu_bind.of_class_indices g (Paper_fig1.schedule_b g)
+       Paper_fig1.binding_b);
+  same "fig1 (c)" g
+    (Hft_hls.Fu_bind.of_class_indices g (Paper_fig1.schedule_c g)
+       Paper_fig1.binding_c);
+  List.iter
+    (fun (name, g) ->
+      let sched = sched_of g in
+      same (name ^ " left-edge") g
+        (Hft_hls.Fu_bind.left_edge ~resources g sched);
+      same (name ^ " sched-assign") g
+        (Sim_sched_assign.run ~resources g None).Sim_sched_assign.binding)
+    (Bench_suite.all ());
+  (* Random graphs under random first-fit-or-open bindings: many shared
+     instances, with and without feedback. *)
+  let rng = Hft_util.Rng.create 33 in
+  for i = 0 to 119 do
+    let n = 8 + Hft_util.Rng.int rng 53 in
+    let g =
+      Bench_suite.random rng ~n_inputs:(max 1 (n / 8)) ~n_ops:n
+        ~p_feedback:[| 0.0; 0.1; 0.3 |].(i mod 3)
+    in
+    let choose _ ~op:_ ~candidates ~can_open =
+      let k = List.length candidates in
+      if can_open && Hft_util.Rng.int rng (k + 1) = k then `Open
+      else if k = 0 then `Open
+      else `Use (List.nth candidates (Hft_util.Rng.int rng k))
+    in
+    let b = Hft_hls.Fu_bind.bind ~choose g (sched_of g) in
+    same (Printf.sprintf "random %d (%d ops)" i n) g b
+  done
+
 let test_ssa_no_worse_than_conventional () =
   List.iter
     (fun name ->
@@ -541,6 +615,72 @@ let test_campaign_rejects_sample_zero () =
 (* Tool survey                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Synthesis pin                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything a synthesis run decides, printed exactly: schedule,
+   binding, register map, DFT report and area. *)
+let print_synthesis buf label (r : Flow.result) =
+  let ints a = String.concat "," (List.map string_of_int a) in
+  let b = r.Flow.binding and a = r.Flow.alloc and d = r.Flow.report in
+  Printf.bprintf buf "%s\nstart %s\nfu %s\n" label
+    (ints (Array.to_list r.Flow.sched.Schedule.start))
+    (ints (Array.to_list b.Hft_hls.Fu_bind.fu_of_op));
+  Array.iter
+    (fun (cl, ops) ->
+      Printf.bprintf buf "inst %s %s\n" (Op.fu_class_to_string cl) (ints ops))
+    b.Hft_hls.Fu_bind.instances;
+  Printf.bprintf buf "reg %s n_regs %d\n"
+    (ints (Array.to_list a.Hft_hls.Reg_alloc.reg_of_var))
+    a.Hft_hls.Reg_alloc.n_regs;
+  Printf.bprintf buf "report %s %d %d %d %d %d %d %s %h %d\narea %h\n"
+    d.Flow.flow d.Flow.n_registers d.Flow.n_scan_registers
+    d.Flow.n_test_registers d.Flow.n_cbilbo d.Flow.datapath_loops
+    d.Flow.self_loops
+    (match d.Flow.sequential_depth with
+     | Some k -> string_of_int k
+     | None -> "-")
+    d.Flow.area_overhead d.Flow.test_sessions
+    (Hft_rtl.Area.datapath_area r.Flow.datapath)
+
+(* The 8 behaviours, the bench/perf synth-random stream (same generator
+   calls, each graph under its own flow) and 30 more random draws of 8
+   to 97 ops, all at width 4.  The digest was recorded before the
+   synthesis searches were made incremental; any change to a schedule,
+   binding or register map moves it. *)
+let test_synthesis_pinned () =
+  let buf = Buffer.create (1 lsl 20) in
+  let flows = [ Flow.Conventional; Flow.Partial_scan; Flow.Bist ] in
+  let synth label flow g =
+    print_synthesis buf
+      (Printf.sprintf "%s %s" label (Flow.flow_kind_to_string flow))
+      (Flow.synthesize ~width:4 flow g)
+  in
+  List.iter
+    (fun (name, g) -> List.iter (fun f -> synth name f g) flows)
+    (Bench_suite.all ());
+  let rng = Hft_util.Rng.create 1 in
+  List.iteri
+    (fun i (flow, n) ->
+      synth (Printf.sprintf "stream%d" i) flow
+        (Bench_suite.random rng ~n_inputs:(max 1 (n / 8)) ~n_ops:n
+           ~p_feedback:0.1))
+    [ (Flow.Partial_scan, 56); (Flow.Partial_scan, 56); (Flow.Bist, 160);
+      (Flow.Bist, 160); (Flow.Conventional, 1000) ];
+  let rng = Hft_util.Rng.create 16 in
+  for i = 0 to 29 do
+    let n = 8 + (i * 89 / 29) in
+    let g =
+      Bench_suite.random rng ~n_inputs:(max 1 (n / 8)) ~n_ops:n
+        ~p_feedback:[| 0.0; 0.1; 0.3 |].(i mod 3)
+    in
+    List.iter (fun f -> synth (Printf.sprintf "draw%d" i) f g) flows
+  done;
+  Alcotest.(check string) "synthesis digest"
+    "8ed6a17a997f707d08043d2e8c9b92c6"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_table1 () =
   check_int "seven tools" 7 (List.length Tool_survey.table1);
   let s = Tool_survey.render () in
@@ -574,6 +714,8 @@ let () =
         [
           Alcotest.test_case "figure 1" `Quick test_fig1_loop_avoidance;
           Alcotest.test_case "no worse" `Quick test_ssa_no_worse_than_conventional;
+          Alcotest.test_case "loops match reference" `Quick
+            test_assignment_loops_match_reference;
         ] );
       ( "controller_dft",
         [
@@ -605,6 +747,7 @@ let () =
           Alcotest.test_case "datapaths correct" `Quick
             test_flow_datapaths_still_correct;
           QCheck_alcotest.to_alcotest prop_flows_on_random_cdfgs;
+          Alcotest.test_case "synthesis pinned" `Quick test_synthesis_pinned;
         ] );
       ( "flight_recorder",
         [
