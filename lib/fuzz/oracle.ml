@@ -270,7 +270,8 @@ let check_guided_diff ~step_budget ~seed:_ nl =
       match guided with
       | Podem.Test assign ->
         let det =
-          Fsim.detect_groups nl ~assignment:assign ~observe [ [ f ] ]
+          Fsim.detect_groups nl ~assignment:assign ~observe
+            [ Fsim.group nl [ f ] ]
         in
         if not det.(0) then
           bad (Printf.sprintf "guided test for %s fails replay" (repro ()))

@@ -291,119 +291,235 @@ let comb_scan ?(strategy = Cone) nl ~scanned ~patterns faults =
     result_of_flags faults flags n_patterns
   end
 
+(* A drop-check group prepared once per netlist view: its sites and
+   each injecting site's activation pair, [2 * source + stuck] — the
+   node whose good value the site replaces (the faulty node for a stem
+   fault, the consumed fanin for a pin fault).  Pin faults on a [Dff]
+   and on a pin the node does not have (a frame-0 PI copy of an
+   unscanned flip-flop keeps its D pin fault) inject nothing and get no
+   pair.  The charge, the size of the cone union of the roots
+   ([group_roots]), is computed on first read: only observability reads
+   it.  A plain mutable field, not [Lazy]: forcing a lazy value another
+   domain is forcing raises.  Roots are recomputed where needed (a live
+   group's wavefront, a charge's first read) rather than kept in every
+   class's group. *)
+type group = {
+  g_sites : Fault.t list;
+  g_act : int array;
+  mutable g_charge : int; (* -1 until first read *)
+}
+
+let group nl sites =
+  let act =
+    List.filter_map
+      (fun f ->
+        let v = f.Fault.node and stuck = Bool.to_int f.Fault.stuck in
+        match f.Fault.pin with
+        | None -> Some ((2 * v) + stuck)
+        | Some p ->
+          let fi = Netlist.fanin nl v in
+          if Netlist.kind nl v = Netlist.Dff || p >= Array.length fi then None
+          else Some ((2 * fi.(p)) + stuck))
+      sites
+  in
+  { g_sites = sites; g_act = Array.of_list act; g_charge = -1 }
+
+(* The drop kernel's per-domain workspace, grown to the largest netlist
+   it has served and shared by every netlist in turn.  Good and faulty
+   values are rebuilt on every call and marks are stamps drawn from
+   [w_stamp], so a call abandoned by an exception leaves nothing a later
+   call reads. *)
+type workspace = {
+  w_good : Sim.tstate;
+  w_faulty : Sim.tstate;
+  w_touched : int array;
+  w_obs : int array; (* stamp: observe node of this call *)
+  w_cone : int array; (* stamp: counted in this charge's cone union *)
+  mutable w_stamp : int;
+  w_heap : Sim.heap;
+  mutable w_charges : int array; (* this call's charges, in group order *)
+}
+
+let workspace_key : workspace option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let workspace nl =
+  let n = Netlist.n_nodes nl in
+  let w =
+    match Domain.DLS.get workspace_key with
+    | Some w when Array.length w.w_good >= n -> w
+    | _ ->
+      let w =
+        { w_good = Array.make n 2; w_faulty = Array.make n 2;
+          w_touched = Array.make n 0; w_obs = Array.make n 0;
+          w_cone = Array.make n 0; w_stamp = 0; w_heap = Sim.heap_create nl;
+          w_charges = [||] }
+      in
+      Domain.DLS.set workspace_key (Some w);
+      w
+  in
+  Sim.heap_bind w.w_heap nl;
+  w
+
+let fresh w =
+  w.w_stamp <- w.w_stamp + 1;
+  w.w_stamp
+
+let charge w nl g =
+  if g.g_charge < 0 then
+    g.g_charge <-
+      (match group_roots nl g.g_sites with
+       | [] -> 0
+       | [ r ] -> Array.length (Netlist.fanout_cone nl r)
+       | roots ->
+         let stamp = fresh w and mark = w.w_cone in
+         List.fold_left
+           (fun size r ->
+             let cone = Netlist.fanout_cone nl r in
+             let size = ref size in
+             for i = 0 to Array.length cone - 1 do
+               let v = cone.(i) in
+               if mark.(v) <> stamp then begin
+                 mark.(v) <- stamp;
+                 incr size
+               end
+             done;
+             !size)
+           0 roots);
+  g.g_charge
+
+(* Some site replaces a defined good value with a different one. *)
+let live good g =
+  let act = g.g_act in
+  let rec go i =
+    i < Array.length act
+    &&
+    let a = act.(i) in
+    let v = good.(a lsr 1) in
+    (v < 2 && v <> a land 1) || go (i + 1)
+  in
+  go 0
+
+let differs g f = g < 2 && f < 2 && g <> f
+
 (* Single-pattern drop check, three-valued (X-sound): sources without an
-   assignment stay at X, and detection requires a defined, differing
-   good/faulty pair at an observe node — exactly [Podem.check]'s
-   criterion, so a positive answer is valid for {e any} value of the
-   unassigned sources (unknown initial state included).
+   assignment stay at [fill] (X, or 0 for the two-valued check), and
+   detection requires a defined, differing good/faulty pair at an
+   observe node — exactly [Podem.check]'s criterion, so a positive
+   answer is valid for {e any} value of the unassigned sources (unknown
+   initial state included).
 
    The [Cone] strategy propagates only the fault-effect wavefront: the
    group's roots are queued on the topo-ordered heap, each popped node
    is re-evaluated with the group's faults forced, and only a node whose
    faulty value differs from its good value queues its (non-[Dff])
    fanouts.  A node none of whose fanins differ reproduces its good
-   value, so skipping it is exact.  Each group is still charged the
-   size of its cone union — the cost unit [hft.fsim.events] and the
-   ledger are stated in — counted with a stamp array over the memoized
-   per-root cones rather than by building the union. *)
-let detect_groups_tri ?(on_group_events = fun _ _ -> ()) ?(strategy = Cone) nl
-    ~assignment ~observe groups =
+   value, so skipping it is exact.  A group with no live site starts no
+   wavefront at all: the [Netlist.tri_*] operators are monotone in the
+   information order (X below 0 and 1), so when every site only refines
+   an X good value, every faulty value refines its good value, every
+   node that differs has good X, and [differs] cannot hold at an
+   observe node.  With one live site, every site is forced: a dead X
+   site can still complete a detection (AND(a, b), a = 0 with a s-a-1
+   live, b = X with b s-a-1 dead, is detected only with both forced).
+   Each group is still charged the size of its cone union — the cost
+   unit [hft.fsim.events] and the ledger are stated in — but only when
+   observability or [on_group_events] reads it. *)
+let kernel ~fill ?on_group_events ?(strategy = Cone) nl ~assignment ~observe
+    groups =
   let t0 = Hft_obs.Clock.now () in
   let n = Netlist.n_nodes nl in
-  let load st =
-    List.iter (fun (v, b) -> st.(v) <- (if b then 1 else 0)) assignment
+  let assign st =
+    List.iter (fun (v, b) -> st.(v) <- Bool.to_int b) assignment
   in
-  let good = Sim.tcreate nl in
-  load good;
-  Sim.teval nl good;
-  let events = ref n in
   let n_groups = List.length groups in
   let detected = Array.make n_groups false in
-  let differs g f = g < 2 && f < 2 && g <> f in
+  let events = ref n in
+  let charged = Option.is_some on_group_events in
+  let on_group_events = Option.value on_group_events ~default:(fun _ _ -> ()) in
   (match strategy with
    | Naive ->
+     let machine faults =
+       let st = Array.make n fill in
+       assign st;
+       Sim.teval ~faults nl st;
+       st
+     in
+     let good = machine [] in
      List.iteri
-       (fun gi group ->
-         let faulty = Sim.tcreate nl in
-         load faulty;
-         Sim.teval ~faults:group nl faulty;
+       (fun gi g ->
+         let faulty = machine g.g_sites in
          events := !events + n;
          on_group_events gi n;
          detected.(gi) <-
            List.exists (fun o -> differs good.(o) faulty.(o)) observe)
        groups
    | Cone ->
-     let is_obs = Array.make n false in
-     List.iter (fun o -> is_obs.(o) <- true) observe;
+     let obs = !Hft_obs.Config.enabled in
+     let charged = charged || obs in
+     let w = workspace nl in
+     let good = w.w_good and faulty = w.w_faulty and heap = w.w_heap in
+     Array.fill good 0 n fill;
+     assign good;
+     Sim.teval nl good;
+     Array.blit good 0 faulty 0 n;
+     let stamp = fresh w in
+     List.iter (fun o -> w.w_obs.(o) <- stamp) observe;
+     if obs && Array.length w.w_charges < n_groups then
+       w.w_charges <- Array.make n_groups 0;
      let kinds = Netlist.raw_kinds nl in
-     let faulty = Array.copy good in
-     let heap = Sim.heap_create nl in
-     let touched = Array.make n 0 and n_touched = ref 0 in
-     let in_cone = Array.make n 0 and round = ref 0 in
-     let cone_size = function
-       | [] -> 0
-       | [ r ] -> Array.length (Netlist.fanout_cone nl r)
-       | roots ->
-         incr round;
-         let size = ref 0 in
-         List.iter
-           (fun r ->
-             let cone = Netlist.fanout_cone nl r in
-             for i = 0 to Array.length cone - 1 do
-               let v = cone.(i) in
-               if in_cone.(v) <> !round then begin
-                 in_cone.(v) <- !round;
-                 incr size
-               end
-             done)
-           roots;
-         !size
-     in
+     let touched = w.w_touched and n_touched = ref 0 in
      List.iteri
-       (fun gi group ->
-         let roots = group_roots nl group in
-         let size = cone_size roots in
-         if !Hft_obs.Config.enabled then
-           Hft_obs.Registry.record "hft.fsim.cone_nodes" (float_of_int size);
-         on_group_events gi size;
-         events := !events + size;
-         let eval = Sim.teval_fn ~faults:group nl in
-         Sim.heap_reset heap;
-         List.iter (Sim.heap_push heap) roots;
-         let hit = ref false in
-         while (not !hit) && not (Sim.heap_is_empty heap) do
-           let v = Sim.heap_pop heap in
-           eval faulty v;
-           if faulty.(v) <> good.(v) then begin
-             touched.(!n_touched) <- v;
-             incr n_touched;
-             if is_obs.(v) && differs good.(v) faulty.(v) then hit := true
-             else
-               List.iter
-                 (fun w -> if kinds.(w) <> Netlist.Dff then Sim.heap_push heap w)
-                 (Netlist.fanout nl v)
-           end
-         done;
-         detected.(gi) <- !hit;
-         for i = 0 to !n_touched - 1 do
-           let v = touched.(i) in
-           faulty.(v) <- good.(v)
-         done;
-         n_touched := 0)
-       groups);
+       (fun gi g ->
+         if charged then begin
+           let size = charge w nl g in
+           if obs then w.w_charges.(gi) <- size;
+           on_group_events gi size;
+           events := !events + size
+         end;
+         if live good g then begin
+           let eval = Sim.teval_fn ~faults:g.g_sites nl in
+           Sim.heap_reset heap;
+           List.iter (Sim.heap_push heap) (group_roots nl g.g_sites);
+           let hit = ref false in
+           while (not !hit) && not (Sim.heap_is_empty heap) do
+             let v = Sim.heap_pop heap in
+             eval faulty v;
+             if faulty.(v) <> good.(v) then begin
+               touched.(!n_touched) <- v;
+               incr n_touched;
+               if w.w_obs.(v) = stamp && differs good.(v) faulty.(v) then
+                 hit := true
+               else
+                 List.iter
+                   (fun x ->
+                     if kinds.(x) <> Netlist.Dff then Sim.heap_push heap x)
+                   (Netlist.fanout nl v)
+             end
+           done;
+           detected.(gi) <- !hit;
+           for i = 0 to !n_touched - 1 do
+             let v = touched.(i) in
+             faulty.(v) <- good.(v)
+           done;
+           n_touched := 0
+         end)
+       groups;
+     if obs then
+       Hft_obs.Registry.record_ints "hft.fsim.cone_nodes" w.w_charges n_groups);
   flush ~faults:n_groups ~detected:(count_true detected) ~patterns:1
     ~events:!events
     ~seconds:(Hft_obs.Clock.now () -. t0);
   detected
 
+let detect_groups_tri ?on_group_events ?strategy nl ~assignment ~observe
+    groups =
+  kernel ~fill:2 ?on_group_events ?strategy nl ~assignment ~observe groups
+
 (* With every source defined the three-valued machine never produces X,
    so the kernel above is exactly the two-valued check. *)
 let detect_groups ?on_group_events ?strategy nl ~assignment ~observe groups =
-  let presets =
-    List.map (fun v -> (v, false)) (Netlist.pis nl @ Netlist.dffs nl)
-  in
-  detect_groups_tri ?on_group_events ?strategy nl
-    ~assignment:(presets @ assignment) ~observe groups
+  kernel ~fill:0 ?on_group_events ?strategy nl ~assignment ~observe groups
 
 let coverage_curve nl ~checkpoints ~next_pattern faults =
   let checkpoints = List.sort compare checkpoints in

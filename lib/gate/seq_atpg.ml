@@ -237,7 +237,9 @@ let replay ?assignable_pis ?strapped nl ~scanned ~tests faults =
         List.iter
           (fun t ->
             let ps =
-              List.filter (fun f -> List.mem f t.t_detects) !pending
+              let want = Hashtbl.create (List.length t.t_detects) in
+              List.iter (fun f -> Hashtbl.replace want f ()) t.t_detects;
+              List.filter (Hashtbl.mem want) !pending
             in
             match ps with
             | [] -> ()
@@ -245,7 +247,7 @@ let replay ?assignable_pis ?strapped nl ~scanned ~tests faults =
               let flags =
                 Fsim.detect_groups u.u_net ~assignment:(assignment_of t)
                   ~observe:u.u_observe
-                  (List.map u.u_map_fault ps)
+                  (List.map (fun f -> Fsim.group u.u_net (u.u_map_fault f)) ps)
               in
               let hit = Hashtbl.create (List.length ps) in
               List.iteri
@@ -284,7 +286,7 @@ type spec_attempt = {
 type detect =
   ?on_group_events:(int -> int -> unit) -> ?strategy:Fsim.strategy ->
   Netlist.t -> assignment:(int * bool) list -> observe:int list ->
-  Fault.t list list -> bool array
+  Fsim.group list -> bool array
 
 let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
     ?(strategy = Drop) ?on_test
@@ -334,13 +336,17 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
   let n_groups = Array.length leaders in
   (* Commit-thread workspaces, one per frame count (shared across
      faults), built from the original netlist on first use, each with
-     every class's injection sites mapped into it once — on the first
-     drop pass or salvage at that frame count. *)
+     every class's drop-check group prepared in it once — on the first
+     drop pass or salvage at that frame count — so a class's charge is
+     computed at most once per frame count. *)
   let unrolled =
     Array.init max_frames (fun i ->
         lazy
           (let u = view nl (i + 1) in
-           (u, lazy (Array.map u.u_map_fault leaders))))
+           ( u,
+             lazy
+               (Array.map (fun f -> Fsim.group u.u_net (u.u_map_fault f))
+                  leaders) )))
   in
   let status = Array.make n_groups `Pending in
   let dropped = ref 0 in
@@ -401,7 +407,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
      [on_resolved] only after the test itself is serialized, so a
      checkpoint transaction is always test line first, resolution lines
      last. *)
-  let drop_pass (u, sites) assignment self tid =
+  let drop_pass (u, groups) assignment self tid =
     let pending = ref [] in
     for gj = n_groups - 1 downto 0 do
       if gj <> self && status.(gj) = `Pending then pending := gj :: !pending
@@ -409,15 +415,21 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
     match !pending with
     | [] -> ([], [])
     | pending ->
-      let parr = Array.of_list pending in
-      let sites = Lazy.force sites in
+      let groups = Lazy.force groups in
+      (* The pass's ledger charges go over in one call, before any of
+         its resolutions. *)
+      let evs = Array.make (if obs then List.length pending else 0) 0 in
       let flags =
         detect u.u_net
-          ~on_group_events:(fun k ev ->
-            Hft_obs.Ledger.charge lh.(parr.(k)) ~fsim_events:ev)
+          ?on_group_events:
+            (if obs then Some (fun k ev -> evs.(k) <- ev) else None)
           ~assignment ~observe:u.u_observe
-          (List.map (fun gj -> sites.(gj)) pending)
+          (List.map (fun gj -> groups.(gj)) pending)
       in
+      if obs then
+        Hft_obs.Ledger.charge_fsim_events
+          (Array.of_list (List.map (fun gj -> lh.(gj)) pending))
+          evs;
       let drops = ref [] and resolutions = ref [] in
       List.iteri
         (fun k gj ->
@@ -490,10 +502,10 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
      count — so worker domains can speculate it; [salvage_commit]
      performs the side-effecting half (test registration, drop pass,
      resolutions) and only ever runs on the orchestrating thread.
-     [sites] is the class's injection sites in [u]: the commit thread
-     passes its memoized mapping, a worker maps them itself (the commit
+     [group] is the class's drop-check group in [u]: the commit thread
+     passes its memoized one, a worker prepares its own (the commit
      thread's lazy tables must not be forced from another domain). *)
-  let salvage_search policy u gi sites =
+  let salvage_search policy u gi group =
     let try_salvage () =
       let rng = Hft_util.Rng.create (0x5a17a6e + (7919 * gi) + u.u_frames) in
       let found = ref None in
@@ -507,7 +519,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
           List.map (fun pi -> (pi, Hft_util.Rng.bool rng)) u.u_assignable
         in
         let flags =
-          detect u.u_net ~assignment ~observe:u.u_observe [ sites ]
+          detect u.u_net ~assignment ~observe:u.u_observe [ group ]
         in
         if flags.(0) then found := Some (assignment, !tries)
       done;
@@ -576,7 +588,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
         last
       end
       else begin
-        let ((u, sites) as ws) = Lazy.force unrolled.(frames - 1) in
+        let ((u, groups) as ws) = Lazy.force unrolled.(frames - 1) in
         if obs then
           Hft_obs.Journal.record
             (Hft_obs.Journal.Atpg_target
@@ -600,7 +612,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
                | Some (found, stape) ->
                  Hft_obs.Capture.replay stape;
                  found
-               | None -> salvage_search policy u gi (Lazy.force sites).(gi)
+               | None -> salvage_search policy u gi (Lazy.force groups).(gi)
              in
              salvage_commit policy ws gi fail found
            | None -> assert false)
@@ -697,7 +709,8 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
           | Some policy ->
             Some
               (Hft_obs.Capture.record (fun () ->
-                   salvage_search policy u gi (u.u_map_fault f)))
+                   salvage_search policy u gi
+                     (Fsim.group u.u_net (u.u_map_fault f))))
         in
         List.rev
           ({ sp_frames = frames; sp_outcome = outcome; sp_tape = tape;

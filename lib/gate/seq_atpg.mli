@@ -73,11 +73,12 @@ type unrolled = {
 
 (** The drop and salvage check: {!Fsim.detect_groups_tri} (X-sound) for
     sequential ATPG, {!Fsim.detect_groups} (two-valued, exact when every
-    source is assigned) for full scan. *)
+    source is assigned) for full scan.  The campaign prepares each
+    class's {!Fsim.group} once per frame count. *)
 type detect =
   ?on_group_events:(int -> int -> unit) -> ?strategy:Fsim.strategy ->
   Netlist.t -> assignment:(int * bool) list -> observe:int list ->
-  Fault.t list list -> bool array
+  Fsim.group list -> bool array
 
 (** [campaign ~view ~detect nl ~faults] — the one ATPG campaign loop
     every engine runs on: fault collapsing (with its uncollapsed

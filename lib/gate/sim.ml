@@ -253,21 +253,31 @@ let teval_fn ?(faults = []) nl =
    evaluation order, and with it PODEM's effort counters, does not
    depend on the heap's implementation. *)
 type heap = {
-  pos : int array;
-  items : int array; (* 1-based *)
+  mutable pos : int array;
+  mutable items : int array; (* 1-based *)
   mutable size : int;
-  seen : int array;
+  mutable seen : int array;
   mutable round : int;
 }
-
-let heap_create nl =
-  let n = Netlist.n_nodes nl in
-  { pos = Netlist.topo_pos nl; items = Array.make (n + 1) 0; size = 0;
-    seen = Array.make n 0; round = 1 }
 
 let heap_reset h =
   h.round <- h.round + 1;
   h.size <- 0
+
+(* Rebinding keeps [seen]'s stamps: every one is below the new round. *)
+let heap_bind h nl =
+  let n = Netlist.n_nodes nl in
+  h.pos <- Netlist.topo_pos nl;
+  if Array.length h.seen < n then begin
+    h.items <- Array.make (n + 1) 0;
+    h.seen <- Array.make n 0
+  end;
+  heap_reset h
+
+let heap_create nl =
+  let h = { pos = [||]; items = [| 0 |]; size = 0; seen = [||]; round = 0 } in
+  heap_bind h nl;
+  h
 
 let heap_is_empty h = h.size = 0
 

@@ -53,6 +53,12 @@ val teval_fn : ?faults:Fault.t list -> Netlist.t -> tstate -> int -> unit
 type heap
 
 val heap_create : Netlist.t -> heap
+
+(** [heap_bind h nl] empties [h] and re-keys it on [nl]'s topological
+    positions, growing it when [nl] has more nodes than it holds: one
+    heap can serve netlists of any size in turn. *)
+val heap_bind : heap -> Netlist.t -> unit
+
 val heap_reset : heap -> unit
 val heap_is_empty : heap -> bool
 

@@ -158,25 +158,37 @@ let resolve h res =
      ledger; the orchestrator replays committed tapes in class order. *)
   if not (Capture.defer (fun () -> resolve h res)) then resolve h res
 
-let charge_now ?(fsim_events = 0) ?(implications = 0) ?(backtracks = 0)
-    ?(guided_cuts = 0) h =
+let charge_now ?(implications = 0) ?(backtracks = 0) ?(guided_cuts = 0) h =
   if h >= 0 then
     locked (fun () ->
         if h < !n_rows_ then begin
           let r = !rows_buf.(h) in
-          r.m_fsim <- r.m_fsim + fsim_events;
           r.m_impl <- r.m_impl + implications;
           r.m_btk <- r.m_btk + backtracks;
           r.m_gcuts <- r.m_gcuts + guided_cuts
         end)
 
-let charge ?fsim_events ?implications ?backtracks ?guided_cuts h =
+let charge ?implications ?backtracks ?guided_cuts h =
   if h >= 0 then
     if
       not
         (Capture.defer (fun () ->
-             charge_now ?fsim_events ?implications ?backtracks ?guided_cuts h))
-    then charge_now ?fsim_events ?implications ?backtracks ?guided_cuts h
+             charge_now ?implications ?backtracks ?guided_cuts h))
+    then charge_now ?implications ?backtracks ?guided_cuts h
+
+let charge_fsim_events_now hs evs =
+  locked (fun () ->
+      Array.iteri
+        (fun i h ->
+          if h >= 0 && h < !n_rows_ then begin
+            let r = !rows_buf.(h) in
+            r.m_fsim <- r.m_fsim + evs.(i)
+          end)
+        hs)
+
+let charge_fsim_events hs evs =
+  if not (Capture.defer (fun () -> charge_fsim_events_now hs evs)) then
+    charge_fsim_events_now hs evs
 
 let register_test ~frames =
   if not !Config.enabled then -1

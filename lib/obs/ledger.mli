@@ -60,10 +60,15 @@ val register_class : rep:string -> members:string list -> int
     resolution velocity. *)
 val resolve : int -> resolution -> unit
 
-(** Accumulate cost counters onto a class; all default to 0. *)
+(** Accumulate PODEM cost counters onto a class; all default to 0. *)
 val charge :
-  ?fsim_events:int -> ?implications:int -> ?backtracks:int ->
-  ?guided_cuts:int -> int -> unit
+  ?implications:int -> ?backtracks:int -> ?guided_cuts:int -> int -> unit
+
+(** [charge_fsim_events hs evs] charges [evs.(i)] fault-simulation
+    events to class [hs.(i)] for every [i] — a whole drop pass under one
+    lock (one deferred write on a capturing domain).  The arrays must
+    not change afterwards. *)
+val charge_fsim_events : int array -> int array -> unit
 
 (** Append a test to the campaign's test table, returning its id
     ([-1] when disabled). *)

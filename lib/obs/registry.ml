@@ -72,6 +72,23 @@ let record name v =
   if !Config.enabled then
     if not (Capture.defer (fun () -> record_now name v)) then record_now name v
 
+let record_ints_now name a n =
+  locked (fun () ->
+      let m = find_or_create_unlocked ~kind:Metric.Histogram name in
+      for i = 0 to n - 1 do
+        Metric.observe m (float_of_int a.(i))
+      done)
+
+(* The caller may reuse [a] once this returns, so a deferred batch
+   keeps its own copy. *)
+let record_ints name a n =
+  if !Config.enabled && n > 0 then
+    if Capture.active () then begin
+      let a = Array.sub a 0 n in
+      ignore (Capture.defer (fun () -> record_ints_now name a n))
+    end
+    else record_ints_now name a n
+
 let time name f =
   if not !Config.enabled then f ()
   else begin

@@ -24,6 +24,11 @@ val observe : string -> float -> unit
     same bucketed summary as {!observe} but rendered unitless. *)
 val record : string -> float -> unit
 
+(** [record_ints name a n] records [a.(0)] … [a.(n-1)], in order, as
+    [n] calls of {!record} would, under one lock (one deferred write on
+    a capturing domain).  [a] may be reused as soon as it returns. *)
+val record_ints : string -> int array -> int -> unit
+
 (** [time name f] observes [f]'s wall-clock duration (seconds) under
     timer [name]; when disabled it is exactly [f ()]. *)
 val time : string -> (unit -> 'a) -> 'a

@@ -601,6 +601,44 @@ let test_campaign_unchanged_when_disabled () =
   check "enabled run had resolved classes" true
     (List.exists (fun (_, (cl, _)) -> cl > 0) on_waterfall)
 
+(* Every ledger row's charged fault-simulation events, pinned: traced
+   partial-scan campaigns of tseng and diffeq at width 4 over the whole
+   fault universe, with [hft report]'s settings.  The digest covers each
+   row's representative, resolution and [fsim_events], plus each run's
+   [hft.fsim.events] total, and was recorded before charges were cached
+   per class: a drop engine that charges any class differently moves it,
+   even where every verdict and the coverage stay the same. *)
+let test_ledger_charges_pinned () =
+  Fun.protect
+    ~finally:(fun () ->
+      Hft_obs.enabled := false;
+      Hft_obs.reset ())
+  @@ fun () ->
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun name ->
+      Hft_obs.reset ();
+      Hft_obs.with_enabled true (fun () ->
+          let r =
+            Flow.synthesize ~width:4 Flow.Partial_scan
+              (List.assoc name (Bench_suite.all ()))
+          in
+          ignore
+            (Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample:1
+               ~seed:2024 ~n_patterns:64 r));
+      List.iter
+        (fun (row : Hft_obs.Ledger.row) ->
+          Printf.bprintf buf "%s %s %d\n" row.Hft_obs.Ledger.lr_rep
+            (Hft_obs.Ledger.resolution_key row.Hft_obs.Ledger.lr_resolution)
+            row.Hft_obs.Ledger.lr_fsim_events)
+        (Hft_obs.Ledger.rows ());
+      Printf.bprintf buf "%s hft.fsim.events %d\n" name
+        (Hft_obs.Registry.count "hft.fsim.events"))
+    [ "tseng"; "diffeq" ];
+  Alcotest.(check string) "ledger charges digest"
+    "79dd3745aa7fc6a588a3a54ba6ea35ac"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* [~sample:0] (keep one fault in 0) is bad input: a typed error raised
    before the campaign expands or samples anything. *)
 let test_campaign_rejects_sample_zero () =
@@ -757,6 +795,8 @@ let () =
             test_campaign_unchanged_when_disabled;
           Alcotest.test_case "sample below 1 rejected" `Quick
             test_campaign_rejects_sample_zero;
+          Alcotest.test_case "ledger charges pinned" `Quick
+            test_ledger_charges_pinned;
         ] );
       ( "failure_injection",
         [

@@ -764,10 +764,12 @@ let drop_fixture rng =
       List.map (fun f -> [ f ]) (Array.to_list sites)
       @ List.init 12 (fun _ -> [ pick (); pick () ]) )
 
-(* A partial assignment: about a third of the sources stay at X. *)
-let partial_assignment rng nl =
+(* A partial assignment: about a third of the sources stay at X, or two
+   thirds when [mostly_x] — most groups then have no live site, so the
+   drop kernel skips them. *)
+let partial_assignment ?(mostly_x = false) rng nl =
   Netlist.pis nl @ Netlist.dffs nl
-  |> List.filter (fun _ -> Hft_util.Rng.int rng 3 > 0)
+  |> List.filter (fun _ -> (Hft_util.Rng.int rng 3 > 0) <> mostly_x)
   |> List.map (fun v -> (v, Hft_util.Rng.bool rng))
 
 (* Runs both strategies; the [Cone] run also records its per-group
@@ -775,11 +777,12 @@ let partial_assignment rng nl =
    unit the ledger and [hft.fsim.events] are stated in). *)
 let drop_strategies (detect : Seq_atpg.detect) nl ~assignment ~observe groups =
   let charges = ref [] in
-  let naive = detect ~strategy:Fsim.Naive nl ~assignment ~observe groups in
+  let prepared = List.map (Fsim.group nl) groups in
+  let naive = detect ~strategy:Fsim.Naive nl ~assignment ~observe prepared in
   let cone =
     detect
       ~on_group_events:(fun gi ev -> charges := (gi, ev) :: !charges)
-      ~strategy:Fsim.Cone nl ~assignment ~observe groups
+      ~strategy:Fsim.Cone nl ~assignment ~observe prepared
   in
   let roots g =
     List.filter_map
@@ -798,7 +801,8 @@ let drop_strategies (detect : Seq_atpg.detect) nl ~assignment ~observe groups =
   (naive, cone, charged_cone_union)
 
 (* The X-sound drop check must agree between strategies and with the
-   dual-simulation oracle PODEM itself uses. *)
+   dual-simulation oracle PODEM itself uses, on a partial and on a
+   mostly-X assignment. *)
 let prop_detect_groups_tri_matches_check =
   QCheck.Test.make
     ~name:"detect_groups_tri: Cone = Naive = Podem.check" ~count:60
@@ -806,19 +810,24 @@ let prop_detect_groups_tri_matches_check =
     (fun seed ->
       let rng = Hft_util.Rng.create seed in
       let nl, observe, groups = drop_fixture rng in
-      let assignment = partial_assignment rng nl in
-      let naive, cone, charged =
-        drop_strategies Fsim.detect_groups_tri nl ~assignment ~observe groups
-      in
-      naive = cone && charged
-      && List.for_all2
-           (fun g flag ->
-             flag = Podem.check nl ~faults:g ~assignment ~observe)
-           groups (Array.to_list naive))
+      List.for_all
+        (fun mostly_x ->
+          let assignment = partial_assignment ~mostly_x rng nl in
+          let naive, cone, charged =
+            drop_strategies Fsim.detect_groups_tri nl ~assignment ~observe
+              groups
+          in
+          naive = cone && charged
+          && List.for_all2
+               (fun g flag ->
+                 flag = Podem.check nl ~faults:g ~assignment ~observe)
+               groups (Array.to_list naive))
+        [ false; true ])
 
 (* The two-valued drop check (unassigned sources read 0) must agree
    between strategies, with [Podem.check] under the completed
-   assignment, and with a bit-sliced two-valued simulation. *)
+   assignment, and with a bit-sliced two-valued simulation, on a
+   partial and on a mostly-X (here: mostly 0) assignment. *)
 let prop_detect_groups_matches_two_valued =
   QCheck.Test.make
     ~name:"detect_groups: Cone = Naive = Podem.check = peval" ~count:60
@@ -826,27 +835,130 @@ let prop_detect_groups_matches_two_valued =
     (fun seed ->
       let rng = Hft_util.Rng.create seed in
       let nl, observe, groups = drop_fixture rng in
-      let assignment = partial_assignment rng nl in
-      let full =
-        List.map (fun v -> (v, false)) (Netlist.pis nl @ Netlist.dffs nl)
-        @ assignment
-      in
-      let observed faults =
-        let st = Sim.pcreate nl ~n_patterns:1 in
-        List.iter (fun (v, b) -> Hft_util.Bitvec.set (Sim.pvalue st v) 0 b) full;
-        Sim.peval ~faults nl st;
-        List.map (fun o -> Hft_util.Bitvec.get (Sim.pvalue st o) 0) observe
-      in
-      let good = observed [] in
-      let naive, cone, charged =
-        drop_strategies Fsim.detect_groups nl ~assignment ~observe groups
-      in
-      naive = cone && charged
-      && List.for_all2
-           (fun g flag ->
-             flag = Podem.check nl ~faults:g ~assignment:full ~observe
-             && flag = (observed g <> good))
-           groups (Array.to_list naive))
+      List.for_all
+        (fun mostly_x ->
+          let assignment = partial_assignment ~mostly_x rng nl in
+          let full =
+            List.map (fun v -> (v, false)) (Netlist.pis nl @ Netlist.dffs nl)
+            @ assignment
+          in
+          let observed faults =
+            let st = Sim.pcreate nl ~n_patterns:1 in
+            List.iter
+              (fun (v, b) -> Hft_util.Bitvec.set (Sim.pvalue st v) 0 b)
+              full;
+            Sim.peval ~faults nl st;
+            List.map (fun o -> Hft_util.Bitvec.get (Sim.pvalue st o) 0) observe
+          in
+          let good = observed [] in
+          let naive, cone, charged =
+            drop_strategies Fsim.detect_groups nl ~assignment ~observe groups
+          in
+          naive = cone && charged
+          && List.for_all2
+               (fun g flag ->
+                 flag = Podem.check nl ~faults:g ~assignment:full ~observe
+                 && flag = (observed g <> good))
+               groups (Array.to_list naive))
+        [ false; true ])
+
+(* The drop kernel keeps one workspace per domain, shared by every
+   netlist in turn.  Reusing it must be invisible: calls interleaved
+   between a small and a large netlist (the workspace grows, then serves
+   the small one again) and between the two-valued and the X-sound
+   kernel, a call abandoned by a raising [on_group_events], and calls
+   after a structural edit all return what [Naive] returns and what a
+   cold run returns — on a fresh domain, whose workspace starts empty,
+   with a copy of the netlist and freshly prepared groups — charges
+   included.  The warm calls run on a domain of their own too, so the
+   sequence starts from an empty workspace whatever ran before. *)
+let test_drop_workspace_reuse () =
+  Domain.join @@ Domain.spawn @@ fun () ->
+  let view seed ~n_gates ~frames =
+    let nl = Netlist_gen.sequential ~seed ~n_pi:4 ~n_dff:3 ~n_gates in
+    let net, _, observe, map =
+      Seq_atpg.unroll nl ~frames ~scanned:[ List.hd (Netlist.dffs nl) ]
+    in
+    let sites = List.map map (Fault.universe nl) in
+    (net, observe, sites, List.map (Fsim.group net) sites)
+  in
+  let small = view 77 ~n_gates:16 ~frames:2
+  and large = view 7 ~n_gates:40 ~frames:3 in
+  let rng = Hft_util.Rng.create 11 in
+  let draw (net, _, _, _) =
+    partial_assignment ~mostly_x:(Hft_util.Rng.bool rng) rng net
+  in
+  let charged ?(stop = max_int) f =
+    let charges = ref [] in
+    let flags =
+      f ~on_group_events:(fun gi ev ->
+          if gi = stop then raise Exit;
+          charges := (gi, ev) :: !charges)
+    in
+    (flags, List.rev !charges)
+  in
+  let warm ?stop (detect : Seq_atpg.detect) (net, observe, _, groups) assignment
+      =
+    charged ?stop (fun ~on_group_events ->
+        detect ~on_group_events net ~assignment ~observe groups)
+  in
+  let cold (detect : Seq_atpg.detect) (net, observe, sites, _) assignment =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let net = Netlist.copy net in
+           charged (fun ~on_group_events ->
+               detect ~on_group_events net ~assignment ~observe
+                 (List.map (Fsim.group net) sites))))
+  in
+  let naive (detect : Seq_atpg.detect) (net, observe, _, groups) assignment =
+    detect ~strategy:Fsim.Naive net ~assignment ~observe groups
+  in
+  let check_call label detect fx assignment =
+    let ((flags, _) as w) = warm detect fx assignment in
+    check (label ^ ": warm = cold") true (w = cold detect fx assignment);
+    check (label ^ ": warm = Naive") true (flags = naive detect fx assignment)
+  in
+  let kernels =
+    [ ("tri", (Fsim.detect_groups_tri : Seq_atpg.detect));
+      ("two-valued", Fsim.detect_groups) ]
+  in
+  List.iteri
+    (fun i (name, fx) ->
+      let assignment = draw fx in
+      List.iter
+        (fun (kname, detect) ->
+          check_call (Printf.sprintf "call %d %s %s" i name kname) detect fx
+            assignment)
+        (if i mod 4 < 2 then kernels else List.rev kernels))
+    (List.concat
+       (List.init 4 (fun _ -> [ ("small", small); ("large", large) ])));
+  (* Abandon a call half-way through its groups, then call again. *)
+  let _, _, sites, _ = large in
+  let assignment = draw large in
+  (match
+     warm ~stop:(List.length sites / 2) Fsim.detect_groups_tri large assignment
+   with
+   | _ -> Alcotest.fail "on_group_events did not abandon the call"
+   | exception Exit -> ());
+  check_call "after abandon" Fsim.detect_groups_tri large assignment;
+  (* A structural edit of the small netlist bumps its version and
+     re-keys its [topo_pos] while the workspace keeps its size.  Groups
+     are prepared again, since the edit widens existing cones. *)
+  let net, observe, sites, _ = small in
+  let a = List.hd (Netlist.pis net) in
+  let p = Netlist.add net Netlist.Pi [||] in
+  let g = Netlist.add net Netlist.And [| p; a |] in
+  let y = Netlist.add net Netlist.Po [| g |] in
+  let sites = [ { Fault.node = g; pin = None; stuck = false } ] :: sites in
+  let edited = (net, y :: observe, sites, List.map (Fsim.group net) sites) in
+  let assignment = draw edited @ [ (p, true); (a, true) ] in
+  check "new node's fault detected" true
+    (fst (warm Fsim.detect_groups_tri edited assignment)).(0);
+  List.iter
+    (fun (kname, detect) ->
+      check_call ("after edit " ^ kname) detect edited assignment;
+      check_call ("large after edit " ^ kname) detect large (draw large))
+    kernels
 
 let test_fault_collapse_invariants () =
   let rng = Hft_util.Rng.create 77 in
@@ -1050,6 +1162,8 @@ let () =
           Alcotest.test_case "seed 4246 reproducer sound" `Quick
             test_seq_atpg_seed_4246_sound;
           qt prop_detect_groups_matches_two_valued;
+          Alcotest.test_case "drop workspace reuse invisible" `Quick
+            test_drop_workspace_reuse;
         ] );
       ( "ctrl_expand",
         [

@@ -306,7 +306,7 @@ let test_ledger_lifecycle () =
     (Hft_obs.Ledger.Podem_detected { test = t; backtracks = 3; frames = 2 });
   Hft_obs.Ledger.resolve b (Hft_obs.Ledger.Drop_detected { test = t });
   Hft_obs.Ledger.charge a ~implications:10 ~backtracks:3;
-  Hft_obs.Ledger.charge b ~fsim_events:50;
+  Hft_obs.Ledger.charge_fsim_events [| b |] [| 50 |];
   let waterfall = Hft_obs.Ledger.waterfall () in
   check_int "waterfall classes conserve" (Hft_obs.Ledger.n_classes ())
     (List.fold_left (fun acc (_, (c, _)) -> acc + c) 0 waterfall);
@@ -335,7 +335,7 @@ let test_flight_recorder_disabled () =
   let h = Hft_obs.Ledger.register_class ~rep:"f/SA0" ~members:[ "f/SA0" ] in
   check_int "register_class returns -1 when disabled" (-1) h;
   Hft_obs.Ledger.resolve h (Hft_obs.Ledger.Drop_detected { test = 0 });
-  Hft_obs.Ledger.charge h ~fsim_events:5;
+  Hft_obs.Ledger.charge_fsim_events [| h |] [| 5 |];
   check_int "no test ids when disabled" (-1)
     (Hft_obs.Ledger.register_test ~frames:1);
   Hft_obs.Ledger.annotate_last_test ~first_row:0 ~n_rows:1;
