@@ -7,16 +7,18 @@
      hft lint    --bench fig1b [--flow partial-scan] [--json]
      hft bench   [--quick] [--json] [--out BENCH_hft.json]
      hft report  --bench fig1b [--flow partial-scan] [--top 10] [--json]
-     hft report  --journal-in journal.jsonl [--json]
+                 [--ledger-out tape.jsonl [--resume]]
+     hft report  --journal-in tape.jsonl [--json]
      hft watch   progress.jsonl [--no-follow]
      hft list
 
    Every subcommand accepts --trace / --metrics / --metrics-json
    (observability report after the run) plus --trace-out FILE (Chrome
-   trace-event JSON), --journal-out / --ledger-out FILE (event journal
-   and fault ledger as JSONL), --metrics-out FILE (OpenMetrics text
-   exposition) and --progress-out SINK (hft-progress/1 live telemetry,
-   tailed by `hft watch`); timing diagnostics go to stderr so piped
+   trace-event JSON), --journal-out FILE (event journal as JSONL),
+   --metrics-out FILE (OpenMetrics text exposition) and --progress-out
+   SINK (hft-progress/1 live telemetry, tailed by `hft watch`); report
+   and profile also write the campaign tape (--ledger-out FILE) and
+   resume from it (--resume).  Timing diagnostics go to stderr so piped
    --json output stays parseable. *)
 
 open Cmdliner
@@ -25,8 +27,8 @@ open Hft_core
 
 let bench_names = List.map fst (Bench_suite.all ())
 
-(* Bench names arrive as free strings so unknown names can exit with a
-   clean diagnostic (code 2) instead of an uncaught exception. *)
+(* Bench names arrive as free strings so unknown names are invalid
+   input (exit 2, an error object) instead of an uncaught exception. *)
 let resolve_bench ?(extra = []) name =
   match List.assoc_opt name (Bench_suite.all ()) with
   | Some g -> `Bench g
@@ -34,9 +36,10 @@ let resolve_bench ?(extra = []) name =
     (match List.assoc_opt name extra with
      | Some v -> v
      | None ->
-       Printf.eprintf "hft: unknown benchmark '%s' (known: %s)\n" name
-         (String.concat ", " (bench_names @ List.map fst extra));
-       exit 2)
+       Hft_robust.Validation.fail ~site:"--bench"
+         ~hint:
+           ("known: " ^ String.concat ", " (bench_names @ List.map fst extra))
+         (Printf.sprintf "unknown benchmark '%s'" name))
 
 let bench_graph ?extra name =
   match resolve_bench ?extra name with
@@ -79,7 +82,6 @@ type obs_opts = {
   metrics_json : bool;
   trace_out : string option;
   journal_out : string option;
-  ledger_out : string option;
   metrics_out : string option;
   progress_out : string option;
   progress_every : int;
@@ -114,12 +116,6 @@ let obs_term =
          & info [ "journal-out" ] ~docv:"FILE"
              ~doc:"Write the structured event journal as JSONL (one typed \
                    event object per line).")
-  in
-  let ledger_out =
-    Arg.(value & opt (some string) None
-         & info [ "ledger-out" ] ~docv:"FILE"
-             ~doc:"Write the fault-class ledger as JSONL (class rows then \
-                   tests; readable back via report --journal-in).")
   in
   let metrics_out =
     Arg.(value & opt (some string) None
@@ -157,13 +153,13 @@ let obs_term =
                    compactions) into span attributes.")
   in
   Term.(const (fun trace metrics metrics_json trace_out journal_out
-                   ledger_out metrics_out progress_out progress_every
+                   metrics_out progress_out progress_every
                    progress_interval gc_stats ->
             { trace; metrics; metrics_json; trace_out; journal_out;
-              ledger_out; metrics_out; progress_out; progress_every;
+              metrics_out; progress_out; progress_every;
               progress_interval; gc_stats })
         $ trace $ metrics $ metrics_json $ trace_out $ journal_out
-        $ ledger_out $ metrics_out $ progress_out $ progress_every
+        $ metrics_out $ progress_out $ progress_every
         $ progress_interval $ gc_stats)
 
 (* An output path that cannot be opened for writing is bad input (exit
@@ -190,15 +186,14 @@ let with_obs ~cmd ?(outputs = []) obs f =
        fun () -> Hft_util.Json.to_string (Hft_obs.Export.chrome_trace ()));
       ("--journal-out", obs.journal_out, "event journal",
        Hft_obs.Journal.to_jsonl);
-      ("--ledger-out", obs.ledger_out, "fault ledger", Hft_obs.Ledger.to_jsonl);
       ("--metrics-out", obs.metrics_out, "OpenMetrics exposition",
        fun () -> Hft_obs.Export.openmetrics ()) ]
   in
   List.iter check_writable
     (List.map (fun (flag, file, _, _) -> (flag, file)) exports @ outputs);
   if obs.trace || obs.metrics || obs.metrics_json || obs.trace_out <> None
-     || obs.journal_out <> None || obs.ledger_out <> None
-     || obs.metrics_out <> None || obs.progress_out <> None
+     || obs.journal_out <> None || obs.metrics_out <> None
+     || obs.progress_out <> None
   then Hft_obs.enabled := true;
   if obs.gc_stats then Hft_obs.Config.gc_stats := true;
   (match obs.progress_out with
@@ -294,25 +289,6 @@ let atpg_cmd =
       Arg.(value & opt int 25
            & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
   in
-  let checkpoint_arg =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Run a resumable partial-scan test campaign, appending \
-                   every generated test and fault-class resolution to FILE \
-                   (hft-ckpt/1 JSONL) as the campaign runs.")
-  in
-  let resume_arg =
-    Arg.(value & flag
-         & info [ "resume" ]
-             ~doc:"Load the --checkpoint file first and continue the \
-                   interrupted campaign (bit-identical to an uninterrupted \
-                   run).")
-  in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Campaign mode (--checkpoint): print the summary as JSON.")
-  in
   let no_guided_arg =
     Arg.(value & flag
          & info [ "no-guided" ]
@@ -326,61 +302,8 @@ let atpg_cmd =
                    (default: \\$(b,HFT_JOBS), else 1).  Coverage, verdicts \
                    and ledger waterfalls are bit-identical at any N.")
   in
-  (* Campaign mode: one supervised, checkpointed partial-scan campaign
-     (the resumable path the robustness tests and CI exercise). *)
-  let run_campaign bench width sample checkpoint resume json guided jobs =
-    Hft_obs.enabled := true;
-    Hft_obs.reset ();
-    let g = bench_graph ~extra:(fig1_extra ()) bench in
-    let r = Flow.synthesize_for_partial_scan ~width g in
-    let c =
-      Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
-        ~n_patterns:64 ~checkpoint ~resume ~guided ~jobs
-        ~campaign:(bench ^ "/partial-scan/campaign") r
-    in
-    let atpg_cov = Hft_gate.Seq_atpg.fault_coverage c.Flow.c_atpg in
-    let fsim_cov = Hft_gate.Fsim.coverage c.Flow.c_fsim in
-    if json then
-      print_endline
-        (Hft_util.Json.to_string
-           (Hft_util.Json.Obj
-              [ ("schema", Hft_util.Json.String "hft-campaign/1");
-                ("bench", Hft_util.Json.String bench);
-                ("checkpoint", Hft_util.Json.String checkpoint);
-                ("resumed", Hft_util.Json.Bool resume);
-                ("faults", Hft_util.Json.Int (List.length c.Flow.c_faults));
-                ("tests", Hft_util.Json.Int (Hft_obs.Ledger.n_tests ()));
-                ("patterns_stored",
-                 Hft_util.Json.Int c.Flow.c_patterns_stored);
-                ("resumed_classes", Hft_util.Json.Int c.Flow.c_resumed_classes);
-                ("resumed_tests", Hft_util.Json.Int c.Flow.c_resumed_tests);
-                ("waterfall", Hft_obs.Ledger.waterfall_json ());
-                ("coverage",
-                 Hft_util.Json.Obj
-                   [ ("atpg", Hft_util.Json.Float atpg_cov);
-                     ("fsim", Hft_util.Json.Float fsim_cov) ]) ]))
-    else begin
-      Printf.printf
-        "campaign %s: %d faults, %d tests, %d pattern rows; coverage atpg \
-         %s, fsim %s\n"
-        bench
-        (List.length c.Flow.c_faults)
-        (Hft_obs.Ledger.n_tests ())
-        c.Flow.c_patterns_stored
-        (Hft_util.Pretty.pct atpg_cov)
-        (Hft_util.Pretty.pct fsim_cov);
-      if resume then
-        Printf.printf "resumed: %d classes, %d tests restored from %s\n"
-          c.Flow.c_resumed_classes c.Flow.c_resumed_tests checkpoint
-    end
-  in
-  let run bench width sample checkpoint resume json no_guided jobs obs =
+  let run bench width sample no_guided jobs obs =
     let jobs = if jobs > 0 then jobs else Hft_par.jobs_from_env () in
-    match checkpoint with
-    | Some file ->
-      with_obs ~cmd:"atpg" obs @@ fun () ->
-      run_campaign bench width sample file resume json (not no_guided) jobs
-    | None ->
     with_obs ~cmd:"atpg" obs @@ fun () ->
     let g = bench_graph ~extra:(fig1_extra ()) bench in
     let rng = Hft_util.Rng.create 2024 in
@@ -418,10 +341,9 @@ let atpg_cmd =
   Cmd.v
     (Cmd.info "atpg"
        ~doc:
-         "Gate-level sequential ATPG comparison; with --checkpoint, a \
-          resumable supervised test campaign")
-    Term.(const run $ bench_arg $ width_arg $ sample_arg $ checkpoint_arg
-          $ resume_arg $ json_arg $ no_guided_arg $ jobs_arg $ obs_term)
+         "Gate-level sequential ATPG comparison: no DFT vs partial scan")
+    Term.(const run $ bench_arg $ width_arg $ sample_arg $ no_guided_arg
+          $ jobs_arg $ obs_term)
 
 let bist_cmd =
   let patterns_arg =
@@ -547,22 +469,6 @@ let bench_cmd =
            & info [ "w"; "width" ] ~docv:"BITS"
                ~doc:"Data-path width (4 keeps the gate-level legs fast).")
   in
-  (* Per-member outcome kinds from the current ledger, for the
-     guided/unguided verdict-flip gate. *)
-  let outcome_map () =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (row : Hft_obs.Ledger.row) ->
-        let kind = Hft_obs.Ledger.resolution_key row.Hft_obs.Ledger.lr_resolution in
-        List.iter
-          (fun m -> Hashtbl.replace tbl m kind)
-          row.Hft_obs.Ledger.lr_members)
-      (Hft_obs.Ledger.rows ());
-    tbl
-  in
-  let is_detected k =
-    List.mem k [ "drop_detected"; "podem_detected"; "salvaged" ]
-  in
   let measure_cell ~width ~sample ~naive ~jobs_list bench_name flow_kind g =
     (* Fresh registry/trace per cell so counters are attributable to
        one (bench, flow) pair.  (The progress stream, if any, spans the
@@ -589,7 +495,7 @@ let bench_cmd =
     let stats = c.Flow.c_atpg and fr = c.Flow.c_fsim in
     let t_atpg = c.Flow.c_t_atpg and t_fsim = c.Flow.c_t_fsim in
     let snapshot = Hft_obs.Registry.snapshot () in
-    let unguided_outcomes = outcome_map () in
+    let unguided_outcomes = Hft_obs.Ledger.outcomes () in
     let unguided_waterfall = Hft_obs.Ledger.waterfall_json () in
     let unguided_backtracks = Hft_obs.Registry.count "hft.podem.backtracks" in
     let unguided_fsim_events = Hft_obs.Registry.count "hft.fsim.events" in
@@ -603,15 +509,12 @@ let bench_cmd =
             ~sample ~seed:2024 ~n_patterns:64 ~guided:true
             ~campaign:(bench_name ^ "/" ^ flow_name ^ "/guided") r
         in
-        let guided_outcomes = outcome_map () in
+        let guided_outcomes = Hft_obs.Ledger.outcomes () in
         let flips = ref 0 in
         Hashtbl.iter
           (fun f k1 ->
             match Hashtbl.find_opt guided_outcomes f with
-            | Some k2
-              when (is_detected k1 && k2 = "untestable")
-                   || (k1 = "untestable" && is_detected k2) ->
-              incr flips
+            | Some k2 when Hft_obs.Ledger.contradicts k1 k2 -> incr flips
             | _ -> ())
           unguided_outcomes;
         [ ("guided",
@@ -842,23 +745,31 @@ let load_tape file =
      | Error msg -> fail (file ^ ": " ^ msg))
 
 (* The live campaign report and profile both run (fixed knobs, so their
-   tables compare across commits), and the arguments selecting it. *)
-let forensics_campaign ~cmd ?outputs ?guided ?jobs bench flow width sample
-    obs k =
+   tables compare across commits), and the arguments selecting it.
+   [tape] is the campaign tape (--ledger-out), [resume] continues it. *)
+let forensics_campaign ~cmd ?(outputs = []) ?guided ?jobs ~tape ~resume bench
+    flow width sample obs k =
+  if resume && tape = None then
+    Hft_robust.Validation.fail ~site:"--resume"
+      ~hint:"pass --ledger-out FILE, the tape to resume from"
+      "--resume needs the campaign tape";
   match bench with
   | None ->
-    Printf.eprintf "hft %s: --bench is required (or use --journal-in FILE)\n%!"
-      cmd;
-    exit 2
+    Hft_robust.Validation.fail ~site:"--bench"
+      ~hint:
+        ("pass --journal-in FILE, or a bench: "
+        ^ String.concat ", " (bench_names @ List.map fst (fig1_extra ())))
+      "--bench is required without --journal-in"
   | Some bench ->
-    with_obs ~cmd ?outputs obs @@ fun () ->
+    with_obs ~cmd ~outputs:(("--ledger-out", tape) :: outputs) obs
+    @@ fun () ->
     Hft_obs.enabled := true;
     Hft_obs.reset ();
     let g = bench_graph ~extra:(fig1_extra ()) bench in
     let r = Flow.synthesize ~width flow g in
     k bench
       (Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
-         ~n_patterns:64 ?guided ?jobs
+         ~n_patterns:64 ?guided ?jobs ?tape ~resume
          ~campaign:(bench ^ "/" ^ Flow.flow_kind_to_string flow) r)
 
 let forensics_bench_arg =
@@ -880,6 +791,23 @@ let forensics_top_arg =
        & info [ "top" ] ~docv:"K"
            ~doc:"Rows in the most-expensive-fault-classes table.")
 
+let ledger_out_arg =
+  Arg.(value & opt (some string) None
+       & info [ "ledger-out" ] ~docv:"FILE"
+           ~doc:"Write the campaign tape (hft-ledger/1 JSONL) as the \
+                 campaign runs: every test with its vectors and every \
+                 fault-class ledger row, flushed as it commits.  Readable \
+                 back with --journal-in, finished or not, and resumable \
+                 with --resume.")
+
+let resume_arg =
+  Arg.(value & flag
+       & info [ "resume" ]
+           ~doc:"Continue the campaign on the --ledger-out tape: its \
+                 committed tests and classes are restored, not redone, \
+                 and the outcomes are bit-identical to an uninterrupted \
+                 run.")
+
 let report_cmd =
   let json_arg =
     Arg.(value & flag
@@ -896,9 +824,10 @@ let report_cmd =
          & info [ "journal-in" ] ~docv:"FILE"
              ~doc:"Offline mode: render the report from an exported tape \
                    instead of running a campaign; --bench is not needed.  A \
-                   --ledger-out tape is exact, expensive table included; a \
-                   --journal-out tape yields the waterfall of whatever the \
-                   bounded event ring still held at export.")
+                   --ledger-out campaign tape is exact, expensive table \
+                   included, and a killed campaign's tape renders what it \
+                   committed; a --journal-out tape yields the waterfall of \
+                   whatever the bounded event ring still held at export.")
   in
   (* One waterfall table for live and offline reports: the sampled
      universe when a campaign ran, the collapsed totals, the outcomes. *)
@@ -942,50 +871,60 @@ let report_cmd =
       print_string (Hft_obs.Ledger.expensive_table expensive)
     end
   in
-  let run bench flow width sample top json no_guided journal_in obs =
+  let run bench flow width sample top json no_guided journal_in tape resume
+      obs =
     match journal_in with
     | Some file -> run_offline file top json
     | None ->
-    forensics_campaign ~cmd:"report" ~guided:(not no_guided) bench flow width
-      sample obs
+    forensics_campaign ~cmd:"report" ~guided:(not no_guided) ~tape ~resume
+      bench flow width sample obs
     @@ fun bench c ->
     let flow_name = Flow.flow_kind_to_string flow in
     let n_faults = List.length c.Flow.c_faults in
     let expensive = Hft_obs.Ledger.top_expensive ~k:top () in
+    (* Printed only on resume, so other output stays as it was. *)
+    let resumed =
+      if resume then
+        [ ("resumed_classes", Hft_util.Json.Int c.Flow.c_resumed_classes);
+          ("resumed_tests", Hft_util.Json.Int c.Flow.c_resumed_tests) ]
+      else []
+    in
     if json then
       print_endline
         (Hft_util.Json.to_string
            (Hft_util.Json.Obj
-              [ ("schema", Hft_util.Json.String "hft-report/1");
-                ("bench", Hft_util.Json.String bench);
-                ("flow", Hft_util.Json.String flow_name);
-                ("faults", Hft_util.Json.Int n_faults);
-                ("waterfall", Hft_obs.Ledger.waterfall_json ());
-                ("coverage",
-                 Hft_util.Json.Obj
-                   [ ("atpg",
-                      Hft_util.Json.Float
-                        (Hft_gate.Seq_atpg.fault_coverage c.Flow.c_atpg));
-                     ("fsim",
-                      Hft_util.Json.Float
-                        (Hft_gate.Fsim.coverage c.Flow.c_fsim)) ]);
-                ("tests", Hft_util.Json.Int (Hft_obs.Ledger.n_tests ()));
-                ("patterns_stored",
-                 Hft_util.Json.Int c.Flow.c_patterns_stored);
-                ("guided", Hft_util.Json.Bool (not no_guided));
-                ("guidance",
-                 Hft_util.Json.Obj
-                   [ ("static_untestable",
-                      Hft_util.Json.Int
-                        (Hft_obs.Registry.count "hft.podem.static_untestable"));
-                     ("guided_cuts",
-                      Hft_util.Json.Int
-                        (Hft_obs.Registry.count "hft.podem.guided_cuts"));
-                     ("guided_decisions",
-                      Hft_util.Json.Int
-                        (Hft_obs.Registry.count "hft.podem.guided_decisions"))
-                   ]);
-                ("expensive", Hft_obs.Ledger.expensive_json expensive) ]))
+              ([ ("schema", Hft_util.Json.String "hft-report/1");
+                 ("bench", Hft_util.Json.String bench);
+                 ("flow", Hft_util.Json.String flow_name);
+                 ("faults", Hft_util.Json.Int n_faults);
+                 ("waterfall", Hft_obs.Ledger.waterfall_json ());
+                 ("coverage",
+                  Hft_util.Json.Obj
+                    [ ("atpg",
+                       Hft_util.Json.Float
+                         (Hft_gate.Seq_atpg.fault_coverage c.Flow.c_atpg));
+                      ("fsim",
+                       Hft_util.Json.Float
+                         (Hft_gate.Fsim.coverage c.Flow.c_fsim)) ]);
+                 ("tests", Hft_util.Json.Int (Hft_obs.Ledger.n_tests ()));
+                 ("patterns_stored",
+                  Hft_util.Json.Int c.Flow.c_patterns_stored) ]
+              @ resumed
+              @ [ ("guided", Hft_util.Json.Bool (not no_guided));
+                  ("guidance",
+                   Hft_util.Json.Obj
+                     [ ("static_untestable",
+                        Hft_util.Json.Int
+                          (Hft_obs.Registry.count
+                             "hft.podem.static_untestable"));
+                       ("guided_cuts",
+                        Hft_util.Json.Int
+                          (Hft_obs.Registry.count "hft.podem.guided_cuts"));
+                       ("guided_decisions",
+                        Hft_util.Json.Int
+                          (Hft_obs.Registry.count
+                             "hft.podem.guided_decisions")) ]);
+                  ("expensive", Hft_obs.Ledger.expensive_json expensive) ])))
     else begin
       Printf.printf "coverage waterfall (%s, %s):\n" bench flow_name;
       print_waterfall ~sampled:n_faults (Hft_obs.Ledger.waterfall ());
@@ -996,6 +935,9 @@ let report_cmd =
         c.Flow.c_patterns_stored
         (Hft_util.Pretty.pct (Hft_gate.Seq_atpg.fault_coverage c.Flow.c_atpg))
         (Hft_util.Pretty.pct (Hft_gate.Fsim.coverage c.Flow.c_fsim));
+      if resume then
+        Printf.printf "resumed: %d classes, %d tests restored from %s\n"
+          c.Flow.c_resumed_classes c.Flow.c_resumed_tests (Option.get tape);
       if not no_guided then
         Printf.printf
           "guidance: %d class(es) proven untestable statically, %d guided \
@@ -1012,11 +954,12 @@ let report_cmd =
          "Run a test campaign with the flight recorder on and report the \
           fault forensics: coverage waterfall (total, collapsed, dropped, \
           PODEM-detected, aborted, untestable) and the most expensive fault \
-          classes (benches include fig1b/fig1c); with --journal-in, rebuild \
-          the waterfall offline from an exported tape")
+          classes (benches include fig1b/fig1c); --ledger-out tapes the \
+          campaign as it runs and --resume continues an interrupted tape; \
+          with --journal-in, rebuild the report offline from a tape")
     Term.(const run $ forensics_bench_arg $ flow_arg $ width_arg
           $ forensics_sample_arg $ forensics_top_arg $ json_arg $ no_guided_arg
-          $ journal_in_arg $ obs_term)
+          $ journal_in_arg $ ledger_out_arg $ resume_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* hft profile: where did the campaign's time go?  Live mode runs a   *)
@@ -1162,12 +1105,13 @@ let profile_cmd =
       print_string (Hft_obs.Ledger.expensive_table expensive)
     end
   in
-  let run bench flow width sample top jobs folded_out json journal_in obs =
+  let run bench flow width sample top jobs folded_out json journal_in tape
+      resume obs =
     match journal_in with
     | Some file -> run_offline file top json
     | None ->
     forensics_campaign ~cmd:"profile" ~outputs:[ ("--folded-out", folded_out) ]
-      ~jobs bench flow width sample obs
+      ~jobs ~tape ~resume bench flow width sample obs
     @@ fun bench c ->
     let self = Hft_obs.Export.self_times () in
     let expensive = Hft_obs.Ledger.top_expensive ~k:top () in
@@ -1208,11 +1152,13 @@ let profile_cmd =
           span tree, per-worker busy/idle/stall from the scheduler \
           telemetry, and the top classes by charged cost (byte-identical \
           to report's table).  --folded-out writes flamegraph.pl input; \
-          --journal-in profiles an exported tape offline instead of \
-          running a campaign.")
+          --ledger-out and --resume tape the campaign as report does; \
+          --journal-in profiles a tape offline instead of running a \
+          campaign.")
     Term.(const run $ forensics_bench_arg $ flow_arg $ width_arg
           $ forensics_sample_arg $ forensics_top_arg $ jobs_arg $ folded_out_arg
-          $ json_arg $ journal_in_arg $ obs_term)
+          $ json_arg $ journal_in_arg $ ledger_out_arg $ resume_arg
+          $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* hft watch: tail an hft-progress/1 stream as a terminal dashboard.  *)
@@ -1245,10 +1191,9 @@ let watch_cmd =
       match open_in_bin file with
       | ic -> ic
       | exception Sys_error msg ->
-        if no_follow || tries >= 600 then begin
-          Printf.eprintf "hft watch: %s\n%!" msg;
-          exit 2
-        end
+        if no_follow || tries >= 600 then
+          Hft_robust.Validation.fail ~site:"STREAM"
+            ~hint:"pass an hft-progress/1 file (a --progress-out path)" msg
         else begin
           Unix.sleepf interval;
           open_stream (tries + 1)

@@ -229,21 +229,26 @@ type campaign = {
 
 let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
     ?(sample = 20) ?(seed = 2024) ?(n_patterns = 64)
-    ?(supervisor = Some Hft_robust.Supervisor.default) ?checkpoint
+    ?(supervisor = Some Hft_robust.Supervisor.default) ?tape
     ?(resume = false) ?(guided = true) ?jobs ?campaign r =
   span "test-campaign" @@ fun () ->
   if sample < 1 then
     Hft_robust.Validation.fail ~site:"flow.test_campaign"
       ~hint:"1 keeps every fault"
       (Printf.sprintf "fault sample %d is below 1" sample);
-  if checkpoint <> None && not !Hft_obs.Config.enabled then
+  (* The tape is the ledger: its ids are this campaign's only when the
+     ledger starts empty. *)
+  if tape <> None
+     && ((not !Hft_obs.Config.enabled) || Hft_obs.Ledger.n_classes () > 0
+         || Hft_obs.Ledger.n_tests () > 0)
+  then
     Hft_robust.Validation.fail ~site:"flow.test_campaign"
-      ~hint:"enable observability (the CLI does this for --checkpoint)"
-      "checkpointing needs the fault ledger";
-  if checkpoint <> None && strategy = Naive then
+      ~hint:"enable and reset observability first (the CLI does both)"
+      "the campaign tape needs an enabled, empty fault ledger";
+  if tape <> None && strategy = Naive then
     Hft_robust.Validation.fail ~site:"flow.test_campaign"
-      ~hint:"drop --naive or drop --checkpoint"
-      "checkpointing needs the fast strategy";
+      ~hint:"drop --naive or drop --ledger-out"
+      "the campaign tape needs the fast strategy";
   let ex = Hft_gate.Expand.of_datapath r.datapath in
   let nl = ex.Hft_gate.Expand.netlist in
   let rng = Hft_util.Rng.create seed in
@@ -266,14 +271,14 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
   Hft_obs.Progress.campaign_begin
     ~label:(match campaign with Some c -> c | None -> r.report.flow)
     ~faults:(List.length faults);
-  (* Checkpoint fingerprint: everything that shapes the fault sample,
-     the search and the pattern layout.  A resume against a checkpoint
-     written under different knobs would silently diverge, so any
-     mismatch is an input error. *)
+  (* Tape fingerprint: everything that shapes the fault sample, the
+     search and the pattern layout.  A resume against a tape written
+     under different knobs would silently diverge, so any mismatch is
+     an input error. *)
   let netlist_hash =
     (* Structural identity: two circuits with the same shape knobs and
        fault count (e.g. a design and its one-gate-off revision) must
-       still refuse to resume each other's checkpoints. *)
+       still refuse to resume each other's tapes. *)
     let h = ref 0 in
     let mix v = h := ((!h * 1000003) lxor v) land max_int in
     for v = 0 to Hft_gate.Netlist.n_nodes nl - 1 do
@@ -298,60 +303,122 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
       ("n_scan", Int n_scan);
       ("guided", Bool (guided && strategy = Fast)) ]
   in
-  let restored =
-    match checkpoint with
-    | Some path when resume && Sys.file_exists path ->
-      (match Hft_robust.Checkpoint.load ~path with
-       | Error msg ->
-         Hft_robust.Validation.fail ~site:"flow.checkpoint"
-           ~hint:"delete the file to start a fresh campaign"
-           (Printf.sprintf "cannot load %s: %s" path msg)
-       | Ok ck ->
-         List.iter
-           (fun (k, v) ->
-             match List.assoc_opt k ck.Hft_robust.Checkpoint.meta with
-             | Some v' when v' = v -> ()
-             | Some v' ->
-               Hft_robust.Validation.fail ~site:"flow.checkpoint"
-                 ~hint:"rerun with the original options, or delete the file"
-                 (Printf.sprintf "%s fingerprint mismatch: checkpoint %s, run %s"
-                    k
-                    (Hft_util.Json.to_string v')
-                    (Hft_util.Json.to_string v))
-             | None ->
-               Hft_robust.Validation.fail ~site:"flow.checkpoint"
-                 ~hint:"the file predates this campaign's fingerprint"
-                 (Printf.sprintf "checkpoint meta lacks %S" k))
-           meta;
-         Some ck)
-    | _ -> None
+  (* Resume: the tape's committed prefix, read by the same loader as an
+     offline report.  An empty file (a run killed before its header)
+     restores nothing. *)
+  let fail_resume msg =
+    Hft_robust.Validation.fail ~site:"flow.resume"
+      ~hint:"delete the file to start a fresh campaign"
+      (Printf.sprintf "cannot resume from %s: %s" (Option.get tape) msg)
   in
+  let tp_rows, tp_tests =
+    match tape with
+    | Some path when resume && Sys.file_exists path ->
+      (match In_channel.with_open_bin path In_channel.input_all with
+       | exception Sys_error msg -> fail_resume msg
+       | text when String.trim text = "" -> ([], [])
+       | text ->
+         (match Hft_obs.Ledger.of_jsonl text with
+          | Error msg -> fail_resume msg
+          | Ok t when t.Hft_obs.Ledger.tp_source <> "ledger" ->
+            fail_resume "a journal tape records no campaign"
+          | Ok t ->
+            List.iter
+              (fun (k, v) ->
+                match List.assoc_opt k t.Hft_obs.Ledger.tp_meta with
+                | Some v' when v' = v -> ()
+                | v' ->
+                  Hft_robust.Validation.fail ~site:"flow.resume"
+                    ~hint:"rerun with the original options, or delete the file"
+                    (Printf.sprintf "%s fingerprint mismatch: tape %s, run %s"
+                       k
+                       (Option.fold ~none:"none" ~some:Hft_util.Json.to_string
+                          v')
+                       (Hft_util.Json.to_string v)))
+              meta;
+            (t.Hft_obs.Ledger.tp_rows, t.Hft_obs.Ledger.tp_tests)))
+    | _ -> ([], [])
+  in
+  (* A restored test's rows, in class order: the classes it dropped and
+     the one that generated it. *)
+  let named = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Hft_obs.Ledger.row) ->
+      Option.iter
+        (fun t -> Hashtbl.add named t r)
+        (Hft_obs.Ledger.resolution_test r.lr_resolution))
+    tp_rows;
+  let rows_of (t : Hft_obs.Ledger.test) =
+    List.rev (Hashtbl.find_all named t.lt_id)
+  in
+  (* A restored test detects exactly the members of its rows (the
+     engine's [detects], which only replay reads, as a set), looked up
+     among the sampled faults by display string. *)
+  let by_name = Hashtbl.create 64 in
+  if tp_tests <> [] then
+    List.iter
+      (fun f -> Hashtbl.replace by_name (Hft_gate.Fault.to_string nl f) f)
+      faults;
+  let fault m =
+    match Hashtbl.find_opt by_name m with
+    | Some f -> f
+    | None -> fail_resume (Printf.sprintf "%s is not a sampled fault" m)
+  in
+  let restored_tests =
+    List.map
+      (fun (t : Hft_obs.Ledger.test) ->
+        { Hft_gate.Seq_atpg.t_frames = t.lt_frames;
+          t_pi_vectors = t.lt_vectors;
+          t_scan_state = t.lt_scan;
+          t_detects =
+            List.concat_map
+              (fun (r : Hft_obs.Ledger.row) -> List.map fault r.lr_members)
+              (rows_of t) })
+      tp_tests
+  in
+  (* The tape is rewritten from its committed prefix, without chaos
+     draws: a rolled-back tail must not survive on disk, or its lines
+     would double once the engine regenerates them.  Transaction order
+     (each test, its drop rows, the row committing it; then the rows
+     that need no test) keeps every prefix of the rewrite a committed
+     prefix, should the rewrite itself be killed. *)
   let writer =
-    match checkpoint with
-    | None -> None
-    | Some path ->
-      let w = Hft_robust.Checkpoint.create ~path ~meta in
-      (* Resume rewrites the repaired state in place: a torn tail must
-         not survive on disk, or its lines would double once the engine
-         regenerates the rolled-back transaction. *)
-      (match restored with
-       | None -> ()
-       | Some ck ->
-         List.iter
-           (fun t -> Hft_robust.Checkpoint.append_test w t)
-           ck.Hft_robust.Checkpoint.tests;
-         List.iter
-           (fun (c : Hft_robust.Checkpoint.cls) ->
-             Hft_robust.Checkpoint.append_class w ~rep:c.ck_rep
-               c.ck_resolution)
-           ck.Hft_robust.Checkpoint.classes);
-      Some w
+    Option.map
+      (fun path ->
+        let module Tape = Hft_robust.Checkpoint.Tape in
+        let w = Tape.create ~path ~schema:Hft_obs.Ledger.schema ~meta in
+        let raw record =
+          Tape.emit_raw w (Hft_obs.Ledger.record_to_json record)
+        in
+        let rank (r : Hft_obs.Ledger.row) =
+          match r.lr_resolution with Drop_detected _ -> 0 | _ -> 1
+        in
+        List.iter
+          (fun t ->
+            raw (Test t);
+            List.iter
+              (fun r -> raw (Class r))
+              (List.stable_sort
+                 (fun a b -> compare (rank a) (rank b))
+                 (rows_of t)))
+          tp_tests;
+        List.iter
+          (fun (r : Hft_obs.Ledger.row) ->
+            if Hft_obs.Ledger.resolution_test r.lr_resolution = None then
+              raw (Class r))
+          tp_rows;
+        w)
+      tape
+  in
+  let append record =
+    Option.iter
+      (fun w ->
+        Hft_robust.Checkpoint.Tape.emit w
+          (Hft_obs.Ledger.record_to_json record))
+      writer
   in
   Fun.protect
-    ~finally:(fun () ->
-      match writer with
-      | Some w -> Hft_robust.Checkpoint.close w
-      | None -> ())
+    ~finally:(fun () -> Option.iter Hft_robust.Checkpoint.Tape.close writer)
   @@ fun () ->
   let store = Pattern_store.create () in
   let seq_tests = ref [] in
@@ -370,79 +437,51 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
       t.Hft_gate.Seq_atpg.t_pi_vectors;
     (* The ATPG registered this test in the ledger just before calling
        us (synchronously), so "last test" is the right one to annotate
-       with its pattern-store rows. *)
+       with its stimulus and pattern-store rows. *)
     Hft_obs.Ledger.annotate_last_test ~first_row
-      ~n_rows:(Array.length t.Hft_gate.Seq_atpg.t_pi_vectors);
+      ~vectors:t.Hft_gate.Seq_atpg.t_pi_vectors
+      ~scan:t.Hft_gate.Seq_atpg.t_scan_state;
     (* Multi-frame tests detect through unscanned state, which a single
        combinational pass cannot reproduce — keep them for a sequential
        (unrolled) replay. *)
     if t.Hft_gate.Seq_atpg.t_frames > 1 then seq_tests := t :: !seq_tests
   in
-  (* The engine appends the test line before any class line resolves to
-     it ({!Hft_robust.Checkpoint} transaction ordering), so on_test
-     serializes first, then feeds the store. *)
-  let on_test (t : Hft_gate.Seq_atpg.test) =
-    (match writer with
-     | None -> ()
-     | Some w ->
-       Hft_robust.Checkpoint.append_test w
-         {
-           Hft_robust.Checkpoint.ck_frames = t.Hft_gate.Seq_atpg.t_frames;
-           ck_vectors = t.Hft_gate.Seq_atpg.t_pi_vectors;
-           ck_scan = t.Hft_gate.Seq_atpg.t_scan_state;
-           ck_detects =
-             List.map
-               (fun (f : Hft_gate.Fault.t) -> (f.node, f.pin, f.stuck))
-               t.Hft_gate.Seq_atpg.t_detects;
-         });
-    store_test t
-  in
-  (* Resume: replay the checkpointed tests through the same store path
-     (ledger test ids realign with checkpoint order) and hand the ATPG a
-     rep -> resolution lookup so restored classes are never re-run. *)
-  let resumed_tests =
-    match restored with
-    | None -> 0
-    | Some ck ->
-      List.iter
-        (fun (t : Hft_robust.Checkpoint.test) ->
-          ignore (Hft_obs.Ledger.register_test ~frames:t.ck_frames : int);
-          store_test
-            {
-              Hft_gate.Seq_atpg.t_frames = t.ck_frames;
-              t_pi_vectors = t.ck_vectors;
-              t_scan_state = t.ck_scan;
-              t_detects =
-                List.map
-                  (fun (node, pin, stuck) ->
-                    { Hft_gate.Fault.node; pin; stuck })
-                  t.ck_detects;
-            })
-        ck.Hft_robust.Checkpoint.tests;
-      List.length ck.Hft_robust.Checkpoint.tests
-  in
-  let resumed_classes = ref 0 in
-  let resolved =
-    match restored with
-    | None -> None
-    | Some ck ->
-      let tbl = Hashtbl.create 64 in
-      List.iter
-        (fun (c : Hft_robust.Checkpoint.cls) ->
-          Hashtbl.replace tbl c.ck_rep c.ck_resolution)
-        ck.Hft_robust.Checkpoint.classes;
-      Some
-        (fun rep ->
-          match Hashtbl.find_opt tbl rep with
-          | Some res ->
-            incr resumed_classes;
-            Some res
-          | None -> None)
+  (* A tape transaction opens with its test line: the engine hands over
+     the test before any row resolving to it. *)
+  let tape_rows = ref (List.length tp_rows) in
+  let on_test t =
+    store_test t;
+    if writer <> None then begin
+      let n = Hft_obs.Ledger.n_tests () in
+      append (Test (Hft_obs.Ledger.test (n - 1)));
+      Hft_obs.Journal.record
+        (Hft_obs.Journal.Checkpoint { classes = !tape_rows; tests = n })
+    end
   in
   let on_resolved =
-    match writer with
-    | None -> None
-    | Some w -> Some (fun ~rep res -> Hft_robust.Checkpoint.append_class w ~rep res)
+    Option.map
+      (fun _ row ->
+        incr tape_rows;
+        append (Class row))
+      writer
+  in
+  (* Resume: replay the restored tests through the same store path
+     (ledger test ids realign with tape order) and hand the ATPG a rep
+     -> row lookup so restored classes are never re-run. *)
+  List.iter
+    (fun (t : Hft_gate.Seq_atpg.test) ->
+      ignore (Hft_obs.Ledger.register_test ~frames:t.t_frames : int);
+      store_test t)
+    restored_tests;
+  let resolved =
+    if tp_rows = [] then None
+    else begin
+      let tbl = Hashtbl.create 64 in
+      List.iter
+        (fun (r : Hft_obs.Ledger.row) -> Hashtbl.replace tbl r.lr_rep r)
+        tp_rows;
+      Some (Hashtbl.find_opt tbl)
+    end
   in
   let t0 = Hft_obs.Clock.now () in
   let par_stats = ref None in
@@ -465,6 +504,13 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
         ~faults ~scanned
   in
   let t_atpg = Hft_obs.Clock.now () -. t0 in
+  (* Every class has resolved: the end marker's counts let a reader
+     tell a finished tape missing a line from an interrupted one. *)
+  if writer <> None then
+    append
+      (End
+         { classes = Hft_obs.Ledger.n_classes ();
+           tests = Hft_obs.Ledger.n_tests () });
   let par =
     (* The engine always reports — degenerate sequential summary at
        jobs = 1 — so every campaign record carries utilization. *)
@@ -605,8 +651,8 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
     c_atpg = stats;
     c_fsim = fr;
     c_patterns_stored = Pattern_store.size store;
-    c_resumed_classes = !resumed_classes;
-    c_resumed_tests = resumed_tests;
+    c_resumed_classes = List.length tp_rows;
+    c_resumed_tests = List.length tp_tests;
     c_t_atpg = t_atpg;
     c_t_fsim = t_fsim;
     c_par = par;

@@ -110,15 +110,24 @@ type campaign = {
     ATPG and every fault-simulation leg under the typed failure
     discipline; [~supervisor:None] restores the bare engines.
 
-    [checkpoint] names an {!Hft_robust.Checkpoint} file ([hft-ckpt/1]
-    JSONL): every generated test and class resolution is appended and
-    flushed as the campaign runs.  With [resume] an existing file is
-    loaded first — its fingerprint (flow, strategy, every search knob,
-    fault/PI/scan counts) must match the current run exactly
-    ({!Hft_robust.Validation.Invalid} otherwise) — restored tests are
-    replayed into the pattern store and restored classes are never
-    re-targeted, so an interrupted campaign continues bit-identically
-    to an uninterrupted one.  Checkpointing needs observability enabled
+    [tape] names the campaign tape, an [hft-ledger/1] file
+    ({!Hft_obs.Ledger.record}s through {!Hft_robust.Checkpoint.Tape}):
+    each generated test with its vectors and each class's ledger row,
+    charges included, are appended and flushed as the campaign commits,
+    and an end marker follows the last class.  With [resume] an
+    existing tape is read first through {!Hft_obs.Ledger.of_jsonl} —
+    its fingerprint (flow, strategy, every search knob, fault/PI/scan
+    counts, a structural netlist hash) must match the current run
+    exactly, and a tape the loader rejects (an [hft-ckpt/1] file among
+    them) raises {!Hft_robust.Validation.Invalid} — then rewritten from
+    its committed prefix.  Restored tests are replayed into the pattern
+    store, each detecting the members of the rows that name it;
+    restored classes get their rows back ({!Hft_obs.Ledger.restore})
+    and are never re-targeted, so an interrupted campaign continues
+    bit-identically to an uninterrupted one.  A class still pending at
+    the interruption lacks the fsim events that pre-interruption drop
+    passes charged it: resume does not redo those passes.  The tape
+    needs observability enabled, an empty ledger ({!Hft_obs.reset})
     and the [Fast] strategy.
 
     [guided] (default [true], [Fast] strategy only) threads
@@ -127,13 +136,13 @@ type campaign = {
     Per-fault verdicts are provably no worse than unguided (a guided
     abort falls back to the unguided search); [~guided:false] restores
     the historical search bit for bit.  The flag is part of the
-    checkpoint fingerprint.
+    tape fingerprint.
 
     [jobs] shards the ATPG phase over an OCaml 5 domain pool (see
     {!Hft_gate.Seq_atpg.run}).  Coverage, verdicts, tests and ledger
     waterfalls are bit-identical at any jobs count, so [jobs] is
-    deliberately {e not} part of the checkpoint fingerprint: a campaign
-    checkpointed at one jobs count resumes correctly at another.
+    deliberately {e not} part of the tape fingerprint: a campaign taped
+    at one jobs count resumes correctly at another.
 
     [campaign] labels this run in the [hft-progress/1] live-telemetry
     stream (default: the flow name).  When {!Hft_obs.Progress} is
@@ -149,6 +158,6 @@ val test_campaign :
   ?strategy:atpg_strategy -> ?backtrack_limit:int -> ?max_frames:int ->
   ?sample:int -> ?seed:int -> ?n_patterns:int ->
   ?supervisor:Hft_robust.Supervisor.policy option ->
-  ?checkpoint:string -> ?resume:bool -> ?guided:bool -> ?jobs:int ->
+  ?tape:string -> ?resume:bool -> ?guided:bool -> ?jobs:int ->
   ?campaign:string ->
   result -> campaign

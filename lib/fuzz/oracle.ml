@@ -27,19 +27,6 @@ let check_names =
 
 let default_step_budget = 5_000_000
 
-(* Per-fault outcome kinds from the ledger of the last engine run. *)
-let outcome_map () =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (row : Hft_obs.Ledger.row) ->
-      let kind = Hft_obs.Ledger.resolution_key row.lr_resolution in
-      List.iter (fun m -> Hashtbl.replace tbl m kind) row.lr_members)
-    (Hft_obs.Ledger.rows ());
-  tbl
-
-let is_detected k =
-  List.mem k [ "drop_detected"; "podem_detected"; "salvaged" ]
-
 let scanned_of nl = List.filteri (fun i _ -> i mod 2 = 0) (Netlist.dffs nl)
 
 let supervisor ~step_budget =
@@ -53,7 +40,7 @@ let run_atpg ~step_budget ?(jobs = 1) nl ~faults ~scanned strategy on_test =
     Seq_atpg.run ~backtrack_limit:30 ~max_frames:3 ~strategy ~jobs
       ~supervisor:(supervisor ~step_budget) ?on_test nl ~faults ~scanned
   in
-  (stats, outcome_map ())
+  (stats, Hft_obs.Ledger.outcomes ())
 
 let conservation fs tag (s : Seq_atpg.stats) =
   if s.detected + s.untestable + s.aborted <> s.total then
@@ -132,10 +119,7 @@ let check_atpg_diff ~canary ~step_budget ~seed:_ nl =
                   Printf.sprintf "fault %s missing from drop ledger" f }
               :: !fs
           | Some k2 ->
-            if
-              (is_detected k1 && k2 = "untestable")
-              || (k1 = "untestable" && is_detected k2)
-            then
+            if Hft_obs.Ledger.contradicts k1 k2 then
               fs :=
                 { f_check = "atpg-diff";
                   f_detail =

@@ -1,5 +1,5 @@
-(* Crash-only campaign state ("hft-fuzz/1") on the shared checkpoint
-   tape.
+(* Crash-only campaign state ("hft-fuzz/1") on the shared crash-only
+   tape ([Hft_robust.Checkpoint.Tape]).
 
    The record stream is a sequence of trial transactions: zero or more
    [{"kind":"finding", ...}] lines followed by exactly one

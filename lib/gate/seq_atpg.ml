@@ -362,35 +362,40 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
             ~members:(List.map (Fault.to_string nl) members.(gi)))
     else Array.make n_groups (-1)
   in
-  let rep_of gi = Fault.to_string nl leaders.(gi) in
-  (* Route every class resolution through one helper so the checkpoint
-     hook ([on_resolved]) sees exactly what the ledger records. *)
+  (* The tape hook ([on_resolved]) gets the ledger row of every class
+     as it resolves: its charges are complete by then, since a drop
+     pass charges its pending classes before resolving any and PODEM
+     charges a class before its resolution. *)
+  let emit_row gi =
+    match on_resolved with
+    | Some k when lh.(gi) >= 0 -> k (Hft_obs.Ledger.row lh.(gi))
+    | _ -> ()
+  in
   let resolve_class gi res =
     Hft_obs.Ledger.resolve lh.(gi) res;
-    match on_resolved with None -> () | Some k -> k ~rep:(rep_of gi) res
+    emit_row gi
   in
-  (* Checkpoint restore: classes the interrupted run already resolved
-     keep their exact recorded resolution and are never re-targeted, so
-     a resumed campaign continues bit-identically.  Restored rows go to
-     the ledger directly, not through [on_resolved] — they are already
-     in the checkpoint. *)
+  (* Resume: classes the interrupted run already resolved keep their
+     recorded row, resolution and charges, and are never re-targeted,
+     so a resumed campaign continues bit-identically.  Restored rows
+     skip [on_resolved] — they are already on the tape. *)
   let restored = ref 0 in
   (match resolved with
    | None -> ()
    | Some lookup ->
      Array.iteri
-       (fun gi _ ->
-         match lookup (rep_of gi) with
+       (fun gi f ->
+         match lookup (Fault.to_string nl f) with
          | None -> ()
-         | Some res ->
-           (match res with
+         | Some (row : Hft_obs.Ledger.row) ->
+           (match row.lr_resolution with
             | Hft_obs.Ledger.Drop_detected _ | Hft_obs.Ledger.Podem_detected _
             | Hft_obs.Ledger.Salvaged _ -> status.(gi) <- `Detected
             | Hft_obs.Ledger.Proved_untestable _ -> status.(gi) <- `Untestable
             | Hft_obs.Ledger.Aborted _ -> status.(gi) <- `Aborted
             | Hft_obs.Ledger.Never_targeted -> ());
            if status.(gi) <> `Pending then begin
-             Hft_obs.Ledger.resolve lh.(gi) res;
+             Hft_obs.Ledger.restore lh.(gi) row;
              incr restored
            end)
        leaders);
@@ -403,10 +408,9 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
      guarantees the dropped fault is detected for any initial state,
      exactly PODEM's own criterion; two-valued and exact for full scan,
      where every source is assigned.  Returns the dropped members plus
-     the deferred class resolutions: the caller forwards those to
-     [on_resolved] only after the test itself is serialized, so a
-     checkpoint transaction is always test line first, resolution lines
-     last. *)
+     the dropped classes: the caller hands their rows to [on_resolved]
+     only after the test itself is serialized, so a tape transaction is
+     always test line first, drop rows next, committing row last. *)
   let drop_pass (u, groups) assignment self tid =
     let pending = ref [] in
     for gj = n_groups - 1 downto 0 do
@@ -430,22 +434,22 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
         Hft_obs.Ledger.charge_fsim_events
           (Array.of_list (List.map (fun gj -> lh.(gj)) pending))
           evs;
-      let drops = ref [] and resolutions = ref [] in
+      let drops = ref [] and dropped_classes = ref [] in
       List.iteri
         (fun k gj ->
           if flags.(k) then begin
             status.(gj) <- `Detected;
             dropped := !dropped + sizes.(gj);
-            let res = Hft_obs.Ledger.Drop_detected { test = tid } in
-            Hft_obs.Ledger.resolve lh.(gj) res;
-            resolutions := (gj, res) :: !resolutions;
+            Hft_obs.Ledger.resolve lh.(gj)
+              (Hft_obs.Ledger.Drop_detected { test = tid });
+            dropped_classes := gj :: !dropped_classes;
             if obs then
               Hft_obs.Journal.record
                 (Hft_obs.Journal.Fault_dropped { cls = lh.(gj); test = tid });
             drops := members.(gj) @ !drops
           end)
         pending;
-      (!drops, List.rev !resolutions)
+      (!drops, List.rev !dropped_classes)
   in
   let safe_drop_pass ws assignment self tid =
     match supervisor with
@@ -464,11 +468,6 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
               { site = "fsim"; action = "drop-pass-skipped" });
          Hft_obs.Registry.incr "hft.robust.degraded";
          ([], []))
-  in
-  let emit_resolutions rs =
-    match on_resolved with
-    | None -> ()
-    | Some k -> List.iter (fun (gj, res) -> k ~rep:(rep_of gj) res) rs
   in
   (* One PODEM invocation under the supervisor's retry ladder (budget
      escalation + per-attempt deadlines); unsupervised calls keep the
@@ -537,7 +536,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
     match found with
     | Some (assignment, patterns) ->
       let tid = Hft_obs.Ledger.register_test ~frames:u.u_frames in
-      let drops, resolutions = safe_drop_pass ws assignment gi tid in
+      let drops, dropped_classes = safe_drop_pass ws assignment gi tid in
       if obs then
         Hft_obs.Journal.record
           (Hft_obs.Journal.Test_generated { test = tid; frames = u.u_frames });
@@ -547,7 +546,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
       (match on_test with
        | Some k -> k u assignment ~detects:(members.(gi) @ drops)
        | None -> ());
-      emit_resolutions resolutions;
+      List.iter emit_row dropped_classes;
       resolve_class gi (Hft_obs.Ledger.Salvaged { test = tid; patterns });
       `Detected
     | None ->
@@ -646,7 +645,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
             let tid = Hft_obs.Ledger.register_test ~frames in
             (* Drop first: the test's recorded detections then cover
                both the targeted class and every class it swept. *)
-            let drops, resolutions =
+            let drops, dropped_classes =
               if strategy = Drop then safe_drop_pass ws assignment gi tid
               else ([], [])
             in
@@ -656,7 +655,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
             (match on_test with
              | Some k -> k u assignment ~detects:(members.(gi) @ drops)
              | None -> ());
-            emit_resolutions resolutions;
+            List.iter emit_row dropped_classes;
             resolve_class gi
               (Hft_obs.Ledger.Podem_detected
                  { test = tid; backtracks = !cls_backtracks; frames });

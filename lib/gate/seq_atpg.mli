@@ -102,8 +102,8 @@ val campaign :
   ?strategy:strategy ->
   ?on_test:(unrolled -> (int * bool) list -> detects:Fault.t list -> unit) ->
   ?supervisor:Hft_robust.Supervisor.policy option ->
-  ?resolved:(string -> Hft_obs.Ledger.resolution option) ->
-  ?on_resolved:(rep:string -> Hft_obs.Ledger.resolution -> unit) ->
+  ?resolved:(string -> Hft_obs.Ledger.row option) ->
+  ?on_resolved:(Hft_obs.Ledger.row -> unit) ->
   ?guidance:Podem.provider ->
   ?on_par_stats:(Hft_par.Stats.t -> unit) ->
   ?jobs:int ->
@@ -133,11 +133,15 @@ val campaign :
     deadlines the supervised run is bit-identical to the unsupervised
     one.
 
-    [resolved] (checkpoint restore) maps a class representative's
-    display string to a prior resolution: matching classes keep it and
-    are never re-targeted.  [on_resolved] fires once per {e fresh}
-    resolution, in engine order — the flow appends them to the
-    checkpoint.
+    [resolved] (resume) maps a class representative's display string
+    to the row an interrupted run recorded for it: matching classes get
+    its resolution and charges ({!Hft_obs.Ledger.restore}) and are never
+    re-targeted.  [on_resolved] receives the ledger row of each {e
+    fresh} resolution, charges complete, in engine order: a generated
+    test's drop rows come after [on_test] and before the row of the
+    class that produced it — the flow appends them to its campaign tape
+    ({!Hft_obs.Ledger.record}).  Both need observability on (ledger
+    handles); with it off [on_resolved] never fires.
 
     [guidance] (a {!Podem.provider}, typically
     [Hft_analysis.Guidance.provide]) is invoked per (unrolled netlist,
@@ -167,8 +171,8 @@ val run :
   ?assignable_pis:int list -> ?strapped:int list ->
   ?strategy:strategy -> ?on_test:(test -> unit) ->
   ?supervisor:Hft_robust.Supervisor.policy option ->
-  ?resolved:(string -> Hft_obs.Ledger.resolution option) ->
-  ?on_resolved:(rep:string -> Hft_obs.Ledger.resolution -> unit) ->
+  ?resolved:(string -> Hft_obs.Ledger.row option) ->
+  ?on_resolved:(Hft_obs.Ledger.row -> unit) ->
   ?guidance:Podem.provider ->
   ?on_par_stats:(Hft_par.Stats.t -> unit) ->
   ?jobs:int ->

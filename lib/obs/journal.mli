@@ -32,8 +32,7 @@ type event =
           ([outcome] is its {!Hft_obs.Ledger.resolution_key}; [faults]
           counts the class members).  Emitted by [Ledger.resolve], so an
           exported journal replays the coverage waterfall offline; a
-          class resolved twice (checkpoint resume rewrites) appears
-          twice and the last event wins. *)
+          class resolved twice appears twice and the last event wins. *)
   | Fsim_run of { faults : int; detected : int; patterns : int; events : int }
       (** One fault-simulation call's totals. *)
   | Retry of { site : string; attempt : int; budget : int }
@@ -43,7 +42,9 @@ type event =
       (** The ladder was exhausted and the caller fell back ([action]:
           salvage / drop-pass-skipped / uncollapsed / ...). *)
   | Checkpoint of { classes : int; tests : int }
-      (** A campaign checkpoint record was appended; running totals. *)
+      (** A record was appended to a crash-only tape: a test to a
+          campaign tape (rows and tests so far) or a trial to the fuzz
+          state (trials and findings so far). *)
   | Shard_stats of { jobs : int; waves : int; tasks : int; steals : int;
                      spec_hits : int; spec_misses : int; inline : int;
                      utilization : float }

@@ -30,7 +30,13 @@ type row = {
   lr_guided_cuts : int;
 }
 
-type test = { lt_id : int; lt_frames : int; lt_rows : (int * int) option }
+type test = {
+  lt_id : int;
+  lt_frames : int;
+  lt_rows : (int * int) option;
+  lt_vectors : bool array array;
+  lt_scan : bool array;
+}
 
 (* Growable internal storage; handles are indexes, so [charge] on a hot
    drop pass is two array reads and an add. *)
@@ -44,7 +50,12 @@ type mrow = {
   mutable m_gcuts : int;
 }
 
-type mtest = { mt_frames : int; mutable mt_rows : (int * int) option }
+type mtest = {
+  mt_frames : int;
+  mutable mt_rows : (int * int) option;
+  mutable mt_vectors : bool array array;
+  mutable mt_scan : bool array;
+}
 
 let rows_buf : mrow array ref = ref [||]
 let n_rows_ = ref 0
@@ -111,7 +122,8 @@ let dummy_row =
   { m_rep = ""; m_members = []; m_res = Never_targeted; m_fsim = 0;
     m_impl = 0; m_btk = 0; m_gcuts = 0 }
 
-let dummy_test = { mt_frames = 0; mt_rows = None }
+let dummy_test =
+  { mt_frames = 0; mt_rows = None; mt_vectors = [||]; mt_scan = [||] }
 
 let register_class ~rep ~members =
   if not !Config.enabled then -1
@@ -195,13 +207,17 @@ let register_test ~frames =
   else
     locked (fun () ->
         push tests_buf n_tests_ dummy_test
-          { mt_frames = frames; mt_rows = None })
+          { dummy_test with mt_frames = frames })
 
-let annotate_last_test ~first_row ~n_rows =
+let annotate_last_test ~first_row ~vectors ~scan =
   if !Config.enabled then
     locked (fun () ->
-        if !n_tests_ > 0 then
-          !tests_buf.(!n_tests_ - 1).mt_rows <- Some (first_row, n_rows))
+        if !n_tests_ > 0 then begin
+          let t = !tests_buf.(!n_tests_ - 1) in
+          t.mt_rows <- Some (first_row, Array.length vectors);
+          t.mt_vectors <- vectors;
+          t.mt_scan <- scan
+        end)
 
 let n_classes () = locked (fun () -> !n_rows_)
 let n_tests () = locked (fun () -> !n_tests_)
@@ -214,11 +230,23 @@ let row_of i =
     lr_guided_cuts = m.m_gcuts }
 
 let rows () = List.init !n_rows_ row_of
+let row h = locked (fun () -> row_of h)
 
-let tests () =
-  List.init !n_tests_ (fun i ->
-      let t = !tests_buf.(i) in
-      { lt_id = i; lt_frames = t.mt_frames; lt_rows = t.mt_rows })
+let test_of i =
+  let t = !tests_buf.(i) in
+  { lt_id = i; lt_frames = t.mt_frames; lt_rows = t.mt_rows;
+    lt_vectors = t.mt_vectors; lt_scan = t.mt_scan }
+
+let tests () = List.init !n_tests_ test_of
+let test i = locked (fun () -> test_of i)
+
+(* A row read back from a tape: its charges (onto a freshly registered
+   handle, so they add to zero) and its resolution. *)
+let restore h r =
+  charge_now ~implications:r.lr_implications ~backtracks:r.lr_backtracks
+    ~guided_cuts:r.lr_guided_cuts h;
+  charge_fsim_events_now [| h |] [| r.lr_fsim_events |];
+  resolve h r.lr_resolution
 
 let cost r = r.lr_fsim_events + r.lr_implications + r.lr_backtracks
 
@@ -272,6 +300,23 @@ let waterfall_json ?(waterfall = waterfall ()) () =
             (k, Obj [ ("classes", Int c); ("faults", Int f) ]))
           waterfall)
 
+(* Per-member outcome keys, for comparing two runs over one fault list
+   (a member string names the same fault in both). *)
+let outcomes ?(rows = rows ()) () =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      let k = resolution_key r.lr_resolution in
+      List.iter (fun m -> Hashtbl.replace tbl m k) r.lr_members)
+    rows;
+  tbl
+
+let contradicts k1 k2 =
+  let detected k =
+    List.mem k [ "drop_detected"; "podem_detected"; "salvaged" ]
+  in
+  (detected k1 && k2 = "untestable") || (k1 = "untestable" && detected k2)
+
 let resolution_to_json res =
   let open Hft_util.Json in
   let fields =
@@ -290,7 +335,7 @@ let resolution_to_json res =
   in
   Obj (("outcome", String (resolution_key res)) :: fields)
 
-(* Inverse of {!resolution_to_json}, for checkpoint restore and tapes. *)
+(* Inverse of {!resolution_to_json}, for tapes. *)
 let resolution_of_json j =
   let open Hft_util.Json in
   let int k = member_int k j and str k = member_str k j in
@@ -317,8 +362,8 @@ let resolution_of_json j =
   | _ -> None
 
 (* The ledger-test id a detection-carrying resolution points at, if
-   any — checkpoint loading uses it to discard records from a torn
-   final transaction. *)
+   any: the tape loader rolls back an uncommitted final transaction by
+   it, and resume rebuilds each test's detected faults from it. *)
 let resolution_test = function
   | Drop_detected { test } | Podem_detected { test; _ } | Salvaged { test; _ }
     -> Some test
@@ -337,21 +382,22 @@ let row_to_json r =
       ("guided_cuts", Int r.lr_guided_cuts);
       ("cost", Int (cost r)) ]
 
+(* [Some] of every element's decoding, or [None] if any fails. *)
+let list_of f = function
+  | Some (Hft_util.Json.List l) ->
+    (try Some (List.map (fun x -> Option.get (f x)) l)
+     with Invalid_argument _ -> None)
+  | _ -> None
+
 (* Inverse of [row_to_json]; the derived "cost" field is not read. *)
 let row_of_json j =
   let ( let* ) = Option.bind and int k = Hft_util.Json.member_int k j in
   let* lr_class = int "class" in
   let* lr_rep = Hft_util.Json.member_str "rep" j in
   let* lr_members =
-    match Hft_util.Json.member "members" j with
-    | Some (Hft_util.Json.List l) ->
-      (try
-         Some
-           (List.map
-              (function Hft_util.Json.String m -> m | _ -> raise Exit)
-              l)
-       with Exit -> None)
-    | _ -> None
+    list_of
+      (function Hft_util.Json.String m -> Some m | _ -> None)
+      (Hft_util.Json.member "members" j)
   in
   let* lr_resolution =
     Option.bind (Hft_util.Json.member "resolution" j) resolution_of_json
@@ -364,6 +410,19 @@ let row_of_json j =
     { lr_class; lr_rep; lr_members; lr_resolution; lr_fsim_events;
       lr_implications; lr_backtracks; lr_guided_cuts }
 
+(* Vectors travel as "0101" bit strings. *)
+let bits_to_json bits =
+  Hft_util.Json.String
+    (String.init (Array.length bits) (fun i -> if bits.(i) then '1' else '0'))
+
+let bits_of_json = function
+  | Hft_util.Json.String s when String.for_all (fun c -> c = '0' || c = '1') s
+    ->
+    Some (Array.init (String.length s) (fun i -> s.[i] = '1'))
+  | _ -> None
+
+(* A test carries its stimulus exactly when the flow recorded its
+   pattern-store rows. *)
 let test_to_json t =
   let open Hft_util.Json in
   Obj
@@ -372,31 +431,26 @@ let test_to_json t =
      ::
      (match t.lt_rows with
       | None -> []
-      | Some (first, n) -> [ ("first_row", Int first); ("n_rows", Int n) ]))
+      | Some (first, n) ->
+        [ ("first_row", Int first); ("n_rows", Int n);
+          ("vectors",
+           List (List.map bits_to_json (Array.to_list t.lt_vectors)));
+          ("scan", bits_to_json t.lt_scan) ]))
 
 let test_of_json j =
-  let int k = Hft_util.Json.member_int k j in
-  match (int "test", int "frames", int "first_row", int "n_rows") with
-  | Some lt_id, Some lt_frames, None, None ->
-    Some { lt_id; lt_frames; lt_rows = None }
-  | Some lt_id, Some lt_frames, Some first, Some n ->
-    Some { lt_id; lt_frames; lt_rows = Some (first, n) }
+  let ( let* ) = Option.bind and int k = Hft_util.Json.member_int k j in
+  let* lt_id = int "test" in
+  let* lt_frames = int "frames" in
+  match (int "first_row", int "n_rows") with
+  | None, None ->
+    Some { lt_id; lt_frames; lt_rows = None; lt_vectors = [||]; lt_scan = [||] }
+  | Some first, Some n ->
+    let* vectors = list_of bits_of_json (Hft_util.Json.member "vectors" j) in
+    let* lt_scan = Option.bind (Hft_util.Json.member "scan" j) bits_of_json in
+    Some
+      { lt_id; lt_frames; lt_rows = Some (first, n);
+        lt_vectors = Array.of_list vectors; lt_scan }
   | _ -> None
-
-(* Line-oriented export for offline reporting: every class row, then
-   every test, one JSON object per line.  Rows are recognisable by their
-   "class" key and tests by their "test" key; neither carries the
-   "type" key of a journal event, so [of_jsonl] tells a ledger tape
-   from a journal tape without a header line. *)
-let to_jsonl () =
-  let b = Buffer.create 4096 in
-  let line j =
-    Buffer.add_string b (Hft_util.Json.to_string j);
-    Buffer.add_char b '\n'
-  in
-  List.iter (fun r -> line (row_to_json r)) (rows ());
-  List.iter (fun t -> line (test_to_json t)) (tests ());
-  Buffer.contents b
 
 (* Most expensive first; class id breaks ties so the order is total. *)
 let top_expensive ?(rows = rows ()) ~k () =
@@ -427,10 +481,25 @@ let expensive_table = function
 let expensive_json rows = Hft_util.Json.List (List.map row_to_json rows)
 
 (* ------------------------------------------------------------------ *)
-(* Tapes read back (hft report / hft profile --journal-in)            *)
+(* The campaign tape (hft-ledger/1) and tapes read back               *)
+
+let schema = "hft-ledger/1"
+
+type record =
+  | Class of row
+  | Test of test
+  | End of { classes : int; tests : int }
+
+let record_to_json = function
+  | Class r -> row_to_json r
+  | Test t -> test_to_json t
+  | End { classes; tests } ->
+    Hft_util.Json.(
+      Obj [ ("end", Obj [ ("classes", Int classes); ("tests", Int tests) ]) ])
 
 type tape = {
   tp_source : string;
+  tp_meta : (string * Hft_util.Json.t) list;
   tp_rows : row list;
   tp_tests : test list;
   tp_waterfall : (string * (int * int)) list;
@@ -441,39 +510,82 @@ exception Bad_tape of string
 
 let bad line msg = raise (Bad_tape (Printf.sprintf "line %d: %s" line msg))
 
-(* A ledger tape must be what [to_jsonl] writes: class rows and tests,
-   each with dense ids in order, so a lost line is an error rather than
-   a quietly smaller waterfall. *)
-let ledger_tape docs =
+(* An hft-ledger/1 tape is a stream of test transactions — the test
+   line, its drop rows, then the podem_detected or salvaged row that
+   commits it — interleaved with rows that need no test, closed by an
+   end marker once the campaign finishes.  Test ids must be dense and
+   in order, a class may resolve once, and a row may only name a test
+   written before it.  The end marker's counts catch a lost line in a
+   finished tape; a tape without one was interrupted, and its final
+   test rolls back with its drop rows unless its commit row landed. *)
+let ledger_tape meta docs =
+  let rows = Hashtbl.create 64 and tests = ref [] and n_tests = ref 0 in
+  let finished = ref false in
+  List.iter
+    (fun (line, j) ->
+      if !finished then bad line "record after the end marker";
+      let int k =
+        Option.bind (Hft_util.Json.member "end" j) (Hft_util.Json.member_int k)
+      in
+      match (Hft_util.Json.member "class" j, Hft_util.Json.member "test" j) with
+      | Some _, _ ->
+        (match row_of_json j with
+         | None -> bad line "malformed class row"
+         | Some r ->
+           if Hashtbl.mem rows r.lr_class then
+             bad line (Printf.sprintf "class %d resolved twice" r.lr_class);
+           (match resolution_test r.lr_resolution with
+            | Some t when t >= !n_tests ->
+              bad line (Printf.sprintf "class %d names unwritten test %d"
+                          r.lr_class t)
+            | _ -> ());
+           Hashtbl.replace rows r.lr_class r)
+      | None, Some _ ->
+        (match test_of_json j with
+         | None -> bad line "malformed test"
+         | Some t when t.lt_id <> !n_tests ->
+           bad line (Printf.sprintf "test %d out of sequence (expected %d)"
+                       t.lt_id !n_tests)
+         | Some t ->
+           tests := t :: !tests;
+           incr n_tests)
+      | None, None ->
+        (match (int "classes", int "tests") with
+         | Some c, Some t
+           when c = Hashtbl.length rows && t = !n_tests
+                && Hashtbl.fold (fun k _ ok -> ok && k < c) rows true ->
+           finished := true
+         | Some c, Some t ->
+           bad line
+             (Printf.sprintf
+                "end marker counts %d classes and %d tests, the tape holds \
+                 %d and %d" c t (Hashtbl.length rows) !n_tests)
+         | _ -> bad line "neither a class row, a test nor an end marker"))
+    docs;
+  let rows =
+    List.sort (fun a b -> compare a.lr_class b.lr_class)
+      (Hashtbl.fold (fun _ r acc -> r :: acc) rows [])
+  in
+  let last = !n_tests - 1 in
+  let commits r =
+    match r.lr_resolution with
+    | Podem_detected { test; _ } | Salvaged { test; _ } -> test = last
+    | _ -> false
+  in
   let rows, tests =
-    List.partition_map
-      (fun (line, j) ->
-        match
-          (Hft_util.Json.member "class" j, row_of_json j, test_of_json j)
-        with
-        | Some _, Some r, _ -> Either.Left (line, r)
-        | Some _, None, _ -> bad line "malformed class row"
-        | None, _, Some t -> Either.Right (line, t)
-        | None, _, None -> bad line "neither a class row nor a test")
-      docs
+    if (not !finished) && last >= 0 && not (List.exists commits rows) then
+      ( List.filter (fun r -> resolution_test r.lr_resolution <> Some last)
+          rows,
+        List.tl !tests )
+    else (rows, !tests)
   in
-  let in_sequence what id =
-    List.iteri (fun i (line, x) ->
-        if id x <> i then
-          bad line
-            (Printf.sprintf "%s %d out of sequence (expected %d)" what (id x)
-               i))
-  in
-  in_sequence "class" (fun r -> r.lr_class) rows;
-  in_sequence "test" (fun t -> t.lt_id) tests;
-  let rows = List.map snd rows in
-  { tp_source = "ledger"; tp_rows = rows; tp_tests = List.map snd tests;
-    tp_waterfall = waterfall ~rows (); tp_events = [] }
+  { tp_source = "ledger"; tp_meta = meta; tp_rows = rows;
+    tp_tests = List.rev tests; tp_waterfall = waterfall ~rows ();
+    tp_events = [] }
 
 (* A journal tape has no rows: its waterfall tallies the Class_resolved
    events (last write per class wins, as in [resolve]), so a class the
-   ring's window never saw resolve is absent rather than never_targeted
-   (only ledger tapes carry never-targeted rows). *)
+   ring's window never saw resolve is absent. *)
 let journal_tape docs =
   let resolved = Hashtbl.create 64 and tests = ref [] in
   List.iter
@@ -488,36 +600,29 @@ let journal_tape docs =
            Hashtbl.replace resolved cls (outcome, faults)
          | _ -> bad line "malformed class_resolved event")
       | Some "test_generated" ->
-        (match (int "test", int "frames") with
-         | Some lt_id, Some lt_frames ->
-           tests := { lt_id; lt_frames; lt_rows = None } :: !tests
-         | _ -> bad line "malformed test_generated event")
+        (match test_of_json j with
+         | Some t -> tests := t :: !tests
+         | None -> bad line "malformed test_generated event")
       | Some _ -> ()
       | None -> bad line "journal event without a \"type\"")
     docs;
-  { tp_source = "journal"; tp_rows = []; tp_tests = List.rev !tests;
+  { tp_source = "journal"; tp_meta = []; tp_rows = [];
+    tp_tests = List.rev !tests;
     tp_waterfall = tally (Hashtbl.fold (fun _ r acc -> r :: acc) resolved []);
     tp_events = List.map snd docs }
 
-(* Blank lines are skipped but still numbered, so errors name the line
-   an editor shows; the first object decides the tape kind. *)
+(* The first object decides the tape kind: an hft-ledger/1 header or a
+   journal event. *)
 let of_jsonl text =
-  let parse (line, l) =
-    if String.trim l = "" then None
-    else
-      match Hft_util.Json.parse l with
-      | Ok (Hft_util.Json.Obj _ as j) -> Some (line, j)
-      | Ok _ -> bad line "not a JSON object"
-      | Error e -> bad line e
-  in
-  try
-    match
-      List.filter_map parse
-        (List.mapi (fun i l -> (i + 1, l)) (String.split_on_char '\n' text))
-    with
-    | [] -> Error "empty tape"
-    | (_, first) :: _ as docs ->
-      Ok
-        (if Hft_util.Json.member "type" first <> None then journal_tape docs
-         else ledger_tape docs)
-  with Bad_tape msg -> Error msg
+  match Hft_util.Json.parse_jsonl text with
+  | Error e -> Error e
+  | Ok [] -> Error "empty tape"
+  | Ok ((line, first) :: rest as docs) ->
+    (try
+       match Hft_util.Json.tape_meta ~schema first with
+       | Some meta -> Ok (ledger_tape meta rest)
+       | None when Hft_util.Json.member "type" first <> None ->
+         Ok (journal_tape docs)
+       | None ->
+         bad line ("neither an " ^ schema ^ " header nor a journal event")
+     with Bad_tape msg -> Error msg)

@@ -49,6 +49,9 @@ type test = {
   lt_rows : (int * int) option;
       (** [(first_row, n_rows)] in the campaign's pattern store, when the
           flow recorded the mapping. *)
+  lt_vectors : bool array array;
+      (** one PI vector per frame ([[||]] unless [lt_rows] is set) *)
+  lt_scan : bool array;  (** the frame-0 scan load *)
 }
 
 (** Returns the class handle, or [-1] when observability is disabled. *)
@@ -74,15 +77,29 @@ val charge_fsim_events : int array -> int array -> unit
     ([-1] when disabled). *)
 val register_test : frames:int -> int
 
-(** Attach pattern-store coordinates to the most recently registered
-    test (called by the flow's [on_test], which runs synchronously after
-    {!register_test}). *)
-val annotate_last_test : first_row:int -> n_rows:int -> unit
+(** Attach the stimulus to the most recently registered test: its
+    vectors (one per frame) and scan load, stored from pattern-store
+    row [first_row] on (called by the flow's [on_test], which runs
+    synchronously after {!register_test}). *)
+val annotate_last_test :
+  first_row:int -> vectors:bool array array -> scan:bool array -> unit
 
 val n_classes : unit -> int
 val n_tests : unit -> int
 val rows : unit -> row list
+
+(** The current row of a live handle. *)
+val row : int -> row
+
 val tests : unit -> test list
+
+(** The current record of a live test id. *)
+val test : int -> test
+
+(** [restore h row] gives handle [h] the resolution {e and} the charges
+    of [row], a row read back from a tape (resume).  Journals a
+    {!Hft_obs.Journal.event.Class_resolved} event like {!resolve}. *)
+val restore : int -> row -> unit
 
 (** [lr_fsim_events + lr_implications + lr_backtracks] — the ranking
     used by the "most expensive faults" report. *)
@@ -110,6 +127,15 @@ val totals : (string * (int * int)) list -> int * int
 val waterfall_json :
   ?waterfall:(string * (int * int)) list -> unit -> Hft_util.Json.t
 
+(** Every member's outcome key ({!resolution_key}), for comparing two
+    runs over one fault list. *)
+val outcomes : ?rows:row list -> unit -> (string, string) Hashtbl.t
+
+(** [contradicts k1 k2]: one outcome is a detection (dropped,
+    PODEM-detected or salvaged) and the other a proof of
+    untestability — a soundness bug in whichever engine is wrong. *)
+val contradicts : string -> string -> bool
+
 (** The [k] most expensive rows, descending cost (class id tiebreak). *)
 val top_expensive : ?rows:row list -> k:int -> unit -> row list
 
@@ -119,40 +145,55 @@ val expensive_table : row list -> string
 val expensive_json : row list -> Hft_util.Json.t
 
 val resolution_key : resolution -> string
-val resolution_to_json : resolution -> Hft_util.Json.t
-
-(** Inverse of {!resolution_to_json} ([None] on malformed input) —
-    checkpoint restore and {!of_jsonl}. *)
-val resolution_of_json : Hft_util.Json.t -> resolution option
 
 (** The ledger-test id a detection-carrying resolution references. *)
 val resolution_test : resolution -> int option
 
-(** {1 Tapes} *)
+(** {1 Tapes}
 
-(** One JSON object per line: every class row (keyed ["class"]) then
-    every test (keyed ["test"]); [""] when empty.  The offline-report
-    input format ([hft report --journal-in]). *)
-val to_jsonl : unit -> string
+    A campaign tape ([hft-ledger/1], written by
+    [Hft_core.Flow.test_campaign] through [Hft_robust.Checkpoint.Tape]
+    as the campaign commits) is a header line carrying the campaign
+    fingerprint, then one {!record} per line: a test transaction is the
+    test (with its stimulus), the rows of the classes it dropped, then
+    the [podem_detected] or [salvaged] row that commits it; rows that
+    need no test stand alone.  A row is written when its class resolves,
+    charges complete.  The end marker follows the last row. *)
 
-(** An exported tape read back.  A journal tape carries no rows: its
-    waterfall tallies its [Class_resolved] events (last write per class
-    wins) and its tests are its [Test_generated] events. *)
+val schema : string
+
+type record =
+  | Class of row
+  | Test of test
+  | End of { classes : int; tests : int }
+
+val record_to_json : record -> Hft_util.Json.t
+
+(** A tape read back.  A journal tape carries no rows: its waterfall
+    tallies its [Class_resolved] events (last write per class wins) and
+    its tests are its [Test_generated] events. *)
 type tape = {
   tp_source : string;  (** ["ledger"] or ["journal"] *)
+  tp_meta : (string * Hft_util.Json.t) list;
+      (** the ledger tape's fingerprint; [[]] for a journal tape *)
   tp_rows : row list;  (** class order; [[]] for a journal tape *)
   tp_tests : test list;
   tp_waterfall : (string * (int * int)) list;
   tp_events : Hft_util.Json.t list;  (** [[]] for a ledger tape *)
 }
 
-(** Read a [--ledger-out] tape (the inverse of {!to_jsonl}: rows and
-    tests equal those of the run that wrote it) or a [--journal-out]
+(** Read an [hft-ledger/1] tape (its rows and tests equal those of the
+    run that wrote it, as far as it committed) or a [--journal-out]
     tape (the resolutions the bounded ring still held at export; never
-    the never-targeted classes), told apart by the first object's
-    ["type"] key.  [Error "line N: ..."] names the first unparseable or
-    malformed line: torn JSON, a missing or mistyped field, an id out
-    of sequence, an unknown outcome.  An empty tape is an error too. *)
+    the never-targeted classes), told apart by the first object.  A
+    torn {e final} line is dropped; a tape with no end marker was
+    interrupted, and its final test, if no row commits it, rolls back
+    with the rows naming it.  [Error "line N: ..."] names the first bad
+    line otherwise: torn JSON, a missing or mistyped field, a test out
+    of sequence, a class resolved twice, an end marker whose counts
+    disagree (a lost line), an unknown outcome.  An empty tape is an
+    error too.  Resume ([Hft_core.Flow.test_campaign]) and offline
+    [hft report]/[hft profile] read tapes through this one function. *)
 val of_jsonl : string -> (tape, string) result
 
 val reset : unit -> unit

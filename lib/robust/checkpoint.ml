@@ -3,11 +3,12 @@ type meta = (string * Hft_util.Json.t) list
 (* Generic crash-only JSONL tape: a schema header line, then one JSON
    record per line, each append chaos-checked (Serialize site) and
    flushed.  [load] tolerates exactly the damage a kill can cause — an
-   unparsable final line is dropped — and reports damage anywhere else
-   as corruption.  Transaction semantics (which trailing records form
-   an uncommitted suffix) belong to the schema owner: hft-ckpt/1 rolls
-   back an uncommitted test below, hft-fuzz/1 rolls back findings with
-   no trial commit marker in [Hft_fuzz.State]. *)
+   unparsable final line is dropped ([Hft_util.Json.parse_jsonl]) — and
+   reports damage anywhere else as corruption.  Transaction semantics
+   (which trailing records form an uncommitted suffix) belong to the
+   schema owner: [Hft_obs.Ledger.of_jsonl] rolls back an uncommitted
+   test of an hft-ledger/1 tape, [Hft_fuzz.State] rolls back findings
+   with no trial commit marker of an hft-fuzz/1 tape. *)
 module Tape = struct
   type writer = { w_oc : out_channel }
 
@@ -18,10 +19,7 @@ module Tape = struct
 
   let create ~path ~schema ~meta =
     let oc = open_out path in
-    write_line oc
-      (Hft_util.Json.Obj
-         [ ("schema", Hft_util.Json.String schema);
-           ("meta", Hft_util.Json.Obj meta) ]);
+    write_line oc (Hft_util.Json.tape_header ~schema ~meta);
     { w_oc = oc }
 
   let reopen ~path =
@@ -35,206 +33,15 @@ module Tape = struct
 
   let close w = close_out w.w_oc
 
-  let read_lines path =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-
   let load ~path ~schema =
-    match read_lines path with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error msg -> Error msg
-    | [] -> Error "empty checkpoint"
-    | header :: body ->
-      (match Hft_util.Json.parse header with
-       | Error msg -> Error ("bad checkpoint header: " ^ msg)
-       | Ok h ->
-         (match Hft_util.Json.member "schema" h with
-          | Some (Hft_util.Json.String s) when s = schema ->
-            let meta =
-              match Hft_util.Json.member "meta" h with
-              | Some (Hft_util.Json.Obj kvs) -> kvs
-              | _ -> []
-            in
-            let n_body = List.length body in
-            let records = ref [] in
-            let err = ref None in
-            List.iteri
-              (fun i line ->
-                if !err = None then
-                  match Hft_util.Json.parse line with
-                  | Error msg ->
-                    (* A torn final line is the expected crash artifact;
-                       damage anywhere else is corruption. *)
-                    if i < n_body - 1 then
-                      err :=
-                        Some
-                          (Printf.sprintf "corrupt record %d: %s" (i + 2) msg)
-                  | Ok j -> records := j :: !records)
-              body;
-            (match !err with
-             | Some msg -> Error msg
-             | None -> Ok (meta, List.rev !records))
-          | _ -> Error ("not an " ^ schema ^ " checkpoint")))
+    | text ->
+      (match Hft_util.Json.parse_jsonl text with
+       | Error msg -> Error msg
+       | Ok [] -> Error "empty tape"
+       | Ok ((_, header) :: body) ->
+         (match Hft_util.Json.tape_meta ~schema header with
+          | Some meta -> Ok (meta, List.map snd body)
+          | None -> Error ("not an " ^ schema ^ " tape")))
 end
-
-type cls = { ck_rep : string; ck_resolution : Hft_obs.Ledger.resolution }
-
-type test = {
-  ck_frames : int;
-  ck_vectors : bool array array;
-  ck_scan : bool array;
-  ck_detects : (int * int option * bool) list;
-}
-
-type t = { meta : meta; classes : cls list; tests : test list }
-
-let schema = "hft-ckpt/1"
-
-type writer = {
-  w_tape : Tape.writer;
-  mutable w_classes : int;
-  mutable w_tests : int;
-}
-
-let create ~path ~meta =
-  { w_tape = Tape.create ~path ~schema ~meta; w_classes = 0; w_tests = 0 }
-
-let reopen ~path = { w_tape = Tape.reopen ~path; w_classes = 0; w_tests = 0 }
-
-let bits_to_string bits =
-  String.init (Array.length bits) (fun i -> if bits.(i) then '1' else '0')
-
-let bits_of_string s = Array.init (String.length s) (fun i -> s.[i] = '1')
-
-let append_class w ~rep res =
-  Tape.emit w.w_tape
-    (Hft_util.Json.Obj
-       [ ("kind", Hft_util.Json.String "class");
-         ("rep", Hft_util.Json.String rep);
-         ("resolution", Hft_obs.Ledger.resolution_to_json res) ]);
-  w.w_classes <- w.w_classes + 1
-
-let append_test w t =
-  let open Hft_util.Json in
-  Tape.emit w.w_tape
-    (Obj
-       [ ("kind", String "test");
-         ("frames", Int t.ck_frames);
-         ("vectors",
-          List
-            (Array.to_list t.ck_vectors
-             |> List.map (fun v -> String (bits_to_string v))));
-         ("scan", String (bits_to_string t.ck_scan));
-         ("detects",
-          List
-            (List.map
-               (fun (node, pin, stuck) ->
-                 List
-                   [ Int node;
-                     (match pin with None -> Null | Some p -> Int p);
-                     Bool stuck ])
-               t.ck_detects)) ]);
-  w.w_tests <- w.w_tests + 1;
-  Hft_obs.Journal.record
-    (Hft_obs.Journal.Checkpoint { classes = w.w_classes; tests = w.w_tests })
-
-let close w = Tape.close w.w_tape
-
-let parse_test j =
-  let open Hft_util.Json in
-  match (member "frames" j, member "vectors" j, member "scan" j,
-         member "detects" j)
-  with
-  | Some (Int frames), Some (List vecs), Some (String scan), Some (List dets)
-    ->
-    let vectors =
-      List.map
-        (function String s -> bits_of_string s | _ -> raise Exit)
-        vecs
-      |> Array.of_list
-    in
-    let detects =
-      List.map
-        (function
-          | List [ Int node; Null; Bool stuck ] -> (node, None, stuck)
-          | List [ Int node; Int pin; Bool stuck ] -> (node, Some pin, stuck)
-          | _ -> raise Exit)
-        dets
-    in
-    Some { ck_frames = frames; ck_vectors = vectors;
-           ck_scan = bits_of_string scan; ck_detects = detects }
-  | _ -> None
-
-(* Roll back the final test transaction unless it committed: the engine
-   appends the generating class's podem_detected/salvaged line last, so
-   a final test with no such line is a torn write — discard it together
-   with every class record referencing it, and the resumed engine will
-   regenerate the whole transaction with the same test id. *)
-let repair_tail classes tests =
-  let n_tests = List.length tests in
-  let references t c = Hft_obs.Ledger.resolution_test c.ck_resolution = Some t in
-  let commits t c =
-    match c.ck_resolution with
-    | Hft_obs.Ledger.Podem_detected { test; _ }
-    | Hft_obs.Ledger.Salvaged { test; _ } -> test = t
-    | _ -> false
-  in
-  let classes, tests =
-    if n_tests > 0 && not (List.exists (commits (n_tests - 1)) classes) then
-      ( List.filter (fun c -> not (references (n_tests - 1) c)) classes,
-        List.filteri (fun i _ -> i < n_tests - 1) tests )
-    else (classes, tests)
-  in
-  (* Paranoia: any record referencing a test beyond the file is torn. *)
-  let n_tests = List.length tests in
-  ( List.filter
-      (fun c ->
-        match Hft_obs.Ledger.resolution_test c.ck_resolution with
-        | Some t -> t < n_tests
-        | None -> true)
-      classes,
-    tests )
-
-let load ~path =
-  match Tape.load ~path ~schema with
-  | Error msg -> Error msg
-  | Ok (meta, records) ->
-    let classes = ref [] and tests = ref [] in
-    let err = ref None in
-    List.iteri
-      (fun i j ->
-        if !err = None then
-          match Hft_util.Json.member "kind" j with
-          | Some (Hft_util.Json.String "class") ->
-            (match
-               ( Hft_util.Json.member "rep" j,
-                 Hft_util.Json.member "resolution" j )
-             with
-             | Some (Hft_util.Json.String rep), Some rj ->
-               (match Hft_obs.Ledger.resolution_of_json rj with
-                | Some res ->
-                  classes := { ck_rep = rep; ck_resolution = res } :: !classes
-                | None ->
-                  err :=
-                    Some
-                      (Printf.sprintf "bad resolution at record %d" (i + 2)))
-             | _ -> err := Some (Printf.sprintf "bad class record %d" (i + 2)))
-          | Some (Hft_util.Json.String "test") ->
-            (match try parse_test j with Exit -> None with
-             | Some t -> tests := t :: !tests
-             | None -> err := Some (Printf.sprintf "bad test record %d" (i + 2)))
-          | _ ->
-            err := Some (Printf.sprintf "unknown record kind at %d" (i + 2)))
-      records;
-    (match !err with
-     | Some msg -> Error msg
-     | None ->
-       let classes, tests = repair_tail (List.rev !classes) (List.rev !tests) in
-       Ok { meta; classes; tests })

@@ -1,32 +1,17 @@
-(** Campaign checkpoints: append-only JSONL, schema [hft-ckpt/1].
-
-    Line 1 is a header carrying the schema tag and a caller-supplied
-    fingerprint ([meta]); every later line is one record:
-    [{"kind":"class", "rep":..., "resolution":...}] for a resolved
-    fault class, or [{"kind":"test", ...}] for a generated test (PI
-    vectors and scan load as "0101" bit strings, detected faults as
-    [[node, pin|null, stuck]] triples).  Each append is flushed, so an
-    interrupted campaign leaves a loadable prefix.
-
-    {!load} tolerates exactly the damage an interruption can cause:
-    an unparsable final line is dropped, and the final test transaction
-    is rolled back unless it committed — a test counts as committed
-    only when a class line resolves to it via [podem_detected] or
-    [salvaged] (the generating engine always appends that line last).
-    Replaying a rolled-back transaction regenerates it bit-identically,
-    which is what makes resume reproduce the uninterrupted run. *)
+(** Crash-only JSONL tapes, the one append-only record format of every
+    resumable campaign: [hft-ledger/1] ({!Hft_obs.Ledger}, written by
+    [Hft_core.Flow.test_campaign]) and [hft-fuzz/1] ([Hft_fuzz.State]). *)
 
 type meta = (string * Hft_util.Json.t) list
 
-(** Generic crash-only JSONL tape shared by every checkpoint schema
-    (hft-ckpt/1 below, hft-fuzz/1 in [Hft_fuzz.State]): a header line
-    carrying the schema tag and [meta], then one record per line.
-    Every {!Tape.emit} runs a [Chaos.check Serialize] and flushes, so
-    the chaos harness can kill a campaign at any serialisation boundary
-    and an interrupted file is always a loadable prefix.  {!Tape.load}
-    drops an unparsable {e final} line (the expected crash artifact)
-    and reports damage anywhere else as corruption; rolling back an
-    uncommitted trailing {e transaction} is the schema owner's job. *)
+(** A header line carrying the schema tag and [meta], then one record
+    per line.  Every {!Tape.emit} runs a [Chaos.check Serialize] and
+    flushes, so the chaos harness can kill a campaign at any
+    serialisation boundary and an interrupted file is always a loadable
+    prefix.  {!Tape.load} drops an unparsable {e final} line (the
+    expected crash artifact, {!Hft_util.Json.parse_jsonl}) and reports
+    damage anywhere else as corruption; rolling back an uncommitted
+    trailing {e transaction} is the schema owner's job. *)
 module Tape : sig
   type writer
 
@@ -53,37 +38,3 @@ module Tape : sig
     path:string -> schema:string ->
     (meta * Hft_util.Json.t list, string) result
 end
-
-type cls = { ck_rep : string; ck_resolution : Hft_obs.Ledger.resolution }
-
-type test = {
-  ck_frames : int;
-  ck_vectors : bool array array;  (** one PI vector per frame *)
-  ck_scan : bool array;  (** frame-0 scan load *)
-  ck_detects : (int * int option * bool) list;
-      (** (node, pin, stuck) per fault the test detects *)
-}
-
-type t = { meta : meta; classes : cls list; tests : test list }
-
-val schema : string
-
-type writer
-
-(** Truncate/create [path] and write the header. *)
-val create : path:string -> meta:meta -> writer
-
-(** Open [path] for appending (resume) without touching its contents. *)
-val reopen : path:string -> writer
-
-(** Append one record and flush.  Both appends run a
-    [Chaos.check Serialize] first, so the chaos harness can kill a
-    campaign at a serialisation boundary. *)
-val append_class : writer -> rep:string -> Hft_obs.Ledger.resolution -> unit
-
-val append_test : writer -> test -> unit
-val close : writer -> unit
-
-(** Parse a checkpoint; [Error] on unreadable files or mid-file
-    corruption (a damaged tail is repaired as described above). *)
-val load : path:string -> (t, string) result

@@ -1,7 +1,7 @@
 (** Typed engine-failure taxonomy for the campaign supervisor.
 
     Every supervised engine invocation (PODEM call, fault-simulation
-    pass, fault collapse, checkpoint serialisation) finishes as
+    pass, fault collapse, tape serialisation) finishes as
     [Ok outcome] or [Error of t]; the supervisor's retry/degrade ladder
     dispatches on the constructor, and the final reason lands in the
     forensics ledger as [Aborted {reason}] evidence — a campaign never

@@ -24,15 +24,16 @@ val annotate_rtl : Hft_rtl.Datapath.t -> int list -> unit
 
 (** Sequential ATPG with the given scan set ({!Seq_atpg.run}
     pass-through: collapsing + fault dropping by default, [on_test]
-    observes every generated test, [supervisor]/[resolved]/[on_resolved]
-    forward the campaign-supervision and checkpoint hooks, [guidance]
-    forwards static-analysis ATPG guidance). *)
+    observes every generated test, [supervisor] forwards campaign
+    supervision, [resolved]/[on_resolved] the campaign tape's ledger-row
+    hooks (resume and append), [guidance] static-analysis ATPG
+    guidance). *)
 val atpg :
   ?backtrack_limit:int -> ?max_frames:int ->
   ?strategy:Seq_atpg.strategy -> ?on_test:(Seq_atpg.test -> unit) ->
   ?supervisor:Hft_robust.Supervisor.policy option ->
-  ?resolved:(string -> Hft_obs.Ledger.resolution option) ->
-  ?on_resolved:(rep:string -> Hft_obs.Ledger.resolution -> unit) ->
+  ?resolved:(string -> Hft_obs.Ledger.row option) ->
+  ?on_resolved:(Hft_obs.Ledger.row -> unit) ->
   ?guidance:Podem.provider ->
   ?on_par_stats:(Hft_par.Stats.t -> unit) ->
   ?jobs:int ->

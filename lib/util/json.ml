@@ -263,3 +263,29 @@ let member_float k j =
   | Some (Float f) -> Some f
   | Some (Int i) -> Some (float_of_int i)
   | _ -> None
+
+(* Crash-only tapes: one object per line, each append flushed, so a
+   kill can tear only the line being written — the last one. *)
+let tape_header ~schema ~meta =
+  Obj [ ("schema", String schema); ("meta", Obj meta) ]
+
+let tape_meta ~schema h =
+  match member "schema" h with
+  | Some (String s) when s = schema ->
+    Some (match member "meta" h with Some (Obj meta) -> meta | _ -> [])
+  | _ -> None
+
+let parse_jsonl text =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | (line, l) :: rest ->
+      (match parse l with
+       | Ok (Obj _ as j) -> go ((line, j) :: acc) rest
+       | Ok _ -> Error (Printf.sprintf "line %d: not a JSON object" line)
+       | Error _ when rest = [] -> Ok (List.rev acc)
+       | Error e -> Error (Printf.sprintf "line %d: %s" line e))
+  in
+  String.split_on_char '\n' text
+  |> List.mapi (fun i l -> (i + 1, l))
+  |> List.filter (fun (_, l) -> String.trim l <> "")
+  |> go []

@@ -31,3 +31,21 @@ val member : string -> t -> t option
 val member_str : string -> t -> string option
 val member_int : string -> t -> int option
 val member_float : string -> t -> float option
+
+(** {1 Crash-only tapes}
+
+    A tape is a header line then one JSON object per line, every line
+    flushed as it is appended, so an interrupted writer can tear only
+    its final line. *)
+
+(** The header line: [{"schema": schema, "meta": {meta...}}]. *)
+val tape_header : schema:string -> meta:(string * t) list -> t
+
+(** [Some meta] when [h] is a [schema] header, [None] otherwise. *)
+val tape_meta : schema:string -> t -> (string * t) list option
+
+(** The objects of a JSONL text with their 1-based line numbers; blank
+    lines are skipped but counted.  An unparsable {e final} line is
+    dropped (the torn write a kill leaves); an unparsable or non-object
+    line anywhere else is [Error "line N: ..."]. *)
+val parse_jsonl : string -> ((int * t) list, string) result

@@ -1060,14 +1060,7 @@ let test_seq_atpg_seed_4246_sound () =
     ignore
       (Seq_atpg.run ~backtrack_limit:30 ~max_frames:3 ~strategy nl ~faults
          ~scanned);
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (row : Hft_obs.Ledger.row) ->
-        let kind = Hft_obs.Ledger.resolution_key row.Hft_obs.Ledger.lr_resolution in
-        List.iter
-          (fun m -> Hashtbl.replace tbl m kind)
-          row.Hft_obs.Ledger.lr_members)
-      (Hft_obs.Ledger.rows ());
+    let tbl = Hft_obs.Ledger.outcomes () in
     Hft_obs.reset ();
     tbl
   in
@@ -1090,10 +1083,7 @@ let test_seq_atpg_seed_4246_sound () =
     (fun f k1 ->
       match Hashtbl.find_opt o_drop f with
       | Some k2 ->
-        if
-          (is_detected k1 && k2 = "untestable")
-          || (k1 = "untestable" && is_detected k2)
-        then
+        if Hft_obs.Ledger.contradicts k1 k2 then
           Alcotest.failf "fault %s: naive says %s, drop says %s" f k1 k2
       | None -> Alcotest.failf "fault %s missing from drop ledger" f)
     o_naive

@@ -301,7 +301,8 @@ let test_ledger_lifecycle () =
   check_int "dense handles" 0 a;
   check_int "dense handles (2)" 1 b;
   let t = Hft_obs.Ledger.register_test ~frames:2 in
-  Hft_obs.Ledger.annotate_last_test ~first_row:5 ~n_rows:2;
+  Hft_obs.Ledger.annotate_last_test ~first_row:5
+    ~vectors:[| [| true; false |]; [| false; true |] |] ~scan:[| true |];
   Hft_obs.Ledger.resolve a
     (Hft_obs.Ledger.Podem_detected { test = t; backtracks = 3; frames = 2 });
   Hft_obs.Ledger.resolve b (Hft_obs.Ledger.Drop_detected { test = t });
@@ -320,7 +321,10 @@ let test_ledger_lifecycle () =
    | [ test ] ->
      check_int "test id" t test.Hft_obs.Ledger.lt_id;
      check "pattern rows attached" true
-       (test.Hft_obs.Ledger.lt_rows = Some (5, 2))
+       (test.Hft_obs.Ledger.lt_rows = Some (5, 2));
+     check "stimulus attached" true
+       (test.Hft_obs.Ledger.lt_vectors.(1) = [| false; true |]
+        && test.Hft_obs.Ledger.lt_scan = [| true |])
    | _ -> Alcotest.fail "expected one registered test");
   match Hft_obs.Ledger.top_expensive ~k:1 () with
   | [ row ] ->
@@ -338,7 +342,8 @@ let test_flight_recorder_disabled () =
   Hft_obs.Ledger.charge_fsim_events [| h |] [| 5 |];
   check_int "no test ids when disabled" (-1)
     (Hft_obs.Ledger.register_test ~frames:1);
-  Hft_obs.Ledger.annotate_last_test ~first_row:0 ~n_rows:1;
+  Hft_obs.Ledger.annotate_last_test ~first_row:0 ~vectors:[| [||] |]
+    ~scan:[||];
   check "journal stays empty" true (Hft_obs.Journal.entries () = []);
   check_int "journal recorded nothing" 0 (Hft_obs.Journal.recorded ());
   check_int "ledger has no rows" 0 (Hft_obs.Ledger.n_classes ());
@@ -562,10 +567,10 @@ let jstr k d =
   | Some (Hft_util.Json.String s) -> s
   | _ -> Alcotest.failf "missing string field %s" k
 
-(* One small real campaign streamed into a buffer; returns
-   (stream lines, journal tape, ledger tape, live waterfall JSON,
-   campaign result). *)
-let run_streamed_campaign ?(every = 2) () =
+(* One small real campaign streamed into a buffer and taped to a file;
+   returns (stream lines, journal tape, campaign tape, live waterfall
+   JSON, campaign result). *)
+let run_streamed_campaign ?(every = 2) ?jobs () =
   let g = Hft_cdfg.Paper_fig1.graph () in
   let b = Buffer.create 4096 in
   Hft_obs.Progress.start
@@ -573,14 +578,19 @@ let run_streamed_campaign ?(every = 2) () =
       { Hft_obs.Progress.default_config with
         Hft_obs.Progress.every_classes = every }
     (Hft_obs.Progress.sink_of_buffer b);
-  Fun.protect ~finally:Hft_obs.Progress.stop (fun () ->
+  let tape = Filename.temp_file "hft_tape" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Hft_obs.Progress.stop ();
+      Sys.remove tape)
+    (fun () ->
       let r = Hft_core.Flow.synthesize_for_partial_scan ~width:4 g in
       let c =
         Hft_core.Flow.test_campaign ~backtrack_limit:20 ~max_frames:2
-          ~sample:4 ~seed:7 ~n_patterns:16 ~campaign:"fig1/test" r
+          ~sample:4 ~seed:7 ~n_patterns:16 ?jobs ~tape ~campaign:"fig1/test" r
       in
       let journal = Hft_obs.Journal.to_jsonl () in
-      let ledger = Hft_obs.Ledger.to_jsonl () in
+      let ledger = In_channel.with_open_bin tape In_channel.input_all in
       let live_wf = Hft_util.Json.to_string (Hft_obs.Ledger.waterfall_json ()) in
       Hft_obs.Progress.stop ();
       (jsonl_lines (Buffer.contents b), journal, ledger, live_wf, c))
@@ -851,13 +861,18 @@ let test_offline_rebuild () =
       (Hft_obs.Ledger.waterfall_json ~waterfall:tape.Hft_obs.Ledger.tp_waterfall
          ())
   in
-  (* Ledger tape: the exact inverse of to_jsonl. *)
+  (* Campaign tape: what the run committed, row for row. *)
   let tape = load "ledger tape" ledger in
   check_str "source" "ledger" tape.Hft_obs.Ledger.tp_source;
   check "tape rows = live rows" true
     (tape.Hft_obs.Ledger.tp_rows = Hft_obs.Ledger.rows ());
   check "tape tests = live tests" true
     (tape.Hft_obs.Ledger.tp_tests = Hft_obs.Ledger.tests ());
+  check "tests carry their vectors" true
+    (List.for_all
+       (fun (t : Hft_obs.Ledger.test) ->
+         Array.length t.lt_vectors = t.lt_frames)
+       tape.Hft_obs.Ledger.tp_tests);
   check_int "tape test count" (Hft_obs.Ledger.n_tests ())
     (List.length tape.Hft_obs.Ledger.tp_tests);
   check_str "ledger tape = live waterfall" live_wf (wf_json tape);
@@ -895,6 +910,17 @@ let test_offline_rebuild () =
   rejects "garbage tape" "not json\n{}" 1;
   let lines = String.split_on_char '\n' ledger in
   check "ledger tape has a middle row" true (List.length lines > 4);
+  let line_of key =
+    let rec go i = function
+      | l :: rest ->
+        (match Hft_util.Json.parse l with
+         | Ok j when Hft_util.Json.member key j <> None -> i
+         | _ -> go (i + 1) rest)
+      | [] -> Alcotest.failf "tape has no %s line" key
+    in
+    go 1 lines
+  in
+  let first_row = line_of "class" and end_marker = line_of "end" in
   let edit n f =
     String.concat "\n"
       (List.concat
@@ -904,17 +930,28 @@ let test_offline_rebuild () =
     (edit 3 (fun l -> [ String.sub l 0 (String.length l / 2) ]))
     3;
   rejects "malformed row"
-    (edit 2 (fun l ->
+    (edit first_row (fun l ->
          match Hft_util.Json.parse l with
          | Ok (Hft_util.Json.Obj fields) ->
            [ Hft_util.Json.to_string
                (Hft_util.Json.Obj (List.remove_assoc "resolution" fields)) ]
          | _ -> Alcotest.fail "ledger row does not parse"))
-    2;
-  rejects "lost row" (edit 2 (fun _ -> [])) 2;
-  match Hft_obs.Ledger.of_jsonl "\n\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty tape should not load"
+    first_row;
+  (* A finished tape counts its lines: a lost row is caught at the end
+     marker, one line up once the row is gone. *)
+  rejects "lost row" (edit first_row (fun _ -> [])) (end_marker - 1);
+  (match Hft_obs.Ledger.of_jsonl "\n\n" with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "empty tape should not load");
+  (* The tape is the commit order's record, so a -j4 campaign tapes the
+     same rows, charges included, as it holds live. *)
+  Hft_obs.reset ();
+  let _, _, ledger4, _, _ = run_streamed_campaign ~jobs:4 () in
+  let tape4 = load "-j4 ledger tape" ledger4 in
+  check "-j4 tape rows = live rows" true
+    (tape4.Hft_obs.Ledger.tp_rows = Hft_obs.Ledger.rows ());
+  check "-j4 tape tests = live tests" true
+    (tape4.Hft_obs.Ledger.tp_tests = Hft_obs.Ledger.tests ())
 
 let test_span_gc_attrs () =
   with_obs @@ fun () ->

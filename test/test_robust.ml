@@ -1,6 +1,6 @@
 (* Hft_robust: typed failures, deterministic chaos, cooperative
    deadlines, the supervisor retry ladder, validation diagnostics,
-   checkpoint round-trips — and the end-to-end guarantees they buy a
+   campaign-tape round-trips — and the end-to-end guarantees they buy a
    campaign: chaos never crashes it, and a killed-then-resumed run is
    bit-identical to an uninterrupted one. *)
 
@@ -181,75 +181,93 @@ let test_validation_diag () =
      | exception Validation.Invalid { site = "netlist.add"; _ } -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoints                                                        *)
+(* Campaign tapes                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let tmp_ckpt () = Filename.temp_file "hft_ckpt" ".jsonl"
+let tmp_tape () = Filename.temp_file "hft_tape" ".jsonl"
 
-let mk_test ?(detects = [ (3, None, true); (4, Some 1, false) ]) () =
-  {
-    Checkpoint.ck_frames = 2;
-    ck_vectors = [| [| true; false; true |]; [| false; false; true |] |];
-    ck_scan = [| true; true |];
-    ck_detects = detects;
-  }
+let mk_test id =
+  { Hft_obs.Ledger.lt_id = id; lt_frames = 2; lt_rows = Some (2 * id, 2);
+    lt_vectors = [| [| true; false; true |]; [| false; false; true |] |];
+    lt_scan = [| true; true |] }
+
+let mk_row cls rep res =
+  { Hft_obs.Ledger.lr_class = cls; lr_rep = rep; lr_members = [ rep ];
+    lr_resolution = res; lr_fsim_events = 7 * cls; lr_implications = 3;
+    lr_backtracks = cls; lr_guided_cuts = 0 }
+
+let write_tape path ~meta records =
+  let w = Checkpoint.Tape.create ~path ~schema:Hft_obs.Ledger.schema ~meta in
+  List.iter
+    (fun r -> Checkpoint.Tape.emit w (Hft_obs.Ledger.record_to_json r))
+    records;
+  Checkpoint.Tape.close w
+
+let load_tape path =
+  Hft_obs.Ledger.of_jsonl (In_channel.with_open_bin path In_channel.input_all)
 
 let test_checkpoint_roundtrip () =
-  let path = tmp_ckpt () in
+  let path = tmp_tape () in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let meta = [ ("bench", Hft_util.Json.String "x"); ("n", Hft_util.Json.Int 4) ] in
-  let w = Checkpoint.create ~path ~meta in
-  Checkpoint.append_test w (mk_test ());
-  Checkpoint.append_class w ~rep:"n3/SA1"
-    (Hft_obs.Ledger.Podem_detected { test = 0; backtracks = 5; frames = 2 });
-  Checkpoint.append_class w ~rep:"n9/SA0"
-    (Hft_obs.Ledger.Aborted
-       { budget = 80; frames = 2; reason = Some "timeout(podem: 1.10s > 1.00s)" });
-  Checkpoint.append_class w ~rep:"n2/SA0"
-    (Hft_obs.Ledger.Proved_untestable { frames = 2 });
-  Checkpoint.close w;
-  match Checkpoint.load ~path with
+  let rows =
+    [ mk_row 1 "n3/SA1"
+        (Hft_obs.Ledger.Podem_detected
+           { test = 0; backtracks = 5; frames = 2 });
+      mk_row 2 "n9/SA0"
+        (Hft_obs.Ledger.Aborted
+           { budget = 80; frames = 2;
+             reason = Some "timeout(podem: 1.10s > 1.00s)" });
+      mk_row 0 "n2/SA0" (Hft_obs.Ledger.Proved_untestable { frames = 2 }) ]
+  in
+  write_tape path ~meta
+    ((Hft_obs.Ledger.Test (mk_test 0)
+      :: List.map (fun r -> Hft_obs.Ledger.Class r) rows)
+     @ [ Hft_obs.Ledger.End { classes = 3; tests = 1 } ]);
+  match load_tape path with
   | Error msg -> Alcotest.failf "load failed: %s" msg
-  | Ok ck ->
-    check "meta survives" true (ck.Checkpoint.meta = meta);
-    check_int "one test" 1 (List.length ck.Checkpoint.tests);
-    check_int "three classes" 3 (List.length ck.Checkpoint.classes);
-    check "test round-trips" true (List.hd ck.Checkpoint.tests = mk_test ());
-    check "resolutions round-trip" true
-      (List.map (fun c -> c.Checkpoint.ck_resolution) ck.Checkpoint.classes
-       = [ Hft_obs.Ledger.Podem_detected { test = 0; backtracks = 5; frames = 2 };
-           Hft_obs.Ledger.Aborted
-             { budget = 80; frames = 2;
-               reason = Some "timeout(podem: 1.10s > 1.00s)" };
-           Hft_obs.Ledger.Proved_untestable { frames = 2 } ])
+  | Ok t ->
+    check "meta survives" true (t.Hft_obs.Ledger.tp_meta = meta);
+    check "test round-trips, vectors included" true
+      (t.Hft_obs.Ledger.tp_tests = [ mk_test 0 ]);
+    check "rows round-trip in class order, charges included" true
+      (t.Hft_obs.Ledger.tp_rows
+       = List.sort
+           (fun (a : Hft_obs.Ledger.row) b -> compare a.lr_class b.lr_class)
+           rows)
 
 let test_checkpoint_repairs_tail () =
   (* An uncommitted final test transaction — the test line landed but
-     the committing podem_detected class line did not — rolls back,
-     together with any drop lines referencing it. *)
-  let path = tmp_ckpt () in
+     the committing podem_detected row did not — rolls back, together
+     with any drop rows naming it. *)
+  let path = tmp_tape () in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let w = Checkpoint.create ~path ~meta:[] in
-  Checkpoint.append_test w (mk_test ());
-  Checkpoint.append_class w ~rep:"a"
-    (Hft_obs.Ledger.Podem_detected { test = 0; backtracks = 1; frames = 1 });
-  Checkpoint.append_test w (mk_test ~detects:[ (7, None, false) ] ());
-  Checkpoint.append_class w ~rep:"b" (Hft_obs.Ledger.Drop_detected { test = 1 });
-  Checkpoint.close w;
-  (match Checkpoint.load ~path with
+  write_tape path ~meta:[]
+    [ Hft_obs.Ledger.Test (mk_test 0);
+      Hft_obs.Ledger.Class
+        (mk_row 0 "a"
+           (Hft_obs.Ledger.Podem_detected
+              { test = 0; backtracks = 1; frames = 1 }));
+      Hft_obs.Ledger.Test (mk_test 1);
+      Hft_obs.Ledger.Class
+        (mk_row 1 "b" (Hft_obs.Ledger.Drop_detected { test = 1 })) ];
+  (match load_tape path with
    | Error msg -> Alcotest.failf "load failed: %s" msg
-   | Ok ck ->
-     check_int "uncommitted test dropped" 1 (List.length ck.Checkpoint.tests);
-     check "its drop line dropped too" true
-       (List.for_all (fun c -> c.Checkpoint.ck_rep <> "b")
-          ck.Checkpoint.classes));
+   | Ok t ->
+     check "uncommitted test dropped" true
+       (t.Hft_obs.Ledger.tp_tests = [ mk_test 0 ]);
+     check "its drop row dropped too" true
+       (List.for_all
+          (fun (r : Hft_obs.Ledger.row) -> r.lr_rep <> "b")
+          t.Hft_obs.Ledger.tp_rows));
   (* A torn (half-written) final line is likewise tolerated. *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"kind\":\"test\",\"frames\":2,\"vec";
+  output_string oc "{\"test\":2,\"frames\":2,\"vec";
   close_out oc;
-  (match Checkpoint.load ~path with
+  (match load_tape path with
    | Error msg -> Alcotest.failf "torn tail not tolerated: %s" msg
-   | Ok ck -> check_int "torn line ignored" 1 (List.length ck.Checkpoint.tests));
+   | Ok t ->
+     check_int "torn line ignored" 1 (List.length t.Hft_obs.Ledger.tp_tests));
   (* Mid-file damage is corruption, not an interrupted run. *)
   let lines = String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all) in
   let oc = open_out path in
@@ -262,7 +280,7 @@ let test_checkpoint_repairs_tail () =
     lines;
   close_out oc;
   check "mid-file garbage is an error" true
-    (match Checkpoint.load ~path with Error _ -> true | Ok _ -> false)
+    (match load_tape path with Error _ -> true | Ok _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Campaign-level guarantees                                          *)
@@ -272,14 +290,14 @@ let fig1_result () =
   let g = Paper_fig1.graph () in
   Flow.synthesize ~width:4 Flow.Partial_scan g
 
-let run_campaign ?supervisor ?checkpoint ?resume ?jobs r =
+let run_campaign ?supervisor ?tape ?resume ?jobs r =
   Flow.test_campaign ~backtrack_limit:20 ~max_frames:2 ~sample:4 ~seed:7
-    ~n_patterns:32 ?supervisor ?checkpoint ?resume ?jobs r
+    ~n_patterns:32 ?supervisor ?tape ?resume ?jobs r
 
 (* Every outcome a campaign produces: per-fault verdicts, stored
    patterns, the final detected set, the forensics waterfall.  Effort
    counters (decisions/backtracks/implications) are deliberately
-   excluded — a resumed campaign does not redo the work its checkpoint
+   excluded — a resumed campaign does not redo the work its tape
    already recorded, so only outcomes can be compared across runs. *)
 let fingerprint (c : Flow.campaign) =
   let s = c.Flow.c_atpg in
@@ -327,39 +345,175 @@ let test_chaos_never_crashes () =
         (List.fold_left (fun acc (_, (_, fa)) -> acc + fa) 0 wf))
     [ 11; 23; 37 ]
 
+let with_tmp f =
+  let path = tmp_tape () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* One taped campaign on a fresh ledger: its outcomes, what it restored,
+   and its ledger rows. *)
+let taped_run ?jobs ?resume path r =
+  with_obs @@ fun () ->
+  let c = run_campaign ~tape:path ?resume ?jobs r in
+  ( fingerprint c,
+    (c.Flow.c_resumed_classes, c.Flow.c_resumed_tests),
+    Hft_obs.Ledger.rows () )
+
+(* The same campaign killed by chaos at a serialisation boundary. *)
+let killed_run ?jobs ?(arm_after = 4) path r =
+  with_obs @@ fun () ->
+  match
+    Chaos.with_config
+      { Chaos.seed = 5; prob = 1.0; sites = [ Chaos.Serialize ]; arm_after }
+      (fun () -> run_campaign ~tape:path ?jobs r)
+  with
+  | _ -> false
+  | exception Chaos.Injection _ -> true
+
+let loaded path =
+  match load_tape path with
+  | Ok t -> t
+  | Error msg -> Alcotest.failf "tape does not load: %s" msg
+
 let test_checkpoint_resume_bit_identical () =
   (* Kill the campaign at a serialisation boundary via chaos, resume
      chaos-off, and compare against an uninterrupted reference run. *)
   let r = fig1_result () in
-  let reference =
-    with_obs @@ fun () ->
-    let path = tmp_ckpt () in
-    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-    fingerprint (run_campaign ~checkpoint:path r)
-  in
-  let path = tmp_ckpt () in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let killed =
-    with_obs @@ fun () ->
-    match
-      Chaos.with_config
-        { Chaos.seed = 5; prob = 1.0; sites = [ Chaos.Serialize ];
-          arm_after = 4 }
-        (fun () -> run_campaign ~checkpoint:path r)
-    with
-    | _ -> false
-    | exception Chaos.Injection _ -> true
-  in
-  check "chaos killed the campaign mid-run" true killed;
-  let resumed, resumed_counts =
-    with_obs @@ fun () ->
-    let c = run_campaign ~checkpoint:path ~resume:true r in
-    (fingerprint c, (c.Flow.c_resumed_classes, c.Flow.c_resumed_tests))
-  in
-  check "resumed run restored prior work" true
-    (fst resumed_counts > 0 || snd resumed_counts > 0);
+  let reference, _, _ = with_tmp (fun path -> taped_run path r) in
+  with_tmp @@ fun path ->
+  check "chaos killed the campaign mid-run" true (killed_run path r);
+  let resumed, (classes, tests), _ = taped_run ~resume:true path r in
+  check "resumed run restored prior work" true (classes > 0 || tests > 0);
   check "resumed run is bit-identical to the uninterrupted one" true
     (resumed = reference)
+
+let test_resume_restores_charges () =
+  (* A row is taped when its class resolves, charges complete, and
+     resume restores it whole: every row resolved before the kill
+     equals the uninterrupted run's, in the tape and after resume. *)
+  let r = fig1_result () in
+  let _, _, reference = with_tmp (fun path -> taped_run path r) in
+  with_tmp @@ fun path ->
+  ignore (killed_run path r : bool);
+  let killed = (loaded path).Hft_obs.Ledger.tp_rows in
+  check "the kill left resolved rows" true (killed <> []);
+  let _, _, resumed = taped_run ~resume:true path r in
+  List.iter
+    (fun (k : Hft_obs.Ledger.row) ->
+      let expect = List.nth reference k.lr_class in
+      check
+        (Printf.sprintf "class %d: taped row = uninterrupted row" k.lr_class)
+        true (k = expect);
+      check
+        (Printf.sprintf "class %d: restored row = uninterrupted row" k.lr_class)
+        true
+        (List.nth resumed k.lr_class = expect))
+    killed
+
+let test_killed_tape_prefix () =
+  (* Killed inside a test transaction (the drop rows landed, the commit
+     did not), the tape loads its committed prefix: the open test and
+     its drop rows roll back, every remaining test is committed, and the
+     waterfall tallies exactly the remaining rows. *)
+  let r = fig1_result () in
+  let _, _, reference = with_tmp (fun path -> taped_run path r) in
+  with_tmp @@ fun path ->
+  check "chaos killed the campaign" true (killed_run ~arm_after:7 path r);
+  let t = loaded path in
+  let rows = t.Hft_obs.Ledger.tp_rows and tests = t.Hft_obs.Ledger.tp_tests in
+  let raw =
+    List.length
+      (String.split_on_char '\n'
+         (String.trim (In_channel.with_open_bin path In_channel.input_all)))
+  in
+  check "an uncommitted transaction rolled back" true
+    (raw - 1 > List.length rows + List.length tests);
+  let commits id (row : Hft_obs.Ledger.row) =
+    match row.lr_resolution with
+    | Hft_obs.Ledger.Podem_detected { test; _ }
+    | Hft_obs.Ledger.Salvaged { test; _ } -> test = id
+    | _ -> false
+  in
+  check "every test on the loaded tape is committed" true
+    (List.for_all
+       (fun (tt : Hft_obs.Ledger.test) -> List.exists (commits tt.lt_id) rows)
+       tests);
+  check "every row names a test on the loaded tape" true
+    (List.for_all
+       (fun (row : Hft_obs.Ledger.row) ->
+         match Hft_obs.Ledger.resolution_test row.lr_resolution with
+         | Some id -> id < List.length tests
+         | None -> true)
+       rows);
+  check "waterfall tallies the committed rows" true
+    (t.Hft_obs.Ledger.tp_waterfall = Hft_obs.Ledger.waterfall ~rows ());
+  check "fewer classes than the finished run" true
+    (List.length rows < List.length reference)
+
+let test_resume_rewrite_prefixes () =
+  (* Resume rewrites the restored prefix in transaction order, so a
+     kill during that rewrite still leaves a committed prefix: every
+     prefix of the rewritten region resumes bit-identically. *)
+  let r = fig1_result () in
+  let reference, _, _ = with_tmp (fun path -> taped_run path r) in
+  with_tmp @@ fun path ->
+  ignore (killed_run ~arm_after:7 path r : bool);
+  let _, (classes, tests), _ = taped_run ~resume:true path r in
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  check "something was rewritten" true (classes + tests > 0);
+  for k = 1 to 1 + classes + tests do
+    with_tmp @@ fun cut ->
+    Out_channel.with_open_bin cut (fun oc ->
+        List.iteri
+          (fun i l -> if i < k then output_string oc (l ^ "\n"))
+          lines);
+    let resumed, _, _ = taped_run ~resume:true cut r in
+    check (Printf.sprintf "resume from the first %d lines" k) true
+      (resumed = reference)
+  done
+
+let test_resume_rejects_foreign_tapes () =
+  (* hft-ckpt/1 files have no reader, and a tape naming a fault outside
+     the sample cannot rebuild its tests: both are bad input. *)
+  let r = fig1_result () in
+  let rejected path =
+    with_obs @@ fun () ->
+    match run_campaign ~tape:path ~resume:true r with
+    | _ -> false
+    | exception Validation.Invalid _ -> true
+  in
+  with_tmp @@ fun path ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        "{\"schema\":\"hft-ckpt/1\",\"meta\":{}}\n\
+         {\"kind\":\"class\",\"rep\":\"n1/SA0\",\"resolution\":\
+         {\"outcome\":\"untestable\",\"frames\":1}}\n");
+  check "an hft-ckpt/1 file is rejected" true (rejected path);
+  ignore (taped_run path r);
+  let renamed = ref false in
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.map (fun l ->
+           match Hft_util.Json.parse l with
+           | Ok (Hft_util.Json.Obj fields)
+             when (not !renamed) && List.mem_assoc "class" fields
+                  && Hft_util.Json.member_int "test"
+                       (List.assoc "resolution" fields) <> None ->
+             renamed := true;
+             Hft_util.Json.to_string
+               (Hft_util.Json.Obj
+                  (( "members",
+                     Hft_util.Json.List [ Hft_util.Json.String "x/SA0" ] )
+                   :: List.remove_assoc "members" fields))
+           | _ -> l)
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.concat "\n" lines));
+  check "a detecting row was edited" true !renamed;
+  check "an unknown member is rejected" true (rejected path)
 
 let test_checkpoint_resume_parallel_torn () =
   (* The same kill-and-resume contract under the domain pool: chaos
@@ -369,54 +523,32 @@ let test_checkpoint_resume_parallel_torn () =
      to an uninterrupted -j4 run. *)
   let r = fig1_result () in
   let jobs = 4 in
-  let reference =
-    with_obs @@ fun () ->
-    let path = tmp_ckpt () in
-    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-    fingerprint (run_campaign ~checkpoint:path ~jobs r)
-  in
-  let path = tmp_ckpt () in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let killed =
-    with_obs @@ fun () ->
-    match
-      Chaos.with_config
-        { Chaos.seed = 5; prob = 1.0; sites = [ Chaos.Serialize ];
-          arm_after = 4 }
-        (fun () -> run_campaign ~checkpoint:path ~jobs r)
-    with
-    | _ -> false
-    | exception Chaos.Injection _ -> true
-  in
-  check "chaos killed the -j4 campaign mid-run" true killed;
+  let reference, _, _ = with_tmp (fun path -> taped_run ~jobs path r) in
+  with_tmp @@ fun path ->
+  check "chaos killed the -j4 campaign mid-run" true (killed_run ~jobs path r);
   let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"kind\":\"test\",\"frames\":2,\"vec";
+  output_string oc "{\"test\":9,\"frames\":2,\"vec";
   close_out oc;
-  let resumed =
-    with_obs @@ fun () ->
-    fingerprint (run_campaign ~checkpoint:path ~resume:true ~jobs r)
-  in
+  let resumed, _, _ = taped_run ~resume:true ~jobs path r in
   check "-j4 torn-tail resume is bit-identical to uninterrupted -j4" true
     (resumed = reference);
-  (* And the jobs count is not part of the checkpoint identity: the
+  (* And the jobs count is not part of the tape identity: the
      now-complete file resumes sequentially, restoring every class to
      the same outcomes. *)
-  check "completed checkpoint resumes at -j1 to the same outcomes" true
-    ((with_obs @@ fun () ->
-      fingerprint (run_campaign ~checkpoint:path ~resume:true r))
-     = reference)
+  let again, _, _ = taped_run ~resume:true path r in
+  check "completed tape resumes at -j1 to the same outcomes" true
+    (again = reference)
 
 let test_checkpoint_meta_mismatch () =
   let r = fig1_result () in
-  let path = tmp_ckpt () in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  with_tmp @@ fun path ->
   with_obs @@ fun () ->
-  ignore (run_campaign ~checkpoint:path r);
+  ignore (run_campaign ~tape:path r);
   Hft_obs.reset ();
   check "fingerprint mismatch rejects the resume" true
     (match
        Flow.test_campaign ~backtrack_limit:21 ~max_frames:2 ~sample:4 ~seed:7
-         ~n_patterns:32 ~checkpoint:path ~resume:true r
+         ~n_patterns:32 ~tape:path ~resume:true r
      with
      | _ -> false
      | exception Validation.Invalid _ -> true)
@@ -452,6 +584,14 @@ let () =
             test_chaos_never_crashes;
           Alcotest.test_case "kill + resume bit-identical" `Quick
             test_checkpoint_resume_bit_identical;
+          Alcotest.test_case "kill + resume restores charges" `Quick
+            test_resume_restores_charges;
+          Alcotest.test_case "killed tape loads its committed prefix" `Quick
+            test_killed_tape_prefix;
+          Alcotest.test_case "resume rewrite keeps committed prefixes" `Quick
+            test_resume_rewrite_prefixes;
+          Alcotest.test_case "resume rejects foreign tapes" `Quick
+            test_resume_rejects_foreign_tapes;
           Alcotest.test_case "-j4 kill + torn tail + resume" `Quick
             test_checkpoint_resume_parallel_torn;
           Alcotest.test_case "resume fingerprint mismatch" `Quick
