@@ -621,17 +621,9 @@ let e16_rtl_scan () =
         let s = Hft_rtl.Sgraph.of_datapath r.Flow.datapath in
         let gate_sel = Hft_scan.Partial_scan.select_gate_level nl in
         let rtl_regs = Hft_rtl.Sgraph.scan_selection s in
-        let rtl_sel =
-          List.concat_map
-            (fun reg -> Array.to_list ex.Hft_gate.Expand.reg_q.(reg))
-            rtl_regs
-        in
+        let rtl_sel = Hft_gate.Expand.reg_flops ex rtl_regs in
         let range_regs = Hft_rtl.Testability.scan_for_hard_nodes ~threshold:2 s in
-        let range_sel =
-          List.concat_map
-            (fun reg -> Array.to_list ex.Hft_gate.Expand.reg_q.(reg))
-            range_regs
-        in
+        let range_sel = Hft_gate.Expand.reg_flops ex range_regs in
         let rng = Hft_util.Rng.create 33 in
         let faults =
           Hft_gate.Fault.collapsed nl

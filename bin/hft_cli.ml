@@ -53,9 +53,9 @@ let bench_arg =
   Arg.(required & opt (some string) None
        & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
 
-(* Widths and fault samples below 1 are bad input: rejected while the
-   arguments are read, before any work, with exit 2 and an invalid-input
-   object. *)
+(* Widths, fault samples, pattern and domain counts below 1 are bad
+   input: rejected while the arguments are read, before any work, with
+   exit 2 and an invalid-input object. *)
 let at_least_one flag arg =
   let check n =
     if n < 1 then
@@ -242,6 +242,12 @@ let flow_arg =
        & info [ "f"; "flow" ] ~docv:"FLOW"
            ~doc:"Synthesis flow: conventional, partial-scan or bist.")
 
+let no_guided_arg =
+  Arg.(value & flag
+       & info [ "no-guided" ]
+           ~doc:"Disable static-analysis ATPG guidance (restores the \
+                 historical search bit for bit).")
+
 let synth_cmd =
   let run bench flow width dot obs =
     with_obs ~cmd:"synth" obs @@ fun () ->
@@ -289,12 +295,6 @@ let atpg_cmd =
       Arg.(value & opt int 25
            & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
   in
-  let no_guided_arg =
-    Arg.(value & flag
-         & info [ "no-guided" ]
-             ~doc:"Disable static-analysis ATPG guidance (restores the \
-                   historical search bit for bit).")
-  in
   let jobs_arg =
     Arg.(value & opt int 0
          & info [ "j"; "jobs" ] ~docv:"N"
@@ -306,23 +306,13 @@ let atpg_cmd =
     let jobs = if jobs > 0 then jobs else Hft_par.jobs_from_env () in
     with_obs ~cmd:"atpg" obs @@ fun () ->
     let g = bench_graph ~extra:(fig1_extra ()) bench in
-    let rng = Hft_util.Rng.create 2024 in
     let conv = Flow.synthesize_conventional ~width g in
     let scan = Flow.synthesize_for_partial_scan ~width g in
-    let atpg tag (r : Flow.result) =
-      let ex = Hft_gate.Expand.of_datapath r.Flow.datapath in
-      let nl = ex.Hft_gate.Expand.netlist in
-      let faults =
-        Hft_gate.Fault.collapsed nl
-        |> List.filter (fun _ -> Hft_util.Rng.int rng sample = 0)
-      in
-      let scanned =
-        Array.to_list r.Flow.datapath.Hft_rtl.Datapath.regs
-        |> List.concat_map (fun reg ->
-               if reg.Hft_rtl.Datapath.r_kind = Hft_rtl.Datapath.Scan then
-                 Array.to_list ex.Hft_gate.Expand.reg_q.(reg.Hft_rtl.Datapath.r_id)
-               else [])
-      in
+    (* One rng for both legs: the partial-scan sample continues the
+       no-DFT draw. *)
+    let rng = Hft_util.Rng.create 2024 in
+    let atpg tag r =
+      let nl, faults, scanned = Flow.expand_and_sample ~rng ~sample r in
       let guidance =
         if no_guided then None else Some Hft_analysis.Guidance.provide
       in
@@ -347,8 +337,10 @@ let atpg_cmd =
 
 let bist_cmd =
   let patterns_arg =
-    Arg.(value & opt int 1024
-         & info [ "patterns" ] ~docv:"N" ~doc:"Pseudorandom patterns per block.")
+    at_least_one "--patterns"
+      Arg.(value & opt int 1024
+           & info [ "patterns" ] ~docv:"N"
+               ~doc:"Pseudorandom patterns per block.")
   in
   let run bench width patterns obs =
     with_obs ~cmd:"bist" obs @@ fun () ->
@@ -469,188 +461,6 @@ let bench_cmd =
            & info [ "w"; "width" ] ~docv:"BITS"
                ~doc:"Data-path width (4 keeps the gate-level legs fast).")
   in
-  let measure_cell ~width ~sample ~naive ~jobs_list bench_name flow_kind g =
-    (* Fresh registry/trace per cell so counters are attributable to
-       one (bench, flow) pair.  (The progress stream, if any, spans the
-       whole matrix: reset leaves it running.) *)
-    Hft_obs.reset ();
-    let flow_name = Flow.flow_kind_to_string flow_kind in
-    let now = Unix.gettimeofday in
-    let t0 = now () in
-    let r = Flow.synthesize ~width flow_kind g in
-    let t_synth = now () -. t0 in
-    (* Gate-level legs: a sampled sequential-ATPG run (PODEM effort)
-       and a coverage fault-simulation run (event throughput), shared
-       with the library as [Flow.test_campaign].  The primary run is
-       unguided, so every legacy field stays comparable (bit-identical
-       engine counters) across the guidance change; a second, guided
-       run fills the "guided" sub-object. *)
-    let strategy = if naive then Flow.Naive else Flow.Fast in
-    let c =
-      Flow.test_campaign ~strategy ~backtrack_limit:20 ~max_frames:2 ~sample
-        ~seed:2024 ~n_patterns:64 ~guided:false
-        ~campaign:(bench_name ^ "/" ^ flow_name ^ "/unguided") r
-    in
-    let faults = c.Flow.c_faults in
-    let stats = c.Flow.c_atpg and fr = c.Flow.c_fsim in
-    let t_atpg = c.Flow.c_t_atpg and t_fsim = c.Flow.c_t_fsim in
-    let snapshot = Hft_obs.Registry.snapshot () in
-    let unguided_outcomes = Hft_obs.Ledger.outcomes () in
-    let unguided_waterfall = Hft_obs.Ledger.waterfall_json () in
-    let unguided_backtracks = Hft_obs.Registry.count "hft.podem.backtracks" in
-    let unguided_fsim_events = Hft_obs.Registry.count "hft.fsim.events" in
-    (* Guided re-run (fast strategy only: naive ignores guidance). *)
-    let guided_cell =
-      if naive then []
-      else begin
-        Hft_obs.reset ();
-        let cg =
-          Flow.test_campaign ~strategy ~backtrack_limit:20 ~max_frames:2
-            ~sample ~seed:2024 ~n_patterns:64 ~guided:true
-            ~campaign:(bench_name ^ "/" ^ flow_name ^ "/guided") r
-        in
-        let guided_outcomes = Hft_obs.Ledger.outcomes () in
-        let flips = ref 0 in
-        Hashtbl.iter
-          (fun f k1 ->
-            match Hashtbl.find_opt guided_outcomes f with
-            | Some k2 when Hft_obs.Ledger.contradicts k1 k2 -> incr flips
-            | _ -> ())
-          unguided_outcomes;
-        [ ("guided",
-           Hft_util.Json.Obj
-             [ ("wall_ms_atpg",
-                Hft_util.Json.Float
-                  (Float.round (1e5 *. cg.Flow.c_t_atpg) /. 100.0));
-               ("podem_backtracks",
-                Hft_util.Json.Int
-                  (Hft_obs.Registry.count "hft.podem.backtracks"));
-               ("atpg_coverage",
-                Hft_util.Json.Float
-                  (Hft_gate.Seq_atpg.fault_coverage cg.Flow.c_atpg));
-               ("fsim_coverage",
-                Hft_util.Json.Float (Hft_gate.Fsim.coverage cg.Flow.c_fsim));
-               ("static_untestable",
-                Hft_util.Json.Int
-                  (Hft_obs.Registry.count "hft.podem.static_untestable"));
-               ("guided_cuts",
-                Hft_util.Json.Int
-                  (Hft_obs.Registry.count "hft.podem.guided_cuts"));
-               ("verdict_flips", Hft_util.Json.Int !flips);
-               ("waterfall", Hft_obs.Ledger.waterfall_json ()) ]) ]
-      end
-    in
-    let ms x = Float.round (1e5 *. x) /. 100.0 in
-    (* Jobs matrix: the unguided leg re-run at each requested domain
-       count.  Everything but the wall time must match the sequential
-       cell bit for bit (bench_check.py gates on it); speedup is the
-       j=1 matrix leg over the largest count, only meaningful when the
-       host actually has that many cores. *)
-    let jobs_cell =
-      if jobs_list = [] then []
-      else begin
-        let legs =
-          List.map
-            (fun j ->
-              Hft_obs.reset ();
-              let cj =
-                Flow.test_campaign ~strategy ~backtrack_limit:20 ~max_frames:2
-                  ~sample ~seed:2024 ~n_patterns:64 ~guided:false ~jobs:j
-                  ~campaign:
-                    (Printf.sprintf "%s/%s/unguided-j%d" bench_name flow_name j)
-                  r
-              in
-              let obj =
-                Hft_util.Json.Obj
-                  [ ("jobs", Hft_util.Json.Int j);
-                    ("wall_ms_atpg", Hft_util.Json.Float (ms cj.Flow.c_t_atpg));
-                    ("faults",
-                     Hft_util.Json.Int (List.length cj.Flow.c_faults));
-                    ("podem_backtracks",
-                     Hft_util.Json.Int
-                       (Hft_obs.Registry.count "hft.podem.backtracks"));
-                    ("fsim_events",
-                     Hft_util.Json.Int
-                       (Hft_obs.Registry.count "hft.fsim.events"));
-                    ("atpg_coverage",
-                     Hft_util.Json.Float
-                       (Hft_gate.Seq_atpg.fault_coverage cj.Flow.c_atpg));
-                    ("fsim_coverage",
-                     Hft_util.Json.Float (Hft_gate.Fsim.coverage cj.Flow.c_fsim));
-                    ("waterfall", Hft_obs.Ledger.waterfall_json ());
-                    (* Scheduler telemetry for this leg; jobs-dependent
-                       by nature, so bench_check compares everything
-                       else bit for bit and gates this one on its
-                       conservation laws instead. *)
-                    ("parallel", Hft_par.Stats.to_json cj.Flow.c_par) ]
-              in
-              (j, cj.Flow.c_t_atpg, obj))
-            jobs_list
-        in
-        let wall j0 =
-          List.find_map (fun (j, w, _) -> if j = j0 then Some w else None) legs
-        in
-        let jmax = List.fold_left max 1 jobs_list in
-        let speedup =
-          match (wall 1, wall jmax) with
-          | Some w1, Some wn when jmax > 1 && wn > 0.0 ->
-            [ ("speedup",
-               Hft_util.Json.Float (Float.round (100.0 *. w1 /. wn) /. 100.0))
-            ]
-          | _ -> []
-        in
-        ("jobs_matrix",
-         Hft_util.Json.List (List.map (fun (_, _, o) -> o) legs))
-        :: speedup
-      end
-    in
-    let cell =
-      Hft_util.Json.Obj
-        ([ ("bench", Hft_util.Json.String bench_name);
-          ("flow", Hft_util.Json.String flow_name);
-          ("wall_ms",
-           Hft_util.Json.Obj
-             [ ("synth", Hft_util.Json.Float (ms t_synth));
-               ("atpg", Hft_util.Json.Float (ms t_atpg));
-               ("fsim", Hft_util.Json.Float (ms t_fsim));
-               ("total", Hft_util.Json.Float (ms (t_synth +. t_atpg +. t_fsim)))
-             ]);
-          ("faults", Hft_util.Json.Int (List.length faults));
-          ("podem_backtracks", Hft_util.Json.Int unguided_backtracks);
-          ("fsim_events", Hft_util.Json.Int unguided_fsim_events);
-          ("atpg_coverage",
-           Hft_util.Json.Float (Hft_gate.Seq_atpg.fault_coverage stats));
-          ("fsim_coverage", Hft_util.Json.Float (Hft_gate.Fsim.coverage fr));
-          ("patterns_stored", Hft_util.Json.Int c.Flow.c_patterns_stored);
-          ("waterfall", unguided_waterfall);
-          ("strategy",
-           Hft_util.Json.String (if naive then "naive" else "fast"));
-          ("report",
-           Hft_util.Json.Obj
-             [ ("regs", Hft_util.Json.Int r.Flow.report.Flow.n_registers);
-               ("scan_regs",
-                Hft_util.Json.Int r.Flow.report.Flow.n_scan_registers);
-               ("test_regs",
-                Hft_util.Json.Int r.Flow.report.Flow.n_test_registers);
-               ("loops", Hft_util.Json.Int r.Flow.report.Flow.datapath_loops);
-               ("area_overhead",
-                Hft_util.Json.Float r.Flow.report.Flow.area_overhead);
-               ("sessions", Hft_util.Json.Int r.Flow.report.Flow.test_sessions)
-             ]);
-          ("counters", Hft_obs.Export.metrics_json ~snapshot ());
-          ("parallel", Hft_par.Stats.to_json c.Flow.c_par) ]
-         @ guided_cell @ jobs_cell)
-    in
-    let row =
-      [ bench_name; flow_name;
-        Printf.sprintf "%.2f" (1e3 *. t_synth);
-        Printf.sprintf "%.2f" (1e3 *. t_atpg);
-        Printf.sprintf "%.2f" (1e3 *. t_fsim);
-        string_of_int unguided_backtracks;
-        string_of_int unguided_fsim_events ]
-    in
-    (cell, row)
-  in
   let naive_arg =
     Arg.(value & flag
          & info [ "naive" ]
@@ -659,66 +469,40 @@ let bench_cmd =
                    random patterns) — for before/after comparison.")
   in
   let jobs_list_arg =
-    Arg.(value & opt string ""
-         & info [ "jobs" ] ~docv:"LIST"
-             ~doc:"Comma-separated domain counts (e.g. 1,2,4): re-run each \
-                   unguided ATPG leg at every count and record a per-cell \
-                   jobs_matrix (wall time, counters, waterfall — everything \
-                   but wall time must match the sequential cell) plus a \
-                   speedup field.")
+    let parse list =
+      if list = "" then []
+      else
+        List.map
+          (fun s ->
+            match int_of_string_opt (String.trim s) with
+            | Some j when j >= 1 -> Hft_par.clamp_jobs j
+            | _ ->
+              Hft_robust.Validation.fail ~site:"--jobs"
+                ~hint:"pass domain counts of 1 or more, e.g. 1,2,4"
+                (Printf.sprintf "--jobs entry '%s' is not a count of 1 or more"
+                   s))
+          (String.split_on_char ',' list)
+    in
+    Term.(const parse
+          $ Arg.(value & opt string ""
+                 & info [ "jobs" ] ~docv:"LIST"
+                     ~doc:"Comma-separated domain counts (e.g. 1,2,4): re-run \
+                           each unguided ATPG leg at every count and record a \
+                           per-cell jobs_matrix (wall time, counters, \
+                           waterfall — everything but wall time must match \
+                           the sequential cell) plus a speedup field."))
   in
   let run quick json out width naive jobs obs =
     with_obs ~cmd:"bench" ~outputs:[ ("--out", Some out) ] obs @@ fun () ->
-    Hft_obs.enabled := true;
-    let jobs_list =
-      if jobs = "" then []
-      else
-        List.filter_map
-          (fun s ->
-            match int_of_string_opt (String.trim s) with
-            | Some j when j >= 1 -> Some (Hft_par.clamp_jobs j)
-            | _ -> None)
-          (String.split_on_char ',' jobs)
-    in
-    let benches =
-      if quick then [ "tseng"; "diffeq" ] else bench_names
-    in
-    let sample = if quick then 40 else 20 in
-    let cells_rows =
-      List.concat_map
-        (fun bname ->
-          let g = bench_graph bname in
-          List.map
-            (fun (_, kind) ->
-              measure_cell ~width ~sample ~naive ~jobs_list bname kind g)
-            Flow.flow_kinds)
-        benches
-    in
-    let cells = List.map fst cells_rows and rows = List.map snd cells_rows in
-    let doc =
-      Hft_util.Json.Obj
-        [ ("schema", Hft_util.Json.String "hft-bench/1");
-          ("created_unix", Hft_util.Json.Float (Unix.time ()));
-          ("width", Hft_util.Json.Int width);
-          ("quick", Hft_util.Json.Bool quick);
-          ("host_cores",
-           Hft_util.Json.Int (Domain.recommended_domain_count ()));
-          ("results", Hft_util.Json.List cells) ]
-    in
+    let doc, rows = Bench_matrix.run ~quick ~width ~naive ~jobs in
     let text = Hft_util.Json.to_string doc in
     let oc = open_out out in
     output_string oc text;
     output_char oc '\n';
     close_out oc;
     if json then print_endline text
-    else
-      Hft_obs.Table.emit
-        ~header:
-          [ "bench"; "flow"; "synth ms"; "atpg ms"; "fsim ms";
-            "podem btk"; "fsim events" ]
-        rows;
-    Printf.eprintf "hft bench: wrote %s (%d cells)\n%!" out
-      (List.length cells)
+    else Hft_obs.Table.emit ~header:Bench_matrix.header rows;
+    Printf.eprintf "hft bench: wrote %s (%d cells)\n%!" out (List.length rows)
   in
   Cmd.v
     (Cmd.info "bench"
@@ -744,33 +528,31 @@ let load_tape file =
      | Ok tape -> tape
      | Error msg -> fail (file ^ ": " ^ msg))
 
-(* The live campaign report and profile both run (fixed knobs, so their
-   tables compare across commits), and the arguments selecting it.
-   [tape] is the campaign tape (--ledger-out), [resume] continues it. *)
-let forensics_campaign ~cmd ?(outputs = []) ?guided ?jobs ~tape ~resume bench
-    flow width sample obs k =
-  if resume && tape = None then
-    Hft_robust.Validation.fail ~site:"--resume"
-      ~hint:"pass --ledger-out FILE, the tape to resume from"
-      "--resume needs the campaign tape";
-  match bench with
+(* The source report and profile render: the tape named by --journal-in
+   when given (no campaign runs), else a live campaign of [bench] at the
+   fixed forensics knobs, under the observability sink.  [tape] is the
+   campaign tape (--ledger-out), [resume] continues it. *)
+let forensics_source ~cmd ?(outputs = []) ?guided ?jobs ~journal_in ~tape
+    ~resume bench flow width sample obs k =
+  match journal_in with
+  | Some file -> k (Forensics.Tape (file, load_tape file))
   | None ->
-    Hft_robust.Validation.fail ~site:"--bench"
-      ~hint:
-        ("pass --journal-in FILE, or a bench: "
-        ^ String.concat ", " (bench_names @ List.map fst (fig1_extra ())))
-      "--bench is required without --journal-in"
-  | Some bench ->
-    with_obs ~cmd ~outputs:(("--ledger-out", tape) :: outputs) obs
-    @@ fun () ->
-    Hft_obs.enabled := true;
-    Hft_obs.reset ();
-    let g = bench_graph ~extra:(fig1_extra ()) bench in
-    let r = Flow.synthesize ~width flow g in
-    k bench
-      (Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
-         ~n_patterns:64 ?guided ?jobs ?tape ~resume
-         ~campaign:(bench ^ "/" ^ Flow.flow_kind_to_string flow) r)
+    if resume && tape = None then
+      Hft_robust.Validation.fail ~site:"--resume"
+        ~hint:"pass --ledger-out FILE, the tape to resume from"
+        "--resume needs the campaign tape";
+    (match bench with
+     | None ->
+       Hft_robust.Validation.fail ~site:"--bench"
+         ~hint:
+           ("pass --journal-in FILE, or a bench: "
+           ^ String.concat ", " (bench_names @ List.map fst (fig1_extra ())))
+         "--bench is required without --journal-in"
+     | Some bench ->
+       with_obs ~cmd ~outputs:(("--ledger-out", tape) :: outputs) obs
+       @@ fun () ->
+       let g = bench_graph ~extra:(fig1_extra ()) bench in
+       k (Forensics.run ?guided ?jobs ?tape ~resume ~bench ~width ~sample flow g))
 
 let forensics_bench_arg =
   let doc =
@@ -813,12 +595,6 @@ let report_cmd =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the report as machine-readable JSON.")
   in
-  let no_guided_arg =
-    Arg.(value & flag
-         & info [ "no-guided" ]
-             ~doc:"Disable static-analysis ATPG guidance (restores the \
-                   historical search bit for bit).")
-  in
   let journal_in_arg =
     Arg.(value & opt (some string) None
          & info [ "journal-in" ] ~docv:"FILE"
@@ -829,124 +605,11 @@ let report_cmd =
                    committed; a --journal-out tape yields the waterfall of \
                    whatever the bounded event ring still held at export.")
   in
-  (* One waterfall table for live and offline reports: the sampled
-     universe when a campaign ran, the collapsed totals, the outcomes. *)
-  let print_waterfall ?sampled waterfall =
-    let classes, faults = Hft_obs.Ledger.totals waterfall in
-    let row stage (c, f) = [ stage; string_of_int c; string_of_int f ] in
-    Hft_util.Pretty.print ~header:[ "stage"; "classes"; "faults" ]
-      ((match sampled with
-        | Some n -> [ [ "total (sampled)"; "-"; string_of_int n ] ]
-        | None -> [])
-       @ row "collapsed" (classes, faults)
-         :: List.map (fun (k, cf) -> row k cf) waterfall)
-  in
-  (* Offline mode: no engines run, the report is rendered from the tape
-     alone — so a forensics report survives the run that made it. *)
-  let run_offline file top json =
-    let tape = load_tape file in
-    let waterfall = tape.Hft_obs.Ledger.tp_waterfall in
-    let tests = List.length tape.Hft_obs.Ledger.tp_tests in
-    let expensive =
-      Hft_obs.Ledger.top_expensive ~rows:tape.Hft_obs.Ledger.tp_rows ~k:top ()
-    in
-    if json then
-      let classes, faults = Hft_obs.Ledger.totals waterfall in
-      print_endline
-        (Hft_util.Json.to_string
-           (Hft_util.Json.Obj
-              [ ("schema", Hft_util.Json.String "hft-report/1");
-                ("source", Hft_util.Json.String tape.Hft_obs.Ledger.tp_source);
-                ("file", Hft_util.Json.String file);
-                ("classes", Hft_util.Json.Int classes);
-                ("faults", Hft_util.Json.Int faults);
-                ("waterfall", Hft_obs.Ledger.waterfall_json ~waterfall ());
-                ("tests", Hft_util.Json.Int tests);
-                ("expensive", Hft_obs.Ledger.expensive_json expensive) ]))
-    else begin
-      Printf.printf "coverage waterfall (offline, %s tape %s):\n"
-        tape.Hft_obs.Ledger.tp_source file;
-      print_waterfall waterfall;
-      Printf.printf "%d tests on tape\n" tests;
-      print_string (Hft_obs.Ledger.expensive_table expensive)
-    end
-  in
   let run bench flow width sample top json no_guided journal_in tape resume
       obs =
-    match journal_in with
-    | Some file -> run_offline file top json
-    | None ->
-    forensics_campaign ~cmd:"report" ~guided:(not no_guided) ~tape ~resume
-      bench flow width sample obs
-    @@ fun bench c ->
-    let flow_name = Flow.flow_kind_to_string flow in
-    let n_faults = List.length c.Flow.c_faults in
-    let expensive = Hft_obs.Ledger.top_expensive ~k:top () in
-    (* Printed only on resume, so other output stays as it was. *)
-    let resumed =
-      if resume then
-        [ ("resumed_classes", Hft_util.Json.Int c.Flow.c_resumed_classes);
-          ("resumed_tests", Hft_util.Json.Int c.Flow.c_resumed_tests) ]
-      else []
-    in
-    if json then
-      print_endline
-        (Hft_util.Json.to_string
-           (Hft_util.Json.Obj
-              ([ ("schema", Hft_util.Json.String "hft-report/1");
-                 ("bench", Hft_util.Json.String bench);
-                 ("flow", Hft_util.Json.String flow_name);
-                 ("faults", Hft_util.Json.Int n_faults);
-                 ("waterfall", Hft_obs.Ledger.waterfall_json ());
-                 ("coverage",
-                  Hft_util.Json.Obj
-                    [ ("atpg",
-                       Hft_util.Json.Float
-                         (Hft_gate.Seq_atpg.fault_coverage c.Flow.c_atpg));
-                      ("fsim",
-                       Hft_util.Json.Float
-                         (Hft_gate.Fsim.coverage c.Flow.c_fsim)) ]);
-                 ("tests", Hft_util.Json.Int (Hft_obs.Ledger.n_tests ()));
-                 ("patterns_stored",
-                  Hft_util.Json.Int c.Flow.c_patterns_stored) ]
-              @ resumed
-              @ [ ("guided", Hft_util.Json.Bool (not no_guided));
-                  ("guidance",
-                   Hft_util.Json.Obj
-                     [ ("static_untestable",
-                        Hft_util.Json.Int
-                          (Hft_obs.Registry.count
-                             "hft.podem.static_untestable"));
-                       ("guided_cuts",
-                        Hft_util.Json.Int
-                          (Hft_obs.Registry.count "hft.podem.guided_cuts"));
-                       ("guided_decisions",
-                        Hft_util.Json.Int
-                          (Hft_obs.Registry.count
-                             "hft.podem.guided_decisions")) ]);
-                  ("expensive", Hft_obs.Ledger.expensive_json expensive) ])))
-    else begin
-      Printf.printf "coverage waterfall (%s, %s):\n" bench flow_name;
-      print_waterfall ~sampled:n_faults (Hft_obs.Ledger.waterfall ());
-      Printf.printf
-        "%d tests generated, %d pattern rows stored; coverage: atpg %s, \
-         fsim %s\n"
-        (Hft_obs.Ledger.n_tests ())
-        c.Flow.c_patterns_stored
-        (Hft_util.Pretty.pct (Hft_gate.Seq_atpg.fault_coverage c.Flow.c_atpg))
-        (Hft_util.Pretty.pct (Hft_gate.Fsim.coverage c.Flow.c_fsim));
-      if resume then
-        Printf.printf "resumed: %d classes, %d tests restored from %s\n"
-          c.Flow.c_resumed_classes c.Flow.c_resumed_tests (Option.get tape);
-      if not no_guided then
-        Printf.printf
-          "guidance: %d class(es) proven untestable statically, %d guided \
-           cut(s), %d guided decision(s)\n"
-          (Hft_obs.Registry.count "hft.podem.static_untestable")
-          (Hft_obs.Registry.count "hft.podem.guided_cuts")
-          (Hft_obs.Registry.count "hft.podem.guided_decisions");
-      print_string (Hft_obs.Ledger.expensive_table expensive)
-    end
+    forensics_source ~cmd:"report" ~guided:(not no_guided) ~journal_in ~tape
+      ~resume bench flow width sample obs
+    @@ fun src -> print_string (Forensics.report ~json ~top src)
   in
   Cmd.v
     (Cmd.info "report"
@@ -993,157 +656,19 @@ let profile_cmd =
                    (--journal-out phase events, or --ledger-out per-class \
                    charged costs) instead of running a campaign.")
   in
-  let self_json self =
-    Hft_util.Json.List
-      (List.map
-         (fun (name, s) ->
-           Hft_util.Json.Obj
-             [ ("name", Hft_util.Json.String name);
-               ("self_ms",
-                Hft_util.Json.Float (Float.round (1e5 *. s) /. 100.0)) ])
-         self)
-  in
-  let print_workers (par : Hft_par.Stats.t) =
-    let ms ns = Printf.sprintf "%.2f" (float_of_int ns /. 1e6) in
-    Printf.printf
-      "\nscheduler: jobs %d · waves %d · tasks %d · steals %d · spec \
-       hit/miss %d/%d · inline %d · occupancy %s · utilization %s\n"
-      par.Hft_par.Stats.s_jobs par.Hft_par.Stats.s_waves
-      par.Hft_par.Stats.s_tasks
-      (Hft_par.Stats.steals par)
-      (Hft_par.Stats.spec_hits par)
-      (Hft_par.Stats.spec_misses par)
-      (Hft_par.Stats.inline par)
-      (Hft_util.Pretty.pct (Hft_par.Stats.occupancy par))
-      (Hft_util.Pretty.pct (Hft_par.Stats.utilization par));
-    Hft_util.Pretty.print
-      ~header:
-        [ "worker"; "eval"; "classes"; "steals"; "stolen"; "hits"; "miss";
-          "busy ms"; "idle ms"; "stall ms" ]
-      (Array.to_list
-         (Array.map
-            (fun (w : Hft_par.Stats.worker) ->
-              [ (if w.Hft_par.Stats.w_domain = 0 then "orchestrator"
-                 else Printf.sprintf "worker-%d" w.Hft_par.Stats.w_domain);
-                string_of_int w.Hft_par.Stats.w_evaluated;
-                string_of_int w.Hft_par.Stats.w_classes;
-                string_of_int w.Hft_par.Stats.w_steals;
-                string_of_int w.Hft_par.Stats.w_stolen;
-                string_of_int w.Hft_par.Stats.w_spec_hits;
-                string_of_int w.Hft_par.Stats.w_spec_misses;
-                ms w.Hft_par.Stats.w_busy_ns;
-                ms w.Hft_par.Stats.w_idle_ns;
-                ms w.Hft_par.Stats.w_stall_ns ])
-            par.Hft_par.Stats.s_workers))
-  in
-  (* Offline: phase self time comes from the journal's phase_end events
-     (they carry elapsed seconds), the scheduler summary from the
-     Shard_stats event, and per-class costs from ledger-tape rows — so
-     the profile of a finished run needs only its tapes. *)
-  let run_offline file top json =
-    let tape = load_tape file in
-    let events = tape.Hft_obs.Ledger.tp_events in
-    let str = Hft_util.Json.member_str and num = Hft_util.Json.member_float in
-    (* Σ elapsed (ms) per phase name, tape order first-seen. *)
-    let phases : (string * float) list =
-      List.fold_left
-        (fun acc d ->
-          match (str "type" d, str "name" d, num "elapsed_ms" d) with
-          | (Some "phase_end", Some name, Some e) ->
-            (match List.assoc_opt name acc with
-             | Some _ ->
-               List.map
-                 (fun (n, t) -> if n = name then (n, t +. e) else (n, t))
-                 acc
-             | None -> acc @ [ (name, e) ])
-          | _ -> acc)
-        [] events
-    in
-    let shard =
-      List.find_opt (fun d -> str "type" d = Some "shard_stats") events
-    in
-    let expensive =
-      Hft_obs.Ledger.top_expensive ~rows:tape.Hft_obs.Ledger.tp_rows ~k:top ()
-    in
-    if json then
-      print_endline
-        (Hft_util.Json.to_string
-           (Hft_util.Json.Obj
-              [ ("schema", Hft_util.Json.String "hft-profile/1");
-                ("file", Hft_util.Json.String file);
-                ("phases",
-                 Hft_util.Json.List
-                   (List.map
-                      (fun (n, t) ->
-                        Hft_util.Json.Obj
-                          [ ("name", Hft_util.Json.String n);
-                            ("elapsed_ms", Hft_util.Json.Float t) ])
-                      phases));
-                ("parallel",
-                 match shard with Some d -> d | None -> Hft_util.Json.Null);
-                ("expensive", Hft_obs.Ledger.expensive_json expensive) ]))
-    else begin
-      Printf.printf "profile (offline tape %s):\n" file;
-      if phases <> [] then
-        Hft_util.Pretty.print ~header:[ "phase"; "elapsed ms" ]
-          (List.map
-             (fun (n, t) -> [ n; Printf.sprintf "%.2f" t ])
-             phases)
-      else Printf.printf "(no phase events on tape)\n";
-      (match shard with
-       | Some d ->
-         Printf.printf
-           "scheduler: jobs %.0f · tasks %.0f · steals %.0f · spec hit/miss \
-            %.0f/%.0f · utilization %.1f%%\n"
-           (Option.value ~default:1.0 (num "jobs" d))
-           (Option.value ~default:0.0 (num "tasks" d))
-           (Option.value ~default:0.0 (num "steals" d))
-           (Option.value ~default:0.0 (num "spec_hits" d))
-           (Option.value ~default:0.0 (num "spec_misses" d))
-           (100.0 *. Option.value ~default:0.0 (num "utilization" d))
-       | None -> ());
-      print_string (Hft_obs.Ledger.expensive_table expensive)
-    end
-  in
   let run bench flow width sample top jobs folded_out json journal_in tape
       resume obs =
-    match journal_in with
-    | Some file -> run_offline file top json
-    | None ->
-    forensics_campaign ~cmd:"profile" ~outputs:[ ("--folded-out", folded_out) ]
-      ~jobs ~tape ~resume bench flow width sample obs
-    @@ fun bench c ->
-    let self = Hft_obs.Export.self_times () in
-    let expensive = Hft_obs.Ledger.top_expensive ~k:top () in
-    (match folded_out with
-     | Some file ->
+    forensics_source ~cmd:"profile" ~outputs:[ ("--folded-out", folded_out) ]
+      ~jobs ~journal_in ~tape ~resume bench flow width sample obs
+    @@ fun src ->
+    (match (src, folded_out) with
+     | Forensics.Live _, Some file ->
        let oc = open_out file in
        output_string oc (Hft_obs.Export.folded_stacks ());
        close_out oc;
        Printf.eprintf "hft profile: wrote folded stacks %s\n%!" file
-     | None -> ());
-    if json then
-      print_endline
-        (Hft_util.Json.to_string
-           (Hft_util.Json.Obj
-              [ ("schema", Hft_util.Json.String "hft-profile/1");
-                ("bench", Hft_util.Json.String bench);
-                ("flow",
-                 Hft_util.Json.String (Flow.flow_kind_to_string flow));
-                ("jobs", Hft_util.Json.Int jobs);
-                ("self", self_json self);
-                ("parallel", Hft_par.Stats.to_json c.Flow.c_par);
-                ("expensive", Hft_obs.Ledger.expensive_json expensive) ]))
-    else begin
-      Printf.printf "self-time attribution (%s, %s, jobs %d):\n" bench
-        (Flow.flow_kind_to_string flow) jobs;
-      Hft_util.Pretty.print ~header:[ "span"; "self ms" ]
-        (List.map
-           (fun (name, s) -> [ name; Printf.sprintf "%.2f" (1e3 *. s) ])
-           self);
-      print_workers c.Flow.c_par;
-      print_string (Hft_obs.Ledger.expensive_table expensive)
-    end
+     | _ -> ());
+    print_string (Forensics.profile ~json ~top src)
   in
   Cmd.v
     (Cmd.info "profile"

@@ -39,16 +39,11 @@ let () =
     ~header:Flow.report_header
     [ Flow.report_row conv.Flow.report; Flow.report_row scan.Flow.report ];
 
-  (* Gate level: sample faults, run sequential ATPG on both. *)
+  (* Gate level: sample faults, run sequential ATPG on both; the scan
+     cells are the bits of the registers the flow annotated. *)
   let rng = Hft_util.Rng.create 41 in
-  let atpg tag (r : Flow.result) scanned_sel =
-    let ex = Hft_gate.Expand.of_datapath r.Flow.datapath in
-    let nl = ex.Hft_gate.Expand.netlist in
-    let faults =
-      Hft_gate.Fault.collapsed nl
-      |> List.filter (fun _ -> Hft_util.Rng.int rng 40 = 0)
-    in
-    let scanned = scanned_sel r ex in
+  let atpg tag r =
+    let nl, faults, scanned = Flow.expand_and_sample ~rng ~sample:40 r in
     let stats =
       Hft_scan.Partial_scan.atpg ~backtrack_limit:40 ~max_frames:3 nl ~faults
         ~scanned
@@ -60,11 +55,5 @@ let () =
       stats.Hft_gate.Seq_atpg.backtracks (List.length scanned)
   in
   print_endline "\ngate-level sequential ATPG (sampled faults):";
-  atpg "no DFT" conv (fun _ _ -> []);
-  atpg "partial scan" scan (fun r ex ->
-      (* scan cells = bits of the registers the flow annotated *)
-      Array.to_list r.Flow.datapath.Hft_rtl.Datapath.regs
-      |> List.concat_map (fun reg ->
-             if reg.Hft_rtl.Datapath.r_kind = Hft_rtl.Datapath.Scan then
-               Array.to_list ex.Hft_gate.Expand.reg_q.(reg.Hft_rtl.Datapath.r_id)
-             else []))
+  atpg "no DFT" conv;
+  atpg "partial scan" scan

@@ -207,9 +207,24 @@ let synthesize ?width ?resources kind g =
   | Bist -> synthesize_for_bist ?width ?resources g
 
 (* ------------------------------------------------------------------ *)
-(* Gate-level test campaign: the uniform "expand, sample faults, ATPG,
-   final coverage fault simulation" sequence the CLI bench and atpg
-   commands share.                                                     *)
+(* Gate-level test campaign: expand, sample faults, ATPG, final coverage
+   fault simulation.  The prologue (expand and sample) is its own step,
+   shared with callers that run their own ATPG legs.                   *)
+
+let expand_and_sample ~rng ~sample r =
+  let ex = Hft_gate.Expand.of_datapath r.datapath in
+  let nl = ex.Hft_gate.Expand.netlist in
+  let faults =
+    Hft_gate.Fault.collapsed nl
+    |> List.filter (fun _ -> Hft_util.Rng.int rng sample = 0)
+  in
+  let scan_regs =
+    Array.to_list r.datapath.Datapath.regs
+    |> List.filter_map (fun reg ->
+           if reg.Datapath.r_kind = Datapath.Scan then Some reg.Datapath.r_id
+           else None)
+  in
+  (nl, faults, Hft_gate.Expand.reg_flops ex scan_regs)
 
 type atpg_strategy = Fast | Naive
 
@@ -249,20 +264,8 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
     Hft_robust.Validation.fail ~site:"flow.test_campaign"
       ~hint:"drop --naive or drop --ledger-out"
       "the campaign tape needs the fast strategy";
-  let ex = Hft_gate.Expand.of_datapath r.datapath in
-  let nl = ex.Hft_gate.Expand.netlist in
   let rng = Hft_util.Rng.create seed in
-  let faults =
-    Hft_gate.Fault.collapsed nl
-    |> List.filter (fun _ -> Hft_util.Rng.int rng sample = 0)
-  in
-  let scanned =
-    Array.to_list r.datapath.Datapath.regs
-    |> List.concat_map (fun reg ->
-           if reg.Datapath.r_kind = Datapath.Scan then
-             Array.to_list ex.Hft_gate.Expand.reg_q.(reg.Datapath.r_id)
-           else [])
-  in
+  let nl, faults, scanned = expand_and_sample ~rng ~sample r in
   let n_pi = List.length (Hft_gate.Netlist.pis nl) in
   let n_scan = List.length scanned in
   (* Live telemetry bracket: a campaign_started event now, the final

@@ -81,6 +81,15 @@ val report_row : dft_report -> string list
     [n_patterns] pure-random patterns with all DFFs stuck at 0 (which is
     why it reports near-zero coverage on register-dominated paths). *)
 
+(** The campaign prologue: expand [r]'s data path to gates, keep each
+    collapsed fault whose [rng] draw out of [sample] is 0 (one draw per
+    fault, in order), and list the scan registers' flip-flops.  Returns
+    the netlist, the sampled faults and the scan cells; {!test_campaign}
+    runs it with a fresh rng seeded with [seed]. *)
+val expand_and_sample :
+  rng:Hft_util.Rng.t -> sample:int -> result ->
+  Hft_gate.Netlist.t * Hft_gate.Fault.t list * int list
+
 type atpg_strategy = Fast | Naive
 
 type campaign = {

@@ -1,0 +1,216 @@
+(* The hft-report/1 and hft-profile/1 documents, live or from a tape. *)
+
+open Hft_util
+module Ledger = Hft_obs.Ledger
+module Stats = Hft_par.Stats
+
+type live = {
+  bench : string;
+  flow : Flow.flow_kind;
+  guided : bool;
+  jobs : int;
+  resumed : string option;
+  campaign : Flow.campaign;
+}
+
+type source = Live of live | Tape of string * Ledger.tape
+
+let run ?(guided = true) ?(jobs = 1) ?tape ?(resume = false) ~bench ~width
+    ~sample flow g =
+  Hft_obs.enabled := true;
+  Hft_obs.reset ();
+  let r = Flow.synthesize ~width flow g in
+  let campaign =
+    Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
+      ~n_patterns:64 ~guided ~jobs ?tape ~resume
+      ~campaign:(bench ^ "/" ^ Flow.flow_kind_to_string flow) r
+  in
+  Live
+    { bench; flow; guided; jobs; campaign;
+      resumed = (if resume then tape else None) }
+
+(* What both documents read from either source: the outcome tallies, the
+   test count and the [top] most expensive classes. *)
+let ledger_view ~top = function
+  | Live _ ->
+    (Ledger.waterfall (), Ledger.n_tests (), Ledger.top_expensive ~k:top ())
+  | Tape (_, (t : Ledger.tape)) ->
+    ( t.tp_waterfall, List.length t.tp_tests,
+      Ledger.top_expensive ~rows:t.tp_rows ~k:top () )
+
+(* A document is one JSON line (its schema, the source's fields, the
+   expensive rows) or text ending with the expensive table. *)
+let document ~json schema expensive (fields, text) =
+  if json then
+    Json.to_string
+      (Json.Obj
+         ((("schema", Json.String schema) :: fields)
+          @ [ ("expensive", Ledger.expensive_json expensive) ]))
+    ^ "\n"
+  else text ^ Ledger.expensive_table expensive
+
+let ints = List.map (fun (k, n) -> (k, Json.Int n))
+let flow_name l = Flow.flow_kind_to_string l.flow
+
+let bench_flow l =
+  [ ("bench", Json.String l.bench); ("flow", Json.String (flow_name l)) ]
+
+(* The waterfall table: the sampled universe when a campaign ran, the
+   collapsed totals, the outcomes. *)
+let waterfall_table ?sampled waterfall =
+  let row stage (c, f) = [ stage; string_of_int c; string_of_int f ] in
+  Pretty.render ~header:[ "stage"; "classes"; "faults" ]
+    ((match sampled with
+      | Some n -> [ [ "total (sampled)"; "-"; string_of_int n ] ]
+      | None -> [])
+     @ row "collapsed" (Ledger.totals waterfall)
+       :: List.map (fun (k, cf) -> row k cf) waterfall)
+
+let report ~json ~top src =
+  let waterfall, tests, expensive = ledger_view ~top src in
+  let count k = Hft_obs.Registry.count ("hft.podem." ^ k) in
+  (* Per source: the JSON fields before the waterfall, between it and the
+     test count, and after that; the text heading, sampled total and
+     summary lines. *)
+  let (ident, coverage, extras), (heading, sampled, summary) =
+    match src with
+    | Live ({ campaign = c; _ } as l) ->
+      let atpg = Hft_gate.Seq_atpg.fault_coverage c.c_atpg
+      and fsim = Hft_gate.Fsim.coverage c.c_fsim in
+      let resumed =
+        [ ("resumed_classes", c.c_resumed_classes);
+          ("resumed_tests", c.c_resumed_tests) ]
+      in
+      let guidance = [ "static_untestable"; "guided_cuts"; "guided_decisions" ] in
+      ( ( bench_flow l @ ints [ ("faults", List.length c.c_faults) ],
+          [ ("coverage",
+             Json.Obj [ ("atpg", Json.Float atpg); ("fsim", Json.Float fsim) ]) ],
+          ints
+            (("patterns_stored", c.c_patterns_stored)
+             :: (if l.resumed = None then [] else resumed))
+          @ [ ("guided", Json.Bool l.guided);
+              ("guidance",
+               Json.Obj (ints (List.map (fun k -> (k, count k)) guidance))) ] ),
+        ( Printf.sprintf "%s, %s" l.bench (flow_name l),
+          Some (List.length c.c_faults),
+          Printf.sprintf
+            "%d tests generated, %d pattern rows stored; coverage: atpg %s, \
+             fsim %s\n"
+            tests c.c_patterns_stored (Pretty.pct atpg) (Pretty.pct fsim)
+          ^ Option.fold l.resumed ~none:"" ~some:(fun file ->
+                Printf.sprintf "resumed: %d classes, %d tests restored from %s\n"
+                  c.c_resumed_classes c.c_resumed_tests file)
+          ^
+          if l.guided then
+            Printf.sprintf
+              "guidance: %d class(es) proven untestable statically, %d \
+               guided cut(s), %d guided decision(s)\n"
+              (count "static_untestable") (count "guided_cuts")
+              (count "guided_decisions")
+          else "" ) )
+    | Tape (file, t) ->
+      let classes, faults = Ledger.totals waterfall in
+      ( ( ("source", Json.String t.tp_source) :: ("file", Json.String file)
+          :: ints [ ("classes", classes); ("faults", faults) ],
+          [], [] ),
+        ( Printf.sprintf "offline, %s tape %s" t.tp_source file,
+          None,
+          Printf.sprintf "%d tests on tape\n" tests ) )
+  in
+  document ~json "hft-report/1" expensive
+    ( ident
+      @ (("waterfall", Ledger.waterfall_json ~waterfall ()) :: coverage)
+      @ (("tests", Json.Int tests) :: extras),
+      Printf.sprintf "coverage waterfall (%s):\n" heading
+      ^ waterfall_table ?sampled waterfall
+      ^ summary )
+
+let ms_table header rows =
+  Pretty.render ~header
+    (List.map (fun (n, ms) -> [ n; Printf.sprintf "%.2f" ms ]) rows)
+
+let workers_table (par : Stats.t) =
+  let ms ns = Printf.sprintf "%.2f" (float_of_int ns /. 1e6) in
+  Printf.sprintf
+    "\nscheduler: jobs %d · waves %d · tasks %d · steals %d · spec hit/miss \
+     %d/%d · inline %d · occupancy %s · utilization %s\n"
+    par.s_jobs par.s_waves par.s_tasks (Stats.steals par)
+    (Stats.spec_hits par) (Stats.spec_misses par) (Stats.inline par)
+    (Pretty.pct (Stats.occupancy par))
+    (Pretty.pct (Stats.utilization par))
+  ^ Pretty.render
+      ~header:
+        [ "worker"; "eval"; "classes"; "steals"; "stolen"; "hits"; "miss";
+          "busy ms"; "idle ms"; "stall ms" ]
+      (List.map
+         (fun (w : Stats.worker) ->
+           (if w.w_domain = 0 then "orchestrator"
+            else Printf.sprintf "worker-%d" w.w_domain)
+           :: List.map string_of_int
+                [ w.w_evaluated; w.w_classes; w.w_steals; w.w_stolen;
+                  w.w_spec_hits; w.w_spec_misses ]
+           @ List.map ms [ w.w_busy_ns; w.w_idle_ns; w.w_stall_ns ])
+         (Array.to_list par.s_workers))
+
+let profile ~json ~top src =
+  let _, _, expensive = ledger_view ~top src in
+  document ~json "hft-profile/1" expensive
+  @@
+  match src with
+  | Live l ->
+    let self = Hft_obs.Export.self_times () and par = l.campaign.c_par in
+    ( bench_flow l
+      @ [ ("jobs", Json.Int l.jobs);
+          ("self",
+           Json.List
+             (List.map
+                (fun (name, s) ->
+                  Json.Obj
+                    [ ("name", Json.String name);
+                      ("self_ms", Json.Float (Float.round (1e5 *. s) /. 100.0))
+                    ])
+                self));
+          ("parallel", Stats.to_json par) ],
+      Printf.sprintf "self-time attribution (%s, %s, jobs %d):\n" l.bench
+        (flow_name l) l.jobs
+      ^ ms_table [ "span"; "self ms" ]
+          (List.map (fun (name, s) -> (name, 1e3 *. s)) self)
+      ^ workers_table par )
+  | Tape (file, t) ->
+    (* Elapsed time per phase, summed over a journal tape's phase_end
+       events in first-seen order, and its scheduler summary event. *)
+    let str = Json.member_str and num = Json.member_float in
+    let phases =
+      List.fold_left
+        (fun acc d ->
+          match (str "type" d, str "name" d, num "elapsed_ms" d) with
+          | Some "phase_end", Some name, Some e ->
+            if List.mem_assoc name acc then
+              List.map (fun (n, t) -> (n, if n = name then t +. e else t)) acc
+            else acc @ [ (name, e) ]
+          | _ -> acc)
+        [] t.tp_events
+    in
+    let shard =
+      List.find_opt (fun d -> str "type" d = Some "shard_stats") t.tp_events
+    in
+    let stat k d = Option.value ~default:0.0 (num k d) in
+    ( [ ("file", Json.String file);
+        ("phases",
+         Json.List
+           (List.map
+              (fun (n, t) ->
+                Json.Obj [ ("name", Json.String n); ("elapsed_ms", Json.Float t) ])
+              phases));
+        ("parallel", Option.value shard ~default:Json.Null) ],
+      Printf.sprintf "profile (offline tape %s):\n" file
+      ^ (if phases = [] then "(no phase events on tape)\n"
+         else ms_table [ "phase"; "elapsed ms" ] phases)
+      ^ Option.fold shard ~none:"" ~some:(fun d ->
+            Printf.sprintf
+              "scheduler: jobs %.0f · tasks %.0f · steals %.0f · spec \
+               hit/miss %.0f/%.0f · utilization %.1f%%\n"
+              (Option.value ~default:1.0 (num "jobs" d))
+              (stat "tasks" d) (stat "steals" d) (stat "spec_hits" d)
+              (stat "spec_misses" d)
+              (100.0 *. stat "utilization" d)) )

@@ -454,6 +454,8 @@ let of_datapath d =
     outputs;
   }
 
+let reg_flops ex regs = List.concat_map (fun r -> Array.to_list ex.reg_q.(r)) regs
+
 (* ------------------------------------------------------------------ *)
 (* Functional driving of the expanded netlist                         *)
 (* ------------------------------------------------------------------ *)

@@ -41,6 +41,9 @@ type t = {
 
 val of_datapath : Hft_rtl.Datapath.t -> t
 
+(** The Q flip-flops of registers [regs], register by register. *)
+val reg_flops : t -> int list -> int list
+
 (** Control roles active during a given step of the functional
     schedule — the per-state control vector, role-typed.  Used both by
     {!run_iteration} and by the controller synthesis in

@@ -1,5 +1,6 @@
 open Hft_rtl
 open Hft_gate
+module Scoap = Hft_analysis.Scoap
 
 type config = {
   cc_threshold : int;
@@ -229,9 +230,7 @@ let l005_scan_chain _cfg ctx =
     in
     if bad_width <> [] then bad_width
     else
-      let cells =
-        List.concat_map (fun r -> Array.to_list ex.Expand.reg_q.(r)) scan_regs
-      in
+      let cells = Expand.reg_flops ex scan_regs in
       match
         let chain = Hft_scan.Chain.insert ex.Expand.netlist cells in
         Hft_scan.Chain.verify_shift chain

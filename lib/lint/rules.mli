@@ -51,7 +51,7 @@ type ctx = {
   graph : Hft_cdfg.Graph.t option;
   sgraph : Hft_rtl.Sgraph.t lazy_t;
   expand : Hft_gate.Expand.t lazy_t;  (** shared read-only expansion *)
-  scoap : Scoap.t lazy_t;
+  scoap : Hft_analysis.Scoap.t lazy_t;
 }
 
 val ctx : ?graph:Hft_cdfg.Graph.t -> Hft_rtl.Datapath.t -> ctx
@@ -67,10 +67,10 @@ val comb_cycles : Hft_gate.Netlist.t -> int list list
 val dangling_nets : Hft_gate.Netlist.t -> int list
 
 (** Logic nets with a saturated CC0 or CC1; core of [HFT-L009]. *)
-val uncontrollable_nets : Hft_gate.Netlist.t -> Scoap.t -> int list
+val uncontrollable_nets : Hft_gate.Netlist.t -> Hft_analysis.Scoap.t -> int list
 
 (** Driven logic nets with a saturated CO; core of [HFT-L010]. *)
-val unobservable_nets : Hft_gate.Netlist.t -> Scoap.t -> int list
+val unobservable_nets : Hft_gate.Netlist.t -> Hft_analysis.Scoap.t -> int list
 
 val l001_assignment_loops : config -> ctx -> Diagnostic.t list
 val l002_rtl_ranges : config -> ctx -> Diagnostic.t list

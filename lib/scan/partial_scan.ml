@@ -6,8 +6,7 @@ let select_gate_level nl =
 
 let select_rtl_level d ex =
   let s = Hft_rtl.Sgraph.of_datapath d in
-  let regs = Hft_rtl.Sgraph.scan_selection s in
-  List.concat_map (fun r -> Array.to_list ex.Expand.reg_q.(r)) regs
+  Expand.reg_flops ex (Hft_rtl.Sgraph.scan_selection s)
 
 let annotate_rtl d regs =
   Hft_obs.Registry.incr "hft.scan.regs_annotated" ~by:(List.length regs);

@@ -650,6 +650,129 @@ let test_campaign_rejects_sample_zero () =
       d.Hft_robust.Validation.site
 
 (* ------------------------------------------------------------------ *)
+(* Documents: hft-report/1, hft-profile/1, hft-bench/1                *)
+(* ------------------------------------------------------------------ *)
+
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+let read_tape file =
+  match Hft_obs.Ledger.of_jsonl (read_file file) with
+  | Ok tape -> Forensics.Tape (file, tape)
+  | Error msg -> Alcotest.failf "%s: %s" file msg
+
+let parse_json text =
+  match Hft_util.Json.parse text with
+  | Ok j -> j
+  | Error msg -> Alcotest.fail msg
+
+let member_text k j =
+  match Hft_util.Json.member k j with
+  | Some v -> Hft_util.Json.to_string v
+  | None -> Alcotest.failf "no %s" k
+
+(* The documents, pinned.  A traced fig1b partial-scan campaign at
+   [hft report]'s knobs renders its report live, and the tape it wrote
+   renders report and profile, text and JSON.  Each digest is the MD5 of
+   the stdout of the matching command, recorded from the CLI before the
+   documents moved into the library:
+     hft report --bench fig1b --flow partial-scan [--json]
+       --ledger-out documents_pinned.jsonl
+     hft report|profile --journal-in documents_pinned.jsonl [--json]
+   Then the quick bench matrix at 1, 2 and 4 domains must reproduce
+   every deterministic field of the committed BENCH_hft.json. *)
+let test_documents_pinned () =
+  Fun.protect
+    ~finally:(fun () ->
+      Hft_obs.enabled := false;
+      Hft_obs.reset ())
+  @@ fun () ->
+  let file = "documents_pinned.jsonl" in
+  let live =
+    Forensics.run ~tape:file ~bench:"fig1b" ~width:8 ~sample:1
+      Flow.Partial_scan (Paper_fig1.graph ())
+  in
+  let tape = read_tape file in
+  Sys.remove file;
+  List.iter
+    (fun (what, digest, doc) ->
+      Alcotest.(check string) what digest (Digest.to_hex (Digest.string doc)))
+    [ ("live report", "cef9768b3c511a9c6e40bdf01792ec87",
+       Forensics.report ~json:false ~top:10 live);
+      ("live report json", "5061b0479bde0c7709fcca63890b2334",
+       Forensics.report ~json:true ~top:10 live);
+      ("tape report", "7df1f840a96414160aa988deb38de5cf",
+       Forensics.report ~json:false ~top:10 tape);
+      ("tape report json", "ff8fa0dac41c909350ad7c093b1d59c0",
+       Forensics.report ~json:true ~top:10 tape);
+      ("tape profile", "59a1ee2445574efc2d731fdc764906d9",
+       Forensics.profile ~json:false ~top:10 tape);
+      ("tape profile json", "da8bd68cb06f16b6778b81fd4f1cf336",
+       Forensics.profile ~json:true ~top:10 tape) ];
+  let doc, _ =
+    Bench_matrix.run ~quick:true ~width:4 ~naive:false ~jobs:[ 1; 2; 4 ]
+  in
+  let committed = parse_json (read_file "../BENCH_hft.json") in
+  let list k j =
+    match Hft_util.Json.member k j with
+    | Some (Hft_util.Json.List l) -> l
+    | _ -> Alcotest.failf "no list %s" k
+  in
+  let same cell keys fresh old =
+    List.iter
+      (fun k ->
+        Alcotest.(check string) (cell ^ " " ^ k) (member_text k old)
+          (member_text k fresh))
+      keys
+  in
+  List.iter2
+    (fun fresh old ->
+      let cell = member_text "bench" old ^ "/" ^ member_text "flow" old in
+      same cell
+        [ "bench"; "flow"; "faults"; "podem_backtracks"; "fsim_events";
+          "patterns_stored"; "waterfall"; "report" ]
+        fresh old;
+      let guided j = Option.get (Hft_util.Json.member "guided" j) in
+      same (cell ^ " guided") [ "verdict_flips"; "waterfall" ] (guided fresh)
+        (guided old);
+      List.iter2
+        (same (cell ^ " jobs leg")
+           [ "jobs"; "faults"; "podem_backtracks"; "fsim_events";
+             "atpg_coverage"; "fsim_coverage"; "waterfall" ])
+        (list "jobs_matrix" fresh) (list "jobs_matrix" old))
+    (list "results" doc) (list "results" committed)
+
+(* A taped campaign's report renders the same waterfall and expensive
+   rows live and from its tape, and profile renders the tape's expensive
+   rows the same, whatever the domain count. *)
+let test_live_equals_tape () =
+  let file = Filename.temp_file "live_tape" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove file;
+      Hft_obs.enabled := false;
+      Hft_obs.reset ())
+  @@ fun () ->
+  List.iter
+    (fun jobs ->
+      let live =
+        Forensics.run ~jobs ~tape:file ~bench:"fig1b" ~width:8 ~sample:1
+          Flow.Partial_scan (Paper_fig1.graph ())
+      in
+      let tape = read_tape file in
+      let report = parse_json (Forensics.report ~json:true ~top:10 live) in
+      List.iter
+        (fun (what, k, doc) ->
+          Alcotest.(check string)
+            (Printf.sprintf "-j%d %s %s" jobs what k)
+            (member_text k report)
+            (member_text k (parse_json doc)))
+        [ ("tape report", "waterfall", Forensics.report ~json:true ~top:10 tape);
+          ("tape report", "expensive", Forensics.report ~json:true ~top:10 tape);
+          ("tape profile", "expensive", Forensics.profile ~json:true ~top:10 tape)
+        ])
+    [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
 (* Tool survey                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -797,6 +920,11 @@ let () =
             test_campaign_rejects_sample_zero;
           Alcotest.test_case "ledger charges pinned" `Quick
             test_ledger_charges_pinned;
+        ] );
+      ( "documents",
+        [
+          Alcotest.test_case "documents pinned" `Quick test_documents_pinned;
+          Alcotest.test_case "live = tape" `Quick test_live_equals_tape;
         ] );
       ( "failure_injection",
         [

@@ -1,5 +1,6 @@
 open Hft_gate
 open Hft_lint
+module Scoap = Hft_analysis.Scoap
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
