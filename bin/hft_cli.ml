@@ -53,9 +53,9 @@ let bench_arg =
   Arg.(required & opt (some string) None
        & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
 
-(* Widths, fault samples, pattern and domain counts below 1 are bad
-   input: rejected while the arguments are read, before any work, with
-   exit 2 and an invalid-input object. *)
+(* Widths, fault samples, pattern, domain and trial counts and step
+   budgets below 1 are bad input: rejected while the arguments are
+   read, before any work, with exit 2 and an invalid-input object. *)
 let at_least_one flag arg =
   let check n =
     if n < 1 then
@@ -869,10 +869,11 @@ let fuzz_cmd =
                    corpus files.")
   in
   let trials_arg =
-    Arg.(value & opt int 32
-         & info [ "trials" ] ~docv:"N"
-             ~doc:"Total committed trials to reach, including trials \
-                   already in the state file when resuming.")
+    at_least_one "--trials"
+      Arg.(value & opt int 32
+           & info [ "trials" ] ~docv:"N"
+               ~doc:"Total committed trials to reach, including trials \
+                     already in the state file when resuming.")
   in
   let duration_arg =
     Arg.(value & opt (some float) None
@@ -895,10 +896,11 @@ let fuzz_cmd =
                    bit-identically and the interrupted trial re-runs.")
   in
   let step_budget_arg =
-    Arg.(value & opt int Hft_fuzz.Oracle.default_step_budget
-         & info [ "step-budget" ] ~docv:"STEPS"
-             ~doc:"Deterministic per-engine-attempt deadline in search \
-                   steps; an attempt that exhausts it becomes a finding.")
+    at_least_one "--step-budget"
+      Arg.(value & opt int Hft_fuzz.Oracle.default_step_budget
+           & info [ "step-budget" ] ~docv:"STEPS"
+               ~doc:"Deterministic per-engine-attempt deadline in search \
+                     steps; an attempt that exhausts it becomes a finding.")
   in
   let json_arg =
     Arg.(value & flag

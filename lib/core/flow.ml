@@ -314,33 +314,24 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
       ~hint:"delete the file to start a fresh campaign"
       (Printf.sprintf "cannot resume from %s: %s" (Option.get tape) msg)
   in
-  let tp_rows, tp_tests =
+  let prior =
     match tape with
     | Some path when resume && Sys.file_exists path ->
       (match In_channel.with_open_bin path In_channel.input_all with
        | exception Sys_error msg -> fail_resume msg
-       | text when String.trim text = "" -> ([], [])
+       | text when String.trim text = "" -> None
        | text ->
          (match Hft_obs.Ledger.of_jsonl text with
           | Error msg -> fail_resume msg
           | Ok t when t.Hft_obs.Ledger.tp_source <> "ledger" ->
             fail_resume "a journal tape records no campaign"
-          | Ok t ->
-            List.iter
-              (fun (k, v) ->
-                match List.assoc_opt k t.Hft_obs.Ledger.tp_meta with
-                | Some v' when v' = v -> ()
-                | v' ->
-                  Hft_robust.Validation.fail ~site:"flow.resume"
-                    ~hint:"rerun with the original options, or delete the file"
-                    (Printf.sprintf "%s fingerprint mismatch: tape %s, run %s"
-                       k
-                       (Option.fold ~none:"none" ~some:Hft_util.Json.to_string
-                          v')
-                       (Hft_util.Json.to_string v)))
-              meta;
-            (t.Hft_obs.Ledger.tp_rows, t.Hft_obs.Ledger.tp_tests)))
-    | _ -> ([], [])
+          | Ok t -> Some t))
+    | _ -> None
+  in
+  let tp_rows, tp_tests =
+    match prior with
+    | Some t -> (t.Hft_obs.Ledger.tp_rows, t.Hft_obs.Ledger.tp_tests)
+    | None -> ([], [])
   in
   (* A restored test's rows, in class order: the classes it dropped and
      the one that generated it. *)
@@ -367,61 +358,41 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
     | Some f -> f
     | None -> fail_resume (Printf.sprintf "%s is not a sampled fault" m)
   in
-  let restored_tests =
-    List.map
-      (fun (t : Hft_obs.Ledger.test) ->
-        { Hft_gate.Seq_atpg.t_frames = t.lt_frames;
-          t_pi_vectors = t.lt_vectors;
-          t_scan_state = t.lt_scan;
-          t_detects =
-            List.concat_map
-              (fun (r : Hft_obs.Ledger.row) -> List.map fault r.lr_members)
-              (rows_of t) })
-      tp_tests
-  in
-  (* The tape is rewritten from its committed prefix, without chaos
-     draws: a rolled-back tail must not survive on disk, or its lines
-     would double once the engine regenerates them.  Transaction order
-     (each test, its drop rows, the row committing it; then the rows
-     that need no test) keeps every prefix of the rewrite a committed
-     prefix, should the rewrite itself be killed. *)
-  let writer =
-    Option.map
-      (fun path ->
-        let module Tape = Hft_robust.Checkpoint.Tape in
-        let w = Tape.create ~path ~schema:Hft_obs.Ledger.schema ~meta in
-        let raw record =
-          Tape.emit_raw w (Hft_obs.Ledger.record_to_json record)
-        in
-        let rank (r : Hft_obs.Ledger.row) =
-          match r.lr_resolution with Drop_detected _ -> 0 | _ -> 1
-        in
-        List.iter
-          (fun t ->
-            raw (Test t);
-            List.iter
-              (fun r -> raw (Class r))
-              (List.stable_sort
-                 (fun a b -> compare (rank a) (rank b))
-                 (rows_of t)))
-          tp_tests;
-        List.iter
-          (fun (r : Hft_obs.Ledger.row) ->
-            if Hft_obs.Ledger.resolution_test r.lr_resolution = None then
-              raw (Class r))
-          tp_rows;
-        w)
-      tape
+  (* A resumed tape keeps its committed records as written; the engine
+     appends after them. *)
+  let module Tape = Hft_robust.Checkpoint.Tape in
+  let restored_tests, writer =
+    match (tape, prior) with
+    | Some path, Some tp ->
+      let tests, w =
+        Tape.resume ~site:"flow.resume"
+          ~hint:"rerun with the original options, or delete the file" ~path
+          ~schema:Hft_obs.Ledger.schema ~meta
+          (tp.Hft_obs.Ledger.tp_meta, tp.Hft_obs.Ledger.tp_records)
+        @@ fun () ->
+        List.map
+          (fun (t : Hft_obs.Ledger.test) ->
+            { Hft_gate.Seq_atpg.t_frames = t.lt_frames;
+              t_pi_vectors = t.lt_vectors;
+              t_scan_state = t.lt_scan;
+              t_detects =
+                List.concat_map
+                  (fun (r : Hft_obs.Ledger.row) -> List.map fault r.lr_members)
+                  (rows_of t) })
+          tp_tests
+      in
+      (tests, Some w)
+    | _ ->
+      ( [],
+        Option.map
+          (fun path -> Tape.create ~path ~schema:Hft_obs.Ledger.schema ~meta)
+          tape )
   in
   let append record =
-    Option.iter
-      (fun w ->
-        Hft_robust.Checkpoint.Tape.emit w
-          (Hft_obs.Ledger.record_to_json record))
+    Option.iter (fun w -> Tape.emit w (Hft_obs.Ledger.record_to_json record))
       writer
   in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Hft_robust.Checkpoint.Tape.close writer)
+  Fun.protect ~finally:(fun () -> Option.iter Tape.close writer)
   @@ fun () ->
   let store = Pattern_store.create () in
   let seq_tests = ref [] in

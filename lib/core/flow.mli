@@ -124,13 +124,16 @@ type campaign = {
     each generated test with its vectors and each class's ledger row,
     charges included, are appended and flushed as the campaign commits,
     and an end marker follows the last class.  With [resume] an
-    existing tape is read first through {!Hft_obs.Ledger.of_jsonl} —
-    its fingerprint (flow, strategy, every search knob, fault/PI/scan
-    counts, a structural netlist hash) must match the current run
-    exactly, and a tape the loader rejects (an [hft-ckpt/1] file among
-    them) raises {!Hft_robust.Validation.Invalid} — then rewritten from
-    its committed prefix.  Restored tests are replayed into the pattern
-    store, each detecting the members of the rows that name it;
+    existing tape is read first through {!Hft_obs.Ledger.of_jsonl} (a
+    tape the loader rejects, an [hft-ckpt/1] file among them, raises
+    {!Hft_robust.Validation.Invalid} at site [flow.resume]) and resumed
+    through {!Hft_robust.Checkpoint.Tape.resume}: its fingerprint (flow,
+    strategy, every search knob, fault/PI/scan counts, a structural
+    netlist hash) must match the current run exactly, every restored
+    member must be a sampled fault, and only then is the tape compacted
+    to its committed records, kept as written.  Restored tests are
+    replayed into the pattern store, each detecting the members of the
+    rows that name it;
     restored classes get their rows back ({!Hft_obs.Ledger.restore})
     and are never re-targeted, so an interrupted campaign continues
     bit-identically to an uninterrupted one.  A class still pending at

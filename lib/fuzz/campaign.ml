@@ -152,21 +152,6 @@ let meta_of cfg =
   [ ("seed", Json.Int cfg.c_seed);
     ("portfolio", Json.String (String.concat "," arm_names)) ]
 
-let check_meta ~path cfg meta =
-  let want = meta_of cfg in
-  List.iter
-    (fun (k, v) ->
-      match List.assoc_opt k meta with
-      | Some v' when v' = v -> ()
-      | got ->
-        Hft_robust.Validation.fail ~site:"fuzz.resume"
-          ~hint:"resume with the original --seed, or start a fresh corpus"
-          (Printf.sprintf "%s: %s mismatch (campaign has %s, resume wants %s)"
-             path k
-             (match got with Some g -> Json.to_string g | None -> "nothing")
-             (Json.to_string v)))
-    want
-
 (* Deterministic per-trial circuit seed.  Regression-arm seeds walk the
    4246 family by pull count instead, so the first regression pull
    always replays the exact historical failure. *)
@@ -207,17 +192,19 @@ let run cfg =
   mkdirs cfg.c_corpus;
   let path = Filename.concat cfg.c_corpus state_file in
   (* Committed history: replayed into the bandit and the dedup set so a
-     resumed campaign continues the same trajectory. *)
-  let prior =
+     resumed campaign continues the same trajectory.  The resume checks
+     the tape's fingerprint before anything replays it. *)
+  let meta = meta_of cfg in
+  let prior, writer =
     if cfg.c_resume then
       match State.load ~path with
-      | Ok st ->
-        check_meta ~path cfg st.State.meta;
-        st
+      | Ok st -> (st, State.resume ~path ~meta st)
       | Error m ->
         Hft_robust.Validation.fail ~site:"fuzz.resume"
           ~hint:"pass the corpus directory of an interrupted campaign" m
-    else { State.meta = meta_of cfg; trials = []; findings = [] }
+    else
+      ( { State.meta; trials = []; findings = []; records = [] },
+        State.create ~path ~meta )
   in
   let bandit = Linucb.create ~alpha:1.0 ~d:feature_dim ~arms:n_arms in
   let reward_sums = Array.make n_arms 0.0 in
@@ -233,10 +220,6 @@ let run cfg =
     (fun (f : State.finding_rec) ->
       Hashtbl.replace seen f.State.s_fingerprint f.State.s_canary)
     prior.State.findings;
-  let writer =
-    if cfg.c_resume then State.resume ~path prior
-    else State.create ~path ~meta:prior.State.meta
-  in
   let start_trial = List.length prior.State.trials in
   let reg_arm =
     let rec idx i = function

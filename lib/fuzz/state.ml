@@ -40,6 +40,7 @@ type t = {
   meta : Hft_robust.Checkpoint.meta;
   trials : trial_rec list;  (** committed, in trial order *)
   findings : finding_rec list;  (** committed, deduped, in append order *)
+  records : Json.t list;  (** committed, in file order *)
 }
 
 let finding_json f =
@@ -108,89 +109,62 @@ let append_trial w t =
 
 let close w = Hft_robust.Checkpoint.Tape.close w.w_tape
 
-(* Parse the committed prefix: walk the records keeping a pending
-   finding buffer that only graduates when its trial commit marker
-   arrives; whatever is pending at end-of-file was torn off by the
-   crash and is discarded (the resumed campaign regenerates it).
-   Findings dedup by fingerprint as belt and braces — a re-run trial
-   rewrites its reproducer atomically under the same name. *)
+type record = Finding of finding_rec | Trial of trial_rec
+
+(* Validate every record, trial commits in order included, then roll
+   back the findings after the last trial marker.  Findings dedup by
+   fingerprint as belt and braces — a re-run trial rewrites its
+   reproducer atomically under the same name. *)
 let load ~path =
+  let exception Bad of string in
+  let next = ref 0 in
+  let decode j =
+    let bad what = raise (Bad (Printf.sprintf "%s: %s" path what)) in
+    match (Json.member_str "kind" j, finding_of_json j, trial_of_json j) with
+    | Some "finding", Some f, _ -> (j, Finding f)
+    | Some "trial", _, Some t when t.t_trial = !next ->
+      incr next;
+      (j, Trial t)
+    | Some "trial", _, Some t ->
+      bad (Printf.sprintf "trial %d committed out of order" t.t_trial)
+    | Some (("finding" | "trial") as k), _, _ ->
+      bad ("malformed " ^ k ^ " record")
+    | _ -> bad "record with unknown kind"
+  in
   match Hft_robust.Checkpoint.Tape.load ~path ~schema with
   | Error m -> Error m
   | Ok (meta, records) ->
-    let seen = Hashtbl.create 32 in
-    let trials = ref [] in
-    let findings = ref [] in
-    let pending = ref [] in
-    let rec walk = function
-      | [] -> Ok ()
-      | r :: rest ->
-        (match Json.member "kind" r with
-         | Some (Json.String "finding") ->
-           (match finding_of_json r with
-            | Some f ->
-              pending := f :: !pending;
-              walk rest
-            | None -> Error (path ^ ": malformed finding record"))
-         | Some (Json.String "trial") ->
-           (match trial_of_json r with
-            | Some t ->
-              let expected =
-                match !trials with
-                | [] -> 0
-                | prev :: _ -> prev.t_trial + 1
-              in
-              if t.t_trial <> expected then
-                Error
-                  (Printf.sprintf "%s: trial %d committed out of order" path
-                     t.t_trial)
-              else begin
-                List.iter
-                  (fun f ->
-                    if not (Hashtbl.mem seen f.s_fingerprint) then begin
-                      Hashtbl.replace seen f.s_fingerprint ();
-                      findings := f :: !findings
-                    end)
-                  (List.rev !pending);
-                pending := [];
-                trials := t :: !trials;
-                walk rest
-              end
-            | None -> Error (path ^ ": malformed trial record"))
-         | _ -> Error (path ^ ": record with unknown kind"))
-    in
-    (match walk records with
-     | Error _ as e -> e
-     | Ok () ->
-       Ok { meta; trials = List.rev !trials; findings = List.rev !findings })
+    (match List.map decode records with
+     | exception Bad m -> Error m
+     | decoded ->
+       let kept =
+         Json.committed decoded ~commits:(function
+           | _, Trial _ -> true
+           | _, Finding _ -> false)
+       in
+       let seen = Hashtbl.create 32 in
+       Ok
+         { meta;
+           trials =
+             List.filter_map (function _, Trial t -> Some t | _ -> None) kept;
+           findings =
+             List.filter_map
+               (function
+                 | _, Finding f when not (Hashtbl.mem seen f.s_fingerprint) ->
+                   Hashtbl.replace seen f.s_fingerprint ();
+                   Some f
+                 | _ -> None)
+               kept;
+           records = List.map fst kept })
 
-(* Resume: rewrite the committed prefix through a fresh tape (emit_raw,
-   so the compaction consumes no chaos draws), atomically replace the
-   file, and hand back a writer positioned after the last committed
-   trial.  Uncommitted trailing finding lines — and a torn final line —
-   vanish in the rewrite, so the resumed campaign's appends continue a
-   clean transaction stream. *)
-let resume ~path st =
-  let tmp = path ^ ".compact" in
-  let w = Hft_robust.Checkpoint.Tape.create ~path:tmp ~schema ~meta:st.meta in
-  let by_trial = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
-      let prev =
-        Option.value ~default:[] (Hashtbl.find_opt by_trial f.s_trial)
-      in
-      Hashtbl.replace by_trial f.s_trial (f :: prev))
-    st.findings;
-  List.iter
-    (fun t ->
-      List.iter
-        (fun f -> Hft_robust.Checkpoint.Tape.emit_raw w (finding_json f))
-        (List.rev
-           (Option.value ~default:[] (Hashtbl.find_opt by_trial t.t_trial)));
-      Hft_robust.Checkpoint.Tape.emit_raw w (trial_json t))
-    st.trials;
-  Hft_robust.Checkpoint.Tape.close w;
-  Sys.rename tmp path;
-  { w_tape = Hft_robust.Checkpoint.Tape.reopen ~path;
+(* Resume through the shared protocol: the campaign fingerprint is
+   checked, then the tape is compacted to its committed records. *)
+let resume ~path ~meta st =
+  let (), w_tape =
+    Hft_robust.Checkpoint.Tape.resume ~site:"fuzz.resume"
+      ~hint:"resume with the original --seed, or start a fresh corpus" ~path
+      ~schema ~meta (st.meta, st.records) ignore
+  in
+  { w_tape;
     w_trials = List.length st.trials;
     w_findings = List.length st.findings }

@@ -32,6 +32,7 @@ type t = {
   trials : trial_rec list;  (** committed, in trial order *)
   findings : finding_rec list;
       (** committed, deduped by fingerprint, in append order *)
+  records : Hft_util.Json.t list;  (** committed, in file order *)
 }
 
 val schema : string
@@ -54,7 +55,9 @@ val close : writer -> unit
     files, schema mismatch or mid-file corruption. *)
 val load : path:string -> (t, string) result
 
-(** Compact the file to its committed prefix (atomic rewrite; no chaos
-    draws) and reopen it for appending after the last committed
+(** {!Hft_robust.Checkpoint.Tape.resume} at site [fuzz.resume]: check
+    the run's [meta] against the file's, compact the file to
+    [st.records] and reopen it for appending after the last committed
     trial. *)
-val resume : path:string -> t -> writer
+val resume :
+  path:string -> meta:Hft_robust.Checkpoint.meta -> t -> writer

@@ -227,34 +227,6 @@ let result_of_flags faults flags n_patterns =
 let zero_dffs nl st =
   List.iter (fun d -> Bitvec.fill (Sim.pvalue st d) false) (Netlist.dffs nl)
 
-let comb ?(strategy = Cone) nl ~patterns faults =
-  let t0 = Hft_obs.Clock.now () in
-  let n_patterns = Array.length patterns in
-  if n_patterns = 0 then
-    { detected = []; undetected = faults; n_patterns = 0 }
-  else begin
-    let load st =
-      load_patterns nl st patterns;
-      zero_dffs nl st
-    in
-    let flags, events =
-      run_groups ~strategy nl ~n_patterns ~load ~observe:(Netlist.pos nl)
-        (List.map (fun f -> [ f ]) faults)
-    in
-    flush ~faults:(List.length faults) ~detected:(count_true flags)
-      ~patterns:n_patterns ~events
-      ~seconds:(Hft_obs.Clock.now () -. t0);
-    result_of_flags faults flags n_patterns
-  end
-
-let comb_random ?strategy nl ~rng ~n_patterns faults =
-  let n_pi = List.length (Netlist.pis nl) in
-  let patterns =
-    Array.init n_patterns (fun _ ->
-        Array.init n_pi (fun _ -> Rng.bool rng))
-  in
-  comb ?strategy nl ~patterns faults
-
 let comb_scan ?(strategy = Cone) nl ~scanned ~patterns faults =
   let t0 = Hft_obs.Clock.now () in
   let n_patterns = Array.length patterns in
@@ -290,6 +262,17 @@ let comb_scan ?(strategy = Cone) nl ~scanned ~patterns faults =
       ~seconds:(Hft_obs.Clock.now () -. t0);
     result_of_flags faults flags n_patterns
   end
+
+let comb ?strategy nl ~patterns faults =
+  comb_scan ?strategy nl ~scanned:[] ~patterns faults
+
+let comb_random ?strategy nl ~rng ~n_patterns faults =
+  let n_pi = List.length (Netlist.pis nl) in
+  let patterns =
+    Array.init n_patterns (fun _ ->
+        Array.init n_pi (fun _ -> Rng.bool rng))
+  in
+  comb ?strategy nl ~patterns faults
 
 (* A drop-check group prepared once per netlist view: its sites and
    each injecting site's activation pair, [2 * source + stuck] — the

@@ -41,10 +41,11 @@ type comb_result = {
 
 val coverage : comb_result -> float
 
-(** [comb nl ~patterns faults] — [patterns] is a matrix
-    [(pattern, pi index in Netlist.pis order)].  A fault is detected
-    when any PO differs on any pattern.  DFF states are held at 0 (use
-    {!comb} on purely combinational blocks for exact results). *)
+(** [comb nl ~patterns faults] — {!comb_scan} with no scan cells:
+    [patterns] is a matrix [(pattern, pi index in Netlist.pis order)].
+    A fault is detected when any PO differs on any pattern.  DFF states
+    are held at 0 (use {!comb} on purely combinational blocks for exact
+    results). *)
 val comb :
   ?strategy:strategy ->
   Netlist.t -> patterns:bool array array -> Fault.t list -> comb_result

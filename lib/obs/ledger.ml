@@ -503,6 +503,7 @@ type tape = {
   tp_rows : row list;
   tp_tests : test list;
   tp_waterfall : (string * (int * int)) list;
+  tp_records : Hft_util.Json.t list;
   tp_events : Hft_util.Json.t list;
 }
 
@@ -513,74 +514,71 @@ let bad line msg = raise (Bad_tape (Printf.sprintf "line %d: %s" line msg))
 (* An hft-ledger/1 tape is a stream of test transactions — the test
    line, its drop rows, then the podem_detected or salvaged row that
    commits it — interleaved with rows that need no test, closed by an
-   end marker once the campaign finishes.  Test ids must be dense and
-   in order, a class may resolve once, and a row may only name a test
-   written before it.  The end marker's counts catch a lost line in a
-   finished tape; a tape without one was interrupted, and its final
-   test rolls back with its drop rows unless its commit row landed. *)
+   end marker once the campaign finishes.  The whole tape is validated
+   first: test ids must be dense and in order, a class may resolve
+   once, a row may only name a test written before it, and the end
+   marker's counts catch a lost line in a finished tape.  Then what
+   follows the last commit record rolls back: an interrupted tape's
+   final test and its drop rows, unless its commit row landed. *)
 let ledger_tape meta docs =
-  let rows = Hashtbl.create 64 and tests = ref [] and n_tests = ref 0 in
+  let classes = Hashtbl.create 64 and n_tests = ref 0 in
   let finished = ref false in
-  List.iter
-    (fun (line, j) ->
-      if !finished then bad line "record after the end marker";
-      let int k =
-        Option.bind (Hft_util.Json.member "end" j) (Hft_util.Json.member_int k)
-      in
-      match (Hft_util.Json.member "class" j, Hft_util.Json.member "test" j) with
-      | Some _, _ ->
-        (match row_of_json j with
-         | None -> bad line "malformed class row"
-         | Some r ->
-           if Hashtbl.mem rows r.lr_class then
-             bad line (Printf.sprintf "class %d resolved twice" r.lr_class);
-           (match resolution_test r.lr_resolution with
-            | Some t when t >= !n_tests ->
-              bad line (Printf.sprintf "class %d names unwritten test %d"
-                          r.lr_class t)
-            | _ -> ());
-           Hashtbl.replace rows r.lr_class r)
-      | None, Some _ ->
-        (match test_of_json j with
-         | None -> bad line "malformed test"
-         | Some t when t.lt_id <> !n_tests ->
-           bad line (Printf.sprintf "test %d out of sequence (expected %d)"
-                       t.lt_id !n_tests)
-         | Some t ->
-           tests := t :: !tests;
-           incr n_tests)
-      | None, None ->
-        (match (int "classes", int "tests") with
-         | Some c, Some t
-           when c = Hashtbl.length rows && t = !n_tests
-                && Hashtbl.fold (fun k _ ok -> ok && k < c) rows true ->
-           finished := true
-         | Some c, Some t ->
-           bad line
-             (Printf.sprintf
-                "end marker counts %d classes and %d tests, the tape holds \
-                 %d and %d" c t (Hashtbl.length rows) !n_tests)
-         | _ -> bad line "neither a class row, a test nor an end marker"))
-    docs;
+  let record (line, j) =
+    if !finished then bad line "record after the end marker";
+    let int k =
+      Option.bind (Hft_util.Json.member "end" j) (Hft_util.Json.member_int k)
+    in
+    match (Hft_util.Json.member "class" j, Hft_util.Json.member "test" j) with
+    | Some _, _ ->
+      (match row_of_json j with
+       | None -> bad line "malformed class row"
+       | Some r ->
+         if Hashtbl.mem classes r.lr_class then
+           bad line (Printf.sprintf "class %d resolved twice" r.lr_class);
+         (match resolution_test r.lr_resolution with
+          | Some t when t >= !n_tests ->
+            bad line (Printf.sprintf "class %d names unwritten test %d"
+                        r.lr_class t)
+          | _ -> ());
+         Hashtbl.replace classes r.lr_class ();
+         (j, Class r))
+    | None, Some _ ->
+      (match test_of_json j with
+       | None -> bad line "malformed test"
+       | Some t when t.lt_id <> !n_tests ->
+         bad line (Printf.sprintf "test %d out of sequence (expected %d)"
+                     t.lt_id !n_tests)
+       | Some t ->
+         incr n_tests;
+         (j, Test t))
+    | None, None ->
+      (match (int "classes", int "tests") with
+       | Some c, Some t
+         when c = Hashtbl.length classes && t = !n_tests
+              && Hashtbl.fold (fun k () ok -> ok && k < c) classes true ->
+         finished := true;
+         (j, End { classes = c; tests = t })
+       | Some c, Some t ->
+         bad line
+           (Printf.sprintf
+              "end marker counts %d classes and %d tests, the tape holds \
+               %d and %d" c t (Hashtbl.length classes) !n_tests)
+       | _ -> bad line "neither a class row, a test nor an end marker")
+  in
+  let kept =
+    Hft_util.Json.committed (List.map record docs) ~commits:(function
+      | _, (Test _ | Class { lr_resolution = Drop_detected _; _ }) -> false
+      | _, (Class _ | End _) -> true)
+  in
   let rows =
     List.sort (fun a b -> compare a.lr_class b.lr_class)
-      (Hashtbl.fold (fun _ r acc -> r :: acc) rows [])
-  in
-  let last = !n_tests - 1 in
-  let commits r =
-    match r.lr_resolution with
-    | Podem_detected { test; _ } | Salvaged { test; _ } -> test = last
-    | _ -> false
-  in
-  let rows, tests =
-    if (not !finished) && last >= 0 && not (List.exists commits rows) then
-      ( List.filter (fun r -> resolution_test r.lr_resolution <> Some last)
-          rows,
-        List.tl !tests )
-    else (rows, !tests)
+      (List.filter_map (function _, Class r -> Some r | _ -> None) kept)
   in
   { tp_source = "ledger"; tp_meta = meta; tp_rows = rows;
-    tp_tests = List.rev tests; tp_waterfall = waterfall ~rows ();
+    tp_tests = List.filter_map (function _, Test t -> Some t | _ -> None) kept;
+    tp_waterfall = waterfall ~rows ();
+    tp_records =
+      List.filter_map (function _, End _ -> None | j, _ -> Some j) kept;
     tp_events = [] }
 
 (* A journal tape has no rows: its waterfall tallies the Class_resolved
@@ -609,7 +607,7 @@ let journal_tape docs =
   { tp_source = "journal"; tp_meta = []; tp_rows = [];
     tp_tests = List.rev !tests;
     tp_waterfall = tally (Hashtbl.fold (fun _ r acc -> r :: acc) resolved []);
-    tp_events = List.map snd docs }
+    tp_records = []; tp_events = List.map snd docs }
 
 (* The first object decides the tape kind: an hft-ledger/1 header or a
    journal event. *)

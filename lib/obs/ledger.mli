@@ -158,7 +158,9 @@ val resolution_test : resolution -> int option
     test (with its stimulus), the rows of the classes it dropped, then
     the [podem_detected] or [salvaged] row that commits it; rows that
     need no test stand alone.  A row is written when its class resolves,
-    charges complete.  The end marker follows the last row. *)
+    charges complete.  The end marker follows the last row.  In the
+    shared crash-only protocol every record commits except a test and a
+    [drop_detected] row. *)
 
 val schema : string
 
@@ -179,6 +181,9 @@ type tape = {
   tp_rows : row list;  (** class order; [[]] for a journal tape *)
   tp_tests : test list;
   tp_waterfall : (string * (int * int)) list;
+  tp_records : Hft_util.Json.t list;
+      (** what a resume keeps: the records but the end marker, in file
+          order; [[]] for a journal tape *)
   tp_events : Hft_util.Json.t list;  (** [[]] for a ledger tape *)
 }
 
@@ -186,14 +191,14 @@ type tape = {
     run that wrote it, as far as it committed) or a [--journal-out]
     tape (the resolutions the bounded ring still held at export; never
     the never-targeted classes), told apart by the first object.  A
-    torn {e final} line is dropped; a tape with no end marker was
-    interrupted, and its final test, if no row commits it, rolls back
-    with the rows naming it.  [Error "line N: ..."] names the first bad
-    line otherwise: torn JSON, a missing or mistyped field, a test out
-    of sequence, a class resolved twice, an end marker whose counts
-    disagree (a lost line), an unknown outcome.  An empty tape is an
-    error too.  Resume ([Hft_core.Flow.test_campaign]) and offline
-    [hft report]/[hft profile] read tapes through this one function. *)
+    torn {e final} line is dropped; [Error "line N: ..."] names the
+    first bad line anywhere else: torn JSON, a missing or mistyped
+    field, a test out of sequence, a class resolved twice, an end
+    marker whose counts disagree (a lost line), an unknown outcome.
+    An empty tape is an error too.  Then an interrupted tape's final
+    test rolls back with its drop rows, unless its commit row landed.
+    Resume ([Hft_core.Flow.test_campaign]) and offline [hft report]/[hft
+    profile] read tapes through this one function. *)
 val of_jsonl : string -> (tape, string) result
 
 val reset : unit -> unit

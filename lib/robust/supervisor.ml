@@ -17,24 +17,11 @@ let default =
     salvage_patterns = 32;
   }
 
-let protect ~site f =
-  let name = Chaos.site_name site in
-  try
-    Chaos.check site;
-    Ok (f ())
-  with
-  | Chaos.Injection { site; seq } -> Error (Failure.Injected { site; seq })
-  | Deadline.Expired (Deadline.Wall { elapsed; limit }) ->
-    Error (Failure.Timeout { site = name; elapsed; limit })
-  | Deadline.Expired (Deadline.Steps { steps; limit }) ->
-    Error (Failure.Budget_exhausted { site = name; steps; limit })
-  | (Out_of_memory | Sys.Break) as e -> raise e
-  | e -> Error (Failure.Engine_exception (Printexc.to_string e))
-
-(* Like [protect] but for callers outside the chaos-site taxonomy (the
-   fuzz campaign names its sites after oracle checks): no chaos draw of
-   its own — injections still surface from [Chaos.check]s {e inside}
-   [f] — and the free-form [name] labels the failure. *)
+(* The one exception-to-failure map, for callers outside the
+   chaos-site taxonomy too (the fuzz campaign names its sites after
+   oracle checks): no chaos draw of its own — injections still surface
+   from [Chaos.check]s {e inside} [f] — and the free-form [name] labels
+   the failure. *)
 let guard ~name f =
   try Ok (f ()) with
   | Chaos.Injection { site; seq } -> Error (Failure.Injected { site; seq })
@@ -44,6 +31,11 @@ let guard ~name f =
     Error (Failure.Budget_exhausted { site = name; steps; limit })
   | (Out_of_memory | Sys.Break) as e -> raise e
   | e -> Error (Failure.Engine_exception (Printexc.to_string e))
+
+let protect ~site f =
+  guard ~name:(Chaos.site_name site) (fun () ->
+      Chaos.check site;
+      f ())
 
 let ladder policy ~site ~budget f =
   let rec go attempt budget scale =

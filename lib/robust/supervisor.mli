@@ -26,16 +26,16 @@ type policy = {
     salvage_patterns = 32. *)
 val default : policy
 
-(** Run [f] once under the typed result discipline.  The chaos check
-    for [site] fires inside the protected region.  [Out_of_memory] and
-    [Sys.Break] are re-raised; everything else becomes a failure. *)
+(** {!guard} named after [site], with the chaos check for [site]
+    inside the protected region. *)
 val protect : site:Chaos.site -> (unit -> 'a) -> ('a, Failure.t) result
 
-(** Like {!protect} for supervision points outside the chaos-site
-    taxonomy (e.g. one fuzz-oracle check): no chaos draw of its own —
-    injections from [Chaos.check]s inside [f] still classify as
-    [Injected] — and failures carry the free-form [name] as their
-    site. *)
+(** Run [f] once under the typed result discipline.  [Out_of_memory]
+    and [Sys.Break] are re-raised; everything else becomes a failure,
+    with [name] as its site.  No chaos draw of its own — injections from
+    [Chaos.check]s inside [f] still classify as [Injected] — so it also
+    serves supervision points outside the chaos-site taxonomy (e.g. one
+    fuzz-oracle check). *)
 val guard : name:string -> (unit -> 'a) -> ('a, Failure.t) result
 
 (** [ladder policy ~site ~budget f] — run [f ~budget ~check] through the

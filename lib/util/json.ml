@@ -289,3 +289,10 @@ let parse_jsonl text =
   |> List.mapi (fun i l -> (i + 1, l))
   |> List.filter (fun (_, l) -> String.trim l <> "")
   |> go []
+
+let committed ~commits records =
+  let rec drop = function
+    | r :: rest when not (commits r) -> drop rest
+    | kept -> kept
+  in
+  List.rev (drop (List.rev records))

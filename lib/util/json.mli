@@ -49,3 +49,9 @@ val tape_meta : schema:string -> t -> (string * t) list option
     dropped (the torn write a kill leaves); an unparsable or non-object
     line anywhere else is [Error "line N: ..."]. *)
 val parse_jsonl : string -> ((int * t) list, string) result
+
+(** [committed ~commits records] rolls back a tape's uncommitted tail:
+    the records up to and including the last one [commits] accepts
+    ([[]] when none does).  Each schema owner names its commit records
+    and validates the whole tape before rolling back. *)
+val committed : commits:('a -> bool) -> 'a list -> 'a list

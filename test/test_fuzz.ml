@@ -205,7 +205,7 @@ let test_state_rollback_and_resume () =
        (List.hd st.State.findings).State.s_fingerprint;
      (* Resume compacts the tape: the torn line and the orphaned
         finding vanish, committed bytes survive. *)
-     let w2 = State.resume ~path st in
+     let w2 = State.resume ~path ~meta st in
      State.append_trial w2 (mk_trial ~arm:2 2);
      State.close w2;
      match State.load ~path with

@@ -280,6 +280,17 @@ let test_checkpoint_repairs_tail () =
     lines;
   close_out oc;
   check "mid-file garbage is an error" true
+    (match load_tape path with Error _ -> true | Ok _ -> false);
+  (* The whole tape is validated before the rollback: damage in the
+     uncommitted tail is still damage. *)
+  write_tape path ~meta:[]
+    [ Hft_obs.Ledger.Test (mk_test 0);
+      Hft_obs.Ledger.Class
+        (mk_row 0 "a"
+           (Hft_obs.Ledger.Podem_detected
+              { test = 0; backtracks = 1; frames = 1 }));
+      Hft_obs.Ledger.Test (mk_test 2) ];
+  check "a test out of sequence in the uncommitted tail is an error" true
     (match load_tape path with Error _ -> true | Ok _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -450,9 +461,9 @@ let test_killed_tape_prefix () =
     (List.length rows < List.length reference)
 
 let test_resume_rewrite_prefixes () =
-  (* Resume rewrites the restored prefix in transaction order, so a
-     kill during that rewrite still leaves a committed prefix: every
-     prefix of the rewritten region resumes bit-identically. *)
+  (* Resume keeps the restored prefix in file order, and every prefix
+     of it is itself a tape a kill could leave: each resumes
+     bit-identically. *)
   let r = fig1_result () in
   let reference, _, _ = with_tmp (fun path -> taped_run path r) in
   with_tmp @@ fun path ->
@@ -473,6 +484,48 @@ let test_resume_rewrite_prefixes () =
     check (Printf.sprintf "resume from the first %d lines" k) true
       (resumed = reference)
   done
+
+(* The fixture killed at its 40th record append, then resumed with a
+   hard link kept to the killed tape: the killed tape's bytes and its
+   committed line count (header included), the resumed tape's bytes,
+   and what the link holds after the resume.  A first resume, whose
+   compaction a directory in the way makes fail, must leave the tape
+   as it was. *)
+let resumed_after_kill r =
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  with_tmp @@ fun path ->
+  check "chaos killed the campaign" true (killed_run ~arm_after:40 path r);
+  let killed = read path in
+  let t = loaded path in
+  let committed =
+    1 + List.length t.Hft_obs.Ledger.tp_rows
+    + List.length t.Hft_obs.Ledger.tp_tests
+  in
+  Sys.mkdir (path ^ ".compact") 0o755;
+  check "a blocked compaction fails the resume" true
+    (match taped_run ~resume:true path r with
+     | _ -> false
+     | exception Sys_error _ -> true);
+  Sys.rmdir (path ^ ".compact");
+  check_str "a failed compaction leaves the tape as it was" killed (read path);
+  let link = path ^ ".link" in
+  Unix.link path link;
+  Fun.protect ~finally:(fun () -> Sys.remove link) @@ fun () ->
+  ignore (taped_run ~resume:true path r);
+  (killed, committed, read path, read link)
+
+let test_resume_keeps_prefix () =
+  let killed, committed, resumed, _ = resumed_after_kill (fig1_result ()) in
+  let first text =
+    List.filteri (fun i _ -> i < committed) (String.split_on_char '\n' text)
+  in
+  check "the resumed tape starts with the killed tape's committed lines"
+    true
+    (first resumed = first killed)
+
+let test_resume_not_in_place () =
+  let killed, _, _, linked = resumed_after_kill (fig1_result ()) in
+  check_str "the pre-resume inode still holds the killed tape" killed linked
 
 let test_resume_rejects_foreign_tapes () =
   (* hft-ckpt/1 files have no reader, and a tape naming a fault outside
@@ -590,6 +643,10 @@ let () =
             test_killed_tape_prefix;
           Alcotest.test_case "resume rewrite keeps committed prefixes" `Quick
             test_resume_rewrite_prefixes;
+          Alcotest.test_case "resume keeps the committed prefix" `Quick
+            test_resume_keeps_prefix;
+          Alcotest.test_case "resume never rewrites the tape in place" `Quick
+            test_resume_not_in_place;
           Alcotest.test_case "resume rejects foreign tapes" `Quick
             test_resume_rejects_foreign_tapes;
           Alcotest.test_case "-j4 kill + torn tail + resume" `Quick
