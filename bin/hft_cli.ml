@@ -9,17 +9,16 @@
      hft report  --bench fig1b [--flow partial-scan] [--top 10] [--json]
                  [--ledger-out tape.jsonl [--resume]]
      hft report  --journal-in tape.jsonl [--json]
-     hft watch   progress.jsonl [--no-follow]
+     hft watch   tape.jsonl [--no-follow]
      hft list
 
    Every subcommand accepts --trace / --metrics / --metrics-json
-   (observability report after the run) plus --trace-out FILE (Chrome
-   trace-event JSON), --journal-out FILE (event journal as JSONL),
-   --metrics-out FILE (OpenMetrics text exposition) and --progress-out
-   SINK (hft-progress/1 live telemetry, tailed by `hft watch`); report
-   and profile also write the campaign tape (--ledger-out FILE) and
-   resume from it (--resume).  Timing diagnostics go to stderr so piped
-   --json output stays parseable. *)
+   (observability report after the run), --gc-stats, and --trace-out
+   FILE (Chrome trace-event JSON) and --journal-out FILE (event journal
+   as JSONL); report and profile also write the campaign tape
+   (--ledger-out FILE), resume from it (--resume), and `hft watch`
+   follows it.  Timing diagnostics go to stderr so piped --json output
+   stays parseable. *)
 
 open Cmdliner
 open Hft_cdfg
@@ -82,10 +81,6 @@ type obs_opts = {
   metrics_json : bool;
   trace_out : string option;
   journal_out : string option;
-  metrics_out : string option;
-  progress_out : string option;
-  progress_every : int;
-  progress_interval : float;
   gc_stats : bool;
 }
 
@@ -117,50 +112,23 @@ let obs_term =
              ~doc:"Write the structured event journal as JSONL (one typed \
                    event object per line).")
   in
-  let metrics_out =
-    Arg.(value & opt (some string) None
-         & info [ "metrics-out" ] ~docv:"FILE"
-             ~doc:"Write the metric registry in OpenMetrics/Prometheus text \
-                   exposition; with --progress-out the file is also \
-                   rewritten at every snapshot, so a scraper sees the \
-                   campaign live.")
-  in
-  let progress_out =
-    Arg.(value & opt (some string) None
-         & info [ "progress-out" ] ~docv:"SINK"
-             ~doc:"Stream hft-progress/1 telemetry (campaign start, phase \
-                   begin/end, cadenced coverage snapshots with rates and \
-                   ETA, a final snapshot matching the report waterfall) as \
-                   JSONL to SINK: a file path, 'stderr', or 'fd:N'.  Tail \
-                   it with `hft watch`.")
-  in
-  let progress_every =
-    Arg.(value & opt int 8
-         & info [ "progress-every" ] ~docv:"N"
-             ~doc:"Snapshot cadence: at most one snapshot per N fault-class \
-                   resolutions.")
-  in
-  let progress_interval =
-    Arg.(value & opt float 0.0
-         & info [ "progress-interval" ] ~docv:"SECS"
-             ~doc:"Minimum seconds between snapshots (rate limit on top of \
-                   --progress-every).")
-  in
   let gc_stats =
     Arg.(value & flag
          & info [ "gc-stats" ]
              ~doc:"Fold per-phase GC/allocation deltas (minor/major words, \
                    compactions) into span attributes.")
   in
-  Term.(const (fun trace metrics metrics_json trace_out journal_out
-                   metrics_out progress_out progress_every
-                   progress_interval gc_stats ->
-            { trace; metrics; metrics_json; trace_out; journal_out;
-              metrics_out; progress_out; progress_every;
-              progress_interval; gc_stats })
-        $ trace $ metrics $ metrics_json $ trace_out $ journal_out
-        $ metrics_out $ progress_out $ progress_every
-        $ progress_interval $ gc_stats)
+  Term.(const (fun trace metrics metrics_json trace_out journal_out gc_stats ->
+            { trace; metrics; metrics_json; trace_out; journal_out; gc_stats })
+        $ trace $ metrics $ metrics_json $ trace_out $ journal_out $ gc_stats)
+
+(* Each observability flag and whether it was given. *)
+let obs_flags obs =
+  [ ("--trace", obs.trace); ("--metrics", obs.metrics);
+    ("--metrics-json", obs.metrics_json);
+    ("--trace-out", obs.trace_out <> None);
+    ("--journal-out", obs.journal_out <> None);
+    ("--gc-stats", obs.gc_stats) ]
 
 (* An output path that cannot be opened for writing is bad input (exit
    2) caught before the run, not an engine failure (exit 1) after it.
@@ -185,31 +153,16 @@ let with_obs ~cmd ?(outputs = []) obs f =
     [ ("--trace-out", obs.trace_out, "Chrome trace",
        fun () -> Hft_util.Json.to_string (Hft_obs.Export.chrome_trace ()));
       ("--journal-out", obs.journal_out, "event journal",
-       Hft_obs.Journal.to_jsonl);
-      ("--metrics-out", obs.metrics_out, "OpenMetrics exposition",
-       fun () -> Hft_obs.Export.openmetrics ()) ]
+       Hft_obs.Journal.to_jsonl) ]
   in
   List.iter check_writable
     (List.map (fun (flag, file, _, _) -> (flag, file)) exports @ outputs);
   if obs.trace || obs.metrics || obs.metrics_json || obs.trace_out <> None
-     || obs.journal_out <> None || obs.metrics_out <> None
-     || obs.progress_out <> None
+     || obs.journal_out <> None
   then Hft_obs.enabled := true;
   if obs.gc_stats then Hft_obs.Config.gc_stats := true;
-  (match obs.progress_out with
-   | Some spec ->
-     (match Hft_obs.Progress.sink_of_spec spec with
-      | Ok sink ->
-        let config =
-          { Hft_obs.Progress.default_config with
-            Hft_obs.Progress.every_classes = max 1 obs.progress_every;
-            min_interval_s = obs.progress_interval }
-        in
-        Hft_obs.Progress.start ~config ?metrics_out:obs.metrics_out sink
-      | Error msg -> Hft_robust.Validation.fail ~site:"--progress-out" msg)
-   | None -> ());
   let t0 = Unix.gettimeofday () in
-  let r = Fun.protect ~finally:Hft_obs.Progress.stop f in
+  let r = f () in
   if obs.trace then print_string (Hft_obs.Span.render ());
   if obs.metrics then print_string (Hft_obs.Export.metrics_table ());
   if obs.metrics_json then
@@ -531,11 +484,26 @@ let load_tape file =
 (* The source report and profile render: the tape named by --journal-in
    when given (no campaign runs), else a live campaign of [bench] at the
    fixed forensics knobs, under the observability sink.  [tape] is the
-   campaign tape (--ledger-out), [resume] continues it. *)
+   campaign tape (--ledger-out), [resume] continues it.  A flag that
+   only shapes a live campaign would be silently ignored next to
+   --journal-in, so it is bad input, named before the tape is read. *)
 let forensics_source ~cmd ?(outputs = []) ?guided ?jobs ~journal_in ~tape
     ~resume bench flow width sample obs k =
   match journal_in with
-  | Some file -> k (Forensics.Tape (file, load_tape file))
+  | Some file ->
+    let live_only =
+      [ ("--bench", bench <> None); ("--ledger-out", tape <> None);
+        ("--resume", resume) ]
+      @ List.map (fun (flag, out) -> (flag, out <> None)) outputs
+      @ obs_flags obs
+    in
+    Option.iter
+      (fun (flag, _) ->
+        Hft_robust.Validation.fail ~site:flag
+          ~hint:"drop it, or drop --journal-in to run a campaign"
+          (flag ^ " applies to a live campaign, not to --journal-in"))
+      (List.find_opt snd live_only);
+    k (Forensics.Tape (file, load_tape file))
   | None ->
     if resume && tape = None then
       Hft_robust.Validation.fail ~site:"--resume"
@@ -686,117 +654,87 @@ let profile_cmd =
           $ obs_term)
 
 (* ------------------------------------------------------------------ *)
-(* hft watch: tail an hft-progress/1 stream as a terminal dashboard.  *)
+(* hft watch: follow a campaign tape as a terminal dashboard.         *)
 
 let watch_cmd =
   let file_arg =
     Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"STREAM"
-             ~doc:"hft-progress/1 JSONL file (a --progress-out path), live \
-                   or completed.")
+         & info [] ~docv:"TAPE"
+             ~doc:"hft-ledger/1 campaign tape (a --ledger-out path), live \
+                   or finished.")
   in
   let no_follow_arg =
     Arg.(value & flag
          & info [ "no-follow" ]
-             ~doc:"Render the stream's current state once and exit instead \
-                   of tailing until the final snapshot.")
+             ~doc:"Render the tape's committed state once and exit instead \
+                   of following it to its end marker.")
   in
   let interval_arg =
     Arg.(value & opt float 0.5
          & info [ "interval" ] ~docv:"SECS"
-             ~doc:"Poll interval while tailing.")
+             ~doc:"Poll interval while following.")
   in
   let run file no_follow interval =
     let interval = Float.max 0.05 interval in
     let tty = Unix.isatty Unix.stdout in
-    (* A watch is often started before the campaign: wait for the file
-       to appear (bounded, so a typo doesn't hang forever), unless we
-       were asked for a one-shot render. *)
-    let rec open_stream tries =
-      match open_in_bin file with
-      | ic -> ic
-      | exception Sys_error msg ->
-        if no_follow || tries >= 600 then
-          Hft_robust.Validation.fail ~site:"STREAM"
-            ~hint:"pass an hft-progress/1 file (a --progress-out path)" msg
-        else begin
-          Unix.sleepf interval;
-          open_stream (tries + 1)
-        end
+    (* Every poll re-reads the tape by path, so a --resume compaction
+       renamed over it is followed.  A watch is often started before the
+       campaign: an absent file, or one with no complete line yet, is
+       waited for (bounded, so a typo does not hang forever) unless a
+       one-shot render was asked for. *)
+    let read () =
+      match In_channel.with_open_bin file In_channel.input_all with
+      | exception Sys_error msg -> Error msg
+      | text when not (String.contains text '\n') ->
+        Error (file ^ ": no complete line yet")
+      | text ->
+        (match Hft_obs.Ledger.of_jsonl text with
+         | Ok tape -> Ok tape
+         | Error msg ->
+           Hft_robust.Validation.fail ~site:"TAPE" (file ^ ": " ^ msg))
     in
-    let ic = open_stream 0 in
-    let carry = Buffer.create 256 in
-    let chunk = Bytes.create 65536 in
-    let view = ref Hft_obs.Progress.empty_view in
-    let feed_line line =
-      view := Hft_obs.Progress.view_line !view line;
-      (* Non-TTY live tail: one brief line per snapshot keeps logs
-         readable; the full dashboard prints once at the end. *)
-      if (not tty) && not no_follow then
-        match Hft_util.Json.parse line with
-        | Ok j
-          when Hft_util.Json.member "type" j
-               = Some (Hft_util.Json.String "snapshot") ->
-          print_endline (Hft_obs.Progress.snapshot_brief j)
-        | _ -> ()
-    in
-    (* Read whatever the writer has flushed; only complete lines are
-       folded, a torn tail stays in [carry] for the next poll. *)
-    let drain () =
-      let fresh = ref 0 in
-      let rec slurp () =
-        let n = input ic chunk 0 (Bytes.length chunk) in
-        if n > 0 then begin
-          Buffer.add_subbytes carry chunk 0 n;
-          slurp ()
-        end
-      in
-      (try slurp () with End_of_file -> ());
-      let s = Buffer.contents carry in
-      Buffer.clear carry;
-      let rec lines from =
-        match String.index_from_opt s from '\n' with
-        | Some i ->
-          feed_line (String.sub s from (i - from));
-          incr fresh;
-          lines (i + 1)
-        | None ->
-          Buffer.add_string carry
-            (String.sub s from (String.length s - from))
-      in
-      lines 0;
-      !fresh
-    in
-    let redraw () =
-      if tty then begin
-        (* Home the cursor and erase below: in-place update without
-           scrollback spam. *)
-        print_string "\027[H\027[J";
-        print_string (Hft_obs.Progress.render_view !view);
-        flush stdout
-      end
-    in
-    let rec loop () =
-      let fresh = drain () in
-      if fresh > 0 then redraw ();
-      if no_follow || (!view).Hft_obs.Progress.v_finished then ()
-      else begin
+    let rec loop ~waits ~rows watcher =
+      match read () with
+      | Error msg when no_follow || waits >= 600 ->
+        Hft_robust.Validation.fail ~site:"TAPE"
+          ~hint:"pass an hft-ledger/1 campaign tape (a --ledger-out path)" msg
+      | Error _ ->
         Unix.sleepf interval;
-        loop ()
-      end
+        loop ~waits:(waits + 1) ~rows watcher
+      | Ok tape ->
+        let w, text =
+          Forensics.watch watcher ~now:(Unix.gettimeofday ()) file tape
+        in
+        let last = no_follow || tape.Hft_obs.Ledger.tp_finished in
+        let n = List.length tape.Hft_obs.Ledger.tp_rows in
+        if tty then begin
+          (* Home the cursor and erase below: in-place update without
+             scrollback spam. *)
+          print_string "\027[H\027[J";
+          print_string text;
+          flush stdout
+        end
+        else if last then print_string text
+        else if n <> rows then
+          (* Non-TTY live tail: the status line whenever rows land keeps
+             logs readable; the full view prints once at the end. *)
+          print_endline (List.hd (String.split_on_char '\n' text));
+        if not last then begin
+          Unix.sleepf interval;
+          loop ~waits ~rows:n (Some w)
+        end
     in
     if tty then print_string "\027[2J";
-    loop ();
-    close_in ic;
-    if not tty then print_string (Hft_obs.Progress.render_view !view)
+    loop ~waits:0 ~rows:(-1) None
   in
   Cmd.v
     (Cmd.info "watch"
        ~doc:
-         "Tail an hft-progress/1 telemetry stream (--progress-out) as a \
-          live terminal dashboard: coverage bar, phase, rates, ETA, top \
-          expensive classes.  Exits when the stream's final snapshot \
-          arrives; --no-follow renders the current state once.")
+         "Follow a campaign tape (report/profile --ledger-out) as a live \
+          terminal dashboard: faults resolved and detected, rate and ETA, \
+          then the coverage waterfall and the top expensive classes.  \
+          Exits at the tape's end marker; --no-follow renders the \
+          committed state once.")
     Term.(const run $ file_arg $ no_follow_arg $ interval_arg)
 
 let list_cmd =

@@ -33,18 +33,18 @@ let counters l =
 
 let measure_cell ~width ~sample ~naive ~jobs bench flow_kind g =
   (* Fresh registry and trace per cell, so its counters belong to one
-     (bench, flow) pair; a progress stream spans the whole matrix. *)
+     (bench, flow) pair. *)
   Hft_obs.reset ();
   let flow = Flow.flow_kind_to_string flow_kind in
   let t0 = Unix.gettimeofday () in
   let r = Flow.synthesize ~width flow_kind g in
   let t_synth = Unix.gettimeofday () -. t0 in
-  let leg ?jobs ~guided tag =
+  let leg ?jobs ~guided () =
     let c =
       Flow.test_campaign
         ~strategy:(if naive then Flow.Naive else Flow.Fast)
         ~backtrack_limit:20 ~max_frames:2 ~sample ~seed:2024 ~n_patterns:64
-        ~guided ?jobs ~campaign:(Printf.sprintf "%s/%s/%s" bench flow tag) r
+        ~guided ?jobs r
     in
     { c; backtracks = Registry.count "hft.podem.backtracks";
       events = Registry.count "hft.fsim.events";
@@ -52,7 +52,7 @@ let measure_cell ~width ~sample ~naive ~jobs bench flow_kind g =
   in
   (* The cell's own fields come from the unguided leg, so they stay
      comparable with every earlier record. *)
-  let u = leg ~guided:false "unguided" in
+  let u = leg ~guided:false () in
   let snapshot = Registry.snapshot () and unguided = Ledger.outcomes () in
   (* The guided leg (the naive strategy ignores guidance), with the
      classes whose verdicts contradict the unguided leg's. *)
@@ -60,7 +60,7 @@ let measure_cell ~width ~sample ~naive ~jobs bench flow_kind g =
     if naive then []
     else begin
       Hft_obs.reset ();
-      let l = leg ~guided:true "guided" in
+      let l = leg ~guided:true () in
       let outcomes = Ledger.outcomes () in
       let flips =
         Hashtbl.fold
@@ -89,7 +89,7 @@ let measure_cell ~width ~sample ~naive ~jobs bench flow_kind g =
     List.map
       (fun j ->
         Hft_obs.reset ();
-        (j, leg ~jobs:j ~guided:false (Printf.sprintf "unguided-j%d" j)))
+        (j, leg ~jobs:j ~guided:false ()))
       jobs
   in
   let jobs_matrix =

@@ -245,7 +245,7 @@ type campaign = {
 let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
     ?(sample = 20) ?(seed = 2024) ?(n_patterns = 64)
     ?(supervisor = Some Hft_robust.Supervisor.default) ?tape
-    ?(resume = false) ?(guided = true) ?jobs ?campaign r =
+    ?(resume = false) ?(guided = true) ?jobs r =
   span "test-campaign" @@ fun () ->
   if sample < 1 then
     Hft_robust.Validation.fail ~site:"flow.test_campaign"
@@ -268,12 +268,6 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
   let nl, faults, scanned = expand_and_sample ~rng ~sample r in
   let n_pi = List.length (Hft_gate.Netlist.pis nl) in
   let n_scan = List.length scanned in
-  (* Live telemetry bracket: a campaign_started event now, the final
-     snapshot just before we return.  No-ops unless the CLI started a
-     progress stream (--progress-out). *)
-  Hft_obs.Progress.campaign_begin
-    ~label:(match campaign with Some c -> c | None -> r.report.flow)
-    ~faults:(List.length faults);
   (* Tape fingerprint: everything that shapes the fault sample, the
      search and the pattern layout.  A resume against a tape written
      under different knobs would silently diverge, so any mismatch is
@@ -495,13 +489,11 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
         ~wall_ns:(int_of_float (t_atpg *. 1e9))
   in
   (* Publish the scheduler telemetry: counters and gauges into the
-     registry (the hft.par series), one Shard_stats event onto the
-     journal, and
-     the summary onto the progress stream so the final snapshot's
-     ["parallel"] object carries it.  All three are jobs-dependent by
-     nature, so none participate in the engine bit-identity surfaces —
-     the journal event in particular is recorded only here, never by
-     the engines, so committed tapes stay identical across jobs. *)
+     registry (the hft.par series) and one Shard_stats event onto the
+     journal.  Both are jobs-dependent by nature, so neither
+     participates in the engine bit-identity surfaces — the journal
+     event in particular is recorded only here, never by the engines,
+     so committed tapes stay identical across jobs. *)
   let open Hft_par.Stats in
   Hft_obs.Registry.incr "hft.par.tasks" ~by:par.s_tasks;
   Hft_obs.Registry.incr "hft.par.waves" ~by:par.s_waves;
@@ -529,7 +521,6 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
          inline = inline par;
          utilization = utilization par;
        });
-  Hft_obs.Progress.set_parallel (Some (to_json par));
   (* Final coverage fault simulation.  Fast: replay the ATPG-derived
      patterns (plus random fill) through the scan view — the scan cells
      are pattern-loaded pseudo PIs and their D inputs observed — so
@@ -617,7 +608,6 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
           Hft_gate.Fsim.comb_random ~strategy nl ~rng ~n_patterns faults)
   in
   let t_fsim = Hft_obs.Clock.now () -. t1 in
-  Hft_obs.Progress.campaign_end ();
   {
     c_netlist = nl;
     c_faults = faults;

@@ -156,20 +156,13 @@ type campaign = {
     deliberately {e not} part of the tape fingerprint: a campaign taped
     at one jobs count resumes correctly at another.
 
-    [campaign] labels this run in the [hft-progress/1] live-telemetry
-    stream (default: the flow name).  When {!Hft_obs.Progress} is
-    started the campaign is bracketed by a [campaign_started] event and
-    a final snapshot; otherwise the bracket is a no-op.
-
     Scheduler telemetry ([c_par]) is additionally published once per
-    campaign — [hft.par.*] registry series, one [Shard_stats] journal
-    event, and the final progress snapshot's ["parallel"] object.  All
-    of these are jobs-dependent summaries and sit outside the engine
-    bit-identity surfaces. *)
+    campaign — [hft.par.*] registry series and one [Shard_stats]
+    journal event.  Both are jobs-dependent summaries and sit outside
+    the engine bit-identity surfaces. *)
 val test_campaign :
   ?strategy:atpg_strategy -> ?backtrack_limit:int -> ?max_frames:int ->
   ?sample:int -> ?seed:int -> ?n_patterns:int ->
   ?supervisor:Hft_robust.Supervisor.policy option ->
   ?tape:string -> ?resume:bool -> ?guided:bool -> ?jobs:int ->
-  ?campaign:string ->
   result -> campaign

@@ -22,8 +22,7 @@ let run ?(guided = true) ?(jobs = 1) ?tape ?(resume = false) ~bench ~width
   let r = Flow.synthesize ~width flow g in
   let campaign =
     Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
-      ~n_patterns:64 ~guided ~jobs ?tape ~resume
-      ~campaign:(bench ^ "/" ^ Flow.flow_kind_to_string flow) r
+      ~n_patterns:64 ~guided ~jobs ?tape ~resume r
   in
   Live
     { bench; flow; guided; jobs; campaign;
@@ -124,6 +123,47 @@ let report ~json ~top src =
       Printf.sprintf "coverage waterfall (%s):\n" heading
       ^ waterfall_table ?sampled waterfall
       ^ summary )
+
+(* [hft watch]: a status line over the tape's report.  The rate is the
+   faults resolved since the watcher's first look over the time since,
+   on the watcher's own clock. *)
+type watcher = { w_start : float; w_resolved : int }
+
+let watch w ~now file (t : Ledger.tape) =
+  if t.tp_source <> "ledger" then
+    Hft_robust.Validation.fail ~site:"TAPE"
+      ~hint:"pass a --ledger-out campaign tape"
+      (file ^ ": a journal tape records no campaign to watch");
+  let resolved = snd (Ledger.totals t.tp_waterfall) in
+  let detected =
+    List.fold_left
+      (fun n (k, (_, f)) -> if Ledger.is_detection k then n + f else n)
+      0 t.tp_waterfall
+  in
+  let n_faults =
+    match List.assoc_opt "n_faults" t.tp_meta with
+    | Some (Json.Int n) -> n
+    | _ -> resolved
+  in
+  let w = Option.value w ~default:{ w_start = now; w_resolved = resolved } in
+  let rate =
+    let dt = now -. w.w_start and dn = resolved - w.w_resolved in
+    if dt > 0.0 && dn > 0 then Some (float_of_int dn /. dt) else None
+  in
+  ( w,
+    Printf.sprintf "%s: %d of %d faults resolved, %d detected (%s)%s\n"
+      (if t.tp_finished then "finished" else "running")
+      resolved n_faults detected
+      (Pretty.pct
+         (if n_faults > 0 then float_of_int detected /. float_of_int n_faults
+          else 0.0))
+      (match rate with
+       | None -> ""
+       | Some r when t.tp_finished -> Printf.sprintf ", %.1f faults/s" r
+       | Some r ->
+         Printf.sprintf ", %.1f faults/s, eta %.1f s" r
+           (float_of_int (n_faults - resolved) /. r))
+    ^ report ~json:false ~top:5 (Tape (file, t)) )
 
 let ms_table header rows =
   Pretty.render ~header

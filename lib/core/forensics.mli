@@ -30,6 +30,21 @@ val run :
     text, or one JSON line. *)
 val report : json:bool -> top:int -> source -> string
 
+(** What a watcher saw at its first look at a tape: its clock then and
+    the faults resolved by then. *)
+type watcher
+
+(** [watch w ~now file tape]: [hft watch]'s view of the campaign tape
+    read from [file].  One status line — running or finished, the faults
+    resolved and detected against the header's [n_faults], and the rate
+    and ETA measured on the watcher's clock from [w] to [now] (none at
+    the first look, [w = None]) — above {!report}'s text of the tape,
+    top 5.  Returns the watcher for the next poll.  A journal tape
+    records no campaign: [Hft_robust.Validation.Invalid]. *)
+val watch :
+  watcher option -> now:float -> string -> Hft_obs.Ledger.tape ->
+  watcher * string
+
 (** Per-span self time and per-worker telemetry of a live campaign, or
     per-phase time and the scheduler summary on a journal tape; then the
     same [top] classes as {!report}. *)

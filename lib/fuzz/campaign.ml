@@ -169,7 +169,7 @@ let generate_for ~reg_pulls cfg arm ~trial =
 (* Run the oracle (or one check) against a scratch recorder: the
    engines under test need observability on for their ledger outcome
    maps, but nothing they record may leak into the campaign's own
-   metrics, journal or progress stream. *)
+   metrics or journal. *)
 let oracle_run ~canary ~step_budget ~seed nl =
   Hft_obs.isolated (fun () ->
       Hft_obs.with_enabled true (fun () ->
@@ -234,8 +234,6 @@ let run cfg =
   let new_total = ref 0 and refound_total = ref 0 and esc_total = ref 0 in
   let trials_run = ref 0 in
   let stop = ref (if start_trial >= cfg.c_trials then "trials" else "") in
-  Hft_obs.Progress.campaign_begin ~label:"fuzz"
-    ~faults:(max 0 (cfg.c_trials - start_trial));
   Fun.protect
     ~finally:(fun () -> State.close writer)
     (fun () ->
@@ -249,23 +247,16 @@ let run cfg =
         let canary = arm_canary arm in
         let seed, nl = generate_for ~reg_pulls:!reg_pulls cfg arm ~trial:t in
         if canary then incr reg_pulls;
-        let cls =
-          Hft_obs.Ledger.register_class
-            ~rep:(Printf.sprintf "t%05d:%s" t arm.a_name)
-            ~members:[ Printf.sprintf "t%05d:%s" t arm.a_name ]
-        in
         let report =
           oracle_run ~canary ~step_budget:cfg.c_step_budget ~seed nl
         in
         let fresh = ref 0 and refound = ref 0 in
-        let fingerprints = ref [] in
         List.iter
           (fun (f : Oracle.finding) ->
             let fp =
               Repro.fingerprint ~check:f.Oracle.f_check ~seed
                 ~detail:f.Oracle.f_detail
             in
-            fingerprints := fp :: !fingerprints;
             if Hashtbl.mem seen fp then incr refound
             else begin
               Hashtbl.replace seen fp canary;
@@ -326,17 +317,6 @@ let run cfg =
           metric_escalations;
         Hft_obs.Registry.set metric_corpus
           (float_of_int (Hashtbl.length seen));
-        (* A clean trial resolves its watch class as proved-quiet; a
-           finding-bearing one as aborted with the evidence attached —
-           reusing the ledger taxonomy keeps `hft watch` working with no
-           fuzz-specific stream events. *)
-        Hft_obs.Ledger.resolve cls
-          (if !fingerprints = [] then
-             Hft_obs.Ledger.Proved_untestable { frames = 0 }
-           else
-             Hft_obs.Ledger.Aborted
-               { budget = 0; frames = 0;
-                 reason = Some (String.concat "," (List.rev !fingerprints)) });
         trial := t + 1;
         if !trial >= cfg.c_trials then stop := "trials"
         else
@@ -344,7 +324,6 @@ let run cfg =
           | Some d when Hft_obs.Clock.now () -. t0 >= d -> stop := "duration"
           | _ -> ()
       done);
-  Hft_obs.Progress.campaign_end ();
   let real =
     Hashtbl.fold (fun _ canary n -> if canary then n else n + 1) seen 0
   in

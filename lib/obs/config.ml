@@ -11,10 +11,9 @@ let enabled = ref false
 
 (* Allocation profiling rides the span tree: when on, [Span.with_]
    brackets each phase with [Gc.quick_stat] and folds the minor/major
-   word and compaction deltas into the span's attributes (and the
-   progress streamer surfaces the cumulative numbers in snapshots).
-   Off by default — a [Gc.quick_stat] pair per span is cheap but not
-   free, and the disabled path must stay provably identical. *)
+   word and compaction deltas into the span's attributes.  Off by
+   default — a [Gc.quick_stat] pair per span is cheap but not free,
+   and the disabled path must stay provably identical. *)
 let gc_stats = ref false
 
 let with_enabled v f =

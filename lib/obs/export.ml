@@ -50,67 +50,6 @@ let metrics_json ?(snapshot = Registry.snapshot ()) () =
   Hft_util.Json.Obj
     (List.map (fun s -> (s.Metric.s_name, Metric.snapshot_to_json s)) snapshot)
 
-(* OpenMetrics / Prometheus text exposition of a registry snapshot.
-
-   Counters expose as `<name>_total`, gauges as `<name>`, and timers /
-   histograms as the full `_bucket{le="..."}` / `_sum` / `_count`
-   triple with cumulative bucket counts over the registry's 40
-   power-of-two bins (plus the mandatory `le="+Inf"`).  Metric names
-   are mangled to the exposition charset (dots become underscores:
-   `hft.podem.backtracks` -> `hft_podem_backtracks`), and the document
-   ends with the OpenMetrics `# EOF` marker, so a scraper — or the
-   ROADMAP's future `hft serve` — ingests the file as-is. *)
-
-let openmetrics_name s =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c
-      | _ -> '_')
-    s
-
-(* Exposition floats: finite shortest-ish decimal; the grammar forbids
-   nothing here, but scrapers choke on "inf"/"nan" spellings other than
-   the canonical ones. *)
-let openmetrics_float f =
-  if Float.is_nan f then "NaN"
-  else if f = infinity then "+Inf"
-  else if f = neg_infinity then "-Inf"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
-let openmetrics ?(snapshot = Registry.snapshot ()) () =
-  let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s;
-                                   Buffer.add_char b '\n') fmt in
-  List.iter
-    (fun (s : Metric.snapshot) ->
-      let name = openmetrics_name s.Metric.s_name in
-      match s.Metric.s_kind with
-      | Metric.Counter ->
-        line "# TYPE %s counter" name;
-        line "%s_total %d" name s.Metric.s_count
-      | Metric.Gauge ->
-        line "# TYPE %s gauge" name;
-        line "%s %s" name (openmetrics_float s.Metric.s_last)
-      | Metric.Timer | Metric.Histogram ->
-        line "# TYPE %s histogram" name;
-        let cum = ref 0 in
-        Array.iteri
-          (fun i n ->
-            cum := !cum + n;
-            line "%s_bucket{le=\"%s\"} %d" name
-              (openmetrics_float (Metric.bucket_upper i))
-              !cum)
-          s.Metric.s_buckets;
-        line "%s_bucket{le=\"+Inf\"} %d" name s.Metric.s_count;
-        line "%s_sum %s" name (openmetrics_float s.Metric.s_sum);
-        line "%s_count %d" name s.Metric.s_count)
-    snapshot;
-  Buffer.add_string b "# EOF\n";
-  Buffer.contents b
-
 (* Chrome trace-event format: complete ("ph":"X") events with
    microsecond timestamps relative to the earliest recorded instant.
    Span events land on the tid of the domain that opened them (0 for

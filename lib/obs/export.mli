@@ -7,14 +7,6 @@
 val metrics_table : ?snapshot:Metric.snapshot list -> unit -> string
 val metrics_json : ?snapshot:Metric.snapshot list -> unit -> Hft_util.Json.t
 
-(** OpenMetrics / Prometheus text exposition of the snapshot: counters
-    as [<name>_total], gauges bare, timers/histograms as cumulative
-    [_bucket{le="..."}] lines (40 power-of-two bins plus [+Inf]) with
-    [_sum]/[_count]; names mangled to the exposition charset (dots to
-    underscores) and the document terminated by [# EOF].  This is what
-    [--metrics-out] writes and rewrites during a campaign. *)
-val openmetrics : ?snapshot:Metric.snapshot list -> unit -> string
-
 (** [chrome_trace ()] — the span forest plus the per-domain
     {!Span.track_event} slices as a Chrome trace-event document
     ([{"traceEvents": [...]}]): one complete ("ph":"X") event per span

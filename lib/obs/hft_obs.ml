@@ -13,14 +13,10 @@ module Journal = Journal
 module Ledger = Ledger
 module Export = Export
 module Table = Table
-module Progress = Progress
 
 let enabled = Config.enabled
 let with_enabled = Config.with_enabled
 
-(* Deliberately leaves [Progress] alone: `hft bench` resets the
-   recorder between cells while one progress stream spans the whole
-   matrix (its seq numbers must stay strictly monotone). *)
 let reset () =
   Registry.reset ();
   Span.reset ();
@@ -28,12 +24,11 @@ let reset () =
   Ledger.reset ()
 
 (* Nest the per-module isolations so [f] sees a completely fresh
-   recorder (empty registry/trace/journal/ledger, journal tap
-   suspended) and the caller's state — including any live progress
-   stream driven off the journal tap — is untouched when [f] returns
-   or raises.  The fuzz campaign runs its oracle engine checks in here:
-   the oracles [reset ()] and read the ledger freely without erasing
-   the campaign's own telemetry. *)
+   recorder (empty registry/trace/journal/ledger) and the caller's
+   state is untouched when [f] returns or raises.  The fuzz campaign
+   runs its oracle engine checks in here: the oracles [reset ()] and
+   read the ledger freely without erasing the campaign's own
+   telemetry. *)
 let isolated f =
   Registry.isolated (fun () ->
       Span.isolated (fun () -> Journal.isolated (fun () -> Ledger.isolated f)))

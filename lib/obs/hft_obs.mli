@@ -25,7 +25,6 @@ module Journal = Journal
 module Ledger = Ledger
 module Export = Export
 module Table = Table
-module Progress = Progress
 
 (** Alias of [Config.enabled]. *)
 val enabled : bool ref
@@ -33,15 +32,14 @@ val enabled : bool ref
 val with_enabled : bool -> (unit -> 'a) -> 'a
 
 (** Clear the metric registry, the span trace, the event journal and
-    the fault ledger.  Does {e not} stop {!Progress}: one stream spans
-    a whole bench matrix across per-cell resets. *)
+    the fault ledger. *)
 val reset : unit -> unit
 
 (** [isolated f] runs [f] against a completely fresh recorder — empty
-    registry, span trace, journal (tap suspended) and ledger — and
-    restores the caller's state afterwards (even on exceptions).
+    registry, span trace, journal and ledger — and restores the
+    caller's state afterwards (even on exceptions).
     Inside, [f] may freely {!reset} and read back; nothing it records
     leaks out, and nothing recorded outside is visible to it.  This is
     how the fuzz campaign runs whole differential engine campaigns as
-    subroutines without erasing its own live telemetry. *)
+    subroutines without erasing its own telemetry. *)
 val isolated : (unit -> 'a) -> 'a

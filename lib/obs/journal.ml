@@ -63,13 +63,6 @@ let set_capacity n =
 let recorded () = locked (fun () -> !total)
 let dropped () = locked (fun () -> max 0 (!total - !cap))
 
-(* Tap for live consumers (the progress streamer): called synchronously
-   after the ring store, only when enabled.  The default is a no-op, so
-   the tap costs one closure call per recorded event and nothing when
-   observability is off.  The tap runs outside the ring lock so it may
-   itself read the registry/ledger without deadlocking. *)
-let on_record : (entry -> unit) ref = ref (fun _ -> ())
-
 (* The domain stamp is taken where the ring store happens, so entries a
    worker deferred onto a capture tape get domain 0 at replay time (the
    orchestrator performs the write) — which is what keeps committed
@@ -77,25 +70,20 @@ let on_record : (entry -> unit) ref = ref (fun _ -> ())
    records (there are none in the engines today) would carry a nonzero
    domain. *)
 let record_now ev =
-  let e =
-    locked (fun () ->
-        let e = { e_seq = !total; e_time = Clock.now ();
-                  e_domain = Domain_id.get (); e_event = ev } in
-        !buf.(!total mod !cap) <- Some e;
-        incr total;
-        e)
-  in
-  !on_record e
+  locked (fun () ->
+      !buf.(!total mod !cap) <-
+        Some { e_seq = !total; e_time = Clock.now ();
+               e_domain = Domain_id.get (); e_event = ev };
+      incr total)
 
 let record ev =
   if !Config.enabled then
     if not (Capture.defer (fun () -> record_now ev)) then record_now ev
 
-(* Run [f] against a scratch ring of the same capacity, with the live
-   tap suspended, restoring ring, counters and tap afterwards.  Events
-   recorded inside are invisible outside and drive no live consumer. *)
+(* Run [f] against a scratch ring of the same capacity, restoring ring
+   and counters afterwards.  Events recorded inside are invisible
+   outside. *)
 let isolated f =
-  let saved_tap = !on_record in
   let saved_buf, saved_total =
     locked (fun () ->
         let s = (!buf, !total) in
@@ -103,13 +91,11 @@ let isolated f =
         total := 0;
         s)
   in
-  on_record := (fun _ -> ());
   Fun.protect
     ~finally:(fun () ->
       locked (fun () ->
           buf := saved_buf;
-          total := saved_total);
-      on_record := saved_tap)
+          total := saved_total))
     f
 
 let entries () =

@@ -64,13 +64,6 @@ type entry = { e_seq : int; e_time : float; e_domain : int; e_event : event }
 
 val record : event -> unit
 
-(** Synchronous tap called after every recorded entry (only while
-    enabled).  Consumers ({!Hft_obs.Progress}) install themselves here;
-    the default is a no-op.  Replace, don't chain — there is one live
-    consumer at a time and {!Hft_obs.Progress.stop} restores the
-    no-op. *)
-val on_record : (entry -> unit) ref
-
 (** Entries still in the ring, oldest first. *)
 val entries : unit -> entry list
 
@@ -89,9 +82,8 @@ val set_capacity : int -> unit
 
 val reset : unit -> unit
 
-(** [isolated f] runs [f] against a fresh ring of the current capacity
-    with the {!on_record} tap suspended, restoring both afterwards
-    (even on exceptions). *)
+(** [isolated f] runs [f] against a fresh ring of the current capacity,
+    restoring the caller's ring afterwards (even on exceptions). *)
 val isolated : (unit -> 'a) -> 'a
 
 (** The snake_case tag exported as the ["type"] field. *)

@@ -155,10 +155,8 @@ let resolve h res =
     match faults with
     | None -> ()
     | Some faults ->
-      (* Journaled so an exported tape replays the waterfall offline and
-         the progress streamer sees resolution velocity without a second
-         hook.  Recorded after the ledger lock is released: the progress
-         tap behind [Journal.on_record] reads the ledger back. *)
+      (* Journaled so an exported tape replays the waterfall offline.
+         Recorded after the ledger lock is released (lock order). *)
       Journal.record
         (Journal.Class_resolved
            { cls = h; outcome = resolution_key res; faults })
@@ -311,11 +309,12 @@ let outcomes ?(rows = rows ()) () =
     rows;
   tbl
 
+let is_detection k =
+  List.mem k [ "drop_detected"; "podem_detected"; "salvaged" ]
+
 let contradicts k1 k2 =
-  let detected k =
-    List.mem k [ "drop_detected"; "podem_detected"; "salvaged" ]
-  in
-  (detected k1 && k2 = "untestable") || (k1 = "untestable" && detected k2)
+  (is_detection k1 && k2 = "untestable")
+  || (k1 = "untestable" && is_detection k2)
 
 let resolution_to_json res =
   let open Hft_util.Json in
@@ -505,6 +504,7 @@ type tape = {
   tp_waterfall : (string * (int * int)) list;
   tp_records : Hft_util.Json.t list;
   tp_events : Hft_util.Json.t list;
+  tp_finished : bool;
 }
 
 exception Bad_tape of string
@@ -579,7 +579,7 @@ let ledger_tape meta docs =
     tp_waterfall = waterfall ~rows ();
     tp_records =
       List.filter_map (function _, End _ -> None | j, _ -> Some j) kept;
-    tp_events = [] }
+    tp_events = []; tp_finished = !finished }
 
 (* A journal tape has no rows: its waterfall tallies the Class_resolved
    events (last write per class wins, as in [resolve]), so a class the
@@ -607,7 +607,7 @@ let journal_tape docs =
   { tp_source = "journal"; tp_meta = []; tp_rows = [];
     tp_tests = List.rev !tests;
     tp_waterfall = tally (Hashtbl.fold (fun _ r acc -> r :: acc) resolved []);
-    tp_records = []; tp_events = List.map snd docs }
+    tp_records = []; tp_events = List.map snd docs; tp_finished = false }
 
 (* The first object decides the tape kind: an hft-ledger/1 header or a
    journal event. *)

@@ -59,8 +59,7 @@ val register_class : rep:string -> members:string list -> int
 
 (** Record the class outcome (last write wins; engines resolve once).
     Also journals a {!Hft_obs.Journal.event.Class_resolved} event, so
-    exported tapes carry the waterfall and live consumers see
-    resolution velocity. *)
+    exported journal tapes carry the waterfall. *)
 val resolve : int -> resolution -> unit
 
 (** Accumulate PODEM cost counters onto a class; all default to 0. *)
@@ -131,9 +130,13 @@ val waterfall_json :
     runs over one fault list. *)
 val outcomes : ?rows:row list -> unit -> (string, string) Hashtbl.t
 
-(** [contradicts k1 k2]: one outcome is a detection (dropped,
-    PODEM-detected or salvaged) and the other a proof of
-    untestability — a soundness bug in whichever engine is wrong. *)
+(** The outcome key is a detection: dropped, PODEM-detected or
+    salvaged. *)
+val is_detection : string -> bool
+
+(** [contradicts k1 k2]: one outcome is a detection and the other a
+    proof of untestability — a soundness bug in whichever engine is
+    wrong. *)
 val contradicts : string -> string -> bool
 
 (** The [k] most expensive rows, descending cost (class id tiebreak). *)
@@ -185,6 +188,9 @@ type tape = {
       (** what a resume keeps: the records but the end marker, in file
           order; [[]] for a journal tape *)
   tp_events : Hft_util.Json.t list;  (** [[]] for a ledger tape *)
+  tp_finished : bool;
+      (** the end marker was read: the campaign finished; [false] for a
+          journal tape *)
 }
 
 (** Read an [hft-ledger/1] tape (its rows and tests equal those of the

@@ -58,7 +58,4 @@ val percentile : snapshot -> float -> float
     [s_buckets]). *)
 val n_buckets : int
 
-(** Upper bound of bucket [i] (the floor value for bucket 0). *)
-val bucket_upper : int -> float
-
 val snapshot_to_json : snapshot -> Hft_util.Json.t

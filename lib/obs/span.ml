@@ -107,7 +107,7 @@ let with_ ?(attrs = []) name f =
        handful of loads (no heap walk; [Gc.minor_words] separately
        because quick_stat's minor figure excludes the live minor heap),
        and the deltas land as ordinary attributes so every exporter
-       (render, Chrome trace, progress stream) carries them for free. *)
+       (render, Chrome trace) carries them for free. *)
     let gc0 =
       if !Config.gc_stats then Some (Gc.quick_stat (), Gc.minor_words ())
       else None

@@ -679,7 +679,10 @@ let member_text k j =
        --ledger-out documents_pinned.jsonl
      hft report|profile --journal-in documents_pinned.jsonl [--json]
    Then the quick bench matrix at 1, 2 and 4 domains must reproduce
-   every deterministic field of the committed BENCH_hft.json. *)
+   every deterministic field of the committed BENCH_hft.json, and hold
+   on its own what that file holds: guidance flips no verdict and
+   aborts no more classes than the unguided leg, and every jobs leg does
+   its sequential cell's engine work. *)
 let test_documents_pinned () =
   Fun.protect
     ~finally:(fun () ->
@@ -724,6 +727,16 @@ let test_documents_pinned () =
           (member_text k fresh))
       keys
   in
+  let aborted j =
+    Option.bind (Hft_util.Json.member "waterfall" j) (fun w ->
+        Option.bind (Hft_util.Json.member "aborted" w)
+          (Hft_util.Json.member_int "classes"))
+    |> Option.get
+  in
+  let engine_work =
+    [ "faults"; "podem_backtracks"; "fsim_events"; "atpg_coverage";
+      "fsim_coverage"; "waterfall" ]
+  in
   List.iter2
     (fun fresh old ->
       let cell = member_text "bench" old ^ "/" ^ member_text "flow" old in
@@ -734,10 +747,16 @@ let test_documents_pinned () =
       let guided j = Option.get (Hft_util.Json.member "guided" j) in
       same (cell ^ " guided") [ "verdict_flips"; "waterfall" ] (guided fresh)
         (guided old);
+      Alcotest.(check string) (cell ^ " guided verdict flips") "0"
+        (member_text "verdict_flips" (guided fresh));
+      check (cell ^ " guided aborts no more classes") true
+        (aborted (guided fresh) <= aborted fresh);
+      List.iter
+        (fun leg ->
+          same (cell ^ " jobs leg = sequential") engine_work leg fresh)
+        (list "jobs_matrix" fresh);
       List.iter2
-        (same (cell ^ " jobs leg")
-           [ "jobs"; "faults"; "podem_backtracks"; "fsim_events";
-             "atpg_coverage"; "fsim_coverage"; "waterfall" ])
+        (same (cell ^ " jobs leg") ("jobs" :: engine_work))
         (list "jobs_matrix" fresh) (list "jobs_matrix" old))
     (list "results" doc) (list "results" committed)
 

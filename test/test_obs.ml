@@ -546,311 +546,30 @@ let test_flow_spans () =
     Hft_core.Flow.flow_kinds
 
 (* ------------------------------------------------------------------ *)
-(* Progress: the hft-progress/1 stream, watch views, offline rebuild  *)
+(* Campaign tapes: offline rebuild and the watch fold                 *)
 (* ------------------------------------------------------------------ *)
 
-let jsonl_lines s =
-  String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
-
-let parse_line l =
-  match Hft_util.Json.parse l with
-  | Ok d -> d
-  | Error e -> Alcotest.failf "unparseable stream line %S: %s" l e
-
-let jint k d =
-  match Hft_util.Json.member k d with
-  | Some (Hft_util.Json.Int i) -> i
-  | _ -> Alcotest.failf "missing int field %s" k
-
-let jstr k d =
-  match Hft_util.Json.member k d with
-  | Some (Hft_util.Json.String s) -> s
-  | _ -> Alcotest.failf "missing string field %s" k
-
-(* One small real campaign streamed into a buffer and taped to a file;
-   returns (stream lines, journal tape, campaign tape, live waterfall
-   JSON, campaign result). *)
-let run_streamed_campaign ?(every = 2) ?jobs () =
+(* One small real campaign taped to a file; returns (journal tape,
+   campaign tape, live waterfall JSON). *)
+let run_taped_campaign ?jobs () =
   let g = Hft_cdfg.Paper_fig1.graph () in
-  let b = Buffer.create 4096 in
-  Hft_obs.Progress.start
-    ~config:
-      { Hft_obs.Progress.default_config with
-        Hft_obs.Progress.every_classes = every }
-    (Hft_obs.Progress.sink_of_buffer b);
   let tape = Filename.temp_file "hft_tape" ".jsonl" in
   Fun.protect
-    ~finally:(fun () ->
-      Hft_obs.Progress.stop ();
-      Sys.remove tape)
+    ~finally:(fun () -> Sys.remove tape)
     (fun () ->
       let r = Hft_core.Flow.synthesize_for_partial_scan ~width:4 g in
-      let c =
+      let _ =
         Hft_core.Flow.test_campaign ~backtrack_limit:20 ~max_frames:2
-          ~sample:4 ~seed:7 ~n_patterns:16 ?jobs ~tape ~campaign:"fig1/test" r
+          ~sample:4 ~seed:7 ~n_patterns:16 ?jobs ~tape r
       in
       let journal = Hft_obs.Journal.to_jsonl () in
       let ledger = In_channel.with_open_bin tape In_channel.input_all in
       let live_wf = Hft_util.Json.to_string (Hft_obs.Ledger.waterfall_json ()) in
-      Hft_obs.Progress.stop ();
-      (jsonl_lines (Buffer.contents b), journal, ledger, live_wf, c))
-
-let test_progress_stream () =
-  with_obs @@ fun () ->
-  let lines, _, _, live_wf, _ = run_streamed_campaign () in
-  let docs = List.map parse_line lines in
-  check "stream non-trivial" true (List.length docs > 10);
-  (* Every event: schema + strictly monotone seq. *)
-  let _ =
-    List.fold_left
-      (fun prev d ->
-        check_str "schema" "hft-progress/1" (jstr "schema" d);
-        let seq = jint "seq" d in
-        check ("seq strictly monotone at " ^ string_of_int seq) true
-          (seq > prev);
-        seq)
-      (-1) docs
-  in
-  let snapshots =
-    List.filter (fun d -> jstr "type" d = "snapshot") docs
-  in
-  let finals, intermediates =
-    List.partition
-      (fun d ->
-        Hft_util.Json.member "final" d = Some (Hft_util.Json.Bool true))
-      snapshots
-  in
-  check "at least 2 intermediate snapshots" true
-    (List.length intermediates >= 2);
-  check_int "exactly one final snapshot" 1 (List.length finals);
-  (* Conservation at every emission: per-outcome classes/faults sum to
-     the waterfall totals, and resolved matches the outcome tallies. *)
-  List.iter
-    (fun d ->
-      let wf =
-        match Hft_util.Json.member "waterfall" d with
-        | Some w -> w
-        | None -> Alcotest.fail "snapshot without waterfall"
-      in
-      let cell k =
-        match Hft_util.Json.member k wf with
-        | Some c -> (jint "classes" c, jint "faults" c)
-        | None -> Alcotest.failf "waterfall missing %s" k
-      in
-      let sum_c, sum_f =
-        List.fold_left
-          (fun (ac, af) k ->
-            let c, f = cell k in
-            (ac + c, af + f))
-          (0, 0) Hft_obs.Ledger.outcome_keys
-      in
-      check_int "classes conserved" (jint "classes" wf) sum_c;
-      check_int "faults conserved" (jint "faults" wf) sum_f;
-      let nt_c, _ = cell "never_targeted" in
-      check_int "resolved = classes - never_targeted" (jint "resolved" d)
-        (jint "classes" wf - nt_c))
-    snapshots;
-  (* The final snapshot's waterfall is the live ledger waterfall, bit
-     for bit. *)
-  (match finals with
-   | [ f ] ->
-     (match Hft_util.Json.member "waterfall" f with
-      | Some wf ->
-        check_str "final snapshot = live waterfall" live_wf
-          (Hft_util.Json.to_string wf)
-      | None -> Alcotest.fail "final snapshot without waterfall")
-   | _ -> ());
-  (* The stream is terminated explicitly. *)
-  match List.rev docs with
-  | last :: _ -> check_str "terminator" "stream_end" (jstr "type" last)
-  | [] -> ()
-
-(* Progress only reads engine state: a campaign with the streamer on
-   must leave the engines' effort bit-identical to one with
-   observability entirely off. *)
-let test_progress_disabled_differential () =
-  let g = Hft_cdfg.Paper_fig1.graph () in
-  let campaign () =
-    let r = Hft_core.Flow.synthesize_for_partial_scan ~width:4 g in
-    Hft_core.Flow.test_campaign ~backtrack_limit:20 ~max_frames:2 ~sample:4
-      ~seed:7 ~n_patterns:16 r
-  in
-  let c_off =
-    Hft_obs.reset ();
-    Hft_obs.with_enabled false campaign
-  in
-  let c_on =
-    with_obs @@ fun () ->
-    let b = Buffer.create 1024 in
-    Hft_obs.Progress.start (Hft_obs.Progress.sink_of_buffer b);
-    Fun.protect ~finally:Hft_obs.Progress.stop campaign
-  in
-  check "atpg stats bit-identical" true
-    (c_off.Hft_core.Flow.c_atpg = c_on.Hft_core.Flow.c_atpg);
-  check "fsim coverage identical" true
-    (Hft_gate.Fsim.coverage c_off.Hft_core.Flow.c_fsim
-     = Hft_gate.Fsim.coverage c_on.Hft_core.Flow.c_fsim);
-  check "patterns stored identical" true
-    (c_off.Hft_core.Flow.c_patterns_stored
-     = c_on.Hft_core.Flow.c_patterns_stored)
-
-let test_openmetrics_grammar () =
-  with_obs @@ fun () ->
-  Hft_obs.Registry.incr "hft.test.counter" ~by:3;
-  Hft_obs.Registry.set "hft.test.gauge" 1.5;
-  Hft_obs.Registry.observe "hft.test.hist" 0.5;
-  Hft_obs.Registry.observe "hft.test.hist" 2.0;
-  Hft_obs.Registry.observe "hft.test.hist" 2.0;
-  let text = Hft_obs.Export.openmetrics () in
-  let lines = String.split_on_char '\n' text in
-  check "ends with EOF terminator" true
-    (match List.rev (List.filter (fun l -> l <> "") lines) with
-     | "# EOF" :: _ -> true
-     | _ -> false);
-  (* Every exposition line is a comment or `name{labels} value` with a
-     mangled (metric-charset) name. *)
-  let name_ok n =
-    n <> ""
-    && String.for_all
-         (fun c ->
-           (c >= 'a' && c <= 'z')
-           || (c >= 'A' && c <= 'Z')
-           || (c >= '0' && c <= '9')
-           || c = '_' || c = ':')
-         n
-  in
-  List.iter
-    (fun l ->
-      if l <> "" && not (String.length l >= 1 && l.[0] = '#') then begin
-        match String.index_opt l ' ' with
-        | None -> Alcotest.failf "sample line without value: %S" l
-        | Some i ->
-          let name = String.sub l 0 i in
-          let name =
-            match String.index_opt name '{' with
-            | Some j -> String.sub name 0 j
-            | None -> name
-          in
-          check ("metric name charset: " ^ name) true (name_ok name)
-      end)
-    lines;
-  let has s =
-    List.exists (fun l -> l = s) lines
-  in
-  check "counter typed" true (has "# TYPE hft_test_counter counter");
-  check "counter total sample" true (has "hft_test_counter_total 3");
-  check "gauge typed" true (has "# TYPE hft_test_gauge gauge");
-  check "gauge sample" true (has "hft_test_gauge 1.5");
-  check "histogram typed" true (has "# TYPE hft_test_hist histogram");
-  check "histogram count" true (has "hft_test_hist_count 3");
-  check "histogram sum" true (has "hft_test_hist_sum 4.5");
-  (* Buckets: cumulative, non-decreasing, increasing le, +Inf = count. *)
-  let buckets =
-    List.filter_map
-      (fun l ->
-        let p = "hft_test_hist_bucket{le=\"" in
-        let pl = String.length p in
-        if String.length l > pl && String.sub l 0 pl = p then begin
-          match String.index_opt l '}' with
-          | Some j ->
-            let le = String.sub l pl (j - 1 - pl) in
-            let v =
-              int_of_string (String.sub l (j + 2) (String.length l - j - 2))
-            in
-            Some (le, v)
-          | None -> None
-        end
-        else None)
-      lines
-  in
-  check "has buckets" true (List.length buckets >= 2);
-  let rec monotone = function
-    | (le1, v1) :: ((le2, v2) :: _ as rest) ->
-      let f s = if s = "+Inf" then infinity else float_of_string s in
-      check "le increasing" true (f le1 < f le2);
-      check "cumulative non-decreasing" true (v1 <= v2);
-      monotone rest
-    | _ -> ()
-  in
-  monotone buckets;
-  (match List.rev buckets with
-   | ("+Inf", v) :: _ -> check_int "+Inf bucket = count" 3 v
-   | _ -> Alcotest.fail "no +Inf bucket")
-
-let test_watch_view () =
-  with_obs @@ fun () ->
-  let lines, _, _, _, _ = run_streamed_campaign () in
-  (* Completed stream: finished, seq-clean, campaign label visible. *)
-  let v = Hft_obs.Progress.view_of_lines lines in
-  check "completed stream finished" true v.Hft_obs.Progress.v_finished;
-  check "seq ok" true v.Hft_obs.Progress.v_seq_ok;
-  check_int "no bad lines" 0 v.Hft_obs.Progress.v_bad;
-  check_int "one campaign finished" 1 v.Hft_obs.Progress.v_campaigns_done;
-  check "campaign label" true
-    (v.Hft_obs.Progress.v_campaign = Some "fig1/test");
-  let dash = Hft_obs.Progress.render_view v in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  check "dashboard mentions campaign" true (contains dash "fig1/test");
-  (* Truncated live tail: still renders, not finished. *)
-  let half = List.filteri (fun i _ -> i < List.length lines / 2) lines in
-  let vh = Hft_obs.Progress.view_of_lines half in
-  check "truncated stream not finished" false vh.Hft_obs.Progress.v_finished;
-  check "truncated stream renders" true
-    (String.length (Hft_obs.Progress.render_view vh) > 0);
-  (* A replayed (non-monotone) line trips the gap detector; a torn tail
-     (unparseable) is counted, not fatal. *)
-  let vg =
-    Hft_obs.Progress.view_of_lines (lines @ [ List.hd lines; "{torn" ])
-  in
-  check "seq gap detected" false vg.Hft_obs.Progress.v_seq_ok;
-  check_int "torn line counted" 1 vg.Hft_obs.Progress.v_bad
-
-(* Forward compatibility: a stream written by a newer hft (extra event
-   kinds, extra snapshot fields) must fold and render — skipped data is
-   counted and surfaced as a warning, never a crash. *)
-let test_watch_forward_compat () =
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  let lines =
-    [ {|{"schema":"hft-progress/1","seq":0,"time":1.0,"type":"campaign_started","campaign":"c","faults":10}|};
-      (* An event kind this watch predates. *)
-      {|{"schema":"hft-progress/1","seq":1,"time":1.1,"type":"quantum_snapshot","qubits":3}|};
-      (* A snapshot carrying one unknown field plus a parallel object. *)
-      {|{"schema":"hft-progress/1","seq":2,"time":1.2,"type":"snapshot","final":true,"campaign":"c","phase":null,"elapsed_s":0.2,"classes":4,"resolved":4,"tests":2,"rate_cps":20.0,"eta_s":null,"waterfall":{"faults":10},"gc":{"compactions":0},"top":[],"parallel":{"jobs":2,"tasks":8,"steals":1,"spec_hits":7,"spec_misses":1,"utilization":0.8,"workers":[{"domain":0,"classes":3,"steals":0,"utilization":0.9},{"domain":1,"classes":1,"steals":1,"utilization":0.7}]},"novel_field":{"x":1}}|}
-    ]
-  in
-  let v = Hft_obs.Progress.view_of_lines lines in
-  check_int "unknown event counted" 1 v.Hft_obs.Progress.v_unknown_events;
-  check_int "unknown snapshot field counted" 1
-    v.Hft_obs.Progress.v_unknown_fields;
-  check_int "unknown lines still parse as events" 3
-    v.Hft_obs.Progress.v_events;
-  check "stream still finishes" true v.Hft_obs.Progress.v_finished;
-  let dash = Hft_obs.Progress.render_view v in
-  check "dashboard warns about skipped data" true
-    (contains dash "skipped 1 unknown event(s), 1 unknown snapshot field(s)");
-  (* The parallel object renders: pool summary plus per-worker bars. *)
-  check "pool summary rendered" true (contains dash "jobs 2");
-  check "worker bar rendered" true (contains dash "w1");
-  check "worker utilization rendered" true (contains dash "70%");
-  (* A snapshot without the parallel object renders bar-free. *)
-  let v0 =
-    Hft_obs.Progress.view_of_lines
-      [ {|{"schema":"hft-progress/1","seq":0,"time":1.0,"type":"snapshot","final":false,"classes":1,"resolved":0,"tests":0,"waterfall":{"faults":1},"top":[]}|} ]
-  in
-  check "no spurious warning" true
-    (not (contains (Hft_obs.Progress.render_view v0) "skipped"))
+      (journal, ledger, live_wf))
 
 let test_offline_rebuild () =
   with_obs @@ fun () ->
-  let _, journal, ledger, live_wf, _ = run_streamed_campaign () in
+  let journal, ledger, live_wf = run_taped_campaign () in
   let load what text =
     match Hft_obs.Ledger.of_jsonl text with
     | Ok tape -> tape
@@ -946,12 +665,79 @@ let test_offline_rebuild () =
   (* The tape is the commit order's record, so a -j4 campaign tapes the
      same rows, charges included, as it holds live. *)
   Hft_obs.reset ();
-  let _, _, ledger4, _, _ = run_streamed_campaign ~jobs:4 () in
+  let _, ledger4, _ = run_taped_campaign ~jobs:4 () in
   let tape4 = load "-j4 ledger tape" ledger4 in
   check "-j4 tape rows = live rows" true
     (tape4.Hft_obs.Ledger.tp_rows = Hft_obs.Ledger.rows ());
   check "-j4 tape tests = live tests" true
     (tape4.Hft_obs.Ledger.tp_tests = Hft_obs.Ledger.tests ())
+
+(* [hft watch] folds the tape: every line prefix of a finished tape, and
+   that prefix with a torn line after it, renders as one status line
+   over the offline report of what the prefix committed, and reads as
+   finished only once the end marker is in.  A journal tape records no
+   campaign to watch. *)
+let test_watch_folds_tape () =
+  with_obs @@ fun () ->
+  let journal, ledger, _ = run_taped_campaign () in
+  let load text =
+    match Hft_obs.Ledger.of_jsonl text with
+    | Ok tape -> tape
+    | Error e -> Alcotest.failf "tape prefix does not load: %s" e
+  in
+  let file = "fig1.jsonl" in
+  let watch ?w ~now text = Hft_core.Forensics.watch w ~now file (load text) in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go k =
+      k + nn <= nh && (String.sub hay k nn = needle || go (k + 1))
+    in
+    go 0
+  in
+  let lines =
+    List.filter_map
+      (fun l -> if l = "" then None else Some (l ^ "\n"))
+      (String.split_on_char '\n' ledger)
+  in
+  let n = List.length lines in
+  check "tape has rows" true (n > 3);
+  let check_view what ~finished text =
+    let _, view = watch ~now:0.0 text in
+    match String.index_opt view '\n' with
+    | None -> Alcotest.failf "%s: no status line" what
+    | Some k ->
+      check_str (what ^ ": report under the status line")
+        (Hft_core.Forensics.report ~json:false ~top:5
+           (Hft_core.Forensics.Tape (file, load text)))
+        (String.sub view (k + 1) (String.length view - k - 1));
+      check_str (what ^ ": running until the end marker")
+        (if finished then "finished" else "running")
+        (List.hd (String.split_on_char ':' view))
+  in
+  let first, _ = watch ~now:0.0 (List.hd lines) in
+  List.iteri
+    (fun i _ ->
+      let prefix = String.concat "" (List.filteri (fun j _ -> j <= i) lines) in
+      let finished = i = n - 1 in
+      check_view (Printf.sprintf "prefix %d" (i + 1)) ~finished prefix;
+      Option.iter
+        (fun next ->
+          check_view
+            (Printf.sprintf "prefix %d + torn line" (i + 1))
+            ~finished
+            (prefix ^ String.sub next 0 (String.length next / 2)))
+        (List.nth_opt lines (i + 1));
+      (* The watcher's clock: a rate once faults resolved since its first
+         look, and an ETA while the campaign runs. *)
+      let _, later = watch ~w:first ~now:2.0 prefix in
+      let resolved = (load prefix).Hft_obs.Ledger.tp_rows <> [] in
+      check "rate once faults resolved" resolved (contains later " faults/s");
+      check "eta only while running" (resolved && not finished)
+        (contains later ", eta "))
+    lines;
+  match watch ~now:0.0 journal with
+  | exception Hft_robust.Validation.Invalid _ -> ()
+  | _ -> Alcotest.fail "a journal tape should be refused"
 
 let test_span_gc_attrs () =
   with_obs @@ fun () ->
@@ -1021,15 +807,9 @@ let () =
       ("flow", [ Alcotest.test_case "phase spans" `Quick test_flow_spans ]);
       ( "progress",
         [
-          Alcotest.test_case "stream contract" `Quick test_progress_stream;
-          Alcotest.test_case "engines unchanged when disabled" `Quick
-            test_progress_disabled_differential;
-          Alcotest.test_case "openmetrics grammar" `Quick
-            test_openmetrics_grammar;
-          Alcotest.test_case "watch view" `Quick test_watch_view;
-          Alcotest.test_case "watch forward compat" `Quick
-            test_watch_forward_compat;
           Alcotest.test_case "offline rebuild" `Quick test_offline_rebuild;
+          Alcotest.test_case "watch folds the tape" `Quick
+            test_watch_folds_tape;
           Alcotest.test_case "span gc attrs" `Quick test_span_gc_attrs;
         ] );
     ]

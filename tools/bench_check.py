@@ -1,64 +1,23 @@
 #!/usr/bin/env python3
-"""Bench regression gate.
+"""Bench wall-clock gate.
 
-Compares a fresh `hft bench --quick` run against the committed
-BENCH_hft.json baseline, row by (bench, flow) row:
+Compares a fresh `hft bench --quick --jobs ...` run against the
+committed BENCH_hft.json baseline on the two properties that need a
+real host to measure:
 
-- `fsim_events` and `podem_backtracks` are deterministic engine
-  counters: an increase beyond --tolerance is a hard failure (the
-  fault-processing pipeline got less incremental, or the search
-  changed shape unannounced).
-- `wall_ms.atpg` is reported as a speedup ratio for every row.  Wall
-  clock is noisy on shared CI runners, so it only fails when the
-  fresh run is slower than the baseline by more than --atpg-slack.
-- `waterfall` (the fault-forensics ledger's per-outcome class/fault
-  tallies) is fully deterministic: any drift from the baseline is a
-  hard failure — a fault silently moved between drop-detected /
-  PODEM-detected / aborted / untestable.  Rows whose baseline predates
-  the field are skipped.
-- `guided` (the static-analysis-guided re-run) is gated on its
-  soundness contract: `verdict_flips` must be 0 (a Test<->Untestable
-  disagreement between the guided and unguided runs is a guidance
-  soundness bug), the guided aborted-class count must not exceed the
-  unguided run's (guidance may only move classes OUT of the aborted
-  bucket), and it must not regress against the baseline's guided
-  aborted-class count.  Rows whose baseline predates the field only
-  check the first two.
-- `jobs_matrix` (the unguided leg re-run at several domain counts, from
-  `hft bench --jobs`) is gated on the parallel engine's determinism
-  contract: every leg's `faults`, `podem_backtracks`, `fsim_events`,
-  `atpg_coverage`, `fsim_coverage` and `waterfall` must be bit-identical
-  to the cell's sequential fields — any drift is a hard failure (the
-  sharded campaign did different engine work).  Every leg must also
-  carry a `parallel` scheduler-telemetry object with a `utilization`
-  figure, and that object's accounting must conserve (hard failures):
-  `spec_hits + spec_misses + inline == tasks` (every dispatched task
-  lands in exactly one commit bucket) and the per-worker `classes`
-  fields must sum to the cell waterfall's class count (every committed
-  class is attributed to exactly one worker).  Speedups are always
-  reported; `--min-speedup` additionally requires the best measured
-  multi-job speedup to reach the threshold on at least one cell, but
-  only when the producing host had at least as many cores as the
-  largest jobs count (`host_cores` in the fresh document) — wall-clock
-  parallel speedup is not measurable on fewer cores than domains.
-  `--require-jobs-matrix` makes a fresh run without any matrix a
-  failure (so CI cannot silently drop the leg).
+- ATPG wall time, row by (bench, flow) row: reported as a speedup
+  ratio, and a failure only when the fresh run is slower than the
+  baseline by more than --atpg-slack (wall clock is noisy on shared
+  runners).
+- `--min-speedup X`: the best multi-job speedup of the fresh run's
+  `jobs_matrix` legs must reach X on at least one cell, enforced only
+  when the producing host had at least as many cores (`host_cores`) as
+  the largest jobs count.  A fresh run without any `jobs_matrix` fails.
 
-Live-telemetry gates (the hft-progress/1 stream must be a provable
-no-op on the engines):
-
-- `--progress-fresh FILE` names a second fresh bench run made with
-  --progress-out.  Its legacy counters (`faults`, `podem_backtracks`,
-  `fsim_events`, `waterfall`) must be bit-identical to the plain fresh
-  run's, and its atpg wall time is bounded by --progress-slack times
-  the plain run's (streaming buys observability with bounded
-  overhead, never with different engine work).
-- `--progress-stream FILE` names the JSONL stream that run emitted.
-  Sequence numbers must be strictly monotone, the stream must carry
-  at least --min-snapshots intermediate snapshots and end with a
-  stream_end terminator, and each campaign's final snapshot waterfall
-  must bit-match the matching bench cell (labels
-  `<bench>/<flow>/unguided` and `.../guided`).
+Every deterministic field (counters, coverages, waterfalls, the guided
+leg, each jobs leg's engine work) is compared exactly by test_core's
+"documents pinned" case, and the scheduler's conservation laws by
+test_par's "stats conservation" case.
 
 Exit status 0 = pass, 1 = regression, 2 = usage/schema problem.
 """
@@ -74,225 +33,68 @@ def rows_by_key(doc):
     return {(r["bench"], r["flow"]): r for r in doc["results"]}
 
 
-def check_parallel_stats(leg, cell):
-    """Conservation-law gate on one jobs leg's scheduler telemetry."""
-    j = leg.get("jobs")
-    par = leg.get("parallel")
-    if not isinstance(par, dict):
-        return [f"-j{j} missing parallel telemetry object"]
-    verdicts = []
-    if not isinstance(par.get("utilization"), (int, float)):
-        verdicts.append(f"-j{j} parallel.utilization missing")
-    if par.get("jobs") != j:
-        verdicts.append(f"-j{j} parallel.jobs says {par.get('jobs')}")
-    tasks = par.get("tasks", 0)
-    buckets = (
-        par.get("spec_hits", 0) + par.get("spec_misses", 0) + par.get("inline", 0)
-    )
-    if buckets != tasks:
-        verdicts.append(
-            f"-j{j} task bucketing broken: hits+misses+inline {buckets} "
-            f"!= tasks {tasks}"
-        )
-    workers = par.get("workers")
-    if not isinstance(workers, list) or len(workers) != j:
-        verdicts.append(f"-j{j} expected {j} worker record(s)")
-        workers = []
-    w_classes = sum(w.get("classes", 0) for w in workers)
-    cell_classes = (cell.get("waterfall") or {}).get("classes")
-    if workers and cell_classes is not None and w_classes != cell_classes:
-        verdicts.append(
-            f"-j{j} class attribution broken: sum worker classes "
-            f"{w_classes} != waterfall classes {cell_classes}"
-        )
-    if workers:
-        steals = sum(w.get("steals", 0) for w in workers)
-        stolen = sum(w.get("stolen", 0) for w in workers)
-        if steals != stolen:
-            verdicts.append(
-                f"-j{j} steal asymmetry: {steals} performed != {stolen} suffered"
-            )
-    return verdicts
-
-
-def check_jobs_matrix(fresh, host_cores, min_speedup, require):
-    """Gate the parallel-ATPG legs: bit-identical engine work at every
-    jobs count, with speedup enforced only where it is measurable."""
+def check_wall(base, fresh, slack):
+    """ATPG wall time per row, failing only beyond the slack factor."""
+    missing = sorted(set(base) - set(fresh))
+    if missing:
+        print(f"FAIL: rows missing from fresh run: {missing}")
+        return 1
     failures = 0
+    print(f"{'bench':8} {'flow':14} {'atpg ms':>16}")
+    for key in sorted(base):
+        b_ms = base[key]["wall_ms"]["atpg"]
+        f_ms = fresh[key]["wall_ms"]["atpg"]
+        ratio = b_ms / f_ms if f_ms > 0 else float("inf")
+        slow = f_ms > b_ms * slack
+        status = f"FAIL atpg {b_ms}ms -> {f_ms}ms" if slow else "ok"
+        print(f"{key[0]:8} {key[1]:14} {b_ms:7.2f}->{f_ms:6.2f} [{ratio:4.1f}x] {status}")
+        failures += slow
+    return failures
+
+
+def check_speedup(fresh, host_cores, min_speedup):
+    """Best multi-job speedup over the jobs_matrix legs."""
     best = None  # (speedup, key, jobs)
     max_jobs = 0
-    seen = 0
     for key in sorted(fresh):
-        cell = fresh[key]
-        matrix = cell.get("jobs_matrix")
-        if not matrix:
-            continue
-        seen += 1
-        verdicts = []
-        walls = {}
-        for leg in matrix:
-            j = leg.get("jobs")
-            max_jobs = max(max_jobs, j or 0)
-            walls[j] = leg.get("wall_ms_atpg")
-            for field in (
-                "faults",
-                "podem_backtracks",
-                "fsim_events",
-                "atpg_coverage",
-                "fsim_coverage",
-                "waterfall",
-            ):
-                if leg.get(field) != cell.get(field):
-                    verdicts.append(
-                        f"-j{j} {field} {cell.get(field)} != {leg.get(field)}"
-                    )
-            verdicts.extend(check_parallel_stats(leg, cell))
+        walls = {
+            leg["jobs"]: leg.get("wall_ms_atpg")
+            for leg in fresh[key].get("jobs_matrix") or []
+        }
+        max_jobs = max([max_jobs, *walls])
         w1 = walls.get(1)
-        for j, w in sorted(walls.items()):
-            if j != 1 and w1 and w:
-                s = w1 / w
-                if best is None or s > best[0]:
-                    best = (s, key, j)
-        status = "ok" if not verdicts else "FAIL " + "; ".join(verdicts)
-        speedups = " ".join(
-            f"-j{j}:{w1 / w:4.2f}x"
-            for j, w in sorted(walls.items())
-            if j != 1 and w1 and w
-        )
-        print(f"jobs     {key[0]:8} {key[1]:14} {speedups:24} {status}")
-        failures += bool(verdicts)
-    if require and not seen:
+        speedups = {
+            j: w1 / w for j, w in sorted(walls.items()) if j != 1 and w1 and w
+        }
+        if speedups:
+            print(
+                f"jobs     {key[0]:8} {key[1]:14} "
+                + " ".join(f"-j{j}:{s:4.2f}x" for j, s in speedups.items())
+            )
+        for j, s in speedups.items():
+            if best is None or s > best[0]:
+                best = (s, key, j)
+    if not max_jobs:
         print("FAIL: no jobs_matrix in the fresh run (bench --jobs leg missing)")
-        failures += 1
-    if seen and best:
-        s, key, j = best
-        print(
-            f"jobs     best speedup {s:.2f}x at -j{j} on {key[0]}/{key[1]} "
-            f"(host cores: {host_cores})"
-        )
-        if min_speedup is not None:
-            if host_cores is not None and host_cores < max_jobs:
-                print(
-                    f"jobs     speedup threshold {min_speedup}x not enforced: "
-                    f"host has {host_cores} core(s) < {max_jobs} jobs"
-                )
-            elif s < min_speedup:
-                print(
-                    f"FAIL: best jobs speedup {s:.2f}x below required "
-                    f"{min_speedup}x"
-                )
-                failures += 1
-    return failures
-
-
-def check_progress_fresh(fresh, path, slack):
-    """The streamed bench run must do bit-identical engine work."""
-    try:
-        with open(path) as f:
-            streamed = rows_by_key(json.load(f))
-    except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"cannot load {path}: {e}")
-    failures = 0
-    missing = sorted(set(fresh) - set(streamed))
-    if missing:
-        print(f"FAIL: rows missing from progress run: {missing}")
-        failures += 1
-    for key in sorted(set(fresh) & set(streamed)):
-        p, f = streamed[key], fresh[key]
-        verdicts = []
-        for field in ("faults", "podem_backtracks", "fsim_events", "waterfall"):
-            if p.get(field) != f.get(field):
-                verdicts.append(
-                    f"{field} {f.get(field)} != {p.get(field)} under streaming"
-                )
-        if "guided" in f and "guided" in p:
-            for field in ("podem_backtracks", "waterfall"):
-                if p["guided"].get(field) != f["guided"].get(field):
-                    verdicts.append(f"guided {field} differs under streaming")
-        f_ms, p_ms = f["wall_ms"]["atpg"], p["wall_ms"]["atpg"]
-        if p_ms > f_ms * slack:
-            verdicts.append(
-                f"streaming overhead unbounded: atpg {f_ms}ms -> {p_ms}ms"
-            )
-        status = "ok" if not verdicts else "FAIL " + "; ".join(verdicts)
-        print(f"progress {key[0]:8} {key[1]:14} {status}")
-        failures += bool(verdicts)
-    return failures
-
-
-def check_progress_stream(path, fresh, min_snapshots):
-    """Lint the hft-progress/1 tape and tie its final snapshots to the
-    bench cells the same process wrote."""
-    try:
-        with open(path) as f:
-            events = [json.loads(l) for l in f if l.strip()]
-    except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"cannot parse progress stream {path}: {e}")
-    failures = 0
-
-    def fail(msg):
-        nonlocal failures
-        print(f"progress stream FAIL: {msg}")
-        failures += 1
-
-    if not events:
-        fail("empty stream")
-        return failures
-    last_seq = -1
-    for ev in events:
-        if ev.get("schema") != "hft-progress/1":
-            fail(f"bad schema on event {ev.get('seq')}: {ev.get('schema')!r}")
-        seq = ev.get("seq", -1)
-        if seq <= last_seq:
-            fail(f"seq not strictly monotone at {seq} (after {last_seq})")
-        last_seq = seq
-    snapshots = [e for e in events if e.get("type") == "snapshot"]
-    intermediate = [e for e in snapshots if not e.get("final")]
-    if len(intermediate) < min_snapshots:
-        fail(
-            f"only {len(intermediate)} intermediate snapshot(s), "
-            f"need {min_snapshots}"
-        )
-    if events[-1].get("type") != "stream_end":
-        fail(f"stream not terminated (last event: {events[-1].get('type')!r})")
-    finals = [e for e in snapshots if e.get("final")]
-    matched = 0
-    for ev in finals:
-        label = ev.get("campaign") or ""
-        parts = label.split("/")
-        if len(parts) != 3:
-            continue
-        bench, flow, leg = parts
-        cell = fresh.get((bench, flow))
-        if cell is None:
-            fail(f"final snapshot for unknown bench cell {label}")
-            continue
-        # Prefix match: the jobs-matrix legs are labelled unguided-jN
-        # and must land on the same waterfall as the sequential cell
-        # (the parallel engine's bit-identity contract).
-        if leg.startswith("unguided"):
-            want = cell.get("waterfall")
-        elif leg.startswith("guided"):
-            want = cell.get("guided", {}).get("waterfall")
-        else:
-            want = None
-        if want is None:
-            continue
-        if ev.get("waterfall") != want:
-            fail(
-                f"{label}: final snapshot waterfall {ev.get('waterfall')} "
-                f"!= bench cell {want}"
-            )
-        else:
-            matched += 1
-    if finals and not matched and fresh:
-        fail("no final snapshot matched a bench cell label")
+        return 1
+    if best is None:
+        print("jobs     no multi-job leg to measure a speedup on")
+        return 0
+    s, key, j = best
     print(
-        f"progress stream: {len(events)} events, "
-        f"{len(intermediate)} intermediate snapshot(s), "
-        f"{len(finals)} final(s), {matched} matched bench cells"
+        f"jobs     best speedup {s:.2f}x at -j{j} on {key[0]}/{key[1]} "
+        f"(host cores: {host_cores})"
     )
-    return failures
+    if host_cores is not None and host_cores < max_jobs:
+        print(
+            f"jobs     speedup threshold {min_speedup}x not enforced: "
+            f"host has {host_cores} core(s) < {max_jobs} jobs"
+        )
+        return 0
+    if s < min_speedup:
+        print(f"FAIL: best jobs speedup {s:.2f}x below required {min_speedup}x")
+        return 1
+    return 0
 
 
 def main():
@@ -300,49 +102,17 @@ def main():
     ap.add_argument("--baseline", required=True, help="committed BENCH_hft.json")
     ap.add_argument("--fresh", required=True, help="bench output from this run")
     ap.add_argument(
-        "--tolerance",
-        type=float,
-        default=1.0,
-        help="allowed counter growth factor (default: exact match or better)",
-    )
-    ap.add_argument(
         "--atpg-slack",
         type=float,
         default=3.0,
         help="fail when fresh atpg wall time exceeds baseline by this factor",
     )
     ap.add_argument(
-        "--progress-fresh",
-        help="bench output from a --progress-out run; its legacy counters "
-        "must be bit-identical to --fresh",
-    )
-    ap.add_argument(
-        "--progress-slack",
-        type=float,
-        default=3.0,
-        help="fail when the --progress-fresh atpg wall time exceeds the "
-        "plain fresh run by this factor",
-    )
-    ap.add_argument(
-        "--progress-stream",
-        help="hft-progress/1 JSONL emitted by the --progress-fresh run",
-    )
-    ap.add_argument(
-        "--min-snapshots",
-        type=int,
-        default=2,
-        help="minimum intermediate snapshots required in --progress-stream",
-    )
-    ap.add_argument(
         "--min-speedup",
         type=float,
-        help="require the best jobs_matrix speedup to reach this factor on "
-        "at least one cell (only enforced when host_cores >= max jobs)",
-    )
-    ap.add_argument(
-        "--require-jobs-matrix",
-        action="store_true",
-        help="fail when the fresh run carries no jobs_matrix at all",
+        help="require a jobs_matrix in the fresh run and its best speedup to "
+        "reach this factor on at least one cell (the factor only when "
+        "host_cores >= max jobs)",
     )
     args = ap.parse_args()
 
@@ -355,71 +125,11 @@ def main():
     except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"cannot load bench files: {e}")
 
-    missing = sorted(set(base) - set(fresh))
-    if missing:
-        print(f"FAIL: rows missing from fresh run: {missing}")
-        return 1
-
-    failures = 0
-    print(f"{'bench':8} {'flow':14} {'atpg ms':>16} {'events':>14} {'backtracks':>14}")
-    for key in sorted(base):
-        b, f = base[key], fresh[key]
-        b_ms, f_ms = b["wall_ms"]["atpg"], f["wall_ms"]["atpg"]
-        ratio = b_ms / f_ms if f_ms > 0 else float("inf")
-        verdicts = []
-        for field in ("fsim_events", "podem_backtracks"):
-            if f[field] > b[field] * args.tolerance:
-                verdicts.append(f"{field} {b[field]} -> {f[field]}")
-        if f_ms > b_ms * args.atpg_slack:
-            verdicts.append(f"atpg {b_ms}ms -> {f_ms}ms")
-        if "waterfall" in b and b["waterfall"] != f.get("waterfall"):
-            verdicts.append(
-                f"waterfall drift {b['waterfall']} -> {f.get('waterfall')}"
-            )
-        fg = f.get("guided")
-        if "guided" in b and fg is None:
-            verdicts.append("guided sub-object missing from fresh run")
-        if fg is not None:
-            flips = fg.get("verdict_flips", 0)
-            if flips:
-                verdicts.append(f"{flips} guided verdict flip(s)")
-            g_aborted = fg["waterfall"]["aborted"]["classes"]
-            u_aborted = f["waterfall"]["aborted"]["classes"]
-            if g_aborted > u_aborted:
-                verdicts.append(
-                    f"guided aborted classes {g_aborted} exceed unguided {u_aborted}"
-                )
-            if "guided" in b:
-                b_aborted = b["guided"]["waterfall"]["aborted"]["classes"]
-                if g_aborted > b_aborted:
-                    verdicts.append(
-                        f"guided aborted classes {b_aborted} -> {g_aborted}"
-                    )
-        status = "ok" if not verdicts else "FAIL " + "; ".join(verdicts)
-        print(
-            f"{key[0]:8} {key[1]:14} {b_ms:7.2f}->{f_ms:6.2f} "
-            f"{b['fsim_events']:>6}->{f['fsim_events']:<6} "
-            f"{b['podem_backtracks']:>6}->{f['podem_backtracks']:<6} "
-            f"[{ratio:4.1f}x] {status}"
+    failures = check_wall(base, fresh, args.atpg_slack)
+    if args.min_speedup is not None:
+        failures += check_speedup(
+            fresh, fresh_doc.get("host_cores"), args.min_speedup
         )
-        failures += bool(verdicts)
-
-    failures += check_jobs_matrix(
-        fresh,
-        fresh_doc.get("host_cores"),
-        args.min_speedup,
-        args.require_jobs_matrix,
-    )
-
-    if args.progress_fresh:
-        failures += check_progress_fresh(
-            fresh, args.progress_fresh, args.progress_slack
-        )
-    if args.progress_stream:
-        failures += check_progress_stream(
-            args.progress_stream, fresh, args.min_snapshots
-        )
-
     if failures:
         print(f"\n{failures} check(s) regressed")
         return 1
