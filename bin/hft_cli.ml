@@ -13,12 +13,12 @@
      hft list
 
    Every subcommand accepts --trace / --metrics / --metrics-json
-   (observability report after the run), --gc-stats, and --trace-out
-   FILE (Chrome trace-event JSON) and --journal-out FILE (event journal
-   as JSONL); report and profile also write the campaign tape
-   (--ledger-out FILE), resume from it (--resume), and `hft watch`
-   follows it.  Timing diagnostics go to stderr so piped --json output
-   stays parseable. *)
+   (observability report after the run), --gc-stats and --trace-out
+   FILE (Chrome trace-event JSON); report and profile also write the
+   campaign tape (--ledger-out FILE), resume from it (--resume) and read
+   it back offline (--journal-in FILE), and `hft watch` follows it.
+   Timing diagnostics go to stderr so piped --json output stays
+   parseable. *)
 
 open Cmdliner
 open Hft_cdfg
@@ -53,21 +53,36 @@ let bench_arg =
        & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
 
 (* Widths, fault samples, pattern, domain and trial counts and step
-   budgets below 1 are bad input: rejected while the arguments are
-   read, before any work, with exit 2 and an invalid-input object. *)
-let at_least_one flag arg =
-  let check n =
-    if n < 1 then
-      Hft_robust.Validation.fail ~site:flag ~hint:"pass 1 or more"
-        (Printf.sprintf "%s %d is below 1" flag n);
-    n
-  in
-  Term.(const check $ arg)
+   budgets below 1, and seconds that are not finite or not above 0, are
+   bad input: rejected while the arguments are read, before any work,
+   with exit 2 and an invalid-input object naming the flag. *)
+let count flag n =
+  if n < 1 then
+    Hft_robust.Validation.fail ~site:flag ~hint:"pass 1 or more"
+      (Printf.sprintf "%s %d is below 1" flag n);
+  n
 
-let width_arg =
-  at_least_one "--width"
-    Arg.(value & opt int 8
-         & info [ "w"; "width" ] ~docv:"BITS" ~doc:"Data-path width.")
+let seconds flag s =
+  if not (Float.is_finite s && s > 0.0) then
+    Hft_robust.Validation.fail ~site:flag
+      ~hint:"pass a finite number of seconds above 0"
+      (Printf.sprintf "%s %g is not a finite time above 0" flag s);
+  s
+
+let at_least_one flag arg = Term.(const (count flag) $ arg)
+
+(* An option that --journal-in must reject when given: whether it was
+   given, and its value ([default] when absent, as --help shows),
+   checked by [check]. *)
+let knob ?(check = Fun.id) default parse arg_info =
+  Term.(const (function None -> (false, default) | Some v -> (true, check v))
+        $ Arg.(value & opt (some' ~none:default parse) None arg_info))
+
+let width_knob =
+  knob ~check:(count "--width") 8 Arg.int
+    (Arg.info [ "w"; "width" ] ~docv:"BITS" ~doc:"Data-path width.")
+
+let width_arg = Term.(const snd $ width_knob)
 
 let dot_arg =
   Arg.(value & flag & info [ "dot" ] ~doc:"Emit the data path as Graphviz DOT.")
@@ -80,7 +95,6 @@ type obs_opts = {
   metrics : bool;
   metrics_json : bool;
   trace_out : string option;
-  journal_out : string option;
   gc_stats : bool;
 }
 
@@ -106,28 +120,21 @@ let obs_term =
              ~doc:"Write the span tree as a Chrome trace-event JSON file \
                    (load in chrome://tracing or Perfetto).")
   in
-  let journal_out =
-    Arg.(value & opt (some string) None
-         & info [ "journal-out" ] ~docv:"FILE"
-             ~doc:"Write the structured event journal as JSONL (one typed \
-                   event object per line).")
-  in
   let gc_stats =
     Arg.(value & flag
          & info [ "gc-stats" ]
              ~doc:"Fold per-phase GC/allocation deltas (minor/major words, \
                    compactions) into span attributes.")
   in
-  Term.(const (fun trace metrics metrics_json trace_out journal_out gc_stats ->
-            { trace; metrics; metrics_json; trace_out; journal_out; gc_stats })
-        $ trace $ metrics $ metrics_json $ trace_out $ journal_out $ gc_stats)
+  Term.(const (fun trace metrics metrics_json trace_out gc_stats ->
+            { trace; metrics; metrics_json; trace_out; gc_stats })
+        $ trace $ metrics $ metrics_json $ trace_out $ gc_stats)
 
 (* Each observability flag and whether it was given. *)
 let obs_flags obs =
   [ ("--trace", obs.trace); ("--metrics", obs.metrics);
     ("--metrics-json", obs.metrics_json);
     ("--trace-out", obs.trace_out <> None);
-    ("--journal-out", obs.journal_out <> None);
     ("--gc-stats", obs.gc_stats) ]
 
 (* An output path that cannot be opened for writing is bad input (exit
@@ -148,17 +155,8 @@ let check_writable (flag, file) =
    result is returned so callers can turn it into an exit status
    *after* the reports are flushed. *)
 let with_obs ~cmd ?(outputs = []) obs f =
-  (* Post-run exports: flag, target, what it is, its text. *)
-  let exports =
-    [ ("--trace-out", obs.trace_out, "Chrome trace",
-       fun () -> Hft_util.Json.to_string (Hft_obs.Export.chrome_trace ()));
-      ("--journal-out", obs.journal_out, "event journal",
-       Hft_obs.Journal.to_jsonl) ]
-  in
-  List.iter check_writable
-    (List.map (fun (flag, file, _, _) -> (flag, file)) exports @ outputs);
+  List.iter check_writable (("--trace-out", obs.trace_out) :: outputs);
   if obs.trace || obs.metrics || obs.metrics_json || obs.trace_out <> None
-     || obs.journal_out <> None
   then Hft_obs.enabled := true;
   if obs.gc_stats then Hft_obs.Config.gc_stats := true;
   let t0 = Unix.gettimeofday () in
@@ -167,19 +165,15 @@ let with_obs ~cmd ?(outputs = []) obs f =
   if obs.metrics then print_string (Hft_obs.Export.metrics_table ());
   if obs.metrics_json then
     print_endline (Hft_util.Json.to_string (Hft_obs.Export.metrics_json ()));
-  List.iter
-    (fun (_, file, what, text) ->
-      Option.iter
-        (fun file ->
-          let text = text () in
-          let oc = open_out file in
-          output_string oc text;
-          if text = "" || text.[String.length text - 1] <> '\n' then
-            output_char oc '\n';
-          close_out oc;
-          Printf.eprintf "hft %s: wrote %s %s\n%!" cmd what file)
-        file)
-    exports;
+  Option.iter
+    (fun file ->
+      let oc = open_out file in
+      output_string oc
+        (Hft_util.Json.to_string (Hft_obs.Export.chrome_trace ()));
+      output_char oc '\n';
+      close_out oc;
+      Printf.eprintf "hft %s: wrote Chrome trace %s\n%!" cmd file)
+    obs.trace_out;
   Printf.eprintf "hft %s: %.1f ms\n%!" cmd
     (1e3 *. (Unix.gettimeofday () -. t0));
   r
@@ -190,10 +184,12 @@ let fig1_extra () =
   let g = Paper_fig1.graph () in
   [ ("fig1b", `Bench g); ("fig1c", `Bench g) ]
 
-let flow_arg =
-  Arg.(value & opt (enum Flow.flow_kinds) Flow.Conventional
-       & info [ "f"; "flow" ] ~docv:"FLOW"
-           ~doc:"Synthesis flow: conventional, partial-scan or bist.")
+let flow_knob =
+  knob Flow.Conventional (Arg.enum Flow.flow_kinds)
+    (Arg.info [ "f"; "flow" ] ~docv:"FLOW"
+       ~doc:"Synthesis flow: conventional, partial-scan or bist.")
+
+let flow_arg = Term.(const snd $ flow_knob)
 
 let no_guided_arg =
   Arg.(value & flag
@@ -470,8 +466,8 @@ let bench_cmd =
 (* present the forensics — the coverage waterfall (where every        *)
 (* collapsed fault class ended up) and the most expensive faults.     *)
 
-(* Read back a --journal-out / --ledger-out tape for an offline report
-   or profile; an unreadable or malformed tape is bad input (exit 2). *)
+(* Read back a --ledger-out campaign tape for an offline report or
+   profile; an unreadable or malformed tape is bad input (exit 2). *)
 let load_tape file =
   let fail msg = Hft_robust.Validation.fail ~site:"--journal-in" msg in
   match In_channel.with_open_bin file In_channel.input_all with
@@ -483,17 +479,22 @@ let load_tape file =
 
 (* The source report and profile render: the tape named by --journal-in
    when given (no campaign runs), else a live campaign of [bench] at the
-   fixed forensics knobs, under the observability sink.  [tape] is the
-   campaign tape (--ledger-out), [resume] continues it.  A flag that
-   only shapes a live campaign would be silently ignored next to
-   --journal-in, so it is bad input, named before the tape is read. *)
-let forensics_source ~cmd ?(outputs = []) ?guided ?jobs ~journal_in ~tape
-    ~resume bench flow width sample obs k =
+   fixed forensics knobs, under the observability sink.  [flow], [width]
+   and [sample] are {!knob}s and [knobs] the command's own, given or
+   not; [tape] is the campaign tape (--ledger-out), [resume] continues
+   it.  A flag that only shapes a live campaign would be silently
+   ignored next to --journal-in, so it is bad input, named before the
+   tape is read. *)
+let forensics_source ~cmd ?(outputs = []) ?(knobs = []) ?guided ?jobs
+    ~journal_in ~tape ~resume bench (flow_given, flow) (width_given, width)
+    (sample_given, sample) obs k =
   match journal_in with
   | Some file ->
     let live_only =
-      [ ("--bench", bench <> None); ("--ledger-out", tape <> None);
-        ("--resume", resume) ]
+      [ ("--bench", bench <> None); ("--flow", flow_given);
+        ("--width", width_given); ("--sample", sample_given) ]
+      @ knobs
+      @ [ ("--ledger-out", tape <> None); ("--resume", resume) ]
       @ List.map (fun (flag, out) -> (flag, out <> None)) outputs
       @ obs_flags obs
     in
@@ -532,9 +533,8 @@ let forensics_bench_arg =
        & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
 
 let forensics_sample_arg =
-  at_least_one "--sample"
-    Arg.(value & opt int 1
-         & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
+  knob ~check:(count "--sample") 1 Arg.int
+    (Arg.info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
 
 let forensics_top_arg =
   Arg.(value & opt int 10
@@ -566,17 +566,17 @@ let report_cmd =
   let journal_in_arg =
     Arg.(value & opt (some string) None
          & info [ "journal-in" ] ~docv:"FILE"
-             ~doc:"Offline mode: render the report from an exported tape \
-                   instead of running a campaign; --bench is not needed.  A \
-                   --ledger-out campaign tape is exact, expensive table \
+             ~doc:"Offline mode: render the report from a --ledger-out \
+                   campaign tape instead of running a campaign; --bench is \
+                   not needed.  The report is exact, expensive table \
                    included, and a killed campaign's tape renders what it \
-                   committed; a --journal-out tape yields the waterfall of \
-                   whatever the bounded event ring still held at export.")
+                   committed.")
   in
   let run bench flow width sample top json no_guided journal_in tape resume
       obs =
-    forensics_source ~cmd:"report" ~guided:(not no_guided) ~journal_in ~tape
-      ~resume bench flow width sample obs
+    forensics_source ~cmd:"report" ~knobs:[ ("--no-guided", no_guided) ]
+      ~guided:(not no_guided) ~journal_in ~tape ~resume bench flow width
+      sample obs
     @@ fun src -> print_string (Forensics.report ~json ~top src)
   in
   Cmd.v
@@ -588,7 +588,7 @@ let report_cmd =
           classes (benches include fig1b/fig1c); --ledger-out tapes the \
           campaign as it runs and --resume continues an interrupted tape; \
           with --journal-in, rebuild the report offline from a tape")
-    Term.(const run $ forensics_bench_arg $ flow_arg $ width_arg
+    Term.(const run $ forensics_bench_arg $ flow_knob $ width_knob
           $ forensics_sample_arg $ forensics_top_arg $ json_arg $ no_guided_arg
           $ journal_in_arg $ ledger_out_arg $ resume_arg $ obs_term)
 
@@ -606,10 +606,10 @@ let profile_cmd =
          & info [ "json" ] ~doc:"Emit the profile as machine-readable JSON.")
   in
   let jobs_arg =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domain count for the ATPG phase (see atpg --jobs); the \
-                   per-worker table is the point of this command.")
+    knob 1 Arg.int
+      (Arg.info [ "j"; "jobs" ] ~docv:"N"
+         ~doc:"Domain count for the ATPG phase (see atpg --jobs); the \
+               per-worker table is the point of this command.")
   in
   let folded_out_arg =
     Arg.(value & opt (some string) None
@@ -620,14 +620,15 @@ let profile_cmd =
   let journal_in_arg =
     Arg.(value & opt (some string) None
          & info [ "journal-in" ] ~docv:"FILE"
-             ~doc:"Offline mode: attribute time from an exported tape \
-                   (--journal-out phase events, or --ledger-out per-class \
-                   charged costs) instead of running a campaign.")
+             ~doc:"Offline mode: rank the classes of a --ledger-out \
+                   campaign tape by charged cost instead of running a \
+                   campaign; a tape records no phase times.")
   in
-  let run bench flow width sample top jobs folded_out json journal_in tape
-      resume obs =
+  let run bench flow width sample top (jobs_given, jobs) folded_out json
+      journal_in tape resume obs =
     forensics_source ~cmd:"profile" ~outputs:[ ("--folded-out", folded_out) ]
-      ~jobs ~journal_in ~tape ~resume bench flow width sample obs
+      ~knobs:[ ("--jobs", jobs_given) ] ~jobs ~journal_in ~tape ~resume bench
+      flow width sample obs
     @@ fun src ->
     (match (src, folded_out) with
      | Forensics.Live _, Some file ->
@@ -648,7 +649,7 @@ let profile_cmd =
           --ledger-out and --resume tape the campaign as report does; \
           --journal-in profiles a tape offline instead of running a \
           campaign.")
-    Term.(const run $ forensics_bench_arg $ flow_arg $ width_arg
+    Term.(const run $ forensics_bench_arg $ flow_knob $ width_knob
           $ forensics_sample_arg $ forensics_top_arg $ jobs_arg $ folded_out_arg
           $ json_arg $ journal_in_arg $ ledger_out_arg $ resume_arg
           $ obs_term)
@@ -670,9 +671,10 @@ let watch_cmd =
                    of following it to its end marker.")
   in
   let interval_arg =
-    Arg.(value & opt float 0.5
-         & info [ "interval" ] ~docv:"SECS"
-             ~doc:"Poll interval while following.")
+    Term.(const (seconds "--interval")
+          $ Arg.(value & opt float 0.5
+                 & info [ "interval" ] ~docv:"SECS"
+                     ~doc:"Poll interval while following."))
   in
   let run file no_follow interval =
     let interval = Float.max 0.05 interval in
@@ -814,10 +816,12 @@ let fuzz_cmd =
                      already in the state file when resuming.")
   in
   let duration_arg =
-    Arg.(value & opt (some float) None
-         & info [ "duration" ] ~docv:"SECS"
-             ~doc:"Optional wall-clock budget.  Affects only when the \
-                   campaign stops, never what a committed trial contains.")
+    Term.(const (Option.map (seconds "--duration"))
+          $ Arg.(value & opt (some float) None
+                 & info [ "duration" ] ~docv:"SECS"
+                     ~doc:"Optional wall-clock budget.  Affects only when \
+                           the campaign stops, never what a committed trial \
+                           contains."))
   in
   let corpus_arg =
     Arg.(value & opt string "fuzz-corpus"

@@ -51,9 +51,6 @@ let run_block ?(checkpoints = default_checkpoints) ~source ~seed ~width kinds =
     | Error _ ->
       (* Keep the block in the report (its faults still weigh the
          total) but with zero measured coverage. *)
-      Hft_obs.Journal.record
-        (Hft_obs.Journal.Degraded
-           { site = "fsim"; action = "bist-block-zeroed" });
       Hft_obs.Registry.incr "hft.robust.degraded";
       List.map (fun n -> (n, 0.0)) checkpoints
   in

@@ -317,8 +317,6 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
        | text ->
          (match Hft_obs.Ledger.of_jsonl text with
           | Error msg -> fail_resume msg
-          | Ok t when t.Hft_obs.Ledger.tp_source <> "ledger" ->
-            fail_resume "a journal tape records no campaign"
           | Ok t -> Some t))
     | _ -> None
   in
@@ -416,23 +414,12 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
   in
   (* A tape transaction opens with its test line: the engine hands over
      the test before any row resolving to it. *)
-  let tape_rows = ref (List.length tp_rows) in
   let on_test t =
     store_test t;
-    if writer <> None then begin
-      let n = Hft_obs.Ledger.n_tests () in
-      append (Test (Hft_obs.Ledger.test (n - 1)));
-      Hft_obs.Journal.record
-        (Hft_obs.Journal.Checkpoint { classes = !tape_rows; tests = n })
-    end
+    if writer <> None then
+      append (Test (Hft_obs.Ledger.test (Hft_obs.Ledger.n_tests () - 1)))
   in
-  let on_resolved =
-    Option.map
-      (fun _ row ->
-        incr tape_rows;
-        append (Class row))
-      writer
-  in
+  let on_resolved = Option.map (fun _ row -> append (Class row)) writer in
   (* Resume: replay the restored tests through the same store path
      (ledger test ids realign with tape order) and hand the ATPG a rep
      -> row lookup so restored classes are never re-run. *)
@@ -488,12 +475,9 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
       Hft_par.Stats.sequential ~classes:0
         ~wall_ns:(int_of_float (t_atpg *. 1e9))
   in
-  (* Publish the scheduler telemetry: counters and gauges into the
-     registry (the hft.par series) and one Shard_stats event onto the
-     journal.  Both are jobs-dependent by nature, so neither
-     participates in the engine bit-identity surfaces — the journal
-     event in particular is recorded only here, never by the engines,
-     so committed tapes stay identical across jobs. *)
+  (* Publish the scheduler telemetry as counters and gauges in the
+     registry (the hft.par series).  They are jobs-dependent by nature,
+     so they sit outside the engine bit-identity surfaces. *)
   let open Hft_par.Stats in
   Hft_obs.Registry.incr "hft.par.tasks" ~by:par.s_tasks;
   Hft_obs.Registry.incr "hft.par.waves" ~by:par.s_waves;
@@ -509,18 +493,6 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
       Hft_obs.Registry.observe "hft.par.worker_busy_s"
         (float_of_int w.w_busy_ns /. 1e9))
     par.s_workers;
-  Hft_obs.Journal.record
-    (Hft_obs.Journal.Shard_stats
-       {
-         jobs = par.s_jobs;
-         waves = par.s_waves;
-         tasks = par.s_tasks;
-         steals = steals par;
-         spec_hits = spec_hits par;
-         spec_misses = spec_misses par;
-         inline = inline par;
-         utilization = utilization par;
-       });
   (* Final coverage fault simulation.  Fast: replay the ATPG-derived
      patterns (plus random fill) through the scan view — the scan cells
      are pattern-loaded pseudo PIs and their D inputs observed — so
@@ -532,10 +504,7 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
      pass, then a naive (full-resimulation) retry, then an empty result
      — a broken measurement never sinks the campaign.  A failed
      multi-frame replay keeps the combinational result. *)
-  let degraded action =
-    Hft_obs.Journal.record (Hft_obs.Journal.Degraded { site = "fsim"; action });
-    Hft_obs.Registry.incr "hft.robust.degraded"
-  in
+  let degraded () = Hft_obs.Registry.incr "hft.robust.degraded" in
   let protected_fsim ~primary ~fallback f =
     match supervisor with
     | None -> f primary
@@ -546,17 +515,17 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
        with
        | Ok fr -> fr
        | Error _ when primary = Hft_gate.Fsim.Cone ->
-         degraded "final-fsim-naive-retry";
+         degraded ();
          (match
             Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim
               (fun () -> f Hft_gate.Fsim.Naive)
           with
           | Ok fr -> fr
           | Error _ ->
-            degraded "final-fsim-empty";
+            degraded ();
             fallback ())
        | Error _ ->
-         degraded "final-fsim-empty";
+         degraded ();
          fallback ())
   in
   let fr =
@@ -598,7 +567,7 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
              with
              | Ok r -> merge r
              | Error _ ->
-               degraded "seq-replay-skipped";
+               degraded ();
                fr)))
     | Naive ->
       protected_fsim ~primary:Hft_gate.Fsim.Naive

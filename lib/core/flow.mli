@@ -157,9 +157,8 @@ type campaign = {
     at one jobs count resumes correctly at another.
 
     Scheduler telemetry ([c_par]) is additionally published once per
-    campaign — [hft.par.*] registry series and one [Shard_stats]
-    journal event.  Both are jobs-dependent summaries and sit outside
-    the engine bit-identity surfaces. *)
+    campaign as the [hft.par.*] registry series, a jobs-dependent
+    summary outside the engine bit-identity surfaces. *)
 val test_campaign :
   ?strategy:atpg_strategy -> ?backtrack_limit:int -> ?max_frames:int ->
   ?sample:int -> ?seed:int -> ?n_patterns:int ->

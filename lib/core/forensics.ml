@@ -107,12 +107,12 @@ let report ~json ~top src =
               (count "static_untestable") (count "guided_cuts")
               (count "guided_decisions")
           else "" ) )
-    | Tape (file, t) ->
+    | Tape (file, _) ->
       let classes, faults = Ledger.totals waterfall in
-      ( ( ("source", Json.String t.tp_source) :: ("file", Json.String file)
+      ( ( ("source", Json.String "ledger") :: ("file", Json.String file)
           :: ints [ ("classes", classes); ("faults", faults) ],
           [], [] ),
-        ( Printf.sprintf "offline, %s tape %s" t.tp_source file,
+        ( Printf.sprintf "offline, ledger tape %s" file,
           None,
           Printf.sprintf "%d tests on tape\n" tests ) )
   in
@@ -130,10 +130,6 @@ let report ~json ~top src =
 type watcher = { w_start : float; w_resolved : int }
 
 let watch w ~now file (t : Ledger.tape) =
-  if t.tp_source <> "ledger" then
-    Hft_robust.Validation.fail ~site:"TAPE"
-      ~hint:"pass a --ledger-out campaign tape"
-      (file ^ ": a journal tape records no campaign to watch");
   let resolved = snd (Ledger.totals t.tp_waterfall) in
   let detected =
     List.fold_left
@@ -216,41 +212,9 @@ let profile ~json ~top src =
       ^ ms_table [ "span"; "self ms" ]
           (List.map (fun (name, s) -> (name, 1e3 *. s)) self)
       ^ workers_table par )
-  | Tape (file, t) ->
-    (* Elapsed time per phase, summed over a journal tape's phase_end
-       events in first-seen order, and its scheduler summary event. *)
-    let str = Json.member_str and num = Json.member_float in
-    let phases =
-      List.fold_left
-        (fun acc d ->
-          match (str "type" d, str "name" d, num "elapsed_ms" d) with
-          | Some "phase_end", Some name, Some e ->
-            if List.mem_assoc name acc then
-              List.map (fun (n, t) -> (n, if n = name then t +. e else t)) acc
-            else acc @ [ (name, e) ]
-          | _ -> acc)
-        [] t.tp_events
-    in
-    let shard =
-      List.find_opt (fun d -> str "type" d = Some "shard_stats") t.tp_events
-    in
-    let stat k d = Option.value ~default:0.0 (num k d) in
-    ( [ ("file", Json.String file);
-        ("phases",
-         Json.List
-           (List.map
-              (fun (n, t) ->
-                Json.Obj [ ("name", Json.String n); ("elapsed_ms", Json.Float t) ])
-              phases));
-        ("parallel", Option.value shard ~default:Json.Null) ],
-      Printf.sprintf "profile (offline tape %s):\n" file
-      ^ (if phases = [] then "(no phase events on tape)\n"
-         else ms_table [ "phase"; "elapsed ms" ] phases)
-      ^ Option.fold shard ~none:"" ~some:(fun d ->
-            Printf.sprintf
-              "scheduler: jobs %.0f · tasks %.0f · steals %.0f · spec \
-               hit/miss %.0f/%.0f · utilization %.1f%%\n"
-              (Option.value ~default:1.0 (num "jobs" d))
-              (stat "tasks" d) (stat "steals" d) (stat "spec_hits" d)
-              (stat "spec_misses" d)
-              (100.0 *. stat "utilization" d)) )
+  | Tape (file, _) ->
+    (* A tape holds rows, not phases: phase times are live only. *)
+    ( [ ("file", Json.String file); ("phases", Json.List []);
+        ("parallel", Json.Null) ],
+      Printf.sprintf "profile (offline tape %s):\n(no phase events on tape)\n"
+        file )

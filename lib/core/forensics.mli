@@ -39,13 +39,12 @@ type watcher
     resolved and detected against the header's [n_faults], and the rate
     and ETA measured on the watcher's clock from [w] to [now] (none at
     the first look, [w = None]) — above {!report}'s text of the tape,
-    top 5.  Returns the watcher for the next poll.  A journal tape
-    records no campaign: [Hft_robust.Validation.Invalid]. *)
+    top 5.  Returns the watcher for the next poll. *)
 val watch :
   watcher option -> now:float -> string -> Hft_obs.Ledger.tape ->
   watcher * string
 
-(** Per-span self time and per-worker telemetry of a live campaign, or
-    per-phase time and the scheduler summary on a journal tape; then the
-    same [top] classes as {!report}. *)
+(** Per-span self time and per-worker telemetry of a live campaign (a
+    tape records no phases: its [phases] are empty and its [parallel]
+    null); then the same [top] classes as {!report}. *)
 val profile : json:bool -> top:int -> source -> string

@@ -169,7 +169,7 @@ let generate_for ~reg_pulls cfg arm ~trial =
 (* Run the oracle (or one check) against a scratch recorder: the
    engines under test need observability on for their ledger outcome
    maps, but nothing they record may leak into the campaign's own
-   metrics or journal. *)
+   metrics or ledger. *)
 let oracle_run ~canary ~step_budget ~seed nl =
   Hft_obs.isolated (fun () ->
       Hft_obs.with_enabled true (fun () ->

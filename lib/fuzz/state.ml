@@ -86,28 +86,12 @@ let trial_of_json j =
            t_circuit_seed }
   | _ -> None
 
-type writer = {
-  w_tape : Hft_robust.Checkpoint.Tape.writer;
-  mutable w_trials : int;
-  mutable w_findings : int;
-}
+type writer = Hft_robust.Checkpoint.Tape.writer
 
-let create ~path ~meta =
-  { w_tape = Hft_robust.Checkpoint.Tape.create ~path ~schema ~meta;
-    w_trials = 0;
-    w_findings = 0 }
-
-let append_finding w f =
-  Hft_robust.Checkpoint.Tape.emit w.w_tape (finding_json f);
-  w.w_findings <- w.w_findings + 1
-
-let append_trial w t =
-  Hft_robust.Checkpoint.Tape.emit w.w_tape (trial_json t);
-  w.w_trials <- w.w_trials + 1;
-  Hft_obs.Journal.record
-    (Hft_obs.Journal.Checkpoint { classes = w.w_trials; tests = w.w_findings })
-
-let close w = Hft_robust.Checkpoint.Tape.close w.w_tape
+let create ~path ~meta = Hft_robust.Checkpoint.Tape.create ~path ~schema ~meta
+let append_finding w f = Hft_robust.Checkpoint.Tape.emit w (finding_json f)
+let append_trial w t = Hft_robust.Checkpoint.Tape.emit w (trial_json t)
+let close = Hft_robust.Checkpoint.Tape.close
 
 type record = Finding of finding_rec | Trial of trial_rec
 
@@ -160,11 +144,7 @@ let load ~path =
 (* Resume through the shared protocol: the campaign fingerprint is
    checked, then the tape is compacted to its committed records. *)
 let resume ~path ~meta st =
-  let (), w_tape =
-    Hft_robust.Checkpoint.Tape.resume ~site:"fuzz.resume"
-      ~hint:"resume with the original --seed, or start a fresh corpus" ~path
-      ~schema ~meta (st.meta, st.records) ignore
-  in
-  { w_tape;
-    w_trials = List.length st.trials;
-    w_findings = List.length st.findings }
+  snd
+    (Hft_robust.Checkpoint.Tape.resume ~site:"fuzz.resume"
+       ~hint:"resume with the original --seed, or start a fresh corpus" ~path
+       ~schema ~meta (st.meta, st.records) ignore)

@@ -43,8 +43,7 @@ type writer
 val create : path:string -> meta:Hft_robust.Checkpoint.meta -> writer
 
 (** Chaos-checked, flushed appends: findings first, then the trial
-    marker that commits them.  {!append_trial} also journals a
-    [Checkpoint] event with the running totals. *)
+    marker that commits them. *)
 val append_finding : writer -> finding_rec -> unit
 
 val append_trial : writer -> trial_rec -> unit

@@ -94,9 +94,7 @@ let compute nl =
   if !Hft_obs.Config.enabled then begin
     Hft_obs.Registry.incr "hft.collapse.runs";
     Hft_obs.Registry.incr "hft.collapse.faults" ~by:n;
-    Hft_obs.Registry.incr "hft.collapse.classes" ~by:!next;
-    Hft_obs.Journal.record
-      (Hft_obs.Journal.Collapse { faults = n; classes = !next })
+    Hft_obs.Registry.incr "hft.collapse.classes" ~by:!next
   end;
   { universe; index; class_id; classes; reps }
 

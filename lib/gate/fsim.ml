@@ -36,9 +36,7 @@ let flush ~faults ~detected ~patterns ~events ~seconds =
     Hft_obs.Registry.observe "hft.fsim.time" seconds;
     if seconds > 0.0 then
       Hft_obs.Registry.set "hft.fsim.events_per_sec"
-        (float_of_int events /. seconds);
-    Hft_obs.Journal.record
-      (Hft_obs.Journal.Fsim_run { faults; detected; patterns; events })
+        (float_of_int events /. seconds)
   end
 
 (* ------------------------------------------------------------------ *)

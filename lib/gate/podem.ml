@@ -71,13 +71,7 @@ let flush_effort ?(guided = false) effort result =
       (match result with
        | Test _ -> "hft.podem.tests"
        | Untestable -> "hft.podem.untestable"
-       | Aborted -> "hft.podem.aborts");
-    if effort.backtracks > 0 then
-      Hft_obs.Journal.record
-        (Hft_obs.Journal.Backtrack
-           { backtracks = effort.backtracks;
-             decisions = effort.decisions;
-             implications = effort.implications })
+       | Aborted -> "hft.podem.aborts")
   end
 
 (* Search workspace, one per netlist (physical equality +

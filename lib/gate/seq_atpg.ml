@@ -321,9 +321,6 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
            | Error _ ->
              (* Degrade to one class per fault: more PODEM calls, but the
                 campaign keeps going. *)
-             Hft_obs.Journal.record
-               (Hft_obs.Journal.Degraded
-                  { site = "collapse"; action = "uncollapsed" });
              Hft_obs.Registry.incr "hft.robust.degraded";
              naive_groups ())
       in
@@ -443,9 +440,6 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
             Hft_obs.Ledger.resolve lh.(gj)
               (Hft_obs.Ledger.Drop_detected { test = tid });
             dropped_classes := gj :: !dropped_classes;
-            if obs then
-              Hft_obs.Journal.record
-                (Hft_obs.Journal.Fault_dropped { cls = lh.(gj); test = tid });
             drops := members.(gj) @ !drops
           end)
         pending;
@@ -463,9 +457,6 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
        | Error _ ->
          (* Lose the sweep, keep the test: pending classes get their own
             PODEM attempt later. *)
-         Hft_obs.Journal.record
-           (Hft_obs.Journal.Degraded
-              { site = "fsim"; action = "drop-pass-skipped" });
          Hft_obs.Registry.incr "hft.robust.degraded";
          ([], []))
   in
@@ -537,11 +528,6 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
     | Some (assignment, patterns) ->
       let tid = Hft_obs.Ledger.register_test ~frames:u.u_frames in
       let drops, dropped_classes = safe_drop_pass ws assignment gi tid in
-      if obs then
-        Hft_obs.Journal.record
-          (Hft_obs.Journal.Test_generated { test = tid; frames = u.u_frames });
-      Hft_obs.Journal.record
-        (Hft_obs.Journal.Degraded { site = "podem"; action = "salvage" });
       Hft_obs.Registry.incr "hft.robust.salvaged";
       (match on_test with
        | Some k -> k u assignment ~detects:(members.(gi) @ drops)
@@ -553,8 +539,6 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
       let budget =
         Hft_robust.Supervisor.final_budget policy ~budget:backtrack_limit
       in
-      Hft_obs.Journal.record
-        (Hft_obs.Journal.Degraded { site = "podem"; action = "abort" });
       Hft_obs.Registry.incr "hft.robust.degraded";
       resolve_class gi
         (Hft_obs.Ledger.Aborted
@@ -588,10 +572,6 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
       end
       else begin
         let ((u, groups) as ws) = Lazy.force unrolled.(frames - 1) in
-        if obs then
-          Hft_obs.Journal.record
-            (Hft_obs.Journal.Atpg_target
-               { cls = lh.(gi); rep = Fault.to_string nl f; frames });
         let outcome, spec_salvage, spec_rest =
           match spec with
           | sa :: rest when sa.sp_frames = frames ->
@@ -624,21 +604,6 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
             ~implications:effort.Podem.implications
             ~backtracks:effort.Podem.backtracks
             ~guided_cuts:effort.Podem.guided_cuts;
-          if obs && effort.Podem.static_proof then
-            Hft_obs.Journal.record
-              (Hft_obs.Journal.Static_untestable
-                 { cls = lh.(gi); frames });
-          if obs then
-            Hft_obs.Journal.record
-              (Hft_obs.Journal.Podem_result
-                 { cls = lh.(gi);
-                   outcome =
-                     (match result with
-                      | Podem.Test _ -> "test"
-                      | Podem.Untestable -> "untestable"
-                      | Podem.Aborted -> "aborted");
-                   frames;
-                   backtracks = effort.Podem.backtracks });
           if frames > !frames_used then frames_used := frames;
           match result with
           | Podem.Test assignment ->
@@ -649,9 +614,6 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
               if strategy = Drop then safe_drop_pass ws assignment gi tid
               else ([], [])
             in
-            if obs then
-              Hft_obs.Journal.record
-                (Hft_obs.Journal.Test_generated { test = tid; frames });
             (match on_test with
              | Some k -> k u assignment ~detects:(members.(gi) @ drops)
              | None -> ());
@@ -764,11 +726,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
         end
       in
       List.iter
-        (fun _fail ->
-          Hft_obs.Journal.record
-            (Hft_obs.Journal.Degraded
-               { site = "shard"; action = "sequential-fallback" });
-          Hft_obs.Registry.incr "hft.robust.degraded")
+        (fun _fail -> Hft_obs.Registry.incr "hft.robust.degraded")
         fails;
       (* Commit strictly in class order.  [window] is exactly the
          classes of [chunk_start, chunk_end) that were pending at pick

@@ -85,7 +85,7 @@ type detect =
     fallback), forensics-ledger rows, the frame ladder from
     [min_frames] to [max_frames] under the supervised PODEM retry
     ladder, random-pattern salvage once a ladder is exhausted, drop
-    passes with [detect], journal events, the speculate-then-commit
+    passes with [detect], the speculate-then-commit
     window over the {!Hft_par} pool and the
     [hft.seq_atpg.{classes,faults,detected,dropped}] counters.
 
@@ -156,8 +156,8 @@ val campaign :
     Coverage, verdicts, tests, ledger waterfalls and the determinism-
     contract counters are bit-identical at any jobs count; a worker
     domain that dies degrades its shard to inline sequential
-    evaluation (one [Degraded {site = "shard"}] journal event per
-    failure) with unchanged results.  [jobs = 1] is the historical
+    evaluation (one [hft.robust.degraded] count per failure) with
+    unchanged results.  [jobs = 1] is the historical
     sequential path, bit for bit.
 
     [on_par_stats] receives the campaign's scheduler telemetry

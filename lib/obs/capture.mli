@@ -3,11 +3,11 @@
     The parallel ATPG engine evaluates fault classes speculatively on
     worker domains, then commits the surviving results in class order
     on the orchestrating thread.  For the committed run to be
-    bit-identical to the sequential one, the metric bumps and journal
-    events an engine produces {e during} speculation must not hit the
-    global registry/journal as they happen (their order would depend on
+    bit-identical to the sequential one, the metric bumps and ledger
+    writes an engine produces {e during} speculation must not hit the
+    global registry/ledger as they happen (their order would depend on
     scheduling, and discarded speculation would pollute the counters).
-    Instead, {!Registry} and {!Journal} route their writes through this
+    Instead, {!Registry} and {!Ledger} route their writes through this
     module: when the current domain is in {e capture} mode the write is
     deferred onto a tape, and the orchestrator {!replay}s the tape at
     commit time — same operations, deterministic order.  {e Suppress}
@@ -32,7 +32,7 @@ val defer : (unit -> unit) -> bool
 (** [defer th] consumes [th] when the calling domain is in capture mode
     (buffered) or suppress mode (dropped) and returns [true]; returns
     [false] — caller performs the write itself — otherwise.  Intended
-    for {!Registry} and {!Journal} internals. *)
+    for {!Registry} and {!Ledger} internals. *)
 
 val record : (unit -> 'a) -> 'a * tape
 (** [record f] runs [f] with the calling domain in capture mode and

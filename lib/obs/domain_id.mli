@@ -2,9 +2,8 @@
 
     [0] = sequential / orchestrator (the default on every fresh
     domain); the domain pool tags its workers [1 .. jobs-1] once at
-    spawn.  {!Journal} stamps every entry and {!Span} every span with
-    the recording domain's id, which is what gives the Chrome trace one
-    timeline per domain. *)
+    spawn.  {!Span} stamps every span with the recording domain's id,
+    which is what gives the Chrome trace one timeline per domain. *)
 
 val get : unit -> int
 

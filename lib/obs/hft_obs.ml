@@ -9,7 +9,6 @@ module Metric = Metric
 module Capture = Capture
 module Registry = Registry
 module Span = Span
-module Journal = Journal
 module Ledger = Ledger
 module Export = Export
 module Table = Table
@@ -20,15 +19,14 @@ let with_enabled = Config.with_enabled
 let reset () =
   Registry.reset ();
   Span.reset ();
-  Journal.reset ();
   Ledger.reset ()
 
 (* Nest the per-module isolations so [f] sees a completely fresh
-   recorder (empty registry/trace/journal/ledger) and the caller's
+   recorder (empty registry/trace/ledger) and the caller's
    state is untouched when [f] returns or raises.  The fuzz campaign
    runs its oracle engine checks in here: the oracles [reset ()] and
    read the ledger freely without erasing the campaign's own
    telemetry. *)
 let isolated f =
   Registry.isolated (fun () ->
-      Span.isolated (fun () -> Journal.isolated (fun () -> Ledger.isolated f)))
+      Span.isolated (fun () -> Ledger.isolated f))

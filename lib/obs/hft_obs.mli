@@ -1,10 +1,10 @@
 (** [Hft_obs]: zero-dependency observability for the hft stack.
 
-    Five pieces: a metrics {!Registry} (named counters, gauges,
-    histogram timers), hierarchical {!Span} tracing, the flight
-    recorder — a typed event {!Journal} (bounded ring, JSONL export)
-    and a per-fault-class forensics {!Ledger} — and {!Export}/{!Table}
-    rendering via {!Hft_util.Json} (including Chrome trace events).
+    Four pieces: a metrics {!Registry} (named counters, gauges,
+    histogram timers), hierarchical {!Span} tracing, the per-fault-class
+    forensics {!Ledger} (the flight recorder, taped as [hft-ledger/1]
+    while a campaign commits) and {!Export}/{!Table} rendering via
+    {!Hft_util.Json} (including Chrome trace events).
     Everything is off by default; flip {!enabled} (or use
     {!with_enabled}) to record.  Disabled calls cost a ref dereference
     and a branch, and the engines accumulate locally and flush per
@@ -21,7 +21,6 @@ module Metric = Metric
 module Capture = Capture
 module Registry = Registry
 module Span = Span
-module Journal = Journal
 module Ledger = Ledger
 module Export = Export
 module Table = Table
@@ -31,12 +30,11 @@ val enabled : bool ref
 
 val with_enabled : bool -> (unit -> 'a) -> 'a
 
-(** Clear the metric registry, the span trace, the event journal and
-    the fault ledger. *)
+(** Clear the metric registry, the span trace and the fault ledger. *)
 val reset : unit -> unit
 
 (** [isolated f] runs [f] against a completely fresh recorder — empty
-    registry, span trace, journal and ledger — and restores the
+    registry, span trace and ledger — and restores the
     caller's state afterwards (even on exceptions).
     Inside, [f] may freely {!reset} and read back; nothing it records
     leaks out, and nothing recorded outside is visible to it.  This is

@@ -63,9 +63,7 @@ let tests_buf : mtest array ref = ref [||]
 let n_tests_ = ref 0
 
 (* One mutex guards both growable buffers so registrations and charges
-   from worker domains are never lost.  Lock ordering: the ledger lock
-   is released before calling into [Journal] (see [resolve]), so the
-   only cross-module order is Ledger → Journal and never the reverse. *)
+   from worker domains are never lost. *)
 let lock = Mutex.create ()
 
 let locked f =
@@ -141,32 +139,15 @@ let resolution_key = function
   | Aborted _ -> "aborted"
   | Never_targeted -> "never_targeted"
 
-let resolve h res =
-  if h >= 0 then begin
-    let faults =
-      locked (fun () ->
-          if h < !n_rows_ then begin
-            let r = !rows_buf.(h) in
-            r.m_res <- res;
-            Some (List.length r.m_members)
-          end
-          else None)
-    in
-    match faults with
-    | None -> ()
-    | Some faults ->
-      (* Journaled so an exported tape replays the waterfall offline.
-         Recorded after the ledger lock is released (lock order). *)
-      Journal.record
-        (Journal.Class_resolved
-           { cls = h; outcome = resolution_key res; faults })
-  end
+let resolve_now h res =
+  if h >= 0 then
+    locked (fun () -> if h < !n_rows_ then !rows_buf.(h).m_res <- res)
 
 let resolve h res =
-  (* A capturing domain defers the whole resolve (row mutation and the
-     Class_resolved record) so speculative work never reaches the shared
-     ledger; the orchestrator replays committed tapes in class order. *)
-  if not (Capture.defer (fun () -> resolve h res)) then resolve h res
+  (* A capturing domain defers the resolve so speculative work never
+     reaches the shared ledger; the orchestrator replays committed tapes
+     in class order. *)
+  if not (Capture.defer (fun () -> resolve_now h res)) then resolve_now h res
 
 let charge_now ?(implications = 0) ?(backtracks = 0) ?(guided_cuts = 0) h =
   if h >= 0 then
@@ -267,22 +248,17 @@ let outcome_keys =
   [ "drop_detected"; "podem_detected"; "salvaged"; "aborted"; "untestable";
     "never_targeted" ]
 
-(* Tally (outcome key, fault count) pairs, one per class, into the
-   waterfall columns. *)
-let tally resolved =
+let waterfall ?(rows = rows ()) () =
   List.map
     (fun k ->
       ( k,
         List.fold_left
-          (fun (c, f) (k', n) -> if k' = k then (c + 1, f + n) else (c, f))
-          (0, 0) resolved ))
+          (fun (c, f) r ->
+            if resolution_key r.lr_resolution = k then
+              (c + 1, f + List.length r.lr_members)
+            else (c, f))
+          (0, 0) rows ))
     outcome_keys
-
-let waterfall ?(rows = rows ()) () =
-  tally
-    (List.map
-       (fun r -> (resolution_key r.lr_resolution, List.length r.lr_members))
-       rows)
 
 let totals w =
   List.fold_left (fun (c, f) (_, (c', f')) -> (c + c', f + f')) (0, 0) w
@@ -497,13 +473,11 @@ let record_to_json = function
       Obj [ ("end", Obj [ ("classes", Int classes); ("tests", Int tests) ]) ])
 
 type tape = {
-  tp_source : string;
   tp_meta : (string * Hft_util.Json.t) list;
   tp_rows : row list;
   tp_tests : test list;
   tp_waterfall : (string * (int * int)) list;
   tp_records : Hft_util.Json.t list;
-  tp_events : Hft_util.Json.t list;
   tp_finished : bool;
 }
 
@@ -574,53 +548,21 @@ let ledger_tape meta docs =
     List.sort (fun a b -> compare a.lr_class b.lr_class)
       (List.filter_map (function _, Class r -> Some r | _ -> None) kept)
   in
-  { tp_source = "ledger"; tp_meta = meta; tp_rows = rows;
+  { tp_meta = meta; tp_rows = rows;
     tp_tests = List.filter_map (function _, Test t -> Some t | _ -> None) kept;
     tp_waterfall = waterfall ~rows ();
     tp_records =
       List.filter_map (function _, End _ -> None | j, _ -> Some j) kept;
-    tp_events = []; tp_finished = !finished }
+    tp_finished = !finished }
 
-(* A journal tape has no rows: its waterfall tallies the Class_resolved
-   events (last write per class wins, as in [resolve]), so a class the
-   ring's window never saw resolve is absent. *)
-let journal_tape docs =
-  let resolved = Hashtbl.create 64 and tests = ref [] in
-  List.iter
-    (fun (line, j) ->
-      let int k = Hft_util.Json.member_int k j
-      and str k = Hft_util.Json.member_str k j in
-      match str "type" with
-      | Some "class_resolved" ->
-        (match (int "class", str "outcome", int "faults") with
-         | Some cls, Some outcome, Some faults
-           when List.mem outcome outcome_keys ->
-           Hashtbl.replace resolved cls (outcome, faults)
-         | _ -> bad line "malformed class_resolved event")
-      | Some "test_generated" ->
-        (match test_of_json j with
-         | Some t -> tests := t :: !tests
-         | None -> bad line "malformed test_generated event")
-      | Some _ -> ()
-      | None -> bad line "journal event without a \"type\"")
-    docs;
-  { tp_source = "journal"; tp_meta = []; tp_rows = [];
-    tp_tests = List.rev !tests;
-    tp_waterfall = tally (Hashtbl.fold (fun _ r acc -> r :: acc) resolved []);
-    tp_records = []; tp_events = List.map snd docs; tp_finished = false }
-
-(* The first object decides the tape kind: an hft-ledger/1 header or a
-   journal event. *)
+(* The first object must be an hft-ledger/1 header. *)
 let of_jsonl text =
   match Hft_util.Json.parse_jsonl text with
   | Error e -> Error e
   | Ok [] -> Error "empty tape"
-  | Ok ((line, first) :: rest as docs) ->
+  | Ok ((line, first) :: rest) ->
     (try
        match Hft_util.Json.tape_meta ~schema first with
        | Some meta -> Ok (ledger_tape meta rest)
-       | None when Hft_util.Json.member "type" first <> None ->
-         Ok (journal_tape docs)
-       | None ->
-         bad line ("neither an " ^ schema ^ " header nor a journal event")
+       | None -> bad line ("not an " ^ schema ^ " header")
      with Bad_tape msg -> Error msg)

@@ -57,9 +57,7 @@ type test = {
 (** Returns the class handle, or [-1] when observability is disabled. *)
 val register_class : rep:string -> members:string list -> int
 
-(** Record the class outcome (last write wins; engines resolve once).
-    Also journals a {!Hft_obs.Journal.event.Class_resolved} event, so
-    exported journal tapes carry the waterfall. *)
+(** Record the class outcome (last write wins; engines resolve once). *)
 val resolve : int -> resolution -> unit
 
 (** Accumulate PODEM cost counters onto a class; all default to 0. *)
@@ -96,8 +94,7 @@ val tests : unit -> test list
 val test : int -> test
 
 (** [restore h row] gives handle [h] the resolution {e and} the charges
-    of [row], a row read back from a tape (resume).  Journals a
-    {!Hft_obs.Journal.event.Class_resolved} event like {!resolve}. *)
+    of [row], a row read back from a tape (resume). *)
 val restore : int -> row -> unit
 
 (** [lr_fsim_events + lr_implications + lr_backtracks] — the ranking
@@ -174,37 +171,29 @@ type record =
 
 val record_to_json : record -> Hft_util.Json.t
 
-(** A tape read back.  A journal tape carries no rows: its waterfall
-    tallies its [Class_resolved] events (last write per class wins) and
-    its tests are its [Test_generated] events. *)
+(** A tape read back. *)
 type tape = {
-  tp_source : string;  (** ["ledger"] or ["journal"] *)
-  tp_meta : (string * Hft_util.Json.t) list;
-      (** the ledger tape's fingerprint; [[]] for a journal tape *)
-  tp_rows : row list;  (** class order; [[]] for a journal tape *)
+  tp_meta : (string * Hft_util.Json.t) list;  (** the header's fingerprint *)
+  tp_rows : row list;  (** class order *)
   tp_tests : test list;
   tp_waterfall : (string * (int * int)) list;
   tp_records : Hft_util.Json.t list;
       (** what a resume keeps: the records but the end marker, in file
-          order; [[]] for a journal tape *)
-  tp_events : Hft_util.Json.t list;  (** [[]] for a ledger tape *)
-  tp_finished : bool;
-      (** the end marker was read: the campaign finished; [false] for a
-          journal tape *)
+          order *)
+  tp_finished : bool;  (** the end marker was read: the campaign finished *)
 }
 
-(** Read an [hft-ledger/1] tape (its rows and tests equal those of the
-    run that wrote it, as far as it committed) or a [--journal-out]
-    tape (the resolutions the bounded ring still held at export; never
-    the never-targeted classes), told apart by the first object.  A
-    torn {e final} line is dropped; [Error "line N: ..."] names the
-    first bad line anywhere else: torn JSON, a missing or mistyped
-    field, a test out of sequence, a class resolved twice, an end
-    marker whose counts disagree (a lost line), an unknown outcome.
-    An empty tape is an error too.  Then an interrupted tape's final
-    test rolls back with its drop rows, unless its commit row landed.
-    Resume ([Hft_core.Flow.test_campaign]) and offline [hft report]/[hft
-    profile] read tapes through this one function. *)
+(** Read an [hft-ledger/1] tape: its rows and tests equal those of the
+    run that wrote it, as far as it committed.  A torn {e final} line is
+    dropped; [Error "line N: ..."] names the first bad line anywhere
+    else: a first object that is not the header, torn JSON, a missing
+    or mistyped field, a test out of sequence, a class resolved twice,
+    an end marker whose counts disagree (a lost line), an unknown
+    outcome.  An empty tape is an error too.  Then an interrupted
+    tape's final test rolls back with its drop rows, unless its commit
+    row landed.  Resume ([Hft_core.Flow.test_campaign]), offline [hft
+    report]/[hft profile] and [hft watch] read tapes through this one
+    function. *)
 val of_jsonl : string -> (tape, string) result
 
 val reset : unit -> unit

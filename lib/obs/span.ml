@@ -113,7 +113,6 @@ let with_ ?(attrs = []) name f =
       else None
     in
     stack := sp :: !stack;
-    Journal.record (Journal.Phase_begin { name });
     let finish () =
       sp.sp_elapsed <- Clock.now () -. sp.sp_start;
       (match gc0 with
@@ -127,7 +126,6 @@ let with_ ?(attrs = []) name f =
            :: ("gc_major_w", words (g1.Gc.major_words -. g0.Gc.major_words))
            :: ("gc_minor_w", words (Gc.minor_words () -. m0))
            :: sp.sp_attrs);
-      Journal.record (Journal.Phase_end { name; elapsed = sp.sp_elapsed });
       (match !stack with
        | top :: rest when top == sp -> stack := rest
        | _ ->

@@ -2,9 +2,8 @@
 
     [with_ "podem" (fun () -> ...)] times the thunk and records a span;
     spans opened while another is running become its children, so a
-    synthesis flow produces one tree per root call.  Each open/close
-    also lands in the event {!Journal} as [Phase_begin]/[Phase_end].
-    Everything is a no-op while [!Config.enabled] is false. *)
+    synthesis flow produces one tree per root call.  Everything is a
+    no-op while [!Config.enabled] is false. *)
 
 type t
 

@@ -380,9 +380,9 @@ module Pool = struct
   let run_wave fn wid = try fn wid with _ -> ()
 
   let worker_loop t wid () =
-    (* Tag the domain once for telemetry: journal entries and spans this
-       worker records directly (there are none on the engines' committed
-       paths) carry its id, and the Chrome trace maps it to a tid. *)
+    (* Tag the domain once for telemetry: spans this worker records
+       directly (there are none on the engines' committed paths) carry
+       its id, and the Chrome trace maps it to a tid. *)
     Hft_obs.Domain_id.set wid;
     let epoch = ref 0 in
     let continue_ = ref true in

@@ -60,10 +60,6 @@ let ladder policy ~site ~budget f =
       else begin
         let budget' = budget * policy.budget_growth in
         Hft_obs.Registry.incr "hft.robust.retries";
-        Hft_obs.Journal.record
-          (Hft_obs.Journal.Retry
-             { site = Chaos.site_name site; attempt = attempt + 1;
-               budget = budget' });
         go (attempt + 1) budget' (scale *. policy.backoff_growth)
       end
   in

@@ -6,7 +6,7 @@
     chaos off and no deadlines a supervised engine is bit-identical to
     an unsupervised one.  {!ladder} stacks attempts on top: each retry
     multiplies the backtrack budget by [budget_growth] and the deadlines
-    by [backoff_growth], journalling a [Retry] event per rung, and
+    by [backoff_growth], counting each rung in [hft.robust.retries], and
     returns the last failure when the ladder is exhausted — the caller
     then degrades (random-pattern salvage, skip, zero result) instead of
     crashing. *)

@@ -27,9 +27,8 @@ type result = {
     {!Hft_gate.Seq_atpg.run} — the campaign is that loop with
     [min_frames = max_frames = 1], so full scan follows the sequential
     engine's conventions:
-    - within one test, commit order is drop pass, then the
-      [Test_generated] journal event, then the targeted class's
-      resolution;
+    - within one test, commit order is drop pass, then [on_test],
+      then the targeted class's resolution;
     - an exhausted PODEM retry ladder tries the random-pattern salvage
       first, and only a failed salvage resolves the class
       aborted-with-reason;

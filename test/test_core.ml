@@ -596,7 +596,6 @@ let test_campaign_unchanged_when_disabled () =
      = Hft_gate.Fsim.coverage off.Flow.c_fsim);
   check "disabled run recorded no metrics" true
     (Hft_obs.Registry.snapshot () = []);
-  check_int "disabled run journalled nothing" 0 (Hft_obs.Journal.recorded ());
   check_int "disabled run has no ledger rows" 0 (Hft_obs.Ledger.n_classes ());
   check "enabled run had resolved classes" true
     (List.exists (fun (_, (cl, _)) -> cl > 0) on_waterfall)

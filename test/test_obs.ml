@@ -173,6 +173,29 @@ let test_span_render () =
   check "child indented" true (has "\n  b  ");
   check "durations in ms" true (has "ms")
 
+let test_span_gc_attrs () =
+  with_obs @@ fun () ->
+  Hft_obs.Config.gc_stats := true;
+  Fun.protect
+    ~finally:(fun () -> Hft_obs.Config.gc_stats := false)
+    (fun () ->
+      Hft_obs.Span.with_ "alloc" (fun () ->
+          (* Small allocations land in the minor heap, so the minor
+             words delta is reliably positive. *)
+          for i = 1 to 1000 do
+            ignore (Sys.opaque_identity (ref i))
+          done);
+      match Hft_obs.Span.roots () with
+      | [ root ] ->
+        let attrs = Hft_obs.Span.attrs root in
+        List.iter
+          (fun k ->
+            check ("span has " ^ k) true (List.mem_assoc k attrs))
+          [ "gc_minor_w"; "gc_major_w"; "gc_compact" ];
+        check "minor words positive" true
+          (float_of_string (List.assoc "gc_minor_w" attrs) > 0.0)
+      | _ -> Alcotest.fail "expected one root span")
+
 (* ------------------------------------------------------------------ *)
 (* Disabled mode                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -242,54 +265,8 @@ let test_table_cells () =
   | _ -> Alcotest.fail "row_to_json should build an object"
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder: journal, ledger, Chrome trace                     *)
+(* Flight recorder: ledger, Chrome trace                              *)
 (* ------------------------------------------------------------------ *)
-
-let test_journal_ring () =
-  with_obs @@ fun () ->
-  Hft_obs.Journal.set_capacity 8;
-  Fun.protect ~finally:(fun () -> Hft_obs.Journal.set_capacity 4096)
-  @@ fun () ->
-  for i = 0 to 19 do
-    Hft_obs.Journal.record
-      (Hft_obs.Journal.Note { key = "i"; value = string_of_int i })
-  done;
-  let entries = Hft_obs.Journal.entries () in
-  check_int "ring keeps the newest capacity entries" 8 (List.length entries);
-  check_int "recorded counts everything" 20 (Hft_obs.Journal.recorded ());
-  check_int "dropped = recorded - kept" 12 (Hft_obs.Journal.dropped ());
-  (match entries with
-   | first :: _ ->
-     check_int "oldest surviving seq" 12 first.Hft_obs.Journal.e_seq
-   | [] -> Alcotest.fail "empty ring");
-  check "entries are seq-ordered" true
-    (List.for_all2
-       (fun e i -> e.Hft_obs.Journal.e_seq = 12 + i)
-       entries
-       (List.init 8 Fun.id))
-
-let test_journal_jsonl () =
-  with_obs @@ fun () ->
-  Hft_obs.Journal.record (Hft_obs.Journal.Collapse { faults = 9; classes = 4 });
-  Hft_obs.Journal.record
-    (Hft_obs.Journal.Fault_dropped { cls = 3; test = 1 });
-  let lines =
-    String.split_on_char '\n' (Hft_obs.Journal.to_jsonl ())
-    |> List.filter (fun l -> l <> "")
-  in
-  check_int "one line per entry" 2 (List.length lines);
-  let types =
-    List.map
-      (fun line ->
-        match Hft_util.Json.parse line with
-        | Error e -> Alcotest.failf "line does not parse: %s" e
-        | Ok doc ->
-          (match Hft_util.Json.member "type" doc with
-           | Some (Hft_util.Json.String t) -> t
-           | _ -> Alcotest.fail "line has no type field"))
-      lines
-  in
-  check "snake_case event tags" true (types = [ "collapse"; "fault_dropped" ])
 
 let test_ledger_lifecycle () =
   with_obs @@ fun () ->
@@ -335,7 +312,6 @@ let test_ledger_lifecycle () =
 
 let test_flight_recorder_disabled () =
   with_obs ~on:false @@ fun () ->
-  Hft_obs.Journal.record (Hft_obs.Journal.Note { key = "k"; value = "v" });
   let h = Hft_obs.Ledger.register_class ~rep:"f/SA0" ~members:[ "f/SA0" ] in
   check_int "register_class returns -1 when disabled" (-1) h;
   Hft_obs.Ledger.resolve h (Hft_obs.Ledger.Drop_detected { test = 0 });
@@ -344,8 +320,6 @@ let test_flight_recorder_disabled () =
     (Hft_obs.Ledger.register_test ~frames:1);
   Hft_obs.Ledger.annotate_last_test ~first_row:0 ~vectors:[| [||] |]
     ~scan:[||];
-  check "journal stays empty" true (Hft_obs.Journal.entries () = []);
-  check_int "journal recorded nothing" 0 (Hft_obs.Journal.recorded ());
   check_int "ledger has no rows" 0 (Hft_obs.Ledger.n_classes ());
   check "ledger rows empty" true (Hft_obs.Ledger.rows () = [])
 
@@ -549,8 +523,8 @@ let test_flow_spans () =
 (* Campaign tapes: offline rebuild and the watch fold                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One small real campaign taped to a file; returns (journal tape,
-   campaign tape, live waterfall JSON). *)
+(* One small real campaign taped to a file; returns (campaign tape, live
+   waterfall JSON). *)
 let run_taped_campaign ?jobs () =
   let g = Hft_cdfg.Paper_fig1.graph () in
   let tape = Filename.temp_file "hft_tape" ".jsonl" in
@@ -562,14 +536,22 @@ let run_taped_campaign ?jobs () =
         Hft_core.Flow.test_campaign ~backtrack_limit:20 ~max_frames:2
           ~sample:4 ~seed:7 ~n_patterns:16 ?jobs ~tape r
       in
-      let journal = Hft_obs.Journal.to_jsonl () in
       let ledger = In_channel.with_open_bin tape In_channel.input_all in
       let live_wf = Hft_util.Json.to_string (Hft_obs.Ledger.waterfall_json ()) in
-      (journal, ledger, live_wf))
+      (ledger, live_wf))
+
+(* A tape the loader refuses, naming the first bad line. *)
+let rejects what text line =
+  match Hft_obs.Ledger.of_jsonl text with
+  | Ok _ -> Alcotest.failf "%s should not load" what
+  | Error e ->
+    let prefix = Printf.sprintf "line %d:" line in
+    if not (String.starts_with ~prefix e) then
+      Alcotest.failf "%s: expected %S, got %S" what prefix e
 
 let test_offline_rebuild () =
   with_obs @@ fun () ->
-  let journal, ledger, live_wf = run_taped_campaign () in
+  let ledger, live_wf = run_taped_campaign () in
   let load what text =
     match Hft_obs.Ledger.of_jsonl text with
     | Ok tape -> tape
@@ -582,7 +564,6 @@ let test_offline_rebuild () =
   in
   (* Campaign tape: what the run committed, row for row. *)
   let tape = load "ledger tape" ledger in
-  check_str "source" "ledger" tape.Hft_obs.Ledger.tp_source;
   check "tape rows = live rows" true
     (tape.Hft_obs.Ledger.tp_rows = Hft_obs.Ledger.rows ());
   check "tape tests = live tests" true
@@ -608,24 +589,7 @@ let test_offline_rebuild () =
   check_str "expensive json = live"
     (Hft_util.Json.to_string (Hft_obs.Ledger.expensive_json live_top))
     (Hft_util.Json.to_string (Hft_obs.Ledger.expensive_json tape_top));
-  (* Journal tape: the campaign fits the ring, so it is exact too. *)
-  check_int "ring did not drop" 0 (Hft_obs.Journal.dropped ());
-  let jtape = load "journal tape" journal in
-  check_str "source" "journal" jtape.Hft_obs.Ledger.tp_source;
-  check "journal tape carries no rows" true
-    (jtape.Hft_obs.Ledger.tp_rows = []);
-  check_str "journal tape = live waterfall" live_wf (wf_json jtape);
-  check_int "journal test count" (Hft_obs.Ledger.n_tests ())
-    (List.length jtape.Hft_obs.Ledger.tp_tests);
   (* Unparseable or malformed lines are rejected, naming the line. *)
-  let rejects what text line =
-    match Hft_obs.Ledger.of_jsonl text with
-    | Ok _ -> Alcotest.failf "%s should not load" what
-    | Error e ->
-      let prefix = Printf.sprintf "line %d:" line in
-      if not (String.starts_with ~prefix e) then
-        Alcotest.failf "%s: expected %S, got %S" what prefix e
-  in
   rejects "garbage tape" "not json\n{}" 1;
   let lines = String.split_on_char '\n' ledger in
   check "ledger tape has a middle row" true (List.length lines > 4);
@@ -665,7 +629,7 @@ let test_offline_rebuild () =
   (* The tape is the commit order's record, so a -j4 campaign tapes the
      same rows, charges included, as it holds live. *)
   Hft_obs.reset ();
-  let _, ledger4, _ = run_taped_campaign ~jobs:4 () in
+  let ledger4, _ = run_taped_campaign ~jobs:4 () in
   let tape4 = load "-j4 ledger tape" ledger4 in
   check "-j4 tape rows = live rows" true
     (tape4.Hft_obs.Ledger.tp_rows = Hft_obs.Ledger.rows ());
@@ -675,11 +639,11 @@ let test_offline_rebuild () =
 (* [hft watch] folds the tape: every line prefix of a finished tape, and
    that prefix with a torn line after it, renders as one status line
    over the offline report of what the prefix committed, and reads as
-   finished only once the end marker is in.  A journal tape records no
-   campaign to watch. *)
+   finished only once the end marker is in.  A file that does not open
+   with the tape header is no tape to watch. *)
 let test_watch_folds_tape () =
   with_obs @@ fun () ->
-  let journal, ledger, _ = run_taped_campaign () in
+  let ledger, _ = run_taped_campaign () in
   let load text =
     match Hft_obs.Ledger.of_jsonl text with
     | Ok tape -> tape
@@ -735,32 +699,7 @@ let test_watch_folds_tape () =
       check "eta only while running" (resolved && not finished)
         (contains later ", eta "))
     lines;
-  match watch ~now:0.0 journal with
-  | exception Hft_robust.Validation.Invalid _ -> ()
-  | _ -> Alcotest.fail "a journal tape should be refused"
-
-let test_span_gc_attrs () =
-  with_obs @@ fun () ->
-  Hft_obs.Config.gc_stats := true;
-  Fun.protect
-    ~finally:(fun () -> Hft_obs.Config.gc_stats := false)
-    (fun () ->
-      Hft_obs.Span.with_ "alloc" (fun () ->
-          (* Small allocations land in the minor heap, so the minor
-             words delta is reliably positive. *)
-          for i = 1 to 1000 do
-            ignore (Sys.opaque_identity (ref i))
-          done);
-      match Hft_obs.Span.roots () with
-      | [ root ] ->
-        let attrs = Hft_obs.Span.attrs root in
-        List.iter
-          (fun k ->
-            check ("span has " ^ k) true (List.mem_assoc k attrs))
-          [ "gc_minor_w"; "gc_major_w"; "gc_compact" ];
-        check "minor words positive" true
-          (float_of_string (List.assoc "gc_minor_w" attrs) > 0.0)
-      | _ -> Alcotest.fail "expected one root span")
+  rejects "event line" "{\"type\":\"collapse\"}\n" 1
 
 let () =
   Alcotest.run "hft_obs"
@@ -782,6 +721,7 @@ let () =
           Alcotest.test_case "duplicate attrs" `Quick test_span_dup_attrs;
           Alcotest.test_case "exception safety" `Quick test_span_exception_safe;
           Alcotest.test_case "render" `Quick test_span_render;
+          Alcotest.test_case "gc attrs" `Quick test_span_gc_attrs;
         ] );
       ( "disabled",
         [
@@ -800,16 +740,13 @@ let () =
         ] );
       ( "flight recorder",
         [
-          Alcotest.test_case "journal ring" `Quick test_journal_ring;
-          Alcotest.test_case "journal jsonl" `Quick test_journal_jsonl;
           Alcotest.test_case "ledger lifecycle" `Quick test_ledger_lifecycle;
         ] );
       ("flow", [ Alcotest.test_case "phase spans" `Quick test_flow_spans ]);
-      ( "progress",
+      ( "tapes",
         [
           Alcotest.test_case "offline rebuild" `Quick test_offline_rebuild;
           Alcotest.test_case "watch folds the tape" `Quick
             test_watch_folds_tape;
-          Alcotest.test_case "span gc attrs" `Quick test_span_gc_attrs;
         ] );
     ]

@@ -41,9 +41,9 @@ let test_knobs () =
 (* Observability layer under concurrent hammering                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Four domains hammer the registry, journal and ledger at once; every
-   write must land exactly once (lost updates were the failure mode of
-   the pre-mutex implementation). *)
+(* Four domains hammer the registry and ledger at once; every write
+   must land exactly once (lost updates were the failure mode of the
+   pre-mutex implementation). *)
 let test_obs_hammer () =
   with_obs @@ fun () ->
   let n_dom = 4 and per = 2000 in
@@ -51,8 +51,6 @@ let test_obs_hammer () =
     for i = 1 to per do
       Hft_obs.Registry.incr "hft.par.hammer";
       Hft_obs.Registry.observe "hft.par.lat" (float_of_int (i land 7));
-      Hft_obs.Journal.record
-        (Hft_obs.Journal.Note { key = "hammer"; value = "x" });
       let h = Hft_obs.Ledger.register_class ~rep:"r" ~members:[ "m" ] in
       Hft_obs.Ledger.resolve h
         (Hft_obs.Ledger.Proved_untestable { frames = 1 })
@@ -65,47 +63,19 @@ let test_obs_hammer () =
     (Hft_obs.Registry.count "hft.par.hammer");
   check_int "ledger classes all land" (n_dom * per)
     (Hft_obs.Ledger.n_classes ());
-  (* One Note per iteration plus one Class_resolved per resolve. *)
-  check_int "journal records all land" (2 * n_dom * per)
-    (Hft_obs.Journal.recorded ())
+  check_int "ledger resolutions all land" (n_dom * per)
+    (List.assoc "untestable" (Hft_obs.Ledger.waterfall ()) |> fst)
 
 (* ------------------------------------------------------------------ *)
 (* Differential harness                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Journal events modulo wall-clock: the tape a parallel run commits
-   must be the sequential tape, entry for entry. *)
-let event_sig (e : Hft_obs.Journal.entry) =
-  let open Hft_obs.Journal in
-  match e.e_event with
-  | Phase_begin { name } -> "begin " ^ name
-  | Phase_end { name; _ } -> "end " ^ name
-  | Collapse { faults; classes } ->
-    Printf.sprintf "collapse %d %d" faults classes
-  | Atpg_target { cls; rep; frames } ->
-    Printf.sprintf "target %d %s %d" cls rep frames
-  | Podem_result { cls; outcome; frames; backtracks } ->
-    Printf.sprintf "podem %d %s %d %d" cls outcome frames backtracks
-  | Static_untestable { cls; frames } ->
-    Printf.sprintf "static %d %d" cls frames
-  | Backtrack { backtracks; decisions; implications } ->
-    Printf.sprintf "btk %d %d %d" backtracks decisions implications
-  | Test_generated { test; frames } -> Printf.sprintf "test %d %d" test frames
-  | Fault_dropped { cls; test } -> Printf.sprintf "dropped %d %d" cls test
-  | Class_resolved { cls; outcome; faults } ->
-    Printf.sprintf "resolved %d %s %d" cls outcome faults
-  | Fsim_run { faults; detected; patterns; events } ->
-    Printf.sprintf "fsim %d %d %d %d" faults detected patterns events
-  | Retry { site; attempt; budget } ->
-    Printf.sprintf "retry %s %d %d" site attempt budget
-  | Degraded { site; action } -> Printf.sprintf "degraded %s %s" site action
-  | Checkpoint { classes; tests } -> Printf.sprintf "ckpt %d %d" classes tests
-  | Note { key; value } -> Printf.sprintf "note %s %s" key value
-  | Shard_stats { jobs; tasks; _ } ->
-    (* Jobs-varying by nature (recorded once per campaign by the flow,
-       never by the engines), so it can never appear on an engine tape —
-       the differential tests below would rightly fail if it did. *)
-    Printf.sprintf "shard-stats %d %d" jobs tasks
+(* The ledger rows in class order, as tape records: every class's
+   resolution and charges. *)
+let ledger_rows () =
+  List.map
+    (fun r -> Hft_util.Json.to_string (Hft_obs.Ledger.record_to_json (Class r)))
+    (Hft_obs.Ledger.rows ())
 
 type fingerprint = {
   fp_stats : Seq_atpg.stats;
@@ -114,8 +84,9 @@ type fingerprint = {
   fp_events : int;
   fp_unrolls : int;
   fp_retries : int;
+  fp_degraded : int;
   fp_tests : (int * bool array array * bool array) list;
-  fp_journal : string list;
+  fp_rows : string list;
 }
 
 let seq_fingerprint ?on_par_stats ~jobs nl ~faults ~scanned =
@@ -137,8 +108,9 @@ let seq_fingerprint ?on_par_stats ~jobs nl ~faults ~scanned =
     fp_events = Hft_obs.Registry.count "hft.fsim.events";
     fp_unrolls = Hft_obs.Registry.count "hft.seq_atpg.unrolls";
     fp_retries = Hft_obs.Registry.count "hft.robust.retries";
+    fp_degraded = Hft_obs.Registry.count "hft.robust.degraded";
     fp_tests = List.rev !tests;
-    fp_journal = List.map event_sig (Hft_obs.Journal.entries ());
+    fp_rows = ledger_rows ();
   }
 
 let check_identical tag base fp =
@@ -149,12 +121,13 @@ let check_identical tag base fp =
   check_int (tag ^ ": fsim events") base.fp_events fp.fp_events;
   check_int (tag ^ ": unrolls") base.fp_unrolls fp.fp_unrolls;
   check_int (tag ^ ": retries") base.fp_retries fp.fp_retries;
+  check_int (tag ^ ": degraded") base.fp_degraded fp.fp_degraded;
   check (tag ^ ": test set") true (fp.fp_tests = base.fp_tests);
   Alcotest.(check (list string))
-    (tag ^ ": journal tape") base.fp_journal fp.fp_journal
+    (tag ^ ": ledger rows") base.fp_rows fp.fp_rows
 
 (* Sequential ATPG on seeded random circuits: -j2/-j4 must reproduce
-   the -j1 run bit for bit, journal tape included. *)
+   the -j1 run bit for bit, ledger rows included. *)
 let test_seq_differential () =
   List.iter
     (fun seed ->
@@ -191,7 +164,7 @@ let test_full_scan_differential () =
           r.Hft_scan.Full_scan.tests,
           Hft_util.Json.to_string (Hft_obs.Ledger.waterfall_json ()),
           Hft_obs.Registry.count "hft.podem.backtracks",
-          List.map event_sig (Hft_obs.Journal.entries ()) )
+          ledger_rows () )
       in
       let s1, t1, w1, b1, j1 = run 1 in
       List.iter
@@ -202,7 +175,7 @@ let test_full_scan_differential () =
           check (tag ^ ": test set") true (t = t1);
           Alcotest.(check string) (tag ^ ": waterfall") w1 w;
           check_int (tag ^ ": backtracks") b1 b;
-          Alcotest.(check (list string)) (tag ^ ": journal tape") j1 j)
+          Alcotest.(check (list string)) (tag ^ ": ledger rows") j1 j)
         [ 2; 4 ])
     [ ("fig1b", Hft_core.Fig1_exp.B); ("fig1c", Hft_core.Fig1_exp.C) ]
 
@@ -212,15 +185,14 @@ let test_full_scan_differential () =
 
 (* With the Shard site firing on every check, every speculation dies
    and the orchestrator recomputes each class inline — the campaign
-   must degrade (visible in the journal) and still land on the -j1
-   results exactly. *)
+   must degrade (counted by hft.robust.degraded) and still land on the
+   -j1 results exactly, ledger rows included. *)
 let test_shard_chaos () =
   let nl = Netlist_gen.sequential ~seed:5 ~n_pi:4 ~n_dff:3 ~n_gates:14 in
   let faults = Fault.collapsed nl in
   let scanned = List.filteri (fun i _ -> i mod 2 = 0) (Netlist.dffs nl) in
   let base = seq_fingerprint ~jobs:1 nl ~faults ~scanned in
-  let degraded = ref 0 in
-  let fp =
+  let shard_chaos f =
     Hft_robust.Chaos.with_config
       {
         Hft_robust.Chaos.seed = 3;
@@ -228,49 +200,42 @@ let test_shard_chaos () =
         sites = [ Hft_robust.Chaos.Shard ];
         arm_after = 0;
       }
-      (fun () ->
-        let fp = seq_fingerprint ~jobs:4 nl ~faults ~scanned in
-        degraded :=
-          List.length
-            (List.filter
-               (fun s -> s = "degraded shard sequential-fallback")
-               fp.fp_journal);
-        fp)
+      f
   in
-  check "some shards were killed" true (!degraded > 0);
-  (* Everything but the journal (which legitimately carries the
-     Degraded breadcrumbs) must match the clean sequential run. *)
-  check "chaos: stats" true (fp.fp_stats = base.fp_stats);
-  Alcotest.(check string) "chaos: waterfall" base.fp_waterfall fp.fp_waterfall;
-  check_int "chaos: podem backtracks" base.fp_backtracks fp.fp_backtracks;
-  check_int "chaos: fsim events" base.fp_events fp.fp_events;
-  check_int "chaos: unrolls" base.fp_unrolls fp.fp_unrolls;
-  check "chaos: test set" true (fp.fp_tests = base.fp_tests);
-  check "chaos: non-degraded tape preserved" true
-    (List.filter (fun s -> s <> "degraded shard sequential-fallback")
-       fp.fp_journal
-     = base.fp_journal);
+  let fp =
+    shard_chaos (fun () -> seq_fingerprint ~jobs:4 nl ~faults ~scanned)
+  in
+  check "some shards were killed" true (fp.fp_degraded > 0);
+  (* Everything but the degraded count must match the clean sequential
+     run. *)
+  check_identical "chaos" base { fp with fp_degraded = base.fp_degraded };
   (* And a clean -j1 run under the same chaos config is untouched:
      the Shard site only exists inside pool worker bodies. *)
-  let seq_under_chaos =
-    Hft_robust.Chaos.with_config
-      {
-        Hft_robust.Chaos.seed = 3;
-        prob = 1.0;
-        sites = [ Hft_robust.Chaos.Shard ];
-        arm_after = 0;
-      }
-      (fun () -> seq_fingerprint ~jobs:1 nl ~faults ~scanned)
-  in
-  check_identical "sequential under shard chaos" base seq_under_chaos
+  check_identical "sequential under shard chaos" base
+    (shard_chaos (fun () -> seq_fingerprint ~jobs:1 nl ~faults ~scanned))
+
+(* The chaos injector numbers its injections process-wide and killed
+   shards advance the count, so an abort reason's "#N" is not
+   comparable across jobs counts: drop the digits after each '#'. *)
+let mask_injection_seq s =
+  let b = Buffer.create (String.length s) and after_hash = ref false in
+  String.iter
+    (fun c ->
+      if not (!after_hash && c >= '0' && c <= '9') then begin
+        after_hash := c = '#';
+        Buffer.add_char b c
+      end)
+    s;
+  Buffer.contents b
 
 (* Nested chaos: a Shard-site kill whose inline recompute then hits
    Podem-site injections.  The orchestrator's fallback path runs the
    full supervised PODEM — so the -j4 run must land exactly on the -j1
-   [Podem]-only run: same stats, waterfall, tests, and the same
+   [Podem]-only run: same stats, waterfall, tests, ledger rows (up to
+   the injection numbers in abort reasons), and the same
    hft.robust.retries count (the dead worker's half-done attempts are
-   discarded with its telemetry, never double-counted), with the only
-   extra journal content being the Degraded shard breadcrumbs. *)
+   discarded with its telemetry, never double-counted), with the shard
+   deaths counted on top of the base run's degradations. *)
 let test_nested_shard_podem_chaos () =
   let nl = Netlist_gen.sequential ~seed:5 ~n_pi:4 ~n_dff:3 ~n_gates:14 in
   let faults = Fault.collapsed nl in
@@ -291,23 +256,18 @@ let test_nested_shard_podem_chaos () =
     chaos [ Hft_robust.Chaos.Shard; Hft_robust.Chaos.Podem ] (fun () ->
         seq_fingerprint ~jobs:4 nl ~faults ~scanned)
   in
-  let degraded =
-    List.length
-      (List.filter
-         (fun s -> s = "degraded shard sequential-fallback")
-         fp.fp_journal)
-  in
-  check "shards were killed around the podem injections" true (degraded > 0);
+  check "shards were killed around the podem injections" true
+    (fp.fp_degraded > base.fp_degraded);
   check "nested chaos: stats" true (fp.fp_stats = base.fp_stats);
   Alcotest.(check string)
     "nested chaos: waterfall" base.fp_waterfall fp.fp_waterfall;
   check "nested chaos: test set" true (fp.fp_tests = base.fp_tests);
   check_int "nested chaos: retries not double-counted" base.fp_retries
     fp.fp_retries;
-  check "nested chaos: tape = base tape + Degraded breadcrumbs" true
-    (List.filter (fun s -> s <> "degraded shard sequential-fallback")
-       fp.fp_journal
-     = base.fp_journal)
+  Alcotest.(check (list string))
+    "nested chaos: ledger rows"
+    (List.map mask_injection_seq base.fp_rows)
+    (List.map mask_injection_seq fp.fp_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler telemetry: conservation laws and observationality        *)
@@ -403,7 +363,7 @@ let test_full_scan_stats () =
   | Some s -> check_stats_laws "full-scan -j4" ~classes s
 
 (* Telemetry is observational: collecting it must not move a single
-   bit of the campaign's results, journal tape included. *)
+   bit of the campaign's results, ledger rows included. *)
 let test_stats_observational () =
   let nl = Netlist_gen.sequential ~seed:4 ~n_pi:4 ~n_dff:3 ~n_gates:14 in
   let faults = Fault.collapsed nl in

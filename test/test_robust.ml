@@ -144,7 +144,7 @@ let test_ladder_budgets () =
   in
   check "succeeds on the final rung" true (r = Ok 40);
   check "budgets double per rung" true (List.rev !budgets = [ 10; 20; 40 ]);
-  check_int "two retries journalled" 2
+  check_int "two retries counted" 2
     (Hft_obs.Registry.count "hft.robust.retries");
   check_int "final_budget matches the ladder" 40
     (Supervisor.final_budget Supervisor.default ~budget:10);
