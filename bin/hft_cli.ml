@@ -2,21 +2,23 @@
 
      hft synth   --bench ewf --flow partial-scan [--width 8] [--trace]
      hft analyze --bench diffeq
-     hft atpg    --bench tseng [--sample 25]
+     hft atpg    --bench tseng [--sample 25] [--jobs 4]
      hft bist    --bench diffeq [--patterns 1024]
      hft lint    --bench fig1b [--flow partial-scan] [--json]
      hft bench   [--quick] [--json] [--out BENCH_hft.json]
      hft report  --bench fig1b [--flow partial-scan] [--top 10] [--json]
                  [--ledger-out tape.jsonl [--resume]]
      hft report  --journal-in tape.jsonl [--json]
+     hft profile --bench fig1b [--jobs 4] [--folded-out stacks.txt] [--json]
      hft watch   tape.jsonl [--no-follow]
      hft list
 
    Every subcommand accepts --trace / --metrics / --metrics-json
    (observability report after the run), --gc-stats and --trace-out
    FILE (Chrome trace-event JSON); report and profile also write the
-   campaign tape (--ledger-out FILE), resume from it (--resume) and read
-   it back offline (--journal-in FILE), and `hft watch` follows it.
+   campaign tape (--ledger-out FILE) and resume from it (--resume),
+   report reads it back offline (--journal-in FILE), and `hft watch`
+   follows it.
    Timing diagnostics go to stderr so piped --json output stays
    parseable. *)
 
@@ -52,10 +54,10 @@ let bench_arg =
   Arg.(required & opt (some string) None
        & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
 
-(* Widths, fault samples, pattern, domain and trial counts and step
-   budgets below 1, and seconds that are not finite or not above 0, are
-   bad input: rejected while the arguments are read, before any work,
-   with exit 2 and an invalid-input object naming the flag. *)
+(* Widths, fault samples, pattern, domain, table-row and trial counts
+   and step budgets below 1, and seconds that are not finite or not
+   above 0, are bad input: rejected while the arguments are read, before
+   any work, with exit 2 and an invalid-input object naming the flag. *)
 let count flag n =
   if n < 1 then
     Hft_robust.Validation.fail ~site:flag ~hint:"pass 1 or more"
@@ -245,14 +247,14 @@ let atpg_cmd =
            & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
   in
   let jobs_arg =
-    Arg.(value & opt int 0
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Shard the ATPG fault campaign over N OCaml domains \
-                   (default: \\$(b,HFT_JOBS), else 1).  Coverage, verdicts \
-                   and ledger waterfalls are bit-identical at any N.")
+    at_least_one "--jobs"
+      Arg.(value & opt int 1
+           & info [ "j"; "jobs" ] ~docv:"N"
+               ~doc:"Shard the ATPG fault campaign over N OCaml domains \
+                     (at most 64).  Coverage, verdicts and ledger \
+                     waterfalls are bit-identical at any N.")
   in
   let run bench width sample no_guided jobs obs =
-    let jobs = if jobs > 0 then jobs else Hft_par.jobs_from_env () in
     with_obs ~cmd:"atpg" obs @@ fun () ->
     let g = bench_graph ~extra:(fig1_extra ()) bench in
     let conv = Flow.synthesize_conventional ~width g in
@@ -477,57 +479,34 @@ let load_tape file =
      | Ok tape -> tape
      | Error msg -> fail (file ^ ": " ^ msg))
 
-(* The source report and profile render: the tape named by --journal-in
-   when given (no campaign runs), else a live campaign of [bench] at the
-   fixed forensics knobs, under the observability sink.  [flow], [width]
-   and [sample] are {!knob}s and [knobs] the command's own, given or
-   not; [tape] is the campaign tape (--ledger-out), [resume] continues
-   it.  A flag that only shapes a live campaign would be silently
-   ignored next to --journal-in, so it is bad input, named before the
-   tape is read. *)
-let forensics_source ~cmd ?(outputs = []) ?(knobs = []) ?guided ?jobs
-    ~journal_in ~tape ~resume bench (flow_given, flow) (width_given, width)
-    (sample_given, sample) obs k =
-  match journal_in with
-  | Some file ->
-    let live_only =
-      [ ("--bench", bench <> None); ("--flow", flow_given);
-        ("--width", width_given); ("--sample", sample_given) ]
-      @ knobs
-      @ [ ("--ledger-out", tape <> None); ("--resume", resume) ]
-      @ List.map (fun (flag, out) -> (flag, out <> None)) outputs
-      @ obs_flags obs
-    in
-    Option.iter
-      (fun (flag, _) ->
-        Hft_robust.Validation.fail ~site:flag
-          ~hint:"drop it, or drop --journal-in to run a campaign"
-          (flag ^ " applies to a live campaign, not to --journal-in"))
-      (List.find_opt snd live_only);
-    k (Forensics.Tape (file, load_tape file))
+(* A live campaign of [bench] at the fixed forensics knobs, under the
+   observability sink, handed to [k]: [tape] is the campaign tape
+   (--ledger-out) and [resume] continues it. *)
+let live_campaign ~cmd ?(outputs = []) ?guided ?jobs ~tape ~resume bench flow
+    width sample obs k =
+  if resume && tape = None then
+    Hft_robust.Validation.fail ~site:"--resume"
+      ~hint:"pass --ledger-out FILE, the tape to resume from"
+      "--resume needs the campaign tape";
+  match bench with
   | None ->
-    if resume && tape = None then
-      Hft_robust.Validation.fail ~site:"--resume"
-        ~hint:"pass --ledger-out FILE, the tape to resume from"
-        "--resume needs the campaign tape";
-    (match bench with
-     | None ->
-       Hft_robust.Validation.fail ~site:"--bench"
-         ~hint:
-           ("pass --journal-in FILE, or a bench: "
-           ^ String.concat ", " (bench_names @ List.map fst (fig1_extra ())))
-         "--bench is required without --journal-in"
-     | Some bench ->
-       with_obs ~cmd ~outputs:(("--ledger-out", tape) :: outputs) obs
-       @@ fun () ->
-       let g = bench_graph ~extra:(fig1_extra ()) bench in
-       k (Forensics.run ?guided ?jobs ?tape ~resume ~bench ~width ~sample flow g))
+    Hft_robust.Validation.fail ~site:"--bench"
+      ~hint:
+        ("pass a bench: "
+        ^ String.concat ", " (bench_names @ List.map fst (fig1_extra ())))
+      "--bench is required to run a campaign"
+  | Some bench ->
+    with_obs ~cmd ~outputs:(("--ledger-out", tape) :: outputs) obs
+    @@ fun () ->
+    let g = bench_graph ~extra:(fig1_extra ()) bench in
+    k (Forensics.run ?guided ?jobs ?tape ~resume ~bench ~width ~sample flow g)
 
-let forensics_bench_arg =
+(* --bench is optional to cmdliner, so that a missing one is invalid
+   input (exit 2, an error object) like an unknown one. *)
+let forensics_bench_arg note =
   let doc =
-    Printf.sprintf
-      "Benchmark behaviour (%s).  Required unless --journal-in is given."
-      (String.concat ", " bench_names)
+    Printf.sprintf "Benchmark behaviour (%s).  %s"
+      (String.concat ", " bench_names) note
   in
   Arg.(value & opt (some string) None
        & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
@@ -537,9 +516,10 @@ let forensics_sample_arg =
     (Arg.info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
 
 let forensics_top_arg =
-  Arg.(value & opt int 10
-       & info [ "top" ] ~docv:"K"
-           ~doc:"Rows in the most-expensive-fault-classes table.")
+  at_least_one "--top"
+    Arg.(value & opt int 10
+         & info [ "top" ] ~docv:"K"
+             ~doc:"Rows in the most-expensive-fault-classes table.")
 
 let ledger_out_arg =
   Arg.(value & opt (some string) None
@@ -572,12 +552,31 @@ let report_cmd =
                    included, and a killed campaign's tape renders what it \
                    committed.")
   in
-  let run bench flow width sample top json no_guided journal_in tape resume
-      obs =
-    forensics_source ~cmd:"report" ~knobs:[ ("--no-guided", no_guided) ]
-      ~guided:(not no_guided) ~journal_in ~tape ~resume bench flow width
-      sample obs
-    @@ fun src -> print_string (Forensics.report ~json ~top src)
+  (* The tape named by --journal-in when given (no campaign runs), else
+     a live campaign.  A flag that only shapes a live campaign would be
+     silently ignored next to --journal-in, so it is bad input, named
+     before the tape is read. *)
+  let run bench (flow_given, flow) (width_given, width)
+      (sample_given, sample) top json no_guided journal_in tape resume obs =
+    let print src = print_string (Forensics.report ~json ~top src) in
+    match journal_in with
+    | Some file ->
+      Option.iter
+        (fun (flag, _) ->
+          Hft_robust.Validation.fail ~site:flag
+            ~hint:"drop it, or drop --journal-in to run a campaign"
+            (flag ^ " applies to a live campaign, not to --journal-in"))
+        (List.find_opt snd
+           ([ ("--bench", bench <> None); ("--flow", flow_given);
+              ("--width", width_given); ("--sample", sample_given);
+              ("--no-guided", no_guided); ("--ledger-out", tape <> None);
+              ("--resume", resume) ]
+           @ obs_flags obs));
+      print (Forensics.Tape (file, load_tape file))
+    | None ->
+      live_campaign ~cmd:"report" ~guided:(not no_guided) ~tape ~resume bench
+        flow width sample obs
+      @@ fun l -> print (Forensics.Live l)
   in
   Cmd.v
     (Cmd.info "report"
@@ -588,17 +587,20 @@ let report_cmd =
           classes (benches include fig1b/fig1c); --ledger-out tapes the \
           campaign as it runs and --resume continues an interrupted tape; \
           with --journal-in, rebuild the report offline from a tape")
-    Term.(const run $ forensics_bench_arg $ flow_knob $ width_knob
-          $ forensics_sample_arg $ forensics_top_arg $ json_arg $ no_guided_arg
-          $ journal_in_arg $ ledger_out_arg $ resume_arg $ obs_term)
+    Term.(const run
+          $ forensics_bench_arg "Required unless --journal-in is given."
+          $ flow_knob $ width_knob $ forensics_sample_arg $ forensics_top_arg
+          $ json_arg $ no_guided_arg $ journal_in_arg $ ledger_out_arg
+          $ resume_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
-(* hft profile: where did the campaign's time go?  Live mode runs a   *)
-(* campaign (same knobs as report) and attributes wall time three     *)
-(* ways: per-phase self time from the span tree, per-worker busy/idle *)
-(* /stall from the scheduler telemetry, and per-class charged cost    *)
-(* from the ledger (the same table report prints, bit for bit).       *)
-(* Offline mode replays an exported tape instead of running engines.  *)
+(* hft profile: where did the campaign's time go?  It runs a campaign *)
+(* (same knobs as report) and attributes wall time two ways:          *)
+(* per-phase self time from the span tree, and per-class charged cost *)
+(* from the ledger (the same table report prints, bit for bit), with  *)
+(* one line summarising the scheduler.  A tape records no phase       *)
+(* times, so there is no offline profile: report --journal-in ranks   *)
+(* its classes.                                                       *)
 
 let profile_cmd =
   let json_arg =
@@ -606,52 +608,42 @@ let profile_cmd =
          & info [ "json" ] ~doc:"Emit the profile as machine-readable JSON.")
   in
   let jobs_arg =
-    knob 1 Arg.int
-      (Arg.info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Domain count for the ATPG phase (see atpg --jobs); the \
-               per-worker table is the point of this command.")
+    at_least_one "--jobs"
+      Arg.(value & opt int 1
+           & info [ "j"; "jobs" ] ~docv:"N"
+               ~doc:"Domain count for the ATPG phase (see atpg --jobs).")
   in
   let folded_out_arg =
     Arg.(value & opt (some string) None
          & info [ "folded-out" ] ~docv:"FILE"
              ~doc:"Write folded stacks (one 'a;b;c <microseconds>' line per \
-                   path, flamegraph.pl input) for the run.")
+                   span path, flamegraph.pl input) for the run.")
   in
-  let journal_in_arg =
-    Arg.(value & opt (some string) None
-         & info [ "journal-in" ] ~docv:"FILE"
-             ~doc:"Offline mode: rank the classes of a --ledger-out \
-                   campaign tape by charged cost instead of running a \
-                   campaign; a tape records no phase times.")
-  in
-  let run bench flow width sample top (jobs_given, jobs) folded_out json
-      journal_in tape resume obs =
-    forensics_source ~cmd:"profile" ~outputs:[ ("--folded-out", folded_out) ]
-      ~knobs:[ ("--jobs", jobs_given) ] ~jobs ~journal_in ~tape ~resume bench
-      flow width sample obs
-    @@ fun src ->
-    (match (src, folded_out) with
-     | Forensics.Live _, Some file ->
-       let oc = open_out file in
-       output_string oc (Hft_obs.Export.folded_stacks ());
-       close_out oc;
-       Printf.eprintf "hft profile: wrote folded stacks %s\n%!" file
-     | _ -> ());
-    print_string (Forensics.profile ~json ~top src)
+  let run bench flow width sample top jobs folded_out json tape resume obs =
+    live_campaign ~cmd:"profile" ~outputs:[ ("--folded-out", folded_out) ]
+      ~jobs ~tape ~resume bench flow width sample obs
+    @@ fun l ->
+    Option.iter
+      (fun file ->
+        let oc = open_out file in
+        output_string oc (Hft_obs.Export.folded_stacks ());
+        close_out oc;
+        Printf.eprintf "hft profile: wrote folded stacks %s\n%!" file)
+      folded_out;
+    print_string (Forensics.profile ~json ~top l)
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Attribute a campaign's wall time: per-phase self time from the \
-          span tree, per-worker busy/idle/stall from the scheduler \
-          telemetry, and the top classes by charged cost (byte-identical \
-          to report's table).  --folded-out writes flamegraph.pl input; \
-          --ledger-out and --resume tape the campaign as report does; \
-          --journal-in profiles a tape offline instead of running a \
-          campaign.")
-    Term.(const run $ forensics_bench_arg $ flow_knob $ width_knob
-          $ forensics_sample_arg $ forensics_top_arg $ jobs_arg $ folded_out_arg
-          $ json_arg $ journal_in_arg $ ledger_out_arg $ resume_arg
+          span tree, a one-line scheduler summary (jobs, waves, tasks, \
+          steals, speculation hits and misses, utilization), and the top \
+          classes by charged cost (byte-identical to report's table).  \
+          --folded-out writes flamegraph.pl input; --ledger-out and \
+          --resume tape the campaign as report does.")
+    Term.(const run $ forensics_bench_arg "Required." $ flow_arg $ width_arg
+          $ Term.(const snd $ forensics_sample_arg) $ forensics_top_arg
+          $ jobs_arg $ folded_out_arg $ json_arg $ ledger_out_arg $ resume_arg
           $ obs_term)
 
 (* ------------------------------------------------------------------ *)

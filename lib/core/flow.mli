@@ -104,8 +104,8 @@ type campaign = {
   c_t_atpg : float;                   (** ATPG leg wall seconds *)
   c_t_fsim : float;                   (** fsim leg wall seconds *)
   c_par : Hft_par.Stats.t;
-      (** scheduler telemetry for the ATPG leg — real per-worker
-          measurements when [jobs > 1], the degenerate
+      (** scheduler summary of the ATPG leg — measured campaign
+          totals when [jobs > 1], the degenerate
           {!Hft_par.Stats.sequential} summary otherwise, so every
           campaign carries a utilization figure *)
 }

@@ -1,4 +1,5 @@
-(* The hft-report/1 and hft-profile/1 documents, live or from a tape. *)
+(* The hft-report/1 document, live or from a tape, and the live
+   hft-profile/1 document. *)
 
 open Hft_util
 module Ledger = Hft_obs.Ledger
@@ -24,9 +25,8 @@ let run ?(guided = true) ?(jobs = 1) ?tape ?(resume = false) ~bench ~width
     Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
       ~n_patterns:64 ~guided ~jobs ?tape ~resume r
   in
-  Live
-    { bench; flow; guided; jobs; campaign;
-      resumed = (if resume then tape else None) }
+  { bench; flow; guided; jobs; campaign;
+    resumed = (if resume then tape else None) }
 
 (* What both documents read from either source: the outcome tallies, the
    test count and the [top] most expensive classes. *)
@@ -161,40 +161,10 @@ let watch w ~now file (t : Ledger.tape) =
            (float_of_int (n_faults - resolved) /. r))
     ^ report ~json:false ~top:5 (Tape (file, t)) )
 
-let ms_table header rows =
-  Pretty.render ~header
-    (List.map (fun (n, ms) -> [ n; Printf.sprintf "%.2f" ms ]) rows)
-
-let workers_table (par : Stats.t) =
-  let ms ns = Printf.sprintf "%.2f" (float_of_int ns /. 1e6) in
-  Printf.sprintf
-    "\nscheduler: jobs %d · waves %d · tasks %d · steals %d · spec hit/miss \
-     %d/%d · inline %d · occupancy %s · utilization %s\n"
-    par.s_jobs par.s_waves par.s_tasks (Stats.steals par)
-    (Stats.spec_hits par) (Stats.spec_misses par) (Stats.inline par)
-    (Pretty.pct (Stats.occupancy par))
-    (Pretty.pct (Stats.utilization par))
-  ^ Pretty.render
-      ~header:
-        [ "worker"; "eval"; "classes"; "steals"; "stolen"; "hits"; "miss";
-          "busy ms"; "idle ms"; "stall ms" ]
-      (List.map
-         (fun (w : Stats.worker) ->
-           (if w.w_domain = 0 then "orchestrator"
-            else Printf.sprintf "worker-%d" w.w_domain)
-           :: List.map string_of_int
-                [ w.w_evaluated; w.w_classes; w.w_steals; w.w_stolen;
-                  w.w_spec_hits; w.w_spec_misses ]
-           @ List.map ms [ w.w_busy_ns; w.w_idle_ns; w.w_stall_ns ])
-         (Array.to_list par.s_workers))
-
-let profile ~json ~top src =
-  let _, _, expensive = ledger_view ~top src in
+let profile ~json ~top l =
+  let _, _, expensive = ledger_view ~top (Live l) in
+  let self = Hft_obs.Export.self_times () and par = l.campaign.c_par in
   document ~json "hft-profile/1" expensive
-  @@
-  match src with
-  | Live l ->
-    let self = Hft_obs.Export.self_times () and par = l.campaign.c_par in
     ( bench_flow l
       @ [ ("jobs", Json.Int l.jobs);
           ("self",
@@ -209,12 +179,13 @@ let profile ~json ~top src =
           ("parallel", Stats.to_json par) ],
       Printf.sprintf "self-time attribution (%s, %s, jobs %d):\n" l.bench
         (flow_name l) l.jobs
-      ^ ms_table [ "span"; "self ms" ]
-          (List.map (fun (name, s) -> (name, 1e3 *. s)) self)
-      ^ workers_table par )
-  | Tape (file, _) ->
-    (* A tape holds rows, not phases: phase times are live only. *)
-    ( [ ("file", Json.String file); ("phases", Json.List []);
-        ("parallel", Json.Null) ],
-      Printf.sprintf "profile (offline tape %s):\n(no phase events on tape)\n"
-        file )
+      ^ Pretty.render ~header:[ "span"; "self ms" ]
+          (List.map
+             (fun (name, s) -> [ name; Printf.sprintf "%.2f" (1e3 *. s) ])
+             self)
+      ^ Printf.sprintf
+          "\nscheduler: jobs %d · waves %d · tasks %d · steals %d · spec \
+           hit/miss %d/%d · inline %d · utilization %s\n"
+          par.s_jobs par.s_waves par.s_tasks par.s_steals par.s_spec_hits
+          par.s_spec_misses par.s_inline
+          (Pretty.pct (Stats.utilization par)) )

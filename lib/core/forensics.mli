@@ -1,7 +1,8 @@
 (** The fault-forensics documents, [hft-report/1] and [hft-profile/1]:
-    one function each, over a campaign that just ran or a campaign tape
-    read back by {!Hft_obs.Ledger.of_jsonl}.  Both sources render the
-    waterfall, the test count and the expensive classes alike. *)
+    one function each.  A report renders a campaign that just ran or a
+    campaign tape read back by {!Hft_obs.Ledger.of_jsonl}, the
+    waterfall, the test count and the expensive classes alike; a
+    profile renders a campaign that just ran. *)
 
 type live = {
   bench : string;
@@ -23,7 +24,7 @@ type source = Live of live | Tape of string * Hft_obs.Ledger.tape
 val run :
   ?guided:bool -> ?jobs:int -> ?tape:string -> ?resume:bool ->
   bench:string -> width:int -> sample:int -> Flow.flow_kind ->
-  Hft_cdfg.Graph.t -> source
+  Hft_cdfg.Graph.t -> live
 
 (** The waterfall, test count and [top] most expensive classes, plus the
     coverage, pattern, resume and guidance figures of a live campaign;
@@ -44,7 +45,7 @@ val watch :
   watcher option -> now:float -> string -> Hft_obs.Ledger.tape ->
   watcher * string
 
-(** Per-span self time and per-worker telemetry of a live campaign (a
-    tape records no phases: its [phases] are empty and its [parallel]
-    null); then the same [top] classes as {!report}. *)
-val profile : json:bool -> top:int -> source -> string
+(** Per-span self time and the scheduler summary of a live campaign
+    (a tape records no phases, so there is no offline profile); then
+    the same [top] classes as {!report}. *)
+val profile : json:bool -> top:int -> live -> string

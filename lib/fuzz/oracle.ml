@@ -226,7 +226,7 @@ let check_guided_diff ~step_budget ~seed:_ nl =
   in
   let checker () =
     Hft_robust.Deadline.checker
-      (Hft_robust.Deadline.make ~steps:step_budget ())
+      (Hft_robust.Deadline.make ~steps:step_budget)
   in
   let bad detail = fs := { f_check = "guided-diff"; f_detail = detail } :: !fs in
   List.iter

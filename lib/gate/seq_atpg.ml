@@ -715,15 +715,9 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
       let window = Array.of_list (List.rev !picked) in
       let specs, fails =
         if Array.length window = 0 then ([||], [])
-        else begin
-          (match stats with
-           | Some c ->
-             Hft_par.Stats.note_window c ~filled:(Array.length window)
-               ~cap:win
-           | None -> ());
+        else
           section.run ~n:(Array.length window) ~f:(fun ws k ->
               eval_class ws window.(k))
-        end
       in
       List.iter
         (fun _fail -> Hft_obs.Registry.incr "hft.robust.degraded")
@@ -741,25 +735,16 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
           if status.(gi) = `Pending then
             match specs.(k) with
             | Some spec ->
-              (match stats with
-               | Some c -> Hft_par.Stats.note_hit c ~task:k
-               | None -> ());
+              Option.iter Hft_par.Stats.note_hit stats;
               process_class ~spec gi leaders.(gi)
             | None ->
-              (match stats with
-               | Some c -> Hft_par.Stats.note_inline c
-               | None -> ());
+              Option.iter Hft_par.Stats.note_inline stats;
               process_class gi leaders.(gi)
-          else
-            match stats with
-            | Some c -> Hft_par.Stats.note_miss c ~task:k
-            | None -> ())
+          else Option.iter Hft_par.Stats.note_miss stats)
         window;
       cursor := chunk_end
     done;
-    match stats with
-    | Some c -> par_stats := Some (Hft_par.Stats.finish c ~classes:n_groups)
-    | None -> ()
+    par_stats := Option.map Hft_par.Stats.finish stats
   in
   if jobs > 1 && n_groups > 1 then run_parallel (Hft_par.Pool.get ~jobs)
   else
@@ -775,7 +760,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
        | None ->
          (* Sequential path: synthesize the degenerate summary so every
             consumer sees a utilization field. *)
-         Hft_par.Stats.sequential ~classes:n_groups
+         Hft_par.Stats.sequential
            ~wall_ns:
              (int_of_float ((Hft_obs.Clock.now () -. t_start) *. 1e9))
      in

@@ -160,9 +160,9 @@ val campaign :
     unchanged results.  [jobs = 1] is the historical
     sequential path, bit for bit.
 
-    [on_par_stats] receives the campaign's scheduler telemetry
-    ({!Hft_par.Stats.t}) once, after the last class commits: real
-    per-worker measurements on the parallel path, the degenerate
+    [on_par_stats] receives the campaign's scheduler summary
+    ({!Hft_par.Stats.t}) once, after the last class commits: measured
+    campaign totals on the parallel path, the degenerate
     {!Hft_par.Stats.sequential} summary on the sequential one.
     Collection is observational — all bit-identity contracts above hold
     with or without it. *)

@@ -51,116 +51,35 @@ let metrics_json ?(snapshot = Registry.snapshot ()) () =
     (List.map (fun s -> (s.Metric.s_name, Metric.snapshot_to_json s)) snapshot)
 
 (* Chrome trace-event format: complete ("ph":"X") events with
-   microsecond timestamps relative to the earliest recorded instant.
-   Span events land on the tid of the domain that opened them (0 for
-   everything the orchestrator ran); nesting is implied by time
-   containment per tid, which holds by construction — a child span
-   opens after and closes before its parent on the same domain.  The
-   pool's per-task {!Span.track_event} slices land on their worker's
-   tid, so a parallel campaign renders as one real timeline per domain,
-   with flow arrows ("ph":"s"/"f") from each speculative evaluation to
-   the commit-window slice that consumed it.  "ph":"M" thread_name
-   metadata labels the tracks. *)
-let chrome_trace ?(roots = Span.roots ()) ?(tracks = Span.tracks ()) () =
+   microsecond timestamps relative to the earliest recorded instant, all
+   on the orchestrator's tid 0; nesting is implied by time containment,
+   which holds by construction — a child span opens after and closes
+   before its parent. *)
+let chrome_trace ?(roots = Span.roots ()) () =
   let t0 =
-    List.fold_left
-      (fun acc tk -> Float.min acc tk.Span.tk_start)
-      (List.fold_left (fun acc r -> Float.min acc (Span.start r)) infinity
-         roots)
-      tracks
+    List.fold_left (fun acc r -> Float.min acc (Span.start r)) infinity roots
   in
   let t0 = if t0 = infinity then 0.0 else t0 in
-  let us t = Hft_util.Json.Float (1e6 *. (t -. t0)) in
-  let str_args kvs =
-    ("args",
-     Hft_util.Json.Obj
-       (List.map (fun (k, v) -> (k, Hft_util.Json.String v)) kvs))
-  in
-  let tids = Hashtbl.create 8 in
-  let seen_tid d = if not (Hashtbl.mem tids d) then Hashtbl.add tids d () in
   let rec emit acc sp =
-    seen_tid (Span.domain sp);
     let ev =
       Hft_util.Json.Obj
         [ ("name", Hft_util.Json.String (Span.name sp));
           ("ph", Hft_util.Json.String "X");
-          ("ts", us (Span.start sp));
+          ("ts", Hft_util.Json.Float (1e6 *. (Span.start sp -. t0)));
           ("dur", Hft_util.Json.Float (1e6 *. Span.elapsed sp));
           ("pid", Hft_util.Json.Int 1);
-          ("tid", Hft_util.Json.Int (Span.domain sp));
-          str_args (Span.attrs sp) ]
+          ("tid", Hft_util.Json.Int 0);
+          ("args",
+           Hft_util.Json.Obj
+             (List.map
+                (fun (k, v) -> (k, Hft_util.Json.String v))
+                (Span.attrs sp))) ]
     in
     List.fold_left emit (ev :: acc) (Span.children sp)
   in
-  let span_events = List.rev (List.fold_left emit [] roots) in
-  (* Flow starts with no matching finish would dangle in the viewer, so
-     only emit the "s" half of flows some commit slice terminates. *)
-  let finished_flows = Hashtbl.create 32 in
-  List.iter
-    (fun tk ->
-      List.iter (fun id -> Hashtbl.replace finished_flows id ()) tk.Span.tk_flow_in)
-    tracks;
-  let flow_ev ph ?(extra = []) id tk ts =
-    Hft_util.Json.Obj
-      ([ ("name", Hft_util.Json.String "spec-commit");
-         ("cat", Hft_util.Json.String "spec");
-         ("ph", Hft_util.Json.String ph);
-         ("id", Hft_util.Json.Int id);
-         ("ts", us ts);
-         ("pid", Hft_util.Json.Int 1);
-         ("tid", Hft_util.Json.Int tk.Span.tk_domain) ]
-       @ extra)
-  in
-  let track_events =
-    List.concat_map
-      (fun tk ->
-        seen_tid tk.Span.tk_domain;
-        let slice =
-          Hft_util.Json.Obj
-            [ ("name", Hft_util.Json.String tk.Span.tk_name);
-              ("ph", Hft_util.Json.String "X");
-              ("ts", us tk.Span.tk_start);
-              ("dur", Hft_util.Json.Float (1e6 *. tk.Span.tk_dur));
-              ("pid", Hft_util.Json.Int 1);
-              ("tid", Hft_util.Json.Int tk.Span.tk_domain);
-              str_args tk.Span.tk_args ]
-        in
-        let outs =
-          match tk.Span.tk_flow_out with
-          | Some id when Hashtbl.mem finished_flows id ->
-            [ flow_ev "s" id tk (tk.Span.tk_start +. tk.Span.tk_dur) ]
-          | _ -> []
-        in
-        let ins =
-          List.map
-            (fun id ->
-              flow_ev "f"
-                ~extra:[ ("bp", Hft_util.Json.String "e") ]
-                id tk tk.Span.tk_start)
-            tk.Span.tk_flow_in
-        in
-        (slice :: outs) @ ins)
-      tracks
-  in
-  let thread_names =
-    Hashtbl.fold (fun d () acc -> d :: acc) tids []
-    |> List.sort compare
-    |> List.map (fun d ->
-           Hft_util.Json.Obj
-             [ ("name", Hft_util.Json.String "thread_name");
-               ("ph", Hft_util.Json.String "M");
-               ("pid", Hft_util.Json.Int 1);
-               ("tid", Hft_util.Json.Int d);
-               ("args",
-                Hft_util.Json.Obj
-                  [ ("name",
-                     Hft_util.Json.String
-                       (if d = 0 then "orchestrator"
-                        else Printf.sprintf "worker-%d" d)) ]) ])
-  in
   Hft_util.Json.Obj
     [ ("traceEvents",
-       Hft_util.Json.List (thread_names @ span_events @ track_events));
+       Hft_util.Json.List (List.rev (List.fold_left emit [] roots)));
       ("displayTimeUnit", Hft_util.Json.String "ms") ]
 
 (* Self-time attribution over the span tree: a span's self time is its
@@ -183,13 +102,9 @@ let self_times ?(roots = Span.roots ()) () =
          match compare t2 t1 with 0 -> compare n1 n2 | c -> c)
 
 (* flamegraph.pl folded-stack format: one "a;b;c <value>" line per
-   distinct path, value = integer self-time microseconds.  Orchestrator
-   paths come from the span tree; worker slices (domain > 0) fold as
-   "worker-<d>;<name>".  Domain-0 track slices (the commit windows) are
-   excluded — their time already lives inside the span tree and would
-   double-count.  Lines sort lexicographically, so equal inputs fold to
-   byte-equal output. *)
-let folded_stacks ?(roots = Span.roots ()) ?(tracks = Span.tracks ()) () =
+   distinct span path, value = integer self-time microseconds.  Lines
+   sort lexicographically, so equal inputs fold to byte-equal output. *)
+let folded_stacks ?(roots = Span.roots ()) () =
   let tbl : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let add path sec =
     let us = int_of_float ((1e6 *. sec) +. 0.5) in
@@ -207,13 +122,6 @@ let folded_stacks ?(roots = Span.roots ()) ?(tracks = Span.tracks ()) () =
     List.iter (go path) kids
   in
   List.iter (go "") roots;
-  List.iter
-    (fun tk ->
-      if tk.Span.tk_domain > 0 then
-        add
-          (Printf.sprintf "worker-%d;%s" tk.Span.tk_domain tk.Span.tk_name)
-          tk.Span.tk_dur)
-    tracks;
   let lines = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
   let b = Buffer.create 1024 in
   List.iter

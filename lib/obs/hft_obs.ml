@@ -4,7 +4,6 @@
 
 module Config = Config
 module Clock = Clock
-module Domain_id = Domain_id
 module Metric = Metric
 module Capture = Capture
 module Registry = Registry

@@ -16,7 +16,6 @@
 
 module Config = Config
 module Clock = Clock
-module Domain_id = Domain_id
 module Metric = Metric
 module Capture = Capture
 module Registry = Registry

@@ -2,7 +2,6 @@ type t = {
   sp_name : string;
   mutable sp_attrs : (string * string) list; (* reverse insertion order *)
   sp_start : float;
-  sp_domain : int;
   mutable sp_elapsed : float;
   mutable sp_children : t list; (* reverse order *)
 }
@@ -10,7 +9,6 @@ type t = {
 let name t = t.sp_name
 let elapsed t = t.sp_elapsed
 let start t = t.sp_start
-let domain t = t.sp_domain
 
 (* [sp_attrs] is most-recent-first, so keeping each key's first
    occurrence makes repeated [add_attr] last-write-win; the surviving
@@ -35,55 +33,21 @@ let children t = List.rev t.sp_children
 let finished_roots : t list ref = ref []
 let stack : t list ref = ref []
 
-(* Flat per-domain timeline slices, recorded alongside the span tree.
-   Worker domains cannot open spans (their telemetry is captured onto
-   tapes and replayed by the orchestrator, which would collapse every
-   timeline into domain 0), so the pool measures each speculative task
-   on the worker and the orchestrator flushes the slices here after the
-   wave — single-writer, no lock.  [tk_flow_out] starts a flow arrow at
-   the slice's end (speculation handed to the commit window);
-   [tk_flow_in] lists the flows that terminate at the slice's start. *)
-type track_event = {
-  tk_domain : int;
-  tk_name : string;
-  tk_start : float;
-  tk_dur : float;
-  tk_args : (string * string) list;
-  tk_flow_out : int option;
-  tk_flow_in : int list;
-}
-
-let track : track_event list ref = ref [] (* reverse order *)
-
-let add_track ?flow_out ?(flow_in = []) ?(args = []) ~domain:tk_domain
-    ~name:tk_name ~start:tk_start ~dur:tk_dur () =
-  if !Config.enabled then
-    track :=
-      { tk_domain; tk_name; tk_start; tk_dur; tk_args = args;
-        tk_flow_out = flow_out; tk_flow_in = flow_in }
-      :: !track
-
-let tracks () = List.rev !track
-
 let reset () =
   finished_roots := [];
-  stack := [];
-  track := []
+  stack := []
 
-(* Run [f] against a scratch trace (empty roots/stack/track), restoring
+(* Run [f] against a scratch trace (empty roots and stack), restoring
    the live one afterwards.  Spans opened inside never attach to outer
    spans and never appear in the exported trace. *)
 let isolated f =
-  let saved = (!finished_roots, !stack, !track) in
-  finished_roots := [];
-  stack := [];
-  track := [];
+  let saved = (!finished_roots, !stack) in
+  reset ();
   Fun.protect
     ~finally:(fun () ->
-      let r, s, t = saved in
+      let r, s = saved in
       finished_roots := r;
-      stack := s;
-      track := t)
+      stack := s)
     f
 
 let roots () = List.rev !finished_roots
@@ -101,7 +65,7 @@ let with_ ?(attrs = []) name f =
   else begin
     let sp =
       { sp_name = name; sp_attrs = List.rev attrs; sp_start = Clock.now ();
-        sp_domain = Domain_id.get (); sp_elapsed = 0.0; sp_children = [] }
+        sp_elapsed = 0.0; sp_children = [] }
     in
     (* Allocation profile of the phase, when asked for: quick_stat is a
        handful of loads (no heap walk; [Gc.minor_words] separately

@@ -3,7 +3,10 @@
     [with_ "podem" (fun () -> ...)] times the thunk and records a span;
     spans opened while another is running become its children, so a
     synthesis flow produces one tree per root call.  Everything is a
-    no-op while [!Config.enabled] is false. *)
+    no-op while [!Config.enabled] is false.  Spans are the
+    orchestrating thread's: domain-pool workers open none (their
+    telemetry is captured and replayed at commit), so the trace is one
+    timeline. *)
 
 type t
 
@@ -15,11 +18,6 @@ val elapsed : t -> float
 (** Wall-clock start instant ([Clock.now] at open), for absolute-time
     exporters (Chrome trace events). *)
 val start : t -> float
-
-(** {!Domain_id} of the domain that opened the span — 0 for everything
-    the orchestrator runs.  The Chrome trace exporter maps this to the
-    event's [tid]. *)
-val domain : t -> int
 
 (** Attributes in insertion order; when a key was written several
     times, only the last value survives (in last-write position). *)
@@ -43,32 +41,6 @@ val add_attr_int : string -> int -> unit
 
 (** Completed root spans, oldest first. *)
 val roots : unit -> t list
-
-(** Flat per-domain timeline slices recorded beside the span tree.
-    Worker domains never open spans (their telemetry replays on the
-    orchestrator), so the domain pool measures each speculative task on
-    its worker and flushes a slice per task here after the wave; the
-    Chrome trace exporter renders them on the worker's own [tid].
-    [tk_flow_out]/[tk_flow_in] carry flow-arrow ids (speculation-to-
-    commit handoffs). *)
-type track_event = {
-  tk_domain : int;
-  tk_name : string;
-  tk_start : float;  (** seconds, same clock as {!start} *)
-  tk_dur : float;  (** seconds *)
-  tk_args : (string * string) list;
-  tk_flow_out : int option;  (** flow started at the slice's end *)
-  tk_flow_in : int list;  (** flows terminating at the slice's start *)
-}
-
-(** Record one slice (no-op while disabled).  Orchestrator-thread only:
-    the store is unlocked single-writer. *)
-val add_track :
-  ?flow_out:int -> ?flow_in:int list -> ?args:(string * string) list ->
-  domain:int -> name:string -> start:float -> dur:float -> unit -> unit
-
-(** Recorded slices, oldest first. *)
-val tracks : unit -> track_event list
 
 val reset : unit -> unit
 

@@ -18,14 +18,6 @@
 
 let clamp_jobs j = if j < 1 then 1 else if j > 64 then 64 else j
 
-let jobs_from_env () =
-  match Sys.getenv_opt "HFT_JOBS" with
-  | None -> 1
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some j when j >= 1 -> clamp_jobs j
-     | _ -> 1)
-
 type 'ws section = {
   run :
     'a.
@@ -35,112 +27,60 @@ type 'ws section = {
 }
 
 (* Scheduler telemetry.  A [collector] accumulates lock-free while the
-   pool runs: the per-worker arrays below are written only by their
-   owning worker (worker ids are stable across waves), the
-   wave/commit-side fields only by the orchestrating thread, and the
-   merge in [finish] runs after [launch]'s final lock round-trip — the
-   same happens-before edge the result array already relies on.  All of
-   it is observational: the engines' task order, results and committed
-   telemetry are identical with a collector attached or not. *)
+   pool runs: the per-worker slot arrays below are written only by their
+   owning worker (worker ids are stable across waves), everything else
+   only by the orchestrating thread, and the slots are read after
+   [launch]'s final lock round-trip — the same happens-before edge the
+   result array already relies on.  All of it is observational: the
+   engines' task order, results and committed telemetry are identical
+   with a collector attached or not. *)
 module Stats = struct
-  type worker = {
-    w_domain : int;
-    w_evaluated : int;  (** speculative tasks this worker ran *)
-    w_classes : int;  (** committed classes attributed to it *)
-    w_steals : int;  (** tasks it took from other workers' deques *)
-    w_stolen : int;  (** tasks other workers took from its deque *)
-    w_spec_hits : int;
-    w_spec_misses : int;
-    w_inline : int;  (** inline recomputes (orchestrator only) *)
-    w_busy_ns : int;
-    w_idle_ns : int;  (** in-wave time not spent on tasks *)
-    w_stall_ns : int;  (** commit-window time (orchestrator only) *)
-  }
-
   type t = {
     s_jobs : int;
     s_waves : int;
-    s_tasks : int;  (** tasks dispatched across all waves *)
+    s_tasks : int;
     s_wall_ns : int;
-    s_window_fill : int;  (** Σ commit-window occupancy *)
-    s_window_cap : int;  (** Σ commit-window capacity *)
-    s_critical_ns : int;  (** Σ per-wave max busy + commit stalls *)
-    s_workers : worker array;
+    s_critical_ns : int;
+    s_busy_ns : int;
+    s_steals : int;
+    s_spec_hits : int;
+    s_spec_misses : int;
+    s_inline : int;
   }
 
-  let sum_w t f = Array.fold_left (fun a w -> a + f w) 0 t.s_workers
-  let busy_ns t = sum_w t (fun w -> w.w_busy_ns)
-  let steals t = sum_w t (fun w -> w.w_steals)
-  let spec_hits t = sum_w t (fun w -> w.w_spec_hits)
-  let spec_misses t = sum_w t (fun w -> w.w_spec_misses)
-  let inline t = sum_w t (fun w -> w.w_inline)
+  let busy_ns t = t.s_busy_ns
+  let steals t = t.s_steals
+  let spec_misses t = t.s_spec_misses
+  let inline t = t.s_inline
 
   (** Σ busy / (jobs × wall): 1.0 = every domain on useful work for the
       whole campaign. *)
   let utilization t =
     let denom = t.s_jobs * max 1 t.s_wall_ns in
-    float_of_int (busy_ns t) /. float_of_int denom
-
-  let occupancy t =
-    if t.s_window_cap = 0 then 0.0
-    else float_of_int t.s_window_fill /. float_of_int t.s_window_cap
-
-  let spec_miss_rate t =
-    if t.s_tasks = 0 then 0.0
-    else float_of_int (spec_misses t) /. float_of_int t.s_tasks
-
-  let ms ns = 1e-6 *. float_of_int ns
-
-  let worker_to_json ~wall_ns w =
-    Hft_util.Json.Obj
-      [ ("domain", Hft_util.Json.Int w.w_domain);
-        ("evaluated", Hft_util.Json.Int w.w_evaluated);
-        ("classes", Hft_util.Json.Int w.w_classes);
-        ("steals", Hft_util.Json.Int w.w_steals);
-        ("stolen", Hft_util.Json.Int w.w_stolen);
-        ("spec_hits", Hft_util.Json.Int w.w_spec_hits);
-        ("spec_misses", Hft_util.Json.Int w.w_spec_misses);
-        ("inline", Hft_util.Json.Int w.w_inline);
-        ("busy_ms", Hft_util.Json.Float (ms w.w_busy_ns));
-        ("idle_ms", Hft_util.Json.Float (ms w.w_idle_ns));
-        ("stall_ms", Hft_util.Json.Float (ms w.w_stall_ns));
-        ("utilization",
-         Hft_util.Json.Float
-           (float_of_int w.w_busy_ns /. float_of_int (max 1 wall_ns))) ]
+    float_of_int t.s_busy_ns /. float_of_int denom
 
   let to_json t =
+    let ms ns = Hft_util.Json.Float (1e-6 *. float_of_int ns) in
     Hft_util.Json.Obj
       [ ("jobs", Hft_util.Json.Int t.s_jobs);
         ("waves", Hft_util.Json.Int t.s_waves);
         ("tasks", Hft_util.Json.Int t.s_tasks);
-        ("wall_ms", Hft_util.Json.Float (ms t.s_wall_ns));
-        ("critical_ms", Hft_util.Json.Float (ms t.s_critical_ns));
-        ("window_fill", Hft_util.Json.Int t.s_window_fill);
-        ("window_cap", Hft_util.Json.Int t.s_window_cap);
-        ("occupancy", Hft_util.Json.Float (occupancy t));
+        ("wall_ms", ms t.s_wall_ns);
+        ("critical_ms", ms t.s_critical_ns);
+        ("busy_ms", ms t.s_busy_ns);
         ("utilization", Hft_util.Json.Float (utilization t));
-        ("steals", Hft_util.Json.Int (steals t));
-        ("spec_hits", Hft_util.Json.Int (spec_hits t));
-        ("spec_misses", Hft_util.Json.Int (spec_misses t));
-        ("inline", Hft_util.Json.Int (inline t));
-        ("spec_miss_rate", Hft_util.Json.Float (spec_miss_rate t));
-        ("workers",
-         Hft_util.Json.List
-           (Array.to_list
-              (Array.map (worker_to_json ~wall_ns:t.s_wall_ns) t.s_workers))) ]
+        ("steals", Hft_util.Json.Int t.s_steals);
+        ("spec_hits", Hft_util.Json.Int t.s_spec_hits);
+        ("spec_misses", Hft_util.Json.Int t.s_spec_misses);
+        ("inline", Hft_util.Json.Int t.s_inline) ]
 
-  (* Degenerate stats for a campaign the engine ran sequentially
-     (jobs = 1, or nothing to parallelise): one fully-busy worker, no
-     speculation.  Emitted so every bench cell carries a utilization
-     field regardless of path. *)
-  let sequential ~classes ~wall_ns =
+  (* A campaign the engine ran sequentially (jobs = 1, or nothing to
+     parallelise): one fully-busy worker, no speculation.  Emitted so
+     every bench cell carries a utilization field regardless of path. *)
+  let sequential ~wall_ns =
     { s_jobs = 1; s_waves = 0; s_tasks = 0; s_wall_ns = wall_ns;
-      s_window_fill = 0; s_window_cap = 0; s_critical_ns = wall_ns;
-      s_workers =
-        [| { w_domain = 0; w_evaluated = 0; w_classes = classes;
-             w_steals = 0; w_stolen = 0; w_spec_hits = 0; w_spec_misses = 0;
-             w_inline = 0; w_busy_ns = wall_ns; w_idle_ns = 0;
-             w_stall_ns = 0 } |] }
+      s_critical_ns = wall_ns; s_busy_ns = wall_ns; s_steals = 0;
+      s_spec_hits = 0; s_spec_misses = 0; s_inline = 0 }
 
   type collector = {
     c_jobs : int;
@@ -148,174 +88,72 @@ module Stats = struct
     (* orchestrator-written *)
     mutable c_waves : int;
     mutable c_tasks : int;
-    mutable c_window_fill : int;
-    mutable c_window_cap : int;
+    mutable c_busy_ns : int;
     mutable c_critical_ns : int;
-    mutable c_stall_ns : int;
-    mutable c_last_wave_end : float option;
-    mutable c_commit_flows : int list;  (* bind at the next commit slice *)
-    mutable c_flow_base : int;  (* flow-id base of the current wave *)
-    mutable c_next_flow : int;
-    c_hits : int array;  (* per evaluating worker *)
-    c_misses : int array;
+    mutable c_wave_end : float option;  (* open commit window's start *)
+    mutable c_hits : int;
+    mutable c_misses : int;
     mutable c_inline : int;
-    (* owner-written (slot [w] only ever touched by worker [w]) *)
-    c_evaluated : int array;
-    c_busy_ns : int array;
-    c_idle_ns : int array;
-    c_steal_from : int array array;  (* [thief].(victim) *)
-    c_slices : (int * float * float * int) list array;
-        (* per worker, reverse: task, start, dur, stolen_from (-1 = own) *)
-    (* wave-scoped *)
-    mutable c_owner : int array;  (* task -> evaluating worker, -1 = never *)
-    mutable c_busy_snap : int array;  (* busy at wave start *)
+    (* owner-written: slot [w] is only ever touched by worker [w] *)
+    c_wave_busy_ns : int array;  (* reset at each wave *)
+    c_steals : int array;
   }
 
   let ns s = int_of_float (s *. 1e9)
 
   let collector ~jobs =
     { c_jobs = jobs; c_t0 = Hft_obs.Clock.now (); c_waves = 0; c_tasks = 0;
-      c_window_fill = 0; c_window_cap = 0; c_critical_ns = 0; c_stall_ns = 0;
-      c_last_wave_end = None; c_commit_flows = []; c_flow_base = 0;
-      c_next_flow = 0; c_hits = Array.make jobs 0;
-      c_misses = Array.make jobs 0; c_inline = 0;
-      c_evaluated = Array.make jobs 0; c_busy_ns = Array.make jobs 0;
-      c_idle_ns = Array.make jobs 0;
-      c_steal_from = Array.init jobs (fun _ -> Array.make jobs 0);
-      c_slices = Array.make jobs []; c_owner = [||]; c_busy_snap = [||] }
+      c_busy_ns = 0; c_critical_ns = 0; c_wave_end = None; c_hits = 0;
+      c_misses = 0; c_inline = 0; c_wave_busy_ns = Array.make jobs 0;
+      c_steals = Array.make jobs 0 }
 
-  (* Close the commit window that has been open since the last wave
-     ended: account its duration as orchestrator stall and emit one
-     "commit-window" slice on domain 0, terminating the flow arrows of
-     every speculation committed inside it. *)
-  let flush_commit c now =
-    match c.c_last_wave_end with
-    | None -> ()
-    | Some t_end ->
-      c.c_stall_ns <- c.c_stall_ns + max 0 (ns (now -. t_end));
-      Hft_obs.Span.add_track ~flow_in:(List.rev c.c_commit_flows)
-        ~args:
-          [ ("committed", string_of_int (List.length c.c_commit_flows)) ]
-        ~domain:0 ~name:"commit-window" ~start:t_end ~dur:(now -. t_end) ();
-      c.c_commit_flows <- [];
-      c.c_last_wave_end <- None
+  (* Close the commit window open since the last wave ended: the
+     orchestrator alone runs it, so all of it is on the critical path. *)
+  let close_window c now =
+    Option.iter
+      (fun t_end ->
+        c.c_critical_ns <- c.c_critical_ns + max 0 (ns (now -. t_end)))
+      c.c_wave_end;
+    c.c_wave_end <- None
 
   let wave_begin c ~n =
-    let now = Hft_obs.Clock.now () in
-    flush_commit c now;
+    close_window c (Hft_obs.Clock.now ());
     c.c_waves <- c.c_waves + 1;
     c.c_tasks <- c.c_tasks + n;
-    c.c_flow_base <- c.c_next_flow;
-    c.c_next_flow <- c.c_next_flow + n;
-    c.c_owner <- Array.make n (-1);
-    c.c_busy_snap <- Array.copy c.c_busy_ns
+    Array.fill c.c_wave_busy_ns 0 c.c_jobs 0
 
+  (* The wave lasts as long as its busiest worker. *)
   let wave_end c =
-    let now = Hft_obs.Clock.now () in
-    (* Flush the workers' task slices to the trace store (orchestrator
-       thread; slice lists were owner-written before [launch]
-       returned). *)
-    Array.iteri
-      (fun wid slices ->
-        List.iter
-          (fun (task, start, dur, stolen_from) ->
-            let args =
-              ("task", string_of_int task)
-              ::
-              (if stolen_from >= 0 then
-                 [ ("stolen_from", string_of_int stolen_from) ]
-               else [])
-            in
-            Hft_obs.Span.add_track ~flow_out:(c.c_flow_base + task) ~args
-              ~domain:wid ~name:"eval" ~start ~dur ())
-          (List.rev slices);
-        c.c_slices.(wid) <- [])
-      c.c_slices;
-    let crit = ref 0 in
-    Array.iteri
-      (fun wid snap ->
-        let d = c.c_busy_ns.(wid) - snap in
-        if d > !crit then crit := d)
-      c.c_busy_snap;
-    c.c_critical_ns <- c.c_critical_ns + !crit;
-    c.c_last_wave_end <- Some now
+    let busy = c.c_wave_busy_ns in
+    c.c_busy_ns <- c.c_busy_ns + Array.fold_left ( + ) 0 busy;
+    c.c_critical_ns <- c.c_critical_ns + Array.fold_left max 0 busy;
+    c.c_wave_end <- Some (Hft_obs.Clock.now ())
 
-  (* Worker-side hooks, called from the pool's task loop. *)
-  let worker_begin _c = Hft_obs.Clock.now ()
-
-  let worker_end c wid t_enter =
-    let wall = ns (Hft_obs.Clock.now () -. t_enter) in
-    let busy = c.c_busy_ns.(wid) - c.c_busy_snap.(wid) in
-    c.c_idle_ns.(wid) <- c.c_idle_ns.(wid) + max 0 (wall - busy)
-
-  let task_run c ~wid ~task ~stolen_from run =
+  (* Worker-side hook, called from the pool's task loop. *)
+  let task_run c ~wid ~stolen run =
     let t0 = Hft_obs.Clock.now () in
-    c.c_owner.(task) <- wid;
-    c.c_evaluated.(wid) <- c.c_evaluated.(wid) + 1;
-    if stolen_from >= 0 then
-      c.c_steal_from.(wid).(stolen_from) <-
-        c.c_steal_from.(wid).(stolen_from) + 1;
+    if stolen then c.c_steals.(wid) <- c.c_steals.(wid) + 1;
     let r = run () in
-    let t1 = Hft_obs.Clock.now () in
-    c.c_busy_ns.(wid) <- c.c_busy_ns.(wid) + max 0 (ns (t1 -. t0));
-    c.c_slices.(wid) <- (task, t0, t1 -. t0, stolen_from) :: c.c_slices.(wid);
+    c.c_wave_busy_ns.(wid) <-
+      c.c_wave_busy_ns.(wid) + max 0 (ns (Hft_obs.Clock.now () -. t0));
     r
 
   (* Engine-side hooks: the commit loop calls exactly one of
      [note_hit] / [note_miss] / [note_inline] per dispatched task, which
      is what makes hits + misses + inline = tasks a law rather than an
      approximation. *)
-  let note_window c ~filled ~cap =
-    c.c_window_fill <- c.c_window_fill + filled;
-    c.c_window_cap <- c.c_window_cap + cap
-
-  let owner_of c ~task =
-    if task >= 0 && task < Array.length c.c_owner && c.c_owner.(task) >= 0
-    then c.c_owner.(task)
-    else 0
-
-  let note_hit c ~task =
-    let w = owner_of c ~task in
-    c.c_hits.(w) <- c.c_hits.(w) + 1;
-    c.c_commit_flows <- (c.c_flow_base + task) :: c.c_commit_flows
-
-  let note_miss c ~task =
-    let w = owner_of c ~task in
-    c.c_misses.(w) <- c.c_misses.(w) + 1
-
+  let note_hit c = c.c_hits <- c.c_hits + 1
+  let note_miss c = c.c_misses <- c.c_misses + 1
   let note_inline c = c.c_inline <- c.c_inline + 1
 
-  let finish c ~classes =
+  let finish c =
     let now = Hft_obs.Clock.now () in
-    flush_commit c now;
-    let wall_ns = max 0 (ns (now -. c.c_t0)) in
-    let stolen = Array.make c.c_jobs 0 in
-    Array.iteri
-      (fun _thief row ->
-        Array.iteri (fun v n -> stolen.(v) <- stolen.(v) + n) row)
-      c.c_steal_from;
-    let hits_other =
-      Array.fold_left ( + ) 0 c.c_hits - c.c_hits.(0)
-    in
-    let workers =
-      Array.init c.c_jobs (fun w ->
-          { w_domain = w;
-            w_evaluated = c.c_evaluated.(w);
-            w_classes =
-              (if w = 0 then classes - hits_other else c.c_hits.(w));
-            w_steals = Array.fold_left ( + ) 0 c.c_steal_from.(w);
-            w_stolen = stolen.(w);
-            w_spec_hits = c.c_hits.(w);
-            w_spec_misses = c.c_misses.(w);
-            w_inline = (if w = 0 then c.c_inline else 0);
-            w_busy_ns = c.c_busy_ns.(w);
-            w_idle_ns = c.c_idle_ns.(w);
-            w_stall_ns = (if w = 0 then c.c_stall_ns else 0) })
-    in
+    close_window c now;
     { s_jobs = c.c_jobs; s_waves = c.c_waves; s_tasks = c.c_tasks;
-      s_wall_ns = wall_ns; s_window_fill = c.c_window_fill;
-      s_window_cap = c.c_window_cap;
-      s_critical_ns = c.c_critical_ns + c.c_stall_ns; s_workers = workers }
+      s_wall_ns = max 0 (ns (now -. c.c_t0));
+      s_critical_ns = c.c_critical_ns; s_busy_ns = c.c_busy_ns;
+      s_steals = Array.fold_left ( + ) 0 c.c_steals; s_spec_hits = c.c_hits;
+      s_spec_misses = c.c_misses; s_inline = c.c_inline }
 end
 
 (* A bounded deque over a fixed index range; tasks are ints and nobody
@@ -380,10 +218,6 @@ module Pool = struct
   let run_wave fn wid = try fn wid with _ -> ()
 
   let worker_loop t wid () =
-    (* Tag the domain once for telemetry: spans this worker records
-       directly (there are none on the engines' committed paths) carry
-       its id, and the Chrome trace maps it to a tid. *)
-    Hft_obs.Domain_id.set wid;
     let epoch = ref 0 in
     let continue_ = ref true in
     while !continue_ do
@@ -511,46 +345,39 @@ module Pool = struct
       in
       (match stats with Some c -> Stats.wave_begin c ~n | None -> ());
       let body wid =
-        let t_enter =
-          match stats with Some c -> Stats.worker_begin c | None -> 0.0
-        in
-        let exec ws ~stolen_from k =
+        let exec ws ~stolen k =
           match stats with
           | None -> results.(k) <- Some (f ws k)
           | Some c ->
             results.(k) <-
-              Some (Stats.task_run c ~wid ~task:k ~stolen_from (fun () ->
-                        f ws k))
+              Some (Stats.task_run c ~wid ~stolen (fun () -> f ws k))
         in
-        (match
-           Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Shard
-             (fun () ->
-               let ws = workspace wid in
-               let rec drain () =
-                 match Deque.pop_front deques.(wid) with
-                 | Some k ->
-                   exec ws ~stolen_from:(-1) k;
-                   drain ()
-                 | None -> steal 1
-               and steal off =
-                 if off < t.p_jobs then
-                   let victim = (wid + off) mod t.p_jobs in
-                   match Deque.steal_back deques.(victim) with
-                   | Some k ->
-                     exec ws ~stolen_from:victim k;
-                     steal 1
-                   | None -> steal (off + 1)
-               in
-               drain ())
-         with
-         | Ok () -> ()
-         | Error fail ->
-           Mutex.lock fails_lock;
-           fails := fail :: !fails;
-           Mutex.unlock fails_lock);
-        match stats with
-        | Some c -> Stats.worker_end c wid t_enter
-        | None -> ()
+        match
+          Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Shard
+            (fun () ->
+              let ws = workspace wid in
+              let rec drain () =
+                match Deque.pop_front deques.(wid) with
+                | Some k ->
+                  exec ws ~stolen:false k;
+                  drain ()
+                | None -> steal 1
+              and steal off =
+                if off < t.p_jobs then
+                  let victim = (wid + off) mod t.p_jobs in
+                  match Deque.steal_back deques.(victim) with
+                  | Some k ->
+                    exec ws ~stolen:true k;
+                    steal 1
+                  | None -> steal (off + 1)
+              in
+              drain ())
+        with
+        | Ok () -> ()
+        | Error fail ->
+          Mutex.lock fails_lock;
+          fails := fail :: !fails;
+          Mutex.unlock fails_lock
       in
       launch t body;
       (match stats with Some c -> Stats.wave_end c | None -> ());

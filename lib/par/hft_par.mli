@@ -19,9 +19,6 @@
 val clamp_jobs : int -> int
 (** Clamp a user-supplied jobs count to [1 .. 64]. *)
 
-val jobs_from_env : unit -> int
-(** Parse [HFT_JOBS]; unset, unparsable or < 1 mean [1]. *)
-
 type 'ws section = {
   run :
     'a.
@@ -30,53 +27,42 @@ type 'ws section = {
     'a option array * Hft_robust.Failure.t list;
 }
 
-(** Scheduler telemetry for one parallel campaign.
+(** Scheduler telemetry: one flat summary per campaign.
 
     A {!Stats.collector} rides along a {!Pool.parallel} section and
-    accumulates lock-free: per-worker cells are written only by their
-    owning domain, commit-side tallies only by the orchestrating
-    thread, and the merge happens after the wave barrier's
-    happens-before edge.  Collection is purely observational — task
-    order, results and committed telemetry are bit-identical with or
-    without a collector.
+    accumulates lock-free: each worker writes only its own busy-time
+    and steal slots, the orchestrating thread writes everything else,
+    and the slots are summed after the wave barrier's happens-before
+    edge.  Collection is purely observational — task order, results
+    and committed telemetry are bit-identical with or without a
+    collector.
 
-    Three conservation laws hold by construction and are gated in CI:
+    Accounting laws that hold by construction:
     {ul
-    {- [spec_hits + spec_misses + inline = tasks] — the engine commit
-       loop buckets every dispatched task exactly once;}
-    {- [Σ w_classes = committed classes] — hits are attributed to the
-       evaluating worker, everything else to the orchestrator;}
-    {- [Σ (busy + idle + stall) ≤ jobs × wall] — idle counts in-wave
-       time only (parked workers are not busy-waiting).}} *)
+    {- [s_spec_hits + s_spec_misses + s_inline = s_tasks] — the engine
+       commit loop buckets every dispatched task exactly once;}
+    {- [s_busy_ns <= s_jobs * s_wall_ns] and
+       [s_critical_ns <= s_wall_ns], up to clock jitter — busy time is
+       spent inside waves, and the critical path is each wave's
+       busiest worker plus the commit windows between waves.}} *)
 module Stats : sig
-  type worker = {
-    w_domain : int;
-    w_evaluated : int;  (** speculative tasks this worker ran *)
-    w_classes : int;  (** committed classes attributed to it *)
-    w_steals : int;  (** tasks it took from other workers' deques *)
-    w_stolen : int;  (** tasks other workers took from its deque *)
-    w_spec_hits : int;  (** its speculations replayed at commit *)
-    w_spec_misses : int;  (** its speculations discarded at commit *)
-    w_inline : int;  (** inline recomputes (orchestrator only) *)
-    w_busy_ns : int;  (** time on speculative tasks *)
-    w_idle_ns : int;  (** in-wave time not spent on tasks *)
-    w_stall_ns : int;  (** commit-window time (orchestrator only) *)
-  }
-
   type t = {
     s_jobs : int;
     s_waves : int;
     s_tasks : int;  (** tasks dispatched across all waves *)
     s_wall_ns : int;  (** collector lifetime *)
-    s_window_fill : int;  (** Σ commit-window occupancy *)
-    s_window_cap : int;  (** Σ commit-window capacity *)
-    s_critical_ns : int;  (** Σ per-wave max busy + commit stalls *)
-    s_workers : worker array;  (** indexed by domain id, worker 0 first *)
+    s_critical_ns : int;  (** Σ per-wave max busy + commit windows *)
+    s_busy_ns : int;  (** Σ time on speculative tasks, all workers *)
+    s_steals : int;  (** tasks taken from another worker's deque *)
+    s_spec_hits : int;  (** speculations replayed at commit *)
+    s_spec_misses : int;  (** speculations discarded at commit *)
+    s_inline : int;  (** tasks recomputed inline after a shard died *)
   }
 
+  (** Field accessors, in the function form the layer benchmark reads. *)
   val busy_ns : t -> int
+
   val steals : t -> int
-  val spec_hits : t -> int
   val spec_misses : t -> int
   val inline : t -> int
 
@@ -84,18 +70,12 @@ module Stats : sig
       campaign on useful work. *)
   val utilization : t -> float
 
-  (** Mean commit-window occupancy, Σfill / Σcap ([0] when no waves). *)
-  val occupancy : t -> float
-
-  (** spec_misses / tasks ([0] when no tasks). *)
-  val spec_miss_rate : t -> float
-
   val to_json : t -> Hft_util.Json.t
 
-  (** Degenerate stats for a sequentially-run campaign: one fully-busy
-      worker holding all [classes], no speculation — so every consumer
-      sees a utilization field regardless of engine path. *)
-  val sequential : classes:int -> wall_ns:int -> t
+  (** The summary of a sequentially-run campaign: one fully-busy
+      worker, no speculation — so every consumer sees a utilization
+      field regardless of engine path. *)
+  val sequential : wall_ns:int -> t
 
   type collector
 
@@ -104,18 +84,14 @@ module Stats : sig
 
   (** Engine-side commit-loop hooks (orchestrator thread only).  The
       loop must call exactly one of {!note_hit} / {!note_miss} /
-      {!note_inline} per dispatched task; [task] is the wave-local
-      index. *)
-  val note_window : collector -> filled:int -> cap:int -> unit
+      {!note_inline} per dispatched task. *)
+  val note_hit : collector -> unit
 
-  val note_hit : collector -> task:int -> unit
-  val note_miss : collector -> task:int -> unit
+  val note_miss : collector -> unit
   val note_inline : collector -> unit
 
-  (** Merge and seal: [classes] is the campaign's committed class
-      count.  Also closes the final commit window and flushes its trace
-      slice. *)
-  val finish : collector -> classes:int -> t
+  (** Seal the summary, closing the final commit window. *)
+  val finish : collector -> t
 end
 (** One parallel section with per-worker workspaces of type ['ws].
     [run ~n ~f] evaluates [f ws k] for [k = 0 .. n-1] across the pool
@@ -144,6 +120,6 @@ module Pool : sig
       per worker) and runs [k] with it.  [k] runs on the calling
       thread; only [section.run] bodies execute on the pool.  [stats]
       attaches a scheduler-telemetry collector: each [run] becomes one
-      measured wave (per-task busy slices, steal counts, idle time,
-      commit-stall windows) at no change to results. *)
+      measured wave (busy time, steals, the wave's critical path and
+      the commit window after it) at no change to results. *)
 end

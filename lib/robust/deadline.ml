@@ -1,30 +1,12 @@
-type cause =
-  | Wall of { elapsed : float; limit : float }
-  | Steps of { steps : int; limit : int }
+exception Expired of { steps : int; limit : int }
 
-exception Expired of cause
+type t = { limit : int; mutable ticks : int }
 
-type t = {
-  wall : float option;
-  started : float;
-  steps : int option;
-  mutable ticks : int;
-}
-
-let make ?wall ?steps () =
-  let started = match wall with Some _ -> Hft_obs.Clock.now () | None -> 0.0 in
-  { wall; started; steps; ticks = 0 }
+let make ~steps = { limit = steps; ticks = 0 }
 
 let tick t =
   t.ticks <- t.ticks + 1;
-  (match t.steps with
-   | Some limit when t.ticks > limit ->
-     raise (Expired (Steps { steps = t.ticks; limit }))
-   | _ -> ());
-  match t.wall with
-  | Some limit when t.ticks land 63 = 0 ->
-    let elapsed = Hft_obs.Clock.now () -. t.started in
-    if elapsed > limit then raise (Expired (Wall { elapsed; limit }))
-  | _ -> ()
+  if t.ticks > t.limit then
+    raise (Expired { steps = t.ticks; limit = t.limit })
 
 let checker t () = tick t

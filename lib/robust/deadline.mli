@@ -1,26 +1,19 @@
-(** Cooperative per-attempt deadlines: no signals, no threads.
+(** Cooperative per-attempt deadlines: no signals, no threads, no clock.
 
     A deadline is a tick counter the engine's inner loop advances
     through the hook it already exposes ({!Hft_gate.Podem.generate}'s
-    [?check]); {!tick} raises {!Expired} when the step budget runs out,
-    and re-reads the wall clock every 64 ticks to bound the syscall
-    cost.  Step deadlines are fully deterministic; wall-clock deadlines
-    are for production runs where a pathological cone must not stall the
-    campaign. *)
+    [?check]); {!tick} raises {!Expired} when the step budget runs out.
+    Counting steps, never time, keeps an expiry — and so every verdict —
+    independent of host speed. *)
 
-type cause =
-  | Wall of { elapsed : float; limit : float }
-  | Steps of { steps : int; limit : int }
-
-exception Expired of cause
+exception Expired of { steps : int; limit : int }
 
 type t
 
-(** [make ?wall ?steps ()] — [wall] in seconds from now, [steps] in
-    ticks; omitted bounds never expire. *)
-val make : ?wall:float -> ?steps:int -> unit -> t
+(** [make ~steps] — a budget of [steps] ticks. *)
+val make : steps:int -> t
 
-(** Advance one tick; raises {!Expired} past either bound. *)
+(** Advance one tick; raises {!Expired} past the budget. *)
 val tick : t -> unit
 
 (** [checker t] is [fun () -> tick t] — the shape engine hooks expect. *)

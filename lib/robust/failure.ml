@@ -1,18 +1,14 @@
 type t =
-  | Timeout of { site : string; elapsed : float; limit : float }
   | Budget_exhausted of { site : string; steps : int; limit : int }
   | Engine_exception of string
   | Injected of { site : string; seq : int }
 
 let site = function
-  | Timeout { site; _ } -> site
   | Budget_exhausted { site; _ } -> site
   | Engine_exception _ -> "engine"
   | Injected { site; _ } -> site
 
 let to_string = function
-  | Timeout { site; elapsed; limit } ->
-    Printf.sprintf "timeout(%s: %.2fs > %.2fs)" site elapsed limit
   | Budget_exhausted { site; steps; limit } ->
     Printf.sprintf "budget_exhausted(%s: %d steps > %d)" site steps limit
   | Engine_exception msg -> Printf.sprintf "engine_exception(%s)" msg
@@ -22,10 +18,6 @@ let to_json t =
   let open Hft_util.Json in
   let kind, fields =
     match t with
-    | Timeout { site; elapsed; limit } ->
-      ( "timeout",
-        [ ("site", String site); ("elapsed_s", Float elapsed);
-          ("limit_s", Float limit) ] )
     | Budget_exhausted { site; steps; limit } ->
       ( "budget_exhausted",
         [ ("site", String site); ("steps", Int steps); ("limit", Int limit) ] )

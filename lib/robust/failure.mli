@@ -8,9 +8,6 @@
     dies of an unhandled exception. *)
 
 type t =
-  | Timeout of { site : string; elapsed : float; limit : float }
-      (** A cooperative wall-clock deadline expired ([elapsed] and
-          [limit] in seconds). *)
   | Budget_exhausted of { site : string; steps : int; limit : int }
       (** A cooperative step budget (implication ticks) ran out. *)
   | Engine_exception of string
@@ -21,8 +18,8 @@ type t =
 (** The site the failure was observed at. *)
 val site : t -> string
 
-(** Short display form, e.g. ["timeout(podem: 1.52s > 1.00s)"] — used
-    verbatim as the ledger's abort reason. *)
+(** Short display form, e.g. ["budget_exhausted(podem: 9 steps > 8)"]
+    — used verbatim as the ledger's abort reason. *)
 val to_string : t -> string
 
 val to_json : t -> Hft_util.Json.t

@@ -1,7 +1,6 @@
 type policy = {
   retries : int;
   budget_growth : int;
-  deadline_wall : float option;
   deadline_steps : int option;
   backoff_growth : float;
   salvage_patterns : int;
@@ -11,7 +10,6 @@ let default =
   {
     retries = 2;
     budget_growth = 2;
-    deadline_wall = None;
     deadline_steps = None;
     backoff_growth = 2.0;
     salvage_patterns = 32;
@@ -25,9 +23,7 @@ let default =
 let guard ~name f =
   try Ok (f ()) with
   | Chaos.Injection { site; seq } -> Error (Failure.Injected { site; seq })
-  | Deadline.Expired (Deadline.Wall { elapsed; limit }) ->
-    Error (Failure.Timeout { site = name; elapsed; limit })
-  | Deadline.Expired (Deadline.Steps { steps; limit }) ->
+  | Deadline.Expired { steps; limit } ->
     Error (Failure.Budget_exhausted { site = name; steps; limit })
   | (Out_of_memory | Sys.Break) as e -> raise e
   | e -> Error (Failure.Engine_exception (Printexc.to_string e))
@@ -39,20 +35,13 @@ let protect ~site f =
 
 let ladder policy ~site ~budget f =
   let rec go attempt budget scale =
-    let deadline =
-      match (policy.deadline_wall, policy.deadline_steps) with
-      | None, None -> None
-      | wall, steps ->
-        Some
-          (Deadline.make
-             ?wall:(Option.map (fun w -> w *. scale) wall)
-             ?steps:
-               (Option.map
-                  (fun s -> int_of_float (float_of_int s *. scale))
-                  steps)
-             ())
+    let check =
+      Option.map
+        (fun s ->
+          Deadline.checker
+            (Deadline.make ~steps:(int_of_float (float_of_int s *. scale))))
+        policy.deadline_steps
     in
-    let check = Option.map Deadline.checker deadline in
     match protect ~site (fun () -> f ~budget ~check) with
     | Ok _ as ok -> ok
     | Error fail ->

@@ -670,13 +670,13 @@ let member_text k j =
   | None -> Alcotest.failf "no %s" k
 
 (* The documents, pinned.  A traced fig1b partial-scan campaign at
-   [hft report]'s knobs renders its report live, and the tape it wrote
-   renders report and profile, text and JSON.  Each digest is the MD5 of
-   the stdout of the matching command, recorded from the CLI before the
-   documents moved into the library:
+   [hft report]'s knobs renders its report live and from the tape it
+   wrote, text and JSON.  Each digest is the MD5 of the stdout of the
+   matching command, recorded from the CLI before the documents moved
+   into the library:
      hft report --bench fig1b --flow partial-scan [--json]
        --ledger-out documents_pinned.jsonl
-     hft report|profile --journal-in documents_pinned.jsonl [--json]
+     hft report --journal-in documents_pinned.jsonl [--json]
    Then the quick bench matrix at 1, 2 and 4 domains must reproduce
    every deterministic field of the committed BENCH_hft.json, and hold
    on its own what that file holds: guidance flips no verdict and
@@ -690,8 +690,9 @@ let test_documents_pinned () =
   @@ fun () ->
   let file = "documents_pinned.jsonl" in
   let live =
-    Forensics.run ~tape:file ~bench:"fig1b" ~width:8 ~sample:1
-      Flow.Partial_scan (Paper_fig1.graph ())
+    Forensics.Live
+      (Forensics.run ~tape:file ~bench:"fig1b" ~width:8 ~sample:1
+         Flow.Partial_scan (Paper_fig1.graph ()))
   in
   let tape = read_tape file in
   Sys.remove file;
@@ -705,11 +706,7 @@ let test_documents_pinned () =
       ("tape report", "7df1f840a96414160aa988deb38de5cf",
        Forensics.report ~json:false ~top:10 tape);
       ("tape report json", "ff8fa0dac41c909350ad7c093b1d59c0",
-       Forensics.report ~json:true ~top:10 tape);
-      ("tape profile", "59a1ee2445574efc2d731fdc764906d9",
-       Forensics.profile ~json:false ~top:10 tape);
-      ("tape profile json", "da8bd68cb06f16b6778b81fd4f1cf336",
-       Forensics.profile ~json:true ~top:10 tape) ];
+       Forensics.report ~json:true ~top:10 tape) ];
   let doc, _ =
     Bench_matrix.run ~quick:true ~width:4 ~naive:false ~jobs:[ 1; 2; 4 ]
   in
@@ -760,8 +757,7 @@ let test_documents_pinned () =
     (list "results" doc) (list "results" committed)
 
 (* A taped campaign's report renders the same waterfall and expensive
-   rows live and from its tape, and profile renders the tape's expensive
-   rows the same, whatever the domain count. *)
+   rows live and from its tape, whatever the domain count. *)
 let test_live_equals_tape () =
   let file = Filename.temp_file "live_tape" ".jsonl" in
   Fun.protect
@@ -773,8 +769,9 @@ let test_live_equals_tape () =
   List.iter
     (fun jobs ->
       let live =
-        Forensics.run ~jobs ~tape:file ~bench:"fig1b" ~width:8 ~sample:1
-          Flow.Partial_scan (Paper_fig1.graph ())
+        Forensics.Live
+          (Forensics.run ~jobs ~tape:file ~bench:"fig1b" ~width:8 ~sample:1
+             Flow.Partial_scan (Paper_fig1.graph ()))
       in
       let tape = read_tape file in
       let report = parse_json (Forensics.report ~json:true ~top:10 live) in
@@ -785,8 +782,7 @@ let test_live_equals_tape () =
             (member_text k report)
             (member_text k (parse_json doc)))
         [ ("tape report", "waterfall", Forensics.report ~json:true ~top:10 tape);
-          ("tape report", "expensive", Forensics.report ~json:true ~top:10 tape);
-          ("tape profile", "expensive", Forensics.profile ~json:true ~top:10 tape)
+          ("tape report", "expensive", Forensics.report ~json:true ~top:10 tape)
         ])
     [ 1; 2 ]
 

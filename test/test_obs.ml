@@ -348,19 +348,14 @@ let test_chrome_trace () =
     | Hft_util.Json.Int i -> float_of_int i
     | _ -> Alcotest.failf "%s not numeric" k
   in
-  (* One thread_name metadata record for the orchestrator track, then
-     one complete event per span. *)
-  let metas, events =
-    List.partition (fun ev -> field ev "ph" = Hft_util.Json.String "M") events
-  in
-  check_int "one thread_name record" 1 (List.length metas);
+  (* One complete event per span. *)
   check_int "one event per span" 2 (List.length events);
   List.iter
     (fun ev ->
       check "complete events" true
         (field ev "ph" = Hft_util.Json.String "X");
       check "shared pid" true (field ev "pid" = Hft_util.Json.Int 1);
-      (* Everything here ran on the orchestrator: domain id 0, named. *)
+      (* Every span is the orchestrator's. *)
       check "orchestrator tid" true (field ev "tid" = Hft_util.Json.Int 0))
     events;
   let by_name n =
@@ -383,84 +378,8 @@ let test_chrome_trace () =
   | Some (Hft_util.Json.String "tseng") -> ()
   | _ -> Alcotest.fail "span attrs not exported under args"
 
-(* Multi-track traces: worker slices land on their own tid, tracks are
-   labelled, and speculation→commit flow arrows pair up (an "s" with no
-   terminating "f" would dangle in the viewer, so it is suppressed). *)
-let test_trace_tracks () =
-  with_obs @@ fun () ->
-  let t = ref 10.0 in
-  Hft_obs.Clock.with_source (fun () -> !t) @@ fun () ->
-  Hft_obs.Span.with_ "campaign" (fun () -> t := !t +. 1.0);
-  (* Two worker evals; one is consumed by the commit window (flow 7),
-     one's speculation never commits (flow 8 — must stay arrowless). *)
-  Hft_obs.Span.add_track ~flow_out:7 ~domain:1 ~name:"eval" ~start:10.1
-    ~dur:0.2 ();
-  Hft_obs.Span.add_track ~flow_out:8 ~domain:2 ~name:"eval" ~start:10.2
-    ~dur:0.3 ();
-  Hft_obs.Span.add_track ~flow_in:[ 7 ] ~domain:0 ~name:"commit-window"
-    ~start:10.6 ~dur:0.1 ();
-  let doc = Hft_obs.Export.chrome_trace () in
-  let events =
-    match Hft_util.Json.member "traceEvents" doc with
-    | Some (Hft_util.Json.List evs) -> evs
-    | _ -> Alcotest.fail "no traceEvents list"
-  in
-  let field ev k =
-    match Hft_util.Json.member k ev with
-    | Some v -> v
-    | None -> Alcotest.failf "event missing %s" k
-  in
-  let ph p ev = field ev "ph" = Hft_util.Json.String p in
-  let tid ev =
-    match field ev "tid" with
-    | Hft_util.Json.Int i -> i
-    | _ -> Alcotest.fail "tid not an int"
-  in
-  let tids =
-    List.sort_uniq compare (List.map tid events)
-  in
-  check "one timeline per domain" true (tids = [ 0; 1; 2 ]);
-  let metas = List.filter (ph "M") events in
-  check_int "one thread_name per track" 3 (List.length metas);
-  let meta_names =
-    List.filter_map
-      (fun ev ->
-        match Hft_util.Json.member "name" (field ev "args") with
-        | Some (Hft_util.Json.String s) -> Some s
-        | _ -> None)
-      metas
-  in
-  check "tracks are labelled" true
-    (List.sort compare meta_names
-     = [ "orchestrator"; "worker-1"; "worker-2" ]);
-  let flow_id ev =
-    match field ev "id" with
-    | Hft_util.Json.Int i -> i
-    | _ -> Alcotest.fail "flow id not an int"
-  in
-  let starts = List.filter (ph "s") events in
-  let finishes = List.filter (ph "f") events in
-  check_int "one flow start (uncommitted one suppressed)" 1
-    (List.length starts);
-  check_int "one flow finish" 1 (List.length finishes);
-  check_int "flow start is the committed speculation" 7
-    (flow_id (List.hd starts));
-  check_int "flow finish matches" 7 (flow_id (List.hd finishes));
-  check "flow starts on the worker track" true (tid (List.hd starts) = 1);
-  check "flow finishes on the orchestrator track" true
-    (tid (List.hd finishes) = 0);
-  (* Track slices are ordinary complete events on their worker's tid. *)
-  let evals =
-    List.filter
-      (fun ev -> ph "X" ev && field ev "name" = Hft_util.Json.String "eval")
-      events
-  in
-  check_int "worker slices exported" 2 (List.length evals)
-
 (* Folded stacks: deterministic flamegraph.pl input — paths are
-   ;-joined span names with integer self-time microseconds, worker
-   slices fold under a worker-<d> root, and domain-0 track slices are
-   excluded (their time is already inside the span tree). *)
+   ;-joined span names with integer self-time microseconds. *)
 let test_folded_stacks () =
   with_obs @@ fun () ->
   let t = ref 0.0 in
@@ -469,12 +388,9 @@ let test_folded_stacks () =
       t := !t +. 0.25;
       Hft_obs.Span.with_ "inner" (fun () -> t := !t +. 0.5);
       t := !t +. 0.25);
-  Hft_obs.Span.add_track ~domain:1 ~name:"eval" ~start:0.1 ~dur:0.125 ();
-  Hft_obs.Span.add_track ~domain:0 ~name:"commit-window" ~start:0.8 ~dur:0.1
-    ();
   let folded = Hft_obs.Export.folded_stacks () in
   check_str "folded stacks are exact and sorted"
-    "outer 500000\nouter;inner 500000\nworker-1;eval 125000\n" folded;
+    "outer 500000\nouter;inner 500000\n" folded;
   (* Self-time attribution agrees: outer's self time excludes inner. *)
   match Hft_obs.Export.self_times () with
   | [ (n1, t1); (n2, t2) ] ->
@@ -734,7 +650,6 @@ let () =
           Alcotest.test_case "metrics json" `Quick test_metrics_json_roundtrip;
           Alcotest.test_case "trace json" `Quick test_trace_json;
           Alcotest.test_case "chrome trace" `Quick test_chrome_trace;
-          Alcotest.test_case "trace tracks" `Quick test_trace_tracks;
           Alcotest.test_case "folded stacks" `Quick test_folded_stacks;
           Alcotest.test_case "table cells" `Quick test_table_cells;
         ] );
