@@ -1,129 +1,16 @@
-(* Experiment + timing harness.
+(* Experiment harness: the reproduced tables and figures.
 
    Usage:
-     dune exec bench/main.exe                 -- all experiment tables + timings
+     dune exec bench/main.exe                 -- all experiment tables
      dune exec bench/main.exe -- e1_scanregs  -- selected experiments only
-     dune exec bench/main.exe -- --no-timing  -- tables only
      dune exec bench/main.exe -- --json       -- one JSON object per table row
                                                  on stdout (banners on stderr) *)
 
-let timing_tests () =
-  let open Bechamel in
-  let open Hft_cdfg in
-  let resources =
-    [ (Op.Multiplier, 2); (Op.Alu, 2); (Op.Comparator, 1); (Op.Logic_unit, 1) ]
-  in
-  let ewf = Bench_suite.ewf () in
-  let diffeq = Bench_suite.diffeq () in
-  [
-    Test.make ~name:"t1_table_render"
-      (Staged.stage (fun () -> ignore (Hft_core.Tool_survey.render ())));
-    Test.make ~name:"f1_fig1_analysis"
-      (Staged.stage (fun () -> ignore (Hft_core.Fig1_exp.analyze Hft_core.Fig1_exp.B)));
-    Test.make ~name:"e1_scan_selection_ewf"
-      (Staged.stage (fun () ->
-           let sched = Hft_hls.List_sched.schedule ewf ~resources in
-           ignore (Hft_core.Scan_vars.select_effective ewf sched)));
-    Test.make ~name:"e2_io_assignment_ewf"
-      (Staged.stage (fun () ->
-           let sched = Hft_hls.List_sched.schedule ewf ~resources in
-           ignore (Hft_core.Io_reg_assign.assign ewf sched)));
-    Test.make ~name:"e3_loop_aware_binding_ewf"
-      (Staged.stage (fun () ->
-           ignore (Hft_core.Sim_sched_assign.run ~resources ewf None)));
-    Test.make ~name:"e4_podem_adder_fault"
-      (Staged.stage
-         (let blk = Hft_gate.Expand.comb_block ~width:4 [ Op.Add ] in
-          let nl = blk.Hft_gate.Expand.b_netlist in
-          let fault =
-            List.hd (Hft_gate.Fault.collapsed nl)
-          in
-          fun () -> ignore (Hft_gate.Podem.generate_comb nl ~fault)));
-    Test.make ~name:"e5_bist_aware_assignment_ewf"
-      (Staged.stage (fun () ->
-           let sched = Hft_hls.List_sched.schedule ewf ~resources in
-           let binding = Hft_hls.Fu_bind.left_edge ~resources ewf sched in
-           let info = Lifetime.compute ewf sched in
-           ignore (Hft_bist.Reg_assign.bist_aware ewf sched binding info)));
-    Test.make ~name:"e6_tfb_mapping_ewf"
-      (Staged.stage (fun () ->
-           let sched = Hft_hls.List_sched.schedule ewf ~resources in
-           ignore (Hft_bist.Tfb.map ewf sched)));
-    Test.make ~name:"e7_sharing_assignment_ewf"
-      (Staged.stage (fun () ->
-           let sched = Hft_hls.List_sched.schedule ewf ~resources in
-           let binding = Hft_hls.Fu_bind.left_edge ~resources ewf sched in
-           let info = Lifetime.compute ewf sched in
-           ignore (Hft_bist.Share.sharing_aware ewf sched binding info)));
-    Test.make ~name:"e8_session_schedule_diffeq"
-      (Staged.stage
-         (let r = Hft_core.Flow.synthesize_conventional ~width:8 diffeq in
-          let plan = Hft_bist.Bilbo.plan r.Hft_core.Flow.datapath in
-          fun () -> ignore (Hft_bist.Session.count r.Hft_core.Flow.datapath plan)));
-    Test.make ~name:"e9_lfsr_block_fsim"
-      (Staged.stage (fun () ->
-           ignore
-             (Hft_bist.Run.run_block ~checkpoints:[ 64 ]
-                ~source:Hft_bist.Run.Lfsr_source ~seed:3 ~width:4 [ Op.Add ])));
-    Test.make ~name:"e10_klevel_diffeq"
-      (Staged.stage
-         (let r = Hft_core.Flow.synthesize_conventional ~width:8 diffeq in
-          let s = Hft_rtl.Sgraph.of_datapath r.Hft_core.Flow.datapath in
-          fun () -> ignore (Hft_rtl.Klevel.insert s ~k:1)));
-    Test.make ~name:"e11_controller_harden_diffeq"
-      (Staged.stage
-         (let r = Hft_core.Flow.synthesize_conventional ~width:8 diffeq in
-          fun () -> ignore (Hft_core.Controller_dft.harden r.Hft_core.Flow.datapath)));
-    Test.make ~name:"e12_testability_analysis_ewf"
-      (Staged.stage (fun () -> ignore (Testability.analyze ewf)));
-    Test.make ~name:"e13_environment_diffeq"
-      (Staged.stage (fun () ->
-           match Graph.producer diffeq (Graph.var_by_name diffeq "m6") with
-           | Some o -> ignore (Hft_core.Hier_test.environment ~width:8 diffeq o.Graph.o_id)
-           | None -> ()));
-  ]
-
-let run_timings () =
-  let open Bechamel in
-  if !Hft_obs.Table.mode = Hft_obs.Table.Text then begin
-    print_newline ();
-    print_endline
-      "================ timings (Bechamel, monotonic clock) ================"
-  end;
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"hft" (timing_tests ()))
-  in
-  let ols =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false
-         ~predictors:[| Measure.run |])
-      (Toolkit.Instance.monotonic_clock) raw
-  in
-  let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        let ns =
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.sprintf "%.0f" est
-          | Some _ | None -> "n/a"
-        in
-        [ name; ns ] :: acc)
-      ols []
-    |> List.sort compare
-  in
-  Hft_obs.Table.emit ~title:"timings" ~header:[ "kernel"; "ns/run" ] rows
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let no_timing = List.mem "--no-timing" args in
   if List.mem "--json" args then Hft_obs.Table.mode := Hft_obs.Table.Jsonl;
-  let wanted =
-    List.filter (fun a -> a <> "--no-timing" && a <> "--json") args
-  in
   let selected =
-    match wanted with
+    match List.filter (fun a -> a <> "--json") args with
     | [] -> Experiments.all
     | names ->
       List.filter (fun (n, _) -> List.mem n names) Experiments.all
@@ -133,5 +20,4 @@ let () =
     List.iter (fun (n, _) -> Printf.eprintf "  %s\n" n) Experiments.all;
     exit 1
   end;
-  List.iter (fun (_, f) -> f ()) selected;
-  if (not no_timing) && wanted = [] then run_timings ()
+  List.iter (fun (_, f) -> f ()) selected

@@ -5,12 +5,12 @@
      hft atpg    --bench tseng [--sample 25] [--jobs 4]
      hft bist    --bench diffeq [--patterns 1024]
      hft lint    --bench fig1b [--flow partial-scan] [--json]
-     hft bench   [--quick] [--json] [--out BENCH_hft.json]
      hft report  --bench fig1b [--flow partial-scan] [--top 10] [--json]
                  [--ledger-out tape.jsonl [--resume]]
      hft report  --journal-in tape.jsonl [--json]
      hft profile --bench fig1b [--jobs 4] [--folded-out stacks.txt] [--json]
      hft watch   tape.jsonl [--no-follow]
+     hft fuzz    [--seed 1] [--trials 32] [--corpus DIR [--resume]] [--json]
      hft list
 
    Every subcommand accepts --trace / --metrics / --metrics-json
@@ -385,83 +385,6 @@ let lint_cmd =
           Figure 1 bindings)")
     Term.(const run $ bench_arg $ flow_arg $ width_arg $ json_arg $ cc_arg
           $ co_arg $ obs_term)
-
-(* ------------------------------------------------------------------ *)
-(* hft bench: the flow×bench matrix with wall-clock timings and       *)
-(* engine counters, written to BENCH_hft.json so every commit has a   *)
-(* comparable perf record.                                            *)
-
-let bench_cmd =
-  let quick_arg =
-    Arg.(value & flag
-         & info [ "quick" ]
-             ~doc:"Small matrix (tseng/diffeq only, heavier fault sampling) \
-                   for CI.")
-  in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Print the result document to stdout as JSON.")
-  in
-  let out_arg =
-    Arg.(value & opt string "BENCH_hft.json"
-         & info [ "out" ] ~docv:"FILE" ~doc:"Output file for the JSON document.")
-  in
-  let bench_width_arg =
-    at_least_one "--width"
-      Arg.(value & opt int 4
-           & info [ "w"; "width" ] ~docv:"BITS"
-               ~doc:"Data-path width (4 keeps the gate-level legs fast).")
-  in
-  let naive_arg =
-    Arg.(value & flag
-         & info [ "naive" ]
-             ~doc:"Use the pre-optimization engines (no fault collapsing, \
-                   no dropping, full-resimulation fault simulation of pure \
-                   random patterns) — for before/after comparison.")
-  in
-  let jobs_list_arg =
-    let parse list =
-      if list = "" then []
-      else
-        List.map
-          (fun s ->
-            match int_of_string_opt (String.trim s) with
-            | Some j when j >= 1 -> Hft_par.clamp_jobs j
-            | _ ->
-              Hft_robust.Validation.fail ~site:"--jobs"
-                ~hint:"pass domain counts of 1 or more, e.g. 1,2,4"
-                (Printf.sprintf "--jobs entry '%s' is not a count of 1 or more"
-                   s))
-          (String.split_on_char ',' list)
-    in
-    Term.(const parse
-          $ Arg.(value & opt string ""
-                 & info [ "jobs" ] ~docv:"LIST"
-                     ~doc:"Comma-separated domain counts (e.g. 1,2,4): re-run \
-                           each unguided ATPG leg at every count and record a \
-                           per-cell jobs_matrix (wall time, counters, \
-                           waterfall — everything but wall time must match \
-                           the sequential cell) plus a speedup field."))
-  in
-  let run quick json out width naive jobs obs =
-    with_obs ~cmd:"bench" ~outputs:[ ("--out", Some out) ] obs @@ fun () ->
-    let doc, rows = Bench_matrix.run ~quick ~width ~naive ~jobs in
-    let text = Hft_util.Json.to_string doc in
-    let oc = open_out out in
-    output_string oc text;
-    output_char oc '\n';
-    close_out oc;
-    if json then print_endline text
-    else Hft_obs.Table.emit ~header:Bench_matrix.header rows;
-    Printf.eprintf "hft bench: wrote %s (%d cells)\n%!" out (List.length rows)
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run the flow×bench matrix with wall-clock timings and engine \
-          counters; writes BENCH_hft.json")
-    Term.(const run $ quick_arg $ json_arg $ out_arg $ bench_width_arg
-          $ naive_arg $ jobs_list_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* hft report: run a test campaign with the flight recorder on and    *)
@@ -864,8 +787,8 @@ let () =
   in
   let group =
     Cmd.group info
-      [ synth_cmd; analyze_cmd; atpg_cmd; bist_cmd; lint_cmd; bench_cmd;
-        report_cmd; profile_cmd; watch_cmd; list_cmd; fuzz_cmd ]
+      [ synth_cmd; analyze_cmd; atpg_cmd; bist_cmd; lint_cmd; report_cmd;
+        profile_cmd; watch_cmd; list_cmd; fuzz_cmd ]
   in
   let error_json fields =
     Printf.eprintf "%s\n%!"

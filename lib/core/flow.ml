@@ -226,8 +226,6 @@ let expand_and_sample ~rng ~sample r =
   in
   (nl, faults, Hft_gate.Expand.reg_flops ex scan_regs)
 
-type atpg_strategy = Fast | Naive
-
 type campaign = {
   c_netlist : Hft_gate.Netlist.t;
   c_faults : Hft_gate.Fault.t list;
@@ -242,7 +240,7 @@ type campaign = {
   c_par : Hft_par.Stats.t;
 }
 
-let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
+let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
     ?(sample = 20) ?(seed = 2024) ?(n_patterns = 64)
     ?(supervisor = Some Hft_robust.Supervisor.default) ?tape
     ?(resume = false) ?(guided = true) ?jobs r =
@@ -260,10 +258,6 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
     Hft_robust.Validation.fail ~site:"flow.test_campaign"
       ~hint:"enable and reset observability first (the CLI does both)"
       "the campaign tape needs an enabled, empty fault ledger";
-  if tape <> None && strategy = Naive then
-    Hft_robust.Validation.fail ~site:"flow.test_campaign"
-      ~hint:"drop --naive or drop --ledger-out"
-      "the campaign tape needs the fast strategy";
   let rng = Hft_util.Rng.create seed in
   let nl, faults, scanned = expand_and_sample ~rng ~sample r in
   let n_pi = List.length (Hft_gate.Netlist.pis nl) in
@@ -286,10 +280,11 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
   in
   let meta =
     let open Hft_util.Json in
+    (* "strategy" is a constant: earlier tapes carry it, and they must
+       keep matching. *)
     [ ("flow", String r.report.flow);
       ("netlist", Int netlist_hash);
-      ("strategy",
-       String (match strategy with Fast -> "fast" | Naive -> "naive"));
+      ("strategy", String "fast");
       ("backtrack_limit", Int backtrack_limit);
       ("max_frames", Int max_frames);
       ("sample", Int sample);
@@ -298,7 +293,7 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
       ("n_faults", Int (List.length faults));
       ("n_pi", Int n_pi);
       ("n_scan", Int n_scan);
-      ("guided", Bool (guided && strategy = Fast)) ]
+      ("guided", Bool guided) ]
   in
   (* Resume: the tape's committed prefix, read by the same loader as an
      offline report.  An empty file (a run killed before its header)
@@ -442,21 +437,12 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
   let par_stats = ref None in
   let on_par_stats s = par_stats := Some s in
   let stats =
-    match strategy with
-    | Fast ->
-      (* Static-analysis guidance rides only the fast strategy: the
-         naive flow is the historical baseline and stays bit-identical
-         regardless of [guided]. *)
-      let guidance =
-        if guided then Some Hft_analysis.Guidance.provide else None
-      in
-      Hft_scan.Partial_scan.atpg ~backtrack_limit ~max_frames
-        ~strategy:Hft_gate.Seq_atpg.Drop ~on_test ~supervisor ?resolved
-        ?on_resolved ?guidance ~on_par_stats ?jobs nl ~faults ~scanned
-    | Naive ->
-      Hft_scan.Partial_scan.atpg ~backtrack_limit ~max_frames
-        ~strategy:Hft_gate.Seq_atpg.Naive ~supervisor ~on_par_stats ?jobs nl
-        ~faults ~scanned
+    let guidance =
+      if guided then Some Hft_analysis.Guidance.provide else None
+    in
+    Hft_scan.Partial_scan.atpg ~backtrack_limit ~max_frames ~on_test
+      ~supervisor ?resolved ?on_resolved ?guidance ~on_par_stats ?jobs nl
+      ~faults ~scanned
   in
   let t_atpg = Hft_obs.Clock.now () -. t0 in
   (* Every class has resolved: the end marker's counts let a reader
@@ -486,88 +472,66 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
   Hft_obs.Registry.incr "hft.par.inline_recomputes" ~by:par.s_inline;
   Hft_obs.Registry.set "hft.par.jobs" (float_of_int par.s_jobs);
   Hft_obs.Registry.set "hft.par.utilization" (utilization par);
-  (* Final coverage fault simulation.  Fast: replay the ATPG-derived
-     patterns (plus random fill) through the scan view — the scan cells
-     are pattern-loaded pseudo PIs and their D inputs observed — so
-     faults the campaign proved detectable show up as detected here.
-     Naive: the historical pure-random, non-scan simulation (DFF state
-     stuck at 0), kept for comparison. *)
+  (* Final coverage fault simulation: replay the ATPG-derived patterns
+     (plus random fill) through the scan view — the scan cells are
+     pattern-loaded pseudo PIs and their D inputs observed — so faults
+     the campaign proved detectable show up as detected here. *)
   let t1 = Hft_obs.Clock.now () in
   (* Final-coverage degrade chain (supervised runs only): cone-limited
      pass, then a naive (full-resimulation) retry, then an empty result
      — a broken measurement never sinks the campaign.  A failed
      multi-frame replay keeps the combinational result. *)
   let degraded () = Hft_obs.Registry.incr "hft.robust.degraded" in
-  let protected_fsim ~primary ~fallback f =
+  let patterns =
+    Pattern_store.padded store ~rng ~n_min:n_patterns ~width:(n_pi + n_scan)
+  in
+  let comb_scan strategy =
+    Hft_gate.Fsim.comb_scan ~strategy nl ~scanned ~patterns faults
+  in
+  let fr =
     match supervisor with
-    | None -> f primary
+    | None -> comb_scan Hft_gate.Fsim.Cone
     | Some _ ->
-      (match
-         Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim (fun () ->
-             f primary)
-       with
+      let attempt strategy =
+        Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim (fun () ->
+            comb_scan strategy)
+      in
+      (match attempt Hft_gate.Fsim.Cone with
        | Ok fr -> fr
-       | Error _ when primary = Hft_gate.Fsim.Cone ->
+       | Error _ ->
          degraded ();
-         (match
-            Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim
-              (fun () -> f Hft_gate.Fsim.Naive)
-          with
+         (match attempt Hft_gate.Fsim.Naive with
           | Ok fr -> fr
           | Error _ ->
             degraded ();
-            fallback ())
-       | Error _ ->
-         degraded ();
-         fallback ())
-  in
-  let fr =
-    match strategy with
-    | Fast ->
-      let patterns =
-        Pattern_store.padded store ~rng ~n_min:n_patterns
-          ~width:(n_pi + n_scan)
-      in
-      let fr =
-        protected_fsim ~primary:Hft_gate.Fsim.Cone
-          ~fallback:(fun () ->
             { Hft_gate.Fsim.detected = []; undetected = faults;
-              n_patterns = Array.length patterns })
-          (fun strategy ->
-            Hft_gate.Fsim.comb_scan ~strategy nl ~scanned ~patterns faults)
+              n_patterns = Array.length patterns }))
+  in
+  (* Faults only the multi-frame tests reach: replay those tests on the
+     unrolled circuit against the leftovers and merge. *)
+  let fr =
+    match (!seq_tests, fr.Hft_gate.Fsim.undetected) with
+    | [], _ | _, [] -> fr
+    | tests, leftovers ->
+      let replay_leg () = Hft_gate.Seq_atpg.replay nl ~scanned ~tests leftovers in
+      let merge (det, undet) =
+        {
+          fr with
+          Hft_gate.Fsim.detected = fr.Hft_gate.Fsim.detected @ det;
+          undetected = undet;
+        }
       in
-      (* Faults only the multi-frame tests reach: replay those tests on
-         the unrolled circuit against the leftovers and merge. *)
-      (match (!seq_tests, fr.Hft_gate.Fsim.undetected) with
-       | [], _ | _, [] -> fr
-       | tests, leftovers ->
-         let replay_leg () =
-           Hft_gate.Seq_atpg.replay nl ~scanned ~tests leftovers
-         in
-         let merge (det, undet) =
-           {
-             fr with
-             Hft_gate.Fsim.detected = fr.Hft_gate.Fsim.detected @ det;
-             undetected = undet;
-           }
-         in
-         (match supervisor with
-          | None -> merge (replay_leg ())
-          | Some _ ->
-            (match
-               Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim
-                 replay_leg
-             with
-             | Ok r -> merge r
-             | Error _ ->
-               degraded ();
-               fr)))
-    | Naive ->
-      protected_fsim ~primary:Hft_gate.Fsim.Naive
-        ~fallback:(fun () ->
-          { Hft_gate.Fsim.detected = []; undetected = faults; n_patterns })
-        (fun strategy ->
-          Hft_gate.Fsim.comb_random ~strategy nl ~rng ~n_patterns faults)
+      (match supervisor with
+       | None -> merge (replay_leg ())
+       | Some _ ->
+         (match
+            Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim
+              replay_leg
+          with
+          | Ok r -> merge r
+          | Error _ ->
+            degraded ();
+            fr))
   in
   let t_fsim = Hft_obs.Clock.now () -. t1 in
   {

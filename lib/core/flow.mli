@@ -70,16 +70,12 @@ val report_row : dft_report -> string list
     sample the collapsed fault list, run (partial-scan) sequential ATPG,
     then measure final coverage by fault simulation.
 
-    [Fast] (default) is the optimized pipeline — equivalence-class
-    collapsing, fault dropping after every generated test, cone-limited
-    fault simulation — and every ATPG test lands in a {!Pattern_store},
-    so the final coverage run replays deterministic, fault-targeting
-    patterns through the scan view ({!Hft_gate.Fsim.comb_scan}: scan
-    cells pattern-loaded and observed) with random fill up to
-    [n_patterns].  [Naive] reproduces the historical behaviour: one
-    PODEM call per fault, full-resimulation fault simulation of
-    [n_patterns] pure-random patterns with all DFFs stuck at 0 (which is
-    why it reports near-zero coverage on register-dominated paths). *)
+    The ATPG collapses faults into equivalence classes and drops faults
+    after every generated test, and every test lands in a
+    {!Pattern_store}, so the final coverage run replays deterministic,
+    fault-targeting patterns through the scan view
+    ({!Hft_gate.Fsim.comb_scan}: scan cells pattern-loaded and observed,
+    cone-limited) with random fill up to [n_patterns]. *)
 
 (** The campaign prologue: expand [r]'s data path to gates, keep each
     collapsed fault whose [rng] draw out of [sample] is 0 (one draw per
@@ -89,8 +85,6 @@ val report_row : dft_report -> string list
 val expand_and_sample :
   rng:Hft_util.Rng.t -> sample:int -> result ->
   Hft_gate.Netlist.t * Hft_gate.Fault.t list * int list
-
-type atpg_strategy = Fast | Naive
 
 type campaign = {
   c_netlist : Hft_gate.Netlist.t;
@@ -128,7 +122,7 @@ type campaign = {
     tape the loader rejects, an [hft-ckpt/1] file among them, raises
     {!Hft_robust.Validation.Invalid} at site [flow.resume]) and resumed
     through {!Hft_robust.Checkpoint.Tape.resume}: its fingerprint (flow,
-    strategy, every search knob, fault/PI/scan counts, a structural
+    every search knob, fault/PI/scan counts, a structural
     netlist hash) must match the current run exactly, every restored
     member must be a sampled fault, and only then is the tape compacted
     to its committed records, kept as written.  Restored tests are
@@ -139,10 +133,11 @@ type campaign = {
     bit-identically to an uninterrupted one.  A class still pending at
     the interruption lacks the fsim events that pre-interruption drop
     passes charged it: resume does not redo those passes.  The tape
-    needs observability enabled, an empty ledger ({!Hft_obs.reset})
-    and the [Fast] strategy.
+    needs observability enabled and an empty ledger ({!Hft_obs.reset}).
+    Its header keeps ["strategy": "fast"] as a constant, so earlier
+    tapes, which carry it, still resume.
 
-    [guided] (default [true], [Fast] strategy only) threads
+    [guided] (default [true]) threads
     {!Hft_analysis.Guidance} into every PODEM call: static untestability
     proofs, mandatory-assignment seeding and SCOAP-ordered search.
     Per-fault verdicts are provably no worse than unguided (a guided
@@ -160,8 +155,8 @@ type campaign = {
     campaign as the [hft.par.*] registry series, a jobs-dependent
     summary outside the engine bit-identity surfaces. *)
 val test_campaign :
-  ?strategy:atpg_strategy -> ?backtrack_limit:int -> ?max_frames:int ->
-  ?sample:int -> ?seed:int -> ?n_patterns:int ->
+  ?backtrack_limit:int -> ?max_frames:int -> ?sample:int -> ?seed:int ->
+  ?n_patterns:int ->
   ?supervisor:Hft_robust.Supervisor.policy option ->
   ?tape:string -> ?resume:bool -> ?guided:bool -> ?jobs:int ->
   result -> campaign

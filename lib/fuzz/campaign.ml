@@ -189,7 +189,13 @@ let metric_corpus = "hft.fuzz.corpus.size"
 let metric_minimize = "hft.fuzz.minimize.steps"
 
 let run cfg =
+  (* Checked before any trial, like every other output path: a corpus
+     that is not a directory is bad input, not an engine failure. *)
   mkdirs cfg.c_corpus;
+  if not (Sys.file_exists cfg.c_corpus && Sys.is_directory cfg.c_corpus) then
+    Hft_robust.Validation.fail ~site:"fuzz.corpus"
+      ~hint:"pass a directory, or a path where one can be made"
+      (Printf.sprintf "corpus %s is not a directory" cfg.c_corpus);
   let path = Filename.concat cfg.c_corpus state_file in
   (* Committed history: replayed into the bandit and the dedup set so a
      resumed campaign continues the same trajectory.  The resume checks

@@ -56,6 +56,7 @@ type summary = {
 val summary_json : summary -> Hft_util.Json.t
 
 (** Run (or resume) a campaign.  Raises
-    {!Hft_robust.Validation.Invalid} on a resume mismatch (missing or
-    foreign state file, different seed/portfolio). *)
+    {!Hft_robust.Validation.Invalid} before any trial when the corpus
+    is not a directory and cannot be made one, and on a resume mismatch
+    (missing or foreign state file, different seed/portfolio). *)
 val run : cfg -> summary

@@ -487,23 +487,20 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
      depends only on the class index and frame count, so an
      interrupted-and-resumed campaign salvages identically.  Misses resolve the class aborted-with-reason; the
      campaign never crashes. *)
-  (* [salvage_search] is a pure function of (workspace unroll, class,
-     policy) — the seed depends only on the class index and frame
-     count — so worker domains can speculate it; [salvage_commit]
+  (* [salvage_search] is a pure function of (workspace unroll, class)
+     — the seed depends only on the class index and frame count — so
+     worker domains can speculate it; [salvage_commit]
      performs the side-effecting half (test registration, drop pass,
      resolutions) and only ever runs on the orchestrating thread.
      [group] is the class's drop-check group in [u]: the commit thread
      passes its memoized one, a worker prepares its own (the commit
      thread's lazy tables must not be forced from another domain). *)
-  let salvage_search policy u gi group =
+  let salvage_search u gi group =
     let try_salvage () =
       let rng = Hft_util.Rng.create (0x5a17a6e + (7919 * gi) + u.u_frames) in
       let found = ref None in
       let tries = ref 0 in
-      while
-        !found = None
-        && !tries < policy.Hft_robust.Supervisor.salvage_patterns
-      do
+      while !found = None && !tries < Hft_robust.Supervisor.salvage_patterns do
         incr tries;
         let assignment =
           List.map (fun pi -> (pi, Hft_util.Rng.bool rng)) u.u_assignable
@@ -515,15 +512,13 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
       done;
       !found
     in
-    if policy.Hft_robust.Supervisor.salvage_patterns <= 0 then None
-    else
-      match
-        Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim try_salvage
-      with
-      | Ok r -> r
-      | Error _ -> None
+    match
+      Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim try_salvage
+    with
+    | Ok r -> r
+    | Error _ -> None
   in
-  let salvage_commit policy ((u, _) as ws) gi fail found =
+  let salvage_commit ((u, _) as ws) gi fail found =
     match found with
     | Some (assignment, patterns) ->
       let tid = Hft_obs.Ledger.register_test ~frames:u.u_frames in
@@ -536,9 +531,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
       resolve_class gi (Hft_obs.Ledger.Salvaged { test = tid; patterns });
       `Detected
     | None ->
-      let budget =
-        Hft_robust.Supervisor.final_budget policy ~budget:backtrack_limit
-      in
+      let budget = Hft_robust.Supervisor.final_budget ~budget:backtrack_limit in
       Hft_obs.Registry.incr "hft.robust.degraded";
       resolve_class gi
         (Hft_obs.Ledger.Aborted
@@ -585,15 +578,15 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
              not frame-related (timeout / injection / exception), so
              degrade right here instead of burning more frames. *)
           (match supervisor with
-           | Some policy ->
+           | Some _ ->
              let found =
                match spec_salvage with
                | Some (found, stape) ->
                  Hft_obs.Capture.replay stape;
                  found
-               | None -> salvage_search policy u gi (Lazy.force groups).(gi)
+               | None -> salvage_search u gi (Lazy.force groups).(gi)
              in
-             salvage_commit policy ws gi fail found
+             salvage_commit ws gi fail found
            | None -> assert false)
         | Ok (result, effort) ->
           decisions := !decisions + effort.Podem.decisions;
@@ -667,10 +660,10 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
         let sp_salvage =
           match supervisor with
           | None -> None
-          | Some policy ->
+          | Some _ ->
             Some
               (Hft_obs.Capture.record (fun () ->
-                   salvage_search policy u gi
+                   salvage_search u gi
                      (Fsim.group u.u_net (u.u_map_fault f))))
         in
         List.rev

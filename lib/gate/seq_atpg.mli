@@ -123,11 +123,12 @@ val campaign :
     pattern store.  Outcomes are reported over the full fault list: a
     class outcome applies to each of its sampled members.
 
-    [supervisor] (default {!Hft_robust.Supervisor.default}) runs every
-    engine invocation — collapse, PODEM, drop passes — under the typed
-    failure discipline: PODEM failures climb the retry ladder, then
-    degrade to a random-pattern salvage, then resolve the class
-    aborted-with-reason; fsim/collapse failures skip the optimisation
+    [supervisor] (default {!Hft_robust.Supervisor.default}, whose
+    policy sets only a per-attempt step deadline) runs every engine
+    invocation — collapse, PODEM, drop passes — under the typed failure
+    discipline: PODEM failures climb the retry ladder, then degrade to
+    a salvage burst of {!Hft_robust.Supervisor.salvage_patterns} random
+    patterns, then resolve the class aborted-with-reason; fsim/collapse failures skip the optimisation
     and continue.  Pass [~supervisor:None] for the bare engines
     (failures propagate as exceptions).  With chaos off and no
     deadlines the supervised run is bit-identical to the unsupervised

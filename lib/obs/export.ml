@@ -35,8 +35,8 @@ let fmt_detail (s : Metric.snapshot) =
         (Metric.percentile s 0.95)
         s.Metric.s_max
 
-let metrics_table ?(snapshot = Registry.snapshot ()) () =
-  match snapshot with
+let metrics_table () =
+  match Registry.snapshot () with
   | [] -> "(no metrics recorded)\n"
   | snaps ->
     Hft_util.Pretty.render ~header:[ "metric"; "kind"; "value"; "detail" ]
@@ -46,9 +46,11 @@ let metrics_table ?(snapshot = Registry.snapshot ()) () =
              fmt_value s; fmt_detail s ])
          snaps)
 
-let metrics_json ?(snapshot = Registry.snapshot ()) () =
+let metrics_json () =
   Hft_util.Json.Obj
-    (List.map (fun s -> (s.Metric.s_name, Metric.snapshot_to_json s)) snapshot)
+    (List.map
+       (fun s -> (s.Metric.s_name, Metric.snapshot_to_json s))
+       (Registry.snapshot ()))
 
 (* Chrome trace-event format: complete ("ph":"X") events with
    microsecond timestamps relative to the earliest recorded instant, all

@@ -1,11 +1,11 @@
-(** Registry snapshots rendered for people (fixed-width table) or for
-    machines (one JSON object keyed by metric name, each value the
-    {!Metric.snapshot_to_json} form — the same shape `hft bench` embeds
-    in [BENCH_hft.json]); plus the Chrome trace-event exporter for the
-    span tree. *)
+(** The registry's current snapshot rendered for people (fixed-width
+    table) or for machines (one JSON object keyed by metric name, each
+    value the {!Metric.snapshot_to_json} form, as [--metrics-json]
+    prints it); plus the Chrome trace-event exporter for the span
+    tree. *)
 
-val metrics_table : ?snapshot:Metric.snapshot list -> unit -> string
-val metrics_json : ?snapshot:Metric.snapshot list -> unit -> Hft_util.Json.t
+val metrics_table : unit -> string
+val metrics_json : unit -> Hft_util.Json.t
 
 (** [chrome_trace ()] — the span forest as a Chrome trace-event
     document ([{"traceEvents": [...]}]): one complete ("ph":"X") event

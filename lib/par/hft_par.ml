@@ -76,7 +76,7 @@ module Stats = struct
 
   (* A campaign the engine ran sequentially (jobs = 1, or nothing to
      parallelise): one fully-busy worker, no speculation.  Emitted so
-     every bench cell carries a utilization field regardless of path. *)
+     every campaign carries a utilization figure regardless of path. *)
   let sequential ~wall_ns =
     { s_jobs = 1; s_waves = 0; s_tasks = 0; s_wall_ns = wall_ns;
       s_critical_ns = wall_ns; s_busy_ns = wall_ns; s_steals = 0;

@@ -1,19 +1,12 @@
-type policy = {
-  retries : int;
-  budget_growth : int;
-  deadline_steps : int option;
-  backoff_growth : float;
-  salvage_patterns : int;
-}
+type policy = { deadline_steps : int option }
 
-let default =
-  {
-    retries = 2;
-    budget_growth = 2;
-    deadline_steps = None;
-    backoff_growth = 2.0;
-    salvage_patterns = 32;
-  }
+let default = { deadline_steps = None }
+
+(* The ladder's shape and the salvage burst: one value each in use. *)
+let retries = 2
+let budget_growth = 2
+let backoff_growth = 2.0
+let salvage_patterns = 32
 
 (* The one exception-to-failure map, for callers outside the
    chaos-site taxonomy too (the fuzz campaign names its sites after
@@ -45,15 +38,15 @@ let ladder policy ~site ~budget f =
     match protect ~site (fun () -> f ~budget ~check) with
     | Ok _ as ok -> ok
     | Error fail ->
-      if attempt >= policy.retries then Error fail
+      if attempt >= retries then Error fail
       else begin
-        let budget' = budget * policy.budget_growth in
+        let budget' = budget * budget_growth in
         Hft_obs.Registry.incr "hft.robust.retries";
-        go (attempt + 1) budget' (scale *. policy.backoff_growth)
+        go (attempt + 1) budget' (scale *. backoff_growth)
       end
   in
   go 0 budget 1.0
 
-let final_budget policy ~budget =
-  let rec go i b = if i >= policy.retries then b else go (i + 1) (b * policy.budget_growth) in
+let final_budget ~budget =
+  let rec go i b = if i >= retries then b else go (i + 1) (b * budget_growth) in
   go 0 budget

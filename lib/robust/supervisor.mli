@@ -4,26 +4,22 @@
     die — chaos injection, exhausted step deadline, any exception —
     into an [Error of Failure.t]; the happy path is a bare [try], so
     with chaos off and no deadline a supervised engine is bit-identical
-    to an unsupervised one.  {!ladder} stacks attempts on top: each
-    retry multiplies the backtrack budget by [budget_growth] and the
-    step deadline by [backoff_growth], counting each rung in
-    [hft.robust.retries], and returns the last failure when the ladder
-    is exhausted — the caller then degrades (random-pattern salvage,
-    skip, zero result) instead of crashing. *)
+    to an unsupervised one.  {!ladder} stacks attempts on top: each of
+    its 2 retries doubles the backtrack budget and the step deadline,
+    counting each rung in [hft.robust.retries], and returns the last
+    failure when the ladder is exhausted — the caller then degrades
+    (random-pattern salvage, skip, zero result) instead of crashing. *)
 
 type policy = {
-  retries : int;  (** extra attempts after the first failure *)
-  budget_growth : int;  (** backtrack-budget multiplier per rung *)
   deadline_steps : int option;  (** per-attempt step (tick) deadline *)
-  backoff_growth : float;  (** deadline multiplier per rung *)
-  salvage_patterns : int;
-      (** random patterns a degrading caller may try before marking the
-          class aborted-with-reason *)
 }
 
-(** retries = 2, budget_growth = 2, no deadline, backoff_growth = 2.0,
-    salvage_patterns = 32. *)
+(** No deadline: every attempt is unbounded. *)
 val default : policy
+
+(** Random patterns a degrading caller tries before marking the class
+    aborted-with-reason: 32. *)
+val salvage_patterns : int
 
 (** {!guard} named after [site], with the chaos check for [site]
     inside the protected region. *)
@@ -45,6 +41,5 @@ val ladder :
   (budget:int -> check:(unit -> unit) option -> 'a) ->
   ('a, Failure.t) result
 
-(** The backtrack budget of the final rung:
-    [budget * budget_growth ^ retries]. *)
-val final_budget : policy -> budget:int -> int
+(** The backtrack budget of the ladder's final rung: [budget * 2 ^ 2]. *)
+val final_budget : budget:int -> int

@@ -649,7 +649,7 @@ let test_campaign_rejects_sample_zero () =
       d.Hft_robust.Validation.site
 
 (* ------------------------------------------------------------------ *)
-(* Documents: hft-report/1, hft-profile/1, hft-bench/1                *)
+(* Documents: hft-report/1, hft-profile/1, the quick matrix          *)
 (* ------------------------------------------------------------------ *)
 
 let read_file file = In_channel.with_open_bin file In_channel.input_all
@@ -677,11 +677,14 @@ let member_text k j =
      hft report --bench fig1b --flow partial-scan [--json]
        --ledger-out documents_pinned.jsonl
      hft report --journal-in documents_pinned.jsonl [--json]
-   Then the quick bench matrix at 1, 2 and 4 domains must reproduce
-   every deterministic field of the committed BENCH_hft.json, and hold
-   on its own what that file holds: guidance flips no verdict and
-   aborts no more classes than the unguided leg, and every jobs leg does
-   its sequential cell's engine work. *)
+   Then the quick matrix: tseng and diffeq under every flow at width 4,
+   campaigns at one fault in 40, backtrack limit 20 and 2 frames.  Its
+   digest covers each cell's unguided engine work, DFT report, guided
+   waterfall and verdict flips; the same fields of the last committed
+   hft-bench/1 matrix, rendered the same way, give the same MD5.
+   Guidance flips no verdict and aborts no more classes than the
+   unguided leg, and the unguided leg at 1, 2 and 4 domains does its
+   cell's engine work. *)
 let test_documents_pinned () =
   Fun.protect
     ~finally:(fun () ->
@@ -707,54 +710,84 @@ let test_documents_pinned () =
        Forensics.report ~json:false ~top:10 tape);
       ("tape report json", "ff8fa0dac41c909350ad7c093b1d59c0",
        Forensics.report ~json:true ~top:10 tape) ];
-  let doc, _ =
-    Bench_matrix.run ~quick:true ~width:4 ~naive:false ~jobs:[ 1; 2; 4 ]
-  in
-  let committed = parse_json (read_file "../BENCH_hft.json") in
-  let list k j =
-    match Hft_util.Json.member k j with
-    | Some (Hft_util.Json.List l) -> l
-    | _ -> Alcotest.failf "no list %s" k
-  in
-  let same cell keys fresh old =
-    List.iter
-      (fun k ->
-        Alcotest.(check string) (cell ^ " " ^ k) (member_text k old)
-          (member_text k fresh))
-      keys
-  in
-  let aborted j =
-    Option.bind (Hft_util.Json.member "waterfall" j) (fun w ->
-        Option.bind (Hft_util.Json.member "aborted" w)
-          (Hft_util.Json.member_int "classes"))
+  Hft_obs.enabled := true;
+  let module Json = Hft_util.Json in
+  let aborted wf =
+    Option.bind (Json.member "aborted" wf) (Json.member_int "classes")
     |> Option.get
   in
-  let engine_work =
-    [ "faults"; "podem_backtracks"; "fsim_events"; "atpg_coverage";
-      "fsim_coverage"; "waterfall" ]
-  in
-  List.iter2
-    (fun fresh old ->
-      let cell = member_text "bench" old ^ "/" ^ member_text "flow" old in
-      same cell
-        [ "bench"; "flow"; "faults"; "podem_backtracks"; "fsim_events";
-          "patterns_stored"; "waterfall"; "report" ]
-        fresh old;
-      let guided j = Option.get (Hft_util.Json.member "guided" j) in
-      same (cell ^ " guided") [ "verdict_flips"; "waterfall" ] (guided fresh)
-        (guided old);
-      Alcotest.(check string) (cell ^ " guided verdict flips") "0"
-        (member_text "verdict_flips" (guided fresh));
-      check (cell ^ " guided aborts no more classes") true
-        (aborted (guided fresh) <= aborted fresh);
+  let buf = Buffer.create 8192 in
+  List.iter
+    (fun name ->
+      let g = List.assoc name (Bench_suite.all ()) in
       List.iter
-        (fun leg ->
-          same (cell ^ " jobs leg = sequential") engine_work leg fresh)
-        (list "jobs_matrix" fresh);
-      List.iter2
-        (same (cell ^ " jobs leg") ("jobs" :: engine_work))
-        (list "jobs_matrix" fresh) (list "jobs_matrix" old))
-    (list "results" doc) (list "results" committed)
+        (fun (flow, kind) ->
+          let cell = name ^ "/" ^ flow in
+          let r = Flow.synthesize ~width:4 kind g in
+          let leg ?jobs ~guided () =
+            Hft_obs.reset ();
+            let c =
+              Flow.test_campaign ~backtrack_limit:20 ~max_frames:2 ~sample:40
+                ~seed:2024 ~n_patterns:64 ~guided ?jobs r
+            in
+            ( [ ("faults", Json.Int (List.length c.Flow.c_faults));
+                ("podem_backtracks",
+                 Json.Int (Hft_obs.Registry.count "hft.podem.backtracks"));
+                ("fsim_events",
+                 Json.Int (Hft_obs.Registry.count "hft.fsim.events"));
+                ("patterns_stored", Json.Int c.Flow.c_patterns_stored);
+                ("atpg_coverage",
+                 Json.Float (Hft_gate.Seq_atpg.fault_coverage c.Flow.c_atpg));
+                ("fsim_coverage",
+                 Json.Float (Hft_gate.Fsim.coverage c.Flow.c_fsim));
+                ("waterfall", Hft_obs.Ledger.waterfall_json ()) ],
+              Hft_obs.Ledger.outcomes () )
+          in
+          let unguided, outcomes = leg ~guided:false () in
+          let guided, guided_outcomes = leg ~guided:true () in
+          let flips =
+            Hashtbl.fold
+              (fun f k1 n ->
+                match Hashtbl.find_opt guided_outcomes f with
+                | Some k2 when Hft_obs.Ledger.contradicts k1 k2 -> n + 1
+                | _ -> n)
+              outcomes 0
+          in
+          let d = r.Flow.report in
+          let report =
+            Json.Obj
+              [ ("regs", Json.Int d.Flow.n_registers);
+                ("scan_regs", Json.Int d.Flow.n_scan_registers);
+                ("test_regs", Json.Int d.Flow.n_test_registers);
+                ("loops", Json.Int d.Flow.datapath_loops);
+                ("area_overhead", Json.Float d.Flow.area_overhead);
+                ("sessions", Json.Int d.Flow.test_sessions) ]
+          in
+          let waterfall l = List.assoc "waterfall" l in
+          List.iter
+            (fun (k, v) ->
+              Printf.bprintf buf "%s %s %s\n" cell k (Json.to_string v))
+            (unguided
+             @ [ ("report", report); ("guided waterfall", waterfall guided);
+                 ("verdict_flips", Json.Int flips) ]);
+          check_int (cell ^ " guided verdict flips") 0 flips;
+          check (cell ^ " guided aborts no more classes") true
+            (aborted (waterfall guided) <= aborted (waterfall unguided));
+          List.iter
+            (fun jobs ->
+              List.iter2
+                (fun (k, a) (_, b) ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s -j%d %s = sequential" cell jobs k)
+                    (Json.to_string a) (Json.to_string b))
+                unguided
+                (fst (leg ~jobs ~guided:false ())))
+            [ 1; 2; 4 ])
+        Flow.flow_kinds)
+    [ "tseng"; "diffeq" ];
+  Alcotest.(check string) "quick matrix digest"
+    "a5a3b4a750cf18f89be7b1a62bdeeb7c"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* A taped campaign's report renders the same waterfall and expensive
    rows live and from its tape, whatever the domain count. *)

@@ -369,6 +369,16 @@ let test_campaign_kill_resume_bit_identical () =
            c_resume = true }
      with
      | _ -> false
+     | exception Hft_robust.Validation.Invalid _ -> true);
+  (* So is a corpus path that is a file, before any trial runs. *)
+  check "a file is not a corpus" true
+    (match
+       Campaign.run
+         { Campaign.default_cfg with
+           Campaign.c_seed = 1; c_trials = 1;
+           c_corpus = Filename.concat kill_dir Campaign.state_file }
+     with
+     | _ -> false
      | exception Hft_robust.Validation.Invalid _ -> true)
 
 let () =

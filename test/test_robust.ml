@@ -133,7 +133,7 @@ let test_ladder_budgets () =
   check_int "two retries counted" 2
     (Hft_obs.Registry.count "hft.robust.retries");
   check_int "final_budget matches the ladder" 40
-    (Supervisor.final_budget Supervisor.default ~budget:10);
+    (Supervisor.final_budget ~budget:10);
   (* Exhaustion returns the last failure. *)
   let attempts = ref 0 in
   let r2 =
