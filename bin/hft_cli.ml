@@ -599,9 +599,18 @@ let watch_cmd =
        campaign: an absent file, or one with no complete line yet, is
        waited for (bounded, so a typo does not hang forever) unless a
        one-shot render was asked for. *)
+    let hint = "pass an hft-ledger/1 campaign tape (a --ledger-out path)" in
     let read () =
+      (* Looked up before the read, so a tape created meanwhile is not
+         taken for a path that exists but does not read (a directory),
+         which is no tape still to come. *)
+      let absent = not (Sys.file_exists file) in
       match In_channel.with_open_bin file In_channel.input_all with
-      | exception Sys_error msg -> Error msg
+      | exception Sys_error msg when absent -> Error msg
+      | exception Sys_error msg ->
+        Hft_robust.Validation.fail ~site:"TAPE" ~hint
+          (if String.starts_with ~prefix:file msg then msg
+           else file ^ ": " ^ msg)
       | text when not (String.contains text '\n') ->
         Error (file ^ ": no complete line yet")
       | text ->
@@ -613,8 +622,7 @@ let watch_cmd =
     let rec loop ~waits ~rows watcher =
       match read () with
       | Error msg when no_follow || waits >= 600 ->
-        Hft_robust.Validation.fail ~site:"TAPE"
-          ~hint:"pass an hft-ledger/1 campaign tape (a --ledger-out path)" msg
+        Hft_robust.Validation.fail ~site:"TAPE" ~hint msg
       | Error _ ->
         Unix.sleepf interval;
         loop ~waits:(waits + 1) ~rows watcher

@@ -231,6 +231,7 @@ type campaign = {
   c_faults : Hft_gate.Fault.t list;
   c_scanned : int list;
   c_atpg : Hft_gate.Seq_atpg.stats;
+  c_tests : Hft_obs.Ledger.test list;
   c_fsim : Hft_gate.Fsim.comb_result;
   c_patterns_stored : int;
   c_resumed_classes : int;
@@ -249,15 +250,13 @@ let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
     Hft_robust.Validation.fail ~site:"flow.test_campaign"
       ~hint:"1 keeps every fault"
       (Printf.sprintf "fault sample %d is below 1" sample);
-  (* The tape is the ledger: its ids are this campaign's only when the
-     ledger starts empty. *)
-  if tape <> None
-     && ((not !Hft_obs.Config.enabled) || Hft_obs.Ledger.n_classes () > 0
-         || Hft_obs.Ledger.n_tests () > 0)
-  then
+  (* The tape holds the campaign's ledger rows and tests, which exist
+     only with observability on. *)
+  let obs = !Hft_obs.Config.enabled in
+  if tape <> None && not obs then
     Hft_robust.Validation.fail ~site:"flow.test_campaign"
-      ~hint:"enable and reset observability first (the CLI does both)"
-      "the campaign tape needs an enabled, empty fault ledger";
+      ~hint:"enable observability first (the CLI does)"
+      "the campaign tape needs observability enabled";
   let rng = Hft_util.Rng.create seed in
   let nl, faults, scanned = expand_and_sample ~rng ~sample r in
   let n_pi = List.length (Hft_gate.Netlist.pis nl) in
@@ -383,6 +382,10 @@ let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
   @@ fun () ->
   let store = Pattern_store.create () in
   let seq_tests = ref [] in
+  let tests = ref [] and n_tests = ref 0 in
+  (* Store a test and, with observability on, return its ledger record:
+     its id in generation order, its stimulus and its pattern-store
+     rows. *)
   let store_test (t : Hft_gate.Seq_atpg.test) =
     (* One store row per time frame, columns = PIs then scan loads.
        Only frame 0 carries a real scan load; later frames' rows are
@@ -396,32 +399,35 @@ let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
         if i = 0 then Array.blit t.Hft_gate.Seq_atpg.t_scan_state 0 row n_pi n_scan;
         Pattern_store.add store row)
       t.Hft_gate.Seq_atpg.t_pi_vectors;
-    (* The ATPG registered this test in the ledger just before calling
-       us (synchronously), so "last test" is the right one to annotate
-       with its stimulus and pattern-store rows. *)
-    Hft_obs.Ledger.annotate_last_test ~first_row
-      ~vectors:t.Hft_gate.Seq_atpg.t_pi_vectors
-      ~scan:t.Hft_gate.Seq_atpg.t_scan_state;
     (* Multi-frame tests detect through unscanned state, which a single
        combinational pass cannot reproduce — keep them for a sequential
        (unrolled) replay. *)
-    if t.Hft_gate.Seq_atpg.t_frames > 1 then seq_tests := t :: !seq_tests
+    if t.Hft_gate.Seq_atpg.t_frames > 1 then seq_tests := t :: !seq_tests;
+    if not obs then None
+    else begin
+      let lt =
+        { Hft_obs.Ledger.lt_id = !n_tests;
+          lt_frames = t.t_frames;
+          lt_rows = Some (first_row, Array.length t.t_pi_vectors);
+          lt_vectors = t.t_pi_vectors;
+          lt_scan = t.t_scan_state }
+      in
+      incr n_tests;
+      tests := lt :: !tests;
+      Some lt
+    end
   in
   (* A tape transaction opens with its test line: the engine hands over
      the test before any row resolving to it. *)
   let on_test t =
-    store_test t;
-    if writer <> None then
-      append (Test (Hft_obs.Ledger.test (Hft_obs.Ledger.n_tests () - 1)))
+    match store_test t with Some lt -> append (Test lt) | None -> ()
   in
   let on_resolved = Option.map (fun _ row -> append (Class row)) writer in
   (* Resume: replay the restored tests through the same store path
-     (ledger test ids realign with tape order) and hand the ATPG a rep
-     -> row lookup so restored classes are never re-run. *)
+     (their ids realign with tape order) and hand the ATPG a rep -> row
+     lookup so restored classes are never re-run. *)
   List.iter
-    (fun (t : Hft_gate.Seq_atpg.test) ->
-      ignore (Hft_obs.Ledger.register_test ~frames:t.t_frames : int);
-      store_test t)
+    (fun t -> ignore (store_test t : Hft_obs.Ledger.test option))
     restored_tests;
   let resolved =
     if tp_rows = [] then None
@@ -450,8 +456,8 @@ let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
   if writer <> None then
     append
       (End
-         { classes = Hft_obs.Ledger.n_classes ();
-           tests = Hft_obs.Ledger.n_tests () });
+         { classes = List.length stats.Hft_gate.Seq_atpg.rows;
+           tests = !n_tests });
   let par =
     (* The engine always reports — degenerate sequential summary at
        jobs = 1 — so every campaign record carries utilization. *)
@@ -539,6 +545,7 @@ let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
     c_faults = faults;
     c_scanned = scanned;
     c_atpg = stats;
+    c_tests = List.rev !tests;
     c_fsim = fr;
     c_patterns_stored = Pattern_store.size store;
     c_resumed_classes = List.length tp_rows;

@@ -91,6 +91,11 @@ type campaign = {
   c_faults : Hft_gate.Fault.t list;   (** the sampled fault list *)
   c_scanned : int list;               (** scan-cell DFF node ids *)
   c_atpg : Hft_gate.Seq_atpg.stats;
+      (** with the campaign's ledger rows when observability is on *)
+  c_tests : Hft_obs.Ledger.test list;
+      (** the ledger record of every test, restored ones first, each
+          with its stimulus and pattern-store rows; [[]] when
+          observability is off *)
   c_fsim : Hft_gate.Fsim.comb_result;
   c_patterns_stored : int;            (** ATPG-derived pattern rows *)
   c_resumed_classes : int;            (** classes restored on resume *)
@@ -117,7 +122,9 @@ type campaign = {
     ({!Hft_obs.Ledger.record}s through {!Hft_robust.Checkpoint.Tape}):
     each generated test with its vectors and each class's ledger row,
     charges included, are appended and flushed as the campaign commits,
-    and an end marker follows the last class.  With [resume] an
+    and an end marker follows the last class.  The tape needs
+    observability on (else {!Hft_robust.Validation.Invalid}), and holds
+    only this campaign, whatever ran before it.  With [resume] an
     existing tape is read first through {!Hft_obs.Ledger.of_jsonl} (a
     tape the loader rejects, an [hft-ckpt/1] file among them, raises
     {!Hft_robust.Validation.Invalid} at site [flow.resume]) and resumed
@@ -127,15 +134,14 @@ type campaign = {
     member must be a sampled fault, and only then is the tape compacted
     to its committed records, kept as written.  Restored tests are
     replayed into the pattern store, each detecting the members of the
-    rows that name it;
-    restored classes get their rows back ({!Hft_obs.Ledger.restore})
-    and are never re-targeted, so an interrupted campaign continues
-    bit-identically to an uninterrupted one.  A class still pending at
-    the interruption lacks the fsim events that pre-interruption drop
-    passes charged it: resume does not redo those passes.  The tape
-    needs observability enabled and an empty ledger ({!Hft_obs.reset}).
-    Its header keeps ["strategy": "fast"] as a constant, so earlier
-    tapes, which carry it, still resume.
+    rows that name it; restored classes get their rows back and are
+    never re-targeted, so an interrupted campaign continues
+    bit-identically to an uninterrupted one, its test ids after the
+    restored tests'.  A class still pending at the interruption lacks
+    the fsim events that pre-interruption drop passes charged it:
+    resume does not redo those passes.  Its header keeps
+    ["strategy": "fast"] as a constant, so earlier tapes, which carry
+    it, still resume.
 
     [guided] (default [true]) threads
     {!Hft_analysis.Guidance} into every PODEM call: static untestability

@@ -31,11 +31,13 @@ let run ?(guided = true) ?(jobs = 1) ?tape ?(resume = false) ~bench ~width
 (* What both documents read from either source: the outcome tallies, the
    test count and the [top] most expensive classes. *)
 let ledger_view ~top = function
-  | Live _ ->
-    (Ledger.waterfall (), Ledger.n_tests (), Ledger.top_expensive ~k:top ())
+  | Live { campaign = c; _ } ->
+    let rows = c.c_atpg.rows in
+    ( Ledger.waterfall rows, List.length c.c_tests,
+      Ledger.top_expensive ~k:top rows )
   | Tape (_, (t : Ledger.tape)) ->
     ( t.tp_waterfall, List.length t.tp_tests,
-      Ledger.top_expensive ~rows:t.tp_rows ~k:top () )
+      Ledger.top_expensive ~k:top t.tp_rows )
 
 (* A document is one JSON line (its schema, the source's fields, the
    expensive rows) or text ending with the expensive table. *)
@@ -118,7 +120,7 @@ let report ~json ~top src =
   in
   document ~json "hft-report/1" expensive
     ( ident
-      @ (("waterfall", Ledger.waterfall_json ~waterfall ()) :: coverage)
+      @ (("waterfall", Ledger.waterfall_json waterfall) :: coverage)
       @ (("tests", Json.Int tests) :: extras),
       Printf.sprintf "coverage waterfall (%s):\n" heading
       ^ waterfall_table ?sampled waterfall

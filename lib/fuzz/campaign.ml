@@ -2,8 +2,8 @@
    of netlist-generator configurations at the differential oracles.
 
    One trial = pick an arm, generate a circuit, run every oracle check
-   on it (inside [Hft_obs.isolated], so the engines' telemetry never
-   pollutes the campaign's own), minimize and persist whatever fired,
+   on it (each isolated, so the engines' telemetry never pollutes the
+   campaign's own), minimize and persist whatever fired,
    reward the bandit, commit the trial to the hft-fuzz/1 state tape.
    Everything a trial does is a deterministic function of (campaign
    seed, trial number, committed history): circuit seeds derive from
@@ -166,21 +166,6 @@ let generate_for ~reg_pulls cfg arm ~trial =
     let seed = 4246 + reg_pulls in
     (seed, Netlist_gen.sequential ~seed ~n_pi:4 ~n_dff:3 ~n_gates:14)
 
-(* Run the oracle (or one check) against a scratch recorder: the
-   engines under test need observability on for their ledger outcome
-   maps, but nothing they record may leak into the campaign's own
-   metrics or ledger. *)
-let oracle_run ~canary ~step_budget ~seed nl =
-  Hft_obs.isolated (fun () ->
-      Hft_obs.with_enabled true (fun () ->
-          Oracle.run ~canary ~step_budget ~seed nl))
-
-let oracle_recheck ~canary ~step_budget ~name ~seed nl =
-  Hft_obs.isolated (fun () ->
-      Hft_obs.with_enabled true (fun () ->
-          let fs, _ = Oracle.run_check ~canary ~step_budget ~name ~seed nl in
-          fs))
-
 let metric_trials = "hft.fuzz.trials"
 let metric_new = "hft.fuzz.findings.new"
 let metric_refound = "hft.fuzz.findings.refound"
@@ -254,7 +239,7 @@ let run cfg =
         let seed, nl = generate_for ~reg_pulls:!reg_pulls cfg arm ~trial:t in
         if canary then incr reg_pulls;
         let report =
-          oracle_run ~canary ~step_budget:cfg.c_step_budget ~seed nl
+          Oracle.run ~canary ~step_budget:cfg.c_step_budget ~seed nl
         in
         let fresh = ref 0 and refound = ref 0 in
         List.iter
@@ -271,8 +256,9 @@ let run cfg =
                  self-contained reproducer and its state record — the
                  trial marker below commits both. *)
               let still_fails nl' =
-                oracle_recheck ~canary ~step_budget:cfg.c_step_budget
-                  ~name:f.Oracle.f_check ~seed nl'
+                fst
+                  (Oracle.run_check ~canary ~step_budget:cfg.c_step_budget
+                     ~name:f.Oracle.f_check ~seed nl')
                 <> []
               in
               let reduced, steps = Minimize.reduce ~check:still_fails nl in

@@ -11,9 +11,10 @@
    chaos injection surfaces as a finding instead of killing the
    campaign.
 
-   Obs discipline: the checks reset and read the global recorder
-   (ledger outcome maps), so a caller with live telemetry of its own —
-   the campaign — must wrap calls in [Hft_obs.isolated]. *)
+   Obs discipline: the checks compare the engines' ledger rows, which
+   exist only with observability on, so {!run_check} runs each check
+   with it on inside [Hft_obs.isolated]: whatever the caller's state,
+   the rows are there and no engine counter reaches its registry. *)
 
 open Hft_gate
 
@@ -33,12 +34,11 @@ let supervisor ~step_budget =
   Some { Hft_robust.Supervisor.deadline_steps = Some step_budget }
 
 let run_atpg ~step_budget ?(jobs = 1) nl ~faults ~scanned strategy on_test =
-  Hft_obs.reset ();
   let stats =
     Seq_atpg.run ~backtrack_limit:30 ~max_frames:3 ~strategy ~jobs
       ~supervisor:(supervisor ~step_budget) ?on_test nl ~faults ~scanned
   in
-  (stats, Hft_obs.Ledger.outcomes ())
+  (stats, Hft_obs.Ledger.outcomes stats.rows)
 
 let conservation fs tag (s : Seq_atpg.stats) =
   if s.detected + s.untestable + s.aborted <> s.total then
@@ -139,13 +139,16 @@ let check_par_diff ~step_budget ~seed:_ nl =
     run_atpg ~step_budget nl ~faults ~scanned Seq_atpg.Drop
       (Some (fun t -> tests := t :: !tests))
   in
-  let wf_drop = Hft_util.Json.to_string (Hft_obs.Ledger.waterfall_json ()) in
+  let waterfall (s : Seq_atpg.stats) =
+    Hft_obs.Ledger.(Hft_util.Json.to_string (waterfall_json (waterfall s.rows)))
+  in
+  let wf_drop = waterfall s_drop in
   let par_tests = ref [] in
   let s_par, o_par =
     run_atpg ~step_budget ~jobs:4 nl ~faults ~scanned Seq_atpg.Drop
       (Some (fun t -> par_tests := t :: !par_tests))
   in
-  let wf_par = Hft_util.Json.to_string (Hft_obs.Ledger.waterfall_json ()) in
+  let wf_par = waterfall s_par in
   let bad detail = fs := { f_check = "par-diff"; f_detail = detail } :: !fs in
   if s_par <> s_drop then bad "stats differ";
   if wf_par <> wf_drop then
@@ -190,7 +193,6 @@ let check_chaos_conservation ~step_budget ~seed nl =
          arm_after = 0;
        }
        (fun () ->
-         Hft_obs.reset ();
          Seq_atpg.run ~backtrack_limit:30 ~max_frames:3
            ~strategy:Seq_atpg.Drop
            ~supervisor:(supervisor ~step_budget)
@@ -272,6 +274,8 @@ let dispatch ~canary ~step_budget ~seed nl = function
 
 let run_check ?(canary = false) ?(step_budget = default_step_budget) ~name
     ~seed nl =
+  Hft_obs.isolated @@ fun () ->
+  Hft_obs.with_enabled true @@ fun () ->
   match
     Hft_robust.Supervisor.guard ~name:("fuzz." ^ name) (fun () ->
         dispatch ~canary ~step_budget ~seed nl name)

@@ -25,9 +25,10 @@
     under {!Hft_robust.Supervisor.guard}, so hangs, crashes and chaos
     injections come back as findings, not exceptions.
 
-    The checks reset and read the global {!Hft_obs} recorder; callers
-    with live telemetry of their own must wrap calls in
-    [Hft_obs.isolated]. *)
+    Each check runs with observability on inside {!Hft_obs.isolated}:
+    the engines build the ledger rows the checks compare whatever the
+    caller's observability state, and none of their counters reaches
+    the caller's registry. *)
 
 type finding = {
   f_check : string;  (** the {!check_names} entry that fired *)

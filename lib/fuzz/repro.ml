@@ -253,14 +253,7 @@ let load path =
      | Error m -> Error (path ^ ": " ^ m)
      | Ok j -> of_json j)
 
-(* The oracles read the ledger/registry the engines write, so replay
-   needs recording on — against a fresh recorder, so replaying a
-   reproducer never pollutes the caller's telemetry. *)
 let replay p =
-  Hft_obs.isolated (fun () ->
-      Hft_obs.with_enabled true (fun () ->
-          let findings, _ =
-            Oracle.run_check ~canary:p.p_canary ~name:p.p_check ~seed:p.p_seed
-              p.p_netlist
-          in
-          findings))
+  fst
+    (Oracle.run_check ~canary:p.p_canary ~name:p.p_check ~seed:p.p_seed
+       p.p_netlist)

@@ -38,7 +38,7 @@ val save : dir:string -> t -> string
 val load : string -> (t, string) result
 
 (** Re-run the stored check on the stored netlist; the finding
-    reproduces iff the result is non-empty.  Runs against a fresh,
-    isolated recorder, so it works (and stays silent) regardless of
-    the caller's observability state. *)
+    reproduces iff the result is non-empty.  Like every
+    {!Oracle.run_check}, it works (and stays silent) regardless of the
+    caller's observability state. *)
 val replay : t -> Oracle.finding list

@@ -89,7 +89,7 @@ val group : Netlist.t -> Fault.t list -> group
     union of the group's root cones under [Cone] (whatever the
     wavefront actually touched), the full node count under [Naive] —
     letting callers attribute fsim cost to individual fault classes
-    (the {!Hft_obs.Ledger} hook).  It must not call the kernel.  Runs
+    (the campaign's ledger rows).  It must not call the kernel.  Runs
     the {!detect_groups_tri} kernel with every unassigned source at
     [false]: with every source defined the three-valued check is
     exactly the two-valued one. *)

@@ -7,6 +7,7 @@ type stats = {
   backtracks : int;
   implications : int;
   frames_used : int;
+  rows : Hft_obs.Ledger.row list;
 }
 
 type strategy = Naive | Drop
@@ -283,6 +284,16 @@ type spec_attempt = {
     ((((int * bool) list * int) option) * Hft_obs.Capture.tape) option;
 }
 
+(* One class's forensics while a campaign runs with observability on:
+   its resolution and the costs charged to it so far. *)
+type account = {
+  mutable a_res : Hft_obs.Ledger.resolution;
+  mutable a_fsim : int;
+  mutable a_impl : int;
+  mutable a_btk : int;
+  mutable a_cuts : int;
+}
+
 type detect =
   ?on_group_events:(int -> int -> unit) -> ?strategy:Fsim.strategy ->
   Netlist.t -> assignment:(int * bool) list -> observe:int list ->
@@ -347,30 +358,45 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
   in
   let status = Array.make n_groups `Pending in
   let dropped = ref 0 in
-  (* Forensics ledger: one row per class.  Handles are [-1] when
-     observability is off, making every ledger call below a no-op; the
-     [obs] guard additionally skips the display-string building. *)
+  (* Forensics: one account per class, kept only while observability is
+     on ([ledger] is empty otherwise, and no row is built).  The
+     campaign returns them as its ledger rows, in class order. *)
   let obs = !Hft_obs.Config.enabled in
-  let lh =
-    if obs then
-      Array.init n_groups (fun gi ->
-          Hft_obs.Ledger.register_class
-            ~rep:(Fault.to_string nl leaders.(gi))
-            ~members:(List.map (Fault.to_string nl) members.(gi)))
-    else Array.make n_groups (-1)
+  let ledger =
+    Array.init (if obs then n_groups else 0) (fun _ ->
+        { a_res = Hft_obs.Ledger.Never_targeted; a_fsim = 0; a_impl = 0;
+          a_btk = 0; a_cuts = 0 })
   in
+  let row gi =
+    let a = ledger.(gi) in
+    { Hft_obs.Ledger.lr_class = gi; lr_rep = Fault.to_string nl leaders.(gi);
+      lr_members = List.map (Fault.to_string nl) members.(gi);
+      lr_resolution = a.a_res; lr_fsim_events = a.a_fsim;
+      lr_implications = a.a_impl; lr_backtracks = a.a_btk;
+      lr_guided_cuts = a.a_cuts }
+  in
+  let resolve gi res = if obs then ledger.(gi).a_res <- res in
   (* The tape hook ([on_resolved]) gets the ledger row of every class
      as it resolves: its charges are complete by then, since a drop
      pass charges its pending classes before resolving any and PODEM
      charges a class before its resolution. *)
   let emit_row gi =
     match on_resolved with
-    | Some k when lh.(gi) >= 0 -> k (Hft_obs.Ledger.row lh.(gi))
+    | Some k when obs -> k (row gi)
     | _ -> ()
   in
   let resolve_class gi res =
-    Hft_obs.Ledger.resolve lh.(gi) res;
+    resolve gi res;
     emit_row gi
+  in
+  (* Generated tests are numbered in commit order, after every test a
+     resumed campaign restored: each restored test is named by the row
+     that committed it. *)
+  let next_test = ref 0 in
+  let new_test () =
+    let t = !next_test in
+    incr next_test;
+    t
   in
   (* Resume: classes the interrupted run already resolved keep their
      recorded row, resolution and charges, and are never re-targeted,
@@ -392,7 +418,14 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
             | Hft_obs.Ledger.Aborted _ -> status.(gi) <- `Aborted
             | Hft_obs.Ledger.Never_targeted -> ());
            if status.(gi) <> `Pending then begin
-             Hft_obs.Ledger.restore lh.(gi) row;
+             if obs then
+               ledger.(gi) <-
+                 { a_res = row.lr_resolution; a_fsim = row.lr_fsim_events;
+                   a_impl = row.lr_implications; a_btk = row.lr_backtracks;
+                   a_cuts = row.lr_guided_cuts };
+             Option.iter
+               (fun t -> next_test := max !next_test (t + 1))
+               (Hft_obs.Ledger.resolution_test row.lr_resolution);
              incr restored
            end)
        leaders);
@@ -417,8 +450,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
     | [] -> ([], [])
     | pending ->
       let groups = Lazy.force groups in
-      (* The pass's ledger charges go over in one call, before any of
-         its resolutions. *)
+      (* The pass charges its events before any of its resolutions. *)
       let evs = Array.make (if obs then List.length pending else 0) 0 in
       let flags =
         detect u.u_net
@@ -428,17 +460,18 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
           (List.map (fun gj -> groups.(gj)) pending)
       in
       if obs then
-        Hft_obs.Ledger.charge_fsim_events
-          (Array.of_list (List.map (fun gj -> lh.(gj)) pending))
-          evs;
+        List.iteri
+          (fun k gj ->
+            let a = ledger.(gj) in
+            a.a_fsim <- a.a_fsim + evs.(k))
+          pending;
       let drops = ref [] and dropped_classes = ref [] in
       List.iteri
         (fun k gj ->
           if flags.(k) then begin
             status.(gj) <- `Detected;
             dropped := !dropped + sizes.(gj);
-            Hft_obs.Ledger.resolve lh.(gj)
-              (Hft_obs.Ledger.Drop_detected { test = tid });
+            resolve gj (Hft_obs.Ledger.Drop_detected { test = tid });
             dropped_classes := gj :: !dropped_classes;
             drops := members.(gj) @ !drops
           end)
@@ -490,7 +523,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
   (* [salvage_search] is a pure function of (workspace unroll, class)
      — the seed depends only on the class index and frame count — so
      worker domains can speculate it; [salvage_commit]
-     performs the side-effecting half (test registration, drop pass,
+     performs the side-effecting half (test numbering, drop pass,
      resolutions) and only ever runs on the orchestrating thread.
      [group] is the class's drop-check group in [u]: the commit thread
      passes its memoized one, a worker prepares its own (the commit
@@ -521,7 +554,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
   let salvage_commit ((u, _) as ws) gi fail found =
     match found with
     | Some (assignment, patterns) ->
-      let tid = Hft_obs.Ledger.register_test ~frames:u.u_frames in
+      let tid = new_test () in
       let drops, dropped_classes = safe_drop_pass ws assignment gi tid in
       Hft_obs.Registry.incr "hft.robust.salvaged";
       (match on_test with
@@ -593,14 +626,16 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
           backtracks := !backtracks + effort.Podem.backtracks;
           implications := !implications + effort.Podem.implications;
           cls_backtracks := !cls_backtracks + effort.Podem.backtracks;
-          Hft_obs.Ledger.charge lh.(gi)
-            ~implications:effort.Podem.implications
-            ~backtracks:effort.Podem.backtracks
-            ~guided_cuts:effort.Podem.guided_cuts;
+          if obs then begin
+            let a = ledger.(gi) in
+            a.a_impl <- a.a_impl + effort.Podem.implications;
+            a.a_btk <- a.a_btk + effort.Podem.backtracks;
+            a.a_cuts <- a.a_cuts + effort.Podem.guided_cuts
+          end;
           if frames > !frames_used then frames_used := frames;
           match result with
           | Podem.Test assignment ->
-            let tid = Hft_obs.Ledger.register_test ~frames in
+            let tid = new_test () in
             (* Drop first: the test's recorded detections then cover
                both the targeted class and every class it swept. *)
             let drops, dropped_classes =
@@ -780,6 +815,7 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
     backtracks = !backtracks;
     implications = !implications;
     frames_used = !frames_used;
+    rows = List.init (Array.length ledger) row;
   }
 
 let run ?backtrack_limit ?min_frames ?max_frames ?assignable_pis ?strapped

@@ -31,6 +31,10 @@ type stats = {
   backtracks : int;
   implications : int;
   frames_used : int;
+  rows : Hft_obs.Ledger.row list;
+      (** the campaign's forensics, one ledger row per collapsed class
+          in class order, restored rows included; [[]] when
+          observability is off *)
 }
 
 (** [Drop] (default): collapse + fault dropping. [Naive]: one PODEM call
@@ -82,7 +86,7 @@ type detect =
 
 (** [campaign ~view ~detect nl ~faults] — the one ATPG campaign loop
     every engine runs on: fault collapsing (with its uncollapsed
-    fallback), forensics-ledger rows, the frame ladder from
+    fallback), the forensics rows of its stats, the frame ladder from
     [min_frames] to [max_frames] under the supervised PODEM retry
     ladder, random-pattern salvage once a ladder is exhausted, drop
     passes with [detect], the speculate-then-commit
@@ -135,14 +139,16 @@ val campaign :
     one.
 
     [resolved] (resume) maps a class representative's display string
-    to the row an interrupted run recorded for it: matching classes get
-    its resolution and charges ({!Hft_obs.Ledger.restore}) and are never
-    re-targeted.  [on_resolved] receives the ledger row of each {e
-    fresh} resolution, charges complete, in engine order: a generated
-    test's drop rows come after [on_test] and before the row of the
-    class that produced it — the flow appends them to its campaign tape
-    ({!Hft_obs.Ledger.record}).  Both need observability on (ledger
-    handles); with it off [on_resolved] never fires.
+    to the row an interrupted run recorded for it: matching classes
+    keep its outcome and are never re-targeted, and with observability
+    on their rows carry its resolution and charges.  Generated tests
+    are numbered from one past the highest test id among the restored
+    rows.  [on_resolved] receives the ledger row of each {e fresh}
+    resolution, charges complete, in engine order: a generated test's
+    drop rows come after [on_test] and before the row of the class that
+    produced it — the flow appends them to its campaign tape
+    ({!Hft_obs.Ledger.record}).  Rows exist only with observability on;
+    with it off [on_resolved] never fires.
 
     [guidance] (a {!Podem.provider}, typically
     [Hft_analysis.Guidance.provide]) is invoked per (unrolled netlist,

@@ -5,9 +5,6 @@ type mode = Off | Capturing of (unit -> unit) list ref | Suppressing
 
 let key = Domain.DLS.new_key (fun () -> Off)
 
-let empty : tape = []
-let length = List.length
-
 let active () =
   match Domain.DLS.get key with Off -> false | Capturing _ | Suppressing -> true
 

@@ -17,15 +17,11 @@ let with_enabled = Config.with_enabled
 
 let reset () =
   Registry.reset ();
-  Span.reset ();
-  Ledger.reset ()
+  Span.reset ()
 
 (* Nest the per-module isolations so [f] sees a completely fresh
-   recorder (empty registry/trace/ledger) and the caller's
-   state is untouched when [f] returns or raises.  The fuzz campaign
-   runs its oracle engine checks in here: the oracles [reset ()] and
-   read the ledger freely without erasing the campaign's own
-   telemetry. *)
-let isolated f =
-  Registry.isolated (fun () ->
-      Span.isolated (fun () -> Ledger.isolated f))
+   recorder (empty registry and trace) and the caller's state is
+   untouched when [f] returns or raises.  The fuzz oracle runs each
+   engine check in here, with observability on, so the engines'
+   counters never reach the campaign's own. *)
+let isolated f = Registry.isolated (fun () -> Span.isolated f)

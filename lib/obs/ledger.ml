@@ -1,15 +1,14 @@
 (* Fault-forensics ledger: one lifecycle record per collapsed fault
    class of a test campaign.
 
-   The ATPG engines register each class when they start (representative
-   plus members, as display strings — this library knows nothing of
-   netlists), then resolve it exactly once and charge search/simulation
-   cost to it as they go.  The ledger answers "why is coverage X%": for
-   every class, how it was resolved and what it cost, plus the
-   aggregated coverage waterfall.  Everything is gated on
-   [Config.enabled]; registration returns [-1] when disabled and every
-   other entry point treats a negative handle as a no-op, so call sites
-   need no guards of their own. *)
+   The campaign that resolves the classes builds the rows (the ATPG
+   engine keeps each class's resolution and charges while observability
+   is on and returns them with its stats); faults and members are
+   display strings, since this library knows nothing of netlists.  What
+   lives here is what every holder of rows shares: the row and test
+   types, the views over rows (the coverage waterfall, the most
+   expensive classes, per-member outcomes) and the hft-ledger/1 tape
+   codec and loader. *)
 
 type resolution =
   | Drop_detected of { test : int }
@@ -38,99 +37,6 @@ type test = {
   lt_scan : bool array;
 }
 
-(* Growable internal storage; handles are indexes, so [charge] on a hot
-   drop pass is two array reads and an add. *)
-type mrow = {
-  m_rep : string;
-  m_members : string list;
-  mutable m_res : resolution;
-  mutable m_fsim : int;
-  mutable m_impl : int;
-  mutable m_btk : int;
-  mutable m_gcuts : int;
-}
-
-type mtest = {
-  mt_frames : int;
-  mutable mt_rows : (int * int) option;
-  mutable mt_vectors : bool array array;
-  mutable mt_scan : bool array;
-}
-
-let rows_buf : mrow array ref = ref [||]
-let n_rows_ = ref 0
-let tests_buf : mtest array ref = ref [||]
-let n_tests_ = ref 0
-
-(* One mutex guards both growable buffers so registrations and charges
-   from worker domains are never lost. *)
-let lock = Mutex.create ()
-
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let reset () =
-  locked (fun () ->
-      rows_buf := [||];
-      n_rows_ := 0;
-      tests_buf := [||];
-      n_tests_ := 0)
-
-(* Run [f] against scratch row/test buffers, restoring the live ones
-   afterwards.  Classes registered inside are invisible outside. *)
-let isolated f =
-  let saved =
-    locked (fun () ->
-        let s = (!rows_buf, !n_rows_, !tests_buf, !n_tests_) in
-        rows_buf := [||];
-        n_rows_ := 0;
-        tests_buf := [||];
-        n_tests_ := 0;
-        s)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      locked (fun () ->
-          let rb, nr, tb, nt = saved in
-          rows_buf := rb;
-          n_rows_ := nr;
-          tests_buf := tb;
-          n_tests_ := nt))
-    f
-
-let push buf n dummy v =
-  let a = !buf in
-  let cap = Array.length a in
-  if !n = cap then begin
-    let a' = Array.make (max 16 (2 * cap)) dummy in
-    Array.blit a 0 a' 0 cap;
-    a'.(cap) <- v;
-    buf := a';
-    n := cap + 1;
-    cap
-  end
-  else begin
-    a.(!n) <- v;
-    incr n;
-    !n - 1
-  end
-
-let dummy_row =
-  { m_rep = ""; m_members = []; m_res = Never_targeted; m_fsim = 0;
-    m_impl = 0; m_btk = 0; m_gcuts = 0 }
-
-let dummy_test =
-  { mt_frames = 0; mt_rows = None; mt_vectors = [||]; mt_scan = [||] }
-
-let register_class ~rep ~members =
-  if not !Config.enabled then -1
-  else
-    locked (fun () ->
-        push rows_buf n_rows_ dummy_row
-          { m_rep = rep; m_members = members; m_res = Never_targeted;
-            m_fsim = 0; m_impl = 0; m_btk = 0; m_gcuts = 0 })
-
 let resolution_key = function
   | Drop_detected _ -> "drop_detected"
   | Podem_detected _ -> "podem_detected"
@@ -138,94 +44,6 @@ let resolution_key = function
   | Proved_untestable _ -> "untestable"
   | Aborted _ -> "aborted"
   | Never_targeted -> "never_targeted"
-
-let resolve_now h res =
-  if h >= 0 then
-    locked (fun () -> if h < !n_rows_ then !rows_buf.(h).m_res <- res)
-
-let resolve h res =
-  (* A capturing domain defers the resolve so speculative work never
-     reaches the shared ledger; the orchestrator replays committed tapes
-     in class order. *)
-  if not (Capture.defer (fun () -> resolve_now h res)) then resolve_now h res
-
-let charge_now ?(implications = 0) ?(backtracks = 0) ?(guided_cuts = 0) h =
-  if h >= 0 then
-    locked (fun () ->
-        if h < !n_rows_ then begin
-          let r = !rows_buf.(h) in
-          r.m_impl <- r.m_impl + implications;
-          r.m_btk <- r.m_btk + backtracks;
-          r.m_gcuts <- r.m_gcuts + guided_cuts
-        end)
-
-let charge ?implications ?backtracks ?guided_cuts h =
-  if h >= 0 then
-    if
-      not
-        (Capture.defer (fun () ->
-             charge_now ?implications ?backtracks ?guided_cuts h))
-    then charge_now ?implications ?backtracks ?guided_cuts h
-
-let charge_fsim_events_now hs evs =
-  locked (fun () ->
-      Array.iteri
-        (fun i h ->
-          if h >= 0 && h < !n_rows_ then begin
-            let r = !rows_buf.(h) in
-            r.m_fsim <- r.m_fsim + evs.(i)
-          end)
-        hs)
-
-let charge_fsim_events hs evs =
-  if not (Capture.defer (fun () -> charge_fsim_events_now hs evs)) then
-    charge_fsim_events_now hs evs
-
-let register_test ~frames =
-  if not !Config.enabled then -1
-  else
-    locked (fun () ->
-        push tests_buf n_tests_ dummy_test
-          { dummy_test with mt_frames = frames })
-
-let annotate_last_test ~first_row ~vectors ~scan =
-  if !Config.enabled then
-    locked (fun () ->
-        if !n_tests_ > 0 then begin
-          let t = !tests_buf.(!n_tests_ - 1) in
-          t.mt_rows <- Some (first_row, Array.length vectors);
-          t.mt_vectors <- vectors;
-          t.mt_scan <- scan
-        end)
-
-let n_classes () = locked (fun () -> !n_rows_)
-let n_tests () = locked (fun () -> !n_tests_)
-
-let row_of i =
-  let m = !rows_buf.(i) in
-  { lr_class = i; lr_rep = m.m_rep; lr_members = m.m_members;
-    lr_resolution = m.m_res; lr_fsim_events = m.m_fsim;
-    lr_implications = m.m_impl; lr_backtracks = m.m_btk;
-    lr_guided_cuts = m.m_gcuts }
-
-let rows () = List.init !n_rows_ row_of
-let row h = locked (fun () -> row_of h)
-
-let test_of i =
-  let t = !tests_buf.(i) in
-  { lt_id = i; lt_frames = t.mt_frames; lt_rows = t.mt_rows;
-    lt_vectors = t.mt_vectors; lt_scan = t.mt_scan }
-
-let tests () = List.init !n_tests_ test_of
-let test i = locked (fun () -> test_of i)
-
-(* A row read back from a tape: its charges (onto a freshly registered
-   handle, so they add to zero) and its resolution. *)
-let restore h r =
-  charge_now ~implications:r.lr_implications ~backtracks:r.lr_backtracks
-    ~guided_cuts:r.lr_guided_cuts h;
-  charge_fsim_events_now [| h |] [| r.lr_fsim_events |];
-  resolve h r.lr_resolution
 
 let cost r = r.lr_fsim_events + r.lr_implications + r.lr_backtracks
 
@@ -248,7 +66,7 @@ let outcome_keys =
   [ "drop_detected"; "podem_detected"; "salvaged"; "aborted"; "untestable";
     "never_targeted" ]
 
-let waterfall ?(rows = rows ()) () =
+let waterfall rows =
   List.map
     (fun k ->
       ( k,
@@ -263,7 +81,7 @@ let waterfall ?(rows = rows ()) () =
 let totals w =
   List.fold_left (fun (c, f) (_, (c', f')) -> (c + c', f + f')) (0, 0) w
 
-let waterfall_json ?(waterfall = waterfall ()) () =
+let waterfall_json waterfall =
   let open Hft_util.Json in
   let classes, faults = totals waterfall in
   Obj
@@ -276,7 +94,7 @@ let waterfall_json ?(waterfall = waterfall ()) () =
 
 (* Per-member outcome keys, for comparing two runs over one fault list
    (a member string names the same fault in both). *)
-let outcomes ?(rows = rows ()) () =
+let outcomes rows =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun r ->
@@ -428,7 +246,7 @@ let test_of_json j =
   | _ -> None
 
 (* Most expensive first; class id breaks ties so the order is total. *)
-let top_expensive ?(rows = rows ()) ~k () =
+let top_expensive ~k rows =
   rows
   |> List.sort (fun a b ->
          match compare (cost b) (cost a) with
@@ -550,7 +368,7 @@ let ledger_tape meta docs =
   in
   { tp_meta = meta; tp_rows = rows;
     tp_tests = List.filter_map (function _, Test t -> Some t | _ -> None) kept;
-    tp_waterfall = waterfall ~rows ();
+    tp_waterfall = waterfall rows;
     tp_records =
       List.filter_map (function _, End _ -> None | j, _ -> Some j) kept;
     tp_finished = !finished }

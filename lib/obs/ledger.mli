@@ -1,16 +1,15 @@
 (** Fault-forensics ledger: one lifecycle record per collapsed fault
     class of a test campaign.
 
-    The ATPG engines ({!Hft_gate.Seq_atpg}, [Hft_scan.Full_scan])
-    register each equivalence class up front, resolve it exactly once
-    (dropped / PODEM-detected / untestable / aborted), and charge
-    search and simulation cost to it as the campaign runs.  Faults and
-    members are display strings — the ledger knows nothing of netlists,
-    so it lives in [Hft_obs] below every engine.
-
-    Registration is gated on [!Config.enabled] and returns [-1] when
-    disabled; every other entry point treats a negative handle as a
-    no-op, so instrumented call sites need no guards. *)
+    The ATPG campaign ({!Hft_gate.Seq_atpg.campaign}, behind
+    [Hft_scan.Full_scan] too) resolves each equivalence class exactly
+    once (dropped / PODEM-detected / untestable / aborted), charges
+    search and simulation cost to it, and returns one {!row} per class
+    with its stats; the flow that feeds a pattern store keeps one
+    {!test} per generated test.  Faults and members are display strings
+    — the ledger knows nothing of netlists, so it lives in [Hft_obs]
+    below every engine.  This module holds the row and test types, the
+    views over rows and the [hft-ledger/1] tape codec and loader. *)
 
 type resolution =
   | Drop_detected of { test : int }
@@ -33,7 +32,7 @@ type resolution =
   | Never_targeted  (** Campaign ended before this class was processed. *)
 
 type row = {
-  lr_class : int;  (** handle, dense from 0 in registration order *)
+  lr_class : int;  (** the class index, dense from 0 in class order *)
   lr_rep : string;  (** representative fault, display form *)
   lr_members : string list;  (** every sampled member, rep included *)
   lr_resolution : resolution;
@@ -48,54 +47,11 @@ type test = {
   lt_frames : int;
   lt_rows : (int * int) option;
       (** [(first_row, n_rows)] in the campaign's pattern store, when the
-          flow recorded the mapping. *)
+          test has a place there. *)
   lt_vectors : bool array array;
       (** one PI vector per frame ([[||]] unless [lt_rows] is set) *)
   lt_scan : bool array;  (** the frame-0 scan load *)
 }
-
-(** Returns the class handle, or [-1] when observability is disabled. *)
-val register_class : rep:string -> members:string list -> int
-
-(** Record the class outcome (last write wins; engines resolve once). *)
-val resolve : int -> resolution -> unit
-
-(** Accumulate PODEM cost counters onto a class; all default to 0. *)
-val charge :
-  ?implications:int -> ?backtracks:int -> ?guided_cuts:int -> int -> unit
-
-(** [charge_fsim_events hs evs] charges [evs.(i)] fault-simulation
-    events to class [hs.(i)] for every [i] — a whole drop pass under one
-    lock (one deferred write on a capturing domain).  The arrays must
-    not change afterwards. *)
-val charge_fsim_events : int array -> int array -> unit
-
-(** Append a test to the campaign's test table, returning its id
-    ([-1] when disabled). *)
-val register_test : frames:int -> int
-
-(** Attach the stimulus to the most recently registered test: its
-    vectors (one per frame) and scan load, stored from pattern-store
-    row [first_row] on (called by the flow's [on_test], which runs
-    synchronously after {!register_test}). *)
-val annotate_last_test :
-  first_row:int -> vectors:bool array array -> scan:bool array -> unit
-
-val n_classes : unit -> int
-val n_tests : unit -> int
-val rows : unit -> row list
-
-(** The current row of a live handle. *)
-val row : int -> row
-
-val tests : unit -> test list
-
-(** The current record of a live test id. *)
-val test : int -> test
-
-(** [restore h row] gives handle [h] the resolution {e and} the charges
-    of [row], a row read back from a tape (resume). *)
-val restore : int -> row -> unit
 
 (** [lr_fsim_events + lr_implications + lr_backtracks] — the ranking
     used by the "most expensive faults" report. *)
@@ -103,8 +59,8 @@ val cost : row -> int
 
 (** {1 Views}
 
-    One function per view, over rows ([?rows] defaults to {!rows}), so
-    a live campaign and a {!tape} render through the same code. *)
+    One function per view, over rows, so a campaign that just ran and
+    a {!tape} render through the same code. *)
 
 (** Waterfall outcome keys in reporting order: [drop_detected],
     [podem_detected], [salvaged], [aborted], [untestable],
@@ -113,19 +69,18 @@ val outcome_keys : string list
 
 (** Per-outcome [(classes, faults)] tallies, in {!outcome_keys} order;
     the class counts sum to the number of rows by construction. *)
-val waterfall : ?rows:row list -> unit -> (string * (int * int)) list
+val waterfall : row list -> (string * (int * int)) list
 
 (** [(classes, faults)] summed over a waterfall's outcomes. *)
 val totals : (string * (int * int)) list -> int * int
 
 (** [{"classes", "faults", <outcome>: {"classes", "faults"}...}] for
-    a waterfall (default [waterfall ()]). *)
-val waterfall_json :
-  ?waterfall:(string * (int * int)) list -> unit -> Hft_util.Json.t
+    a waterfall. *)
+val waterfall_json : (string * (int * int)) list -> Hft_util.Json.t
 
 (** Every member's outcome key ({!resolution_key}), for comparing two
     runs over one fault list. *)
-val outcomes : ?rows:row list -> unit -> (string, string) Hashtbl.t
+val outcomes : row list -> (string, string) Hashtbl.t
 
 (** The outcome key is a detection: dropped, PODEM-detected or
     salvaged. *)
@@ -137,7 +92,7 @@ val is_detection : string -> bool
 val contradicts : string -> string -> bool
 
 (** The [k] most expensive rows, descending cost (class id tiebreak). *)
-val top_expensive : ?rows:row list -> k:int -> unit -> row list
+val top_expensive : k:int -> row list -> row list
 
 (** The "most expensive fault classes" table, heading included ([""]
     for no rows), and the same rows as a JSON list of row objects. *)
@@ -195,9 +150,3 @@ type tape = {
     report]/[hft profile] and [hft watch] read tapes through this one
     function. *)
 val of_jsonl : string -> (tape, string) result
-
-val reset : unit -> unit
-
-(** [isolated f] runs [f] against a fresh, empty ledger and restores
-    the previous rows and tests afterwards (even on exceptions). *)
-val isolated : (unit -> 'a) -> 'a

@@ -7,9 +7,11 @@
 
    The table and the metric mutations behind [incr]/[set]/[observe]/
    [record] are guarded by one mutex so counters are never lost when
-   engines run on worker domains.  Writes additionally route through
-   {!Capture}: a domain in capture mode defers the write onto its tape
-   instead of touching the shared state (see capture.mli). *)
+   engines run on worker domains (PODEM and the salvage search there
+   write metrics; campaign forensics stay on the commit thread).
+   Writes additionally route through {!Capture}: a domain in capture
+   mode defers the write onto its tape instead of touching the shared
+   state (see capture.mli). *)
 
 let table : (string, Metric.t) Hashtbl.t = Hashtbl.create 64
 

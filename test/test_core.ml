@@ -530,9 +530,10 @@ let test_campaign_waterfall_conserves () =
   @@ fun () ->
   Hft_obs.with_enabled true @@ fun () ->
   let c = run_fig1_campaign () in
-  let waterfall = Hft_obs.Ledger.waterfall () in
+  let rows = c.Flow.c_atpg.Hft_gate.Seq_atpg.rows in
+  let waterfall = Hft_obs.Ledger.waterfall rows in
   check_int "outcome classes sum to the collapsed total"
-    (Hft_obs.Ledger.n_classes ())
+    (List.length rows)
     (List.fold_left (fun acc (_, (cl, _)) -> acc + cl) 0 waterfall);
   check_int "outcome faults sum to the sampled total"
     (List.length c.Flow.c_faults)
@@ -543,10 +544,14 @@ let test_campaign_waterfall_conserves () =
     (match List.assoc_opt "drop_detected" waterfall with
      | Some (cl, _) -> cl > 0
      | None -> false);
-  (* Detected classes name real test ids, and every annotated test maps
-     to rows that exist in the campaign's pattern store. *)
-  let n_tests = Hft_obs.Ledger.n_tests () in
+  (* Detected classes name real test ids, tests are numbered in
+     generation order, and every test maps to rows that exist in the
+     campaign's pattern store. *)
+  let n_tests = List.length c.Flow.c_tests in
   check "tests were generated" true (n_tests > 0);
+  check "test ids count from 0" true
+    (List.mapi (fun i (t : Hft_obs.Ledger.test) -> t.lt_id = i) c.Flow.c_tests
+     |> List.for_all Fun.id);
   List.iter
     (fun (row : Hft_obs.Ledger.row) ->
       match row.Hft_obs.Ledger.lr_resolution with
@@ -558,7 +563,7 @@ let test_campaign_waterfall_conserves () =
           true
           (test >= 0 && test < n_tests)
       | _ -> ())
-    (Hft_obs.Ledger.rows ());
+    rows;
   List.iter
     (fun (t : Hft_obs.Ledger.test) ->
       match t.Hft_obs.Ledger.lt_rows with
@@ -571,12 +576,12 @@ let test_campaign_waterfall_conserves () =
       | None ->
         Alcotest.failf "test %d has no pattern-store rows"
           t.Hft_obs.Ledger.lt_id)
-    (Hft_obs.Ledger.tests ())
+    c.Flow.c_tests
 
 let test_campaign_unchanged_when_disabled () =
   (* The flight recorder must not perturb the engines: the same campaign
      with observability off yields identical ATPG stats and coverage,
-     and records nothing. *)
+     and records nothing — no metric, no ledger row, no test record. *)
   Hft_obs.reset ();
   Fun.protect
     ~finally:(fun () ->
@@ -584,11 +589,10 @@ let test_campaign_unchanged_when_disabled () =
       Hft_obs.reset ())
   @@ fun () ->
   let on = Hft_obs.with_enabled true run_fig1_campaign in
-  let on_waterfall = Hft_obs.Ledger.waterfall () in
   Hft_obs.reset ();
   let off = Hft_obs.with_enabled false run_fig1_campaign in
   check "atpg stats identical with recorder off" true
-    (on.Flow.c_atpg = off.Flow.c_atpg);
+    ({ on.Flow.c_atpg with rows = [] } = off.Flow.c_atpg);
   check "pattern counts identical" true
     (on.Flow.c_patterns_stored = off.Flow.c_patterns_stored);
   check "fsim coverage identical" true
@@ -596,9 +600,13 @@ let test_campaign_unchanged_when_disabled () =
      = Hft_gate.Fsim.coverage off.Flow.c_fsim);
   check "disabled run recorded no metrics" true
     (Hft_obs.Registry.snapshot () = []);
-  check_int "disabled run has no ledger rows" 0 (Hft_obs.Ledger.n_classes ());
+  check "disabled run has no ledger rows" true (off.Flow.c_atpg.rows = []);
+  check "disabled run has no test records" true (off.Flow.c_tests = []);
   check "enabled run had resolved classes" true
-    (List.exists (fun (_, (cl, _)) -> cl > 0) on_waterfall)
+    (List.exists
+       (fun (_, (cl, _)) -> cl > 0)
+       (Hft_obs.Ledger.waterfall on.Flow.c_atpg.rows));
+  check "enabled run kept its tests" true (on.Flow.c_tests <> [])
 
 (* Every ledger row's charged fault-simulation events, pinned: traced
    partial-scan campaigns of tseng and diffeq at width 4 over the whole
@@ -617,20 +625,21 @@ let test_ledger_charges_pinned () =
   List.iter
     (fun name ->
       Hft_obs.reset ();
-      Hft_obs.with_enabled true (fun () ->
-          let r =
-            Flow.synthesize ~width:4 Flow.Partial_scan
-              (List.assoc name (Bench_suite.all ()))
-          in
-          ignore
-            (Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample:1
-               ~seed:2024 ~n_patterns:64 r));
+      let c =
+        Hft_obs.with_enabled true (fun () ->
+            let r =
+              Flow.synthesize ~width:4 Flow.Partial_scan
+                (List.assoc name (Bench_suite.all ()))
+            in
+            Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample:1
+              ~seed:2024 ~n_patterns:64 r)
+      in
       List.iter
         (fun (row : Hft_obs.Ledger.row) ->
           Printf.bprintf buf "%s %s %d\n" row.Hft_obs.Ledger.lr_rep
             (Hft_obs.Ledger.resolution_key row.Hft_obs.Ledger.lr_resolution)
             row.Hft_obs.Ledger.lr_fsim_events)
-        (Hft_obs.Ledger.rows ());
+        c.Flow.c_atpg.Hft_gate.Seq_atpg.rows;
       Printf.bprintf buf "%s hft.fsim.events %d\n" name
         (Hft_obs.Registry.count "hft.fsim.events"))
     [ "tseng"; "diffeq" ];
@@ -740,8 +749,10 @@ let test_documents_pinned () =
                  Json.Float (Hft_gate.Seq_atpg.fault_coverage c.Flow.c_atpg));
                 ("fsim_coverage",
                  Json.Float (Hft_gate.Fsim.coverage c.Flow.c_fsim));
-                ("waterfall", Hft_obs.Ledger.waterfall_json ()) ],
-              Hft_obs.Ledger.outcomes () )
+                ("waterfall",
+                 Hft_obs.Ledger.(waterfall_json (waterfall c.Flow.c_atpg.rows)))
+              ],
+              Hft_obs.Ledger.outcomes c.Flow.c_atpg.rows )
           in
           let unguided, outcomes = leg ~guided:false () in
           let guided, guided_outcomes = leg ~guided:true () in

@@ -245,21 +245,19 @@ let test_state_dedups_findings () =
 (* ------------------------------------------------------------------ *)
 
 let test_oracle_clean_and_canary () =
+  (* The checks need no observability from their caller, and leave no
+     engine counter in its registry. *)
+  Hft_obs.reset ();
   (* Seed 1000 is the base seed of CI's fixed-budget [hft fuzz] run: all
      six oracles are quiet on it. *)
   let clean = Netlist_gen.sequential ~seed:1000 ~n_pi:4 ~n_dff:3 ~n_gates:14 in
-  let report =
-    Hft_obs.with_enabled true (fun () -> Oracle.run ~seed:1000 clean)
-  in
+  let report = Oracle.run ~seed:1000 clean in
   check "clean circuit, clean battery" true (report.Oracle.r_findings = []);
   check_int "no escalations" 0 report.Oracle.r_escalations;
   (* Seed 4246 under the canary (propagation fallbacks off) re-exposes
      the historical unsound-Untestable: naive and drop disagree. *)
   let nl = Netlist_gen.sequential ~seed:4246 ~n_pi:4 ~n_dff:3 ~n_gates:14 in
-  let fs, esc =
-    Hft_obs.with_enabled true (fun () ->
-        Oracle.run_check ~canary:true ~name:"atpg-diff" ~seed:4246 nl)
-  in
+  let fs, esc = Oracle.run_check ~canary:true ~name:"atpg-diff" ~seed:4246 nl in
   check "canary re-finds the seed-4246 disagreement" true (fs <> []);
   check_int "a finding, not a crash" 0 esc;
   check "knob restored after the canary run" true
@@ -267,10 +265,11 @@ let test_oracle_clean_and_canary () =
   (* With the real engine (fallbacks on) the same circuit is quiet —
      the historical bug stays fixed. *)
   let fs_fixed, _ =
-    Hft_obs.with_enabled true (fun () ->
-        Oracle.run_check ~canary:false ~name:"atpg-diff" ~seed:4246 nl)
+    Oracle.run_check ~canary:false ~name:"atpg-diff" ~seed:4246 nl
   in
-  check "fixed engine shows no disagreement" true (fs_fixed = [])
+  check "fixed engine shows no disagreement" true (fs_fixed = []);
+  check "no engine counter reached the caller's registry" true
+    (Hft_obs.Registry.snapshot () = [])
 
 (* ------------------------------------------------------------------ *)
 (* Campaign: determinism and kill-and-resume bit identity             *)

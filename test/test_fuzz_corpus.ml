@@ -32,10 +32,8 @@ let test_replays path () =
          must be quiet.  If this fires, the historical unsoundness has
          regressed. *)
       let real, _ =
-        Hft_obs.with_enabled true (fun () ->
-            Hft_fuzz.Oracle.run_check ~canary:false
-              ~name:p.Hft_fuzz.Repro.p_check ~seed:p.Hft_fuzz.Repro.p_seed
-              p.Hft_fuzz.Repro.p_netlist)
+        Hft_fuzz.Oracle.run_check ~canary:false ~name:p.Hft_fuzz.Repro.p_check
+          ~seed:p.Hft_fuzz.Repro.p_seed p.Hft_fuzz.Repro.p_netlist
       in
       Alcotest.(check (list string))
         "real engine is quiet (the bug is still fixed)" []

@@ -1056,13 +1056,12 @@ let test_seq_atpg_seed_4246_sound () =
   let scanned = List.filteri (fun i _ -> i mod 2 = 0) (Netlist.dffs nl) in
   let outcomes strategy =
     Hft_obs.with_enabled true @@ fun () ->
+    let s =
+      Seq_atpg.run ~backtrack_limit:30 ~max_frames:3 ~strategy nl ~faults
+        ~scanned
+    in
     Hft_obs.reset ();
-    ignore
-      (Seq_atpg.run ~backtrack_limit:30 ~max_frames:3 ~strategy nl ~faults
-         ~scanned);
-    let tbl = Hft_obs.Ledger.outcomes () in
-    Hft_obs.reset ();
-    tbl
+    Hft_obs.Ledger.outcomes s.rows
   in
   let o_naive = outcomes Seq_atpg.Naive in
   let o_drop = outcomes Seq_atpg.Drop in

@@ -268,60 +268,59 @@ let test_table_cells () =
 (* Flight recorder: ledger, Chrome trace                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_ledger_lifecycle () =
-  with_obs @@ fun () ->
-  let a = Hft_obs.Ledger.register_class ~rep:"f0/SA0" ~members:[ "f0/SA0" ] in
-  let b =
-    Hft_obs.Ledger.register_class ~rep:"f1/SA1"
-      ~members:[ "f1/SA1"; "f2/SA0" ]
+(* The ledger's views over hand-made rows: the waterfall conserves
+   classes and faults, outcomes name every member, and the most
+   expensive class ranks by summed cost. *)
+let test_ledger_views () =
+  let module L = Hft_obs.Ledger in
+  let row cls members res ~fsim ~impl ~btk =
+    { L.lr_class = cls; lr_rep = List.hd members; lr_members = members;
+      lr_resolution = res; lr_fsim_events = fsim; lr_implications = impl;
+      lr_backtracks = btk; lr_guided_cuts = 0 }
   in
-  check_int "dense handles" 0 a;
-  check_int "dense handles (2)" 1 b;
-  let t = Hft_obs.Ledger.register_test ~frames:2 in
-  Hft_obs.Ledger.annotate_last_test ~first_row:5
-    ~vectors:[| [| true; false |]; [| false; true |] |] ~scan:[| true |];
-  Hft_obs.Ledger.resolve a
-    (Hft_obs.Ledger.Podem_detected { test = t; backtracks = 3; frames = 2 });
-  Hft_obs.Ledger.resolve b (Hft_obs.Ledger.Drop_detected { test = t });
-  Hft_obs.Ledger.charge a ~implications:10 ~backtracks:3;
-  Hft_obs.Ledger.charge_fsim_events [| b |] [| 50 |];
-  let waterfall = Hft_obs.Ledger.waterfall () in
-  check_int "waterfall classes conserve" (Hft_obs.Ledger.n_classes ())
-    (List.fold_left (fun acc (_, (c, _)) -> acc + c) 0 waterfall);
-  check_int "waterfall faults conserve" 3
-    (List.fold_left (fun acc (_, (_, f)) -> acc + f) 0 waterfall);
+  let a =
+    row 0 [ "f0/SA0" ]
+      (L.Podem_detected { test = 0; backtracks = 3; frames = 2 })
+      ~fsim:0 ~impl:10 ~btk:3
+  and b =
+    row 1 [ "f1/SA1"; "f2/SA0" ] (L.Drop_detected { test = 0 }) ~fsim:50
+      ~impl:0 ~btk:0
+  and c =
+    row 2 [ "f3/SA1" ] (L.Proved_untestable { frames = 2 }) ~fsim:0 ~impl:4
+      ~btk:1
+  in
+  let rows = [ a; b; c ] in
+  let waterfall = L.waterfall rows in
+  check "waterfall classes and faults conserve" true
+    (L.totals waterfall = (3, 4));
   check_int "dropped class counts both members" 2
     (match List.assoc_opt "drop_detected" waterfall with
      | Some (_, f) -> f
      | None -> -1);
-  (match Hft_obs.Ledger.tests () with
-   | [ test ] ->
-     check_int "test id" t test.Hft_obs.Ledger.lt_id;
-     check "pattern rows attached" true
-       (test.Hft_obs.Ledger.lt_rows = Some (5, 2));
-     check "stimulus attached" true
-       (test.Hft_obs.Ledger.lt_vectors.(1) = [| false; true |]
-        && test.Hft_obs.Ledger.lt_scan = [| true |])
-   | _ -> Alcotest.fail "expected one registered test");
-  match Hft_obs.Ledger.top_expensive ~k:1 () with
-  | [ row ] ->
-    check_int "most expensive is the fsim-heavy class" b
-      row.Hft_obs.Ledger.lr_class;
-    check_int "cost sums the counters" 50 (Hft_obs.Ledger.cost row)
-  | _ -> Alcotest.fail "expected one top row"
-
-let test_flight_recorder_disabled () =
-  with_obs ~on:false @@ fun () ->
-  let h = Hft_obs.Ledger.register_class ~rep:"f/SA0" ~members:[ "f/SA0" ] in
-  check_int "register_class returns -1 when disabled" (-1) h;
-  Hft_obs.Ledger.resolve h (Hft_obs.Ledger.Drop_detected { test = 0 });
-  Hft_obs.Ledger.charge_fsim_events [| h |] [| 5 |];
-  check_int "no test ids when disabled" (-1)
-    (Hft_obs.Ledger.register_test ~frames:1);
-  Hft_obs.Ledger.annotate_last_test ~first_row:0 ~vectors:[| [||] |]
-    ~scan:[||];
-  check_int "ledger has no rows" 0 (Hft_obs.Ledger.n_classes ());
-  check "ledger rows empty" true (Hft_obs.Ledger.rows () = [])
+  check_str "waterfall json"
+    "{\"classes\":3,\"faults\":4,\
+     \"drop_detected\":{\"classes\":1,\"faults\":2},\
+     \"podem_detected\":{\"classes\":1,\"faults\":1},\
+     \"salvaged\":{\"classes\":0,\"faults\":0},\
+     \"aborted\":{\"classes\":0,\"faults\":0},\
+     \"untestable\":{\"classes\":1,\"faults\":1},\
+     \"never_targeted\":{\"classes\":0,\"faults\":0}}"
+    (Hft_util.Json.to_string (L.waterfall_json waterfall));
+  let outcomes = L.outcomes rows in
+  check_int "every member has an outcome" 4 (Hashtbl.length outcomes);
+  check_str "a member shares its class outcome" "drop_detected"
+    (Hashtbl.find outcomes "f2/SA0");
+  check "detection against untestable contradicts" true
+    (L.contradicts (Hashtbl.find outcomes "f2/SA0")
+       (Hashtbl.find outcomes "f3/SA1"));
+  check "two detections agree" false
+    (L.contradicts "podem_detected" "salvaged");
+  match L.top_expensive ~k:2 rows with
+  | [ first; second ] ->
+    check_int "most expensive is the fsim-heavy class" 1 first.L.lr_class;
+    check_int "cost sums the counters" 50 (L.cost first);
+    check_int "then the PODEM-heavy one" 0 second.L.lr_class
+  | _ -> Alcotest.fail "expected two top rows"
 
 let test_chrome_trace () =
   with_obs @@ fun () ->
@@ -439,8 +438,8 @@ let test_flow_spans () =
 (* Campaign tapes: offline rebuild and the watch fold                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One small real campaign taped to a file; returns (campaign tape, live
-   waterfall JSON). *)
+(* One small real campaign taped to a file; returns the tape's text and
+   the campaign. *)
 let run_taped_campaign ?jobs () =
   let g = Hft_cdfg.Paper_fig1.graph () in
   let tape = Filename.temp_file "hft_tape" ".jsonl" in
@@ -448,13 +447,11 @@ let run_taped_campaign ?jobs () =
     ~finally:(fun () -> Sys.remove tape)
     (fun () ->
       let r = Hft_core.Flow.synthesize_for_partial_scan ~width:4 g in
-      let _ =
+      let c =
         Hft_core.Flow.test_campaign ~backtrack_limit:20 ~max_frames:2
           ~sample:4 ~seed:7 ~n_patterns:16 ?jobs ~tape r
       in
-      let ledger = In_channel.with_open_bin tape In_channel.input_all in
-      let live_wf = Hft_util.Json.to_string (Hft_obs.Ledger.waterfall_json ()) in
-      (ledger, live_wf))
+      (In_channel.with_open_bin tape In_channel.input_all, c))
 
 (* A tape the loader refuses, naming the first bad line. *)
 let rejects what text line =
@@ -467,7 +464,12 @@ let rejects what text line =
 
 let test_offline_rebuild () =
   with_obs @@ fun () ->
-  let ledger, live_wf = run_taped_campaign () in
+  let ledger, c = run_taped_campaign () in
+  let rows = c.Hft_core.Flow.c_atpg.Hft_gate.Seq_atpg.rows in
+  let live_wf =
+    Hft_util.Json.to_string
+      (Hft_obs.Ledger.waterfall_json (Hft_obs.Ledger.waterfall rows))
+  in
   let load what text =
     match Hft_obs.Ledger.of_jsonl text with
     | Ok tape -> tape
@@ -475,28 +477,26 @@ let test_offline_rebuild () =
   in
   let wf_json (tape : Hft_obs.Ledger.tape) =
     Hft_util.Json.to_string
-      (Hft_obs.Ledger.waterfall_json ~waterfall:tape.Hft_obs.Ledger.tp_waterfall
-         ())
+      (Hft_obs.Ledger.waterfall_json tape.Hft_obs.Ledger.tp_waterfall)
   in
   (* Campaign tape: what the run committed, row for row. *)
   let tape = load "ledger tape" ledger in
-  check "tape rows = live rows" true
-    (tape.Hft_obs.Ledger.tp_rows = Hft_obs.Ledger.rows ());
+  check "tape rows = live rows" true (tape.Hft_obs.Ledger.tp_rows = rows);
   check "tape tests = live tests" true
-    (tape.Hft_obs.Ledger.tp_tests = Hft_obs.Ledger.tests ());
+    (tape.Hft_obs.Ledger.tp_tests = c.Hft_core.Flow.c_tests);
   check "tests carry their vectors" true
     (List.for_all
        (fun (t : Hft_obs.Ledger.test) ->
          Array.length t.lt_vectors = t.lt_frames)
        tape.Hft_obs.Ledger.tp_tests);
-  check_int "tape test count" (Hft_obs.Ledger.n_tests ())
+  check_int "tape test count" (List.length c.Hft_core.Flow.c_tests)
     (List.length tape.Hft_obs.Ledger.tp_tests);
   check_str "ledger tape = live waterfall" live_wf (wf_json tape);
   (* The expensive-class views render the tape exactly as the live
      ledger. *)
-  let live_top = Hft_obs.Ledger.top_expensive ~k:10 () in
+  let live_top = Hft_obs.Ledger.top_expensive ~k:10 rows in
   let tape_top =
-    Hft_obs.Ledger.top_expensive ~rows:tape.Hft_obs.Ledger.tp_rows ~k:10 ()
+    Hft_obs.Ledger.top_expensive ~k:10 tape.Hft_obs.Ledger.tp_rows
   in
   check "expensive table present" true (live_top <> []);
   check_str "expensive table text = live"
@@ -544,13 +544,13 @@ let test_offline_rebuild () =
    | Ok _ -> Alcotest.fail "empty tape should not load");
   (* The tape is the commit order's record, so a -j4 campaign tapes the
      same rows, charges included, as it holds live. *)
-  Hft_obs.reset ();
-  let ledger4, _ = run_taped_campaign ~jobs:4 () in
+  let ledger4, c4 = run_taped_campaign ~jobs:4 () in
   let tape4 = load "-j4 ledger tape" ledger4 in
   check "-j4 tape rows = live rows" true
-    (tape4.Hft_obs.Ledger.tp_rows = Hft_obs.Ledger.rows ());
+    (tape4.Hft_obs.Ledger.tp_rows
+     = c4.Hft_core.Flow.c_atpg.Hft_gate.Seq_atpg.rows);
   check "-j4 tape tests = live tests" true
-    (tape4.Hft_obs.Ledger.tp_tests = Hft_obs.Ledger.tests ())
+    (tape4.Hft_obs.Ledger.tp_tests = c4.Hft_core.Flow.c_tests)
 
 (* [hft watch] folds the tape: every line prefix of a finished tape, and
    that prefix with a torn line after it, renders as one status line
@@ -639,12 +639,7 @@ let () =
           Alcotest.test_case "render" `Quick test_span_render;
           Alcotest.test_case "gc attrs" `Quick test_span_gc_attrs;
         ] );
-      ( "disabled",
-        [
-          Alcotest.test_case "no-op" `Quick test_disabled_noop;
-          Alcotest.test_case "flight recorder no-op" `Quick
-            test_flight_recorder_disabled;
-        ] );
+      ("disabled", [ Alcotest.test_case "no-op" `Quick test_disabled_noop ]);
       ( "export",
         [
           Alcotest.test_case "metrics json" `Quick test_metrics_json_roundtrip;
@@ -655,7 +650,7 @@ let () =
         ] );
       ( "flight recorder",
         [
-          Alcotest.test_case "ledger lifecycle" `Quick test_ledger_lifecycle;
+          Alcotest.test_case "ledger views" `Quick test_ledger_views;
         ] );
       ("flow", [ Alcotest.test_case "phase spans" `Quick test_flow_spans ]);
       ( "tapes",

@@ -4,8 +4,8 @@
    in the results: coverage, verdicts, test sets, engine counters and
    the fault-forensics waterfall must be bit-identical at any jobs
    count, chaos-killed worker domains included.  These tests pin that
-   contract — plus the thread safety of the observability layer the
-   workers write through. *)
+   contract — plus the thread safety of the metric registry the workers
+   write through. *)
 
 open Hft_gate
 
@@ -34,19 +34,16 @@ let test_knobs () =
 (* Observability layer under concurrent hammering                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Four domains hammer the registry and ledger at once; every write
-   must land exactly once (lost updates were the failure mode of the
-   pre-mutex implementation). *)
+(* Four domains hammer the registry at once; every write must land
+   exactly once (lost updates were the failure mode of the pre-mutex
+   implementation). *)
 let test_obs_hammer () =
   with_obs @@ fun () ->
   let n_dom = 4 and per = 2000 in
   let body () =
     for i = 1 to per do
       Hft_obs.Registry.incr "hft.par.hammer";
-      Hft_obs.Registry.observe "hft.par.lat" (float_of_int (i land 7));
-      let h = Hft_obs.Ledger.register_class ~rep:"r" ~members:[ "m" ] in
-      Hft_obs.Ledger.resolve h
-        (Hft_obs.Ledger.Proved_untestable { frames = 1 })
+      Hft_obs.Registry.observe "hft.par.lat" (float_of_int (i land 7))
     done
   in
   let others = List.init (n_dom - 1) (fun _ -> Domain.spawn body) in
@@ -54,24 +51,26 @@ let test_obs_hammer () =
   List.iter Domain.join others;
   check_int "counter increments all land" (n_dom * per)
     (Hft_obs.Registry.count "hft.par.hammer");
-  check_int "ledger classes all land" (n_dom * per)
-    (Hft_obs.Ledger.n_classes ());
-  check_int "ledger resolutions all land" (n_dom * per)
-    (List.assoc "untestable" (Hft_obs.Ledger.waterfall ()) |> fst)
+  check_int "observations all land" (n_dom * per)
+    (Hft_obs.Registry.count "hft.par.lat")
 
 (* ------------------------------------------------------------------ *)
 (* Differential harness                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The ledger rows in class order, as tape records: every class's
-   resolution and charges. *)
-let ledger_rows () =
+(* A campaign's ledger rows in class order, as tape records: every
+   class's resolution and charges. *)
+let ledger_rows (s : Seq_atpg.stats) =
   List.map
     (fun r -> Hft_util.Json.to_string (Hft_obs.Ledger.record_to_json (Class r)))
-    (Hft_obs.Ledger.rows ())
+    s.rows
+
+let waterfall (s : Seq_atpg.stats) =
+  Hft_util.Json.to_string
+    (Hft_obs.Ledger.waterfall_json (Hft_obs.Ledger.waterfall s.rows))
 
 type fingerprint = {
-  fp_stats : Seq_atpg.stats;
+  fp_stats : Seq_atpg.stats;  (** rows masked: [fp_rows] holds them *)
   fp_waterfall : string;
   fp_backtracks : int;
   fp_events : int;
@@ -95,15 +94,15 @@ let seq_fingerprint ?on_par_stats ~jobs nl ~faults ~scanned =
       nl ~faults ~scanned
   in
   {
-    fp_stats = stats;
-    fp_waterfall = Hft_util.Json.to_string (Hft_obs.Ledger.waterfall_json ());
+    fp_stats = { stats with rows = [] };
+    fp_waterfall = waterfall stats;
     fp_backtracks = Hft_obs.Registry.count "hft.podem.backtracks";
     fp_events = Hft_obs.Registry.count "hft.fsim.events";
     fp_unrolls = Hft_obs.Registry.count "hft.seq_atpg.unrolls";
     fp_retries = Hft_obs.Registry.count "hft.robust.retries";
     fp_degraded = Hft_obs.Registry.count "hft.robust.degraded";
     fp_tests = List.rev !tests;
-    fp_rows = ledger_rows ();
+    fp_rows = ledger_rows stats;
   }
 
 let check_identical tag base fp =
@@ -153,11 +152,12 @@ let test_full_scan_differential () =
       let run jobs =
         with_obs @@ fun () ->
         let r = Hft_scan.Full_scan.atpg ~backtrack_limit:50 ~jobs nl ~faults in
-        ( r.Hft_scan.Full_scan.stats,
+        let s = r.Hft_scan.Full_scan.stats in
+        ( s,
           r.Hft_scan.Full_scan.tests,
-          Hft_util.Json.to_string (Hft_obs.Ledger.waterfall_json ()),
+          waterfall s,
           Hft_obs.Registry.count "hft.podem.backtracks",
-          ledger_rows () )
+          ledger_rows s )
       in
       let s1, t1, w1, b1, j1 = run 1 in
       List.iter
@@ -366,7 +366,7 @@ let test_campaign_jobs () =
     ( c.Hft_core.Flow.c_atpg,
       Hft_gate.Fsim.coverage c.Hft_core.Flow.c_fsim,
       c.Hft_core.Flow.c_patterns_stored,
-      Hft_util.Json.to_string (Hft_obs.Ledger.waterfall_json ()) )
+      waterfall c.Hft_core.Flow.c_atpg )
   in
   let s1, cov1, p1, w1 = run 1 in
   List.iter

@@ -301,7 +301,7 @@ let fingerprint (c : Flow.campaign) =
   ( ( s.Hft_gate.Seq_atpg.detected, s.untestable, s.aborted, s.total ),
     c.Flow.c_patterns_stored,
     List.sort compare c.Flow.c_fsim.Hft_gate.Fsim.detected,
-    List.sort compare (Hft_obs.Ledger.waterfall ()) )
+    List.sort compare (Hft_obs.Ledger.waterfall s.rows) )
 
 let test_supervisor_bit_identical () =
   (* Supervision on, chaos off: the happy path must not perturb the
@@ -310,7 +310,6 @@ let test_supervisor_bit_identical () =
   with_obs @@ fun () ->
   let c_on = run_campaign r in
   let on = (c_on.Flow.c_atpg, fingerprint c_on) in
-  Hft_obs.reset ();
   let c_off = run_campaign ~supervisor:None r in
   let off = (c_off.Flow.c_atpg, fingerprint c_off) in
   check "supervised run is bit-identical (effort counters included)" true
@@ -331,10 +330,11 @@ let test_chaos_never_crashes () =
             arm_after = 0 }
           (fun () -> run_campaign r)
       in
-      let wf = Hft_obs.Ledger.waterfall () in
+      let rows = c.Flow.c_atpg.Hft_gate.Seq_atpg.rows in
+      let wf = Hft_obs.Ledger.waterfall rows in
       check_int
         (Printf.sprintf "seed %d: waterfall classes conserve" seed)
-        (Hft_obs.Ledger.n_classes ())
+        (List.length rows)
         (List.fold_left (fun acc (_, (cl, _)) -> acc + cl) 0 wf);
       check_int
         (Printf.sprintf "seed %d: waterfall faults conserve" seed)
@@ -346,14 +346,14 @@ let with_tmp f =
   let path = tmp_tape () in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-(* One taped campaign on a fresh ledger: its outcomes, what it restored,
-   and its ledger rows. *)
+(* One taped campaign: its outcomes, what it restored, and its ledger
+   rows. *)
 let taped_run ?jobs ?resume path r =
   with_obs @@ fun () ->
   let c = run_campaign ~tape:path ?resume ?jobs r in
   ( fingerprint c,
     (c.Flow.c_resumed_classes, c.Flow.c_resumed_tests),
-    Hft_obs.Ledger.rows () )
+    c.Flow.c_atpg.Hft_gate.Seq_atpg.rows )
 
 (* The same campaign killed by chaos at a serialisation boundary. *)
 let killed_run ?jobs ?(arm_after = 4) path r =
@@ -442,7 +442,7 @@ let test_killed_tape_prefix () =
          | None -> true)
        rows);
   check "waterfall tallies the committed rows" true
-    (t.Hft_obs.Ledger.tp_waterfall = Hft_obs.Ledger.waterfall ~rows ());
+    (t.Hft_obs.Ledger.tp_waterfall = Hft_obs.Ledger.waterfall rows);
   check "fewer classes than the finished run" true
     (List.length rows < List.length reference)
 
@@ -578,12 +578,24 @@ let test_checkpoint_resume_parallel_torn () =
   check "completed tape resumes at -j1 to the same outcomes" true
     (again = reference)
 
+(* A tape holds only its own campaign: another campaign run before it in
+   the same process, with nothing reset between them, leaves no trace
+   on it. *)
+let test_tape_after_campaign () =
+  let r = fig1_result () in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let fresh = with_tmp (fun path -> ignore (taped_run path r); read path) in
+  with_obs @@ fun () ->
+  ignore (Flow.test_campaign ~sample:2 ~seed:1 r : Flow.campaign);
+  with_tmp @@ fun path ->
+  ignore (run_campaign ~tape:path r : Flow.campaign);
+  check_str "the tape equals a fresh run's" fresh (read path)
+
 let test_checkpoint_meta_mismatch () =
   let r = fig1_result () in
   with_tmp @@ fun path ->
   with_obs @@ fun () ->
   ignore (run_campaign ~tape:path r);
-  Hft_obs.reset ();
   check "fingerprint mismatch rejects the resume" true
     (match
        Flow.test_campaign ~backtrack_limit:21 ~max_frames:2 ~sample:4 ~seed:7
@@ -637,6 +649,8 @@ let () =
             test_resume_rejects_foreign_tapes;
           Alcotest.test_case "-j4 kill + torn tail + resume" `Quick
             test_checkpoint_resume_parallel_torn;
+          Alcotest.test_case "tape after a campaign" `Quick
+            test_tape_after_campaign;
           Alcotest.test_case "resume fingerprint mismatch" `Quick
             test_checkpoint_meta_mismatch;
         ] );
