@@ -544,13 +544,14 @@ let e14_tscan () =
       (fun (name, g) ->
         let r = Flow.synthesize_conventional ~width:8 g in
         let s = Hft_rtl.Sgraph.of_datapath r.Flow.datapath in
-        if Hft_rtl.Sgraph.nontrivial_loops s = [] then None
+        let loops = Hft_rtl.Sgraph.n_nontrivial_loops s in
+        if loops = 0 then None
         else
           let scan_only = List.length (Hft_rtl.Sgraph.scan_selection s) in
           let sel = Hft_rtl.Tscan.select s in
           Some
             [ name;
-              string_of_int (List.length (Hft_rtl.Sgraph.nontrivial_loops s));
+              string_of_int loops;
               string_of_int scan_only;
               string_of_int (List.length sel.Hft_rtl.Tscan.scan_regs);
               string_of_int (List.length sel.Hft_rtl.Tscan.tscan_fus);

@@ -231,7 +231,7 @@ let analyze_cmd =
     Printf.printf "conventional data path: %d regs, %d fus, %d loops, %d self-loops\n"
       (Hft_rtl.Datapath.n_regs r.Flow.datapath)
       (Hft_rtl.Datapath.n_fus r.Flow.datapath)
-      (List.length (Hft_rtl.Sgraph.nontrivial_loops s))
+      (Hft_rtl.Sgraph.n_nontrivial_loops s)
       (List.length (Hft_rtl.Sgraph.self_loop_regs s));
     print_string
       (Hft_rtl.Testability.pp_report r.Flow.datapath
@@ -391,12 +391,18 @@ let lint_cmd =
 (* present the forensics — the coverage waterfall (where every        *)
 (* collapsed fault class ended up) and the most expensive faults.     *)
 
+(* A [Sys_error] message naming [file].  The open's message names the
+   path; a read that fails after the open (a directory opens, then
+   reads "Is a directory") does not. *)
+let naming_path file msg =
+  if String.starts_with ~prefix:file msg then msg else file ^ ": " ^ msg
+
 (* Read back a --ledger-out campaign tape for an offline report or
    profile; an unreadable or malformed tape is bad input (exit 2). *)
 let load_tape file =
   let fail msg = Hft_robust.Validation.fail ~site:"--journal-in" msg in
   match In_channel.with_open_bin file In_channel.input_all with
-  | exception Sys_error msg -> fail msg
+  | exception Sys_error msg -> fail (naming_path file msg)
   | text ->
     (match Hft_obs.Ledger.of_jsonl text with
      | Ok tape -> tape
@@ -608,9 +614,7 @@ let watch_cmd =
       match In_channel.with_open_bin file In_channel.input_all with
       | exception Sys_error msg when absent -> Error msg
       | exception Sys_error msg ->
-        Hft_robust.Validation.fail ~site:"TAPE" ~hint
-          (if String.starts_with ~prefix:file msg then msg
-           else file ^ ": " ^ msg)
+        Hft_robust.Validation.fail ~site:"TAPE" ~hint (naming_path file msg)
       | text when not (String.contains text '\n') ->
         Error (file ^ ": no complete line yet")
       | text ->

@@ -52,7 +52,7 @@ let measure ~flow ~base_area d ~sessions =
       count_kind d Datapath.Tpgr + count_kind d Datapath.Sr
       + count_kind d Datapath.Bilbo + count_kind d Datapath.Cbilbo;
     n_cbilbo = count_kind d Datapath.Cbilbo;
-    datapath_loops = List.length (Sgraph.nontrivial_loops remaining);
+    datapath_loops = Sgraph.n_nontrivial_loops remaining;
     self_loops = List.length (Sgraph.self_loop_regs remaining);
     sequential_depth = Sgraph.sequential_depth s ~scanned;
     area_overhead =

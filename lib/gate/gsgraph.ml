@@ -37,7 +37,7 @@ let scan_selection ?(ignore_self_loops = true) t =
   |> List.map (fun v -> t.dff_ids.(v))
 
 let n_loops ?(max_len = 12) ?(max_count = 4096) t =
-  List.length (Digraph.cycles t.graph ~max_len ~max_count)
+  Digraph.count_cycles t.graph ~min_len:1 ~max_len ~max_count
 
 let sequential_depth t =
   (* Longest shortest path between any pair of FFs. *)

@@ -17,6 +17,9 @@ val of_netlist : Netlist.t -> t
     returned as netlist DFF node ids. *)
 val scan_selection : ?ignore_self_loops:bool -> t -> int list
 
+(** Number of FF loops, self-loops included, counted by
+    {!Hft_util.Digraph.count_cycles} (default: at most 4,096 loops of at
+    most 12 FFs). *)
 val n_loops : ?max_len:int -> ?max_count:int -> t -> int
 
 (** Max combinational-hop depth from a PI-fed FF to a PO-feeding FF. *)

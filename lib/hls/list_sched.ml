@@ -35,8 +35,28 @@ let schedule ?latency ?priority ?max_steps g ~resources =
              (Printf.sprintf "List_sched: no %s units allocated"
                 (Op.fu_class_to_string cl))))
     (Array.init n (fun i -> i));
+  (* Highest priority first, then lowest op id. *)
+  let by_priority a b =
+    match Int.compare (-priority.(a)) (-priority.(b)) with
+    | 0 -> Int.compare a b
+    | c -> c
+  in
   let dg = Graph.op_graph g in
   let start = Array.make n 0 in
+  (* [waiting.(o)] counts the predecessors of [o] that have not yet
+     finished.  An op that starts at step [c] finishes after
+     [latency - 1] more steps and releases its successors at
+     [release_at] the next one; candidates are chosen before anything
+     starts in a step, so that is never earlier than [c + 1].  [ready]
+     holds the released ops not yet started, in candidate order. *)
+  let waiting = Array.init n (Hft_util.Digraph.in_degree dg) in
+  let release_at = Hashtbl.create 16 in
+  let ready =
+    ref
+      (List.init n Fun.id
+      |> List.filter (fun o -> waiting.(o) = 0)
+      |> List.sort by_priority)
+  in
   let unscheduled = ref n in
   let step = ref 0 in
   let candidate_evals = ref 0 in
@@ -45,38 +65,47 @@ let schedule ?latency ?priority ?max_steps g ~resources =
   while !unscheduled > 0 && !step <= max_steps do
     incr step;
     let c = !step in
+    let released = ref [] in
+    List.iter
+      (fun p ->
+        List.iter
+          (fun o ->
+            waiting.(o) <- waiting.(o) - 1;
+            if waiting.(o) = 0 then released := o :: !released)
+          (Hft_util.Digraph.succ dg p))
+      (Option.value ~default:[] (Hashtbl.find_opt release_at c));
+    Hashtbl.remove release_at c;
     busy := List.filter (fun (_, fin) -> fin >= c) !busy;
     let free cl =
       let total = match List.assoc_opt cl resources with Some k -> k | None -> 0 in
-      let used = List.length (List.filter (fun (cl', _) -> cl' = cl) !busy) in
-      total - used
-    in
-    let ready o =
-      start.(o) = 0
-      && List.for_all
-           (fun p -> start.(p) > 0 && start.(p) + latency.(p) - 1 < c)
-           (Hft_util.Digraph.pred dg o)
+      List.fold_left (fun k (cl', _) -> if cl' = cl then k - 1 else k) total !busy
     in
     let candidates =
-      List.init n (fun i -> i)
-      |> List.filter ready
-      |> List.sort (fun a b -> compare (-priority.(a), a) (-priority.(b), b))
+      List.merge by_priority !ready (List.sort by_priority !released)
     in
     candidate_evals := !candidate_evals + List.length candidates;
+    let start_op o =
+      start.(o) <- c;
+      decr unscheduled;
+      let r = c + max 1 latency.(o) in
+      Hashtbl.replace release_at r
+        (o :: Option.value ~default:[] (Hashtbl.find_opt release_at r))
+    in
+    let not_started = ref [] in
     List.iter
       (fun o ->
         match Op.fu_class (Graph.op g o).Graph.o_kind with
         | None ->
           (* moves: free *)
-          start.(o) <- c;
-          decr unscheduled
+          start_op o
         | Some cl ->
           if free cl > 0 then begin
-            start.(o) <- c;
-            busy := (cl, c + latency.(o) - 1) :: !busy;
-            decr unscheduled
-          end)
-      candidates
+            start_op o;
+            busy := (cl, c + latency.(o) - 1) :: !busy
+          end
+          else not_started := o :: !not_started)
+      candidates;
+    ready := List.rev !not_started
   done;
   if !unscheduled > 0 then invalid_arg "List_sched: step budget exhausted";
   if !Hft_obs.Config.enabled then begin

@@ -22,26 +22,34 @@ let left_edge g info =
   in
   let assign, n = Interval.left_edge items in
   (* Left-edge ignores the final-boundary write exclusions; patch any
-     violations by spilling one side to a fresh register. *)
-  let track_tbl = Hashtbl.create 16 in
-  List.iter (fun (rep, t) -> Hashtbl.replace track_tbl rep t) assign;
+     violations by spilling one side to a fresh register: in candidate
+     order, each candidate spills every later one on its track that it
+     conflicts with.  A spilled candidate is alone on its fresh track,
+     so only candidates that share a left-edge track are compared, and
+     [later.(rep)] lists those after [rep], in candidate order. *)
+  let nv = Array.length info.Lifetime.intervals in
+  let track = Array.make nv (-1) in
+  List.iter (fun (rep, t) -> track.(rep) <- t) assign;
+  let later = Array.make nv [] in
+  let rest_of_track = Array.make n [] in
+  List.iter
+    (fun rep ->
+      let t = track.(rep) in
+      later.(rep) <- rest_of_track.(t);
+      rest_of_track.(t) <- rep :: rest_of_track.(t))
+    (List.rev candidates);
   let n_regs = ref n in
-  let rec fix reps =
-    match reps with
-    | [] -> ()
-    | rep :: tl ->
+  List.iter
+    (fun rep ->
       List.iter
         (fun rep' ->
-          if Hashtbl.find track_tbl rep = Hashtbl.find track_tbl rep'
-             && Lifetime.conflict info rep rep'
+          if track.(rep) = track.(rep') && Lifetime.conflict info rep rep'
           then begin
-            Hashtbl.replace track_tbl rep' !n_regs;
+            track.(rep') <- !n_regs;
             incr n_regs
           end)
-        tl;
-      fix tl
-  in
-  fix candidates;
+        later.(rep))
+    candidates;
   if !Hft_obs.Config.enabled then begin
     Hft_obs.Registry.incr "hft.reg_alloc.runs";
     Hft_obs.Registry.incr "hft.reg_alloc.candidates"
@@ -49,9 +57,7 @@ let left_edge g info =
     Hft_obs.Registry.incr "hft.reg_alloc.spills" ~by:(!n_regs - n);
     Hft_obs.Registry.incr "hft.reg_alloc.regs" ~by:!n_regs
   end;
-  let reg_of_var =
-    spread_to_members info candidates (Hashtbl.find track_tbl)
-  in
+  let reg_of_var = spread_to_members info candidates (Array.get track) in
   { reg_of_var; n_regs = !n_regs }
 
 let color ?(extra_conflicts = []) ?order ?prefer g info =

@@ -3,31 +3,40 @@ open Hft_util
 type t = { graph : Digraph.t; datapath : Datapath.t }
 
 let of_datapath d =
-  let g = Digraph.create (Datapath.n_regs d) in
-  (* Through a functional unit: any register on some input port mux can
-     reach any register the unit's output can be latched into. *)
-  Array.iter
-    (fun f ->
-      let ins = Datapath.fu_input_regs d f.Datapath.f_id in
-      let outs = Datapath.fu_output_regs d f.Datapath.f_id in
-      List.iter (fun i -> List.iter (fun o -> Digraph.add_edge g i o) outs) ins)
-    d.Datapath.fus;
-  (* Direct register-to-register moves. *)
-  Array.iter
-    (fun r ->
-      List.iter
-        (function
-          | Datapath.Sreg src -> Digraph.add_edge g src r.Datapath.r_id
-          | Datapath.Sport _ | Datapath.Sconst _ -> ())
-        (Datapath.reg_sources d r.Datapath.r_id))
-    d.Datapath.regs;
-  { graph = g; datapath = d }
+  let graph =
+    Digraph.of_edges (Datapath.n_regs d) @@ fun add ->
+    (* Through a functional unit: any register on some input port mux
+       can reach any register the unit's output can be latched into. *)
+    Array.iter
+      (fun f ->
+        let ins = Datapath.fu_input_regs d f.Datapath.f_id in
+        let outs = Datapath.fu_output_regs d f.Datapath.f_id in
+        List.iter (fun i -> List.iter (fun o -> add i o) outs) ins)
+      d.Datapath.fus;
+    (* Direct register-to-register moves. *)
+    Array.iter
+      (fun r ->
+        List.iter
+          (function
+            | Datapath.Sreg src -> add src r.Datapath.r_id
+            | Datapath.Sport _ | Datapath.Sconst _ -> ())
+          (Datapath.reg_sources d r.Datapath.r_id))
+      d.Datapath.regs
+  in
+  { graph; datapath = d }
 
-let loops ?(max_len = 16) ?(max_count = 4096) s =
+let default_max_len = 16
+let default_max_count = 4096
+
+let loops ?(max_len = default_max_len) ?(max_count = default_max_count) s =
   Digraph.cycles s.graph ~max_len ~max_count
 
 let nontrivial_loops ?max_len ?max_count s =
   List.filter (fun l -> List.length l > 1) (loops ?max_len ?max_count s)
+
+let n_nontrivial_loops s =
+  Digraph.count_cycles s.graph ~min_len:2 ~max_len:default_max_len
+    ~max_count:default_max_count
 
 let self_loop_regs s = Digraph.self_loops s.graph
 

@@ -14,15 +14,24 @@ type t = {
 }
 
 (** Structural S-graph: an edge exists when the mux fan-ins allow the
-    connection in {e some} control configuration. *)
+    connection in {e some} control configuration.  Edges go in through
+    {!Hft_util.Digraph.of_edges}, functional-unit paths first (by unit,
+    then input register, then output register), then direct moves (by
+    destination, then source), so every successor and predecessor list
+    has a fixed order, which {!scan_selection} depends on. *)
 val of_datapath : Datapath.t -> t
 
-(** Loops of the S-graph (bounded enumeration), each a register list.
-    Self-loops are length-1 entries. *)
+(** Loops of the S-graph, each a register list, smallest register first
+    ({!Hft_util.Digraph.cycles}; by default at most 4,096 loops of at
+    most 16 registers).  Self-loops are length-1 entries. *)
 val loops : ?max_len:int -> ?max_count:int -> t -> int list list
 
 (** Loops other than self-loops. *)
 val nontrivial_loops : ?max_len:int -> ?max_count:int -> t -> int list list
+
+(** [List.length (nontrivial_loops s)], counted without building the
+    loops; the self-loops still count toward the 4,096 cap. *)
+val n_nontrivial_loops : t -> int
 
 val self_loop_regs : t -> int list
 

@@ -25,12 +25,27 @@ let mem_edge g u v =
   check g v;
   mem_int v g.succ.(u)
 
-let add_edge g u v =
-  if not (mem_edge g u v) then begin
-    g.succ.(u) <- v :: g.succ.(u);
-    g.pred.(v) <- u :: g.pred.(v);
-    g.m <- g.m + 1
-  end
+let insert g u v =
+  g.succ.(u) <- v :: g.succ.(u);
+  g.pred.(v) <- u :: g.pred.(v);
+  g.m <- g.m + 1
+
+let add_edge g u v = if not (mem_edge g u v) then insert g u v
+
+(* One bit per vertex pair makes the duplicate test O(1), where
+   [add_edge] walks the source's successor list. *)
+let of_edges n iter =
+  let g = create n in
+  let seen = Bitvec.create (n * n) in
+  iter (fun u v ->
+      check g u;
+      check g v;
+      let k = (u * n) + v in
+      if not (Bitvec.get seen k) then begin
+        Bitvec.set seen k true;
+        insert g u v
+      end);
+  g
 
 let remove_edge g u v =
   if mem_edge g u v then begin
@@ -220,40 +235,74 @@ let longest_path_from_sources g =
       order;
     dist
 
-(* Bounded elementary-cycle enumeration.  For each start vertex s (in
-   increasing order) we search for cycles whose smallest vertex is s,
-   which yields each elementary cycle exactly once. *)
+(* The one bounded elementary-cycle enumerator.  For each start vertex
+   s (in increasing order) it searches for cycles whose smallest vertex
+   is s, which yields each elementary cycle exactly once; successors are
+   tried in increasing order.  Walking the predecessor lists in
+   increasing vertex order fills every sorted successor array in
+   O(V + E); [skip.(v)] then steps past the successors below the current
+   start, which only grows.  [on_cycle path len] sees the cycle as
+   [path.(0) .. path.(len - 1)], s first, and runs at most [max_count]
+   times. *)
+let iter_cycles g ~max_len ~max_count on_cycle =
+  if max_len >= 1 && max_count >= 1 && g.n > 0 then begin
+    let sorted = Array.map (fun l -> Array.make (List.length l) 0) g.succ in
+    let filled = Array.make g.n 0 in
+    for v = 0 to g.n - 1 do
+      List.iter
+        (fun u ->
+          sorted.(u).(filled.(u)) <- v;
+          filled.(u) <- filled.(u) + 1)
+        g.pred.(v)
+    done;
+    let skip = Array.make g.n 0 in
+    let on_path = Array.make g.n false in
+    let path = Array.make (min max_len g.n) 0 in
+    let count = ref 0 in
+    let exception Done in
+    let rec extend s len v =
+      let a = sorted.(v) in
+      let k = Array.length a in
+      let i = ref skip.(v) in
+      while !i < k && a.(!i) < s do incr i done;
+      skip.(v) <- !i;
+      if !i < k && a.(!i) = s then begin
+        on_cycle path len;
+        incr count;
+        if !count >= max_count then raise Done;
+        incr i
+      end;
+      if len < max_len then
+        for j = !i to k - 1 do
+          let w = a.(j) in
+          if not on_path.(w) then begin
+            on_path.(w) <- true;
+            path.(len) <- w;
+            extend s (len + 1) w;
+            on_path.(w) <- false
+          end
+        done
+    in
+    try
+      for s = 0 to g.n - 1 do
+        on_path.(s) <- true;
+        path.(0) <- s;
+        extend s 1 s;
+        on_path.(s) <- false
+      done
+    with Done -> ()
+  end
+
 let cycles g ~max_len ~max_count =
   let found = ref [] in
-  let count = ref 0 in
-  let on_path = Array.make g.n false in
-  let exception Done in
-  let rec extend s path len v =
-    if !count >= max_count then raise Done;
-    List.iter
-      (fun w ->
-        if w = s then begin
-          found := (s :: List.rev path) :: !found;
-          incr count;
-          if !count >= max_count then raise Done
-        end
-        else if w > s && (not on_path.(w)) && len < max_len then begin
-          on_path.(w) <- true;
-          extend s (w :: path) (len + 1) w;
-          on_path.(w) <- false
-        end)
-      (List.sort compare (succ g v))
-  in
-  (try
-     for s = 0 to g.n - 1 do
-       if max_len >= 1 then begin
-         on_path.(s) <- true;
-         extend s [] 1 s;
-         on_path.(s) <- false
-       end
-     done
-   with Done -> ());
+  iter_cycles g ~max_len ~max_count (fun path len ->
+      found := List.init len (Array.get path) :: !found);
   List.rev !found
+
+let count_cycles g ~min_len ~max_len ~max_count =
+  let n = ref 0 in
+  iter_cycles g ~max_len ~max_count (fun _ len -> if len >= min_len then incr n);
+  !n
 
 let to_dot ?(name = string_of_int) g =
   let buf = Buffer.create 256 in

@@ -21,6 +21,12 @@ val size : t -> int
     no-op.  Raises [Invalid_argument] if [u] or [v] is out of range. *)
 val add_edge : t -> int -> int -> unit
 
+(** [of_edges n iter] is the graph that [create n] followed by one
+    [add_edge] per edge [iter add] passes to [add] would build, with the
+    same successor and predecessor lists in the same order.  Each
+    duplicate test is O(1), at the cost of [n * n] bits of scratch. *)
+val of_edges : int -> ((int -> int -> unit) -> unit) -> t
+
 (** [remove_edge g u v] removes edge [u -> v] if present. *)
 val remove_edge : t -> int -> int -> unit
 
@@ -82,9 +88,18 @@ val longest_path_from_sources : t -> int array
 
 (** [cycles g ~max_len ~max_count] enumerates elementary cycles of length
     [<= max_len] (a self-loop has length 1), at most [max_count] of them,
-    each as a vertex list with the smallest vertex first.  Bounded
-    Johnson-style search; deterministic order. *)
+    each as a vertex list with the smallest vertex first.  A bounded
+    depth-first search from each start vertex in increasing order, over
+    successors in increasing order, so the order is deterministic; it
+    keeps no Johnson-style blocking sets.  Sorting the successor lists
+    costs O(V + E) per call. *)
 val cycles : t -> max_len:int -> max_count:int -> int list list
+
+(** [count_cycles g ~min_len ~max_len ~max_count] is the number of
+    cycles of length [>= min_len] among those [cycles g ~max_len
+    ~max_count] lists, from the same search, building no list.  The cap
+    counts every enumerated cycle, short ones included. *)
+val count_cycles : t -> min_len:int -> max_len:int -> max_count:int -> int
 
 (** DOT text of the graph; [name] labels vertices. *)
 val to_dot : ?name:(int -> string) -> t -> string

@@ -900,6 +900,61 @@ let test_synthesis_pinned () =
     "8ed6a17a997f707d08043d2e8c9b92c6"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* [Sgraph.of_datapath] as a plain [Digraph.add_edge] build: the order
+   of every successor and predecessor list is part of the result, since
+   scan selection walks them. *)
+let reference_sgraph d =
+  let open Hft_rtl in
+  let g = Hft_util.Digraph.create (Datapath.n_regs d) in
+  Array.iter
+    (fun f ->
+      let ins = Datapath.fu_input_regs d f.Datapath.f_id in
+      let outs = Datapath.fu_output_regs d f.Datapath.f_id in
+      List.iter
+        (fun i -> List.iter (fun o -> Hft_util.Digraph.add_edge g i o) outs)
+        ins)
+    d.Datapath.fus;
+  Array.iter
+    (fun r ->
+      List.iter
+        (function
+          | Datapath.Sreg src -> Hft_util.Digraph.add_edge g src r.Datapath.r_id
+          | Datapath.Sport _ | Datapath.Sconst _ -> ())
+        (Datapath.reg_sources d r.Datapath.r_id))
+    d.Datapath.regs;
+  g
+
+let test_sgraph_construction_order () =
+  let same label d =
+    let want = reference_sgraph d in
+    let got = (Hft_rtl.Sgraph.of_datapath d).Hft_rtl.Sgraph.graph in
+    let module D = Hft_util.Digraph in
+    check (label ^ " edges") true (D.size got = D.size want);
+    for v = 0 to D.order want - 1 do
+      if D.succ got v <> D.succ want v || D.pred got v <> D.pred want v then
+        Alcotest.failf "%s: register %d's edge lists differ" label v
+    done
+  in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun (flow_name, flow) ->
+          same (name ^ " " ^ flow_name)
+            (Flow.synthesize ~width:4 flow g).Flow.datapath)
+        Flow.flow_kinds)
+    (Bench_suite.all ());
+  let rng = Hft_util.Rng.create 1 in
+  List.iteri
+    (fun i (flow, n) ->
+      let g =
+        Bench_suite.random rng ~n_inputs:(max 1 (n / 8)) ~n_ops:n
+          ~p_feedback:0.1
+      in
+      same (Printf.sprintf "stream%d" i)
+        (Flow.synthesize ~width:4 flow g).Flow.datapath)
+    [ (Flow.Partial_scan, 56); (Flow.Partial_scan, 56); (Flow.Bist, 160);
+      (Flow.Bist, 160); (Flow.Conventional, 1000) ]
+
 let test_table1 () =
   check_int "seven tools" 7 (List.length Tool_survey.table1);
   let s = Tool_survey.render () in
@@ -967,6 +1022,8 @@ let () =
             test_flow_datapaths_still_correct;
           QCheck_alcotest.to_alcotest prop_flows_on_random_cdfgs;
           Alcotest.test_case "synthesis pinned" `Quick test_synthesis_pinned;
+          Alcotest.test_case "S-graph construction order" `Quick
+            test_sgraph_construction_order;
         ] );
       ( "flight_recorder",
         [

@@ -313,6 +313,225 @@ let test_mobility_path_no_worse () =
     (Mobility_path.io_sharable_count g mp
      >= Mobility_path.io_sharable_count g base)
 
+(* ------------------------------------------------------------------ *)
+(* Reference copies                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [List_sched.schedule] and [Reg_alloc.left_edge] as they were when the
+   scheduler re-tested every op for readiness at every step and the
+   spill repair compared every pair of candidates, kept verbatim as
+   oracles. *)
+module Reference = struct
+  let schedule ?latency ?priority ?max_steps g ~resources =
+    let n = Graph.n_ops g in
+    let latency =
+      match latency with Some l -> l | None -> Array.make n 1
+    in
+    let max_steps =
+      match max_steps with
+      | Some m -> m
+      | None -> (Array.fold_left ( + ) 0 latency + 4) * 2
+    in
+    let priority =
+      match priority with
+      | Some p -> p
+      | None ->
+        (* Least mobility first: priority = -(alap - asap). *)
+        let asap = Sched_algos.asap ~latency g in
+        let horizon = asap.Schedule.n_steps in
+        let alap = Sched_algos.alap ~latency g ~n_steps:horizon in
+        Array.map (fun m -> -m) (Sched_algos.mobility ~asap ~alap)
+    in
+    (* Check the resource table covers every class used. *)
+    Array.iter
+      (fun o ->
+        match Op.fu_class (Graph.op g o).Graph.o_kind with
+        | None -> ()
+        | Some cl ->
+          (match List.assoc_opt cl resources with
+           | Some k when k >= 1 -> ()
+           | Some _ | None ->
+             invalid_arg
+               (Printf.sprintf "List_sched: no %s units allocated"
+                  (Op.fu_class_to_string cl))))
+      (Array.init n (fun i -> i));
+    let dg = Graph.op_graph g in
+    let start = Array.make n 0 in
+    let unscheduled = ref n in
+    let step = ref 0 in
+    let candidate_evals = ref 0 in
+    (* busy.(class slot accounting): list of (class, finish_step) *)
+    let busy = ref [] in
+    while !unscheduled > 0 && !step <= max_steps do
+      incr step;
+      let c = !step in
+      busy := List.filter (fun (_, fin) -> fin >= c) !busy;
+      let free cl =
+        let total = match List.assoc_opt cl resources with Some k -> k | None -> 0 in
+        let used = List.length (List.filter (fun (cl', _) -> cl' = cl) !busy) in
+        total - used
+      in
+      let ready o =
+        start.(o) = 0
+        && List.for_all
+             (fun p -> start.(p) > 0 && start.(p) + latency.(p) - 1 < c)
+             (Hft_util.Digraph.pred dg o)
+      in
+      let candidates =
+        List.init n (fun i -> i)
+        |> List.filter ready
+        |> List.sort (fun a b -> compare (-priority.(a), a) (-priority.(b), b))
+      in
+      candidate_evals := !candidate_evals + List.length candidates;
+      List.iter
+        (fun o ->
+          match Op.fu_class (Graph.op g o).Graph.o_kind with
+          | None ->
+            (* moves: free *)
+            start.(o) <- c;
+            decr unscheduled
+          | Some cl ->
+            if free cl > 0 then begin
+              start.(o) <- c;
+              busy := (cl, c + latency.(o) - 1) :: !busy;
+              decr unscheduled
+            end)
+        candidates
+    done;
+    if !unscheduled > 0 then invalid_arg "List_sched: step budget exhausted";
+    if !Hft_obs.Config.enabled then begin
+      Hft_obs.Registry.incr "hft.sched.runs";
+      Hft_obs.Registry.incr "hft.sched.steps" ~by:!step;
+      Hft_obs.Registry.incr "hft.sched.candidate_evals" ~by:!candidate_evals
+    end;
+    let n_steps =
+      Array.fold_left max 1 (Array.mapi (fun o s -> s + latency.(o) - 1) start)
+    in
+    Schedule.make g ~n_steps ~latency start
+
+  let spread_to_members info candidates track_of =
+    let nv = Array.length info.Lifetime.intervals in
+    let reg_of_var = Array.make nv (-1) in
+    List.iter
+      (fun rep ->
+        let track = track_of rep in
+        List.iter
+          (fun v -> reg_of_var.(v) <- track)
+          (Lifetime.class_members info rep))
+      candidates;
+    reg_of_var
+
+  let left_edge g info =
+    let candidates = Lifetime.register_candidates g info in
+    let items =
+      List.map (fun rep -> (rep, Lifetime.class_interval info rep)) candidates
+    in
+    let assign, n = Hft_util.Interval.left_edge items in
+    (* Left-edge ignores the final-boundary write exclusions; patch any
+       violations by spilling one side to a fresh register. *)
+    let track_tbl = Hashtbl.create 16 in
+    List.iter (fun (rep, t) -> Hashtbl.replace track_tbl rep t) assign;
+    let n_regs = ref n in
+    let rec fix reps =
+      match reps with
+      | [] -> ()
+      | rep :: tl ->
+        List.iter
+          (fun rep' ->
+            if Hashtbl.find track_tbl rep = Hashtbl.find track_tbl rep'
+               && Lifetime.conflict info rep rep'
+            then begin
+              Hashtbl.replace track_tbl rep' !n_regs;
+              incr n_regs
+            end)
+          tl;
+        fix tl
+    in
+    fix candidates;
+    if !Hft_obs.Config.enabled then begin
+      Hft_obs.Registry.incr "hft.reg_alloc.runs";
+      Hft_obs.Registry.incr "hft.reg_alloc.candidates"
+        ~by:(List.length candidates);
+      Hft_obs.Registry.incr "hft.reg_alloc.spills" ~by:(!n_regs - n);
+      Hft_obs.Registry.incr "hft.reg_alloc.regs" ~by:!n_regs
+    end;
+    let reg_of_var =
+      spread_to_members info candidates (Hashtbl.find track_tbl)
+    in
+    { Reg_alloc.reg_of_var; n_regs = !n_regs }
+end
+
+(* [f ()] with observability on, against a fresh registry, and the
+   value of counter [name] it leaves. *)
+let counted name f =
+  Hft_obs.isolated @@ fun () ->
+  Hft_obs.with_enabled true @@ fun () ->
+  let r = f () in
+  (r, Hft_obs.Registry.count name)
+
+(* 100 random CDFGs of 8 to 120 ops, each scheduled at multiplier
+   latencies 1 to 3, with 1 or 2 units of each class, under the default
+   priority and under a caller-supplied one with many ties (as
+   [Mobility_path] passes one); then the left-edge allocation of each
+   schedule.  Feedback up to 0.9 makes final-boundary writes, and so
+   spills on several tracks of one allocation, common. *)
+let test_matches_reference () =
+  let rng = Hft_util.Rng.create 26 in
+  let spills = ref 0 and waits = ref 0 in
+  for i = 0 to 99 do
+    let n = 8 + (i * 112 / 99) in
+    let g =
+      Bench_suite.random rng ~n_inputs:(max 1 (n / 8)) ~n_ops:n
+        ~p_feedback:[| 0.0; 0.1; 0.3; 0.6; 0.9 |].(i mod 5)
+    in
+    let tied = Array.init (Graph.n_ops g) (fun _ -> Hft_util.Rng.int rng 4) in
+    for mul_latency = 1 to 3 do
+      let latency = Sched_algos.latencies ~mul_latency g in
+      List.iter
+        (fun k ->
+          let resources = [ (Op.Multiplier, k); (Op.Alu, k) ] in
+          List.iter
+            (fun priority ->
+              let label =
+                Printf.sprintf "draw %d, mul latency %d, %d units, %s" i
+                  mul_latency k
+                  (if priority = None then "default priority" else "tied priority")
+              in
+              let run f =
+                counted "hft.sched.candidate_evals" (fun () ->
+                    f ?latency:(Some latency) ?priority ?max_steps:None g
+                      ~resources)
+              in
+              let want, want_evals = run Reference.schedule in
+              let got, got_evals = run List_sched.schedule in
+              check (label ^ ": starts") true
+                (got.Schedule.start = want.Schedule.start);
+              check_int (label ^ ": steps") want.Schedule.n_steps
+                got.Schedule.n_steps;
+              check_int (label ^ ": candidate evals") want_evals got_evals;
+              if want_evals > Graph.n_ops g then incr waits;
+              let info = Lifetime.compute g want in
+              let want, want_spills =
+                counted "hft.reg_alloc.spills" (fun () ->
+                    Reference.left_edge g info)
+              in
+              let got, got_spills =
+                counted "hft.reg_alloc.spills" (fun () ->
+                    Reg_alloc.left_edge g info)
+              in
+              check (label ^ ": register map") true
+                (got.Reg_alloc.reg_of_var = want.Reg_alloc.reg_of_var);
+              check_int (label ^ ": registers") want.Reg_alloc.n_regs
+                got.Reg_alloc.n_regs;
+              check_int (label ^ ": spills") want_spills got_spills;
+              spills := !spills + want_spills)
+            [ None; Some tied ])
+        [ 1; 2 ]
+    done
+  done;
+  check "some ops waited for a unit" true (!waits > 0);
+  check "some candidates spilled" true (!spills > 0)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "hft_hls"
@@ -359,6 +578,11 @@ let () =
           Alcotest.test_case "multicycle mult" `Quick
             test_datapath_multicycle_mult;
           qt prop_datapath_equivalence;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "scheduler and spill repair" `Quick
+            test_matches_reference;
         ] );
       ( "mobility_path",
         [

@@ -97,6 +97,76 @@ let test_cycles_bounded () =
   check_int "count bound" 1
     (List.length (Digraph.cycles g ~max_len:8 ~max_count:1))
 
+(* [Digraph.cycles] as it was when it re-sorted the current vertex's
+   successors at every search step, kept verbatim as the oracle of the
+   enumerator and its count. *)
+let reference_cycles g ~max_len ~max_count =
+  let found = ref [] in
+  let count = ref 0 in
+  let on_path = Array.make (Digraph.order g) false in
+  let exception Done in
+  let rec extend s path len v =
+    if !count >= max_count then raise Done;
+    List.iter
+      (fun w ->
+        if w = s then begin
+          found := (s :: List.rev path) :: !found;
+          incr count;
+          if !count >= max_count then raise Done
+        end
+        else if w > s && (not on_path.(w)) && len < max_len then begin
+          on_path.(w) <- true;
+          extend s (w :: path) (len + 1) w;
+          on_path.(w) <- false
+        end)
+      (List.sort compare (Digraph.succ g v))
+  in
+  (try
+     for s = 0 to Digraph.order g - 1 do
+       if max_len >= 1 then begin
+         on_path.(s) <- true;
+         extend s [] 1 s;
+         on_path.(s) <- false
+       end
+     done
+   with Done -> ());
+  List.rev !found
+
+(* [cycles] lists what the oracle lists; [count_cycles] counts it, and
+   counts it without self-loops, which still count toward the cap. *)
+let cycles_match_reference g ~max_len ~max_count =
+  let want = reference_cycles g ~max_len ~max_count in
+  Digraph.cycles g ~max_len ~max_count = want
+  && Digraph.count_cycles g ~min_len:1 ~max_len ~max_count = List.length want
+  && Digraph.count_cycles g ~min_len:2 ~max_len ~max_count
+     = List.length (List.filter (fun c -> List.length c > 1) want)
+
+let test_cycles_cap_inside_start () =
+  (* Complete digraph, self-loops included: the search from vertex 0
+     alone closes far more than 5 cycles. *)
+  let n = 6 in
+  let g = Digraph.create n in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      Digraph.add_edge g u v
+    done
+  done;
+  let want = reference_cycles g ~max_len:16 ~max_count:5 in
+  check "cap falls inside start 0" true
+    (List.length want = 5 && List.for_all (fun c -> List.hd c = 0) want);
+  check "same cycles" true (Digraph.cycles g ~max_len:16 ~max_count:5 = want);
+  check_int "count" 5
+    (Digraph.count_cycles g ~min_len:1 ~max_len:16 ~max_count:5);
+  check_int "count without the self-loop" 4
+    (Digraph.count_cycles g ~min_len:2 ~max_len:16 ~max_count:5);
+  check "every bound" true
+    (List.for_all
+       (fun max_len ->
+         List.for_all
+           (fun max_count -> cycles_match_reference g ~max_len ~max_count)
+           [ 0; 1; 5; 4096 ])
+       [ 0; 1; 2; 3; 16 ])
+
 let test_longest_path () =
   let g = Digraph.create 5 in
   Digraph.add_edge g 0 1;
@@ -142,6 +212,48 @@ let prop_transpose_involution =
     (fun g ->
       let g2 = Digraph.transpose (Digraph.transpose g) in
       List.sort compare (Digraph.edges g) = List.sort compare (Digraph.edges g2))
+
+(* Sparse to complete graphs of 1 to 9 vertices, self-loops included. *)
+let gen_dense_graph =
+  QCheck.Gen.(
+    int_range 1 9 >>= fun n ->
+    oneofl [ 0.1; 0.3; 0.6; 1.0 ] >>= fun p ->
+    list_repeat (n * n) (float_bound_exclusive 1.0) >|= fun coins ->
+    let g = Digraph.create n in
+    List.iteri
+      (fun k c -> if c < p then Digraph.add_edge g (k / n) (k mod n))
+      coins;
+    g)
+
+let prop_of_edges_matches_add_edge =
+  QCheck.Test.make ~name:"of_edges = add_edge in order" ~count:200
+    QCheck.(
+      pair (int_range 1 12) (list (pair (int_bound 11) (int_bound 11))))
+    (fun (n, edges) ->
+      let edges = List.map (fun (u, v) -> (u mod n, v mod n)) edges in
+      let g = Digraph.create n in
+      List.iter (fun (u, v) -> Digraph.add_edge g u v) edges;
+      let g' =
+        Digraph.of_edges n (fun add -> List.iter (fun (u, v) -> add u v) edges)
+      in
+      Digraph.size g = Digraph.size g'
+      && List.for_all
+           (fun v ->
+             Digraph.succ g v = Digraph.succ g' v
+             && Digraph.pred g v = Digraph.pred g' v)
+           (List.init n Fun.id))
+
+let prop_cycles_match_reference =
+  QCheck.Test.make ~name:"cycle enumerator and count = reference" ~count:300
+    (QCheck.make ~print:Digraph.to_dot
+       QCheck.Gen.(oneof [ gen_graph; gen_dense_graph ]))
+    (fun g ->
+      List.for_all
+        (fun max_len ->
+          List.for_all
+            (fun max_count -> cycles_match_reference g ~max_len ~max_count)
+            [ 0; 1; 5; 4096 ])
+        [ 0; 1; 2; 3; 16 ])
 
 let prop_cycles_are_cycles =
   QCheck.Test.make ~name:"enumerated cycles are real cycles" ~count:200
@@ -477,11 +589,15 @@ let () =
             test_self_loop_acyclicity;
           Alcotest.test_case "cycle enumeration" `Quick test_cycles_enum;
           Alcotest.test_case "cycle bounds" `Quick test_cycles_bounded;
+          Alcotest.test_case "cycle cap inside one start" `Quick
+            test_cycles_cap_inside_start;
           Alcotest.test_case "longest path" `Quick test_longest_path;
           Alcotest.test_case "bfs" `Quick test_bfs;
           qt prop_scc_condensation_acyclic;
           qt prop_transpose_involution;
           qt prop_cycles_are_cycles;
+          qt prop_cycles_match_reference;
+          qt prop_of_edges_matches_add_edge;
         ] );
       ( "mfvs",
         [
