@@ -20,10 +20,15 @@ open Hft_gate
      mapping) gets an empty requirement set: never violated, never
      counted dead — the guidance degrades to pure ordering for it. *)
 
+(* [a_cone] marks the union of the current faults' fanout cones with
+   the stamp [a_stamp]; each [provide] draws a fresh stamp, so nothing
+   is cleared between calls. *)
 type analyses = {
   a_scoap : Scoap.t;
   a_dom : Dominators.t;
   a_impl : Implications.t;
+  a_cone : int array;
+  mutable a_stamp : int;
 }
 
 (* Engines cycle through one unrolled netlist per frame count, so a
@@ -55,7 +60,8 @@ let analyses_for nl ~observe =
     let a =
       { a_scoap = Scoap.analyze nl;
         a_dom = Dominators.compute nl ~observe;
-        a_impl = Implications.compute nl }
+        a_impl = Implications.compute nl;
+        a_cone = Array.make (Netlist.n_nodes nl) 0; a_stamp = 0 }
     in
     let keep = List.filteri (fun i _ -> i < cache_cap - 1) cached in
     Domain.DLS.set cache ((nl, ver, observe, a) :: keep);
@@ -133,13 +139,11 @@ let analyze_site nl a ~in_ucone f =
 let provide nl ~observe ~faults =
   Hft_obs.Registry.incr "hft.analysis.provides";
   let a = analyses_for nl ~observe in
-  let ucone =
-    Netlist.fanout_cone_union nl (List.map (fun f -> f.Fault.node) faults)
-  in
+  a.a_stamp <- a.a_stamp + 1;
+  let stamp = a.a_stamp and cone = a.a_cone in
+  List.iter (fun f -> Netlist.mark_cone nl cone stamp f.Fault.node) faults;
   let n = Netlist.n_nodes nl in
-  let in_cone = Array.make n false in
-  Array.iter (fun v -> in_cone.(v) <- true) ucone;
-  let in_ucone v = v >= 0 && v < n && in_cone.(v) in
+  let in_ucone v = v >= 0 && v < n && cone.(v) = stamp in
   let sites = List.map (analyze_site nl a ~in_ucone) faults in
   let any_live_or_opaque =
     List.exists (function Dead -> false | _ -> true) sites

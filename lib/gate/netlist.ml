@@ -21,9 +21,12 @@ type t = {
   mutable names : string array;
   mutable n : int;
   mutable fanouts : int list array option; (* cache *)
+  mutable fanout_arrays : int array array option; (* the same, as arrays *)
   mutable order : int list option; (* comb_order cache *)
   mutable topo_pos : int array option; (* node -> position in comb_order *)
   mutable cones : int array option array option; (* fanout_cone cache *)
+  mutable scratch : int array; (* fanout_cone's visit stamps, grown on demand *)
+  mutable scratch_stamp : int;
   mutable version : int; (* bumped by add/set_fanin *)
 }
 
@@ -35,17 +38,21 @@ let create ?(name = "netlist") () =
     names = Array.make 64 "";
     n = 0;
     fanouts = None;
+    fanout_arrays = None;
     order = None;
     topo_pos = None;
     cones = None;
+    scratch = [||];
+    scratch_stamp = 0;
     version = 0;
   }
 
 (* Structural copy for per-domain ATPG workspaces: node ids are array
    positions, so ids, fault sites and observe lists transfer verbatim
-   between a netlist and its copy.  Derived caches are dropped — each
-   domain rebuilds its own — and the version is carried over so
-   version-keyed caches treat copy and original alike. *)
+   between a netlist and its copy.  Derived caches and the cone scratch
+   are dropped — each domain rebuilds its own — and the version is
+   carried over so version-keyed caches treat copy and original
+   alike. *)
 let copy nl =
   {
     cname = nl.cname;
@@ -54,11 +61,23 @@ let copy nl =
     names = Array.copy nl.names;
     n = nl.n;
     fanouts = None;
+    fanout_arrays = None;
     order = None;
     topo_pos = None;
     cones = None;
+    scratch = [||];
+    scratch_stamp = 0;
     version = nl.version;
   }
+
+(* Drops every derived cache after a structural edit. *)
+let invalidate nl =
+  nl.fanouts <- None;
+  nl.fanout_arrays <- None;
+  nl.order <- None;
+  nl.topo_pos <- None;
+  nl.cones <- None;
+  nl.version <- nl.version + 1
 
 let arity = function
   | Pi | Const0 | Const1 -> 0
@@ -100,11 +119,7 @@ let add nl ?(name = "") kind fanins =
   nl.fanins.(id) <- fanins;
   nl.names.(id) <- (if name = "" then Printf.sprintf "n%d" id else name);
   nl.n <- id + 1;
-  nl.fanouts <- None;
-  nl.order <- None;
-  nl.topo_pos <- None;
-  nl.cones <- None;
-  nl.version <- nl.version + 1;
+  invalidate nl;
   id
 
 let n_nodes nl = nl.n
@@ -120,20 +135,28 @@ let raw_fanins nl = nl.fanins
 let node_name nl i = check nl i; nl.names.(i)
 let circuit_name nl = nl.cname
 
+let fanout_lists nl =
+  match nl.fanouts with
+  | Some c -> c
+  | None ->
+    let c = Array.make nl.n [] in
+    for v = nl.n - 1 downto 0 do
+      Array.iter (fun f -> c.(f) <- v :: c.(f)) nl.fanins.(v)
+    done;
+    nl.fanouts <- Some c;
+    c
+
 let fanout nl i =
   check nl i;
-  let cache =
-    match nl.fanouts with
-    | Some c -> c
-    | None ->
-      let c = Array.make nl.n [] in
-      for v = nl.n - 1 downto 0 do
-        Array.iter (fun f -> c.(f) <- v :: c.(f)) nl.fanins.(v)
-      done;
-      nl.fanouts <- Some c;
-      c
-  in
-  cache.(i)
+  (fanout_lists nl).(i)
+
+let fanouts nl =
+  match nl.fanout_arrays with
+  | Some a -> a
+  | None ->
+    let a = Array.map Array.of_list (fanout_lists nl) in
+    nl.fanout_arrays <- Some a;
+    a
 
 let set_fanin nl node pin new_src =
   check nl node;
@@ -145,11 +168,7 @@ let set_fanin nl node pin new_src =
       (Printf.sprintf "pin %d out of range on node %d (arity %d)" pin node
          (Array.length fi));
   fi.(pin) <- new_src;
-  nl.fanouts <- None;
-  nl.order <- None;
-  nl.topo_pos <- None;
-  nl.cones <- None;
-  nl.version <- nl.version + 1
+  invalidate nl
 
 let of_kind nl k =
   let acc = ref [] in
@@ -236,6 +255,28 @@ let topo_pos nl =
     nl.topo_pos <- Some p;
     p
 
+(* Forward closure over combinational edges only: a [Dff] consumer
+   terminates the walk because a single combinational pass never
+   updates its state.  Nodes already stamped are not entered, so roots
+   walked under one stamp visit the union of their cones once. *)
+let walk_cone nl marks stamp root f =
+  check nl root;
+  let fo = fanouts nl and kinds = nl.kinds in
+  let rec visit v =
+    if marks.(v) <> stamp then begin
+      marks.(v) <- stamp;
+      f v;
+      let ws = fo.(v) in
+      for i = 0 to Array.length ws - 1 do
+        let w = ws.(i) in
+        if kinds.(w) <> Dff then visit w
+      done
+    end
+  in
+  visit root
+
+let mark_cone nl marks stamp root = walk_cone nl marks stamp root ignore
+
 let fanout_cone nl root =
   check nl root;
   let cache =
@@ -249,23 +290,13 @@ let fanout_cone nl root =
   match cache.(root) with
   | Some cone -> cone
   | None ->
-    (* Forward closure over combinational edges only: a [Dff] consumer
-       terminates the walk because a single combinational pass never
-       updates its state. *)
     let pos = topo_pos nl in
-    let seen = Array.make nl.n false in
+    if Array.length nl.scratch < nl.n then nl.scratch <- Array.make nl.n 0;
+    nl.scratch_stamp <- nl.scratch_stamp + 1;
     let acc = ref [] and count = ref 0 in
-    let rec visit v =
-      if not seen.(v) then begin
-        seen.(v) <- true;
+    walk_cone nl nl.scratch nl.scratch_stamp root (fun v ->
         acc := v :: !acc;
-        incr count;
-        List.iter
-          (fun w -> if nl.kinds.(w) <> Dff then visit w)
-          (fanout nl v)
-      end
-    in
-    visit root;
+        incr count);
     let cone = Array.make !count root in
     List.iteri (fun i v -> cone.(i) <- v) !acc;
     Array.sort (fun a b -> compare pos.(a) pos.(b)) cone;

@@ -60,6 +60,11 @@ val circuit_name : t -> string
 (** Fanout lists (computed on first use, cached; do not [add] after). *)
 val fanout : t -> int -> int list
 
+(** Every node's {!fanout} as an array, same order (cached like
+    {!fanout}, reset by {!add}, {!set_fanin} and {!copy}).  For hot
+    loops that walk fanouts without allocating — read-only. *)
+val fanouts : t -> int array array
+
 (** [set_fanin nl node pin new_src] rewires one input (used by scan
     insertion and expansion to close forward references); invalidates
     the fanout/order caches. *)
@@ -86,8 +91,18 @@ val topo_pos : t -> int array
     changes — in levelized ({!comb_order}) order, [v] included.  [Dff]
     consumers terminate the walk: one combinational pass never updates
     flip-flop state.  Memoized per node; do not mutate the returned
-    array. *)
+    array.  The memo is built with a visit-stamp array held by the
+    netlist, so like every derived cache here it assumes one netlist
+    per domain ({!copy} gives each domain its own). *)
 val fanout_cone : t -> int -> int array
+
+(** [mark_cone nl marks stamp root] sets [marks.(v) <- stamp] on every
+    node [v] of [root]'s {!fanout_cone}, without entering nodes that
+    already carry [stamp]: marking several roots under one stamp marks
+    the union of their cones, each node once, in time linear in that
+    union.  [marks] needs {!n_nodes} slots; nothing else is allocated.
+    Raises [Invalid_argument] when [root] is not a node. *)
+val mark_cone : t -> int array -> int -> int -> unit
 
 (** Topologically sorted union of the roots' fanout cones (deduplicated;
     freshly allocated, safe to mutate). *)

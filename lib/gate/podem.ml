@@ -45,6 +45,10 @@ let controlling = function
   | Netlist.Mux2 | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1
     -> None
 
+(* Candidate order by (cost, node), lexicographic. *)
+let by_cost ca a cb b =
+  match Int.compare ca cb with 0 -> Int.compare a b | c -> c
+
 let inverts = function
   | Netlist.Not | Netlist.Nand | Netlist.Nor | Netlist.Xnor -> true
   | Netlist.And | Netlist.Or | Netlist.Xor | Netlist.Buf | Netlist.Po
@@ -81,10 +85,10 @@ let flush_effort ?(guided = false) effort result =
    the all-X good-machine fixpoint (every [generate] starts from the
    same empty test cube, so the first implication is a [blit] of it plus
    a fault-cone patch instead of two whole-netlist passes) and every
-   per-node array a search needs, so a call allocates nothing
-   netlist-sized.  Membership marks are stamps drawn from [w_stamp]:
-   nothing is cleared between calls, and a search abandoned by an
-   exception leaves nothing a later stamp can match. *)
+   per-node array a search needs, the test cube included, so a call
+   allocates nothing netlist-sized.  Membership marks are stamps drawn
+   from [w_stamp]: nothing is cleared between calls, and a search
+   abandoned by an exception leaves nothing a later stamp can match. *)
 type workspace = {
   w_nl : Netlist.t;
   w_version : int;
@@ -94,6 +98,9 @@ type workspace = {
   w_heap : Sim.heap;
   w_assignable : int array;
   w_observe : int array;
+  w_cube : int array;  (* source in the test cube: the call's stamp *)
+  w_cube_val : int array;  (* its value, read only while [w_cube] matches *)
+  w_fcone : int array;  (* fault sites and their fanout cone *)
   w_d : int array;  (* D-carrying nodes *)
   w_xseen : int array;
   w_xstack : int array;
@@ -122,7 +129,8 @@ let workspace nl =
     let w =
       { w_nl = nl; w_version = ver; w_base = base; w_gv = Sim.tcreate nl;
         w_fv = Sim.tcreate nl; w_heap = Sim.heap_create nl;
-        w_assignable = marks (); w_observe = marks (); w_d = marks ();
+        w_assignable = marks (); w_observe = marks (); w_cube = marks ();
+        w_cube_val = marks (); w_fcone = marks (); w_d = marks ();
         w_xseen = marks (); w_xstack = marks (); w_pseen = marks ();
         w_dead = Array.make (2 * n) 0; w_stamp = 0 }
     in
@@ -160,9 +168,14 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
   in
   let ws = workspace nl in
   let call = fresh ws in
-  let pi_val = Hashtbl.create 16 in
+  let kinds = Netlist.raw_kinds nl and fanins = Netlist.raw_fanins nl in
+  let fanouts = Netlist.fanouts nl in
   List.iter (fun p -> ws.w_assignable.(p) <- call) assignable;
   let is_assignable p = ws.w_assignable.(p) = call in
+  (* The test cube: a source is assigned when its [cube] slot holds
+     this call's stamp. *)
+  let cube = ws.w_cube and cube_val = ws.w_cube_val in
+  let assigned p = cube.(p) = call in
   let gv = ws.w_gv and fv = ws.w_fv in
   let dirty = ref [] in
   let initialized = ref false in
@@ -190,11 +203,12 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       d_list := !newd @ List.filter is_d !d_list
   in
   let set_pi p v =
-    Hashtbl.replace pi_val p v;
+    cube.(p) <- call;
+    cube_val.(p) <- v;
     dirty := p :: !dirty
   in
   let unset_pi p =
-    Hashtbl.remove pi_val p;
+    cube.(p) <- 0;
     dirty := p :: !dirty
   in
   (* Mandatory assignments: literals every detecting test must satisfy
@@ -202,15 +216,52 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
      They are seeded outside the decision stack, so exhausting the
      remaining decisions still proves untestability — no detecting test
      violates a mandatory literal. *)
+  let seeded = ref [] in
   (match guidance with
    | None -> ()
    | Some g ->
      Array.iter
        (fun (w, v) ->
-         if w >= 0 && w < n && is_assignable w
-            && not (Hashtbl.mem pi_val w)
-         then set_pi w v)
+         if w >= 0 && w < n && is_assignable w && not (assigned w) then begin
+           set_pi w v;
+           seeded := w :: !seeded
+         end)
        g.g_common_required);
+  (* The first implication touches the seeded sources in the order a
+     16-bucket [Hashtbl] holding them iterates in.  The order is part
+     of the search: it reaches [d_list] (a stem-faulted source carries
+     a D) and through it the order of [propagation_fallbacks], so the
+     pinned efforts and tests depend on it.  A lone literal needs no
+     table. *)
+  let seeded_in_order () =
+    match !seeded with
+    | [] | [ _ ] -> !seeded
+    | several ->
+      let h = Hashtbl.create 16 and order = ref [] in
+      List.iter (fun p -> Hashtbl.replace h p ()) (List.rev several);
+      Hashtbl.iter (fun p () -> order := p :: !order) h;
+      List.rev !order
+  in
+  (* The faulty machine differs from the good one only inside the fault
+     sites' combinational fanout cone: a non-[Dff] node outside it has
+     every fanin outside it, and every source starts with equal good
+     and faulty values.  So the sites evaluate with fault probes, the
+     rest of the cone with the fault-free evaluator, and every other
+     node copies its good value.  A site that is not a node is left to
+     fail where the search first reads it. *)
+  let fcone = ws.w_fcone in
+  let in_cone = fresh ws in
+  List.iter
+    (fun f ->
+      let v = f.Fault.node in
+      if v >= 0 && v < n then Netlist.mark_cone nl fcone in_cone v)
+    faults;
+  let site = fresh ws in
+  List.iter
+    (fun f ->
+      let v = f.Fault.node in
+      if v >= 0 && v < n then fcone.(v) <- site)
+    faults;
   (* Event-driven implication over a topo-ordered heap.  The
      combinational fixpoint is a pure function of the sources, so after
      a decision or backtrack only nodes downstream of an actual value
@@ -219,16 +270,23 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
      after its fanins settled), and an evaluation that reproduces the
      old value stops the wavefront.  Reproduces a full pass bit for
      bit. *)
-  let geval = Sim.teval_fn nl in
   let feval = Sim.teval_fn ~faults nl in
   let heap = ws.w_heap in
-  let propagate_from v = List.iter (Sim.heap_push heap) (Netlist.fanout nl v) in
+  let propagate_from v =
+    let out = fanouts.(v) in
+    for i = 0 to Array.length out - 1 do
+      Sim.heap_push heap out.(i)
+    done
+  in
   let drain () =
     while not (Sim.heap_is_empty heap) do
       let v = Sim.heap_pop heap in
       let og = gv.(v) and ofv = fv.(v) in
-      geval gv v;
-      feval fv v;
+      Sim.teval_node kinds fanins gv v;
+      let m = fcone.(v) in
+      if m = in_cone then Sim.teval_node kinds fanins fv v
+      else if m = site then feval fv v
+      else fv.(v) <- gv.(v);
       if gv.(v) <> og || fv.(v) <> ofv then begin
         changed := v :: !changed;
         propagate_from v
@@ -240,7 +298,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
     gv.(p) <- v;
     fv.(p) <- v;
     (* A stem fault on a source keeps it forced. *)
-    feval fv p;
+    if fcone.(p) = site then feval fv p;
     if gv.(p) <> og || fv.(p) <> ofv then begin
       changed := p :: !changed;
       propagate_from p
@@ -255,9 +313,8 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       Array.blit ws.w_base 0 fv 0 n;
       changed := [];
       Sim.heap_reset heap;
-      (* The cube is empty on the first implication in the current
-         search order, but stay general. *)
-      Hashtbl.iter (fun p v -> touch_source p v) pi_val;
+      (* The cube holds only the seeded literals here. *)
+      List.iter (fun p -> touch_source p cube_val.(p)) (seeded_in_order ());
       (* Patch the faulty machine at the injection sites; the wavefront
          carries the difference forward. *)
       List.iter
@@ -274,18 +331,14 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       update_d ()
     end
     else
-      match List.sort_uniq compare !dirty with
+      match List.sort_uniq Int.compare !dirty with
       | [] -> ()
       | ds ->
         dirty := [];
         changed := [];
         Sim.heap_reset heap;
         List.iter
-          (fun p ->
-            let v =
-              match Hashtbl.find_opt pi_val p with Some v -> v | None -> x
-            in
-            touch_source p v)
+          (fun p -> touch_source p (if assigned p then cube_val.(p) else x))
           ds;
         drain ();
         update_d ()
@@ -344,10 +397,13 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       decr top;
       let v = xstack.(!top) in
       if observed v then reach := true
-      else
-        List.iter
-          (fun w -> if xseen.(w) <> s && not (blocked w) then push w)
-          (Netlist.fanout nl v)
+      else begin
+        let out = fanouts.(v) in
+        for i = 0 to Array.length out - 1 do
+          let w = out.(i) in
+          if xseen.(w) <> s && not (blocked w) then push w
+        done
+      end
     done;
     !reach
   in
@@ -373,7 +429,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       (* Cheapest-to-justify site first (SCOAP CC): the search commits
          its budget to the easy activations before the hopeless ones. *)
       List.stable_sort
-        (fun (a, wa) (b, wb) -> compare (gcost a wa, a) (gcost b wb, b))
+        (fun (a, wa) (b, wb) -> by_cost (gcost a wa) a (gcost b wb) b)
         objs
   in
   let activated () =
@@ -413,7 +469,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
     let consider v =
       if pseen.(v) <> s then begin
         pseen.(v) <- s;
-        match Netlist.kind nl v with
+        match kinds.(v) with
         | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1 -> ()
         | k ->
           if gv.(v) = x || fv.(v) = x then begin
@@ -423,7 +479,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
             let v_obj =
               match controlling k with Some c -> 1 - c | None -> 1
             in
-            let inputs = Netlist.fanin nl v in
+            let inputs = fanins.(v) in
             let pick =
               match guidance with
               | None ->
@@ -447,20 +503,20 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
           end
       end
     in
-    List.iter (fun d -> List.iter consider (Netlist.fanout nl d)) !d_list;
+    List.iter (fun d -> Array.iter consider fanouts.(d)) !d_list;
     List.iter
       (fun f ->
         if f.Fault.pin <> None && pin_fault_active f.Fault.node then
           consider f.Fault.node)
       faults;
     (match guidance with
-     | None -> List.sort (fun (a, _) (b, _) -> compare a b) !acc
+     | None -> List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
      | Some g ->
        (* Best-observability frontier gate first (SCOAP CO): drive the
           difference down the path most likely to reach an observe
           node. *)
        List.sort
-         (fun (a, _) (b, _) -> compare (g.g_co.(a), a) (g.g_co.(b), b))
+         (fun (a, _) (b, _) -> by_cost g.g_co.(a) a g.g_co.(b) b)
          !acc)
     |> List.map snd
   in
@@ -479,7 +535,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
     let consider v =
       if pseen.(v) <> s then begin
         pseen.(v) <- s;
-        match Netlist.kind nl v with
+        match kinds.(v) with
         | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1 -> ()
         | k ->
           if gv.(v) = x || fv.(v) = x then
@@ -491,10 +547,10 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
                   | None ->
                     acc := (i, 1) :: !acc;
                     acc := (i, 0) :: !acc)
-              (Netlist.fanin nl v)
+              fanins.(v)
       end
     in
-    List.iter (fun d -> List.iter consider (Netlist.fanout nl d)) !d_list;
+    List.iter (fun d -> Array.iter consider fanouts.(d)) !d_list;
     List.iter
       (fun f ->
         if f.Fault.pin <> None && pin_fault_active f.Fault.node then
@@ -526,12 +582,12 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
     dead.(slot) <> !epoch
     &&
     let found =
-      match Netlist.kind nl node with
+      match kinds.(node) with
       | Netlist.Pi | Netlist.Dff ->
         (* DFFs appear here under the scan view, where flip-flop state
            is a free (pseudo-primary-input) decision. *)
         is_assignable node
-        && (not (Hashtbl.mem pi_val node))
+        && (not (assigned node))
         && begin
           bt_pi := node;
           bt_val := want;
@@ -539,7 +595,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
         end
       | Netlist.Const0 | Netlist.Const1 -> false
       | k ->
-        let fi = Netlist.fanin nl node in
+        let fi = fanins.(node) in
         let want = if inverts k then 1 - want else want in
         if Array.length fi = 1 then try_pin fi 0 want
         else
@@ -635,9 +691,12 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
   let outcome =
     match !result with
     | Some `Found ->
+      (* Every cube member is assignable: seeding and backtrace check. *)
       let assignment =
-        Hashtbl.fold (fun p v acc -> (p, v = 1) :: acc) pi_val []
-        |> List.sort compare
+        List.filter_map
+          (fun p -> if assigned p then Some (p, cube_val.(p) = 1) else None)
+          assignable
+        |> List.sort_uniq compare
       in
       Test assignment
     | Some `Untestable -> Untestable

@@ -165,7 +165,7 @@ let teval_read tab (st : tstate) (fi : int array) pin v =
   | Some f -> if f.Fault.stuck then 1 else 0
   | None -> Array.unsafe_get st (Array.unsafe_get fi pin)
 
-let teval_node_nofault kinds fanins (st : tstate) v =
+let teval_node kinds fanins (st : tstate) v =
   match Array.unsafe_get kinds v with
   | Netlist.Pi | Netlist.Dff -> ()
   | Netlist.Const0 -> Array.unsafe_set st v 0
@@ -236,14 +236,14 @@ let teval ?(faults = []) nl st =
   let order = Netlist.comb_order nl in
   match tab with
   | Ft_list [] ->
-    List.iter (fun v -> teval_node_nofault kinds fanins st v) order
+    List.iter (fun v -> teval_node kinds fanins st v) order
   | _ -> List.iter (fun v -> teval_node_faulty tab kinds fanins st v) order
 
 let teval_fn ?(faults = []) nl =
   let tab = fault_tab faults in
   let kinds = Netlist.raw_kinds nl and fanins = Netlist.raw_fanins nl in
   match tab with
-  | Ft_list [] -> fun st v -> teval_node_nofault kinds fanins st v
+  | Ft_list [] -> fun st v -> teval_node kinds fanins st v
   | _ -> fun st v -> teval_node_faulty tab kinds fanins st v
 
 (* Binary min-heap of node ids keyed by topological position.  Each

@@ -42,6 +42,11 @@ val teval : ?faults:Fault.t list -> Netlist.t -> tstate -> unit
     node it only applies stem forcing (the caller owns source values). *)
 val teval_fn : ?faults:Fault.t list -> Netlist.t -> tstate -> int -> unit
 
+(** [teval_node kinds fanins st v] is the fault-free single-node
+    evaluator of {!teval_fn}, called directly on the netlist's
+    {!Netlist.raw_kinds} and {!Netlist.raw_fanins}. *)
+val teval_node : Netlist.kind array -> int array array -> tstate -> int -> unit
+
 (** {1 Event-driven work queue}
 
     The wavefront heap shared by PODEM's implication and the drop

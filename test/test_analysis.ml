@@ -447,6 +447,1037 @@ let test_guidance_cache () =
   Guidance.reset_cache ()
 
 (* ------------------------------------------------------------------ *)
+(* The parent search, kept as the oracle of PODEM's fast paths          *)
+(* ------------------------------------------------------------------ *)
+
+(* A verbatim copy of [Podem.generate] before its search state moved
+   into flat workspace arrays (hashed test cube, a faulty machine probed
+   at every node, fanout lists, netlist-sized cone arrays), with its own
+   workspace.  Only telemetry is left out, plus three counters that
+   show the draws reach the paths the rewrite had to keep in order. *)
+module Parent_podem = struct
+  open Podem
+
+  let x = 2
+  let reached_seeded = ref 0  (* guidance seeded two or more literals *)
+  let reached_fallbacks = ref 0  (* [propagation_fallbacks] ran *)
+  let reached_pi_stem = ref 0  (* a stem fault sits on a primary input *)
+
+  (* Controlling value of a gate kind, if any, and output inversion. *)
+  let controlling = function
+    | Netlist.And | Netlist.Nand -> Some 0
+    | Netlist.Or | Netlist.Nor -> Some 1
+    | Netlist.Not | Netlist.Buf | Netlist.Po | Netlist.Xor | Netlist.Xnor
+    | Netlist.Mux2 | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1
+      -> None
+
+  let inverts = function
+    | Netlist.Not | Netlist.Nand | Netlist.Nor | Netlist.Xnor -> true
+    | Netlist.And | Netlist.Or | Netlist.Xor | Netlist.Buf | Netlist.Po
+    | Netlist.Mux2 | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1
+      -> false
+
+  (* Search workspace, one per netlist (physical equality +
+     {!Netlist.version}, so structural edits between calls invalidate it)
+     and domain, so parallel ATPG shards never share (or race on) one —
+     each worker warms its own for its own workspace netlist.  It holds
+     the all-X good-machine fixpoint (every [generate] starts from the
+     same empty test cube, so the first implication is a [blit] of it plus
+     a fault-cone patch instead of two whole-netlist passes) and every
+     per-node array a search needs, so a call allocates nothing
+     netlist-sized.  Membership marks are stamps drawn from [w_stamp]:
+     nothing is cleared between calls, and a search abandoned by an
+     exception leaves nothing a later stamp can match. *)
+  type workspace = {
+    w_nl : Netlist.t;
+    w_version : int;
+    w_base : Sim.tstate;
+    w_gv : Sim.tstate;
+    w_fv : Sim.tstate;
+    w_heap : Sim.heap;
+    w_assignable : int array;
+    w_observe : int array;
+    w_d : int array;  (* D-carrying nodes *)
+    w_xseen : int array;
+    w_xstack : int array;
+    w_pseen : int array;  (* D-frontier dedup *)
+    w_dead : int array;  (* backtrace failures, slot [2*node + want] *)
+    mutable w_stamp : int;
+  }
+
+  let fresh ws =
+    ws.w_stamp <- ws.w_stamp + 1;
+    ws.w_stamp
+
+  let workspaces : workspace list Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> [])
+
+  let workspace nl =
+    let ver = Netlist.version nl in
+    let cached = Domain.DLS.get workspaces in
+    match List.find_opt (fun w -> w.w_nl == nl && w.w_version = ver) cached with
+    | Some w -> w
+    | None ->
+      let n = Netlist.n_nodes nl in
+      let base = Sim.tcreate nl in
+      Sim.teval nl base;
+      let marks () = Array.make n 0 in
+      let w =
+        { w_nl = nl; w_version = ver; w_base = base; w_gv = Sim.tcreate nl;
+          w_fv = Sim.tcreate nl; w_heap = Sim.heap_create nl;
+          w_assignable = marks (); w_observe = marks (); w_d = marks ();
+          w_xseen = marks (); w_xstack = marks (); w_pseen = marks ();
+          w_dead = Array.make (2 * n) 0; w_stamp = 0 }
+      in
+      let keep =
+        List.filter (fun w -> w.w_nl != nl) cached
+        |> List.filteri (fun i _ -> i < 3)
+      in
+      Domain.DLS.set workspaces (w :: keep);
+      w
+
+  let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
+      ~assignable ~observe =
+    let n = Netlist.n_nodes nl in
+    let effort =
+      { decisions = 0; backtracks = 0; implications = 0; guided_cuts = 0;
+        static_proof = false }
+    in
+    match guidance with
+    | Some g when g.g_static_untestable ->
+      (* The analysis proved no source assignment can both activate the
+         fault and propagate its effect to an observe node — Untestable
+         without touching the search state. *)
+      effort.static_proof <- true;
+      (Untestable, effort)
+    | _ ->
+    let gcost v want =
+      match guidance with
+      | Some g -> if want = 1 then g.g_cc1.(v) else g.g_cc0.(v)
+      | None -> 0
+    in
+    if
+      List.exists
+        (fun f -> f.Fault.pin = None && Netlist.kind nl f.Fault.node = Netlist.Pi)
+        faults
+    then incr reached_pi_stem;
+    let ws = workspace nl in
+    let call = fresh ws in
+    let pi_val = Hashtbl.create 16 in
+    List.iter (fun p -> ws.w_assignable.(p) <- call) assignable;
+    let is_assignable p = ws.w_assignable.(p) = call in
+    let gv = ws.w_gv and fv = ws.w_fv in
+    let dirty = ref [] in
+    let initialized = ref false in
+    (* The set of D-carrying nodes (good and faulty machines both concrete
+       and different) is maintained incrementally from the implication
+       wavefront: has_d can only flip at nodes whose gv or fv changed, so
+       the per-iteration D consumers — detection, X-path seeding, the
+       D-frontier — cost O(|D|) instead of a cone scan. *)
+    let is_d v = ws.w_d.(v) = call in
+    let d_list = ref [] in
+    let changed = ref [] in
+    let has_d v = gv.(v) <> x && fv.(v) <> x && gv.(v) <> fv.(v) in
+    let update_d () =
+      match !changed with
+      | [] -> ()
+      | ch ->
+        changed := [];
+        let newd = ref [] in
+        List.iter
+          (fun v ->
+            let nd = has_d v in
+            if nd && not (is_d v) then newd := v :: !newd;
+            ws.w_d.(v) <- (if nd then call else 0))
+          ch;
+        d_list := !newd @ List.filter is_d !d_list
+    in
+    let set_pi p v =
+      Hashtbl.replace pi_val p v;
+      dirty := p :: !dirty
+    in
+    let unset_pi p =
+      Hashtbl.remove pi_val p;
+      dirty := p :: !dirty
+    in
+    (* Mandatory assignments: literals every detecting test must satisfy
+       (dominator side inputs at non-controlling values, SOCRATES style).
+       They are seeded outside the decision stack, so exhausting the
+       remaining decisions still proves untestability — no detecting test
+       violates a mandatory literal. *)
+    (match guidance with
+     | None -> ()
+     | Some g ->
+       Array.iter
+         (fun (w, v) ->
+           if w >= 0 && w < n && is_assignable w
+              && not (Hashtbl.mem pi_val w)
+           then set_pi w v)
+         g.g_common_required);
+    if Hashtbl.length pi_val >= 2 then incr reached_seeded;
+    (* Event-driven implication over a topo-ordered heap.  The
+       combinational fixpoint is a pure function of the sources, so after
+       a decision or backtrack only nodes downstream of an actual value
+       change need re-evaluation: each changed node pushes its consumers,
+       the heap pops in topological order (so a node is evaluated once,
+       after its fanins settled), and an evaluation that reproduces the
+       old value stops the wavefront.  Reproduces a full pass bit for
+       bit. *)
+    let geval = Sim.teval_fn nl in
+    let feval = Sim.teval_fn ~faults nl in
+    let heap = ws.w_heap in
+    let propagate_from v = List.iter (Sim.heap_push heap) (Netlist.fanout nl v) in
+    let drain () =
+      while not (Sim.heap_is_empty heap) do
+        let v = Sim.heap_pop heap in
+        let og = gv.(v) and ofv = fv.(v) in
+        geval gv v;
+        feval fv v;
+        if gv.(v) <> og || fv.(v) <> ofv then begin
+          changed := v :: !changed;
+          propagate_from v
+        end
+      done
+    in
+    let touch_source p v =
+      let og = gv.(p) and ofv = fv.(p) in
+      gv.(p) <- v;
+      fv.(p) <- v;
+      (* A stem fault on a source keeps it forced. *)
+      feval fv p;
+      if gv.(p) <> og || fv.(p) <> ofv then begin
+        changed := p :: !changed;
+        propagate_from p
+      end
+    in
+    let imply () =
+      effort.implications <- effort.implications + 1;
+      if not !initialized then begin
+        initialized := true;
+        dirty := [];
+        Array.blit ws.w_base 0 gv 0 n;
+        Array.blit ws.w_base 0 fv 0 n;
+        changed := [];
+        Sim.heap_reset heap;
+        (* The cube is empty on the first implication in the current
+           search order, but stay general. *)
+        Hashtbl.iter (fun p v -> touch_source p v) pi_val;
+        (* Patch the faulty machine at the injection sites; the wavefront
+           carries the difference forward. *)
+        List.iter
+          (fun f ->
+            let v = f.Fault.node in
+            let ofv = fv.(v) in
+            feval fv v;
+            if fv.(v) <> ofv then begin
+              changed := v :: !changed;
+              propagate_from v
+            end)
+          faults;
+        drain ();
+        update_d ()
+      end
+      else
+        match List.sort_uniq compare !dirty with
+        | [] -> ()
+        | ds ->
+          dirty := [];
+          changed := [];
+          Sim.heap_reset heap;
+          List.iter
+            (fun p ->
+              let v =
+                match Hashtbl.find_opt pi_val p with Some v -> v | None -> x
+              in
+              touch_source p v)
+            ds;
+          drain ();
+          update_d ()
+    in
+    List.iter (fun o -> ws.w_observe.(o) <- call) observe;
+    let observed v = ws.w_observe.(v) = call in
+    let detected () = List.exists observed !d_list in
+    (* Guided cut: a concrete good-machine value contradicting a
+       mandatory literal — or, for multi-site faults, contradicting every
+       site's activation closure — means no completion of the current
+       cube detects the fault, so the branch can be pruned without
+       waiting for the D-frontier to die.  Sound: the closures only hold
+       literals true in every detecting completion (per site), so the cut
+       never removes a test. *)
+    let guided_conflict () =
+      match guidance with
+      | None -> false
+      | Some g ->
+        let violated (w, v) = w >= 0 && w < n && gv.(w) <> x && gv.(w) <> v in
+        Array.exists violated g.g_common_required
+        || (Array.length g.g_site_required > 0
+            && Array.for_all
+                 (fun site -> Array.exists violated site)
+                 g.g_site_required)
+    in
+    (* X-path: from any D-carrying node, can a difference still reach an
+       observe node through not-yet-blocked nodes?  Pure reachability, so
+       visit order is irrelevant and the first observe hit ends the walk. *)
+    let xseen = ws.w_xseen and xstack = ws.w_xstack in
+    let xpath_ok () =
+      let blocked v = gv.(v) <> x && fv.(v) <> x && gv.(v) = fv.(v) in
+      let s = fresh ws in
+      let top = ref 0 in
+      let push v =
+        xseen.(v) <- s;
+        xstack.(!top) <- v;
+        incr top
+      in
+      List.iter (fun v -> if xseen.(v) <> s then push v) !d_list;
+      (* Activated pin faults originate their difference at the consumer
+         gate even before any node carries a D. *)
+      List.iter
+        (fun f ->
+          match f.Fault.pin with
+          | Some p ->
+            let drv = (Netlist.fanin nl f.Fault.node).(p) in
+            if gv.(drv) <> x
+               && gv.(drv) <> (if f.Fault.stuck then 1 else 0)
+               && xseen.(f.Fault.node) <> s
+               && not (blocked f.Fault.node)
+            then push f.Fault.node
+          | None -> ())
+        faults;
+      let reach = ref false in
+      while (not !reach) && !top > 0 do
+        decr top;
+        let v = xstack.(!top) in
+        if observed v then reach := true
+        else
+          List.iter
+            (fun w -> if xseen.(w) <> s && not (blocked w) then push w)
+            (Netlist.fanout nl v)
+      done;
+      !reach
+    in
+    (* Activation objectives: one per fault site whose good value is
+       still X (several sites exist when a fault is replicated across
+       time frames — any of them may be the one that can be justified). *)
+    let activation_objectives () =
+      let objs =
+        List.filter_map
+          (fun f ->
+            let want = if f.Fault.stuck then 0 else 1 in
+            let site_node =
+              match f.Fault.pin with
+              | None -> f.Fault.node
+              | Some p -> (Netlist.fanin nl f.Fault.node).(p)
+            in
+            if gv.(site_node) = x then Some (site_node, want) else None)
+          faults
+      in
+      match guidance with
+      | None -> objs
+      | Some _ ->
+        (* Cheapest-to-justify site first (SCOAP CC): the search commits
+           its budget to the easy activations before the hopeless ones. *)
+        List.stable_sort
+          (fun (a, wa) (b, wb) -> compare (gcost a wa, a) (gcost b wb, b))
+          objs
+    in
+    let activated () =
+      List.exists
+        (fun f ->
+          let want = if f.Fault.stuck then 0 else 1 in
+          let site_good =
+            match f.Fault.pin with
+            | None -> gv.(f.Fault.node)
+            | Some p -> gv.((Netlist.fanin nl f.Fault.node).(p))
+          in
+          site_good = want)
+        faults
+    in
+    (* D-frontier objectives: gates with a D input (or an activated pin
+       fault) and an undetermined output. *)
+    let pin_fault_active v =
+      List.exists
+        (fun f ->
+          match f.Fault.pin with
+          | Some p ->
+            f.Fault.node = v
+            &&
+            let drv = (Netlist.fanin nl v).(p) in
+            gv.(drv) <> x && gv.(drv) <> (if f.Fault.stuck then 1 else 0)
+          | None -> false)
+        faults
+    in
+    let pseen = ws.w_pseen in
+    let propagation_objectives () =
+      (* Frontier gates either consume a D node or host an activated pin
+         fault, so enumerating D consumers beats any scan.  The stamp
+         array dedups gates fed by several D inputs; the sort keeps the
+         historical ascending-node-id candidate order. *)
+      let s = fresh ws in
+      let acc = ref [] in
+      let consider v =
+        if pseen.(v) <> s then begin
+          pseen.(v) <- s;
+          match Netlist.kind nl v with
+          | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1 -> ()
+          | k ->
+            if gv.(v) = x || fv.(v) = x then begin
+              (* Set an X input to the non-controlling value (or, for
+                 kinds without one, a heuristic value — implication sorts
+                 it out). *)
+              let v_obj =
+                match controlling k with Some c -> 1 - c | None -> 1
+              in
+              let inputs = Netlist.fanin nl v in
+              let pick =
+                match guidance with
+                | None ->
+                  Array.to_list inputs
+                  |> List.find_opt (fun i -> gv.(i) = x || fv.(i) = x)
+                | Some _ ->
+                  (* Cheapest X side input first: justifying the
+                     non-controlling value there costs the least. *)
+                  Array.fold_left
+                    (fun best i ->
+                      if gv.(i) = x || fv.(i) = x then
+                        match best with
+                        | Some j when gcost j v_obj <= gcost i v_obj -> best
+                        | _ -> Some i
+                      else best)
+                    None inputs
+              in
+              match pick with
+              | Some i -> acc := (v, (i, v_obj)) :: !acc
+              | None -> ()
+            end
+        end
+      in
+      List.iter (fun d -> List.iter consider (Netlist.fanout nl d)) !d_list;
+      List.iter
+        (fun f ->
+          if f.Fault.pin <> None && pin_fault_active f.Fault.node then
+            consider f.Fault.node)
+        faults;
+      (match guidance with
+       | None -> List.sort (fun (a, _) (b, _) -> compare a b) !acc
+       | Some g ->
+         (* Best-observability frontier gate first (SCOAP CO): drive the
+            difference down the path most likely to reach an observe
+            node. *)
+         List.sort
+           (fun (a, _) (b, _) -> compare (g.g_co.(a), a) (g.g_co.(b), b))
+           !acc)
+      |> List.map snd
+    in
+    (* Completeness fallback for the frontier: the primary objective list
+       offers one X input per frontier gate (and one heuristic polarity
+       for kinds without a controlling value).  When every primary
+       candidate fails to backtrace, the cube is not necessarily dead —
+       another X input of the same gate may reach a free PI, and an
+       XOR/MUX side input may propagate at the other polarity.  These
+       fallbacks are only consulted after the primary list fails, so a
+       search that never hits the old premature dead end is bit-identical
+       to the historical one. *)
+    let propagation_fallbacks () =
+      incr reached_fallbacks;
+      let s = fresh ws in
+      let acc = ref [] in
+      let consider v =
+        if pseen.(v) <> s then begin
+          pseen.(v) <- s;
+          match Netlist.kind nl v with
+          | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1 -> ()
+          | k ->
+            if gv.(v) = x || fv.(v) = x then
+              Array.iter
+                (fun i ->
+                  if gv.(i) = x || fv.(i) = x then
+                    match controlling k with
+                    | Some c -> acc := (i, 1 - c) :: !acc
+                    | None ->
+                      acc := (i, 1) :: !acc;
+                      acc := (i, 0) :: !acc)
+                (Netlist.fanin nl v)
+        end
+      in
+      List.iter (fun d -> List.iter consider (Netlist.fanout nl d)) !d_list;
+      List.iter
+        (fun f ->
+          if f.Fault.pin <> None && pin_fault_active f.Fault.node then
+            consider f.Fault.node)
+        faults;
+      List.rev !acc
+    in
+    (* Backtrace an objective to a free assignable PI: walk X fanins,
+       flipping the wanted value at inversions.  Under guidance the fanins
+       are tried easiest-to-set first (SCOAP CC for the wanted value, a
+       stable sort, so ties keep pin order); unguided every cost is 0 and
+       the order is the historical pin order.  The PI and its value come
+       back in [bt_pi]/[bt_val].
+
+       Failed (node, want) pairs are memoised in the workspace under an
+       epoch that every backtrack renews.  Between backtracks the cube
+       only grows — good values only refine from X and free PIs only
+       disappear — so a pair that reached no free PI still reaches none;
+       a backtrack unsets or flips a PI, so its failures are forgotten.
+       Only failures are memoised and the order is unchanged, so every
+       call returns what a memo-free walk would.  Without the memo the
+       search is exponential on reconvergent all-X regions (multiplier
+       arrays across several time frames). *)
+    let dead = ws.w_dead in
+    let epoch = ref (fresh ws) in
+    let bt_pi = ref 0 and bt_val = ref 0 in
+    let rec backtrace node want =
+      let slot = (2 * node) + want in
+      dead.(slot) <> !epoch
+      &&
+      let found =
+        match Netlist.kind nl node with
+        | Netlist.Pi | Netlist.Dff ->
+          (* DFFs appear here under the scan view, where flip-flop state
+             is a free (pseudo-primary-input) decision. *)
+          is_assignable node
+          && (not (Hashtbl.mem pi_val node))
+          && begin
+            bt_pi := node;
+            bt_val := want;
+            true
+          end
+        | Netlist.Const0 | Netlist.Const1 -> false
+        | k ->
+          let fi = Netlist.fanin nl node in
+          let want = if inverts k then 1 - want else want in
+          if Array.length fi = 1 then try_pin fi 0 want
+          else
+            let lo, hi =
+              if gcost fi.(1) want < gcost fi.(0) want then (1, 0) else (0, 1)
+            in
+            if Array.length fi = 2 then
+              try_pin fi lo want || try_pin fi hi want
+            else
+              (* Mux2: insert the third pin into the sorted pair. *)
+              let c2 = gcost fi.(2) want in
+              if c2 < gcost fi.(lo) want then
+                try_pin fi 2 want || try_pin fi lo want || try_pin fi hi want
+              else if c2 < gcost fi.(hi) want then
+                try_pin fi lo want || try_pin fi 2 want || try_pin fi hi want
+              else try_pin fi lo want || try_pin fi hi want || try_pin fi 2 want
+      in
+      if not found then dead.(slot) <- !epoch;
+      found
+    and try_pin fi i want = gv.(fi.(i)) = x && backtrace fi.(i) want in
+    (* Decision stack: (pi, value, tried_both). *)
+    let stack = ref [] in
+    let rec backtrack () =
+      effort.backtracks <- effort.backtracks + 1;
+      epoch := fresh ws;
+      match !stack with
+      | [] -> `Exhausted
+      | (pi, _, true) :: tl ->
+        unset_pi pi;
+        stack := tl;
+        backtrack ()
+      | (pi, v, false) :: tl ->
+        set_pi pi (1 - v);
+        stack := (pi, 1 - v, true) :: tl;
+        `Continue
+    in
+    let result = ref None in
+    (try
+       while !result = None do
+         (* Cooperative deadline hook: one call per search iteration; may
+            raise to abandon the attempt (the supervisor catches it). *)
+         (match check with Some c -> c () | None -> ());
+         imply ();
+         if detected () then result := Some (`Found)
+         else if effort.backtracks > backtrack_limit then result := Some `Aborted
+         else if guided_conflict () then begin
+           effort.guided_cuts <- effort.guided_cuts + 1;
+           match backtrack () with
+           | `Exhausted -> result := Some `Untestable
+           | `Continue -> ()
+         end
+         else begin
+           let objectives =
+             if not (activated ()) then activation_objectives ()
+             else
+               (* For multi-site faults (one fault replicated across time
+                  frames) activation at one site must not stop the search
+                  from activating another: the detecting test may need a
+                  different site's effect.  So the X-path check only
+                  gates propagation, and the remaining activation
+                  objectives always stay live.  Single-site behaviour is
+                  unchanged: an activated lone site has a concrete good
+                  value, so [acts] is empty and this reduces to the
+                  classic activate / x-path / propagate ladder. *)
+               let acts = activation_objectives () in
+               if xpath_ok () then propagation_objectives () @ acts else acts
+           in
+           (* Try each candidate objective until one backtraces to a free
+              assignable PI. *)
+           let rec decide = function
+             | [] -> true (* must backtrack *)
+             | (node, want) :: rest ->
+               if backtrace node want then begin
+                 effort.decisions <- effort.decisions + 1;
+                 set_pi !bt_pi !bt_val;
+                 stack := (!bt_pi, !bt_val, false) :: !stack;
+                 false
+               end
+               else decide rest
+           in
+           if
+             decide objectives
+             && ((not !propagation_fallbacks_enabled)
+                 || not (activated ()) || not (xpath_ok ())
+                 || decide (propagation_fallbacks ()))
+           then
+             match backtrack () with
+             | `Exhausted -> result := Some `Untestable
+             | `Continue -> ()
+         end
+       done
+     with Stack_overflow -> result := Some `Aborted);
+    let outcome =
+      match !result with
+      | Some `Found ->
+        let assignment =
+          Hashtbl.fold (fun p v acc -> (p, v = 1) :: acc) pi_val []
+          |> List.sort compare
+        in
+        Test assignment
+      | Some `Untestable -> Untestable
+      | Some `Aborted | None -> Aborted
+    in
+    match outcome, guidance with
+    | Aborted, Some _ ->
+      (* Guided ordering reshapes the budget-limited search, so a guided
+         abort could hide a verdict the classic order would have reached.
+         Falling back to an unguided run makes the guided per-fault
+         verdict provably no worse than the unguided one: Test and
+         Untestable are sound proofs wherever they come from, and a
+         guided Aborted resolves to exactly the unguided outcome. *)
+      let r2, e2 = generate ~backtrack_limit ?check nl ~faults ~assignable
+          ~observe
+      in
+      e2.decisions <- e2.decisions + effort.decisions;
+      e2.backtracks <- e2.backtracks + effort.backtracks;
+      e2.implications <- e2.implications + effort.implications;
+      e2.guided_cuts <- effort.guided_cuts;
+      (r2, e2)
+    | _ -> (outcome, effort)
+
+end
+
+(* The parent [Guidance.provide]: the fault cones' union built with
+   [Netlist.fanout_cone_union] and a fresh membership array per call,
+   on analyses computed once per netlist and observe set. *)
+module Parent_guidance = struct
+  type analyses = {
+    a_scoap : Scoap.t;
+    a_dom : Dominators.t;
+    a_impl : Implications.t;
+  }
+
+  let analyses nl ~observe =
+    { a_scoap = Scoap.analyze nl;
+      a_dom = Dominators.compute nl ~observe;
+      a_impl = Implications.compute nl }
+
+  (* Non-controlling side-input requirements for a difference crossing
+     gate [g], given that inputs inside [in_ucone] may carry the
+     difference (and so are unconstrained).  [skip] masks the faulted pin
+     for consumer gates. *)
+  let side_requirements nl ~in_ucone ?(skip = -1) g =
+    let fi = Netlist.fanin nl g in
+    let reqs = ref [] in
+    (match Netlist.kind nl g with
+     | Netlist.And | Netlist.Nand ->
+       Array.iteri
+         (fun j a -> if j <> skip && not (in_ucone a) then reqs := (a, 1) :: !reqs)
+         fi
+     | Netlist.Or | Netlist.Nor ->
+       Array.iteri
+         (fun j a -> if j <> skip && not (in_ucone a) then reqs := (a, 0) :: !reqs)
+         fi
+     | Netlist.Mux2 ->
+       (* [sel; a; b], sel = 1 selects b.  When the difference can only
+          arrive through one data leg, the select must route that leg.
+          A faulted select pin ([skip = 0]) leaves the select free. *)
+       let sel = fi.(0) and a = fi.(1) and b = fi.(2) in
+       if skip <> 0 && not (in_ucone sel) then begin
+         let a_live = skip = 1 || in_ucone a in
+         let b_live = skip = 2 || in_ucone b in
+         if a_live && not b_live then reqs := (sel, 0) :: !reqs
+         else if b_live && not a_live then reqs := (sel, 1) :: !reqs
+       end
+     | Netlist.Xor | Netlist.Xnor | Netlist.Buf | Netlist.Not | Netlist.Po
+     | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1 -> ());
+    !reqs
+
+  type site =
+    | Dead  (* provably undetectable through this site *)
+    | Opaque  (* unanalyzable: no requirements, no claims *)
+    | Live of (int * int) list  (* closed requirement set *)
+
+  let analyze_site nl a ~in_ucone f =
+    let n = Netlist.n_nodes nl in
+    let origin = f.Fault.node in
+    if origin < 0 || origin >= n then Opaque
+    else
+      let want = if f.Fault.stuck then 0 else 1 in
+      let base =
+        match f.Fault.pin with
+        | None -> Some [ (origin, want) ]
+        | Some p ->
+          let fi = Netlist.fanin nl origin in
+          if p < 0 || p >= Array.length fi then None
+          else if Netlist.kind nl origin = Netlist.Dff then None
+          else
+            Some
+              ((fi.(p), want)
+               :: side_requirements nl ~in_ucone ~skip:p origin)
+      in
+      match base with
+      | None -> Opaque
+      | Some base ->
+        if not (Dominators.reaches a.a_dom origin) then Dead
+        else begin
+          let dom_reqs =
+            List.concat_map
+              (fun d -> side_requirements nl ~in_ucone d)
+              (Dominators.chain a.a_dom origin)
+          in
+          match Implications.closure a.a_impl (base @ dom_reqs) with
+          | Implications.Contradiction -> Dead
+          | Implications.Consistent lits -> Live lits
+        end
+
+  let provide (a : analyses) nl ~faults =
+    let ucone =
+      Netlist.fanout_cone_union nl (List.map (fun f -> f.Fault.node) faults)
+    in
+    let n = Netlist.n_nodes nl in
+    let in_cone = Array.make n false in
+    Array.iter (fun v -> in_cone.(v) <- true) ucone;
+    let in_ucone v = v >= 0 && v < n && in_cone.(v) in
+    let sites = List.map (analyze_site nl a ~in_ucone) faults in
+    let any_live_or_opaque =
+      List.exists (function Dead -> false | _ -> true) sites
+    in
+    let static_untestable = faults <> [] && not any_live_or_opaque in
+    (* Dead sites are dropped (they admit no detecting test, so they must
+       not weaken the intersection or the cut); opaque sites keep an
+       empty set, which voids the cut and the intersection — exactly the
+       do-no-harm degradation. *)
+    let kept =
+      List.filter_map
+        (function
+          | Dead -> None
+          | Opaque -> Some []
+          | Live lits -> Some lits)
+        sites
+    in
+    let common =
+      match kept with
+      | [] -> []
+      | first :: rest ->
+        List.filter
+          (fun lit -> List.for_all (fun set -> List.mem lit set) rest)
+          first
+    in
+    {
+      Podem.g_static_untestable = static_untestable;
+      g_common_required = Array.of_list common;
+      g_site_required =
+        (if static_untestable then [||]
+         else Array.of_list (List.map Array.of_list kept));
+      g_cc0 = a.a_scoap.Scoap.cc0;
+      g_cc1 = a.a_scoap.Scoap.cc1;
+      g_co = a.a_scoap.Scoap.co;
+    }
+end
+
+(* ------------------------------------------------------------------ *)
+(* The search and the cone marks against the parent's                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One draw: a netlist from [Netlist_gen.sequential] ([flavour = 0]) or
+   from [Netlist_gen.generate] under one of the four gate mixes, unrolled
+   through [Seq_atpg.unroll] at [frames] frames with none, every other or
+   every flip-flop scanned, and the fault sites of every collapsed fault
+   except the D-pin faults of unscanned flip-flops.  A flip-flop's
+   frame-0 copy is a primary input with no pin, so a D-pin fault makes
+   both searches raise; the scanned ones stay in, and must raise the
+   same exception. *)
+let draw (seed, flavour, frames, scan) =
+  let nl =
+    match flavour with
+    | 0 ->
+      Netlist_gen.sequential ~seed ~n_pi:(3 + (seed mod 3))
+        ~n_dff:(1 + (seed mod 4)) ~n_gates:(10 + (seed mod 17))
+    | m ->
+      let mix =
+        Netlist_gen.[| Balanced; Xor_heavy; Mux_heavy; Chain_heavy |].(m - 1)
+      in
+      Netlist_gen.generate ~seed
+        { Netlist_gen.default with
+          Netlist_gen.g_mix = mix; g_n_gates = 10 + (seed mod 23);
+          g_hub_bias = seed mod 3; g_window = (if seed mod 5 = 0 then 4 else 0) }
+  in
+  let dffs = Netlist.dffs nl in
+  let scanned =
+    match scan with
+    | 0 -> []
+    | 1 -> List.filteri (fun i _ -> i mod 2 = 0) dffs
+    | _ -> dffs
+  in
+  let u, assignable, observe, map = Seq_atpg.unroll nl ~frames ~scanned in
+  let faults =
+    List.filter
+      (fun f ->
+        f.Fault.pin = None
+        || Netlist.kind nl f.Fault.node <> Netlist.Dff
+        || List.mem f.Fault.node scanned)
+      (Fault.collapsed nl)
+  in
+  (u, assignable, observe, List.map map faults)
+
+let arb_draw =
+  QCheck.(
+    quad (int_bound 100_000) (int_bound 4) (int_range 1 3) (int_range 0 2))
+
+(* Both searches on the same arguments: verdict, assignment and every
+   effort field, or the same exception. *)
+let same_search ?check ?guidance ~backtrack_limit u ~faults ~assignable
+    ~observe =
+  let attempt search =
+    match search () with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e)
+  in
+  attempt (fun () ->
+      Podem.generate ~backtrack_limit ?check ?guidance u ~faults ~assignable
+        ~observe)
+  = attempt (fun () ->
+        Parent_podem.generate ~backtrack_limit ?check ?guidance u ~faults
+          ~assignable ~observe)
+
+let prop_podem_matches_parent =
+  QCheck.Test.make ~name:"PODEM = the parent search" ~count:120 arb_draw
+    (fun d ->
+      let u, assignable, observe, sites = draw d in
+      List.for_all
+        (fun faults ->
+          let guided = Guidance.provide u ~observe ~faults in
+          List.for_all
+            (fun guidance ->
+              List.for_all
+                (fun backtrack_limit ->
+                  same_search ?guidance ~backtrack_limit u ~faults ~assignable
+                    ~observe)
+                [ 0; 1; 5; 30 ])
+            [ None; Some guided ])
+        sites)
+
+(* The draws must reach the paths whose order the flat search state had
+   to keep: guidance seeding two or more literals (the first
+   implication's source order), the propagation fallbacks (which read
+   [d_list] in order) and stem faults on primary inputs (a source that
+   carries a D). *)
+let test_podem_matches_parent () =
+  Parent_podem.reached_seeded := 0;
+  Parent_podem.reached_fallbacks := 0;
+  Parent_podem.reached_pi_stem := 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 27 |])
+    prop_podem_matches_parent;
+  check "guidance seeded two or more literals" true
+    (!Parent_podem.reached_seeded > 0);
+  check "propagation fallbacks ran" true (!Parent_podem.reached_fallbacks > 0);
+  check "stem faults on primary inputs" true
+    (!Parent_podem.reached_pi_stem > 0)
+
+(* Two stem faults on primary inputs, both seeded as mandatory
+   literals: each seeded source carries a D from the first implication
+   on, so the order the first implication touches them in is the order
+   of [d_list], and with it of the propagation fallbacks, the only
+   candidates here (every primary pick is a select driven from an
+   unassignable input).  The fallbacks decide [k1] first or last, and
+   the requirement set cuts every branch with [k1 = 1], so the order
+   shows in the effort.  Both literal orders must match the parent
+   search, which took the order of its hashed cube. *)
+let test_podem_seed_order () =
+  let nl = Netlist.create () in
+  let pi () = Netlist.add nl Netlist.Pi [||] in
+  let a = pi () and b = pi () and z = pi () in
+  let k1 = pi () and k2 = pi () and k3 = pi () in
+  let u = Netlist.add nl Netlist.Not [| z |] in
+  let h = Netlist.add nl Netlist.And [| k2; k3 |] in
+  let m1 = Netlist.add nl Netlist.Mux2 [| u; a; k1 |] in
+  let m2 = Netlist.add nl Netlist.Mux2 [| u; b; h |] in
+  let y1 = Netlist.add nl Netlist.Po [| m1 |] in
+  let y2 = Netlist.add nl Netlist.Po [| m2 |] in
+  let n = Netlist.n_nodes nl in
+  let faults =
+    [ { Fault.node = a; pin = None; stuck = false };
+      { Fault.node = b; pin = None; stuck = false } ]
+  in
+  List.iter
+    (fun required ->
+      let guidance =
+        { Podem.g_static_untestable = false; g_common_required = required;
+          g_site_required = [| [| (k1, 0) |] |]; g_cc0 = Array.make n 0;
+          g_cc1 = Array.make n 0; g_co = Array.make n 0 }
+      in
+      List.iter
+        (fun faults ->
+          if
+            not
+              (same_search ~guidance ~backtrack_limit:50 nl ~faults
+                 ~assignable:[ a; b; k1; k2; k3 ] ~observe:[ y1; y2 ])
+          then Alcotest.fail "seeded sources touched in another order")
+        [ faults; List.rev faults ])
+    [ [| (a, 1); (b, 1) |]; [| (b, 1); (a, 1) |] ]
+
+(* A search abandoned by its [check] leaves the workspace to the next
+   one, which must not see it; and the regression-canary knob switches
+   the fallbacks off in both searches alike. *)
+let test_podem_abandoned_and_canary () =
+  let raised = ref 0 in
+  List.iter
+    (fun d ->
+      let u, assignable, observe, sites = draw d in
+      List.iter
+        (fun faults ->
+          let calls = ref 0 in
+          let check () =
+            incr calls;
+            if !calls > 2 then raise Exit
+          in
+          (match
+             Podem.generate ~backtrack_limit:30 ~check u ~faults ~assignable
+               ~observe
+           with
+           | _ -> ()
+           | exception Exit -> incr raised
+           | exception Invalid_argument _ -> ());
+          List.iter
+            (fun guidance ->
+              if
+                not
+                  (same_search ?guidance ~backtrack_limit:30 u ~faults
+                     ~assignable ~observe)
+              then Alcotest.fail "search after an abandoned one differs")
+            [ None; Some (Guidance.provide u ~observe ~faults) ])
+        sites)
+    [ (7, 0, 2, 0); (77, 2, 3, 1); (777, 3, 2, 2) ];
+  check "some searches were abandoned" true (!raised > 0);
+  let u, assignable, observe, sites = draw (7, 0, 2, 0) in
+  Fun.protect
+    ~finally:(fun () -> Podem.propagation_fallbacks_enabled := true)
+    (fun () ->
+      Podem.propagation_fallbacks_enabled := false;
+      List.iter
+        (fun faults ->
+          if
+            not
+              (same_search ~backtrack_limit:30 u ~faults ~assignable ~observe)
+          then Alcotest.fail "search without fallbacks differs")
+        sites)
+
+(* [Guidance.provide] marks the faults' cone union with a stamp in its
+   domain-local analyses entry; the parent built the union and a fresh
+   membership array per call.  Calls alternate between two netlists and
+   two observe sets on each, so stamps and entries interleave. *)
+let test_guidance_matches_parent () =
+  Guidance.reset_cache ();
+  List.iter
+    (fun (d1, d2) ->
+      let legs =
+        List.concat_map
+          (fun d ->
+            let u, _, observe, sites = draw d in
+            let fewer = List.filteri (fun i _ -> i mod 2 = 0) observe in
+            [ (u, observe, sites); (u, fewer, sites) ])
+          [ d1; d2 ]
+        |> List.map (fun (u, observe, sites) ->
+               (u, observe, Parent_guidance.analyses u ~observe, sites))
+      in
+      let longest =
+        List.fold_left (fun m (_, _, _, s) -> max m (List.length s)) 0 legs
+      in
+      for i = 0 to longest - 1 do
+        List.iter
+          (fun (u, observe, a, sites) ->
+            match List.nth_opt sites i with
+            | None -> ()
+            | Some faults ->
+              if
+                Guidance.provide u ~observe ~faults
+                <> Parent_guidance.provide a u ~faults
+              then Alcotest.failf "guidance differs on fault %d" i)
+          legs
+      done)
+    [ ((7, 0, 2, 0), (77, 1, 3, 1)); ((5, 2, 1, 2), (1999, 4, 2, 0)) ];
+  Guidance.reset_cache ()
+
+(* The memoized cone against a depth-first walk with a fresh [seen]
+   array, for every root: on the draw, on a copy, and after [add] and
+   [set_fanin] (each resets the memo and the scratch stamps must not
+   leak across it). *)
+let reference_cone nl root =
+  let seen = Array.make (Netlist.n_nodes nl) false in
+  let acc = ref [] in
+  let rec visit v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      acc := v :: !acc;
+      List.iter
+        (fun w -> if Netlist.kind nl w <> Netlist.Dff then visit w)
+        (Netlist.fanout nl v)
+    end
+  in
+  visit root;
+  let pos = Netlist.topo_pos nl in
+  let cone = Array.of_list !acc in
+  Array.sort (fun a b -> compare pos.(a) pos.(b)) cone;
+  cone
+
+let check_cones label nl =
+  for r = 0 to Netlist.n_nodes nl - 1 do
+    if Netlist.fanout_cone nl r <> reference_cone nl r then
+      Alcotest.failf "%s: cone of %d differs" label r
+  done
+
+let test_fanout_cone_matches_reference () =
+  List.iter
+    (fun ((seed, _, _, _) as d) ->
+      let u, _, _, _ = draw d in
+      let label = Printf.sprintf "draw %d" seed in
+      check_cones label u;
+      let c = Netlist.copy u in
+      check_cones (label ^ " copy") c;
+      check_cones label u;
+      (* A new gate over two existing nodes, observed. *)
+      let n = Netlist.n_nodes u in
+      let g = Netlist.add u Netlist.And [| n / 3; n / 2 |] in
+      ignore (Netlist.add u Netlist.Po [| g |]);
+      check_cones (label ^ " after add") u;
+      (* Rewire the first pin of the last combinational gate before [g]
+         to an earlier node: the netlist stays acyclic. *)
+      let gate = ref (-1) in
+      for v = 0 to n - 1 do
+        match Netlist.kind u v with
+        | Netlist.Pi | Netlist.Po | Netlist.Dff | Netlist.Const0
+        | Netlist.Const1 -> ()
+        | _ -> gate := v
+      done;
+      Netlist.set_fanin u !gate 0 (!gate / 2);
+      check_cones (label ^ " after set_fanin") u;
+      check_cones (label ^ " copy after edits") c)
+    [ (7, 0, 1, 0); (77, 1, 2, 1); (777, 2, 3, 2); (5, 3, 2, 0);
+      (1999, 4, 1, 2) ]
+
+(* ------------------------------------------------------------------ *)
 (* Lint hooks: the saturated-SCOAP nets behind HFT-L009/L010          *)
 (* ------------------------------------------------------------------ *)
 
@@ -507,6 +1538,16 @@ let () =
           Alcotest.test_case "analysis cache" `Quick test_guidance_cache;
           Alcotest.test_case "podem effort pinned" `Quick
             test_podem_effort_pinned;
+          Alcotest.test_case "search = parent search" `Quick
+            test_podem_matches_parent;
+          Alcotest.test_case "seeded source order = parent" `Quick
+            test_podem_seed_order;
+          Alcotest.test_case "abandoned search and canary = parent" `Quick
+            test_podem_abandoned_and_canary;
+          Alcotest.test_case "cone marks = parent guidance" `Quick
+            test_guidance_matches_parent;
+          Alcotest.test_case "fanout cone = fresh walk" `Quick
+            test_fanout_cone_matches_reference;
         ] );
       ( "lint_saturation",
         [
