@@ -21,8 +21,8 @@ open Hft_gate
      counted dead — the guidance degrades to pure ordering for it. *)
 
 (* [a_cone] marks the union of the current faults' fanout cones with
-   the stamp [a_stamp]; each [provide] draws a fresh stamp, so nothing
-   is cleared between calls. *)
+   the stamp [a_stamp]; each [provide] that marks draws a fresh stamp,
+   so nothing is cleared between calls. *)
 type analyses = {
   a_scoap : Scoap.t;
   a_dom : Dominators.t;
@@ -49,7 +49,8 @@ let analyses_for nl ~observe =
   let cached = Domain.DLS.get cache in
   match
     List.find_opt
-      (fun (nl', ver', obs', _) -> nl' == nl && ver' = ver && obs' = observe)
+      (fun (nl', ver', obs', _) ->
+        nl' == nl && ver' = ver && (obs' == observe || obs' = observe))
       cached
   with
   | Some (_, _, _, a) ->
@@ -103,47 +104,64 @@ type site =
   | Opaque  (* unanalyzable: no requirements, no claims *)
   | Live of (int * int) list  (* closed requirement set *)
 
+(* A site is decided opaque, then dead, before its requirements are
+   built: only a live candidate queries [in_ucone]. *)
 let analyze_site nl a ~in_ucone f =
   let n = Netlist.n_nodes nl in
   let origin = f.Fault.node in
-  if origin < 0 || origin >= n then Opaque
-  else
+  let opaque =
+    origin < 0 || origin >= n
+    ||
+    match f.Fault.pin with
+    | None -> false
+    | Some p ->
+      p < 0
+      || p >= Array.length (Netlist.fanin nl origin)
+      || Netlist.kind nl origin = Netlist.Dff
+  in
+  if opaque then Opaque
+  else if not (Dominators.reaches a.a_dom origin) then Dead
+  else begin
     let want = if f.Fault.stuck then 0 else 1 in
     let base =
       match f.Fault.pin with
-      | None -> Some [ (origin, want) ]
+      | None -> [ (origin, want) ]
       | Some p ->
-        let fi = Netlist.fanin nl origin in
-        if p < 0 || p >= Array.length fi then None
-        else if Netlist.kind nl origin = Netlist.Dff then None
-        else
-          Some
-            ((fi.(p), want)
-             :: side_requirements nl ~in_ucone ~skip:p origin)
+        ((Netlist.fanin nl origin).(p), want)
+        :: side_requirements nl ~in_ucone ~skip:p origin
     in
-    match base with
-    | None -> Opaque
-    | Some base ->
-      if not (Dominators.reaches a.a_dom origin) then Dead
-      else begin
-        let dom_reqs =
-          List.concat_map
-            (fun d -> side_requirements nl ~in_ucone d)
-            (Dominators.chain a.a_dom origin)
-        in
-        match Implications.closure a.a_impl (base @ dom_reqs) with
-        | Implications.Contradiction -> Dead
-        | Implications.Consistent lits -> Live lits
-      end
+    let dom_reqs =
+      List.concat_map
+        (fun d -> side_requirements nl ~in_ucone d)
+        (Dominators.chain a.a_dom origin)
+    in
+    match Implications.closure a.a_impl (base @ dom_reqs) with
+    | Implications.Contradiction -> Dead
+    | Implications.Consistent lits -> Live lits
+  end
 
 let provide nl ~observe ~faults =
   Hft_obs.Registry.incr "hft.analysis.provides";
   let a = analyses_for nl ~observe in
-  a.a_stamp <- a.a_stamp + 1;
-  let stamp = a.a_stamp and cone = a.a_cone in
-  List.iter (fun f -> Netlist.mark_cone nl cone stamp f.Fault.node) faults;
-  let n = Netlist.n_nodes nl in
-  let in_ucone v = v >= 0 && v < n && cone.(v) = stamp in
+  (* A fault outside the netlist raises here, whether or not its cone
+     is ever marked. *)
+  List.iter
+    (fun f -> ignore (Netlist.kind nl f.Fault.node : Netlist.kind))
+    faults;
+  (* The cone union is marked on the first side-requirement query: a
+     call whose sites are all opaque or unobservable never walks it. *)
+  let n = Netlist.n_nodes nl and cone = a.a_cone in
+  let marked = ref false in
+  let in_ucone v =
+    if not !marked then begin
+      marked := true;
+      a.a_stamp <- a.a_stamp + 1;
+      List.iter
+        (fun f -> Netlist.mark_cone nl cone a.a_stamp f.Fault.node)
+        faults
+    end;
+    v >= 0 && v < n && cone.(v) = a.a_stamp
+  in
   let sites = List.map (analyze_site nl a ~in_ucone) faults in
   let any_live_or_opaque =
     List.exists (function Dead -> false | _ -> true) sites

@@ -448,7 +448,7 @@ let kernel ~fill ?on_group_events ?(strategy = Cone) nl ~assignment ~observe
      List.iter (fun o -> w.w_obs.(o) <- stamp) observe;
      if obs && Array.length w.w_charges < n_groups then
        w.w_charges <- Array.make n_groups 0;
-     let kinds = Netlist.raw_kinds nl in
+     let kinds = Netlist.raw_kinds nl and fanouts = Netlist.fanouts nl in
      let touched = w.w_touched and n_touched = ref 0 in
      List.iteri
        (fun gi g ->
@@ -471,11 +471,13 @@ let kernel ~fill ?on_group_events ?(strategy = Cone) nl ~assignment ~observe
                incr n_touched;
                if w.w_obs.(v) = stamp && differs good.(v) faulty.(v) then
                  hit := true
-               else
-                 List.iter
-                   (fun x ->
-                     if kinds.(x) <> Netlist.Dff then Sim.heap_push heap x)
-                   (Netlist.fanout nl v)
+               else begin
+                 let out = fanouts.(v) in
+                 for i = 0 to Array.length out - 1 do
+                   let x = out.(i) in
+                   if kinds.(x) <> Netlist.Dff then Sim.heap_push heap x
+                 done
+               end
              end
            done;
            detected.(gi) <- !hit;

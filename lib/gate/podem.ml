@@ -104,6 +104,8 @@ type workspace = {
   w_d : int array;  (* D-carrying nodes *)
   w_xseen : int array;
   w_xstack : int array;
+  w_xparent : int array;  (* X-path DFS parent, -1 at a root *)
+  w_witness : int array;  (* last X-path found, observe node first *)
   w_pseen : int array;  (* D-frontier dedup *)
   w_dead : int array;  (* backtrace failures, slot [2*node + want] *)
   mutable w_stamp : int;
@@ -131,7 +133,8 @@ let workspace nl =
         w_fv = Sim.tcreate nl; w_heap = Sim.heap_create nl;
         w_assignable = marks (); w_observe = marks (); w_cube = marks ();
         w_cube_val = marks (); w_fcone = marks (); w_d = marks ();
-        w_xseen = marks (); w_xstack = marks (); w_pseen = marks ();
+        w_xseen = marks (); w_xstack = marks (); w_xparent = marks ();
+        w_witness = marks (); w_pseen = marks ();
         w_dead = Array.make (2 * n) 0; w_stamp = 0 }
     in
     let keep =
@@ -364,20 +367,57 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
                (fun site -> Array.exists violated site)
                g.g_site_required)
   in
+  (* A gate hosting an activated pin fault: the fault's difference
+     originates there even before any node carries a D. *)
+  let pin_fault_active v =
+    List.exists
+      (fun f ->
+        match f.Fault.pin with
+        | Some p ->
+          f.Fault.node = v
+          &&
+          let drv = (Netlist.fanin nl v).(p) in
+          gv.(drv) <> x && gv.(drv) <> (if f.Fault.stuck then 1 else 0)
+        | None -> false)
+      faults
+  in
   (* X-path: from any D-carrying node, can a difference still reach an
      observe node through not-yet-blocked nodes?  Pure reachability, so
-     visit order is irrelevant and the first observe hit ends the walk. *)
+     visit order is irrelevant and the first observe hit ends the walk.
+     The walk records DFS parents and keeps the path it found as a
+     witness, observe node first.  A later query of the same call takes
+     the witness instead of walking when its root is still a start of
+     the walk (it carries a D, or is an activated, unblocked pin-fault
+     consumer) and no later node on it is blocked: the path then still
+     reaches an observe node, so the answer is the walk's.  The witness
+     lives for one call, whose netlist and observe set it was found on. *)
   let xseen = ws.w_xseen and xstack = ws.w_xstack in
+  let xparent = ws.w_xparent and witness = ws.w_witness in
+  let witness_len = ref 0 in
+  let blocked v = gv.(v) <> x && fv.(v) <> x && gv.(v) = fv.(v) in
+  let witness_holds () =
+    let len = !witness_len in
+    len > 0
+    && (let root = witness.(len - 1) in
+        is_d root || (pin_fault_active root && not (blocked root)))
+    &&
+    let rec open_from i =
+      i < 0 || ((not (blocked witness.(i))) && open_from (i - 1))
+    in
+    open_from (len - 2)
+  in
   let xpath_ok () =
-    let blocked v = gv.(v) <> x && fv.(v) <> x && gv.(v) = fv.(v) in
+    witness_holds ()
+    ||
     let s = fresh ws in
     let top = ref 0 in
-    let push v =
+    let push v parent =
       xseen.(v) <- s;
+      xparent.(v) <- parent;
       xstack.(!top) <- v;
       incr top
     in
-    List.iter (fun v -> if xseen.(v) <> s then push v) !d_list;
+    List.iter (fun v -> if xseen.(v) <> s then push v (-1)) !d_list;
     (* Activated pin faults originate their difference at the consumer
        gate even before any node carries a D. *)
     List.iter
@@ -389,23 +429,33 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
              && gv.(drv) <> (if f.Fault.stuck then 1 else 0)
              && xseen.(f.Fault.node) <> s
              && not (blocked f.Fault.node)
-          then push f.Fault.node
+          then push f.Fault.node (-1)
         | None -> ())
       faults;
-    let reach = ref false in
-    while (not !reach) && !top > 0 do
+    let reached = ref (-1) in
+    while !reached < 0 && !top > 0 do
       decr top;
       let v = xstack.(!top) in
-      if observed v then reach := true
+      if observed v then reached := v
       else begin
         let out = fanouts.(v) in
         for i = 0 to Array.length out - 1 do
           let w = out.(i) in
-          if xseen.(w) <> s && not (blocked w) then push w
+          if xseen.(w) <> s && not (blocked w) then push w v
         done
       end
     done;
-    !reach
+    !reached >= 0
+    && begin
+      let v = ref !reached and len = ref 0 in
+      while !v >= 0 do
+        witness.(!len) <- !v;
+        incr len;
+        v := xparent.(!v)
+      done;
+      witness_len := !len;
+      true
+    end
   in
   (* Activation objectives: one per fault site whose good value is
      still X (several sites exist when a fault is replicated across
@@ -446,18 +496,6 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
   in
   (* D-frontier objectives: gates with a D input (or an activated pin
      fault) and an undetermined output. *)
-  let pin_fault_active v =
-    List.exists
-      (fun f ->
-        match f.Fault.pin with
-        | Some p ->
-          f.Fault.node = v
-          &&
-          let drv = (Netlist.fanin nl v).(p) in
-          gv.(drv) <> x && gv.(drv) <> (if f.Fault.stuck then 1 else 0)
-        | None -> false)
-      faults
-  in
   let pseen = ws.w_pseen in
   let propagation_objectives () =
     (* Frontier gates either consume a D node or host an activated pin

@@ -216,11 +216,19 @@ let replay ?assignable_pis ?strapped nl ~scanned ~tests faults =
   let frame_counts =
     Hashtbl.fold (fun k _ acc -> k :: acc) by_frames [] |> List.sort compare
   in
+  (* The pending faults are indexed once by position (every copy of a
+     duplicated fault has its own); a test looks up only its own
+     [t_detects] among the positions still pending, and ascending
+     positions are pending order. *)
+  let fault_at = Array.of_list faults in
+  let live = Array.make (Array.length fault_at) true in
+  let n_live = ref (Array.length fault_at) in
+  let index = Hashtbl.create (Array.length fault_at) in
+  Array.iteri (fun i f -> Hashtbl.add index f i) fault_at;
   let detected = ref [] in
-  let pending = ref faults in
   List.iter
     (fun frames ->
-      if !pending <> [] then begin
+      if !n_live > 0 then begin
         let u = unroll_full ?assignable_pis ?strapped nl ~frames ~scanned in
         let assignment_of t =
           List.map
@@ -237,36 +245,32 @@ let replay ?assignable_pis ?strapped nl ~scanned ~tests faults =
         in
         List.iter
           (fun t ->
-            let ps =
-              let want = Hashtbl.create (List.length t.t_detects) in
-              List.iter (fun f -> Hashtbl.replace want f ()) t.t_detects;
-              List.filter (Hashtbl.mem want) !pending
-            in
-            match ps with
+            match
+              List.concat_map (Hashtbl.find_all index) t.t_detects
+              |> List.filter (fun i -> live.(i))
+              |> List.sort_uniq Int.compare
+            with
             | [] -> ()
             | ps ->
               let flags =
                 Fsim.detect_groups u.u_net ~assignment:(assignment_of t)
                   ~observe:u.u_observe
-                  (List.map (fun f -> Fsim.group u.u_net (u.u_map_fault f)) ps)
+                  (List.map
+                     (fun i -> Fsim.group u.u_net (u.u_map_fault fault_at.(i)))
+                     ps)
               in
-              let hit = Hashtbl.create (List.length ps) in
               List.iteri
-                (fun i f -> if flags.(i) then Hashtbl.replace hit f ())
-                ps;
-              pending :=
-                List.filter
-                  (fun f ->
-                    if Hashtbl.mem hit f then begin
-                      detected := f :: !detected;
-                      false
-                    end
-                    else true)
-                  !pending)
+                (fun k i ->
+                  if flags.(k) then begin
+                    live.(i) <- false;
+                    decr n_live;
+                    detected := fault_at.(i) :: !detected
+                  end)
+                ps)
           (List.rev (Hashtbl.find by_frames frames))
       end)
     frame_counts;
-  (List.rev !detected, !pending)
+  (List.rev !detected, List.filteri (fun i _ -> live.(i)) faults)
 
 (* One speculated PODEM attempt of the frame-growing ladder for one
    class, evaluated on a worker domain: the supervised search outcome,

@@ -453,8 +453,10 @@ let test_guidance_cache () =
 (* A verbatim copy of [Podem.generate] before its search state moved
    into flat workspace arrays (hashed test cube, a faulty machine probed
    at every node, fanout lists, netlist-sized cone arrays), with its own
-   workspace.  Only telemetry is left out, plus three counters that
-   show the draws reach the paths the rewrite had to keep in order. *)
+   workspace and an X-path check that always walks.  Only telemetry is
+   left out, plus three counters that show the draws reach the paths the
+   rewrite had to keep in order, and three that grade the path each walk
+   finds as the witness a later query of the same call would check. *)
 module Parent_podem = struct
   open Podem
 
@@ -462,6 +464,14 @@ module Parent_podem = struct
   let reached_seeded = ref 0  (* guidance seeded two or more literals *)
   let reached_fallbacks = ref 0  (* [propagation_fallbacks] ran *)
   let reached_pi_stem = ref 0  (* a stem fault sits on a primary input *)
+
+  (* At each X-path query after the call's first found path: that path
+     still proves reachability (its root starts a walk, no later node is
+     blocked), or it does not; and how often a path that still held met
+     a walk that found nothing, which would make the witness unsound. *)
+  let witness_held = ref 0
+  let witness_lost = ref 0
+  let witness_unsound = ref 0
 
   (* Controlling value of a gate kind, if any, and output inversion. *)
   let controlling = function
@@ -500,6 +510,7 @@ module Parent_podem = struct
     w_d : int array;  (* D-carrying nodes *)
     w_xseen : int array;
     w_xstack : int array;
+    w_xparent : int array;  (* X-path DFS parent, graded paths only *)
     w_pseen : int array;  (* D-frontier dedup *)
     w_dead : int array;  (* backtrace failures, slot [2*node + want] *)
     mutable w_stamp : int;
@@ -526,8 +537,8 @@ module Parent_podem = struct
         { w_nl = nl; w_version = ver; w_base = base; w_gv = Sim.tcreate nl;
           w_fv = Sim.tcreate nl; w_heap = Sim.heap_create nl;
           w_assignable = marks (); w_observe = marks (); w_d = marks ();
-          w_xseen = marks (); w_xstack = marks (); w_pseen = marks ();
-          w_dead = Array.make (2 * n) 0; w_stamp = 0 }
+          w_xseen = marks (); w_xstack = marks (); w_xparent = marks ();
+          w_pseen = marks (); w_dead = Array.make (2 * n) 0; w_stamp = 0 }
       in
       let keep =
         List.filter (fun w -> w.w_nl != nl) cached
@@ -719,8 +730,34 @@ module Parent_podem = struct
        observe node through not-yet-blocked nodes?  Pure reachability, so
        visit order is irrelevant and the first observe hit ends the walk. *)
     let xseen = ws.w_xseen and xstack = ws.w_xstack in
+    let xparent = ws.w_xparent in
+    let last_path = ref [] in  (* root first *)
     let xpath_ok () =
       let blocked v = gv.(v) <> x && fv.(v) <> x && gv.(v) = fv.(v) in
+      let held =
+        match !last_path with
+        | [] -> None
+        | root :: later ->
+          let starts =
+            has_d root
+            || (not (blocked root))
+               && List.exists
+                    (fun f ->
+                      match f.Fault.pin with
+                      | Some p ->
+                        f.Fault.node = root
+                        &&
+                        let drv = (Netlist.fanin nl root).(p) in
+                        gv.(drv) <> x && gv.(drv) <> Bool.to_int f.Fault.stuck
+                      | None -> false)
+                    faults
+          in
+          Some (starts && not (List.exists blocked later))
+      in
+      (match held with
+       | Some true -> incr witness_held
+       | Some false -> incr witness_lost
+       | None -> ());
       let s = fresh ws in
       let top = ref 0 in
       let push v =
@@ -728,7 +765,13 @@ module Parent_podem = struct
         xstack.(!top) <- v;
         incr top
       in
-      List.iter (fun v -> if xseen.(v) <> s then push v) !d_list;
+      List.iter
+        (fun v ->
+          if xseen.(v) <> s then begin
+            xparent.(v) <- -1;
+            push v
+          end)
+        !d_list;
       (* Activated pin faults originate their difference at the consumer
          gate even before any node carries a D. *)
       List.iter
@@ -740,19 +783,33 @@ module Parent_podem = struct
                && gv.(drv) <> (if f.Fault.stuck then 1 else 0)
                && xseen.(f.Fault.node) <> s
                && not (blocked f.Fault.node)
-            then push f.Fault.node
+            then begin
+              xparent.(f.Fault.node) <- -1;
+              push f.Fault.node
+            end
           | None -> ())
         faults;
       let reach = ref false in
       while (not !reach) && !top > 0 do
         decr top;
         let v = xstack.(!top) in
-        if observed v then reach := true
+        if observed v then begin
+          reach := true;
+          let rec path v acc =
+            if v < 0 then acc else path xparent.(v) (v :: acc)
+          in
+          last_path := path v []
+        end
         else
           List.iter
-            (fun w -> if xseen.(w) <> s && not (blocked w) then push w)
+            (fun w ->
+              if xseen.(w) <> s && not (blocked w) then begin
+                xparent.(w) <- v;
+                push w
+              end)
             (Netlist.fanout nl v)
       done;
+      if held = Some true && not !reach then incr witness_unsound;
       !reach
     in
     (* Activation objectives: one per fault site whose good value is
@@ -1072,6 +1129,11 @@ end
    [Netlist.fanout_cone_union] and a fresh membership array per call,
    on analyses computed once per netlist and observe set. *)
 module Parent_guidance = struct
+  (* Calls whose every site is opaque or reaches no observe node:
+     [Guidance.provide] decides them before it builds a requirement, so
+     it never marks their cone union. *)
+  let coneless = ref 0
+
   type analyses = {
     a_scoap : Scoap.t;
     a_dom : Dominators.t;
@@ -1161,6 +1223,17 @@ module Parent_guidance = struct
     Array.iter (fun v -> in_cone.(v) <- true) ucone;
     let in_ucone v = v >= 0 && v < n && in_cone.(v) in
     let sites = List.map (analyze_site nl a ~in_ucone) faults in
+    let decided_early f =
+      let v = f.Fault.node in
+      (match f.Fault.pin with
+       | Some p ->
+         p < 0
+         || p >= Array.length (Netlist.fanin nl v)
+         || Netlist.kind nl v = Netlist.Dff
+       | None -> false)
+      || not (Dominators.reaches a.a_dom v)
+    in
+    if List.for_all decided_early faults then incr coneless;
     let any_live_or_opaque =
       List.exists (function Dead -> false | _ -> true) sites
     in
@@ -1262,39 +1335,57 @@ let same_search ?check ?guidance ~backtrack_limit u ~faults ~assignable
         Parent_podem.generate ~backtrack_limit ?check ?guidance u ~faults
           ~assignable ~observe)
 
+(* Each fault is searched against every observe node and then against
+   every other one, on the same netlist and so the same workspace: a
+   path kept from the previous call may end at a node the next call
+   does not observe. *)
 let prop_podem_matches_parent =
   QCheck.Test.make ~name:"PODEM = the parent search" ~count:120 arb_draw
     (fun d ->
-      let u, assignable, observe, sites = draw d in
+      let u, assignable, all_observed, sites = draw d in
+      let fewer = List.filteri (fun i _ -> i mod 2 = 0) all_observed in
       List.for_all
         (fun faults ->
-          let guided = Guidance.provide u ~observe ~faults in
           List.for_all
-            (fun guidance ->
+            (fun observe ->
+              let guided = Guidance.provide u ~observe ~faults in
               List.for_all
-                (fun backtrack_limit ->
-                  same_search ?guidance ~backtrack_limit u ~faults ~assignable
-                    ~observe)
-                [ 0; 1; 5; 30 ])
-            [ None; Some guided ])
+                (fun guidance ->
+                  List.for_all
+                    (fun backtrack_limit ->
+                      same_search ?guidance ~backtrack_limit u ~faults
+                        ~assignable ~observe)
+                    [ 0; 1; 5; 30 ])
+                [ None; Some guided ])
+            [ all_observed; fewer ])
         sites)
 
 (* The draws must reach the paths whose order the flat search state had
    to keep: guidance seeding two or more literals (the first
    implication's source order), the propagation fallbacks (which read
    [d_list] in order) and stem faults on primary inputs (a source that
-   carries a D). *)
+   carries a D).  They must also reach both answers of the X-path
+   witness: a last path that still proves reachability, which the
+   search takes without walking, and one that no longer does, where it
+   must walk; and a path that held must never meet a walk that finds
+   nothing. *)
 let test_podem_matches_parent () =
   Parent_podem.reached_seeded := 0;
   Parent_podem.reached_fallbacks := 0;
   Parent_podem.reached_pi_stem := 0;
+  Parent_podem.witness_held := 0;
+  Parent_podem.witness_lost := 0;
+  Parent_podem.witness_unsound := 0;
   QCheck.Test.check_exn ~rand:(Random.State.make [| 27 |])
     prop_podem_matches_parent;
   check "guidance seeded two or more literals" true
     (!Parent_podem.reached_seeded > 0);
   check "propagation fallbacks ran" true (!Parent_podem.reached_fallbacks > 0);
   check "stem faults on primary inputs" true
-    (!Parent_podem.reached_pi_stem > 0)
+    (!Parent_podem.reached_pi_stem > 0);
+  check "a last X-path still held" true (!Parent_podem.witness_held > 0);
+  check "a last X-path no longer held" true (!Parent_podem.witness_lost > 0);
+  check_int "held X-paths the walk refuted" 0 !Parent_podem.witness_unsound
 
 (* Two stem faults on primary inputs, both seeded as mandatory
    literals: each seeded source carries a D from the first implication
@@ -1384,20 +1475,75 @@ let test_podem_abandoned_and_canary () =
           then Alcotest.fail "search without fallbacks differs")
         sites)
 
+(* Fault lists the analysis decides without a requirement: pin faults
+   on flip-flops and pins past a node's fanin array (opaque), alone and
+   together. *)
+let opaque_sites nl =
+  let on_dffs =
+    List.concat_map
+      (fun d ->
+        [ { Fault.node = d; pin = Some 0; stuck = false };
+          { Fault.node = d; pin = Some 0; stuck = true } ])
+      (Netlist.dffs nl)
+  in
+  let past_fanin =
+    List.init (Netlist.n_nodes nl) (fun v ->
+        { Fault.node = v; pin = Some (Array.length (Netlist.fanin nl v));
+          stuck = v mod 2 = 0 })
+  in
+  let first_three l = List.filteri (fun i _ -> i < 3) l in
+  List.map (fun f -> [ f ]) (on_dffs @ past_fanin)
+  @ List.map2
+      (fun a b -> [ a; b ])
+      (first_three past_fanin)
+      (first_three (List.rev past_fanin))
+
 (* [Guidance.provide] marks the faults' cone union with a stamp in its
-   domain-local analyses entry; the parent built the union and a fresh
-   membership array per call.  Calls alternate between two netlists and
-   two observe sets on each, so stamps and entries interleave. *)
+   domain-local analyses entry, and only once a live site asks for a
+   side requirement; the parent built the union and a fresh membership
+   array on every call.  Calls alternate between six netlists and two
+   observe sets on each, so stamps and entries interleave: per draw,
+   its unrolled view, a one-frame view whose flip-flop D-pin faults sit
+   on frame-0 inputs (a pin past the fanin array), and a sequential
+   netlist, whose flip-flops carry pin faults; halving the observe set
+   leaves sites that reach no observe node.  Some calls must be decided
+   without a cone, and a fault outside the netlist must raise what the
+   parent raised. *)
 let test_guidance_matches_parent () =
   Guidance.reset_cache ();
+  Parent_guidance.coneless := 0;
+  let outcome f = match f () with g -> Ok g | exception e -> Error e in
   List.iter
     (fun (d1, d2) ->
       let legs =
         List.concat_map
-          (fun d ->
-            let u, _, observe, sites = draw d in
-            let fewer = List.filteri (fun i _ -> i mod 2 = 0) observe in
-            [ (u, observe, sites); (u, fewer, sites) ])
+          (fun (seed, flavour, frames, scan) ->
+            let u, _, observe, sites = draw (seed, flavour, frames, scan) in
+            let seq =
+              Netlist_gen.sequential ~seed ~n_pi:4 ~n_dff:3 ~n_gates:14
+            in
+            let _, seq_observe = scan_view seq in
+            let one_frame, _, one_observe, map =
+              Seq_atpg.unroll seq ~frames:1 ~scanned:[]
+            in
+            let d_pins =
+              List.filter_map
+                (fun f ->
+                  if f.Fault.pin <> None
+                     && Netlist.kind seq f.Fault.node = Netlist.Dff
+                  then Some (map f)
+                  else None)
+                (Fault.collapsed seq)
+            in
+            List.concat_map
+              (fun (nl, observe, sites) ->
+                let fewer = List.filteri (fun i _ -> i mod 2 = 0) observe in
+                let sites = sites @ opaque_sites nl in
+                [ (nl, observe, sites); (nl, fewer, sites) ])
+              [ (u, observe, sites);
+                ( seq, seq_observe,
+                  List.map (fun f -> [ f ]) (Fault.collapsed seq) );
+                (one_frame, one_observe, d_pins) ])
           [ d1; d2 ]
         |> List.map (fun (u, observe, sites) ->
                (u, observe, Parent_guidance.analyses u ~observe, sites))
@@ -1416,8 +1562,27 @@ let test_guidance_matches_parent () =
                 <> Parent_guidance.provide a u ~faults
               then Alcotest.failf "guidance differs on fault %d" i)
           legs
-      done)
+      done;
+      List.iter
+        (fun (u, observe, a, sites) ->
+          let n = Netlist.n_nodes u in
+          List.iter
+            (fun (inside, outside) ->
+              let faults =
+                inside @ [ { Fault.node = outside; pin = None; stuck = false } ]
+              in
+              match
+                ( outcome (fun () -> Guidance.provide u ~observe ~faults),
+                  outcome (fun () -> Parent_guidance.provide a u ~faults) )
+              with
+              | Error e, Error e' when e = e' -> ()
+              | _ -> Alcotest.failf "node %d outside the netlist" outside)
+            (List.concat_map
+               (fun inside -> [ (inside, n); (inside, -1) ])
+               [ List.hd sites; List.hd (List.rev sites) ]))
+        legs)
     [ ((7, 0, 2, 0), (77, 1, 3, 1)); ((5, 2, 1, 2), (1999, 4, 2, 0)) ];
+  check "calls decided without a cone" true (!Parent_guidance.coneless > 0);
   Guidance.reset_cache ()
 
 (* The memoized cone against a depth-first walk with a fresh [seen]

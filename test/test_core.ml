@@ -647,6 +647,188 @@ let test_ledger_charges_pinned () =
     "79dd3745aa7fc6a588a3a54ba6ea35ac"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* The parent's [Seq_atpg.replay], kept as the oracle of the lookup that
+   replaced its filters: verbatim but for the assignment, which it read
+   from the unrolled view's private origin table and which is rebuilt
+   here from the unrolled inputs' names ([v@t] is input [v] in frame
+   [t], [d@0] a scanned flip-flop's load; anything else, such as
+   unscanned frame-0 state, is held at 0). *)
+module Parent_replay = struct
+  open Hft_gate
+  open Seq_atpg
+
+  let replay nl ~scanned ~tests faults =
+    let pis = Netlist.pis nl in
+    let pi_col = Hashtbl.create (List.length pis) in
+    List.iteri (fun i v -> Hashtbl.replace pi_col v i) pis;
+    let scan_col = Hashtbl.create (List.length scanned + 1) in
+    List.iteri (fun i v -> Hashtbl.replace scan_col v i) scanned;
+    let by_frames = Hashtbl.create 4 in
+    List.iter
+      (fun t ->
+        let prev = try Hashtbl.find by_frames t.t_frames with Not_found -> [] in
+        Hashtbl.replace by_frames t.t_frames (t :: prev))
+      tests;
+    let frame_counts =
+      Hashtbl.fold (fun k _ acc -> k :: acc) by_frames [] |> List.sort compare
+    in
+    let detected = ref [] in
+    let pending = ref faults in
+    List.iter
+      (fun frames ->
+        if !pending <> [] then begin
+          let u_net, _, u_observe, u_map_fault = unroll nl ~frames ~scanned in
+          let assignment_of t =
+            let value = Hashtbl.create 64 in
+            let name v fr = Printf.sprintf "%s@%d" (Netlist.node_name nl v) fr in
+            for fr = 0 to frames - 1 do
+              List.iter
+                (fun v ->
+                  Hashtbl.replace value (name v fr)
+                    t.t_pi_vectors.(fr).(Hashtbl.find pi_col v))
+                pis
+            done;
+            List.iter
+              (fun d ->
+                Hashtbl.replace value (name d 0)
+                  t.t_scan_state.(Hashtbl.find scan_col d))
+              scanned;
+            List.map
+              (fun upi ->
+                ( upi,
+                  Option.value ~default:false
+                    (Hashtbl.find_opt value (Netlist.node_name u_net upi)) ))
+              (Netlist.pis u_net)
+          in
+          List.iter
+            (fun t ->
+              let ps =
+                let want = Hashtbl.create (List.length t.t_detects) in
+                List.iter (fun f -> Hashtbl.replace want f ()) t.t_detects;
+                List.filter (Hashtbl.mem want) !pending
+              in
+              match ps with
+              | [] -> ()
+              | ps ->
+                let flags =
+                  Fsim.detect_groups u_net ~assignment:(assignment_of t)
+                    ~observe:u_observe
+                    (List.map (fun f -> Fsim.group u_net (u_map_fault f)) ps)
+                in
+                let hit = Hashtbl.create (List.length ps) in
+                List.iteri
+                  (fun i f -> if flags.(i) then Hashtbl.replace hit f ())
+                  ps;
+                pending :=
+                  List.filter
+                    (fun f ->
+                      if Hashtbl.mem hit f then begin
+                        detected := f :: !detected;
+                        false
+                      end
+                      else true)
+                    !pending)
+            (List.rev (Hashtbl.find by_frames frames))
+        end)
+      frame_counts;
+    (List.rev !detected, !pending)
+end
+
+(* Both replays on the same input: detected and pending lists, in
+   order, and the [hft.fsim.events] they charge. *)
+let same_replay nl ~scanned ~tests faults =
+  let charged replay =
+    Hft_obs.reset ();
+    let r = Hft_obs.with_enabled true (fun () -> replay nl ~scanned ~tests faults) in
+    (r, Hft_obs.Registry.count "hft.fsim.events")
+  in
+  charged (Hft_gate.Seq_atpg.replay ?assignable_pis:None ?strapped:None)
+  = charged Parent_replay.replay
+
+(* A campaign's final replay, rebuilt step by step as
+   [Flow.test_campaign] makes it at width 4 over every fault with its
+   default knobs: the ATPG's tests fill the pattern store, the
+   combinational pass over the padded store leaves the leftovers, and
+   the multi-frame tests, newest first, replay against them.  Then a
+   hand-built case: duplicated faults, tests that name faults already
+   detected, not pending or twice, and one- and two-frame tests mixed. *)
+let test_replay_matches_parent () =
+  Fun.protect
+    ~finally:(fun () ->
+      Hft_obs.enabled := false;
+      Hft_obs.reset ())
+  @@ fun () ->
+  let open Hft_gate in
+  let replays = ref 0 in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun flow ->
+          let r = Flow.synthesize ~width:4 flow (Bench_suite.by_name name) in
+          let rng = Hft_util.Rng.create 2024 in
+          let nl, faults, scanned = Flow.expand_and_sample ~rng ~sample:1 r in
+          let n_pi = List.length (Netlist.pis nl) in
+          let n_scan = List.length scanned in
+          let store = Pattern_store.create () and tests = ref [] in
+          let on_test (t : Seq_atpg.test) =
+            Array.iteri
+              (fun i pi_vec ->
+                let row = Array.make (n_pi + n_scan) false in
+                Array.blit pi_vec 0 row 0 n_pi;
+                if i = 0 then Array.blit t.t_scan_state 0 row n_pi n_scan;
+                Pattern_store.add store row)
+              t.t_pi_vectors;
+            if t.t_frames > 1 then tests := t :: !tests
+          in
+          ignore
+            (Hft_scan.Partial_scan.atpg ~backtrack_limit:20 ~max_frames:2
+               ~on_test ~supervisor:(Some Hft_robust.Supervisor.default)
+               ~guidance:Hft_analysis.Guidance.provide nl ~faults ~scanned
+              : Seq_atpg.stats);
+          let patterns =
+            Pattern_store.padded store ~rng ~n_min:64 ~width:(n_pi + n_scan)
+          in
+          let leftovers =
+            (Fsim.comb_scan nl ~scanned ~patterns faults).Fsim.undetected
+          in
+          if !tests <> [] && leftovers <> [] then begin
+            incr replays;
+            if not (same_replay nl ~scanned ~tests:!tests leftovers) then
+              Alcotest.failf "%s %s: replay differs" name
+                (Flow.flow_kind_to_string flow)
+          end)
+        [ Flow.Conventional; Flow.Partial_scan ])
+    [ "tseng"; "diffeq"; "lms4"; "iir4" ];
+  check "campaigns with multi-frame tests" true (!replays > 0);
+  let nl = Netlist_gen.sequential ~seed:7 ~n_pi:4 ~n_dff:3 ~n_gates:14 in
+  let faults =
+    List.filter
+      (fun f -> f.Fault.pin = None || Netlist.kind nl f.Fault.node <> Netlist.Dff)
+      (Fault.collapsed nl)
+  in
+  let scanned = [ List.hd (Netlist.dffs nl) ] in
+  let tests = ref [] in
+  ignore
+    (Seq_atpg.run ~max_frames:2 ~supervisor:None
+       ~on_test:(fun t -> tests := t :: !tests)
+       nl ~faults ~scanned
+      : Seq_atpg.stats);
+  let tests = List.rev !tests in
+  check "one- and two-frame tests" true
+    (List.exists (fun t -> t.Seq_atpg.t_frames = 1) tests
+     && List.exists (fun t -> t.Seq_atpg.t_frames = 2) tests);
+  let every_other = List.filteri (fun i _ -> i mod 2 = 0) in
+  let pending = List.concat_map (fun f -> [ f; f ]) (every_other faults) in
+  let tests =
+    tests
+    @ List.map (fun t -> { t with Seq_atpg.t_detects = faults @ faults }) tests
+  in
+  List.iter
+    (fun (pending, tests) ->
+      if not (same_replay nl ~scanned ~tests pending) then
+        Alcotest.fail "hand-built replay differs")
+    [ (pending, tests); (faults @ pending, List.rev tests); (pending, []) ]
+
 (* [~sample:0] (keep one fault in 0) is bad input: a typed error raised
    before the campaign expands or samples anything. *)
 let test_campaign_rejects_sample_zero () =
@@ -1035,6 +1217,8 @@ let () =
             test_campaign_rejects_sample_zero;
           Alcotest.test_case "ledger charges pinned" `Quick
             test_ledger_charges_pinned;
+          Alcotest.test_case "replay = parent replay" `Quick
+            test_replay_matches_parent;
         ] );
       ( "documents",
         [
