@@ -251,9 +251,8 @@ type campaign = {
 }
 
 let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
-    ?(sample = 20) ?(seed = 2024) ?(n_patterns = 64)
-    ?(supervisor = Some Hft_robust.Supervisor.default) ?tape
-    ?(resume = false) ?(guided = true) ?jobs r =
+    ?(sample = 20) ?(seed = 2024) ?(n_patterns = 64) ?tape ?(resume = false)
+    ?(guided = true) ?jobs r =
   span "test-campaign" @@ fun () ->
   if sample < 1 then
     Hft_robust.Validation.fail ~site:"flow.test_campaign"
@@ -455,9 +454,8 @@ let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
     let guidance =
       if guided then Some Hft_analysis.Guidance.provide else None
     in
-    Hft_scan.Partial_scan.atpg ~backtrack_limit ~max_frames ~on_test
-      ~supervisor ?resolved ?on_resolved ?guidance ~on_par_stats ?jobs nl
-      ~faults ~scanned
+    Hft_scan.Partial_scan.atpg ~backtrack_limit ~max_frames ~on_test ?resolved
+      ?on_resolved ?guidance ~on_par_stats ?jobs nl ~faults ~scanned
   in
   let t_atpg = Hft_obs.Clock.now () -. t0 in
   (* Every class has resolved: the end marker's counts let a reader
@@ -467,14 +465,9 @@ let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
       (End
          { classes = List.length stats.Hft_gate.Seq_atpg.rows;
            tests = !n_tests });
-  let par =
-    (* The engine always reports — degenerate sequential summary at
-       jobs = 1 — so every campaign record carries utilization. *)
-    match !par_stats with
-    | Some s -> s
-    | None ->
-      Hft_par.Stats.sequential ~wall_ns:(int_of_float (t_atpg *. 1e9))
-  in
+  (* The engine always reports, a degenerate sequential summary at
+     jobs = 1, so every campaign record carries utilization. *)
+  let par = Option.get !par_stats in
   (* Publish the scheduler summary as counters and gauges in the
      registry (the hft.par series).  They are jobs-dependent by nature,
      so they sit outside the engine bit-identity surfaces. *)
@@ -492,10 +485,10 @@ let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
      pattern-loaded pseudo PIs and their D inputs observed — so faults
      the campaign proved detectable show up as detected here. *)
   let t1 = Hft_obs.Clock.now () in
-  (* Final-coverage degrade chain (supervised runs only): cone-limited
-     pass, then a naive (full-resimulation) retry, then an empty result
-     — a broken measurement never sinks the campaign.  A failed
-     multi-frame replay keeps the combinational result. *)
+  (* Final-coverage degrade chain: cone-limited pass, then a naive
+     (full-resimulation) retry, then an empty result — a broken
+     measurement never sinks the campaign.  A failed multi-frame replay
+     keeps the combinational result. *)
   let degraded () = Hft_obs.Registry.incr "hft.robust.degraded" in
   let patterns =
     Pattern_store.padded store ~rng ~n_min:n_patterns ~width:(n_pi + n_scan)
@@ -503,24 +496,21 @@ let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
   let comb_scan strategy =
     Hft_gate.Fsim.comb_scan ~strategy nl ~scanned ~patterns faults
   in
+  let attempt strategy =
+    Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim (fun () ->
+        comb_scan strategy)
+  in
   let fr =
-    match supervisor with
-    | None -> comb_scan Hft_gate.Fsim.Cone
-    | Some _ ->
-      let attempt strategy =
-        Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim (fun () ->
-            comb_scan strategy)
-      in
-      (match attempt Hft_gate.Fsim.Cone with
+    match attempt Hft_gate.Fsim.Cone with
+    | Ok fr -> fr
+    | Error _ ->
+      degraded ();
+      (match attempt Hft_gate.Fsim.Naive with
        | Ok fr -> fr
        | Error _ ->
          degraded ();
-         (match attempt Hft_gate.Fsim.Naive with
-          | Ok fr -> fr
-          | Error _ ->
-            degraded ();
-            { Hft_gate.Fsim.detected = []; undetected = faults;
-              n_patterns = Array.length patterns }))
+         { Hft_gate.Fsim.detected = []; undetected = faults;
+           n_patterns = Array.length patterns })
   in
   (* Faults only the multi-frame tests reach: replay those tests on the
      unrolled circuit against the leftovers and merge. *)
@@ -536,17 +526,13 @@ let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
           undetected = undet;
         }
       in
-      (match supervisor with
-       | None -> merge (replay_leg ())
-       | Some _ ->
-         (match
-            Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim
-              replay_leg
-          with
-          | Ok r -> merge r
-          | Error _ ->
-            degraded ();
-            fr))
+      (match
+         Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim replay_leg
+       with
+       | Ok r -> merge r
+       | Error _ ->
+         degraded ();
+         fr)
   in
   let t_fsim = Hft_obs.Clock.now () -. t1 in
   {

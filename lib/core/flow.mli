@@ -114,9 +114,10 @@ type campaign = {
     [backtrack_limit]/[max_frames] bound the PODEM search, [n_patterns]
     is the minimum final-fsim pattern count.
 
-    [supervisor] (default {!Hft_robust.Supervisor.default}) runs the
-    ATPG and every fault-simulation leg under the typed failure
-    discipline; [~supervisor:None] restores the bare engines.
+    The ATPG and every fault-simulation leg run under the typed failure
+    discipline of {!Hft_robust.Supervisor.default}: a failed engine
+    invocation degrades (retry, salvage, skip, empty result), never
+    crashes the campaign.
 
     [tape] names the campaign tape, an [hft-ledger/1] file
     ({!Hft_obs.Ledger.record}s through {!Hft_robust.Checkpoint.Tape}):
@@ -163,6 +164,5 @@ type campaign = {
 val test_campaign :
   ?backtrack_limit:int -> ?max_frames:int -> ?sample:int -> ?seed:int ->
   ?n_patterns:int ->
-  ?supervisor:Hft_robust.Supervisor.policy option ->
   ?tape:string -> ?resume:bool -> ?guided:bool -> ?jobs:int ->
   result -> campaign

@@ -31,7 +31,7 @@ let default_step_budget = 5_000_000
 let scanned_of nl = List.filteri (fun i _ -> i mod 2 = 0) (Netlist.dffs nl)
 
 let supervisor ~step_budget =
-  Some { Hft_robust.Supervisor.deadline_steps = Some step_budget }
+  { Hft_robust.Supervisor.deadline_steps = Some step_budget }
 
 let run_atpg ~step_budget ?(jobs = 1) nl ~faults ~scanned strategy on_test =
   let stats =

@@ -686,8 +686,12 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
          | `Continue -> ()
        end
        else begin
+         (* The X-path answer holds for the whole iteration: nothing
+            below changes the search state before the fallback check. *)
+         let active = activated () in
+         let xpath = active && xpath_ok () in
          let objectives =
-           if not (activated ()) then activation_objectives ()
+           if not active then activation_objectives ()
            else
              (* For multi-site faults (one fault replicated across time
                 frames) activation at one site must not stop the search
@@ -699,7 +703,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
                 value, so [acts] is empty and this reduces to the
                 classic activate / x-path / propagate ladder. *)
              let acts = activation_objectives () in
-             if xpath_ok () then propagation_objectives () @ acts else acts
+             if xpath then propagation_objectives () @ acts else acts
          in
          (* Try each candidate objective until one backtraces to a free
             assignable PI. *)
@@ -717,8 +721,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
          if
            decide objectives
            && ((not !propagation_fallbacks_enabled)
-               || not (activated ()) || not (xpath_ok ())
-               || decide (propagation_fallbacks ()))
+               || (not xpath) || decide (propagation_fallbacks ()))
          then
            match backtrack () with
            | `Exhausted -> result := Some `Untestable

@@ -272,22 +272,6 @@ let replay ?assignable_pis ?strapped nl ~scanned ~tests faults =
     frame_counts;
   (List.rev !detected, List.filteri (fun i _ -> live.(i)) faults)
 
-(* One speculated PODEM attempt of the frame-growing ladder for one
-   class, evaluated on a worker domain: the supervised search outcome,
-   the tape of observability writes it deferred ({!Hft_obs.Capture}),
-   and — when the ladder failed — the speculated salvage-pattern search
-   with its own tape.  The orchestrator replays tapes at commit time in
-   class order, so committed telemetry is bit-identical to a sequential
-   run; tapes of discarded speculation (the class was dropped first)
-   are simply never replayed. *)
-type spec_attempt = {
-  sp_frames : int;
-  sp_outcome : (Podem.result * Podem.effort, Hft_robust.Failure.t) result;
-  sp_tape : Hft_obs.Capture.tape;
-  sp_salvage :
-    ((((int * bool) list * int) option) * Hft_obs.Capture.tape) option;
-}
-
 (* One class's forensics while a campaign runs with observability on:
    its resolution and the costs charged to it so far. *)
 type account = {
@@ -304,9 +288,9 @@ type detect =
   Fsim.group list -> bool array
 
 let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
-    ?(strategy = Drop) ?on_test
-    ?(supervisor = Some Hft_robust.Supervisor.default) ?resolved ?on_resolved
-    ?guidance ?on_par_stats ?(jobs = 1) ~view ~(detect : detect) nl ~faults =
+    ?(strategy = Drop) ?on_test ?(supervisor = Hft_robust.Supervisor.default)
+    ?resolved ?on_resolved ?guidance ?on_par_stats ?(jobs = 1) ~view
+    ~(detect : detect) nl ~faults =
   let jobs = Hft_par.clamp_jobs jobs in
   let t_start = Hft_obs.Clock.now () in
   let detected = ref 0 and untestable = ref 0 and aborted = ref 0 in
@@ -325,19 +309,16 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
         Fault_collapse.partition fc faults
       in
       let p =
-        match supervisor with
-        | None -> collapse ()
-        | Some _ ->
-          (match
-             Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Collapse
-               collapse
-           with
-           | Ok p -> p
-           | Error _ ->
-             (* Degrade to one class per fault: more PODEM calls, but the
-                campaign keeps going. *)
-             Hft_obs.Registry.incr "hft.robust.degraded";
-             naive_groups ())
+        match
+          Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Collapse
+            collapse
+        with
+        | Ok p -> p
+        | Error _ ->
+          (* Degrade to one class per fault: more PODEM calls, but the
+             campaign keeps going. *)
+          Hft_obs.Registry.incr "hft.robust.degraded";
+          naive_groups ()
       in
       Hft_obs.Registry.incr "hft.seq_atpg.classes" ~by:(List.length p);
       p
@@ -349,8 +330,8 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
   (* Commit-thread workspaces, one per frame count (shared across
      faults), built from the original netlist on first use, each with
      every class's drop-check group prepared in it once — on the first
-     drop pass or salvage at that frame count — so a class's charge is
-     computed at most once per frame count. *)
+     drop pass at that frame count — so a class's charge is computed at
+     most once per frame count. *)
   let unrolled =
     Array.init max_frames (fun i ->
         lazy
@@ -482,58 +463,44 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
         pending;
       (!drops, List.rev !dropped_classes)
   in
+  (* The whole pass is one supervision point: a pass with no pending
+     class still takes its chaos draw. *)
   let safe_drop_pass ws assignment self tid =
-    match supervisor with
-    | None -> drop_pass ws assignment self tid
-    | Some _ ->
-      (match
-         Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim (fun () ->
-             drop_pass ws assignment self tid)
-       with
-       | Ok r -> r
-       | Error _ ->
-         (* Lose the sweep, keep the test: pending classes get their own
-            PODEM attempt later. *)
-         Hft_obs.Registry.incr "hft.robust.degraded";
-         ([], []))
+    match
+      Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim (fun () ->
+          drop_pass ws assignment self tid)
+    with
+    | Ok r -> r
+    | Error _ ->
+      (* Lose the sweep, keep the test: pending classes get their own
+         PODEM attempt later. *)
+      Hft_obs.Registry.incr "hft.robust.degraded";
+      ([], [])
   in
   (* One PODEM invocation under the supervisor's retry ladder (budget
-     escalation + per-attempt deadlines); unsupervised calls keep the
-     historical direct path, bit for bit. *)
+     escalation + per-attempt deadlines). *)
   let podem_call u f =
     let faults = u.u_map_fault f in
     let gd =
       Option.map (fun provide -> provide u.u_net ~observe:u.u_observe ~faults)
         guidance
     in
-    match supervisor with
-    | None ->
-      Ok
-        (Podem.generate ~backtrack_limit ?guidance:gd u.u_net ~faults
-           ~assignable:u.u_assignable ~observe:u.u_observe)
-    | Some policy ->
-      Hft_robust.Supervisor.ladder policy ~site:Hft_robust.Chaos.Podem
-        ~budget:backtrack_limit (fun ~budget ~check ->
-          Podem.generate ~backtrack_limit:budget ?check ?guidance:gd u.u_net
-            ~faults ~assignable:u.u_assignable ~observe:u.u_observe)
+    Hft_robust.Supervisor.ladder supervisor ~site:Hft_robust.Chaos.Podem
+      ~budget:backtrack_limit (fun ~budget ~check ->
+        Podem.generate ~backtrack_limit:budget ?check ?guidance:gd u.u_net
+          ~faults ~assignable:u.u_assignable ~observe:u.u_observe)
   in
   (* Graceful degradation once the PODEM ladder is exhausted: a
      deterministic burst of random patterns over the unrolled inputs,
      checked with [detect] (X-sound where sources stay unassigned — a
      salvaged detection is as real as a PODEM one).  The salvage seed
      depends only on the class index and frame count, so an
-     interrupted-and-resumed campaign salvages identically.  Misses resolve the class aborted-with-reason; the
-     campaign never crashes. *)
-  (* [salvage_search] is a pure function of (workspace unroll, class)
-     — the seed depends only on the class index and frame count — so
-     worker domains can speculate it; [salvage_commit]
-     performs the side-effecting half (test numbering, drop pass,
-     resolutions) and only ever runs on the orchestrating thread.
-     [group] is the class's drop-check group in [u]: the commit thread
-     passes its memoized one, a worker prepares its own (the commit
-     thread's lazy tables must not be forced from another domain). *)
-  let salvage_search u gi group =
+     interrupted-and-resumed campaign salvages identically.  The class's
+     drop-check group is prepared afresh: a worker must not force the
+     commit thread's lazy tables. *)
+  let salvage_search u gi =
     let try_salvage () =
+      let group = Fsim.group u.u_net (u.u_map_fault leaders.(gi)) in
       let rng = Hft_util.Rng.create (0x5a17a6e + (7919 * gi) + u.u_frames) in
       let found = ref None in
       let tries = ref 0 in
@@ -555,187 +522,133 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
     | Ok r -> r
     | Error _ -> None
   in
-  let salvage_commit ((u, _) as ws) gi fail found =
-    match found with
-    | Some (assignment, patterns) ->
-      let tid = new_test () in
-      let drops, dropped_classes = safe_drop_pass ws assignment gi tid in
-      Hft_obs.Registry.incr "hft.robust.salvaged";
-      (match on_test with
-       | Some k -> k u assignment ~detects:(members.(gi) @ drops)
-       | None -> ());
-      List.iter emit_row dropped_classes;
-      resolve_class gi (Hft_obs.Ledger.Salvaged { test = tid; patterns });
-      `Detected
-    | None ->
-      let budget = Hft_robust.Supervisor.final_budget ~budget:backtrack_limit in
-      Hft_obs.Registry.incr "hft.robust.degraded";
-      resolve_class gi
-        (Hft_obs.Ledger.Aborted
-           { budget; frames = u.u_frames;
-             reason = Some (Hft_robust.Failure.to_string fail) });
-      `Aborted
+  (* One class's frame ladder: a supervised PODEM attempt per frame
+     count from [min_frames] up to a test, a failure or [max_frames],
+     and the salvage search after a failure (a miss resolves the class
+     aborted-with-reason).  It reads nothing a commit writes, so a
+     worker domain can run it ahead of the commit order.  [view_at
+     frames] is the workspace: the commit thread's, or a worker's own. *)
+  let run_ladder view_at gi =
+    let rec go frames =
+      let u = view_at frames in
+      match podem_call u leaders.(gi) with
+      | Ok (Podem.Test _, _) as o -> [ (frames, o) ]
+      | Ok _ as o when frames >= max_frames -> [ (frames, o) ]
+      | Ok _ as o -> (frames, o) :: go (frames + 1)
+      | Error fail ->
+        (* The failure is not frame-related (deadline, injection,
+           exception): degrade at this frame count instead of burning
+           more frames. *)
+        [ (frames, Error (fail, salvage_search u gi)) ]
+    in
+    go (min min_frames max_frames)
   in
-  (* Target one class through the growing-frames ladder and commit its
-     resolution.  [spec] carries per-frame attempts a worker domain
-     evaluated speculatively: a matching attempt replays its captured
-     telemetry and reuses the search outcome instead of re-running
-     PODEM; on any mismatch (or no speculation at all — [jobs = 1],
-     dead shard) the attempt is computed inline by exactly the code the
-     sequential engine runs.  Commit order is class order either way,
-     so results and telemetry are bit-identical at any jobs count. *)
-  let process_class ?(spec = []) gi f =
+  let commit_view frames = fst (Lazy.force unrolled.(frames - 1)) in
+  (* A fresh test of class [gi], numbered in commit order: it sweeps the
+     pending classes first ([drop]), so its recorded detections cover
+     the class and every class it swept, and the tape transaction is
+     the test line, the drop rows, then [gi]'s row ([resolution tid]). *)
+  let commit_test ((u, _) as ws) gi assignment ~drop resolution =
+    let tid = new_test () in
+    let drops, dropped_classes =
+      if drop then safe_drop_pass ws assignment gi tid else ([], [])
+    in
+    (match on_test with
+     | Some k -> k u assignment ~detects:(members.(gi) @ drops)
+     | None -> ());
+    List.iter emit_row dropped_classes;
+    resolve_class gi (resolution tid);
+    `Detected
+  in
+  (* Charge a ladder's effort to the class and commit its resolution: a
+     PODEM test, a salvage, or the last rung's verdict.  Every rung
+     forces the commit thread's view, so view construction counts the
+     same at any jobs count. *)
+  let commit gi ladder =
     let cls_backtracks = ref 0 in
-    let rec attempt spec frames last =
-      if frames > max_frames then begin
-        (match last with
-         | `Untestable ->
-           resolve_class gi
-             (Hft_obs.Ledger.Proved_untestable { frames = max_frames })
-         | `Aborted ->
+    let rec go = function
+      | [] -> assert false
+      | (frames, outcome) :: rest ->
+        let ws = Lazy.force unrolled.(frames - 1) in
+        (match outcome with
+         | Error (_, Some (assignment, patterns)) ->
+           Hft_obs.Registry.incr "hft.robust.salvaged";
+           commit_test ws gi assignment ~drop:true (fun test ->
+               Hft_obs.Ledger.Salvaged { test; patterns })
+         | Error (fail, None) ->
+           let budget =
+             Hft_robust.Supervisor.final_budget ~budget:backtrack_limit
+           in
+           Hft_obs.Registry.incr "hft.robust.degraded";
            resolve_class gi
              (Hft_obs.Ledger.Aborted
-                { budget = backtrack_limit; frames = max_frames;
-                  reason = None })
-         | _ -> ());
-        last
-      end
-      else begin
-        let ((u, groups) as ws) = Lazy.force unrolled.(frames - 1) in
-        let outcome, spec_salvage, spec_rest =
-          match spec with
-          | sa :: rest when sa.sp_frames = frames ->
-            Hft_obs.Capture.replay sa.sp_tape;
-            (sa.sp_outcome, sa.sp_salvage, rest)
-          | _ -> (podem_call u f, None, [])
-        in
-        match outcome with
-        | Error fail ->
-          (* Ladder exhausted at this frame count: the failure is
-             not frame-related (timeout / injection / exception), so
-             degrade right here instead of burning more frames. *)
-          (match supervisor with
-           | Some _ ->
-             let found =
-               match spec_salvage with
-               | Some (found, stape) ->
-                 Hft_obs.Capture.replay stape;
-                 found
-               | None -> salvage_search u gi (Lazy.force groups).(gi)
-             in
-             salvage_commit ws gi fail found
-           | None -> assert false)
-        | Ok (result, effort) ->
-          decisions := !decisions + effort.Podem.decisions;
-          backtracks := !backtracks + effort.Podem.backtracks;
-          implications := !implications + effort.Podem.implications;
-          cls_backtracks := !cls_backtracks + effort.Podem.backtracks;
-          if obs then begin
-            let a = ledger.(gi) in
-            a.a_impl <- a.a_impl + effort.Podem.implications;
-            a.a_btk <- a.a_btk + effort.Podem.backtracks;
-            a.a_cuts <- a.a_cuts + effort.Podem.guided_cuts
-          end;
-          if frames > !frames_used then frames_used := frames;
-          match result with
-          | Podem.Test assignment ->
-            let tid = new_test () in
-            (* Drop first: the test's recorded detections then cover
-               both the targeted class and every class it swept. *)
-            let drops, dropped_classes =
-              if strategy = Drop then safe_drop_pass ws assignment gi tid
-              else ([], [])
-            in
-            (match on_test with
-             | Some k -> k u assignment ~detects:(members.(gi) @ drops)
-             | None -> ());
-            List.iter emit_row dropped_classes;
-            resolve_class gi
-              (Hft_obs.Ledger.Podem_detected
-                 { test = tid; backtracks = !cls_backtracks; frames });
-            `Detected
-          | Podem.Untestable ->
-            (* May become testable with more frames. *)
-            attempt spec_rest (frames + 1) `Untestable
-          | Podem.Aborted -> attempt spec_rest (frames + 1) `Aborted
-      end
+                { budget; frames;
+                  reason = Some (Hft_robust.Failure.to_string fail) });
+           `Aborted
+         | Ok (result, effort) ->
+           decisions := !decisions + effort.Podem.decisions;
+           backtracks := !backtracks + effort.Podem.backtracks;
+           implications := !implications + effort.Podem.implications;
+           cls_backtracks := !cls_backtracks + effort.Podem.backtracks;
+           if obs then begin
+             let a = ledger.(gi) in
+             a.a_impl <- a.a_impl + effort.Podem.implications;
+             a.a_btk <- a.a_btk + effort.Podem.backtracks;
+             a.a_cuts <- a.a_cuts + effort.Podem.guided_cuts
+           end;
+           if frames > !frames_used then frames_used := frames;
+           (match (result, rest) with
+            | Podem.Test assignment, _ ->
+              commit_test ws gi assignment ~drop:(strategy = Drop)
+                (fun test ->
+                  Hft_obs.Ledger.Podem_detected
+                    { test; backtracks = !cls_backtracks; frames })
+            | (Podem.Untestable | Podem.Aborted), _ :: _ ->
+              (* May become testable with more frames. *)
+              go rest
+            | Podem.Untestable, [] ->
+              resolve_class gi (Hft_obs.Ledger.Proved_untestable { frames });
+              `Untestable
+            | Podem.Aborted, [] ->
+              resolve_class gi
+                (Hft_obs.Ledger.Aborted
+                   { budget = backtrack_limit; frames; reason = None });
+              `Aborted))
     in
-    status.(gi) <- attempt spec (min min_frames max_frames) `Untestable
+    status.(gi) <- go ladder
   in
-  (* Speculative evaluation of one class on a worker domain: run the
-     same frame ladder [process_class] will walk, with every
-     observability write captured onto tapes.  A worker's workspace is
-     its own {!Netlist.copy} of the original plus a per-frame cache of
-     views built from that copy (node ids are positions, so faults and
-     assignments transfer verbatim); view construction cost is
-     suppressed outright — it has no sequential counterpart. *)
-  let ws_unroll (src, cache) frames =
-    match cache.(frames - 1) with
-    | Some u -> u
-    | None ->
-      let u = Hft_obs.Capture.suppress (fun () -> view src frames) in
-      cache.(frames - 1) <- Some u;
-      u
-  in
-  let eval_class ws gi =
-    let f = leaders.(gi) in
-    let rec go frames acc =
-      let u = ws_unroll ws frames in
-      let outcome, tape = Hft_obs.Capture.record (fun () -> podem_call u f) in
-      match outcome with
-      | Ok (Podem.Test _, _) ->
-        List.rev
-          ({ sp_frames = frames; sp_outcome = outcome; sp_tape = tape;
-             sp_salvage = None }
-           :: acc)
-      | Ok ((Podem.Untestable | Podem.Aborted), _) ->
-        let acc =
-          { sp_frames = frames; sp_outcome = outcome; sp_tape = tape;
-            sp_salvage = None }
-          :: acc
-        in
-        if frames >= max_frames then List.rev acc else go (frames + 1) acc
-      | Error _ ->
-        let sp_salvage =
-          match supervisor with
-          | None -> None
-          | Some _ ->
-            Some
-              (Hft_obs.Capture.record (fun () ->
-                   salvage_search u gi
-                     (Fsim.group u.u_net (u.u_map_fault f))))
-        in
-        List.rev
-          ({ sp_frames = frames; sp_outcome = outcome; sp_tape = tape;
-             sp_salvage }
-           :: acc)
-    in
-    go (min min_frames max_frames) []
-  in
-  (* Parallel driver: windows of ~2×jobs pending classes are evaluated
-     speculatively across the pool, then committed strictly in class
-     order.  A class dropped by an earlier commit discards its
-     speculation (tapes never replayed); a shard death leaves [None]
-     results that commit inline — the window size trades speculation
-     waste against parallelism and cannot affect results. *)
-  let par_stats = ref None in
+  (* Parallel path: windows of ~2×jobs pending classes run their
+     ladders across the pool, each on the worker's own {!Netlist.copy}
+     of the original with a per-frame cache of views built from that
+     copy (node ids are positions, so faults and assignments transfer
+     verbatim), every observability write captured onto one tape per
+     class; view construction is suppressed outright — it has no
+     sequential counterpart.  The window is then committed strictly in
+     class order: a still-pending class replays its tape and commits
+     its ladder (hit), a class an earlier commit dropped discards both
+     (miss), and a dead shard's class runs its ladder inline (one
+     [hft.robust.degraded] count per shard failure).  Exactly one
+     bucket per dispatched task; results and telemetry are those of the
+     sequential walk, whatever the window size. *)
   let run_parallel pool =
-    (* Scheduler telemetry rides along only when a consumer asked for
-       it; the collector is observational either way (commit order and
-       replayed tapes are untouched). *)
-    let stats =
-      Option.map (fun _ -> Hft_par.Stats.collector ~jobs) on_par_stats
+    let stats = Hft_par.Stats.collector ~jobs in
+    let worker_view (src, cache) frames =
+      match cache.(frames - 1) with
+      | Some u -> u
+      | None ->
+        let u = Hft_obs.Capture.suppress (fun () -> view src frames) in
+        cache.(frames - 1) <- Some u;
+        u
     in
-    Hft_par.Pool.parallel pool ?stats
+    Hft_par.Pool.parallel pool ~stats
       ~init:(fun () -> (Netlist.copy nl, Array.make max_frames None))
     @@ fun section ->
     let win = 2 * jobs in
     let cursor = ref 0 in
     while !cursor < n_groups do
-      let chunk_start = !cursor in
       let picked = ref [] in
       let count = ref 0 in
-      let i = ref chunk_start in
+      let i = ref !cursor in
       while !count < win && !i < n_groups do
         if status.(!i) = `Pending then begin
           picked := !i :: !picked;
@@ -743,60 +656,49 @@ let campaign ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
         end;
         incr i
       done;
-      let chunk_end = !i in
       let window = Array.of_list (List.rev !picked) in
-      let specs, fails =
+      let ladders, fails =
         if Array.length window = 0 then ([||], [])
         else
           section.run ~n:(Array.length window) ~f:(fun ws k ->
-              eval_class ws window.(k))
+              let gi = window.(k) in
+              Hft_obs.Capture.record (fun () ->
+                  run_ladder (worker_view ws) gi))
       in
       List.iter
         (fun _fail -> Hft_obs.Registry.incr "hft.robust.degraded")
         fails;
-      (* Commit strictly in class order.  [window] is exactly the
-         classes of [chunk_start, chunk_end) that were pending at pick
-         time, in ascending order, so iterating it is the same loop the
-         sequential chunk walk ran — plus per-task speculation
-         accounting: a still-pending class replays its speculation
-         (hit) or recomputes inline (dead shard); a class resolved by
-         an earlier commit discards it (miss).  Exactly one bucket per
-         dispatched task. *)
       Array.iteri
         (fun k gi ->
-          if status.(gi) = `Pending then
-            match specs.(k) with
-            | Some spec ->
-              Option.iter Hft_par.Stats.note_hit stats;
-              process_class ~spec gi leaders.(gi)
+          if status.(gi) <> `Pending then Hft_par.Stats.note_miss stats
+          else
+            match ladders.(k) with
+            | Some (ladder, tape) ->
+              Hft_par.Stats.note_hit stats;
+              Hft_obs.Capture.replay tape;
+              commit gi ladder
             | None ->
-              Option.iter Hft_par.Stats.note_inline stats;
-              process_class gi leaders.(gi)
-          else Option.iter Hft_par.Stats.note_miss stats)
+              Hft_par.Stats.note_inline stats;
+              commit gi (run_ladder commit_view gi))
         window;
-      cursor := chunk_end
+      cursor := !i
     done;
-    par_stats := Option.map Hft_par.Stats.finish stats
+    Hft_par.Stats.finish stats
   in
-  if jobs > 1 && n_groups > 1 then run_parallel (Hft_par.Pool.get ~jobs)
-  else
-    Array.iteri
-      (fun gi f -> if status.(gi) = `Pending then process_class gi f)
-      leaders;
-  (match on_par_stats with
-   | None -> ()
-   | Some k ->
-     let s =
-       match !par_stats with
-       | Some s -> s
-       | None ->
-         (* Sequential path: synthesize the degenerate summary so every
-            consumer sees a utilization field. *)
-         Hft_par.Stats.sequential
-           ~wall_ns:
-             (int_of_float ((Hft_obs.Clock.now () -. t_start) *. 1e9))
-     in
-     k s);
+  let par =
+    if jobs > 1 && n_groups > 1 then run_parallel (Hft_par.Pool.get ~jobs)
+    else begin
+      Array.iteri
+        (fun gi _ ->
+          if status.(gi) = `Pending then commit gi (run_ladder commit_view gi))
+        leaders;
+      (* The degenerate summary, so every consumer sees a utilization
+         field. *)
+      Hft_par.Stats.sequential
+        ~wall_ns:(int_of_float ((Hft_obs.Clock.now () -. t_start) *. 1e9))
+    end
+  in
+  Option.iter (fun k -> k par) on_par_stats;
   Array.iteri
     (fun gi st ->
       match st with

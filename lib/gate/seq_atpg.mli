@@ -86,10 +86,10 @@ type detect =
 
 (** [campaign ~view ~detect nl ~faults] — the one ATPG campaign loop
     every engine runs on: fault collapsing (with its uncollapsed
-    fallback), the forensics rows of its stats, the frame ladder from
-    [min_frames] to [max_frames] under the supervised PODEM retry
-    ladder, random-pattern salvage once a ladder is exhausted, drop
-    passes with [detect], the speculate-then-commit
+    fallback), the forensics rows of its stats, one frame ladder per
+    class from [min_frames] to [max_frames] under the supervised PODEM
+    retry ladder, random-pattern salvage once a retry ladder is
+    exhausted, drop passes with [detect], the speculate-then-commit
     window over the {!Hft_par} pool and the
     [hft.seq_atpg.{classes,faults,detected,dropped}] counters.
 
@@ -105,7 +105,7 @@ val campaign :
   ?backtrack_limit:int -> ?min_frames:int -> ?max_frames:int ->
   ?strategy:strategy ->
   ?on_test:(unrolled -> (int * bool) list -> detects:Fault.t list -> unit) ->
-  ?supervisor:Hft_robust.Supervisor.policy option ->
+  ?supervisor:Hft_robust.Supervisor.policy ->
   ?resolved:(string -> Hft_obs.Ledger.row option) ->
   ?on_resolved:(Hft_obs.Ledger.row -> unit) ->
   ?guidance:Podem.provider ->
@@ -127,16 +127,13 @@ val campaign :
     pattern store.  Outcomes are reported over the full fault list: a
     class outcome applies to each of its sampled members.
 
-    [supervisor] (default {!Hft_robust.Supervisor.default}, whose
-    policy sets only a per-attempt step deadline) runs every engine
-    invocation — collapse, PODEM, drop passes — under the typed failure
-    discipline: PODEM failures climb the retry ladder, then degrade to
-    a salvage burst of {!Hft_robust.Supervisor.salvage_patterns} random
-    patterns, then resolve the class aborted-with-reason; fsim/collapse failures skip the optimisation
-    and continue.  Pass [~supervisor:None] for the bare engines
-    (failures propagate as exceptions).  With chaos off and no
-    deadlines the supervised run is bit-identical to the unsupervised
-    one.
+    Every engine invocation — collapse, PODEM, drop passes, salvage —
+    runs under the typed failure discipline of [supervisor] (default
+    {!Hft_robust.Supervisor.default}: no per-attempt step deadline):
+    PODEM failures climb the retry ladder, then degrade to a salvage
+    burst of {!Hft_robust.Supervisor.salvage_patterns} random
+    patterns, then resolve the class aborted-with-reason;
+    fsim/collapse failures skip the optimisation and continue.
 
     [resolved] (resume) maps a class representative's display string
     to the row an interrupted run recorded for it: matching classes
@@ -158,26 +155,24 @@ val campaign :
     bit.
 
     [jobs] (default 1, clamped to 1–64) shards the campaign over an
-    {!Hft_par} domain pool: pending classes are PODEM-evaluated
-    speculatively on workers, then committed strictly in class order.
+    {!Hft_par} domain pool: workers run pending classes' frame ladders
+    ahead of the commit order, and the ladders commit strictly in class
+    order, exactly as the sequential walk commits the ladder it runs.
     Coverage, verdicts, tests, ledger waterfalls and the determinism-
     contract counters are bit-identical at any jobs count; a worker
-    domain that dies degrades its shard to inline sequential
-    evaluation (one [hft.robust.degraded] count per failure) with
-    unchanged results.  [jobs = 1] is the historical
-    sequential path, bit for bit.
+    domain that dies leaves its classes to run inline (one
+    [hft.robust.degraded] count per failure) with unchanged results.
 
     [on_par_stats] receives the campaign's scheduler summary
     ({!Hft_par.Stats.t}) once, after the last class commits: measured
     campaign totals on the parallel path, the degenerate
     {!Hft_par.Stats.sequential} summary on the sequential one.
-    Collection is observational — all bit-identity contracts above hold
-    with or without it. *)
+    Passing it changes no result. *)
 val run :
   ?backtrack_limit:int -> ?min_frames:int -> ?max_frames:int ->
   ?assignable_pis:int list -> ?strapped:int list ->
   ?strategy:strategy -> ?on_test:(test -> unit) ->
-  ?supervisor:Hft_robust.Supervisor.policy option ->
+  ?supervisor:Hft_robust.Supervisor.policy ->
   ?resolved:(string -> Hft_obs.Ledger.row option) ->
   ?on_resolved:(Hft_obs.Ledger.row -> unit) ->
   ?guidance:Podem.provider ->

@@ -32,8 +32,8 @@ type 'ws section = {
    only by the orchestrating thread, and the slots are read after
    [launch]'s final lock round-trip — the same happens-before edge the
    result array already relies on.  All of it is observational: the
-   engines' task order, results and committed telemetry are identical
-   with a collector attached or not. *)
+   collector reads clocks and counts, and changes no task order, result
+   or committed telemetry. *)
 module Stats = struct
   type t = {
     s_jobs : int;
@@ -313,7 +313,7 @@ module Pool = struct
     Mutex.unlock pools_lock;
     t
 
-  let parallel (type ws) t ?stats ~(init : unit -> ws) (k : ws section -> 'b)
+  let parallel (type ws) t ~stats ~(init : unit -> ws) (k : ws section -> 'b)
       : 'b =
     (* One lazily-built workspace per worker; slot [w] is only ever
        touched by worker [w] (worker ids are stable across waves), so
@@ -343,14 +343,11 @@ module Pool = struct
             done;
             Deque.make (Array.of_list !mine))
       in
-      (match stats with Some c -> Stats.wave_begin c ~n | None -> ());
+      Stats.wave_begin stats ~n;
       let body wid =
         let exec ws ~stolen k =
-          match stats with
-          | None -> results.(k) <- Some (f ws k)
-          | Some c ->
-            results.(k) <-
-              Some (Stats.task_run c ~wid ~stolen (fun () -> f ws k))
+          results.(k) <-
+            Some (Stats.task_run stats ~wid ~stolen (fun () -> f ws k))
         in
         match
           Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Shard
@@ -380,7 +377,7 @@ module Pool = struct
           Mutex.unlock fails_lock
       in
       launch t body;
-      (match stats with Some c -> Stats.wave_end c | None -> ());
+      Stats.wave_end stats;
       (results, List.rev !fails)
     in
     k { run }

@@ -33,9 +33,9 @@ type 'ws section = {
     accumulates lock-free: each worker writes only its own busy-time
     and steal slots, the orchestrating thread writes everything else,
     and the slots are summed after the wave barrier's happens-before
-    edge.  Collection is purely observational — task order, results
-    and committed telemetry are bit-identical with or without a
-    collector.
+    edge.  Collection is purely observational: it reads clocks and
+    counts, and changes no task order, result or committed
+    telemetry.
 
     Accounting laws that hold by construction:
     {ul
@@ -113,13 +113,13 @@ module Pool : sig
   val jobs : t -> int
 
   val parallel :
-    t -> ?stats:Stats.collector -> init:(unit -> 'ws) ->
+    t -> stats:Stats.collector -> init:(unit -> 'ws) ->
     ('ws section -> 'b) -> 'b
-  (** [parallel t ~init k] opens a section whose per-worker workspaces
-      are built by [init] (on the worker that uses them, at most once
-      per worker) and runs [k] with it.  [k] runs on the calling
-      thread; only [section.run] bodies execute on the pool.  [stats]
-      attaches a scheduler-telemetry collector: each [run] becomes one
-      measured wave (busy time, steals, the wave's critical path and
-      the commit window after it) at no change to results. *)
+  (** [parallel t ~stats ~init k] opens a section whose per-worker
+      workspaces are built by [init] (on the worker that uses them, at
+      most once per worker) and runs [k] with it.  [k] runs on the
+      calling thread; only [section.run] bodies execute on the pool.
+      Each [run] is one wave measured into [stats] (busy time, steals,
+      the wave's critical path and the commit window after it) at no
+      change to results. *)
 end

@@ -23,8 +23,8 @@ let scan_view net =
     u_frames = 1;
   }
 
-let atpg ?(backtrack_limit = 500) ?strategy ?supervisor ?guidance
-    ?on_par_stats ?jobs nl ~faults =
+let atpg ?(backtrack_limit = 500) ?strategy ?guidance ?on_par_stats ?jobs nl
+    ~faults =
   Hft_obs.Span.with_ "full-scan-atpg"
     ~attrs:[ ("faults", string_of_int (List.length faults)) ]
   @@ fun () ->
@@ -32,7 +32,7 @@ let atpg ?(backtrack_limit = 500) ?strategy ?supervisor ?guidance
   let stats =
     Seq_atpg.campaign ~backtrack_limit ~min_frames:1 ~max_frames:1 ?strategy
       ~on_test:(fun _ assignment ~detects:_ -> tests := assignment :: !tests)
-      ?supervisor ?guidance ?on_par_stats ?jobs
+      ?guidance ?on_par_stats ?jobs
       ~view:(fun net _ -> scan_view net)
       ~detect:Fsim.detect_groups nl ~faults
   in

@@ -23,10 +23,10 @@ type result = {
     next PODEM call; [Naive] is the historical one-PODEM-call-per-fault
     loop.
 
-    [supervisor], [guidance], [jobs] and [on_par_stats] behave as for
-    {!Hft_gate.Seq_atpg.run} — the campaign is that loop with
-    [min_frames = max_frames = 1], so full scan follows the sequential
-    engine's conventions:
+    [guidance], [jobs] and [on_par_stats] behave as for
+    {!Hft_gate.Seq_atpg.run}, under its default supervision — the
+    campaign is that loop with [min_frames = max_frames = 1], so full
+    scan follows the sequential engine's conventions:
     - within one test, commit order is drop pass, then [on_test],
       then the targeted class's resolution;
     - an exhausted PODEM retry ladder tries the random-pattern salvage
@@ -37,7 +37,6 @@ type result = {
       [hft.full_scan.dropped]). *)
 val atpg :
   ?backtrack_limit:int -> ?strategy:Seq_atpg.strategy ->
-  ?supervisor:Hft_robust.Supervisor.policy option ->
   ?guidance:Podem.provider ->
   ?on_par_stats:(Hft_par.Stats.t -> unit) -> ?jobs:int -> Netlist.t ->
   faults:Fault.t list -> result

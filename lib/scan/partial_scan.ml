@@ -16,8 +16,8 @@ let annotate_rtl d regs =
         Hft_rtl.Datapath.Scan)
     regs
 
-let atpg ?backtrack_limit ?max_frames ?on_test ?supervisor ?resolved
-    ?on_resolved ?guidance ?on_par_stats ?jobs nl ~faults ~scanned =
+let atpg ?backtrack_limit ?max_frames ?on_test ?resolved ?on_resolved ?guidance
+    ?on_par_stats ?jobs nl ~faults ~scanned =
   Hft_obs.Span.with_ "partial-scan-atpg" @@ fun () ->
-  Seq_atpg.run ?backtrack_limit ?max_frames ?on_test ?supervisor ?resolved
-    ?on_resolved ?guidance ?on_par_stats ?jobs nl ~faults ~scanned
+  Seq_atpg.run ?backtrack_limit ?max_frames ?on_test ?resolved ?on_resolved
+    ?guidance ?on_par_stats ?jobs nl ~faults ~scanned

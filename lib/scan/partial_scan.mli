@@ -23,14 +23,12 @@ val select_rtl_level : Hft_rtl.Datapath.t -> Expand.t -> int list
 val annotate_rtl : Hft_rtl.Datapath.t -> int list -> unit
 
 (** Sequential ATPG with the given scan set ({!Seq_atpg.run}
-    pass-through: collapsing + fault dropping, [on_test]
-    observes every generated test, [supervisor] forwards campaign
-    supervision, [resolved]/[on_resolved] the campaign tape's ledger-row
-    hooks (resume and append), [guidance] static-analysis ATPG
-    guidance). *)
+    pass-through under its default supervision: collapsing + fault
+    dropping, [on_test] observes every generated test,
+    [resolved]/[on_resolved] the campaign tape's ledger-row hooks
+    (resume and append), [guidance] static-analysis ATPG guidance). *)
 val atpg :
   ?backtrack_limit:int -> ?max_frames:int -> ?on_test:(Seq_atpg.test -> unit) ->
-  ?supervisor:Hft_robust.Supervisor.policy option ->
   ?resolved:(string -> Hft_obs.Ledger.row option) ->
   ?on_resolved:(Hft_obs.Ledger.row -> unit) ->
   ?guidance:Podem.provider ->

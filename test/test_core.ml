@@ -782,8 +782,7 @@ let test_replay_matches_parent () =
           in
           ignore
             (Hft_scan.Partial_scan.atpg ~backtrack_limit:20 ~max_frames:2
-               ~on_test ~supervisor:(Some Hft_robust.Supervisor.default)
-               ~guidance:Hft_analysis.Guidance.provide nl ~faults ~scanned
+               ~on_test ~guidance:Hft_analysis.Guidance.provide nl ~faults ~scanned
               : Seq_atpg.stats);
           let patterns =
             Pattern_store.padded store ~rng ~n_min:64 ~width:(n_pi + n_scan)
@@ -809,9 +808,8 @@ let test_replay_matches_parent () =
   let scanned = [ List.hd (Netlist.dffs nl) ] in
   let tests = ref [] in
   ignore
-    (Seq_atpg.run ~max_frames:2 ~supervisor:None
-       ~on_test:(fun t -> tests := t :: !tests)
-       nl ~faults ~scanned
+    (Seq_atpg.run ~max_frames:2 ~on_test:(fun t -> tests := t :: !tests) nl
+       ~faults ~scanned
       : Seq_atpg.stats);
   let tests = List.rev !tests in
   check "one- and two-frame tests" true

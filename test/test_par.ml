@@ -79,14 +79,15 @@ type fingerprint = {
   fp_degraded : int;
   fp_tests : (int * bool array array * bool array) list;
   fp_rows : string list;
+  fp_resolutions : Hft_obs.Ledger.resolution list;
 }
 
-let seq_fingerprint ?on_par_stats ~jobs nl ~faults ~scanned =
+let seq_fingerprint ?on_par_stats ?supervisor ~jobs nl ~faults ~scanned =
   with_obs @@ fun () ->
   let tests = ref [] in
   let stats =
     Seq_atpg.run ~backtrack_limit:30 ~max_frames:3 ~jobs ?on_par_stats
-      ~on_test:(fun t ->
+      ?supervisor ~on_test:(fun t ->
         tests :=
           (t.Seq_atpg.t_frames, t.Seq_atpg.t_pi_vectors,
            t.Seq_atpg.t_scan_state)
@@ -103,6 +104,8 @@ let seq_fingerprint ?on_par_stats ~jobs nl ~faults ~scanned =
     fp_degraded = Hft_obs.Registry.count "hft.robust.degraded";
     fp_tests = List.rev !tests;
     fp_rows = ledger_rows stats;
+    fp_resolutions =
+      List.map (fun (r : Hft_obs.Ledger.row) -> r.lr_resolution) stats.rows;
   }
 
 let check_identical tag base fp =
@@ -119,8 +122,12 @@ let check_identical tag base fp =
     (tag ^ ": ledger rows") base.fp_rows fp.fp_rows
 
 (* Sequential ATPG on seeded random circuits: -j2/-j4 must reproduce
-   the -j1 run bit for bit, ledger rows included. *)
+   the -j1 run bit for bit, ledger rows included.  The deadline leg
+   exhausts retry ladders with step deadlines of k steps, so ladders
+   that workers ran end in salvage searches and reasoned aborts, which
+   must commit exactly as at -j1. *)
 let test_seq_differential () =
+  let salvaged = ref 0 and reasoned = ref 0 in
   List.iter
     (fun seed ->
       let nl = Netlist_gen.sequential ~seed ~n_pi:4 ~n_dff:3 ~n_gates:14 in
@@ -128,17 +135,32 @@ let test_seq_differential () =
       let scanned =
         List.filteri (fun i _ -> i mod 2 = 0) (Netlist.dffs nl)
       in
-      let base = seq_fingerprint ~jobs:1 nl ~faults ~scanned in
-      check ("seed " ^ string_of_int seed ^ ": campaign nonempty") true
-        (base.fp_stats.Seq_atpg.total > 0);
+      let legs ?supervisor tag =
+        let base = seq_fingerprint ?supervisor ~jobs:1 nl ~faults ~scanned in
+        check (tag ^ ": campaign nonempty") true
+          (base.fp_stats.Seq_atpg.total > 0);
+        List.iter
+          (fun jobs ->
+            let fp = seq_fingerprint ?supervisor ~jobs nl ~faults ~scanned in
+            check_identical (Printf.sprintf "%s -j%d" tag jobs) base fp)
+          [ 2; 4 ];
+        base.fp_resolutions
+      in
+      ignore (legs (Printf.sprintf "seed %d" seed) : _ list);
       List.iter
-        (fun jobs ->
-          let fp = seq_fingerprint ~jobs nl ~faults ~scanned in
-          check_identical
-            (Printf.sprintf "seed %d -j%d" seed jobs)
-            base fp)
-        [ 2; 4 ])
-    [ 1; 2; 3 ]
+        (fun k ->
+          List.iter
+            (function
+              | Hft_obs.Ledger.Salvaged _ -> incr salvaged
+              | Hft_obs.Ledger.Aborted { reason = Some _; _ } -> incr reasoned
+              | _ -> ())
+            (legs
+               ~supervisor:{ Hft_robust.Supervisor.deadline_steps = Some k }
+               (Printf.sprintf "seed %d deadline %d" seed k)))
+        [ 3; 8; 20 ])
+    [ 1; 2; 3 ];
+  check "deadlines salvage some class" true (!salvaged > 0);
+  check "deadlines abort some class with a reason" true (!reasoned > 0)
 
 (* Full-scan combinational ATPG on the paper's Figure 1 data paths:
    same contract on the one-frame scan view, whose workers run on

@@ -287,9 +287,9 @@ let fig1_result () =
   let g = Paper_fig1.graph () in
   Flow.synthesize ~width:4 Flow.Partial_scan g
 
-let run_campaign ?supervisor ?tape ?resume ?jobs r =
+let run_campaign ?tape ?resume ?jobs r =
   Flow.test_campaign ~backtrack_limit:20 ~max_frames:2 ~sample:4 ~seed:7
-    ~n_patterns:32 ?supervisor ?tape ?resume ?jobs r
+    ~n_patterns:32 ?tape ?resume ?jobs r
 
 (* Every outcome a campaign produces: per-fault verdicts, stored
    patterns, the final detected set, the forensics waterfall.  Effort
@@ -302,18 +302,6 @@ let fingerprint (c : Flow.campaign) =
     c.Flow.c_patterns_stored,
     List.sort compare c.Flow.c_fsim.Hft_gate.Fsim.detected,
     List.sort compare (Hft_obs.Ledger.waterfall s.rows) )
-
-let test_supervisor_bit_identical () =
-  (* Supervision on, chaos off: the happy path must not perturb the
-     engines — same stats, patterns, coverage, waterfall. *)
-  let r = fig1_result () in
-  with_obs @@ fun () ->
-  let c_on = run_campaign r in
-  let on = (c_on.Flow.c_atpg, fingerprint c_on) in
-  let c_off = run_campaign ~supervisor:None r in
-  let off = (c_off.Flow.c_atpg, fingerprint c_off) in
-  check "supervised run is bit-identical (effort counters included)" true
-    (on = off)
 
 let test_chaos_never_crashes () =
   (* Engine-site injections armed hot: the campaign must terminate with
@@ -629,8 +617,6 @@ let () =
         ] );
       ( "campaign",
         [
-          Alcotest.test_case "supervised = bare (chaos off)" `Quick
-            test_supervisor_bit_identical;
           Alcotest.test_case "chaos never crashes" `Quick
             test_chaos_never_crashes;
           Alcotest.test_case "kill + resume bit-identical" `Quick
