@@ -207,8 +207,6 @@ let flow_kinds =
 let flow_kind_to_string k =
   fst (List.find (fun (_, k') -> k' = k) flow_kinds)
 
-let flow_kind_of_string s = List.assoc_opt s flow_kinds
-
 let synthesize ?width ?resources kind g =
   match kind with
   | Conventional -> synthesize_conventional ?width ?resources g

@@ -55,7 +55,6 @@ type flow_kind = Conventional | Partial_scan | Bist
 
 val flow_kinds : (string * flow_kind) list
 val flow_kind_to_string : flow_kind -> string
-val flow_kind_of_string : string -> flow_kind option
 
 val synthesize :
   ?width:int -> ?resources:(Op.fu_class * int) list -> flow_kind -> Graph.t ->

@@ -13,7 +13,6 @@ let n_classes t = Array.length t.classes
 let class_of t f = Hashtbl.find_opt t.index f |> Option.map (fun i -> t.class_id.(i))
 let members t c = t.classes.(c)
 let representative t c = t.reps.(c)
-let representatives t = Array.to_list t.reps
 
 (* The handle for "the fault on gate [g]'s input pin [p], stuck at
    [v]".  On a multi-fanout net that is the branch (pin) fault; on a

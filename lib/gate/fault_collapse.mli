@@ -29,8 +29,6 @@ val members : t -> int -> Fault.t list
 (** Lowest-indexed member; deterministic. *)
 val representative : t -> int -> Fault.t
 
-val representatives : t -> Fault.t list
-
 (** [partition t faults] groups an arbitrary fault sample by class,
     first-occurrence order, leader first in each group; faults outside
     the universe become singletons. *)

@@ -68,11 +68,12 @@ let group_cone nl group = Netlist.fanout_cone_union nl (group_roots nl group)
    Naive: full re-evaluation of the netlist per group (the historical
    algorithm, kept for differential testing).
 
-   Cone: copy-on-write from the good state — only the union of the
-   fault sites' fanout cones is re-evaluated, reading good values for
-   fanins outside the cone, and only observe nodes inside the cone are
-   compared.  Nodes outside the cone provably keep their good values,
-   so the two strategies report bit-identical detections. *)
+   Cone: in place on one copy of the good state — each group
+   re-evaluates only the union of its sites' fanout cones
+   ([Sim.peval_cone]), reading good values for fanins outside it, then
+   one pass over the cone compares its observe nodes and restores the
+   good values.  Nodes outside the cone provably keep their good
+   values, so the two strategies report bit-identical detections. *)
 let run_groups ?(on_group_events = fun _ _ -> ()) ~strategy nl ~n_patterns
     ~load ~observe groups =
   let n = Netlist.n_nodes nl in
@@ -105,108 +106,26 @@ let run_groups ?(on_group_events = fun _ _ -> ()) ~strategy nl ~n_patterns
    | Cone ->
      let is_obs = Array.make n false in
      List.iter (fun o -> is_obs.(o) <- true) observe;
-     (* Copy-on-write faulty values: [None] means "same as good". *)
-     let fval : Bitvec.t option array = Array.make n None in
-     let pool = ref [] in
-     let alloc () =
-       match !pool with
-       | b :: tl -> pool := tl; b
-       | [] -> Bitvec.create n_patterns
+     let faulty =
+       { good with Sim.values = Array.map Bitvec.copy good.Sim.values }
      in
-     let forced = Array.init 3 (fun _ -> Bitvec.create n_patterns) in
-     let tmp = Bitvec.create n_patterns in
      List.iteri
        (fun gi group ->
-         (* Groups are one logical fault (a handful of sites at most):
-            direct list probes beat building tables. *)
-         let stem_of v =
-           List.fold_left
-             (fun acc f ->
-               if f.Fault.pin = None && f.Fault.node = v then Some f else acc)
-             None group
-         and pin_of v p =
-           List.find_opt
-             (fun f -> f.Fault.node = v && f.Fault.pin = Some p)
-             group
-         in
-         let read src consumer pin =
-           match pin_of consumer pin with
-           | Some f ->
-             Bitvec.fill forced.(pin) f.Fault.stuck;
-             forced.(pin)
-           | None ->
-             (match fval.(src) with
-              | Some b -> b
-              | None -> Sim.pvalue good src)
-         in
          let cone = group_cone nl group in
+         let size = Array.length cone in
          if !Hft_obs.Config.enabled then
-           Hft_obs.Registry.record "hft.fsim.cone_nodes"
-             (float_of_int (Array.length cone));
-         on_group_events gi (Array.length cone);
+           Hft_obs.Registry.record "hft.fsim.cone_nodes" (float_of_int size);
+         on_group_events gi size;
+         events := !events + size;
+         Sim.peval_cone ~faults:group nl faulty cone;
          let hit = ref false in
          Array.iter
            (fun v ->
-             incr events;
-             (match stem_of v with
-              | Some f ->
-                let b = alloc () in
-                Bitvec.fill b f.Fault.stuck;
-                fval.(v) <- Some b
-              | None ->
-                (match Netlist.kind nl v with
-                 | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1
-                   -> () (* sources keep their good values *)
-                 | Netlist.Po | Netlist.Buf ->
-                   let b = alloc () in
-                   Bitvec.assign ~dst:b (read (Netlist.fanin nl v).(0) v 0);
-                   fval.(v) <- Some b
-                 | Netlist.Not ->
-                   let b = alloc () in
-                   Bitvec.not_ ~dst:b (read (Netlist.fanin nl v).(0) v 0);
-                   fval.(v) <- Some b
-                 | Netlist.And | Netlist.Or | Netlist.Nand | Netlist.Nor
-                 | Netlist.Xor | Netlist.Xnor ->
-                   let fi = Netlist.fanin nl v in
-                   let a = read fi.(0) v 0 and c = read fi.(1) v 1 in
-                   let b = alloc () in
-                   (match Netlist.kind nl v with
-                    | Netlist.And -> Bitvec.and_ ~dst:b a c
-                    | Netlist.Or -> Bitvec.or_ ~dst:b a c
-                    | Netlist.Xor -> Bitvec.xor ~dst:b a c
-                    | Netlist.Nand ->
-                      Bitvec.and_ ~dst:tmp a c;
-                      Bitvec.not_ ~dst:b tmp
-                    | Netlist.Nor ->
-                      Bitvec.or_ ~dst:tmp a c;
-                      Bitvec.not_ ~dst:b tmp
-                    | Netlist.Xnor ->
-                      Bitvec.xor ~dst:tmp a c;
-                      Bitvec.not_ ~dst:b tmp
-                    | _ -> assert false);
-                   fval.(v) <- Some b
-                 | Netlist.Mux2 ->
-                   let fi = Netlist.fanin nl v in
-                   let s = read fi.(0) v 0 in
-                   let a = read fi.(1) v 1 and c = read fi.(2) v 2 in
-                   let b = alloc () in
-                   Bitvec.mux ~dst:b s a c;
-                   fval.(v) <- Some b));
-             if is_obs.(v) then
-               match fval.(v) with
-               | Some b ->
-                 if Bitvec.any_diff b (Sim.pvalue good v) then hit := true
-               | None -> ())
+             let b = Sim.pvalue faulty v and g = Sim.pvalue good v in
+             if is_obs.(v) && not !hit then hit := Bitvec.any_diff b g;
+             Bitvec.assign ~dst:b g)
            cone;
-         detected.(gi) <- !hit;
-         Array.iter
-           (fun v ->
-             match fval.(v) with
-             | Some b ->
-               pool := b :: !pool;
-               fval.(v) <- None
-             | None -> ())
-           cone)
+         detected.(gi) <- !hit)
        groups);
   (detected, !events)
 
@@ -315,7 +234,6 @@ type workspace = {
   w_faulty : Sim.tstate;
   w_touched : int array;
   w_obs : int array; (* stamp: observe node of this call *)
-  w_cone : int array; (* stamp: counted in this charge's cone union *)
   mutable w_stamp : int;
   w_heap : Sim.heap;
   mutable w_charges : int array; (* this call's charges, in group order *)
@@ -332,9 +250,8 @@ let workspace nl =
     | _ ->
       let w =
         { w_good = Array.make n 2; w_faulty = Array.make n 2;
-          w_touched = Array.make n 0; w_obs = Array.make n 0;
-          w_cone = Array.make n 0; w_stamp = 0; w_heap = Sim.heap_create nl;
-          w_charges = [||] }
+          w_touched = Array.make n 0; w_obs = Array.make n 0; w_stamp = 0;
+          w_heap = Sim.heap_create nl; w_charges = [||] }
       in
       Domain.DLS.set workspace_key (Some w);
       w
@@ -342,31 +259,9 @@ let workspace nl =
   Sim.heap_bind w.w_heap nl;
   w
 
-let fresh w =
-  w.w_stamp <- w.w_stamp + 1;
-  w.w_stamp
-
-let charge w nl g =
+let charge nl g =
   if g.g_charge < 0 then
-    g.g_charge <-
-      (match group_roots nl g.g_sites with
-       | [] -> 0
-       | [ r ] -> Array.length (Netlist.fanout_cone nl r)
-       | roots ->
-         let stamp = fresh w and mark = w.w_cone in
-         List.fold_left
-           (fun size r ->
-             let cone = Netlist.fanout_cone nl r in
-             let size = ref size in
-             for i = 0 to Array.length cone - 1 do
-               let v = cone.(i) in
-               if mark.(v) <> stamp then begin
-                 mark.(v) <- stamp;
-                 incr size
-               end
-             done;
-             !size)
-           0 roots);
+    g.g_charge <- Array.length (group_cone nl g.g_sites);
   g.g_charge
 
 (* Some site replaces a defined good value with a different one. *)
@@ -444,7 +339,8 @@ let kernel ~fill ?on_group_events ?(strategy = Cone) nl ~assignment ~observe
      assign good;
      Sim.teval nl good;
      Array.blit good 0 faulty 0 n;
-     let stamp = fresh w in
+     w.w_stamp <- w.w_stamp + 1;
+     let stamp = w.w_stamp in
      List.iter (fun o -> w.w_obs.(o) <- stamp) observe;
      if obs && Array.length w.w_charges < n_groups then
        w.w_charges <- Array.make n_groups 0;
@@ -453,7 +349,7 @@ let kernel ~fill ?on_group_events ?(strategy = Cone) nl ~assignment ~observe
      List.iteri
        (fun gi g ->
          if charged then begin
-           let size = charge w nl g in
+           let size = charge nl g in
            if obs then w.w_charges.(gi) <- size;
            on_group_events gi size;
            events := !events + size
@@ -521,22 +417,3 @@ let coverage_curve nl ~checkpoints ~next_pattern faults =
       let det = total - List.length !remaining in
       (target, if total = 0 then 1.0 else float_of_int det /. float_of_int total))
     checkpoints
-
-let sequential nl ~stimuli faults =
-  let t0 = Hft_obs.Clock.now () in
-  let good = Sim.run_cycles nl ~stimuli in
-  let detected = ref [] and undetected = ref [] in
-  List.iter
-    (fun f ->
-      let bad = Sim.run_cycles ~faults:[ f ] nl ~stimuli in
-      if bad <> good then detected := f :: !detected
-      else undetected := f :: !undetected)
-    faults;
-  let n_faults = List.length faults in
-  flush ~faults:n_faults
-    ~detected:(List.length !detected)
-    ~patterns:(Array.length stimuli)
-    ~events:(Netlist.n_nodes nl * (n_faults + 1) * Array.length stimuli)
-    ~seconds:(Hft_obs.Clock.now () -. t0);
-  { detected = List.rev !detected; undetected = List.rev !undetected;
-    n_patterns = Array.length stimuli }

@@ -4,10 +4,11 @@
     pattern-parallel (62 patterns per machine word).  Two strategies
     share one harness: [Naive] re-evaluates the whole netlist per fault
     (the historical algorithm, kept as the differential-testing oracle),
-    [Cone] (the default) copies-on-write from the good-value state and
-    re-evaluates only the fault's precomputed fanout cone
-    ({!Netlist.fanout_cone}), comparing only observation points inside
-    the cone.  Nodes outside the cone provably keep their good values,
+    [Cone] (the default) works in place on one copy of the good-value
+    state: each fault re-evaluates only its precomputed fanout cone
+    ({!Netlist.fanout_cone}) with {!Sim.peval_cone}, then one pass over
+    the cone compares its observation points and restores the good
+    values.  Nodes outside the cone provably keep their good values,
     so both strategies report bit-identical detections.
 
     Single pattern, the drop checks ({!detect_groups},
@@ -27,9 +28,7 @@
     than it is charged, so counters and ledger rows stay comparable
     across engine changes.  A group's charge is computed at most once,
     on first read, and only read when observability is on or a caller
-    asks for it.
-    Sequential: cycle-accurate single-fault simulation over a stimulus
-    sequence. *)
+    asks for it. *)
 
 type strategy = Naive | Cone
 
@@ -127,8 +126,3 @@ val detect_groups_tri :
 val coverage_curve :
   Netlist.t -> checkpoints:int list ->
   next_pattern:(unit -> bool array) -> Fault.t list -> (int * float) list
-
-(** Sequential: [sequential nl ~stimuli faults] runs each fault over the
-    cycle stimulus and compares PO streams against the good machine. *)
-val sequential :
-  Netlist.t -> stimuli:bool array array -> Fault.t list -> comb_result

@@ -306,63 +306,47 @@ let fanout_cone nl root =
 let fanout_cone_union nl = function
   | [] -> [||]
   | [ r ] -> fanout_cone nl r
-  | roots ->
+  | r :: rs ->
     (* Memoized cones are already sorted by topological position, so the
        union is a plain sorted-merge with duplicate elimination — no
        hashing, no re-sort. *)
     let pos = topo_pos nl in
     let merge a b =
       let la = Array.length a and lb = Array.length b in
-      if la = 0 then Array.copy b
-      else if lb = 0 then Array.copy a
-      else begin
-        let out = Array.make (la + lb) 0 in
-        let i = ref 0 and j = ref 0 and k = ref 0 in
-        while !i < la && !j < lb do
-          let va = a.(!i) and vb = b.(!j) in
-          if va = vb then begin
-            out.(!k) <- va;
-            incr i;
-            incr j
-          end
-          else if pos.(va) < pos.(vb) then begin
-            out.(!k) <- va;
-            incr i
-          end
-          else begin
-            out.(!k) <- vb;
-            incr j
-          end;
-          incr k
-        done;
-        while !i < la do
-          out.(!k) <- a.(!i);
+      let out = Array.make (la + lb) 0 in
+      let i = ref 0 and j = ref 0 and k = ref 0 in
+      while !i < la && !j < lb do
+        let va = a.(!i) and vb = b.(!j) in
+        if va = vb then begin
+          out.(!k) <- va;
           incr i;
-          incr k
-        done;
-        while !j < lb do
-          out.(!k) <- b.(!j);
-          incr j;
-          incr k
-        done;
-        if !k = la + lb then out else Array.sub out 0 !k
-      end
+          incr j
+        end
+        else if pos.(va) < pos.(vb) then begin
+          out.(!k) <- va;
+          incr i
+        end
+        else begin
+          out.(!k) <- vb;
+          incr j
+        end;
+        incr k
+      done;
+      while !i < la do
+        out.(!k) <- a.(!i);
+        incr i;
+        incr k
+      done;
+      while !j < lb do
+        out.(!k) <- b.(!j);
+        incr j;
+        incr k
+      done;
+      if !k = la + lb then out else Array.sub out 0 !k
     in
-    List.fold_left (fun acc r -> merge acc (fanout_cone nl r)) [||] roots
-
-let eval_bool k (ins : bool array) =
-  match k with
-  | Buf | Po -> ins.(0)
-  | Not -> not ins.(0)
-  | And -> ins.(0) && ins.(1)
-  | Or -> ins.(0) || ins.(1)
-  | Nand -> not (ins.(0) && ins.(1))
-  | Nor -> not (ins.(0) || ins.(1))
-  | Xor -> ins.(0) <> ins.(1)
-  | Xnor -> ins.(0) = ins.(1)
-  | Mux2 -> if ins.(0) then ins.(2) else ins.(1)
-  | Pi | Dff | Const0 | Const1 ->
-    invalid_arg "Netlist.eval_bool: source node"
+    List.fold_left
+      (fun acc r -> merge acc (fanout_cone nl r))
+      (fanout_cone nl r) rs
 
 (* 3-valued: 0, 1, 2 = X. *)
 let x = 2

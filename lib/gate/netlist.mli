@@ -104,12 +104,10 @@ val fanout_cone : t -> int -> int array
     Raises [Invalid_argument] when [root] is not a node. *)
 val mark_cone : t -> int array -> int -> int -> unit
 
-(** Topologically sorted union of the roots' fanout cones (deduplicated;
-    freshly allocated, safe to mutate). *)
+(** Topologically sorted union of the roots' fanout cones
+    (deduplicated).  Read-only: for a single root it is the memoized
+    {!fanout_cone} array itself. *)
 val fanout_cone_union : t -> int list -> int array
-
-(** Eval one gate over booleans ([Pi]/[Dff]/[Const] excluded). *)
-val eval_bool : kind -> bool array -> bool
 
 (** Non-allocating 3-valued primitives; values are [0], [1], [2]
     (= X). *)

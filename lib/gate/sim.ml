@@ -70,59 +70,62 @@ let pin_fault tab v p =
   | Ft_list fs -> list_pin_fault fs v p
   | Ft_tab t -> Hashtbl.find_opt t.ft_pin (v, p)
 
-let force_bitvec dst stuck =
-  Bitvec.fill dst stuck
+(* The value gate [v] reads on input [pin]: its fanin's, or a pin
+   fault's constant written into [scratch.(pin)]. *)
+let pread tab scratch st fi v pin =
+  match pin_fault tab v pin with
+  | Some f ->
+    let b = scratch.(pin) in
+    Bitvec.fill b f.Fault.stuck;
+    b
+  | None -> st.values.(fi.(pin))
+
+(* One node of the pattern-parallel pass, shared by [peval] and
+   [peval_cone]: fanins read through the pin-fault table, then the stem
+   override.  [scratch] holds three vectors, one per pin; the inverting
+   gates have two inputs, so pin 2's doubles as their temporary. *)
+let pstep tab scratch nl st v =
+  let dst = st.values.(v) in
+  (match Netlist.kind nl v with
+   | Netlist.Pi | Netlist.Dff -> () (* sources: keep assigned values *)
+   | Netlist.Const0 -> Bitvec.fill dst false
+   | Netlist.Const1 -> Bitvec.fill dst true
+   | k ->
+     let fi = Netlist.fanin nl v in
+     let a = pread tab scratch st fi v 0 in
+     (match k with
+      | Netlist.Po | Netlist.Buf -> Bitvec.assign ~dst a
+      | Netlist.Not -> Bitvec.not_ ~dst a
+      | Netlist.And -> Bitvec.and_ ~dst a (pread tab scratch st fi v 1)
+      | Netlist.Or -> Bitvec.or_ ~dst a (pread tab scratch st fi v 1)
+      | Netlist.Xor -> Bitvec.xor ~dst a (pread tab scratch st fi v 1)
+      | Netlist.Nand ->
+        Bitvec.and_ ~dst:scratch.(2) a (pread tab scratch st fi v 1);
+        Bitvec.not_ ~dst scratch.(2)
+      | Netlist.Nor ->
+        Bitvec.or_ ~dst:scratch.(2) a (pread tab scratch st fi v 1);
+        Bitvec.not_ ~dst scratch.(2)
+      | Netlist.Xnor ->
+        Bitvec.xor ~dst:scratch.(2) a (pread tab scratch st fi v 1);
+        Bitvec.not_ ~dst scratch.(2)
+      | Netlist.Mux2 ->
+        Bitvec.mux ~dst a (pread tab scratch st fi v 1)
+          (pread tab scratch st fi v 2)
+      | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1 ->
+        assert false));
+  match stem_fault tab v with
+  | Some f -> Bitvec.fill dst f.Fault.stuck
+  | None -> ()
+
+let pscratch st = Array.init 3 (fun _ -> Bitvec.create st.n_patterns)
 
 let peval ?(faults = []) nl st =
-  let order = Netlist.comb_order nl in
-  let tab = fault_tab faults in
-  let scratch = Array.init 3 (fun _ -> Bitvec.create st.n_patterns) in
-  let read v consumer pin =
-    match pin_fault tab consumer pin with
-    | Some f ->
-      let tmp = scratch.(pin) in
-      force_bitvec tmp f.Fault.stuck;
-      tmp
-    | None -> st.values.(v)
-  in
-  List.iter
-    (fun v ->
-      (match Netlist.kind nl v with
-       | Netlist.Pi | Netlist.Dff -> () (* sources: keep assigned values *)
-       | Netlist.Const0 -> Bitvec.fill st.values.(v) false
-       | Netlist.Const1 -> Bitvec.fill st.values.(v) true
-       | Netlist.Po | Netlist.Buf ->
-         Bitvec.assign ~dst:st.values.(v) (read (Netlist.fanin nl v).(0) v 0)
-       | Netlist.Not ->
-         Bitvec.not_ ~dst:st.values.(v) (read (Netlist.fanin nl v).(0) v 0)
-       | Netlist.And | Netlist.Or | Netlist.Nand | Netlist.Nor | Netlist.Xor
-       | Netlist.Xnor ->
-         let fi = Netlist.fanin nl v in
-         let a = read fi.(0) v 0 and b = read fi.(1) v 1 in
-         (match Netlist.kind nl v with
-          | Netlist.And -> Bitvec.and_ ~dst:st.values.(v) a b
-          | Netlist.Or -> Bitvec.or_ ~dst:st.values.(v) a b
-          | Netlist.Xor -> Bitvec.xor ~dst:st.values.(v) a b
-          | Netlist.Nand ->
-            Bitvec.and_ ~dst:scratch.(2) a b;
-            Bitvec.not_ ~dst:st.values.(v) scratch.(2)
-          | Netlist.Nor ->
-            Bitvec.or_ ~dst:scratch.(2) a b;
-            Bitvec.not_ ~dst:st.values.(v) scratch.(2)
-          | Netlist.Xnor ->
-            Bitvec.xor ~dst:scratch.(2) a b;
-            Bitvec.not_ ~dst:st.values.(v) scratch.(2)
-          | _ -> assert false)
-       | Netlist.Mux2 ->
-         let fi = Netlist.fanin nl v in
-         let s = read fi.(0) v 0 in
-         let a = read fi.(1) v 1 and b = read fi.(2) v 2 in
-         Bitvec.mux ~dst:st.values.(v) s a b);
-      (* Stem faults override the computed value. *)
-      match stem_fault tab v with
-      | Some f -> force_bitvec st.values.(v) f.Fault.stuck
-      | None -> ())
-    order
+  let tab = fault_tab faults and scratch = pscratch st in
+  List.iter (fun v -> pstep tab scratch nl st v) (Netlist.comb_order nl)
+
+let peval_cone ?(faults = []) nl st cone =
+  let tab = fault_tab faults and scratch = pscratch st in
+  Array.iter (fun v -> pstep tab scratch nl st v) cone
 
 let pclock ?(faults = []) nl st =
   (* Sample D inputs simultaneously. *)
@@ -136,7 +139,7 @@ let pclock ?(faults = []) nl st =
           match pin_fault tab d 0 with
           | Some f ->
             let tmp = Bitvec.create st.n_patterns in
-            force_bitvec tmp f.Fault.stuck;
+            Bitvec.fill tmp f.Fault.stuck;
             tmp
           | None -> Bitvec.copy st.values.(src)
         in
@@ -148,7 +151,7 @@ let pclock ?(faults = []) nl st =
       Bitvec.assign ~dst:st.values.(d) v;
       (* Stem fault on the DFF forces its state. *)
       match stem_fault tab d with
-      | Some f -> force_bitvec st.values.(d) f.Fault.stuck
+      | Some f -> Bitvec.fill st.values.(d) f.Fault.stuck
       | None -> ())
     sampled
 

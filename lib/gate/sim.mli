@@ -21,6 +21,13 @@ val pset_state : pstate -> int -> Hft_util.Bitvec.t -> unit
     force the value seen by that gate input). *)
 val peval : ?faults:Fault.t list -> Netlist.t -> pstate -> unit
 
+(** [peval_cone ?faults nl st cone] is {!peval}'s node step over [cone]
+    alone, in array order (a {!Netlist.fanout_cone} or
+    {!Netlist.fanout_cone_union} is levelized): nodes outside it keep
+    the values [st] holds. *)
+val peval_cone :
+  ?faults:Fault.t list -> Netlist.t -> pstate -> int array -> unit
+
 (** Clock edge: every DFF samples its D input ([peval] must have run). *)
 val pclock : ?faults:Fault.t list -> Netlist.t -> pstate -> unit
 

@@ -2,8 +2,6 @@
 
 let source = ref Unix.gettimeofday
 let now () = !source ()
-let set_source f = source := f
-let reset_source () = source := Unix.gettimeofday
 
 let with_source f body =
   let prev = !source in

@@ -6,9 +6,6 @@
 (** Current time in seconds. *)
 val now : unit -> float
 
-val set_source : (unit -> float) -> unit
-val reset_source : unit -> unit
-
 (** [with_source f body] runs [body] with [f] as the clock, restoring
     the previous source afterwards (also on exceptions). *)
 val with_source : (unit -> float) -> (unit -> 'a) -> 'a

@@ -71,14 +71,6 @@ let observe t v =
   let i = bucket_index v in
   t.buckets.(i) <- t.buckets.(i) + 1
 
-let clear t =
-  t.count <- 0;
-  t.sum <- 0.0;
-  t.min <- infinity;
-  t.max <- neg_infinity;
-  t.last <- 0.0;
-  Array.fill t.buckets 0 n_buckets 0
-
 let snapshot t =
   { s_name = t.name; s_kind = t.kind; s_count = t.count; s_sum = t.sum;
     s_min = t.min; s_max = t.max; s_last = t.last;

@@ -39,7 +39,6 @@ val set : t -> float -> unit
     chooses); also bins the value for {!percentile}. *)
 val observe : t -> float -> unit
 
-val clear : t -> unit
 val snapshot : t -> snapshot
 
 (** Headline value: counters report their total, gauges their last

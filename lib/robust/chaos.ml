@@ -37,7 +37,6 @@ let configure cfg =
         injected = 0;
       }
 
-let disable () = state := None
 let enabled () = !state <> None
 let injections () = match !state with None -> 0 | Some st -> st.injected
 

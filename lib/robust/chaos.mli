@@ -32,7 +32,6 @@ val site_of_string : string -> site option
 (** Install a configuration (resets the stream and all counters). *)
 val configure : config -> unit
 
-val disable : unit -> unit
 val enabled : unit -> bool
 
 (** Raise {!Injection} if the injector trips at [site]; no-op while

@@ -21,5 +21,3 @@ val site : t -> string
 (** Short display form, e.g. ["budget_exhausted(podem: 9 steps > 8)"]
     — used verbatim as the ledger's abort reason. *)
 val to_string : t -> string
-
-val to_json : t -> Hft_util.Json.t

@@ -8,14 +8,6 @@ let select_rtl_level d ex =
   let s = Hft_rtl.Sgraph.of_datapath d in
   Expand.reg_flops ex (Hft_rtl.Sgraph.scan_selection s)
 
-let annotate_rtl d regs =
-  Hft_obs.Registry.incr "hft.scan.regs_annotated" ~by:(List.length regs);
-  List.iter
-    (fun r ->
-      d.Hft_rtl.Datapath.regs.(r).Hft_rtl.Datapath.r_kind <-
-        Hft_rtl.Datapath.Scan)
-    regs
-
 let atpg ?backtrack_limit ?max_frames ?on_test ?resolved ?on_resolved ?guidance
     ?on_par_stats ?jobs nl ~faults ~scanned =
   Hft_obs.Span.with_ "partial-scan-atpg" @@ fun () ->

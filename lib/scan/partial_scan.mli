@@ -18,10 +18,6 @@ val select_gate_level : Netlist.t -> int list
     provenance. *)
 val select_rtl_level : Hft_rtl.Datapath.t -> Expand.t -> int list
 
-(** Mark the chosen datapath registers as scan registers (mutates
-    register kinds) — used for area accounting. *)
-val annotate_rtl : Hft_rtl.Datapath.t -> int list -> unit
-
 (** Sequential ATPG with the given scan set ({!Seq_atpg.run}
     pass-through under its default supervision: collapsing + fault
     dropping, [on_test] observes every generated test,

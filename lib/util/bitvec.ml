@@ -112,5 +112,3 @@ let randomize rng t =
     t.words.(i) <- Rng.word rng
   done;
   mask_last t
-
-let to_string t = String.init t.len (fun i -> if get t i then '1' else '0')

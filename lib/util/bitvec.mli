@@ -43,5 +43,3 @@ val any_diff : t -> t -> bool
 
 (** Randomise all bits from the generator. *)
 val randomize : Rng.t -> t -> unit
-
-val to_string : t -> string

@@ -705,22 +705,39 @@ let prop_seq_atpg_tests_consistent =
 let sorted_faults fs = List.sort compare fs
 
 (* The cone-limited fault simulator must be bit-identical to the naive
-   whole-netlist oracle on every pattern set. *)
+   whole-netlist oracle on every pattern set: on a combinational
+   netlist, and on a sequential circuit's scan view with a random scan
+   subset, where flip-flop stem faults are cone roots, scan D inputs are
+   observe nodes and 63-142 patterns span more than one machine word. *)
 let prop_fsim_cone_matches_naive =
   QCheck.Test.make ~name:"Fsim.comb Cone bit-identical to Naive" ~count:60
     QCheck.(int_bound 100000)
     (fun seed ->
       let rng = Hft_util.Rng.create seed in
+      let bools n = Array.init n (fun _ -> Hft_util.Rng.bool rng) in
+      let same fsim =
+        sorted_faults (fsim Fsim.Naive).Fsim.detected
+        = sorted_faults (fsim Fsim.Cone).Fsim.detected
+      in
       let n_pi = 3 + Hft_util.Rng.int rng 4 in
       let nl = random_comb_netlist rng ~n_pi ~n_gates:15 in
-      let patterns =
-        Array.init 24 (fun _ ->
-            Array.init n_pi (fun _ -> Hft_util.Rng.bool rng))
+      let patterns = Array.init 24 (fun _ -> bools n_pi) in
+      same (fun strategy ->
+          Fsim.comb ~strategy nl ~patterns (Fault.universe nl))
+      &&
+      let nl =
+        Netlist_gen.sequential ~seed:(Hft_util.Rng.int rng 100000) ~n_pi:4
+          ~n_dff:3 ~n_gates:14
       in
-      let faults = Fault.universe nl in
-      let naive = Fsim.comb ~strategy:Fsim.Naive nl ~patterns faults in
-      let cone = Fsim.comb ~strategy:Fsim.Cone nl ~patterns faults in
-      sorted_faults naive.Fsim.detected = sorted_faults cone.Fsim.detected)
+      let scanned =
+        List.filter (fun _ -> Hft_util.Rng.bool rng) (Netlist.dffs nl)
+      in
+      let width = List.length (Netlist.pis nl) + List.length scanned in
+      let patterns =
+        Array.init (63 + Hft_util.Rng.int rng 80) (fun _ -> bools width)
+      in
+      same (fun strategy ->
+          Fsim.comb_scan ~strategy nl ~scanned ~patterns (Fault.universe nl)))
 
 (* Drop-check fixtures [(netlist, observe, groups)], drawn three ways:
    single-site groups on a random combinational netlist; the 2–3-frame
