@@ -15,7 +15,7 @@ open Hft_gate
      holds universally.  The contrapositive of each learned edge is
      stored too.
 
-   The simulation is event-driven over [Sim]'s topo-ordered heap: a
+   The simulation is event-driven over [Sim]'s topological queue: a
    node pushes its non-DFF fanouts only when its value leaves the
    baseline (every other node of the literal's fanout cone would
    re-evaluate to its baseline value), and changed nodes pop in

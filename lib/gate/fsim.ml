@@ -286,7 +286,7 @@ let differs g f = g < 2 && f < 2 && g <> f
    initial state included).
 
    The [Cone] strategy propagates only the fault-effect wavefront: the
-   group's roots are queued on the topo-ordered heap, each popped node
+   group's roots are queued on the topological queue, each popped node
    is re-evaluated with the group's faults forced, and only a node whose
    faulty value differs from its good value queues its (non-[Dff])
    fanouts.  A node none of whose fanins differ reproduces its good

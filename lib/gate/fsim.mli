@@ -15,8 +15,8 @@
     {!detect_groups_tri}): one three-valued kernel over prepared
     {!group}s.  [Cone] propagates only the fault-effect wavefront — a
     node is re-evaluated only when one of its fanins carries a faulty
-    value different from the good one — over {!Sim}'s topo-ordered
-    heap, and starts none for a group the pattern cannot activate;
+    value different from the good one — over {!Sim}'s topological
+    queue, and starts none for a group the pattern cannot activate;
     [Naive] re-evaluates the whole netlist per group.  [Cone] keeps its
     node-sized arrays in one workspace per domain, grown to the largest
     netlist it has served, so a call allocates nothing netlist-sized.

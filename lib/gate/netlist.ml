@@ -22,8 +22,8 @@ type t = {
   mutable n : int;
   mutable fanouts : int list array option; (* cache *)
   mutable fanout_arrays : int array array option; (* the same, as arrays *)
-  mutable order : int list option; (* comb_order cache *)
-  mutable topo_pos : int array option; (* node -> position in comb_order *)
+  mutable topo_order : int array option; (* position -> node *)
+  mutable topo_pos : int array option; (* node -> position *)
   mutable cones : int array option array option; (* fanout_cone cache *)
   mutable scratch : int array; (* fanout_cone's visit stamps, grown on demand *)
   mutable scratch_stamp : int;
@@ -39,7 +39,7 @@ let create ?(name = "netlist") () =
     n = 0;
     fanouts = None;
     fanout_arrays = None;
-    order = None;
+    topo_order = None;
     topo_pos = None;
     cones = None;
     scratch = [||];
@@ -62,7 +62,7 @@ let copy nl =
     n = nl.n;
     fanouts = None;
     fanout_arrays = None;
-    order = None;
+    topo_order = None;
     topo_pos = None;
     cones = None;
     scratch = [||];
@@ -74,7 +74,7 @@ let copy nl =
 let invalidate nl =
   nl.fanouts <- None;
   nl.fanout_arrays <- None;
-  nl.order <- None;
+  nl.topo_order <- None;
   nl.topo_pos <- None;
   nl.cones <- None;
   nl.version <- nl.version + 1
@@ -190,7 +190,7 @@ let n_gates nl =
   done;
   !c
 
-let comb_order_uncached nl =
+let topo_order_uncached nl =
   (* Kahn over combinational edges; Dff outputs are sources, Dff inputs
      terminate paths. *)
   let indeg = Array.make nl.n 0 in
@@ -238,12 +238,12 @@ let comb_order_uncached nl =
          (!total - !seen) !total);
   List.rev !order
 
-let comb_order nl =
-  match nl.order with
+let topo_order nl =
+  match nl.topo_order with
   | Some o -> o
   | None ->
-    let o = comb_order_uncached nl in
-    nl.order <- Some o;
+    let o = Array.of_list (topo_order_uncached nl) in
+    nl.topo_order <- Some o;
     o
 
 let topo_pos nl =
@@ -251,7 +251,7 @@ let topo_pos nl =
   | Some p -> p
   | None ->
     let p = Array.make nl.n 0 in
-    List.iteri (fun i v -> p.(v) <- i) (comb_order nl);
+    Array.iteri (fun i v -> p.(v) <- i) (topo_order nl);
     nl.topo_pos <- Some p;
     p
 
@@ -365,7 +365,7 @@ let tri_mux s a b =
   match s with 0 -> a | 1 -> b | _ -> if a = b then a else x
 
 let validate nl =
-  ignore (comb_order nl);
+  ignore (topo_order nl);
   for v = 0 to nl.n - 1 do
     Array.iter
       (fun f ->

@@ -77,18 +77,20 @@ val dffs : t -> int list
 (** Gate count excluding [Pi]/[Po]/[Const] bookkeeping nodes. *)
 val n_gates : t -> int
 
-(** Combinational evaluation order: every non-[Dff] node appears after
-    its fanins, with [Dff]s treated as sources.  Raises
-    [Invalid_argument] on a combinational cycle. *)
-val comb_order : t -> int list
+(** Combinational evaluation order, the node at each topological
+    position: every non-[Dff] node appears after its fanins, with
+    [Dff]s treated as sources (memoized; invalidated by
+    [add]/[set_fanin]; read-only).  Raises
+    [Hft_robust.Validation.Invalid] on a combinational cycle. *)
+val topo_order : t -> int array
 
-(** [topo_pos nl] maps node id to its position in {!comb_order}
-    (memoized; invalidated by [add]/[set_fanin]). *)
+(** [topo_pos nl] maps node id to its position in {!topo_order}, its
+    inverse (memoized and invalidated with it). *)
 val topo_pos : t -> int array
 
 (** [fanout_cone nl v] is the combinational fanout cone of [v] — every
     node whose single-pass evaluation can change when [v]'s value
-    changes — in levelized ({!comb_order}) order, [v] included.  [Dff]
+    changes — in levelized ({!topo_order}) order, [v] included.  [Dff]
     consumers terminate the walk: one combinational pass never updates
     flip-flop state.  Memoized per node; do not mutate the returned
     array.  The memo is built with a visit-stamp array held by the

@@ -85,10 +85,12 @@ let flush_effort ?(guided = false) effort result =
    the all-X good-machine fixpoint (every [generate] starts from the
    same empty test cube, so the first implication is a [blit] of it plus
    a fault-cone patch instead of two whole-netlist passes) and every
-   per-node array a search needs, the test cube included, so a call
-   allocates nothing netlist-sized.  Membership marks are stamps drawn
-   from [w_stamp]: nothing is cleared between calls, and a search
-   abandoned by an exception leaves nothing a later stamp can match. *)
+   per-node array a search needs, the test cube, the implication's
+   changed nodes and the D-carrying set included, so a call allocates
+   nothing netlist-sized (the last two grow to the most a search has
+   needed).  Membership marks are stamps drawn from [w_stamp]: nothing
+   is cleared between calls, and a search abandoned by an exception
+   leaves nothing a later stamp can match. *)
 type workspace = {
   w_nl : Netlist.t;
   w_version : int;
@@ -101,7 +103,9 @@ type workspace = {
   w_cube : int array;  (* source in the test cube: the call's stamp *)
   w_cube_val : int array;  (* its value, read only while [w_cube] matches *)
   w_fcone : int array;  (* fault sites and their fanout cone *)
-  w_d : int array;  (* D-carrying nodes *)
+  w_d : int array;  (* D-carrying nodes: the call's stamp *)
+  mutable w_dlist : int array;  (* the same nodes, in [d_list] order *)
+  mutable w_changed : int array;  (* an implication's changes, in order *)
   w_xseen : int array;
   w_xstack : int array;
   w_xparent : int array;  (* X-path DFS parent, -1 at a root *)
@@ -133,6 +137,7 @@ let workspace nl =
         w_fv = Sim.tcreate nl; w_heap = Sim.heap_create nl;
         w_assignable = marks (); w_observe = marks (); w_cube = marks ();
         w_cube_val = marks (); w_fcone = marks (); w_d = marks ();
+        w_dlist = Array.make 16 0; w_changed = Array.make 16 0;
         w_xseen = marks (); w_xstack = marks (); w_xparent = marks ();
         w_witness = marks (); w_pseen = marks ();
         w_dead = Array.make (2 * n) 0; w_stamp = 0 }
@@ -186,24 +191,66 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
      and different) is maintained incrementally from the implication
      wavefront: has_d can only flip at nodes whose gv or fv changed, so
      the per-iteration D consumers — detection, X-path seeding, the
-     D-frontier — cost O(|D|) instead of a cone scan. *)
+     D-frontier — cost O(|D|) instead of a cone scan.  [d_list] is
+     [w_dlist.(0 .. !d_len - 1)]: after each implication, the nodes that
+     newly carry a D in the order of their last change, then the
+     earlier members that still carry one, in their order.  The order is
+     part of the search: [propagation_fallbacks] offers candidates in
+     it. *)
   let is_d v = ws.w_d.(v) = call in
-  let d_list = ref [] in
-  let changed = ref [] in
+  let d_len = ref 0 in
+  (* The change log and the D-list start small and grow when full: an
+     implication's changes and a search's D-set mostly stay far below
+     the netlist's size. *)
+  let n_changed = ref 0 in
+  let note_changed v =
+    if !n_changed = Array.length ws.w_changed then
+      ws.w_changed <- Array.append ws.w_changed ws.w_changed;
+    ws.w_changed.(!n_changed) <- v;
+    incr n_changed
+  in
   let has_d v = gv.(v) <> x && fv.(v) <> x && gv.(v) <> fv.(v) in
   let update_d () =
-    match !changed with
-    | [] -> ()
-    | ch ->
-      changed := [];
-      let newd = ref [] in
-      List.iter
-        (fun v ->
-          let nd = has_d v in
-          if nd && not (is_d v) then newd := v :: !newd;
-          ws.w_d.(v) <- (if nd then call else 0))
-        ch;
-      d_list := !newd @ List.filter is_d !d_list
+    let ch = ws.w_changed and m = !n_changed in
+    n_changed := 0;
+    (* Latest change first; the new members gather at the top of [ch],
+       above the entries still to read, oldest last change first. *)
+    let top = ref m in
+    for i = m - 1 downto 0 do
+      let v = ch.(i) in
+      let nd = has_d v in
+      if nd && not (is_d v) then begin
+        decr top;
+        ch.(!top) <- v
+      end;
+      ws.w_d.(v) <- (if nd then call else 0)
+    done;
+    let dlist = ws.w_dlist and kept = ref 0 in
+    for i = 0 to !d_len - 1 do
+      let v = dlist.(i) in
+      if is_d v then begin
+        dlist.(!kept) <- v;
+        incr kept
+      end
+    done;
+    let added = m - !top in
+    if added + !kept > Array.length dlist then
+      ws.w_dlist <- Array.append dlist (Array.make (added + !kept) 0);
+    let dlist = ws.w_dlist in
+    Array.blit dlist 0 dlist added !kept;
+    Array.blit ch !top dlist 0 added;
+    d_len := added + !kept
+  in
+  let exists_d f =
+    let dlist = ws.w_dlist in
+    let rec go i = i < !d_len && (f dlist.(i) || go (i + 1)) in
+    go 0
+  in
+  let iter_d f =
+    let dlist = ws.w_dlist in
+    for i = 0 to !d_len - 1 do
+      f dlist.(i)
+    done
   in
   let set_pi p v =
     cube.(p) <- call;
@@ -265,11 +312,11 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       let v = f.Fault.node in
       if v >= 0 && v < n then fcone.(v) <- site)
     faults;
-  (* Event-driven implication over a topo-ordered heap.  The
+  (* Event-driven implication over the topological queue.  The
      combinational fixpoint is a pure function of the sources, so after
      a decision or backtrack only nodes downstream of an actual value
      change need re-evaluation: each changed node pushes its consumers,
-     the heap pops in topological order (so a node is evaluated once,
+     the queue pops in topological order (so a node is evaluated once,
      after its fanins settled), and an evaluation that reproduces the
      old value stops the wavefront.  Reproduces a full pass bit for
      bit. *)
@@ -291,7 +338,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       else if m = site then feval fv v
       else fv.(v) <- gv.(v);
       if gv.(v) <> og || fv.(v) <> ofv then begin
-        changed := v :: !changed;
+        note_changed v;
         propagate_from v
       end
     done
@@ -303,7 +350,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
     (* A stem fault on a source keeps it forced. *)
     if fcone.(p) = site then feval fv p;
     if gv.(p) <> og || fv.(p) <> ofv then begin
-      changed := p :: !changed;
+      note_changed p;
       propagate_from p
     end
   in
@@ -314,7 +361,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       dirty := [];
       Array.blit ws.w_base 0 gv 0 n;
       Array.blit ws.w_base 0 fv 0 n;
-      changed := [];
+      n_changed := 0;
       Sim.heap_reset heap;
       (* The cube holds only the seeded literals here. *)
       List.iter (fun p -> touch_source p cube_val.(p)) (seeded_in_order ());
@@ -326,7 +373,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
           let ofv = fv.(v) in
           feval fv v;
           if fv.(v) <> ofv then begin
-            changed := v :: !changed;
+            note_changed v;
             propagate_from v
           end)
         faults;
@@ -338,7 +385,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       | [] -> ()
       | ds ->
         dirty := [];
-        changed := [];
+        n_changed := 0;
         Sim.heap_reset heap;
         List.iter
           (fun p -> touch_source p (if assigned p then cube_val.(p) else x))
@@ -348,7 +395,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
   in
   List.iter (fun o -> ws.w_observe.(o) <- call) observe;
   let observed v = ws.w_observe.(v) = call in
-  let detected () = List.exists observed !d_list in
+  let detected () = exists_d observed in
   (* Guided cut: a concrete good-machine value contradicting a
      mandatory literal — or, for multi-site faults, contradicting every
      site's activation closure — means no completion of the current
@@ -417,7 +464,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
       xstack.(!top) <- v;
       incr top
     in
-    List.iter (fun v -> if xseen.(v) <> s then push v (-1)) !d_list;
+    iter_d (fun v -> if xseen.(v) <> s then push v (-1));
     (* Activated pin faults originate their difference at the consumer
        gate even before any node carries a D. *)
     List.iter
@@ -541,7 +588,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
           end
       end
     in
-    List.iter (fun d -> Array.iter consider fanouts.(d)) !d_list;
+    iter_d (fun d -> Array.iter consider fanouts.(d));
     List.iter
       (fun f ->
         if f.Fault.pin <> None && pin_fault_active f.Fault.node then
@@ -588,7 +635,7 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
               fanins.(v)
       end
     in
-    List.iter (fun d -> Array.iter consider fanouts.(d)) !d_list;
+    iter_d (fun d -> Array.iter consider fanouts.(d));
     List.iter
       (fun f ->
         if f.Fault.pin <> None && pin_fault_active f.Fault.node then

@@ -121,7 +121,7 @@ let pscratch st = Array.init 3 (fun _ -> Bitvec.create st.n_patterns)
 
 let peval ?(faults = []) nl st =
   let tab = fault_tab faults and scratch = pscratch st in
-  List.iter (fun v -> pstep tab scratch nl st v) (Netlist.comb_order nl)
+  Array.iter (fun v -> pstep tab scratch nl st v) (Netlist.topo_order nl)
 
 let peval_cone ?(faults = []) nl st cone =
   let tab = fault_tab faults and scratch = pscratch st in
@@ -236,11 +236,11 @@ let teval_node_faulty tab kinds fanins (st : tstate) v =
 let teval ?(faults = []) nl st =
   let tab = fault_tab faults in
   let kinds = Netlist.raw_kinds nl and fanins = Netlist.raw_fanins nl in
-  let order = Netlist.comb_order nl in
+  let order = Netlist.topo_order nl in
   match tab with
   | Ft_list [] ->
-    List.iter (fun v -> teval_node kinds fanins st v) order
-  | _ -> List.iter (fun v -> teval_node_faulty tab kinds fanins st v) order
+    Array.iter (fun v -> teval_node kinds fanins st v) order
+  | _ -> Array.iter (fun v -> teval_node_faulty tab kinds fanins st v) order
 
 let teval_fn ?(faults = []) nl =
   let tab = fault_tab faults in
@@ -249,36 +249,53 @@ let teval_fn ?(faults = []) nl =
   | Ft_list [] -> fun st v -> teval_node kinds fanins st v
   | _ -> fun st v -> teval_node_faulty tab kinds fanins st v
 
-(* Binary min-heap of node ids keyed by topological position.  Each
-   node is queued at most once per round ([seen] holds the round stamp
-   a node was last queued in), and positions are unique, so every pop
-   returns the lowest-positioned queued node whatever the array layout:
-   evaluation order, and with it PODEM's effort counters, does not
-   depend on the heap's implementation. *)
+(* Wavefront queue: a bitmap over topological positions, 32 to a word.
+   Each node is queued at most once per round ([seen] holds the round
+   stamp a node was last queued in), positions are unique, and a pop
+   takes the lowest set bit of the first non-empty word at or after
+   [lo]: every pop returns the lowest-positioned queued node, the one a
+   binary heap keyed on {!Netlist.topo_pos} would return, so evaluation
+   order, and with it PODEM's effort counters, does not depend on the
+   queue's implementation.  No bit is set below word [lo] or above word
+   [hi]: a push below [lo] (a [Dff] consumer sits before the gates that
+   feed it) moves [lo] back, and a reset of a queue its caller stopped
+   draining early clears words [lo..hi]. *)
 type heap = {
   mutable pos : int array;
-  mutable items : int array; (* 1-based *)
-  mutable size : int;
+  mutable order : int array; (* position -> node *)
+  mutable bits : int array;
   mutable seen : int array;
   mutable round : int;
+  mutable size : int;
+  mutable lo : int;
+  mutable hi : int;
 }
 
 let heap_reset h =
-  h.round <- h.round + 1;
-  h.size <- 0
+  if h.size > 0 then Array.fill h.bits h.lo (h.hi - h.lo + 1) 0;
+  h.size <- 0;
+  h.lo <- max_int;
+  h.hi <- -1;
+  h.round <- h.round + 1
 
-(* Rebinding keeps [seen]'s stamps: every one is below the new round. *)
+(* O(1) unless [nl] is the largest netlist yet: both position maps are
+   the netlist's own caches.  Rebinding keeps [seen]'s stamps: every
+   one is below the new round. *)
 let heap_bind h nl =
   let n = Netlist.n_nodes nl in
+  heap_reset h;
   h.pos <- Netlist.topo_pos nl;
+  h.order <- Netlist.topo_order nl;
   if Array.length h.seen < n then begin
-    h.items <- Array.make (n + 1) 0;
-    h.seen <- Array.make n 0
-  end;
-  heap_reset h
+    h.seen <- Array.make n 0;
+    h.bits <- Array.make ((n lsr 5) + 1) 0
+  end
 
 let heap_create nl =
-  let h = { pos = [||]; items = [| 0 |]; size = 0; seen = [||]; round = 0 } in
+  let h =
+    { pos = [||]; order = [||]; bits = [||]; seen = [||]; round = 0;
+      size = 0; lo = max_int; hi = -1 }
+  in
   heap_bind h nl;
   h
 
@@ -287,36 +304,33 @@ let heap_is_empty h = h.size = 0
 let heap_push h v =
   if h.seen.(v) <> h.round then begin
     h.seen.(v) <- h.round;
+    let p = h.pos.(v) in
+    let w = p lsr 5 in
+    h.bits.(w) <- h.bits.(w) lor (1 lsl (p land 31));
     h.size <- h.size + 1;
-    let items = h.items and pos = h.pos in
-    let i = ref h.size in
-    while !i > 1 && pos.(items.(!i / 2)) > pos.(v) do
-      items.(!i) <- items.(!i / 2);
-      i := !i / 2
-    done;
-    items.(!i) <- v
+    if w < h.lo then h.lo <- w;
+    if w > h.hi then h.hi <- w
   end
 
+(* Bit index of a one-bit word below 2^32: de Bruijn multiply and
+   lookup. *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13;
+     23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
 let heap_pop h =
-  let items = h.items and pos = h.pos in
-  let top = items.(1) in
-  let last = items.(h.size) in
-  h.size <- h.size - 1;
-  let n = h.size in
-  let i = ref 1 and continue = ref (n > 0) in
-  while !continue do
-    let l = 2 * !i in
-    let m =
-      if l + 1 <= n && pos.(items.(l + 1)) < pos.(items.(l)) then l + 1 else l
-    in
-    if m <= n && pos.(items.(m)) < pos.(last) then begin
-      items.(!i) <- items.(m);
-      i := m
-    end
-    else continue := false
+  let bits = h.bits in
+  let w = ref h.lo in
+  while bits.(!w) = 0 do
+    incr w
   done;
-  if n > 0 then items.(!i) <- last;
-  top
+  h.lo <- !w;
+  let b = bits.(!w) in
+  let low = b land -b in
+  bits.(!w) <- b lxor low;
+  h.size <- h.size - 1;
+  h.order.((!w lsl 5)
+           lor debruijn.(((low * 0x077CB531) land 0xFFFFFFFF) lsr 27))
 
 let run_cycles ?(faults = []) ?init nl ~stimuli =
   (* The state's own bitvecs are written in place: no per-PI scratch

@@ -56,11 +56,16 @@ val teval_node : Netlist.kind array -> int array array -> tstate -> int -> unit
 
 (** {1 Event-driven work queue}
 
-    The wavefront heap shared by PODEM's implication and the drop
-    check: nodes pop in topological order ({!Netlist.topo_pos}), so a
-    node whose fanins changed is evaluated once, after all of them
-    settled.  A node is queued at most once per round; {!heap_reset}
-    empties the heap and starts a new round. *)
+    The wavefront queue shared by PODEM's implication, the drop check
+    and [Hft_analysis.Implications.compute]: a bitmap over topological
+    positions ({!Netlist.topo_pos}) whose pops take the lowest set
+    position, so a node whose fanins changed is evaluated once, after
+    all of them settled, in the order a binary heap keyed on the
+    position would pop it.  A node is queued at most once per round;
+    {!heap_reset} empties the queue, set bits a caller left behind
+    included, and starts a new round.  A push may sit below the last
+    pop (a [Dff] consumer comes before the gates feeding it); it pops
+    next. *)
 
 type heap
 
@@ -68,7 +73,9 @@ val heap_create : Netlist.t -> heap
 
 (** [heap_bind h nl] empties [h] and re-keys it on [nl]'s topological
     positions, growing it when [nl] has more nodes than it holds: one
-    heap can serve netlists of any size in turn. *)
+    queue can serve netlists of any size in turn.  O(1) apart from that
+    growth: both position maps are [nl]'s own caches
+    ({!Netlist.topo_pos}, {!Netlist.topo_order}). *)
 val heap_bind : heap -> Netlist.t -> unit
 
 val heap_reset : heap -> unit
@@ -77,7 +84,7 @@ val heap_is_empty : heap -> bool
 (** No-op when the node was already queued this round. *)
 val heap_push : heap -> int -> unit
 
-(** The queued node with the lowest topological position; the heap
+(** The queued node with the lowest topological position; the queue
     must not be empty. *)
 val heap_pop : heap -> int
 

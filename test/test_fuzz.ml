@@ -102,7 +102,7 @@ let test_minimize_shrinks () =
     (* 1-minimal: by construction reduce stops only when no single
        bypass preserves the property (or the step bound trips). *)
     check "still sequentialy well-formed" true
-      (match Netlist.comb_order reduced with _ -> true | exception _ -> false)
+      (match Netlist.topo_order reduced with _ -> true | exception _ -> false)
   end
 
 (* ------------------------------------------------------------------ *)

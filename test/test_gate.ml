@@ -44,7 +44,7 @@ let test_comb_cycle_detected () =
   (* Close a combinational loop by patching the fanin in place. *)
   Netlist.set_fanin nl g1 1 g1;
   check "cycle detected" true
-    (match Netlist.comb_order nl with
+    (match Netlist.topo_order nl with
      | _ -> false
      | exception Hft_robust.Validation.Invalid { site = "netlist.comb_order"; _ }
        -> true)
@@ -58,6 +58,79 @@ let test_sequential_sim () =
   in
   check "cycle0" true out.(0).(0);
   check "cycle1" true out.(1).(0)
+
+(* The wavefront queue against a reference: the nodes queued this
+   round, each at most once per round, popped lowest
+   {!Netlist.topo_pos} first.  Random push, pop, drain, reset and rebind
+   sequences run on a random sequential circuit as its own one-frame
+   scan view, whose [Dff] sources sit below the gates feeding them, and
+   on its larger unrolled view, so one queue is rebound across sizes
+   and back.  Each draw must also have reset a non-empty queue, rebound
+   away and back, and pushed below the last popped position. *)
+let prop_queue_matches_reference =
+  QCheck.Test.make ~name:"wavefront queue pops the reference's order"
+    ~count:100 QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Hft_util.Rng.create seed in
+      let scan_view =
+        Netlist_gen.sequential ~seed:(Hft_util.Rng.int rng 100000) ~n_pi:3
+          ~n_dff:(1 + Hft_util.Rng.int rng 3)
+          ~n_gates:(8 + Hft_util.Rng.int rng 60)
+      in
+      let unrolled, _, _, _ =
+        Seq_atpg.unroll scan_view ~frames:(2 + Hft_util.Rng.int rng 2)
+          ~scanned:
+            (List.filter (fun _ -> Hft_util.Rng.bool rng)
+               (Netlist.dffs scan_view))
+      in
+      let nets = [| scan_view; unrolled |] and bound = ref 0 in
+      let q = Sim.heap_create scan_view in
+      let queued = ref [] and seen = Hashtbl.create 64 in
+      let last_pop = ref (-1) in
+      let ok = ref true in
+      let reset_nonempty = ref false and rebound_back = ref false in
+      let pushed_below = ref false in
+      let new_round () =
+        queued := [];
+        Hashtbl.reset seen;
+        last_pop := -1
+      in
+      let pop () =
+        let pos = Netlist.topo_pos nets.(!bound) in
+        let low =
+          List.fold_left
+            (fun b v -> if pos.(v) < pos.(b) then v else b)
+            (List.hd !queued) !queued
+        in
+        queued := List.filter (( <> ) low) !queued;
+        last_pop := pos.(low);
+        if Sim.heap_pop q <> low then ok := false
+      in
+      for _ = 1 to 400 do
+        let nl = nets.(!bound) in
+        if Sim.heap_is_empty q <> (!queued = []) then ok := false;
+        match Hft_util.Rng.int rng 20 with
+        | 0 ->
+          if !queued <> [] then reset_nonempty := true;
+          Sim.heap_reset q;
+          new_round ()
+        | 1 ->
+          if !bound = 1 then rebound_back := true;
+          bound := 1 - !bound;
+          Sim.heap_bind q nets.(!bound);
+          new_round ()
+        | 2 -> while !ok && !queued <> [] do pop () done
+        | k when k < 12 ->
+          let v = Hft_util.Rng.int rng (Netlist.n_nodes nl) in
+          if not (Hashtbl.mem seen v) then begin
+            Hashtbl.add seen v ();
+            queued := v :: !queued;
+            if (Netlist.topo_pos nl).(v) < !last_pop then pushed_below := true
+          end;
+          Sim.heap_push q v
+        | _ -> if !queued <> [] then pop ()
+      done;
+      !ok && !reset_nonempty && !rebound_back && !pushed_below)
 
 (* ------------------------------------------------------------------ *)
 (* Arithmetic expansion vs reference semantics                        *)
@@ -1114,6 +1187,7 @@ let () =
           Alcotest.test_case "arity" `Quick test_netlist_arity_checked;
           Alcotest.test_case "cycle detection" `Quick test_comb_cycle_detected;
           Alcotest.test_case "sequential sim" `Quick test_sequential_sim;
+          qt prop_queue_matches_reference;
         ] );
       ( "expand",
         [

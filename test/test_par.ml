@@ -355,6 +355,59 @@ let test_full_scan_stats () =
   | None -> Alcotest.fail "full-scan: no stats reported"
   | Some s -> check_stats_laws "full-scan -j4" s
 
+(* A campaign fingerprint plus its scheduler summary. *)
+let fingerprint_with_stats ~jobs nl ~faults ~scanned =
+  let captured = ref None in
+  let fp =
+    seq_fingerprint ~on_par_stats:(fun s -> captured := Some s) ~jobs nl
+      ~faults ~scanned
+  in
+  match !captured with
+  | Some s -> (fp, s)
+  | None -> Alcotest.fail (Printf.sprintf "-j%d: no stats reported" jobs)
+
+(* A partial-scan draw where half the faults are detected, most of them
+   by drop passes: a test committed early in a window drops classes
+   whose ladders ran speculatively in the same window, so the commit
+   loop must take its miss path, and still land on the -j1 run. *)
+let test_window_misses () =
+  let nl = Netlist_gen.sequential ~seed:1 ~n_pi:6 ~n_dff:4 ~n_gates:30 in
+  let faults = Fault.collapsed nl in
+  let scanned = List.filteri (fun i _ -> i mod 2 = 0) (Netlist.dffs nl) in
+  let base = seq_fingerprint ~jobs:1 nl ~faults ~scanned in
+  List.iter
+    (fun jobs ->
+      let tag = Printf.sprintf "misses -j%d" jobs in
+      let fp, s = fingerprint_with_stats ~jobs nl ~faults ~scanned in
+      check_identical tag base fp;
+      check_stats_laws tag s;
+      check (tag ^ ": speculation missed") true
+        (s.Hft_par.Stats.s_spec_misses > 0))
+    [ 2; 4 ]
+
+(* A draw with more pending classes than two windows, even at -j4: a
+   window is picked only after the previous one committed, from the
+   classes its commits left pending, so classes an earlier wave's tests
+   dropped are never dispatched. *)
+let test_later_waves () =
+  let nl = Netlist_gen.sequential ~seed:2 ~n_pi:4 ~n_dff:3 ~n_gates:80 in
+  let faults = Fault.collapsed nl in
+  let scanned = List.filteri (fun i _ -> i mod 2 = 0) (Netlist.dffs nl) in
+  let classes =
+    List.length (Fault_collapse.partition (Fault_collapse.compute nl) faults)
+  in
+  let base = seq_fingerprint ~jobs:1 nl ~faults ~scanned in
+  List.iter
+    (fun jobs ->
+      let tag = Printf.sprintf "later waves -j%d" jobs in
+      let fp, s = fingerprint_with_stats ~jobs nl ~faults ~scanned in
+      check_identical tag base fp;
+      check_stats_laws tag s;
+      check (tag ^ ": more than two waves") true (s.Hft_par.Stats.s_waves > 2);
+      check (tag ^ ": dropped classes never dispatched") true
+        (s.Hft_par.Stats.s_tasks < classes))
+    [ 2; 4 ]
+
 (* Telemetry is observational: collecting it must not move a single
    bit of the campaign's results, ledger rows included. *)
 let test_stats_observational () =
@@ -417,6 +470,8 @@ let () =
           Alcotest.test_case "stats conservation" `Quick
             test_stats_conservation;
           Alcotest.test_case "full-scan stats" `Quick test_full_scan_stats;
+          Alcotest.test_case "window misses" `Quick test_window_misses;
+          Alcotest.test_case "later waves" `Quick test_later_waves;
           Alcotest.test_case "stats observational" `Quick
             test_stats_observational;
           Alcotest.test_case "campaign jobs" `Quick test_campaign_jobs;
