@@ -566,8 +566,9 @@ let profile_cmd =
        ~doc:
          "Attribute a campaign's wall time: per-phase self time from the \
           span tree, a one-line scheduler summary (jobs, waves, tasks, \
-          steals, speculation hits and misses, utilization), and the top \
-          classes by charged cost (byte-identical to report's table).  \
+          speculation hits and misses, inline recomputes, utilization), \
+          and the top classes by charged cost (byte-identical to \
+          report's table).  \
           --folded-out writes flamegraph.pl input; --ledger-out and \
           --resume tape the campaign as report does.")
     Term.(const run $ forensics_bench_arg "Required." $ flow_arg $ width_arg

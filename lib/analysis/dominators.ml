@@ -25,13 +25,14 @@ let compute nl ~observe =
   let sink = n in
   let observed = Array.make n false in
   List.iter (fun o -> if o >= 0 && o < n then observed.(o) <- true) observe;
+  let fanouts = Netlist.fanouts nl in
   (* Successors in G, i.e. predecessors in the reversed graph. *)
   let succs v =
     if v = sink then []
     else
       let comb =
         List.filter (fun u -> Netlist.kind nl u <> Netlist.Dff)
-          (Netlist.fanout nl v)
+          (Array.to_list fanouts.(v))
       in
       if observed.(v) then sink :: comb else comb
   in

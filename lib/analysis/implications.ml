@@ -86,10 +86,11 @@ let compute nl =
     let eval = Sim.teval_fn nl scratch in
     let heap = Sim.heap_create nl in
     let touched = Array.make n 0 in
+    let fanouts = Netlist.fanouts nl in
     let push_fanouts v =
-      List.iter
+      Array.iter
         (fun w -> if Netlist.kind nl w <> Netlist.Dff then Sim.heap_push heap w)
-        (Netlist.fanout nl v)
+        fanouts.(v)
     in
     let v = ref 0 in
     while !v < n && !edges < total_cap do

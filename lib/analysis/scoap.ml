@@ -122,6 +122,7 @@ let analyze nl =
   control ~comb:false sc0 sc1;
   (* Observability: backward over fanouts; a net's measure is the
      cheapest fanout branch. *)
+  let fanouts = Netlist.fanouts nl in
   let observe ~comb c0 c1 obs =
     List.iter (fun p -> obs.(p) <- 0) (Netlist.pos nl);
     fixpoint ~sweeps (fun () ->
@@ -129,7 +130,7 @@ let analyze nl =
         for v = n - 1 downto 0 do
           if Netlist.kind nl v <> Netlist.Po then begin
             let best = ref infinite in
-            List.iter
+            Array.iter
               (fun u ->
                 let fi = Netlist.fanin nl u in
                 Array.iteri
@@ -138,7 +139,7 @@ let analyze nl =
                       best :=
                         min !best (observe_via ~comb nl c0 c1 obs u pin v))
                   fi)
-              (Netlist.fanout nl v);
+              fanouts.(v);
             if !best < obs.(v) then begin
               obs.(v) <- !best;
               changed := true

@@ -11,8 +11,6 @@ let next g =
   g.s <- (g.s + g.increment) land ((1 lsl g.width) - 1);
   g.s
 
-let pattern_stream g n = List.init n (fun _ -> next g)
-
 let subspace_coverage ~k pairs =
   if k <= 0 then invalid_arg "Arith.subspace_coverage";
   let mask = (1 lsl k) - 1 in

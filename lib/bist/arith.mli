@@ -15,9 +15,6 @@ val create : width:int -> seed:int -> increment:int -> gen
 
 val next : gen -> int
 
-(** [pattern_stream gen n] — [n] successive states. *)
-val pattern_stream : gen -> int -> int list
-
 (** [subspace_coverage ~k pairs] over an operand-pair stream: fraction
     of the [2^2k] joint low-[k]-bit states covered. *)
 val subspace_coverage : k:int -> (int * int) list -> float

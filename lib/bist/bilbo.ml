@@ -11,13 +11,6 @@ type plan = {
   n_cbilbo : int;
 }
 
-let role_to_string = function
-  | R_none -> "-"
-  | R_tpgr -> "tpgr"
-  | R_sr -> "sr"
-  | R_bilbo -> "bilbo"
-  | R_cbilbo -> "cbilbo"
-
 let plan d =
   let n = Datapath.n_regs d in
   let needs_tpgr = Array.make n false in

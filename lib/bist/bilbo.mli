@@ -31,5 +31,3 @@ val annotate : Hft_rtl.Datapath.t -> plan -> unit
 (** Area overhead of the plan versus all-plain registers, under the
     default cost table. *)
 val area_overhead : Hft_rtl.Datapath.t -> plan -> float
-
-val role_to_string : role -> string

@@ -10,13 +10,10 @@ type t = {
   mutable ops : (Op.kind * int array * int) list; (* reversed *)
   mutable n_ops : int;
   mutable fb : (int * int) list;
-  mutable tc : int list;
-  mutable tob : int list;
 }
 
 let create graph_name =
-  { graph_name; vars = []; n_vars = 0; ops = []; n_ops = 0; fb = []; tc = [];
-    tob = [] }
+  { graph_name; vars = []; n_vars = 0; ops = []; n_ops = 0; fb = [] }
 
 let add_var b kind name =
   let id = b.n_vars in
@@ -58,8 +55,6 @@ let mark_output b v =
    | Graph.V_intermediate | Graph.V_output -> pv.kind <- Graph.V_output)
 
 let feedback b ~src ~dst = b.fb <- (src, dst) :: b.fb
-let test_control b v = b.tc <- v :: b.tc
-let test_observe b v = b.tob <- v :: b.tob
 
 let finish b =
   let vars =
@@ -72,4 +67,4 @@ let finish b =
            { Graph.o_id = i; o_kind = kind; o_args = args; o_result = result })
   in
   Graph.make ~name:b.graph_name ~vars ~ops ~feedback:(List.rev b.fb)
-    ~test_controls:(List.rev b.tc) ~test_observes:(List.rev b.tob)
+    ~test_controls:[] ~test_observes:[]

@@ -40,10 +40,5 @@ val mark_output : t -> int -> unit
     [src]. *)
 val feedback : t -> src:int -> dst:int -> unit
 
-(** Request a behavioural test-mode control / observe point on a
-    variable (survey section 3.4). *)
-val test_control : t -> int -> unit
-val test_observe : t -> int -> unit
-
 (** Validate and freeze. *)
 val finish : t -> Graph.t

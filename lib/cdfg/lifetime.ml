@@ -106,10 +106,6 @@ let class_interval info v =
     (fun acc u -> Interval.hull acc info.intervals.(u))
     (Interval.make 0 0) (class_members info v)
 
-let wrap_written_classes info =
-  List.map (fun (_, dst) -> Union_find.find info.merged dst) info.wrap_moves
-  |> List.sort_uniq compare
-
 (* A class is "written at the final boundary" when it receives a wrap
    move or contains a variable born at n_steps. *)
 let final_write info v =

@@ -36,10 +36,6 @@ type info = {
 
 val compute : Graph.t -> Schedule.t -> info
 
-(** Classes receiving an end-of-iteration wrap write (the [dst] sides of
-    [wrap_moves], as class representatives). *)
-val wrap_written_classes : info -> int list
-
 (** [conflict info u v] — must [u] and [v] be kept in different
     registers?  Members of the same class never conflict with each
     other; a class conflicts when any member pair does.  Classes written

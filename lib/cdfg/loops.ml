@@ -46,10 +46,3 @@ let enumerate ?(max_len = 24) ?(max_count = 4096) g =
 let breaks loop scan_vars = List.exists (fun v -> List.mem v loop.vars) scan_vars
 let unbroken loops scan_vars =
   List.filter (fun l -> not (breaks l scan_vars)) loops
-
-let loop_membership g loops =
-  let counts = Array.make (Graph.n_vars g) 0 in
-  List.iter
-    (fun l -> List.iter (fun v -> counts.(v) <- counts.(v) + 1) l.vars)
-    loops;
-  counts

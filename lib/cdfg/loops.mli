@@ -20,7 +20,3 @@ val breaks : loop -> int list -> bool
 
 (** Loops not broken by the given scan-variable set. *)
 val unbroken : loop list -> int list -> loop list
-
-(** For each variable, the number of enumerated loops it lies on — the
-    raw ingredient of the loop-cutting effectiveness measure. *)
-val loop_membership : Graph.t -> loop list -> int array

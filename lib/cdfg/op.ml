@@ -26,10 +26,6 @@ let fu_class = function
   | Shl | Shr -> Some Shifter
   | Move -> None
 
-let is_commutative = function
-  | Add | Mul | Eq | And | Or | Xor -> true
-  | Sub | Lt | Gt | Shl | Shr | Move -> false
-
 let identity_on kind port =
   match (kind, port) with
   | Add, _ -> Some 0

@@ -25,7 +25,6 @@ type fu_class = Alu | Multiplier | Comparator | Logic_unit | Shifter
 
 val arity : kind -> int
 val fu_class : kind -> fu_class option
-val is_commutative : kind -> bool
 
 (** Identity element of the operation on the given operand position,
     when one exists: fixing that operand to the value makes the op a

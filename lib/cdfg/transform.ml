@@ -40,12 +40,6 @@ let insert_deflection g ~var ~consumer =
   rebuild g ~extra_vars ~extra_ops ~rewrite_arg:(fun oid _pos a ->
       if oid = consumer && a = var then fresh else a)
 
-let insert_deflections g pairs =
-  (* Original var/op ids are stable under [insert_deflection] (new ids
-     are appended), so sequential application is sound. *)
-  List.fold_left (fun g (var, consumer) -> insert_deflection g ~var ~consumer)
-    g pairs
-
 let add_test_points g ~controls ~observes =
   Graph.make ~name:g.Graph.name
     ~vars:(Array.init (Graph.n_vars g) (Graph.var g))

@@ -13,10 +13,6 @@
     [Invalid_argument] if [consumer] does not read [var]. *)
 val insert_deflection : Graph.t -> var:int -> consumer:int -> Graph.t
 
-(** [insert_deflections g pairs] applies several insertions; pairs are
-    [(var, consumer op id)] in the {e original} graph's numbering. *)
-val insert_deflections : Graph.t -> (int * int) list -> Graph.t
-
 (** [add_test_points g ~controls ~observes] marks variables with
     test-mode control/observe points (metadata consumed by synthesis;
     each costs one test register / I/O route in the area model). *)

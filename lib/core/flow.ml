@@ -472,7 +472,6 @@ let test_campaign ?(backtrack_limit = 20) ?(max_frames = 2)
   let open Hft_par.Stats in
   Hft_obs.Registry.incr "hft.par.tasks" ~by:par.s_tasks;
   Hft_obs.Registry.incr "hft.par.waves" ~by:par.s_waves;
-  Hft_obs.Registry.incr "hft.par.steals" ~by:par.s_steals;
   Hft_obs.Registry.incr "hft.par.spec_hits" ~by:par.s_spec_hits;
   Hft_obs.Registry.incr "hft.par.spec_misses" ~by:par.s_spec_misses;
   Hft_obs.Registry.incr "hft.par.inline_recomputes" ~by:par.s_inline;

@@ -186,8 +186,8 @@ let profile ~json ~top l =
              (fun (name, s) -> [ name; Printf.sprintf "%.2f" (1e3 *. s) ])
              self)
       ^ Printf.sprintf
-          "\nscheduler: jobs %d · waves %d · tasks %d · steals %d · spec \
-           hit/miss %d/%d · inline %d · utilization %s\n"
-          par.s_jobs par.s_waves par.s_tasks par.s_steals par.s_spec_hits
+          "\nscheduler: jobs %d · waves %d · tasks %d · spec hit/miss \
+           %d/%d · inline %d · utilization %s\n"
+          par.s_jobs par.s_waves par.s_tasks par.s_spec_hits
           par.s_spec_misses par.s_inline
           (Pretty.pct (Stats.utilization par)) )

@@ -33,7 +33,8 @@ let compose d (c : Controller.t) =
   let n_datapath_nodes = Netlist.n_nodes nl in
   (* Snapshot control-line consumers before adding controller logic. *)
   let sinks =
-    List.map (fun (role, pi) -> (role, pi, Netlist.fanout nl pi)) ex.Expand.controls
+    let fanouts = Netlist.fanouts nl in
+    List.map (fun (role, pi) -> (role, pi, fanouts.(pi))) ex.Expand.controls
   in
   let n_states = d.Datapath.n_steps + 1 in
   let reset = Netlist.add nl ~name:"reset" Netlist.Pi [||] in
@@ -102,7 +103,7 @@ let compose d (c : Controller.t) =
   List.iter
     (fun (role, pi, consumers) ->
       let line = line_for role in
-      List.iter
+      Array.iter
         (fun w ->
           Array.iteri
             (fun pin src -> if src = pi then Netlist.set_fanin nl w pin line)

@@ -27,7 +27,7 @@ let universe nl =
      | Netlist.Mux2 ->
        Array.iteri
          (fun p driver ->
-           if List.length (Netlist.fanout nl driver) > 1 then
+           if Array.length (Netlist.fanouts nl).(driver) > 1 then
              acc := { node = v; pin = Some p; stuck = false }
                     :: { node = v; pin = Some p; stuck = true } :: !acc)
          (Netlist.fanin nl v))

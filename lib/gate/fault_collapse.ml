@@ -20,7 +20,7 @@ let representative t c = t.reps.(c)
    stem fault plays the role (they are the same physical site). *)
 let input_fault nl g p v =
   let d = (Netlist.fanin nl g).(p) in
-  if List.length (Netlist.fanout nl d) > 1 then
+  if Array.length (Netlist.fanouts nl).(d) > 1 then
     { Fault.node = g; pin = Some p; stuck = v }
   else { Fault.node = d; pin = None; stuck = v }
 

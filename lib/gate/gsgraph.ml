@@ -7,6 +7,7 @@ let of_netlist nl =
   let index = Hashtbl.create 16 in
   Array.iteri (fun i d -> Hashtbl.replace index d i) dffs;
   let g = Digraph.create (Array.length dffs) in
+  let fanouts = Netlist.fanouts nl in
   (* From each DFF output, BFS forward through combinational nodes; a
      reached DFF means its D cone includes this FF. *)
   Array.iteri
@@ -16,7 +17,7 @@ let of_netlist nl =
       Queue.add d q;
       while not (Queue.is_empty q) do
         let v = Queue.take q in
-        List.iter
+        Array.iter
           (fun w ->
             (* A reached DFF closes an S-graph edge (self-loops
                included); only combinational nodes are traversed. *)
@@ -27,7 +28,7 @@ let of_netlist nl =
                 seen.(w) <- true;
                 Queue.add w q
               end)
-          (Netlist.fanout nl v)
+          fanouts.(v)
       done)
     dffs;
   { graph = g; dff_ids = dffs }

@@ -20,8 +20,7 @@ type t = {
   mutable fanins : int array array;
   mutable names : string array;
   mutable n : int;
-  mutable fanouts : int list array option; (* cache *)
-  mutable fanout_arrays : int array array option; (* the same, as arrays *)
+  mutable fanouts : int array array option; (* cache *)
   mutable topo_order : int array option; (* position -> node *)
   mutable topo_pos : int array option; (* node -> position *)
   mutable cones : int array option array option; (* fanout_cone cache *)
@@ -38,7 +37,6 @@ let create ?(name = "netlist") () =
     names = Array.make 64 "";
     n = 0;
     fanouts = None;
-    fanout_arrays = None;
     topo_order = None;
     topo_pos = None;
     cones = None;
@@ -61,7 +59,6 @@ let copy nl =
     names = Array.copy nl.names;
     n = nl.n;
     fanouts = None;
-    fanout_arrays = None;
     topo_order = None;
     topo_pos = None;
     cones = None;
@@ -73,7 +70,6 @@ let copy nl =
 (* Drops every derived cache after a structural edit. *)
 let invalidate nl =
   nl.fanouts <- None;
-  nl.fanout_arrays <- None;
   nl.topo_order <- None;
   nl.topo_pos <- None;
   nl.cones <- None;
@@ -135,27 +131,26 @@ let raw_fanins nl = nl.fanins
 let node_name nl i = check nl i; nl.names.(i)
 let circuit_name nl = nl.cname
 
-let fanout_lists nl =
-  match nl.fanouts with
-  | Some c -> c
-  | None ->
-    let c = Array.make nl.n [] in
-    for v = nl.n - 1 downto 0 do
-      Array.iter (fun f -> c.(f) <- v :: c.(f)) nl.fanins.(v)
-    done;
-    nl.fanouts <- Some c;
-    c
-
-let fanout nl i =
-  check nl i;
-  (fanout_lists nl).(i)
-
+(* A counting pass sizes each node's consumer array, then a fill in id
+   order lists consumers ascending, once per pin that reads the node. *)
 let fanouts nl =
-  match nl.fanout_arrays with
+  match nl.fanouts with
   | Some a -> a
   | None ->
-    let a = Array.map Array.of_list (fanout_lists nl) in
-    nl.fanout_arrays <- Some a;
+    let count = Array.make nl.n 0 in
+    for v = 0 to nl.n - 1 do
+      Array.iter (fun f -> count.(f) <- count.(f) + 1) nl.fanins.(v)
+    done;
+    let a = Array.map (fun c -> Array.make c 0) count in
+    Array.fill count 0 nl.n 0;
+    for v = 0 to nl.n - 1 do
+      Array.iter
+        (fun f ->
+          a.(f).(count.(f)) <- v;
+          count.(f) <- count.(f) + 1)
+        nl.fanins.(v)
+    done;
+    nl.fanouts <- Some a;
     a
 
 let set_fanin nl node pin new_src =
@@ -206,11 +201,12 @@ let topo_order_uncached nl =
   done;
   let order = ref [] in
   let seen = ref 0 in
+  let fo = fanouts nl in
   while not (Queue.is_empty q) do
     let v = Queue.take q in
     incr seen;
     order := v :: !order;
-    List.iter
+    Array.iter
       (fun w ->
         match nl.kinds.(w) with
         | Dff -> () (* sequential edge *)
@@ -218,7 +214,7 @@ let topo_order_uncached nl =
         | Po | Buf | Not | And | Or | Nand | Nor | Xor | Xnor | Mux2 ->
           indeg.(w) <- indeg.(w) - 1;
           if indeg.(w) = 0 then Queue.add w q)
-      (fanout nl v)
+      fo.(v)
   done;
   (* Dffs never enter the queue via fanin-counting above unless... they
      have indeg 0 and were enqueued as sources; all fine.  Check

@@ -57,12 +57,9 @@ val raw_fanins : t -> int array array
 val node_name : t -> int -> string
 val circuit_name : t -> string
 
-(** Fanout lists (computed on first use, cached; do not [add] after). *)
-val fanout : t -> int -> int list
-
-(** Every node's {!fanout} as an array, same order (cached like
-    {!fanout}, reset by {!add}, {!set_fanin} and {!copy}).  For hot
-    loops that walk fanouts without allocating — read-only. *)
+(** [(fanouts nl).(v)] lists [v]'s consumers in ascending id order, a
+    consumer once per pin that reads [v] (computed on first use, cached;
+    reset by {!add}, {!set_fanin} and {!copy}; read-only). *)
 val fanouts : t -> int array array
 
 (** [set_fanin nl node pin new_src] rewires one input (used by scan

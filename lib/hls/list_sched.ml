@@ -117,5 +117,3 @@ let schedule ?latency ?priority ?max_steps g ~resources =
     Array.fold_left max 1 (Array.mapi (fun o s -> s + latency.(o) - 1) start)
   in
   Schedule.make g ~n_steps ~latency start
-
-let used_resources g sched = Schedule.fu_demand g sched

@@ -18,7 +18,3 @@ type resources = (Op.fu_class * int) list
 val schedule :
   ?latency:int array -> ?priority:int array -> ?max_steps:int ->
   Graph.t -> resources:resources -> Schedule.t
-
-(** Smallest per-class counts that still admit the returned schedule —
-    convenience for reporting. *)
-val used_resources : Graph.t -> Schedule.t -> resources

@@ -185,7 +185,7 @@ let dangling_nets nl =
       | Netlist.Po | Netlist.Const0 | Netlist.Const1 -> true
       | _ -> false
     in
-    if (not exempt) && Netlist.fanout nl v = [] then acc := v :: !acc
+    if (not exempt) && (Netlist.fanouts nl).(v) = [||] then acc := v :: !acc
   done;
   !acc
 
@@ -373,7 +373,8 @@ let unobservable_nets nl m =
   for v = Netlist.n_nodes nl - 1 downto 0 do
     (* Dangling nets are already HFT-L004; only flag driven logic whose
        every path to an output is blocked. *)
-    if is_logic nl v && Netlist.fanout nl v <> [] && Scoap.is_inf m.Scoap.co.(v)
+    if is_logic nl v && (Netlist.fanouts nl).(v) <> [||]
+       && Scoap.is_inf m.Scoap.co.(v)
     then acc := v :: !acc
   done;
   !acc

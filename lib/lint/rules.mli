@@ -29,9 +29,10 @@
       so no sensitizable path reaches an output; every fault on the net
       is combinationally unobservable.  (Dangling nets stay HFT-L004.)
 
-    Rules are individually callable (the tests do) and composed by
-    {!all}; expensive inputs (gate expansion, SCOAP, S-graph) are
-    shared lazily through the context. *)
+    The rules run only through {!all}; the structural cores of
+    [HFT-L003], [HFT-L004], [HFT-L009] and [HFT-L010] are exported for
+    bare netlists (the tests call them).  Expensive inputs (gate
+    expansion, SCOAP, S-graph) are shared lazily through the context. *)
 
 type config = {
   cc_threshold : int;      (** HFT-L007 fires above this worst-case CC *)
@@ -56,9 +57,6 @@ type ctx = {
 
 val ctx : ?graph:Hft_cdfg.Graph.t -> Hft_rtl.Datapath.t -> ctx
 
-(** Registers counting as direct test access points (scan or BIST). *)
-val access_regs : Hft_rtl.Datapath.t -> int list
-
 (** Combinational SCCs of a netlist (DFF fanins are sequential edges);
     the structural core of [HFT-L003], usable on bare netlists. *)
 val comb_cycles : Hft_gate.Netlist.t -> int list list
@@ -71,17 +69,6 @@ val uncontrollable_nets : Hft_gate.Netlist.t -> Hft_analysis.Scoap.t -> int list
 
 (** Driven logic nets with a saturated CO; core of [HFT-L010]. *)
 val unobservable_nets : Hft_gate.Netlist.t -> Hft_analysis.Scoap.t -> int list
-
-val l001_assignment_loops : config -> ctx -> Diagnostic.t list
-val l002_rtl_ranges : config -> ctx -> Diagnostic.t list
-val l003_comb_cycles : config -> ctx -> Diagnostic.t list
-val l004_dangling_nets : config -> ctx -> Diagnostic.t list
-val l005_scan_chain : config -> ctx -> Diagnostic.t list
-val l006_bist_roles : config -> ctx -> Diagnostic.t list
-val l007_hard_control : config -> ctx -> Diagnostic.t list
-val l008_hard_observe : config -> ctx -> Diagnostic.t list
-val l009_uncontrollable : config -> ctx -> Diagnostic.t list
-val l010_unobservable : config -> ctx -> Diagnostic.t list
 
 (** Every rule, with the per-rule cap applied; unsorted. *)
 val all : config -> ctx -> Diagnostic.t list

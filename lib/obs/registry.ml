@@ -6,12 +6,15 @@
    a programming error and raises.
 
    The table and the metric mutations behind [incr]/[set]/[observe]/
-   [record] are guarded by one mutex so counters are never lost when
-   engines run on worker domains (PODEM and the salvage search there
-   write metrics; campaign forensics stay on the commit thread).
-   Writes additionally route through {!Capture}: a domain in capture
-   mode defers the write onto its tape instead of touching the shared
-   state (see capture.mli). *)
+   [record] are guarded by one mutex.  Writes route through {!Capture}:
+   a domain in capture mode defers the write onto its tape instead of
+   touching the shared state (see capture.mli), so the engine writes a
+   worker domain makes (PODEM, the salvage search) reach the table only
+   when the commit thread replays the class's tape.  The lock serves
+   the orchestrator, the [hft.chaos.injections] count of a Shard-site
+   injection, which kills a worker before it captures anything, and
+   writers that share the registry across domains directly (test_par's
+   registry hammer). *)
 
 let table : (string, Metric.t) Hashtbl.t = Hashtbl.create 64
 

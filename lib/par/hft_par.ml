@@ -1,20 +1,20 @@
-(* Fixed-size domain pool with per-worker work-stealing deques.
+(* Fixed-size domain pool handing out task indexes from one counter.
 
    Architecture: [Pool.get ~jobs] spawns [jobs - 1] domains once and
    parks them on a condition variable.  Each [section.run] call is one
    "wave": the calling thread installs a closure, bumps an epoch,
    broadcasts, and participates as worker 0; workers run the closure
-   and the last one out signals completion.  The closure drains
-   per-worker deques of task indexes — owner pops the front (lowest
-   index, most commit-urgent), thieves steal from the back — so load
-   balances without a contended global queue while front-of-line tasks
-   still finish early.
+   and the last one out signals completion.  The closure claims task
+   indexes from one atomic counter per wave (the self-scheduling loop
+   of Tang & Yew, ICPP 1986): indexes go out lowest first, which is the
+   engines' commit order, and whichever worker is idle claims the next
+   one, so load balances with no per-worker queues.
 
    Every worker body is wrapped in [Supervisor.protect ~site:Shard]:
-   an exception (or injected chaos) kills that shard's remaining work,
-   not the process.  Tasks the dead shard never completed simply stay
-   [None] in the result array and the caller recomputes them inline —
-   graceful degradation to sequential, one shard at a time. *)
+   an exception (or injected chaos) kills that shard, not the process.
+   The other workers keep claiming, so only the task a dead shard had
+   claimed and not finished stays [None] in the result array, and the
+   caller recomputes it inline. *)
 
 let clamp_jobs j = if j < 1 then 1 else if j > 64 then 64 else j
 
@@ -27,9 +27,9 @@ type 'ws section = {
 }
 
 (* Scheduler telemetry.  A [collector] accumulates lock-free while the
-   pool runs: the per-worker slot arrays below are written only by their
-   owning worker (worker ids are stable across waves), everything else
-   only by the orchestrating thread, and the slots are read after
+   pool runs: the per-worker busy-time slots below are written only by
+   their owning worker (worker ids are stable across waves), everything
+   else only by the orchestrating thread, and the slots are read after
    [launch]'s final lock round-trip — the same happens-before edge the
    result array already relies on.  All of it is observational: the
    collector reads clocks and counts, and changes no task order, result
@@ -42,14 +42,13 @@ module Stats = struct
     s_wall_ns : int;
     s_critical_ns : int;
     s_busy_ns : int;
-    s_steals : int;
     s_spec_hits : int;
     s_spec_misses : int;
     s_inline : int;
   }
 
   let busy_ns t = t.s_busy_ns
-  let steals t = t.s_steals
+  let steals (_ : t) = 0
   let spec_misses t = t.s_spec_misses
   let inline t = t.s_inline
 
@@ -69,7 +68,6 @@ module Stats = struct
         ("critical_ms", ms t.s_critical_ns);
         ("busy_ms", ms t.s_busy_ns);
         ("utilization", Hft_util.Json.Float (utilization t));
-        ("steals", Hft_util.Json.Int t.s_steals);
         ("spec_hits", Hft_util.Json.Int t.s_spec_hits);
         ("spec_misses", Hft_util.Json.Int t.s_spec_misses);
         ("inline", Hft_util.Json.Int t.s_inline) ]
@@ -79,8 +77,8 @@ module Stats = struct
      every campaign carries a utilization figure regardless of path. *)
   let sequential ~wall_ns =
     { s_jobs = 1; s_waves = 0; s_tasks = 0; s_wall_ns = wall_ns;
-      s_critical_ns = wall_ns; s_busy_ns = wall_ns; s_steals = 0;
-      s_spec_hits = 0; s_spec_misses = 0; s_inline = 0 }
+      s_critical_ns = wall_ns; s_busy_ns = wall_ns; s_spec_hits = 0;
+      s_spec_misses = 0; s_inline = 0 }
 
   type collector = {
     c_jobs : int;
@@ -96,7 +94,6 @@ module Stats = struct
     mutable c_inline : int;
     (* owner-written: slot [w] is only ever touched by worker [w] *)
     c_wave_busy_ns : int array;  (* reset at each wave *)
-    c_steals : int array;
   }
 
   let ns s = int_of_float (s *. 1e9)
@@ -104,8 +101,7 @@ module Stats = struct
   let collector ~jobs =
     { c_jobs = jobs; c_t0 = Hft_obs.Clock.now (); c_waves = 0; c_tasks = 0;
       c_busy_ns = 0; c_critical_ns = 0; c_wave_end = None; c_hits = 0;
-      c_misses = 0; c_inline = 0; c_wave_busy_ns = Array.make jobs 0;
-      c_steals = Array.make jobs 0 }
+      c_misses = 0; c_inline = 0; c_wave_busy_ns = Array.make jobs 0 }
 
   (* Close the commit window open since the last wave ended: the
      orchestrator alone runs it, so all of it is on the critical path. *)
@@ -130,9 +126,8 @@ module Stats = struct
     c.c_wave_end <- Some (Hft_obs.Clock.now ())
 
   (* Worker-side hook, called from the pool's task loop. *)
-  let task_run c ~wid ~stolen run =
+  let task_run c ~wid run =
     let t0 = Hft_obs.Clock.now () in
-    if stolen then c.c_steals.(wid) <- c.c_steals.(wid) + 1;
     let r = run () in
     c.c_wave_busy_ns.(wid) <-
       c.c_wave_busy_ns.(wid) + max 0 (ns (Hft_obs.Clock.now () -. t0));
@@ -152,49 +147,8 @@ module Stats = struct
     { s_jobs = c.c_jobs; s_waves = c.c_waves; s_tasks = c.c_tasks;
       s_wall_ns = max 0 (ns (now -. c.c_t0));
       s_critical_ns = c.c_critical_ns; s_busy_ns = c.c_busy_ns;
-      s_steals = Array.fold_left ( + ) 0 c.c_steals; s_spec_hits = c.c_hits;
-      s_spec_misses = c.c_misses; s_inline = c.c_inline }
-end
-
-(* A bounded deque over a fixed index range; tasks are ints and nobody
-   pushes after construction, so two cursors under a mutex suffice. *)
-module Deque = struct
-  type t = {
-    d_lock : Mutex.t;
-    d_items : int array;
-    mutable d_lo : int;
-    mutable d_hi : int;
-  }
-
-  let make items =
-    { d_lock = Mutex.create (); d_items = items; d_lo = 0;
-      d_hi = Array.length items }
-
-  let pop_front d =
-    Mutex.lock d.d_lock;
-    let r =
-      if d.d_lo < d.d_hi then begin
-        let v = d.d_items.(d.d_lo) in
-        d.d_lo <- d.d_lo + 1;
-        Some v
-      end
-      else None
-    in
-    Mutex.unlock d.d_lock;
-    r
-
-  let steal_back d =
-    Mutex.lock d.d_lock;
-    let r =
-      if d.d_lo < d.d_hi then begin
-        let v = d.d_items.(d.d_hi - 1) in
-        d.d_hi <- d.d_hi - 1;
-        Some v
-      end
-      else None
-    in
-    Mutex.unlock d.d_lock;
-    r
+      s_spec_hits = c.c_hits; s_spec_misses = c.c_misses;
+      s_inline = c.c_inline }
 end
 
 module Pool = struct
@@ -333,42 +287,24 @@ module Pool = struct
       let results = Array.make n None in
       let fails = ref [] in
       let fails_lock = Mutex.create () in
-      let deques =
-        Array.init t.p_jobs (fun w ->
-            (* Round-robin striping keeps each deque front-loaded with
-               low task indexes, so owners work commit-order first. *)
-            let mine = ref [] in
-            for k = n - 1 downto 0 do
-              if k mod t.p_jobs = w then mine := k :: !mine
-            done;
-            Deque.make (Array.of_list !mine))
-      in
+      (* One counter per wave: each worker claims the next unclaimed
+         index until they run out. *)
+      let next = Atomic.make 0 in
       Stats.wave_begin stats ~n;
       let body wid =
-        let exec ws ~stolen k =
-          results.(k) <-
-            Some (Stats.task_run stats ~wid ~stolen (fun () -> f ws k))
-        in
         match
           Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Shard
             (fun () ->
               let ws = workspace wid in
-              let rec drain () =
-                match Deque.pop_front deques.(wid) with
-                | Some k ->
-                  exec ws ~stolen:false k;
-                  drain ()
-                | None -> steal 1
-              and steal off =
-                if off < t.p_jobs then
-                  let victim = (wid + off) mod t.p_jobs in
-                  match Deque.steal_back deques.(victim) with
-                  | Some k ->
-                    exec ws ~stolen:true k;
-                    steal 1
-                  | None -> steal (off + 1)
+              let rec claim () =
+                let k = Atomic.fetch_and_add next 1 in
+                if k < n then begin
+                  results.(k) <-
+                    Some (Stats.task_run stats ~wid (fun () -> f ws k));
+                  claim ()
+                end
               in
-              drain ())
+              claim ())
         with
         | Ok () -> ()
         | Error fail ->

@@ -1,10 +1,10 @@
 (** [Hft_par]: a fixed-size OCaml 5 domain pool for the ATPG engines.
 
     The engines split a fault campaign into collapsed fault classes and
-    evaluate them speculatively on the pool — each worker drains its own
-    deque of class indexes front-first (lowest class index first, i.e.
-    most commit-urgent first) and steals from the back of other workers'
-    deques when it runs dry.  Results come back as an [option] per task:
+    evaluate them speculatively on the pool — each worker claims the
+    next class index from one counter shared by the wave, so indexes go
+    out lowest first (the most commit-urgent first) and an idle worker
+    takes whatever is left.  Results come back as an [option] per task:
     [None] means that task's shard died (or chaos killed it) and the
     caller must fall back to computing the task inline.  Determinism is
     the {e caller's} contract — the pool only promises that every task
@@ -31,11 +31,10 @@ type 'ws section = {
 
     A {!Stats.collector} rides along a {!Pool.parallel} section and
     accumulates lock-free: each worker writes only its own busy-time
-    and steal slots, the orchestrating thread writes everything else,
-    and the slots are summed after the wave barrier's happens-before
-    edge.  Collection is purely observational: it reads clocks and
-    counts, and changes no task order, result or committed
-    telemetry.
+    slot, the orchestrating thread writes everything else, and the
+    slots are summed after the wave barrier's happens-before edge.
+    Collection is purely observational: it reads clocks and counts, and
+    changes no task order, result or committed telemetry.
 
     Accounting laws that hold by construction:
     {ul
@@ -53,7 +52,6 @@ module Stats : sig
     s_wall_ns : int;  (** collector lifetime *)
     s_critical_ns : int;  (** Σ per-wave max busy + commit windows *)
     s_busy_ns : int;  (** Σ time on speculative tasks, all workers *)
-    s_steals : int;  (** tasks taken from another worker's deque *)
     s_spec_hits : int;  (** speculations replayed at commit *)
     s_spec_misses : int;  (** speculations discarded at commit *)
     s_inline : int;  (** tasks recomputed inline after a shard died *)
@@ -62,9 +60,13 @@ module Stats : sig
   (** Field accessors, in the function form the layer benchmark reads. *)
   val busy_ns : t -> int
 
-  val steals : t -> int
   val spec_misses : t -> int
   val inline : t -> int
+
+  (** Always 0: workers claim tasks from one counter and take none from
+      each other.  Kept only for the layer benchmark's [par.steals]
+      metric. *)
+  val steals : t -> int
 
   (** Σ busy / (jobs × wall) — 1.0 means every domain spent the whole
       campaign on useful work. *)
@@ -98,7 +100,8 @@ end
     and returns the results plus the failures of any shard whose body
     was killed ({!Hft_robust.Supervisor.protect} wraps each worker,
     site {!Hft_robust.Chaos.site} [Shard]).  [results.(k) = None] iff
-    task [k] never completed — its shard died first; re-run it inline.
+    task [k] never completed — the shard that claimed it died first;
+    re-run it inline.
     Workspaces are created lazily, one per worker, and persist across
     successive [run] calls of the same section. *)
 
@@ -119,7 +122,7 @@ module Pool : sig
       workspaces are built by [init] (on the worker that uses them, at
       most once per worker) and runs [k] with it.  [k] runs on the
       calling thread; only [section.run] bodies execute on the pool.
-      Each [run] is one wave measured into [stats] (busy time, steals,
-      the wave's critical path and the commit window after it) at no
-      change to results. *)
+      Each [run] is one wave measured into [stats] (busy time, the
+      wave's critical path and the commit window after it) at no change
+      to results. *)
 end

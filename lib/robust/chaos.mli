@@ -4,10 +4,13 @@
     When configured, every {!check} at an enabled site draws from one
     splitmix64 stream and raises {!Injection} with probability [prob]
     once the site has been exercised [arm_after] times.  The draw order
-    is the supervision-call order of the campaign, so a given seed
-    reproduces the exact same injection points run after run — tests can
-    kill a campaign at a chosen serialisation and assert the resumed run
-    is bit-identical.  Disabled (the default), {!check} is a single ref
+    is the supervision-call order of the campaign, so on one domain
+    ([-j1]) a given seed reproduces the exact same injection points run
+    after run — tests can kill a campaign at a chosen serialisation and
+    assert the resumed run is bit-identical.  At [-j > 1] worker domains
+    advance the stream and the site counters unlocked and in no fixed
+    order, so there only [prob = 1.0] (every armed check trips)
+    reproduces.  Disabled (the default), {!check} is a single ref
     read. *)
 
 type site = Podem | Fsim | Collapse | Serialize | Shard

@@ -138,8 +138,3 @@ let n_vectors c =
     List.map (fun s -> value vec s) c.signals
   in
   List.map canon (all_vectors c) |> List.sort_uniq compare |> List.length
-
-let signal_to_string = function
-  | Reg_enable r -> Printf.sprintf "en_r%d" r
-  | Fu_select (f, p) -> Printf.sprintf "sel_f%d_p%d" f p
-  | Reg_select r -> Printf.sprintf "sel_r%d" r

@@ -45,5 +45,3 @@ val add_test_vectors : t -> vector list -> t
 
 (** Number of distinct full control vectors (functional + test). *)
 val n_vectors : t -> int
-
-val signal_to_string : signal -> string

@@ -107,9 +107,6 @@ let input_registers d =
 let output_registers d =
   Array.to_list d.outports |> List.map snd |> List.sort_uniq compare
 
-let io_registers d =
-  List.sort_uniq compare (input_registers d @ output_registers d)
-
 let self_adjacent_regs d =
   let n = n_fus d in
   let acc = ref [] in

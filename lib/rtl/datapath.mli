@@ -83,7 +83,6 @@ val fu_of_op : t -> int -> int option
     (the survey's "I/O registers", Lee et al. §3.2). *)
 val input_registers : t -> int list
 val output_registers : t -> int list
-val io_registers : t -> int list
 
 (** Self-adjacent registers: [r] both feeds an FU and latches that FU's
     result (survey §5.1). *)

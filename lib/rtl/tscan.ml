@@ -82,12 +82,3 @@ let select s =
     tscan_fus = List.sort compare sel.tscan_fus }
 
 let n_cells sel = List.length sel.scan_regs + List.length sel.tscan_fus
-
-let area_delta ~width sel =
-  let t = Area.default in
-  let w = float_of_int width in
-  (* Scan conversion: incremental over a plain register; transparent
-     cell: a full extra (bypassable) register. *)
-  (float_of_int (List.length sel.scan_regs)
-   *. (t.Area.scan_bit -. t.Area.reg_bit) *. w)
-  +. (float_of_int (List.length sel.tscan_fus) *. t.Area.tscan_bit *. w)

@@ -23,9 +23,3 @@ val select : Sgraph.t -> selection
 
 (** Cells used by a selection (scan registers + transparent cells). *)
 val n_cells : selection -> int
-
-(** Annotate the data path (register kinds; transparent cells are added
-    as [Transparent_scan]-kind bookkeeping on the unit's output
-    registers' metadata is not possible, so the count is returned for
-    area accounting instead). *)
-val area_delta : width:int -> selection -> float

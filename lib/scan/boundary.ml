@@ -15,7 +15,10 @@ let insert nl =
   let pos = Netlist.pos nl in
   if pis = [] || pos = [] then invalid_arg "Boundary.insert: need PIs and POs";
   (* Consumers of each PI, snapshotted before any additions. *)
-  let pi_sinks = List.map (fun p -> (p, Netlist.fanout nl p)) pis in
+  let pi_sinks =
+    let fanouts = Netlist.fanouts nl in
+    List.map (fun p -> (p, fanouts.(p))) pis
+  in
   let bs_shift = Netlist.add nl ~name:"bs_shift" Netlist.Pi [||] in
   let extest = Netlist.add nl ~name:"extest" Netlist.Pi [||] in
   let bs_in = Netlist.add nl ~name:"bs_in" Netlist.Pi [||] in
@@ -35,7 +38,7 @@ let insert nl =
         let d = Netlist.add nl Netlist.Mux2 [| bs_shift; sample_or_hold; !prev |] in
         Netlist.set_fanin nl cell 0 d;
         let core_in = Netlist.add nl Netlist.Mux2 [| extest; p; cell |] in
-        List.iter
+        Array.iter
           (fun w ->
             Array.iteri
               (fun pin src -> if src = p then Netlist.set_fanin nl w pin core_in)

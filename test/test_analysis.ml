@@ -63,7 +63,7 @@ let bfs_reaches nl ~observe ?(avoid = -1) v =
               seen.(w) <- true;
               Queue.add w q
             end)
-          (Netlist.fanout nl u)
+          (Array.to_list (Netlist.fanouts nl).(u))
     done;
     !found
   end
@@ -637,7 +637,9 @@ module Parent_podem = struct
     let geval = Sim.teval_fn nl in
     let feval = Sim.teval_fn ~faults nl in
     let heap = ws.w_heap in
-    let propagate_from v = List.iter (Sim.heap_push heap) (Netlist.fanout nl v) in
+    let propagate_from v =
+      List.iter (Sim.heap_push heap) (Array.to_list (Netlist.fanouts nl).(v))
+    in
     let drain () =
       while not (Sim.heap_is_empty heap) do
         let v = Sim.heap_pop heap in
@@ -807,7 +809,7 @@ module Parent_podem = struct
                 xparent.(w) <- v;
                 push w
               end)
-            (Netlist.fanout nl v)
+            (Array.to_list (Netlist.fanouts nl).(v))
       done;
       if held = Some true && not !reach then incr witness_unsound;
       !reach
@@ -908,7 +910,9 @@ module Parent_podem = struct
             end
         end
       in
-      List.iter (fun d -> List.iter consider (Netlist.fanout nl d)) !d_list;
+      List.iter
+        (fun d -> List.iter consider (Array.to_list (Netlist.fanouts nl).(d)))
+        !d_list;
       List.iter
         (fun f ->
           if f.Fault.pin <> None && pin_fault_active f.Fault.node then
@@ -956,7 +960,9 @@ module Parent_podem = struct
                 (Netlist.fanin nl v)
         end
       in
-      List.iter (fun d -> List.iter consider (Netlist.fanout nl d)) !d_list;
+      List.iter
+        (fun d -> List.iter consider (Array.to_list (Netlist.fanouts nl).(d)))
+        !d_list;
       List.iter
         (fun f ->
           if f.Fault.pin <> None && pin_fault_active f.Fault.node then
@@ -1598,7 +1604,7 @@ let reference_cone nl root =
       acc := v :: !acc;
       List.iter
         (fun w -> if Netlist.kind nl w <> Netlist.Dff then visit w)
-        (Netlist.fanout nl v)
+        (Array.to_list (Netlist.fanouts nl).(v))
     end
   in
   visit root;

@@ -4,8 +4,9 @@
    in the results: coverage, verdicts, test sets, engine counters and
    the fault-forensics waterfall must be bit-identical at any jobs
    count, chaos-killed worker domains included.  These tests pin that
-   contract — plus the thread safety of the metric registry the workers
-   write through. *)
+   contract, plus how the pool hands out tasks and the thread safety of
+   the metric registry for writers on several domains at once (campaign
+   workers capture their writes and the commit thread replays them). *)
 
 open Hft_gate
 
@@ -29,6 +30,93 @@ let test_knobs () =
   check_int "negative clamps to 1" 1 (Hft_par.clamp_jobs (-3));
   check_int "in range passes" 4 (Hft_par.clamp_jobs 4);
   check_int "huge clamps to 64" 64 (Hft_par.clamp_jobs 1000)
+
+(* ------------------------------------------------------------------ *)
+(* The pool itself                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Sections at every jobs count, over empty, tiny and long waves of
+   tasks whose work differs fiftyfold: every index runs exactly once
+   and returns its own result, each worker's workspace is built at most
+   once, each worker claims its indexes lowest first (the commit
+   order), and the collector counts every task.  Under Shard chaos at
+   probability 1 every shard dies before claiming anything. *)
+let test_pool_claims () =
+  let work k =
+    let acc = ref k in
+    for i = 1 to (if k mod 5 = 0 then 20_000 else 400) do
+      acc := ((!acc * 31) + i) land 0xffff
+    done;
+    Sys.opaque_identity !acc
+  in
+  let value k = (2 * k) + 1 in
+  let rec descending = function
+    | a :: (b :: _ as rest) -> a > b && descending rest
+    | [ _ ] | [] -> true
+  in
+  List.iter
+    (fun jobs ->
+      let sizes = [ 0; 1; jobs - 1; jobs; 37; 200 ] in
+      let pool = Hft_par.Pool.get ~jobs in
+      (* Each workspace is the list of indexes its worker claimed in the
+         current wave, newest first. *)
+      let lock = Mutex.create () and workspaces = ref [] in
+      let init () =
+        let mine = ref [] in
+        Mutex.protect lock (fun () -> workspaces := mine :: !workspaces);
+        mine
+      in
+      let stats = Hft_par.Stats.collector ~jobs in
+      Hft_par.Pool.parallel pool ~stats ~init (fun section ->
+          List.iter
+            (fun n ->
+              let tag = Printf.sprintf "-j%d n=%d" jobs n in
+              let runs = Array.init n (fun _ -> Atomic.make 0) in
+              let results, fails =
+                section.Hft_par.run ~n ~f:(fun mine k ->
+                    Atomic.incr runs.(k);
+                    mine := k :: !mine;
+                    ignore (work k : int);
+                    value k)
+              in
+              check_int (tag ^ ": no shard died") 0 (List.length fails);
+              check (tag ^ ": every index ran once") true
+                (Array.for_all (fun r -> Atomic.get r = 1) runs);
+              check (tag ^ ": results.(k) = Some (f k)") true
+                (results = Array.init n (fun k -> Some (value k)));
+              List.iter
+                (fun mine ->
+                  check (tag ^ ": each worker claims ascending") true
+                    (descending !mine);
+                  mine := [])
+                !workspaces)
+            sizes);
+      check
+        (Printf.sprintf "-j%d: init at most once per worker" jobs)
+        true
+        (List.length !workspaces <= jobs);
+      check_int
+        (Printf.sprintf "-j%d: tasks counted" jobs)
+        (List.fold_left ( + ) 0 sizes)
+        (Hft_par.Stats.finish stats).Hft_par.Stats.s_tasks;
+      Hft_robust.Chaos.with_config
+        { Hft_robust.Chaos.seed = 3; prob = 1.0;
+          sites = [ Hft_robust.Chaos.Shard ]; arm_after = 0 }
+        (fun () ->
+          Hft_par.Pool.parallel pool ~stats:(Hft_par.Stats.collector ~jobs)
+            ~init:ignore (fun section ->
+              List.iter
+                (fun n ->
+                  let tag = Printf.sprintf "-j%d n=%d under chaos" jobs n in
+                  let results, fails =
+                    section.Hft_par.run ~n ~f:(fun () k -> value k)
+                  in
+                  check (tag ^ ": every result None") true
+                    (Array.for_all Option.is_none results);
+                  check_int (tag ^ ": one failure per shard") jobs
+                    (List.length fails))
+                sizes)))
+    [ 1; 2; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability layer under concurrent hammering                     *)
@@ -460,6 +548,7 @@ let () =
       ( "par",
         [
           Alcotest.test_case "knobs" `Quick test_knobs;
+          Alcotest.test_case "pool claims" `Quick test_pool_claims;
           Alcotest.test_case "obs hammer" `Quick test_obs_hammer;
           Alcotest.test_case "seq differential" `Quick test_seq_differential;
           Alcotest.test_case "full-scan differential" `Quick
